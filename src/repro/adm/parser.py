@@ -12,7 +12,7 @@ import json
 from typing import Iterable, Iterator, Optional
 
 from ..errors import AdmParseError
-from .types import Datatype, FieldType, TypeTag
+from .types import Datatype, coerce_record  # noqa: F401 - coerce_record re-exported
 from .values import Circle, DateTime, Duration, Point, Rectangle
 
 
@@ -21,7 +21,8 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
 
     If ``datatype`` is given, string-encoded extended fields declared in the
     type (datetime, duration, point...) are coerced, and the record is
-    validated against the type.
+    validated against the type — one pass of the type's compiled codec
+    (:meth:`Datatype.decode`) over the freshly decoded dict, in place.
     """
     try:
         raw = json.loads(text)
@@ -32,8 +33,7 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
             f"expected a JSON object record, got {type(raw).__name__}"
         )
     if datatype is not None:
-        raw = coerce_record(raw, datatype)
-        datatype.validate(raw)
+        datatype.decode(raw)
     return raw
 
 
@@ -47,50 +47,12 @@ def parse_json_lines(
             yield parse_json(line, datatype)
 
 
-def coerce_record(record: dict, datatype: Datatype) -> dict:
-    """Coerce string/array-encoded extended values using declared types."""
-    out = dict(record)
-    for fname, ftype in datatype.fields.items():
-        if fname in out and out[fname] is not None:
-            out[fname] = _coerce_value(out[fname], ftype)
-    return out
-
-
-def _coerce_value(value, ftype: FieldType):
-    tag = ftype.tag
-    if tag is TypeTag.DATETIME and isinstance(value, str):
-        return DateTime.parse(value)
-    if tag is TypeTag.DURATION and isinstance(value, str):
-        return Duration.parse(value)
-    if tag is TypeTag.POINT and isinstance(value, (list, tuple)) and len(value) == 2:
-        return Point(float(value[0]), float(value[1]))
-    if (
-        tag is TypeTag.RECTANGLE
-        and isinstance(value, (list, tuple))
-        and len(value) == 4
-    ):
-        return Rectangle(*(float(v) for v in value))
-    if tag is TypeTag.CIRCLE and isinstance(value, (list, tuple)) and len(value) == 3:
-        return Circle(Point(float(value[0]), float(value[1])), float(value[2]))
-    if tag is TypeTag.DOUBLE and isinstance(value, int):
-        return float(value)
-    if tag is TypeTag.ARRAY and isinstance(value, list) and ftype.item is not None:
-        return [_coerce_value(v, ftype.item) for v in value]
-    if (
-        tag is TypeTag.OBJECT
-        and isinstance(value, dict)
-        and ftype.object_type is not None
-    ):
-        return coerce_record(value, ftype.object_type)
-    return value
-
-
 class _AdmEncoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, DateTime):
             return o.isoformat()
         if isinstance(o, Duration):
-            return f"P{o.months}M" if not o.millis else repr(o)
+            return o.isoformat()
         if isinstance(o, Point):
             return [o.x, o.y]
         if isinstance(o, Rectangle):

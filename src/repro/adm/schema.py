@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple, Union
 
+from ..errors import AdmTypeError
 from .types import Datatype, FieldType, TypeTag
 from .values import MISSING
 
@@ -103,9 +104,8 @@ def primary_key_of(record: dict, key_path: PathLike):
     """Extract the primary key; raises if the key is missing."""
     value = field_path(record, key_path)
     if value is MISSING or value is None:
-        from ..errors import AdmTypeError
-
-        raise AdmTypeError(f"record has no primary key at path {key_path!r}")
+        dotted = ".".join(split_path(key_path))  # a pre-split path reads the same
+        raise AdmTypeError(f"record has no primary key at path {dotted!r}")
     return value
 
 

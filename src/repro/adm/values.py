@@ -91,8 +91,9 @@ class DateTime:
         match = _DATETIME_RE.match(text.strip())
         if not match:
             raise AdmParseError(f"invalid datetime literal: {text!r}")
-        year, month, day, hour, minute, second = (int(g) for g in match.groups()[:6])
-        frac = match.group(7)
+        year, month, day, hour, minute, second, frac = match.groups()
+        year, month, day = int(year), int(month), int(day)
+        hour, minute, second = int(hour), int(minute), int(second)
         millis = int(frac.ljust(3, "0")) if frac else 0
         if not (1 <= month <= 12):
             raise AdmParseError(f"invalid month in datetime: {text!r}")
@@ -181,6 +182,15 @@ class Duration:
             + int(round(float(seconds or 0) * 1000))
         )
         return cls(total_months, total_millis)
+
+    def isoformat(self) -> str:
+        """ISO-8601 text :meth:`parse` reads back: ``P2M``, ``P2MT1.5S``."""
+        text = f"P{self.months}M"
+        if self.millis:
+            whole, frac = divmod(abs(self.millis), 1000)
+            seconds = f"{whole}.{frac:03d}".rstrip("0").rstrip(".")
+            text += f"T{'-' if self.millis < 0 else ''}{seconds}S"
+        return text
 
     def __repr__(self):
         return f"duration(months={self.months}, millis={self.millis})"

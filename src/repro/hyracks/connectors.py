@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Callable, List
 
+from ..storage.dataset import hash_partition
 from .frame import DEFAULT_FRAME_CAPACITY, Frame
 
 
@@ -52,8 +53,6 @@ class HashPartition(RoutingStrategy):
         self.key_fn = key_fn
 
     def route(self, record, producer_partition, fanout):
-        from ..storage.dataset import hash_partition
-
         return [hash_partition(self.key_fn(record), fanout)]
 
 

@@ -22,6 +22,7 @@ as the paper's testbed (dual-core Opteron 2212, GbE):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -200,8 +201,6 @@ class WorkMeter:
 
     def charge(self, cost: CostModel) -> float:
         """Convert counted work to simulated seconds."""
-        import math
-
         s = self.scale
 
         def scaled(name: str) -> float:

@@ -60,7 +60,6 @@ from ..sqlpp.evaluator import EvaluationContext
 from ..sqlpp.memo import EnrichmentMemo
 from ..sqlpp.state_cache import StateCache
 from ..storage.checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
-from ..storage.dataset import hash_partition
 from .adapter import ADAPTER_IDLE, FeedAdapter, drain_available
 from .feed import (
     BatchStats,
@@ -177,6 +176,7 @@ class _StorageLayer:
         """
         cost = self.cluster.cost_model
         n = self.cluster.num_nodes
+        locate, write = self.dataset.locate, self.write
         batch_busy: Dict[int, float] = {}
         touched = set()
         for producer_node, records in enumerate(outputs):
@@ -184,14 +184,16 @@ class _StorageLayer:
                 continue
             self.holders[producer_node % n].push(Frame(records))
             for record in records:
-                key = primary_key_of(record, self.dataset.primary_key)
-                target = hash_partition(key, n)
+                # key and hash once per record: the node here, the
+                # dataset partition inside the write
+                located = locate(record)
+                target = located[1] % n
                 if target != producer_node % n:
                     batch_busy[producer_node % n] = (
                         batch_busy.get(producer_node % n, 0.0)
                         + cost.transfer_per_record
                     )
-                self.write(record)
+                write(record, located)
                 self.records_stored += 1
                 batch_busy[target] = (
                     batch_busy.get(target, 0.0) + cost.store_per_record

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..adm.values import MISSING
+from ..adm.values import MISSING, DateTime, Duration
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from .analysis import (
     contains_aggregate,
@@ -103,8 +103,6 @@ def truthy(value) -> bool:
 
 
 def add_values(left, right):
-    from ..adm.values import DateTime, Duration
-
     if isinstance(left, DateTime) and isinstance(right, Duration):
         return left.add(right)
     if isinstance(left, Duration) and isinstance(right, DateTime):
@@ -117,8 +115,6 @@ def add_values(left, right):
 
 
 def subtract_values(left, right):
-    from ..adm.values import DateTime, Duration
-
     if isinstance(left, DateTime) and isinstance(right, Duration):
         return left.add(Duration(-right.months, -right.millis))
     return left - right

@@ -16,26 +16,29 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-from ..adm.schema import primary_key_of
+from ..adm.schema import primary_key_of, split_path
 from ..adm.types import Datatype
 from ..errors import IndexError_, KeyNotFoundError
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMTree
 
 
-def hash_partition(key, num_partitions: int) -> int:
-    """Deterministic hash partitioning for primary keys.
+def key_hash(key) -> int:
+    """Deterministic 64-bit hash of a primary key.
 
     Python's builtin ``hash`` is salted per process for strings, which would
     make partition assignment non-reproducible across runs; use a stable FNV-1a
     over the repr instead.
     """
-    data = repr(key).encode("utf-8")
     acc = 0xCBF29CE484222325
-    for byte in data:
-        acc ^= byte
-        acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return acc % num_partitions
+    for byte in repr(key).encode("utf-8"):
+        acc = ((acc ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return acc
+
+
+def hash_partition(key, num_partitions: int) -> int:
+    """Deterministic hash partitioning for primary keys."""
+    return key_hash(key) % num_partitions
 
 
 class Dataset:
@@ -55,6 +58,7 @@ class Dataset:
         self.name = name
         self.datatype = datatype
         self.primary_key = primary_key
+        self._key_path = split_path(primary_key)
         self.num_partitions = num_partitions
         self.validate = validate
         self.partitions: List[LSMTree] = [
@@ -102,27 +106,34 @@ class Dataset:
     def _partition_of(self, key) -> int:
         return hash_partition(key, self.num_partitions)
 
-    def _prepare(self, record: dict):
+    def locate(self, record: dict):
+        """``(primary key, its 64-bit hash)``: what a caller that also routes
+        by the key hands back to :meth:`upsert` / :meth:`insert` as
+        ``located``, so both are worked out once per record."""
+        key = primary_key_of(record, self._key_path)
+        return key, key_hash(key)
+
+    def _prepare(self, record: dict, located=None):
         if self.validate:
             self.datatype.validate(record)
-        key = primary_key_of(record, self.primary_key)
-        return key, self._partition_of(key)
+        key, hashed = located or self.locate(record)
+        return key, hashed % self.num_partitions
 
     def _commit(self, op: str, key) -> None:
         self.version += 1
         for listener in self._update_listeners:
             listener(op, key)
 
-    def insert(self, record: dict) -> None:
-        key, pid = self._prepare(record)
+    def insert(self, record: dict, located=None) -> None:
+        key, pid = self._prepare(record, located)
         tree = self.partitions[pid]
         tree.insert(key, record)  # raises DuplicateKeyError on conflict
         for per_partition in self.indexes.values():
             per_partition[pid].on_insert(record, key)
         self._commit("insert", key)
 
-    def upsert(self, record: dict) -> None:
-        key, pid = self._prepare(record)
+    def upsert(self, record: dict, located=None) -> None:
+        key, pid = self._prepare(record, located)
         tree = self.partitions[pid]
         old = tree.get(key)
         tree.upsert(key, record)

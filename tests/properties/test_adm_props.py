@@ -5,10 +5,13 @@ from hypothesis import strategies as st
 
 from repro.adm import (
     Circle,
+    Datatype,
     DateTime,
     Duration,
+    FieldType,
     Point,
     Rectangle,
+    TypeTag,
     make_type,
     parse_json,
     serialize,
@@ -117,3 +120,65 @@ class TestSerializationProperties:
     @settings(max_examples=150)
     def test_serialize_parse_roundtrip(self, record):
         assert parse_json(serialize(record)) == record
+
+
+finite = st.floats(-1e9, 1e9, allow_nan=False)
+durations = st.builds(Duration, st.integers(0, 1200), st.integers(0, 10**12))
+EXTENDED_VALUES = {
+    TypeTag.DATETIME: st.builds(DateTime, epoch_millis),
+    TypeTag.DURATION: durations,
+    TypeTag.POINT: st.builds(Point, finite, finite),
+    TypeTag.RECTANGLE: st.builds(Rectangle, finite, finite, finite, finite),
+    TypeTag.CIRCLE: st.builds(
+        Circle, st.builds(Point, finite, finite), st.floats(0, 1e6)
+    ),
+}
+#: extended scalars, arrays of them, nested objects of them, to any depth
+extended_types = st.recursive(
+    st.sampled_from(sorted(EXTENDED_VALUES, key=lambda tag: tag.value)).map(FieldType),
+    lambda inner: st.one_of(
+        inner.map(lambda item: FieldType(TypeTag.ARRAY, item=item)),
+        st.dictionaries(st.sampled_from("pqrs"), inner, min_size=1, max_size=3).map(
+            lambda fields: FieldType(
+                TypeTag.OBJECT, object_type=Datatype("Nested", fields)
+            )
+        ),
+    ),
+    max_leaves=6,
+)
+
+
+def values_of(ftype: FieldType):
+    if ftype.tag is TypeTag.ARRAY:
+        return st.lists(values_of(ftype.item), max_size=3)
+    if ftype.tag is TypeTag.OBJECT:
+        return st.fixed_dictionaries(
+            {name: values_of(ft) for name, ft in ftype.object_type.fields.items()}
+        )
+    return EXTENDED_VALUES[ftype.tag]
+
+
+class TestExtendedValueRoundTrip:
+    @given(durations)
+    @settings(max_examples=300)
+    def test_duration_isoformat_parse_roundtrip(self, duration):
+        assert Duration.parse(duration.isoformat()) == duration
+
+    def test_duration_wire_form(self):
+        assert serialize({"d": Duration(2, 1500)}) == '{"d":"P2MT1.5S"}'
+        assert serialize({"d": Duration(2, 0)}) == '{"d":"P2M"}'  # as always stored
+        assert serialize({"d": Duration(0, 0)}) == '{"d":"P0M"}'
+        assert serialize({"d": Duration(0, 90_000)}) == '{"d":"P0MT90S"}'
+        assert serialize({"d": Duration(0, 7)}) == '{"d":"P0MT0.007S"}'
+
+    @given(
+        extended_types.flatmap(
+            lambda ftype: st.tuples(st.just(ftype), values_of(ftype))
+        )
+    )
+    @settings(max_examples=300)
+    def test_serialize_then_typed_parse_roundtrip(self, typed):
+        ftype, value = typed
+        datatype = Datatype("T", {"id": FieldType(TypeTag.INT64), "v": ftype})
+        record = {"id": 1, "v": value}
+        assert parse_json(serialize(record), datatype) == record

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adm import DateTime, Point, Rectangle, make_type
+from repro.adm import DateTime, Duration, Point, Rectangle, make_type
 from repro.errors import StorageError
 from repro.storage import Dataset, IndexKind
 from repro.storage.persistence import load_dataset, save_dataset
@@ -45,6 +45,18 @@ class TestRoundTrip:
         assert restored == original
         assert isinstance(restored["when"], DateTime)
         assert isinstance(restored["where"], Point)
+
+    def test_duration_with_millis_roundtrips(self, tmp_path):
+        # was serialized as its Python repr, which load_dataset rejected
+        lease_type = make_type("L", {"id": "int64", "ttl": "duration"})
+        leases = Dataset("Leases", lease_type, "id")
+        leases.insert({"id": 1, "ttl": Duration(2, 1500)})
+        leases.insert({"id": 2, "ttl": Duration(2, 0)})
+        path = str(tmp_path / "leases.adm")
+        save_dataset(leases, path)
+        loaded = load_dataset(path)
+        assert loaded.get(1) == {"id": 1, "ttl": Duration(2, 1500)}
+        assert loaded.get(2) == {"id": 2, "ttl": Duration(2, 0)}
 
     def test_metadata_preserved(self, dataset, tmp_path):
         path = str(tmp_path / "events.adm")

@@ -1,0 +1,58 @@
+"""No function-level ``import`` on the per-record paths.
+
+An ``import`` statement inside a function re-enters the import machinery on
+every call (a ``sys.modules`` lookup plus, for ``from .. import``, the
+package-resolution helpers): on a per-record function that was the largest
+single row of the plain-feed profile.  The hot packages import at module
+level; a deliberate exception goes in ``ALLOWED`` with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+CHECKED = sorted(
+    path
+    for package in ("adm", "storage", "hyracks", "runtime")
+    for path in (SRC / package).rglob("*.py")
+) + [
+    SRC / "sqlpp" / f"{name}.py"
+    for name in ("plans", "columnar", "evaluator", "functions")
+]
+
+#: ``"<path relative to src/repro>::<function>"`` -> why the import stays local
+ALLOWED: dict = {}
+
+
+def function_level_imports(path: Path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for function in ast.walk(tree):
+        if not isinstance(
+            function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+        ):
+            continue
+        name = getattr(function, "name", "<lambda>")
+        for node in ast.walk(function):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                yield f"{path.relative_to(SRC).as_posix()}::{name}", node.lineno
+
+
+def test_checked_files_exist():
+    assert len(CHECKED) > 30
+    assert all(path.is_file() for path in CHECKED)
+
+
+def test_no_function_level_imports_on_hot_paths():
+    offenders = sorted(
+        f"{where} (line {line})"
+        for path in CHECKED
+        for where, line in function_level_imports(path)
+        if where not in ALLOWED
+    )
+    assert not offenders, "function-level imports:\n  " + "\n  ".join(offenders)
+
+
+def test_allow_list_has_no_stale_entries():
+    found = {where for path in CHECKED for where, _ in function_level_imports(path)}
+    assert set(ALLOWED) <= found
