@@ -42,6 +42,7 @@ from ..ingestion.pipelines import (
 )
 from ..ingestion.policy import DEFAULT_POLICY, FeedPolicy
 from ..runtime.faults import FaultPlan
+from ..runtime.metrics import PLAN_CACHE_COUNTERS
 from ..sqlpp.compiler import QueryCompiler, run_insert
 from ..storage.checkpoint import CheckpointStore
 from ..sqlpp.evaluator import EvaluationContext, Evaluator
@@ -157,19 +158,8 @@ class AsterixLite:
             stats: Dict[str, int] = {"feed": feed}
             if report is None:
                 return stats
-            stats.update(
-                state_cache_hits=report.state_cache_hits,
-                state_cache_misses=report.state_cache_misses,
-                state_cache_evictions=report.state_cache_evictions,
-                state_cache_bytes=report.state_cache_bytes,
-                memo_hits=report.memo_hits,
-                memo_misses=report.memo_misses,
-                memo_evictions=report.memo_evictions,
-                memo_bytes=report.memo_bytes,
-                vectorized_batches=report.vectorized_batches,
-                vectorized_records=report.vectorized_records,
-                scalar_fallbacks=report.scalar_fallbacks,
-            )
+            for name in PLAN_CACHE_COUNTERS:
+                stats[name] = getattr(report, name)
             return stats
         stats = dict(self.registry.plan_cache.stats())
         for key, value in self.registry.state_cache.stats().items():

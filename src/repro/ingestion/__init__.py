@@ -38,7 +38,7 @@ from .feed import (
 from .pipelines import (
     ActiveFeedManager,
     DynamicIngestionPipeline,
-    FeedRunHandle,
+    FeedRun,
     StaticIngestionPipeline,
 )
 from .policy import (
@@ -73,7 +73,7 @@ __all__ = [
     "FeedFabric",
     "FeedLaunch",
     "FeedPolicy",
-    "FeedRunHandle",
+    "FeedRun",
     "FeedRunReport",
     "FeedSignals",
     "FileAdapter",

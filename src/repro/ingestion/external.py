@@ -22,7 +22,9 @@ discrete-event clock, deterministically:
   the full resilience stack — per-call deadline, retries with exponential
   backoff + deterministic jitter, a client-side token-bucket rate limiter,
   and a per-enricher circuit breaker (closed → open → half-open with probe
-  requests).  All knobs live on :class:`~repro.ingestion.policy.FeedPolicy`.
+  requests).  The knobs callers vary live on
+  :class:`~repro.ingestion.policy.FeedPolicy`; the call deadline, backoff
+  curve and half-open probe count are the constants below.
 
 Failures degrade progressively instead of stalling ingestion
 (:class:`~repro.ingestion.policy.ExternalFailureAction`): after the retry
@@ -49,6 +51,17 @@ from .policy import DEFAULT_POLICY, ExternalFailureAction, FeedPolicy
 #: marker field on stored records whose enrichment is not yet resolved;
 #: holds the list of still-pending binding labels (``enricher:field``)
 PENDING_FIELD = "_enrichment_pending"
+
+#: per-call deadline: a slow remote burns exactly this long, then times out
+CALL_DEADLINE_SECONDS = 0.05
+#: retry backoff: ``initial × multiplier^(attempt-1)`` capped at ``max``,
+#: then stretched by a deterministic jitter fraction in ``[0, jitter)``
+BACKOFF_INITIAL_SECONDS = 0.01
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX_SECONDS = 0.5
+BACKOFF_JITTER = 0.25
+#: probe calls a half-open circuit breaker admits before deciding
+BREAKER_HALF_OPEN_PROBES = 1
 
 
 def _fraction(*material) -> float:
@@ -330,7 +343,7 @@ class EnrichmentCoordinator:
                 name,
                 policy.external_breaker_failures,
                 policy.external_breaker_reset_seconds,
-                policy.external_breaker_half_open_probes,
+                BREAKER_HALF_OPEN_PROBES,
                 self.metrics,
             )
             rate = policy.external_rate_limit_per_second
@@ -475,7 +488,7 @@ class EnrichmentCoordinator:
                 start = bucket.reserve(t)
                 metrics.rate_limit_wait_seconds += start - t
             result = enricher.call(
-                chunk, start, policy.external_deadline_seconds, self.fault_plan
+                chunk, start, CALL_DEADLINE_SECONDS, self.fault_plan
             )
             metrics.calls += 1
             metrics.keys_requested += len(chunk)
@@ -495,11 +508,10 @@ class EnrichmentCoordinator:
             if attempt >= policy.external_max_attempts:
                 return result.outcome, None, t
             backoff = min(
-                policy.external_backoff_max_seconds,
-                policy.external_backoff_initial_seconds
-                * policy.external_backoff_multiplier ** (attempt - 1),
+                BACKOFF_MAX_SECONDS,
+                BACKOFF_INITIAL_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1),
             )
-            backoff *= 1.0 + policy.external_backoff_jitter * _fraction(
+            backoff *= 1.0 + BACKOFF_JITTER * _fraction(
                 enricher.name, enricher.seed, enricher.calls, "backoff"
             )
             backoff = max(backoff, result.retry_after)

@@ -25,7 +25,7 @@ layered feeds.  Two coupled schedulers:
   across every tenant's :class:`~repro.sqlpp.state_cache.StateCache` and
   :class:`~repro.sqlpp.memo.EnrichmentMemo` instead of N fixed private
   budgets.  Rebalanced at batch boundaries: each cache's share is
-  proportional to ``priority × fair_share × (floor + observed hit
+  proportional to ``priority × FAIR_SHARE × (floor + observed hit
   ratio)``, so bytes flow toward tenants demonstrating reuse and
   eviction pressure flows to the lowest-value tenant (a shrink grant
   evicts immediately via ``StateCache.configure``).
@@ -55,6 +55,10 @@ GRANT_GRANULARITY_BYTES = 4096
 #: base utility weight for a tenant with zero observed hits — keeps a
 #: cold cache funded long enough to earn its first reuse
 COLD_TENANT_WEIGHT = 0.25
+
+#: every tenant's relative claim on the governed cache budget: uniform,
+#: so only priority and observed hit ratio move bytes between tenants
+FAIR_SHARE = 1.0
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,6 @@ class _WorkerTenant:
         "floor",
         "cap",
         "priority",
-        "fair_share",
         "grow",
         "recall",
         "held",
@@ -137,7 +140,6 @@ class _WorkerTenant:
         self.floor = policy.min_computing_workers
         self.cap = policy.max_computing_workers
         self.priority = policy.priority
-        self.fair_share = policy.fair_share
         self.grow = grow  # () -> None: spawn one worker now (a grant)
         self.recall = recall  # () -> bool: issue a retire token if safe
         self.held = 0
@@ -155,15 +157,13 @@ class _WorkerTenant:
 class _CacheTenant:
     """One governed cache's account inside the memory governor."""
 
-    __slots__ = ("feed", "kind", "cache", "priority", "fair_share",
-                 "budget", "smoothed")
+    __slots__ = ("feed", "kind", "cache", "priority", "budget", "smoothed")
 
-    def __init__(self, feed, kind, cache, priority, fair_share):
+    def __init__(self, feed, kind, cache, priority):
         self.feed = feed
         self.kind = kind  # 'state' | 'memo'
         self.cache = cache
         self.priority = priority
-        self.fair_share = fair_share
         self.budget = 0
         self.smoothed: Optional[float] = None  # EWMA windowed hit ratio
 
@@ -171,7 +171,7 @@ class _CacheTenant:
 class MemoryGovernor:
     """One cluster-wide cache budget arbitrated across tenant caches.
 
-    Weights are ``priority × fair_share × (COLD_TENANT_WEIGHT + EWMA
+    Weights are ``priority × FAIR_SHARE × (COLD_TENANT_WEIGHT + EWMA
     windowed hit ratio)``; budgets are the weight-proportional split of
     ``total_bytes`` quantized to :data:`GRANT_GRANULARITY_BYTES`, with
     the quantization remainder going to the heaviest tenant (stable
@@ -190,8 +190,8 @@ class MemoryGovernor:
         #: grant ledger: (sim_seconds, feed, cache_kind, granted_bytes)
         self.grants: List[Tuple[float, str, str, int]] = []
 
-    def register(self, feed, kind, cache, priority, fair_share, now=0.0):
-        entry = _CacheTenant(feed, kind, cache, priority, fair_share)
+    def register(self, feed, kind, cache, priority, now=0.0):
+        entry = _CacheTenant(feed, kind, cache, priority)
         self._tenants.append(entry)
         self.rebalance(now)
         return entry
@@ -208,9 +208,7 @@ class MemoryGovernor:
             if entry.smoothed is not None
             else entry.cache.hit_ratio
         )
-        return entry.priority * entry.fair_share * (
-            COLD_TENANT_WEIGHT + utility
-        )
+        return entry.priority * FAIR_SHARE * (COLD_TENANT_WEIGHT + utility)
 
     def rebalance(self, now: float) -> None:
         """Re-split the global budget by current tenant utility."""
@@ -356,8 +354,7 @@ class FeedFabric:
         if self.governor is None:
             raise IngestionError("this fabric has no memory governor")
         self.governor.register(
-            name, cache.kind, cache, policy.priority, policy.fair_share,
-            now=self._now(),
+            name, cache.kind, cache, policy.priority, now=self._now(),
         )
 
     def note_initial(self, name: str, count: int) -> None:
@@ -559,7 +556,7 @@ class FeedFabric:
             "floor": tenant.floor,
             "cap": tenant.cap,
             "priority": tenant.priority,
-            "fair_share": tenant.fair_share,
+            "fair_share": FAIR_SHARE,
             "peak_held": tenant.peak_held,
             "borrowed_workers": max(0, tenant.peak_held - tenant.floor),
             "leases_acquired": tenant.leases_acquired,

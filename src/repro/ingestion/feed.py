@@ -6,9 +6,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
 
+from ..runtime.metrics import RunCounters, exposes_run_counters
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.faults import FaultPlan
-    from ..runtime.metrics import ExternalMetrics, FaultMetrics, RuntimeMetrics
+    from ..runtime.metrics import FaultMetrics, RuntimeMetrics
     from .external import EnricherBinding
     from .policy import FeedPolicy
 
@@ -82,6 +84,7 @@ class BatchStats:
     sub_index: int = 0
 
 
+@exposes_run_counters
 @dataclass
 class FeedRunReport:
     """Outcome of one feed run on the simulated cluster."""
@@ -107,55 +110,21 @@ class FeedRunReport:
     computing_wall_seconds: float = 0.0
     computing_worker_busy: Dict[str, float] = field(default_factory=dict)
     peak_computing_workers: int = 1
-    scale_ups: int = 0  # elastic pool grow events
-    scale_downs: int = 0  # elastic pool shrink events
-    #: cross-batch enrichment-state cache activity during this run (all
-    #: zero when the policy leaves the cache disabled); ``bytes`` is the
-    #: cache's resident size at run end, not a per-run delta
-    state_cache_hits: int = 0
-    state_cache_misses: int = 0
-    state_cache_evictions: int = 0
-    state_cache_bytes: int = 0
-    #: key-level enrichment memo activity during this run (same
-    #: conventions as the state cache fields; spans all three probe
-    #: paths — scalar, columnar, and external — which share one memo)
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_evictions: int = 0
-    memo_bytes: int = 0
-    #: columnar execution during this run (per-run deltas of the shared
-    #: plan cache's cumulative counters): batches/records enriched through
-    #: batch kernels, and scalar fallbacks (whole frames plus individual
-    #: fallen-back columns)
-    vectorized_batches: int = 0
-    vectorized_records: int = 0
-    scalar_fallbacks: int = 0
-    #: partitioned intake: number of intake partition actors and each
-    #: partition's aggregate busy seconds (empty for the single actor)
-    intake_partitions: int = 1
+    #: partitioned intake: each partition's aggregate busy seconds (empty
+    #: for the single actor)
     intake_partition_busy: Dict[int, float] = field(default_factory=dict)
     #: intra-batch parallelism: sub-batch slices dispatched across the
     #: worker pool (0 when no batch was split)
     subbatches_dispatched: int = 0
     #: durable-restart accounting: batches released in order by the
-    #: sequencer, checkpoint commits written, and whether this run resumed
-    #: from a durable checkpoint
+    #: sequencer, and whether this run resumed from a durable checkpoint
     acked_batches: int = 0
-    checkpoint_commits: int = 0
     resumed_from_checkpoint: bool = False
-    #: external-enrichment resilience counters (``None`` when the feed has
-    #: no external enrichers) and the fraction of enrichment-requiring
-    #: stored records fully enriched by run end
-    external: Optional["ExternalMetrics"] = None
-    enrichment_completeness: float = 1.0
-    #: multi-tenant fabric attribution (zeros/empty without a
-    #: :class:`~repro.ingestion.fabric.FeedFabric` — default-off parity):
-    #: peak workers held beyond the policy floor, the feed's
-    #: ``(sim_seconds, held_workers)`` lease steps, and the memory
-    #: governor's ``(sim_seconds, cache_kind, granted_bytes)`` grants
-    borrowed_workers: int = 0
-    lease_timeline: List[tuple] = field(default_factory=list)
-    governor_grants: List[tuple] = field(default_factory=list)
+    #: the run's shared counters — elastic scale events, cache / memo /
+    #: columnar activity, external enrichment, fabric attribution — each
+    #: also readable as an attribute of this report (``report.memo_hits``);
+    #: the same object backs ``report.runtime``
+    counters: RunCounters = field(default_factory=RunCounters)
     #: per-layer busy/idle/blocked timelines, holder high-water marks,
     #: stall counts, and batch latencies from the discrete-event runtime
     runtime: Optional["RuntimeMetrics"] = None

@@ -51,12 +51,13 @@ from ..runtime import (
     FaultMetrics,
     IDLE,
     IntakeBuffer,
+    RunCounters,
     RuntimeMetrics,
     Sequencer,
     Supervisor,
 )
 from ..sqlpp.analysis import dataset_references
-from ..sqlpp.evaluator import EvaluationContext
+from ..sqlpp.evaluator import EvaluationContext, Evaluator
 from ..sqlpp.memo import EnrichmentMemo
 from ..sqlpp.state_cache import StateCache
 from ..storage.checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
@@ -80,25 +81,20 @@ from .policy import (
 )
 from .udf_operator import UdfEvaluatorOperator, make_batch_invoker, make_invoker
 
-#: the plan cache's cumulative columnar counters, snapshotted per run so
-#: reports carry per-run deltas (the cache is registry-owned and shared
-#: across feeds, like the state cache)
-_VECTORIZATION_COUNTERS = (
-    "vectorized_batches",
-    "vectorized_records",
-    "scalar_fallbacks",
-)
-
-
-def _plan_cache_snapshot(eval_ctx) -> Dict[str, int]:
-    cache = eval_ctx.plan_cache
-    return {name: getattr(cache, name) for name in _VECTORIZATION_COUNTERS}
-
-
-def _apply_plan_cache_delta(report, eval_ctx, before: Dict[str, int]) -> None:
-    cache = eval_ctx.plan_cache
-    for name in _VECTORIZATION_COUNTERS:
-        setattr(report, name, getattr(cache, name) - before[name])
+#: elastic-controller constants.  Every ``ELASTIC_SAMPLE_SECONDS`` of
+#: simulated time the controller samples the intake buffer.  A sample is
+#: *congested* when holder occupancy reaches the scale-up threshold, the
+#: producer is blocked (or stalled since the last sample), or at least
+#: ``ELASTIC_BACKLOG_BATCHES`` full batches sit ready in the buffer; it
+#: is *starved* when occupancy is at or below the scale-down threshold,
+#: the producer is unblocked, and less than one full batch is queued.
+#: ``ELASTIC_SUSTAINED_SAMPLES`` consecutive congested (starved) samples
+#: grow (retire) one worker.
+ELASTIC_SAMPLE_SECONDS = 0.02
+ELASTIC_SCALE_UP_OCCUPANCY = 0.5
+ELASTIC_SCALE_DOWN_OCCUPANCY = 0.05
+ELASTIC_BACKLOG_BATCHES = 2.0
+ELASTIC_SUSTAINED_SAMPLES = 2
 
 
 class _SubBatch:
@@ -247,11 +243,24 @@ class _IntakeLayer:
     """
 
     def __init__(
-        self, cluster: Cluster, feed: FeedDefinition, num_partitions: int = 1
+        self,
+        cluster: Cluster,
+        feed: FeedDefinition,
+        num_partitions: int = 1,
+        track_cursors: bool = False,
     ):
         self.cluster = cluster
         self.feed = feed
         self.num_partitions = num_partitions
+        #: coordination between the partition actors: the last one to
+        #: finish ends the shared buffer; adapter faults are consumed
+        #: run-wide; with ``track_cursors`` each partition logs
+        #: ``(max seq, resume cursor)`` hints the checkpoint commits consume
+        self.open_actors = num_partitions
+        self.faults_consumed: set = set()
+        self.cursor_log: Optional[Dict[int, list]] = (
+            {p: [] for p in range(num_partitions)} if track_cursors else None
+        )
         n = cluster.num_nodes
         self.intake_nodes = list(range(n)) if feed.balanced_intake else [0]
         self.node_busy: Dict[int, float] = {node: 0.0 for node in self.intake_nodes}
@@ -330,7 +339,6 @@ class _IntakeLayer:
         policy: FeedPolicy,
         faults: FaultMetrics,
         partition: int = 0,
-        shared: Optional[Dict[str, object]] = None,
         resume_from=None,
     ):
         """Build the intake actor's restartable body factory.
@@ -356,19 +364,17 @@ class _IntakeLayer:
         envelopes already drawn (held in closure state) are never drawn
         twice and nothing after the cursor is skipped.
 
-        ``partition`` names this actor's intake partition; ``shared`` is
-        the per-run dict coordinating the partition actors (open-actor
-        count so the *last* finisher ends the buffer, the run-wide set of
-        consumed adapter faults, and the per-partition durable cursor log
-        the checkpoint commits consume).  ``resume_from`` re-opens a fresh
+        ``partition`` names this actor's intake partition; the partition
+        actors coordinate through this layer (open-actor count so the
+        *last* finisher ends the buffer, the run-wide set of consumed
+        adapter faults, and the per-partition durable cursor log the
+        checkpoint commits consume).  ``resume_from`` re-opens a fresh
         adapter at a durable cursor (``resume_run``) — distinct from the
         in-process re-open after an adapter death, which resumes from the
         live ``resume_position()``.
         """
         plan = buffer.runtime.fault_plan
-        if shared is None:
-            shared = {"open": 1, "faults_consumed": set(), "cursor_log": None}
-        cursor_log = shared.get("cursor_log")
+        cursor_log = self.cursor_log
         state = {
             # only pass resume_from when actually resuming: adapter
             # subclasses predating durable restart may not accept it
@@ -392,7 +398,7 @@ class _IntakeLayer:
             if plan is None:
                 return None
             for index, fault in plan.adapter_failures_indexed():
-                if index in shared["faults_consumed"]:
+                if index in self.faults_consumed:
                     continue
                 if fault.partition is not None and fault.partition != partition:
                     continue
@@ -402,7 +408,7 @@ class _IntakeLayer:
                 ):
                     continue
                 if state["drawn"] >= fault.after_records:
-                    shared["faults_consumed"].add(index)
+                    self.faults_consumed.add(index)
                     return fault
             return None
 
@@ -492,8 +498,8 @@ class _IntakeLayer:
                 yield Advance(0.0)
             if not state["ended"]:
                 state["ended"] = True
-                shared["open"] -= 1
-                if shared["open"] == 0:
+                self.open_actors -= 1
+                if self.open_actors == 0:
                     # last partition standing ends the shared buffer
                     buffer.end()
 
@@ -558,8 +564,6 @@ class StaticIngestionPipeline:
         cache (the hash-join build source); Java UDFs get their instances
         created and resource files read.
         """
-        from ..sqlpp.evaluator import Evaluator
-
         evaluator = Evaluator(eval_ctx)
         for fn in feed.functions:
             if fn.is_java:
@@ -601,6 +605,7 @@ class StaticIngestionPipeline:
 
         policy = feed.policy or DEFAULT_POLICY
         faults = FaultMetrics()
+        counters = RunCounters()
         dead_letters = None
         if policy.on_soft_error is SoftErrorAction.DEAD_LETTER:
             dead_letters = ensure_dead_letter_dataset(
@@ -619,11 +624,7 @@ class StaticIngestionPipeline:
         )
         eval_ctx.cluster_nodes = n
         invoker = make_invoker(feed.functions, self.registry) if feed.functions else None
-        batch_invoker = (
-            make_batch_invoker(feed.functions, self.registry)
-            if feed.functions
-            else None
-        )
+        batch_invoker = make_batch_invoker(feed.functions, self.registry)
         self._prewarm_stream_state(feed, eval_ctx)
 
         # Synchronous drain: an idle-but-open adapter contributes what it
@@ -667,6 +668,7 @@ class StaticIngestionPipeline:
                         ctx,
                         eval_ctx,
                         invoker,
+                        counters,
                         soft_errors=soft_errors,
                         batch_invoker=batch_invoker,
                     ),
@@ -688,7 +690,6 @@ class StaticIngestionPipeline:
             HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
         )
 
-        plan_cache_before = _plan_cache_snapshot(eval_ctx)
         result = cluster.controller.run_job(spec)
         shared_seconds = eval_ctx.shared_meter.charge(cost)
         replicated_seconds = eval_ctx.replicated_meter.charge(cost)
@@ -744,14 +745,10 @@ class StaticIngestionPipeline:
             + teardown
             + shared_seconds / n
             + replicated_seconds,
+            counters=counters,
         )
-        _apply_plan_cache_delta(report, eval_ctx, plan_cache_before)
         report.runtime = RuntimeMetrics.from_runtime(
-            runtime,
-            faults=faults,
-            vectorized_batches=report.vectorized_batches,
-            vectorized_records=report.vectorized_records,
-            scalar_fallbacks=report.scalar_fallbacks,
+            runtime, faults=faults, counters=counters
         )
         return report
 
@@ -819,29 +816,848 @@ def _normalize_adapters(
     return adapters
 
 
-class FeedRunHandle:
-    """A launched-but-not-yet-driven dynamic feed run.
 
-    :meth:`DynamicIngestionPipeline.launch` sets the run up completely —
-    layers built, computing job predeployed, processes spawned on the
-    runtime — and returns this handle instead of driving the clock, so a
-    caller can launch *several* feeds onto one shared runtime and run
-    them as a fleet (:meth:`AsterixLite.start_feeds`).  The driving
-    protocol, in order: ``runtime.run()`` (inside the controller's
-    begin/finish bracket), :meth:`collect_faults`, :meth:`finalize`, and
-    :meth:`cleanup` in a ``finally``.  :meth:`DynamicIngestionPipeline.run`
-    is exactly this protocol for a single feed.
+
+class _Inflight:
+    """One pool worker's un-acked ``(index, batch, sub, of)`` claim.
+
+    Set when the worker pulls from the intake buffer, cleared only after
+    the sequenced storage hand-off; it outlives the worker's generator so
+    a supervised restart replays it under the *same* batch index.
     """
 
-    __slots__ = (
-        "feed_name",
-        "run_name",
-        "runtime",
-        "owns_runtime",
-        "finalize",
-        "collect_faults",
-        "cleanup",
-    )
+    __slots__ = ("claim",)
+
+    def __init__(self):
+        self.claim: Optional[tuple] = None
+
+
+class FeedRun:
+    """One dynamic feed run: its state, its actors, and its report.
+
+    :meth:`DynamicIngestionPipeline.launch` builds the run completely —
+    layers built, computing job predeployed, actors spawned on the
+    runtime — and returns it instead of driving the clock, so a caller
+    can launch *several* feeds onto one shared runtime and run them as a
+    fleet (:meth:`AsterixLite.start_feeds`).  The driving protocol, in
+    order: ``run.runtime.run()`` (inside the controller's begin/finish
+    bracket), :meth:`collect_faults`, :meth:`finalize`, and
+    :meth:`cleanup` in a ``finally``.  :meth:`DynamicIngestionPipeline.run`
+    is exactly this protocol for a single feed.
+
+    The actors are this object's generator methods, each a
+    :class:`~repro.runtime.Process` on the run's runtime: one intake actor
+    per partition (:meth:`_IntakeLayer.make_body`), a pool of computing
+    workers (:meth:`_worker_loop`), the storage writer
+    (:meth:`_StorageLayer.process`) and — for an elastic policy — the
+    controller that resizes the pool (:meth:`_elastic_controller`).  They
+    share the run's state as plain attributes; everything a report
+    carries under a :class:`~repro.runtime.RunCounters` name is filled
+    into :attr:`counters`, once.
+    """
+
+    def __init__(
+        self,
+        pipeline: "DynamicIngestionPipeline",
+        feed: FeedDefinition,
+        adapter: Union[FeedAdapter, Sequence[FeedAdapter]],
+        update_client=None,
+        predeploy: bool = True,
+        decoupled: bool = True,
+        checkpoint: Optional[CheckpointStore] = None,
+        resume: bool = False,
+        fabric=None,
+    ):
+        self.feed = feed
+        self.feed_name = feed.name
+        self.run_name = run_name = f"feed-{feed.name}"
+        self.cluster = cluster = pipeline.cluster
+        self.registry = registry = pipeline.registry
+        self.afm = pipeline.afm
+        self.update_client = update_client
+        self.predeploy = predeploy
+        self.decoupled = decoupled
+        self.checkpoint = checkpoint
+        self.fabric = fabric
+        dataset = pipeline.catalog[feed.target_dataset]
+        n = cluster.num_nodes
+
+        self.batch_size = feed.batch_size
+        if feed.computing_model is ComputingModel.PER_RECORD:
+            self.batch_size = 1
+
+        self.policy = policy = feed.policy or DEFAULT_POLICY
+        self.adapters = _normalize_adapters(adapter, policy)
+        self.num_partitions = num_partitions = len(self.adapters)
+        #: checkpointing: per-partition max claimed seq, batch index ->
+        #: cursor snapshot at claim time, per-partition durable re-open hint
+        self.cursor: Dict[int, int] = {}
+        self.marks: Dict[int, Dict[int, int]] = {}
+        self.resume_cursors: Dict[int, object] = {}
+        self.base_checkpoint: Optional[RunCheckpoint] = None
+        if checkpoint is not None and resume:
+            base = self.base_checkpoint = checkpoint.load(feed.name)
+            if base is not None:
+                if base.intake_partitions != num_partitions:
+                    raise IngestionError(
+                        f"checkpoint for feed {feed.name!r} was written "
+                        f"with {base.intake_partitions} intake "
+                        f"partition(s); this run attached {num_partitions}"
+                    )
+                # partitions that receive no new records keep their durable
+                # position instead of regressing to "nothing acked"
+                for p, cursor in base.cursors.items():
+                    self.cursor[p] = cursor.acked_seq
+                    self.resume_cursors[p] = cursor.resume
+        self.faults = FaultMetrics()
+        self.counters = RunCounters(intake_partitions=num_partitions)
+        dead_letters = None
+        if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
+            feed.external_enrichers
+            and policy.external_on_failure is ExternalFailureAction.DEAD_LETTER
+        ):
+            dead_letters = ensure_dead_letter_dataset(
+                pipeline.catalog, feed.name, policy, num_partitions=n
+            )
+        self.soft_errors = SoftErrorHandler(
+            feed.name, policy, self.faults, dead_letters
+        )
+        governed = (
+            fabric is not None
+            and fabric.governor is not None
+            and registry is not None
+        )
+        #: governed tenants' private caches, released at cleanup
+        self.scoped_caches: List[StateCache] = []
+        self.memo = None
+        if policy.enrichment_memo_bytes > 0 and registry is not None:
+            if governed:
+                self.memo = self._govern(EnrichmentMemo(label=f"{run_name}.memo"))
+            else:
+                # Opt-in cross-batch key-level result reuse (L2 memo):
+                # owned by the registry (same sharing/invalidations as the
+                # state cache), bounded by the policy's byte budget, and
+                # handed to both the local probe paths (via eval_ctx) and
+                # the external coordinator.
+                self.memo = registry.enrichment_memo
+                self.memo.configure(policy.enrichment_memo_bytes)
+        self.coordinator = None
+        if feed.external_enrichers:
+            # One coordinator per run: breakers and rate limiters carry
+            # state across batches (and across worker-crash replays).
+            self.coordinator = EnrichmentCoordinator(
+                feed.external_enrichers,
+                policy,
+                fault_plan=feed.fault_plan,
+                dead_letters=dead_letters,
+                feed_name=feed.name,
+                primary_key=dataset.primary_key,
+                memo=self.memo,
+            )
+
+        self.intake = _IntakeLayer(
+            cluster, feed, num_partitions, track_cursors=checkpoint is not None
+        )
+        self.storage = _StorageLayer(cluster, dataset, feed.write_mode)
+        self.eval_ctx = eval_ctx = EvaluationContext(
+            pipeline.catalog,
+            functions=registry,
+            reference_work_scale=feed.reference_work_scale,
+        )
+        eval_ctx.cluster_nodes = n
+        eval_ctx.memo = self.memo
+        if policy.state_cache_bytes > 0 and registry is not None:
+            if governed:
+                eval_ctx.state_cache = self._govern(
+                    StateCache(label=f"{run_name}.state")
+                )
+            else:
+                # Opt-in cross-batch build-state reuse: the registry-owned
+                # cache is shared by every worker (and every feed) over
+                # this registry; the policy's budget bounds its resident
+                # bytes.
+                registry.state_cache.configure(policy.state_cache_bytes)
+                eval_ctx.state_cache = registry.state_cache
+        self.invoker = (
+            make_invoker(feed.functions, registry) if feed.functions else None
+        )
+        self.batch_invoker = make_batch_invoker(feed.functions, registry)
+        #: the CallbackSink's output slot, swapped per invocation:
+        #: concurrent workers each install their own buffer right before
+        #: invoking (an invocation is synchronous within one worker resume,
+        #: so the slot is never shared across two in-flight invokes)
+        self.outputs: List[List[dict]] = [[] for _ in range(n)]
+
+        job_id = cluster.controller.deploy(run_name, self._computing_spec)
+        self.afm.register_feed(feed.name, job_id)
+
+        self.report = FeedRunReport(
+            feed_name=feed.name,
+            framework=Framework.DYNAMIC.value,
+            records_ingested=0,
+            records_stored=0,
+            simulated_seconds=0.0,
+            intake_seconds=0.0,
+            computing_seconds=0.0,
+            storage_seconds=0.0,
+            counters=self.counters,
+        )
+        # Per-run delta baselines for the shared (registry-owned, possibly
+        # multi-feed) state cache's and enrichment memo's cumulative
+        # counters (the memo covers all three probe paths — scalar,
+        # columnar, external — through one instance).
+        self.state_cache_before = (
+            eval_ctx.state_cache.stats()
+            if eval_ctx.state_cache is not None
+            else None
+        )
+        self.memo_before = self.memo.stats() if self.memo is not None else None
+
+        # ------------------------------------------------ computing worker pool
+        self.computing_total = 0.0  # aggregate busy across all workers
+        self.batch_latencies: List[float] = []
+        self.next_batch_index = 0  # next batch index to hand to a worker
+        self.workers_spawned = 0  # workers ever created (names stay unique)
+        self.workers_running = 0
+        self.workers_peak = 0
+        self.shrink_tokens = 0  # outstanding scale-down tokens
+        self.pool_timeline: List[tuple] = []  # (sim_seconds, pool size) steps
+        self.worker_busy: Dict[str, float] = {}  # per-worker aggregate busy
+        self.first_busy: Optional[float] = None  # clock at the first invoke
+        self.last_busy = 0.0  # clock after the last batch's work
+        self.pool_ended = False
+        self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
+        self.subbatches = 0  # sub-batch dispatches (counts the first slice)
+
+    def _govern(self, cache):
+        """Enroll a governed tenant's *private* cache: the fabric's memory
+        governor assigns its budget (and re-assigns it at batch boundaries)
+        instead of the policy's fixed byte count, and the registry adopts
+        it so DDL / replace_sqlpp clear it exactly like the shared
+        singleton."""
+        self.registry.adopt_cache(cache)
+        self.scoped_caches.append(cache)
+        self.fabric.register_cache(self.run_name, cache, self.policy)
+        return cache
+
+    # ------------------------------------------------------------ wiring
+
+    def start(self, runtime=None) -> None:
+        """Spawn the run's actors on ``runtime`` without driving the clock.
+
+        ``None`` creates the feed's private runtime and installs the
+        feed's own fault plan; a shared multi-feed runtime arrives with
+        the fleet's merged fault plan already installed by the
+        orchestrator.
+        """
+        feed, policy, fabric = self.feed, self.policy, self.fabric
+        run_name = self.run_name
+        if runtime is None:
+            runtime = self.cluster.new_runtime(run_name)
+            runtime.install_fault_plan(feed.fault_plan)
+        self.runtime = runtime
+        self.buffer = buffer = IntakeBuffer(
+            runtime,
+            self.intake.holders,
+            congestion=policy.on_congestion.value,
+            faults=self.faults,
+        )
+        self.storage_channel = (
+            Channel(runtime, feed.storage_queue_capacity, name=f"{run_name}.storage")
+            if self.decoupled
+            else None
+        )
+        #: the order-preserving hand-off in front of storage: workers
+        #: complete batches out of index order, the sequencer releases the
+        #: real writes (and the storage channel items) in index order, so
+        #: pk-upsert order / acked guarantees / dead-letter provenance are
+        #: byte-identical to the single-actor pipeline
+        self.sequencer = Sequencer(
+            self.storage.store_batch,
+            self.storage_channel,
+            merge=self._merge_subbatch,
+        )
+        self.supervisor = supervisor = Supervisor(runtime, policy.restart_policy())
+        elastic = policy.elastic_enabled
+        if fabric is not None:
+            fabric.register_feed(
+                run_name,
+                policy,
+                grow=self._grow_pool if elastic else None,
+                recall=self._fabric_recall if elastic else None,
+            )
+        # one intake actor per partition, individually supervised: fault
+        # targets can name one ('intake.p1') or the whole layer; the
+        # single actor keeps the historical unsuffixed name
+        for p, part_adapter in enumerate(self.adapters):
+            supervisor.spawn(
+                f"{run_name}.intake"
+                if self.num_partitions == 1
+                else f"{run_name}.intake.p{p}",
+                self.intake.make_body(
+                    part_adapter, buffer, self.batch_size, policy, self.faults,
+                    partition=p,
+                    resume_from=self.resume_cursors.get(p),
+                ),
+                layer="intake",
+            )
+        for _ in range(policy.min_computing_workers):
+            self._spawn_worker()
+        if fabric is not None:
+            fabric.note_initial(run_name, policy.min_computing_workers)
+        if self.decoupled:
+            supervisor.spawn(
+                f"{run_name}.storage",
+                lambda: self.storage.process(self.storage_channel),
+                layer="storage",
+            )
+        if elastic:
+            runtime.spawn(
+                f"{run_name}.elastic", self._elastic_controller(), layer="elastic"
+            )
+
+    def _computing_spec(self, partition_lists: List[List[dict]]) -> JobSpecification:
+        """The per-batch computing job: collector → parser → UDF → sink."""
+        feed = self.feed
+        n = self.cluster.num_nodes
+        spec = JobSpecification(f"feed-{feed.name}-computing")
+        src = spec.add_operator(
+            OperatorDescriptor(
+                "collector",
+                lambda ctx: ListSource(ctx, partition_lists=partition_lists),
+                partitions=n,
+            )
+        )
+        parse = spec.add_operator(
+            OperatorDescriptor(
+                "parser",
+                lambda ctx: ParseOperator(
+                    ctx, feed.datatype, soft_errors=self.soft_errors
+                ),
+                partitions=n,
+            )
+        )
+        spec.connect(src, parse, OneToOne())
+        upstream = parse
+        if self.invoker is not None:
+            udf = spec.add_operator(
+                OperatorDescriptor(
+                    "udf-evaluator",
+                    lambda ctx: UdfEvaluatorOperator(
+                        ctx,
+                        self.eval_ctx,
+                        self.invoker,
+                        self.counters,
+                        soft_errors=self.soft_errors,
+                        batch_invoker=self.batch_invoker,
+                    ),
+                    partitions=n,
+                )
+            )
+            spec.connect(upstream, udf, OneToOne())
+            upstream = udf
+        sink = spec.add_operator(
+            OperatorDescriptor(
+                "feed-pipeline-sink",
+                lambda ctx: CallbackSink(ctx, self._collect),
+                partitions=n,
+            )
+        )
+        spec.connect(upstream, sink, OneToOne())
+        return spec
+
+    def _collect(self, partition: int, frame: Frame) -> None:
+        self.outputs[partition].extend(frame.records)
+
+    def _merge_subbatch(self, parts: List[List[List[dict]]]) -> List[List[dict]]:
+        # Per-node concatenation in sub order recovers exactly the
+        # unsplit batch's per-node outputs (see _split_batch).
+        return [
+            [record for part in parts for record in part[node]]
+            for node in range(self.cluster.num_nodes)
+        ]
+
+    # ------------------------------------------------------ checkpointing
+
+    def _note_claimed(self, index: int, batch: List[List[dict]]) -> None:
+        """Advance the logical cursor; snapshot it for ``index``.
+
+        Batch indices are claimed in order under the deterministic
+        scheduler, so the snapshot taken when ``index`` is claimed
+        covers exactly batches ``0..index`` — releasing ``index``
+        makes that snapshot the durable acked watermark.
+        """
+        cursor = self.cursor
+        for records in batch:
+            for envelope in records:
+                p = envelope.get("partition", 0)
+                seq = envelope.get("seq", -1)
+                if seq > cursor.get(p, -1):
+                    cursor[p] = seq
+        self.marks[index] = dict(cursor)
+
+    def _commit_checkpoint(self, complete: bool = False) -> None:
+        """Persist cursors covering everything released so far."""
+        watermark = self.sequencer.next_index - 1
+        mark = self.marks.get(watermark)
+        if mark is None:
+            if not complete:
+                return
+            mark = self.cursor
+        base = self.base_checkpoint
+        cursors = {}
+        for p in range(self.num_partitions):
+            acked = mark.get(p, -1)
+            log = self.intake.cursor_log[p]
+            # the newest fully-deposited chunk at/below the watermark
+            # becomes the partition's durable re-open point; the gap up
+            # to the watermark replays and dedupes via pk-upsert
+            while log and log[0][0] <= acked:
+                self.resume_cursors[p] = log.pop(0)[1]
+            cursors[p] = PartitionCursor(
+                acked_seq=acked, resume=self.resume_cursors.get(p)
+            )
+        self.checkpoint.commit(
+            RunCheckpoint(
+                feed=self.feed.name,
+                intake_partitions=self.num_partitions,
+                cursors=cursors,
+                acked_batches=(base.acked_batches if base is not None else 0)
+                + self.sequencer.next_index,
+                records_stored=self.storage.records_stored,
+                complete=complete,
+            )
+        )
+        self.counters.checkpoint_commits += 1
+
+    # ------------------------------------------------------- worker pool
+
+    def _claim_subbatch(self):
+        if self.subqueue:
+            return self.subqueue.popleft()
+        return None
+
+    def _claim_shrink(self) -> bool:
+        if self.shrink_tokens > 0:
+            self.shrink_tokens -= 1
+            return True
+        return False
+
+    def _worker_loop(self, worker_name: str, inflight: _Inflight):
+        """One pool worker's AFM loop: collect, invoke, sequence.
+
+        ``inflight`` is the worker's un-acked (index, batch) pair: set
+        when pulled from the intake buffer, cleared only after the
+        sequenced storage hand-off — a crash in between replays it
+        under the *same* batch index (at-least-once; the sequencer
+        re-releases already-released indices and upsert dedupes).
+        """
+        feed, fabric, run_name = self.feed, self.fabric, self.run_name
+        cluster, runtime, buffer = self.cluster, self.runtime, self.buffer
+        eval_ctx, coordinator, report = self.eval_ctx, self.coordinator, self.report
+        n = cluster.num_nodes
+        cost = cluster.cost_model
+        track = self.checkpoint is not None
+        max_sub = self.policy.max_subbatch_records
+        split_enabled = max_sub > 0
+        claim_shrink = self._claim_shrink if self.policy.elastic_enabled else None
+        steal = self._claim_subbatch if split_enabled else None
+
+        while True:
+            if inflight.claim is not None:
+                index, batch, sub, of = inflight.claim
+                self.faults.records_replayed += sum(len(p) for p in batch)
+            else:
+                got = yield from buffer.collect(
+                    self.batch_size, cancel=claim_shrink, steal=steal
+                )
+                if got is CANCELLED:
+                    self.counters.scale_downs += 1
+                    break  # retired by the elastic controller
+                if got is None:
+                    break  # EOF and drained
+                if isinstance(got, _SubBatch):
+                    # a peer's oversized batch: work one slice of it
+                    index, sub, of = got.index, got.sub, got.of
+                    batch = got.lists
+                else:
+                    index = self.next_batch_index
+                    self.next_batch_index += 1
+                    if track:
+                        self._note_claimed(index, got)
+                    subs = _split_batch(got, max_sub) if split_enabled else None
+                    if subs is None:
+                        batch, sub, of = got, 0, 1
+                    else:
+                        # keep the first slice; queue the rest and wake
+                        # idle peers to steal them
+                        of = len(subs)
+                        self.subbatches += of
+                        for s in range(1, of):
+                            self.subqueue.append(_SubBatch(index, s, of, subs[s]))
+                        buffer.kick()
+                        batch, sub = subs[0], 0
+                inflight.claim = (index, batch, sub, of)
+            total = sum(len(p) for p in batch)
+            outputs: List[List[dict]] = [[] for _ in range(n)]
+            self.outputs = outputs
+            eval_ctx.refresh_batch()
+            eval_ctx.shared_meter.reset()
+            eval_ctx.replicated_meter.reset()
+            if self.predeploy:
+                result = self.afm.invoke_computing_job(feed.name, batch)
+            else:
+                result = cluster.controller.run_job(self._computing_spec(batch))
+            shared_seconds = eval_ctx.shared_meter.charge(cost)
+            replicated_seconds = eval_ctx.replicated_meter.charge(cost)
+            busy = dict(result.node_busy_seconds)
+            for node in busy:
+                busy[node] += shared_seconds / n + replicated_seconds
+            teardown = (
+                result.makespan_seconds
+                - result.startup_seconds
+                - result.critical_node_seconds
+            )
+            makespan = result.startup_seconds + max(busy.values()) + teardown
+            if feed.functions:
+                makespan += cost.udf_job_overhead(n)
+            if coordinator is not None:
+                # External fan-out happens after the local computing
+                # job finishes, so its fault windows are evaluated at
+                # the batch's completion time and its elapsed time
+                # lands on the batch makespan (mutates ``outputs``:
+                # enrichments stored, pending markers added,
+                # dead-lettered records removed before storage).
+                makespan += coordinator.enrich_batch(
+                    outputs, runtime.clock.now + makespan
+                )
+            batch_started = runtime.clock.now
+            if self.first_busy is None:
+                self.first_busy = batch_started
+            yield Advance(makespan)
+            # Sequenced hand-off: the real writes (and storage-channel
+            # items) for this index — plus any later indices it
+            # unblocks — are released in batch order.
+            released = yield from self.sequencer.put(
+                index, outputs, sub_index=sub, num_subs=of
+            )
+            if track and released:
+                # the released batches' writes are on disk: persist
+                # the cursors that make them durable across a restart
+                self._commit_checkpoint()
+            if fabric is not None and released:
+                # a batch boundary: the memory governor's rebalance
+                # point (a no-op for fabrics without a governor)
+                fabric.note_batch_released(run_name)
+            if not self.decoupled:
+                # §5.2 ablation: the coupled insert job waits for the
+                # log force and storage writes before finishing (a
+                # worker also absorbs the wait for any peer batches
+                # its release unblocked).
+                for rel_index, rel_seconds in released:
+                    if rel_seconds > 0:
+                        yield Advance(rel_seconds)
+                    if rel_index == index:
+                        makespan += rel_seconds
+            self.computing_total += makespan
+            self.worker_busy[worker_name] += makespan
+            self.last_busy = max(self.last_busy, runtime.clock.now)
+            report.num_computing_jobs += 1
+            self.batch_latencies.append(runtime.clock.now - batch_started)
+            report.batch_stats.append(
+                BatchStats(
+                    batch_index=index,
+                    records=total,
+                    makespan_seconds=makespan,
+                    startup_seconds=result.startup_seconds,
+                    shared_state_seconds=shared_seconds,
+                    sub_index=sub,
+                )
+            )
+            if self.update_client is not None:
+                self.update_client.advance(makespan)
+            inflight.claim = None  # acked: the sequencer released it
+        self.workers_running -= 1
+        self.pool_timeline.append((runtime.clock.now - runtime.epoch, self.workers_running))
+        if fabric is not None:
+            # EOF drain or a recalled retire: either way this worker's
+            # lease returns to the fabric, which may immediately fund
+            # a queued borrower's grow
+            fabric.release_worker(run_name)
+        if self.workers_running == 0 and not self.pool_ended:
+            self.pool_ended = True
+            if self.storage_channel is not None:
+                self.storage_channel.end()
+
+    def _spawn_worker(self) -> None:
+        wid = self.workers_spawned
+        self.workers_spawned += 1
+        # worker 0 keeps the historical single-actor name; extra
+        # workers get a .wN suffix (fault targets matching the
+        # 'computing' layer hit them all)
+        name = (
+            f"{self.run_name}.computing"
+            if wid == 0
+            else f"{self.run_name}.computing.w{wid}"
+        )
+        self.worker_busy[name] = 0.0
+        self.workers_running += 1
+        self.workers_peak = max(self.workers_peak, self.workers_running)
+        runtime = self.runtime
+        self.pool_timeline.append((runtime.clock.now - runtime.epoch, self.workers_running))
+        inflight = _Inflight()
+        self.supervisor.spawn(
+            name, lambda: self._worker_loop(name, inflight), layer="computing"
+        )
+
+    def _elastic_controller(self):
+        """Sample intake congestion on the clock; resize the pool.
+
+        Grover & Carey's congestion reaction, made real: sustained
+        high occupancy (or a blocked producer / fresh backpressure
+        stall) grows the pool toward ``max_computing_workers``;
+        sustained starvation retires workers back toward
+        ``min_computing_workers`` via cancel tokens claimed at the
+        next batch boundary.  The controller exits once the buffer is
+        drained after EOF, so it never outlives the feed.
+        """
+        buffer, fabric, run_name = self.buffer, self.fabric, self.run_name
+        workers_min = self.policy.min_computing_workers
+        workers_max = self.policy.max_computing_workers
+        up_streak = 0
+        down_streak = 0
+        last_stalls = buffer.stalls
+        while not (buffer.all_eof and buffer.drained):
+            yield Advance(ELASTIC_SAMPLE_SECONDS, state=IDLE)
+            if buffer.all_eof and buffer.drained:
+                break
+            occupancy = buffer.occupancy
+            backlog = buffer.queued_records / self.batch_size
+            congested = (
+                occupancy >= ELASTIC_SCALE_UP_OCCUPANCY
+                or buffer.producer_blocked
+                or buffer.stalls > last_stalls
+                or backlog >= ELASTIC_BACKLOG_BATCHES
+            )
+            starved = (
+                occupancy <= ELASTIC_SCALE_DOWN_OCCUPANCY
+                and backlog < 1.0
+                and not buffer.producer_blocked
+            )
+            last_stalls = buffer.stalls
+            if fabric is not None:
+                # the feed's standing bid: every sample tick's
+                # congestion signals, whether or not a grow follows
+                fabric.tick(
+                    run_name,
+                    FeedSignals(
+                        occupancy=occupancy,
+                        backlog_batches=backlog,
+                        producer_blocked=buffer.producer_blocked,
+                        congested=congested,
+                        starved=starved,
+                    ),
+                )
+            if congested:
+                up_streak += 1
+                down_streak = 0
+            elif starved:
+                down_streak += 1
+                up_streak = 0
+            else:
+                up_streak = 0
+                down_streak = 0
+            effective = self.workers_running - self.shrink_tokens
+            if (
+                congested
+                and up_streak >= ELASTIC_SUSTAINED_SAMPLES
+                and effective < workers_max
+            ):
+                if self.shrink_tokens > 0:
+                    self.shrink_tokens -= 1  # cancel a pending retire instead
+                    if fabric is not None:
+                        # a fabric recall may have been riding that token
+                        fabric.note_shrink_cancelled(run_name)
+                elif fabric is None or fabric.acquire(run_name):
+                    # under a fabric, a grow must be funded from the
+                    # global budget; an unfunded bid queues inside the
+                    # fabric, which grows this pool itself (via the
+                    # registered grow hook) once a worker frees up
+                    self._grow_pool()
+                up_streak = 0
+            elif (
+                down_streak >= ELASTIC_SUSTAINED_SAMPLES
+                and effective > workers_min
+            ):
+                self.shrink_tokens += 1
+                buffer.kick()  # wake an idle worker to claim the token
+                down_streak = 0
+
+    def _grow_pool(self) -> None:
+        # a funded grow (the controller's own, or a queued borrow bid the
+        # fabric just funded): one more worker, now
+        self.counters.scale_ups += 1
+        self._spawn_worker()
+
+    def _fabric_recall(self) -> bool:
+        # Recall safety: re-check the live pool so a fabric recall
+        # can never stack with the feed's own pending retires to
+        # drop the pool below its floor.
+        if self.workers_running - self.shrink_tokens > self.policy.min_computing_workers:
+            self.shrink_tokens += 1
+            self.buffer.kick()  # wake an idle worker to claim the token
+            return True
+        return False
+
+    # --------------------------------------------------------- reporting
+
+    def collect_faults(self) -> None:
+        """Fold this feed's share of the runtime's injected faults into
+        :attr:`faults`: crashes and stall time are summed over the feed's
+        own processes, so tenants of a shared runtime stay disjoint (on a
+        private runtime every process is this feed's)."""
+        faults, supervisor = self.faults, self.supervisor
+        own = [
+            process
+            for process in self.runtime.processes
+            if process.name.startswith(f"{self.run_name}.")
+        ]
+        faults.crashes = sum(process.crashes_received for process in own)
+        faults.restarts = supervisor.total_restarts
+        faults.backoff_seconds = supervisor.total_backoff_seconds
+        faults.stall_seconds = sum(process.stall_seconds for process in own)
+        if self.storage_channel is not None:
+            faults.channel_send_failures = self.storage_channel.send_failures
+
+    def finalize(self, elapsed: float) -> FeedRunReport:
+        """Assemble the run report; ``elapsed`` is the runtime's makespan."""
+        if self.checkpoint is not None:
+            # the run drained cleanly: seal the checkpoint so a later
+            # resume knows there is nothing left to replay
+            self._commit_checkpoint(complete=True)
+        return self._assemble_report(elapsed)
+
+    def _fill_cache_counters(self, prefix: str, cache, before) -> None:
+        """This run's share of a shared cache's cumulative counters:
+        hit/miss/eviction deltas since launch, resident bytes as a gauge."""
+        if cache is None:
+            return
+        after = cache.stats()
+        for key in ("hits", "misses", "evictions"):
+            setattr(self.counters, f"{prefix}_{key}", after[key] - before[key])
+        setattr(self.counters, f"{prefix}_bytes", after["bytes"])
+
+    def _assemble_report(self, elapsed: float) -> FeedRunReport:
+        report, counters = self.report, self.counters
+        intake, storage, cluster = self.intake, self.storage, self.cluster
+        n = cluster.num_nodes
+        # With overlapping workers the layer's aggregate busy exceeds
+        # any wall-clock interval; the *bottleneck* contribution is the
+        # slowest single worker (identical to the aggregate when the
+        # pool size is 1).
+        computing_bottleneck = (
+            max(self.worker_busy.values()) if self.worker_busy else 0.0
+        )
+        report.batch_stats.sort(
+            key=lambda stats: (stats.batch_index, stats.sub_index)
+        )
+        # With one intake actor the layer's bottleneck is the busiest
+        # intake node; partitioned actors overlap, so it is the slowest
+        # single partition (analogous to the worker pool above).
+        intake_bottleneck = (
+            intake.max_busy
+            if self.num_partitions == 1
+            else max(intake.partition_busy.values())
+        )
+        report.records_ingested = intake.records_received
+        report.records_stored = storage.records_stored
+        report.intake_seconds = intake_bottleneck
+        if self.num_partitions > 1:
+            report.intake_partition_busy = dict(intake.partition_busy)
+        report.subbatches_dispatched = self.subbatches
+        report.acked_batches = self.sequencer.next_index
+        report.resumed_from_checkpoint = self.base_checkpoint is not None
+        report.computing_seconds = self.computing_total
+        report.computing_worker_busy = dict(self.worker_busy)
+        report.computing_wall_seconds = (
+            self.last_busy - self.first_busy
+            if self.first_busy is not None
+            else 0.0
+        )
+        report.peak_computing_workers = self.workers_peak
+        report.storage_seconds = storage.max_busy
+        if self.decoupled:
+            steady = max(intake_bottleneck, computing_bottleneck, storage.max_busy)
+        else:
+            steady = max(intake_bottleneck, computing_bottleneck)
+        start_overhead = cluster.cost_model.job_startup(n, predeployed=False) * 2
+        # The emergent makespan exceeds the bottleneck layer's busy time
+        # by the pipeline's fill/drain ramp; like job startup, that ramp
+        # is a one-time cost that amortizes to nothing on a long-running
+        # feed, so it lands in fixed_start_seconds and steady-state
+        # throughput remains records / bottleneck-busy.  Computed as one
+        # subtraction so simulated - fixed_start recovers the bottleneck
+        # time exactly.  On a shared multi-feed runtime ``elapsed`` is
+        # the *fleet's* makespan, so every report of the run carries the
+        # same simulated_seconds — the aggregate figure multi-tenant
+        # benchmarks compare.
+        report.simulated_seconds = start_overhead + elapsed
+        report.fixed_start_seconds = report.simulated_seconds - steady
+        report.stalls = self.buffer.stalls
+        report.extra["deploy_seconds"] = (
+            cluster.controller.simulated_deploy_seconds
+        )
+        self._fill_cache_counters(
+            "state_cache", self.eval_ctx.state_cache, self.state_cache_before
+        )
+        self._fill_cache_counters("memo", self.memo, self.memo_before)
+        if self.coordinator is not None:
+            counters.external = self.coordinator.finalize()
+            counters.enrichment_completeness = self.coordinator.completeness
+        if self.fabric is not None:
+            tenant = self.fabric.tenant_report(self.run_name)
+            counters.borrowed_workers = tenant["borrowed_workers"]
+            counters.lease_timeline = tenant["lease_timeline"]
+            counters.governor_grants = self.fabric.governor_grants_for(
+                self.run_name
+            )
+        storage_channel = self.storage_channel
+        report.runtime = RuntimeMetrics.from_runtime(
+            self.runtime,
+            holders=list(intake.holders) + list(storage.holders),
+            stall_count=self.buffer.stalls
+            + (storage_channel.stalls if storage_channel is not None else 0),
+            batch_latencies=self.batch_latencies,
+            steady_state_seconds=steady,
+            faults=self.faults,
+            worker_pool_timeline=self.pool_timeline,
+            reordered_batches=self.sequencer.reordered,
+            subbatches=self.subbatches,
+            subbatch_merges=self.sequencer.subbatch_merges,
+            process_prefix=f"{self.run_name}.",
+            counters=counters,
+        )
+        return report
+
+    def cleanup(self) -> None:
+        """Release everything the run registered (also the path taken when
+        :meth:`start` fails half-way).
+
+        A failing UDF or adapter must not leak the feed's runtime state:
+        the fabric/governor tenancy, the AFM entry, the predeployed job,
+        the registered intake/storage partition holders, or the adapter's
+        external resources (e.g. a FileAdapter's handle).
+        """
+        if self.fabric is not None:
+            self.fabric.deregister_feed(self.run_name)
+        if self.registry is not None:
+            for cache in self.scoped_caches:
+                self.registry.release_cache(cache)
+        self.afm.deregister_feed(self.feed.name)
+        self.intake.close()
+        self.storage.close()
+        for part_adapter in self.adapters:
+            part_adapter.close()
 
 
 class DynamicIngestionPipeline:
@@ -887,7 +1703,7 @@ class DynamicIngestionPipeline:
         adapter at its durable cursor — zero acked loss, the un-acked tail
         replayed and deduped by pk-upsert.
         """
-        handle = self.launch(
+        feed_run = self.launch(
             feed,
             adapter,
             update_client=update_client,
@@ -897,15 +1713,15 @@ class DynamicIngestionPipeline:
             resume=resume,
         )
         try:
-            self.cluster.controller.begin_run(handle.run_name)
+            self.cluster.controller.begin_run(feed_run.run_name)
             try:
-                elapsed = handle.runtime.run()
+                elapsed = feed_run.runtime.run()
             finally:
-                self.cluster.controller.finish_run(handle.run_name)
-                handle.collect_faults()
-            return handle.finalize(elapsed)
+                self.cluster.controller.finish_run(feed_run.run_name)
+                feed_run.collect_faults()
+            return feed_run.finalize(elapsed)
         finally:
-            handle.cleanup()
+            feed_run.cleanup()
 
     def launch(
         self,
@@ -918,8 +1734,8 @@ class DynamicIngestionPipeline:
         resume: bool = False,
         runtime=None,
         fabric=None,
-    ) -> FeedRunHandle:
-        """Set the run up without driving the clock; returns a handle.
+    ) -> FeedRun:
+        """Set the run up without driving the clock; returns the run.
 
         ``runtime`` attaches the feed's processes to a caller-owned
         (shared, multi-feed) runtime instead of a fresh private one; the
@@ -934,898 +1750,20 @@ class DynamicIngestionPipeline:
         """
         if feed.functions and self.registry is None:
             raise IngestionError("a function registry is required for UDF feeds")
-        dataset = self.catalog[feed.target_dataset]
-        cluster = self.cluster
-        n = cluster.num_nodes
-
-        batch_size = feed.batch_size
-        if feed.computing_model is ComputingModel.PER_RECORD:
-            batch_size = 1
-
-        policy = feed.policy or DEFAULT_POLICY
-        adapters = _normalize_adapters(adapter, policy)
-        num_partitions = len(adapters)
-        resume_cursors: Dict[int, object] = {}
-        base_checkpoint = None
-        if checkpoint is not None and resume:
-            base_checkpoint = checkpoint.load(feed.name)
-            if base_checkpoint is not None:
-                if base_checkpoint.intake_partitions != num_partitions:
-                    raise IngestionError(
-                        f"checkpoint for feed {feed.name!r} was written "
-                        f"with {base_checkpoint.intake_partitions} intake "
-                        f"partition(s); this run attached {num_partitions}"
-                    )
-                resume_cursors = {
-                    p: c.resume for p, c in base_checkpoint.cursors.items()
-                }
-        faults = FaultMetrics()
-        dead_letters = None
-        if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
-            feed.external_enrichers
-            and policy.external_on_failure is ExternalFailureAction.DEAD_LETTER
-        ):
-            dead_letters = ensure_dead_letter_dataset(
-                self.catalog, feed.name, policy, num_partitions=n
-            )
-        soft_errors = SoftErrorHandler(feed.name, policy, faults, dead_letters)
-        run_name = f"feed-{feed.name}"
-        governed = (
-            fabric is not None
-            and fabric.governor is not None
-            and self.registry is not None
+        feed_run = FeedRun(
+            self,
+            feed,
+            adapter,
+            update_client=update_client,
+            predeploy=predeploy,
+            decoupled=decoupled,
+            checkpoint=checkpoint,
+            resume=resume,
+            fabric=fabric,
         )
-        scoped_caches: List[StateCache] = []
-        memo = None
-        if policy.enrichment_memo_bytes > 0 and self.registry is not None:
-            if governed:
-                # Governed tenant: a *private* memo whose budget the
-                # fabric's memory governor assigns (and re-assigns at batch
-                # boundaries) instead of the policy's fixed byte count.
-                # Adopted by the registry so DDL / replace_sqlpp clear it
-                # exactly like the shared singleton.
-                memo = EnrichmentMemo(label=f"{run_name}.memo")
-                self.registry.adopt_cache(memo)
-                scoped_caches.append(memo)
-                fabric.register_cache(run_name, memo, policy)
-            else:
-                # Opt-in cross-batch key-level result reuse (L2 memo):
-                # owned by the registry (same sharing/invalidations as the
-                # state cache), bounded by the policy's byte budget, and
-                # handed to both the local probe paths (via eval_ctx) and
-                # the external coordinator.
-                memo = self.registry.enrichment_memo
-                memo.configure(policy.enrichment_memo_bytes)
-        coordinator = None
-        if feed.external_enrichers:
-            # One coordinator per run: breakers and rate limiters carry
-            # state across batches (and across worker-crash replays).
-            coordinator = EnrichmentCoordinator(
-                feed.external_enrichers,
-                policy,
-                fault_plan=feed.fault_plan,
-                dead_letters=dead_letters,
-                feed_name=feed.name,
-                primary_key=dataset.primary_key,
-                memo=memo,
-            )
-
-        intake = _IntakeLayer(cluster, feed, num_partitions)
-        storage = _StorageLayer(cluster, dataset, feed.write_mode)
-        eval_ctx = EvaluationContext(
-            self.catalog,
-            functions=self.registry,
-            reference_work_scale=feed.reference_work_scale,
-        )
-        eval_ctx.cluster_nodes = n
-        eval_ctx.memo = memo
-        if policy.state_cache_bytes > 0 and self.registry is not None:
-            if governed:
-                # Governed tenant: see the memo block above.
-                cache = StateCache(label=f"{run_name}.state")
-                self.registry.adopt_cache(cache)
-                scoped_caches.append(cache)
-                fabric.register_cache(run_name, cache, policy)
-                eval_ctx.state_cache = cache
-            else:
-                # Opt-in cross-batch build-state reuse: the registry-owned
-                # cache is shared by every worker (and every feed) over
-                # this registry; the policy's budget bounds its resident
-                # bytes.
-                self.registry.state_cache.configure(policy.state_cache_bytes)
-                eval_ctx.state_cache = self.registry.state_cache
-        invoker = (
-            make_invoker(feed.functions, self.registry) if feed.functions else None
-        )
-        batch_invoker = (
-            make_batch_invoker(feed.functions, self.registry)
-            if feed.functions
-            else None
-        )
-
-        # One CallbackSink output slot, swapped per invocation: concurrent
-        # workers each install their own buffer right before invoking (an
-        # invocation is synchronous within one worker resume, so the slot
-        # is never shared across two in-flight invokes).
-        collect_slot: Dict[str, List[List[dict]]] = {
-            "outputs": [[] for _ in range(n)]
-        }
-
-        def collect(partition: int, frame: Frame) -> None:
-            collect_slot["outputs"][partition].extend(frame.records)
-
-        def spec_builder(partition_lists: List[List[dict]]) -> JobSpecification:
-            spec = JobSpecification(f"feed-{feed.name}-computing")
-            src = spec.add_operator(
-                OperatorDescriptor(
-                    "collector",
-                    lambda ctx: ListSource(ctx, partition_lists=partition_lists),
-                    partitions=n,
-                )
-            )
-            parse = spec.add_operator(
-                OperatorDescriptor(
-                    "parser",
-                    lambda ctx: ParseOperator(
-                        ctx, feed.datatype, soft_errors=soft_errors
-                    ),
-                    partitions=n,
-                )
-            )
-            spec.connect(src, parse, OneToOne())
-            upstream = parse
-            if invoker is not None:
-                udf = spec.add_operator(
-                    OperatorDescriptor(
-                        "udf-evaluator",
-                        lambda ctx: UdfEvaluatorOperator(
-                            ctx,
-                            eval_ctx,
-                            invoker,
-                            soft_errors=soft_errors,
-                            batch_invoker=batch_invoker,
-                        ),
-                        partitions=n,
-                    )
-                )
-                spec.connect(upstream, udf, OneToOne())
-                upstream = udf
-            sink = spec.add_operator(
-                OperatorDescriptor(
-                    "feed-pipeline-sink",
-                    lambda ctx: CallbackSink(ctx, collect),
-                    partitions=n,
-                )
-            )
-            spec.connect(upstream, sink, OneToOne())
-            return spec
-
-        job_id = cluster.controller.deploy(f"feed-{feed.name}", spec_builder)
-        self.afm.register_feed(feed.name, job_id)
-
-        def cleanup():
-            # a failing UDF or adapter must not leak the feed's runtime
-            # state: the fabric/governor tenancy, the AFM entry, the
-            # predeployed job, the registered intake/storage partition
-            # holders, or the adapter's external resources (e.g. a
-            # FileAdapter's handle)
-            if fabric is not None:
-                fabric.deregister_feed(run_name)
-            if self.registry is not None:
-                for cache in scoped_caches:
-                    self.registry.release_cache(cache)
-            self.afm.deregister_feed(feed.name)
-            intake.close()
-            storage.close()
-            for part_adapter in adapters:
-                part_adapter.close()
-
         try:
-            return self._launch(
-                feed, adapters, intake, storage, eval_ctx, batch_size,
-                update_client, predeploy, decoupled, spec_builder,
-                collect_slot, policy, faults, soft_errors,
-                checkpoint, resume_cursors, base_checkpoint,
-                coordinator=coordinator, runtime=runtime, fabric=fabric,
-                cleanup=cleanup,
-            )
+            feed_run.start(runtime)
         except BaseException:
-            cleanup()
+            feed_run.cleanup()
             raise
-
-    def _launch(
-        self,
-        feed: FeedDefinition,
-        adapters: List[FeedAdapter],
-        intake: "_IntakeLayer",
-        storage: "_StorageLayer",
-        eval_ctx,
-        batch_size: int,
-        update_client,
-        predeploy: bool,
-        decoupled: bool,
-        spec_builder,
-        collect_slot: Dict[str, List[List[dict]]],
-        policy: FeedPolicy,
-        faults: FaultMetrics,
-        soft_errors: SoftErrorHandler,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume_cursors: Optional[Dict[int, object]] = None,
-        base_checkpoint: Optional[RunCheckpoint] = None,
-        coordinator: Optional[EnrichmentCoordinator] = None,
-        runtime=None,
-        fabric=None,
-        cleanup=None,
-    ) -> FeedRunHandle:
-        cluster = self.cluster
-        n = cluster.num_nodes
-        cost = cluster.cost_model
-        num_partitions = intake.num_partitions
-        resume_cursors = resume_cursors or {}
-        track = checkpoint is not None
-        report = FeedRunReport(
-            feed_name=feed.name,
-            framework=Framework.DYNAMIC.value,
-            records_ingested=0,
-            records_stored=0,
-            simulated_seconds=0.0,
-            intake_seconds=0.0,
-            computing_seconds=0.0,
-            storage_seconds=0.0,
-        )
-
-        # Per-run delta baseline for the shared (registry-owned, possibly
-        # multi-feed) state cache's cumulative counters.
-        state_cache = eval_ctx.state_cache
-        state_cache_before = (
-            state_cache.stats() if state_cache is not None else None
-        )
-        # And for the shared key-level enrichment memo (covers all three
-        # probe paths — scalar, columnar, external — through one instance).
-        memo = eval_ctx.memo
-        memo_before = memo.stats() if memo is not None else None
-        # Same convention for the shared plan cache's columnar counters.
-        plan_cache_before = _plan_cache_snapshot(eval_ctx)
-        # On a shared multi-feed runtime a start/end registry delta would
-        # interleave every tenant's batches; the UDF operator additionally
-        # tallies this feed's own share per invocation into its context.
-        eval_ctx.columnar_tally = {
-            name: 0 for name in _VECTORIZATION_COUNTERS
-        }
-
-        run_name = f"feed-{feed.name}"
-        owns_runtime = runtime is None
-        if owns_runtime:
-            runtime = cluster.new_runtime(run_name)
-            runtime.install_fault_plan(feed.fault_plan)
-        # else: a shared multi-feed runtime arrives with the fleet's
-        # merged fault plan already installed by the orchestrator
-        buffer = IntakeBuffer(
-            runtime,
-            intake.holders,
-            congestion=policy.on_congestion.value,
-            throttle_seconds=policy.throttle_seconds,
-            throttle_max_seconds=policy.throttle_max_seconds,
-            faults=faults,
-        )
-        storage_channel = (
-            Channel(runtime, feed.storage_queue_capacity, name=f"{run_name}.storage")
-            if decoupled
-            else None
-        )
-        state = {"computing_total": 0.0, "coupled_extra": 0.0}
-        batch_latencies: List[float] = []
-
-        # ------------------------------------------------ computing worker pool
-        workers_min = policy.min_computing_workers
-        workers_max = policy.max_computing_workers
-        elastic = policy.elastic_enabled
-        #: the order-preserving hand-off in front of storage: workers
-        #: complete batches out of index order, the sequencer releases the
-        #: real writes (and the storage channel items) in index order, so
-        #: pk-upsert order / acked guarantees / dead-letter provenance are
-        #: byte-identical to the single-actor pipeline
-        def merge_subbatch(parts: List[List[List[dict]]]) -> List[List[dict]]:
-            # Per-node concatenation in sub order recovers exactly the
-            # unsplit batch's per-node outputs (see _split_batch).
-            return [
-                [record for part in parts for record in part[node]]
-                for node in range(n)
-            ]
-
-        sequencer = Sequencer(
-            storage.store_batch, storage_channel, merge=merge_subbatch
-        )
-        pool = {
-            "assign": 0,  # next batch index to hand to a worker
-            "spawned": 0,  # workers ever created (names stay unique)
-            "running": 0,
-            "peak": 0,
-            "shrink": 0,  # outstanding scale-down tokens
-            "timeline": [],  # (sim_seconds, pool size) steps
-            "scale_ups": 0,
-            "scale_downs": 0,
-            "worker_busy": {},  # per-worker aggregate busy seconds
-            "first_busy": None,  # clock at the first batch's invoke
-            "last_busy": 0.0,  # clock after the last batch's work
-            "ended": False,
-            "subqueue": deque(),  # pending _SubBatch slices for idle peers
-            "subbatches": 0,  # sub-batch dispatches (counts the first slice)
-            "cursor": {},  # per-partition max claimed seq (checkpointing)
-            "marks": {},  # batch index -> cursor snapshot at claim time
-            "resume_cursors": {},  # per-partition durable re-open hint
-            "checkpoint_commits": 0,
-        }
-        #: coordination between the intake partition actors: the last one
-        #: to finish ends the shared buffer; adapter faults are consumed
-        #: run-wide; each partition logs (max seq, resume cursor) hints the
-        #: checkpoint commits consume
-        shared = {
-            "open": num_partitions,
-            "faults_consumed": set(),
-            "cursor_log": (
-                {p: [] for p in range(num_partitions)} if track else None
-            ),
-        }
-        if base_checkpoint is not None:
-            # partitions that receive no new records keep their durable
-            # position instead of regressing to "nothing acked"
-            for p, cursor in base_checkpoint.cursors.items():
-                pool["cursor"][p] = cursor.acked_seq
-                pool["resume_cursors"][p] = cursor.resume
-        base_acked_batches = (
-            base_checkpoint.acked_batches if base_checkpoint is not None else 0
-        )
-
-        max_sub = policy.max_subbatch_records
-        split_enabled = max_sub > 0
-
-        def claim_subbatch():
-            if pool["subqueue"]:
-                return pool["subqueue"].popleft()
-            return None
-
-        steal = claim_subbatch if split_enabled else None
-
-        def note_claimed(index: int, batch: List[List[dict]]) -> None:
-            """Advance the logical cursor; snapshot it for ``index``.
-
-            Batch indices are claimed in order under the deterministic
-            scheduler, so the snapshot taken when ``index`` is claimed
-            covers exactly batches ``0..index`` — releasing ``index``
-            makes that snapshot the durable acked watermark.
-            """
-            cursor = pool["cursor"]
-            for records in batch:
-                for envelope in records:
-                    p = envelope.get("partition", 0)
-                    seq = envelope.get("seq", -1)
-                    if seq > cursor.get(p, -1):
-                        cursor[p] = seq
-            pool["marks"][index] = dict(cursor)
-
-        def commit_checkpoint(complete: bool = False) -> None:
-            """Persist cursors covering everything released so far."""
-            watermark = sequencer.next_index - 1
-            mark = pool["marks"].get(watermark)
-            if mark is None:
-                if not complete:
-                    return
-                mark = pool["cursor"]
-            cursors = {}
-            for p in range(num_partitions):
-                acked = mark.get(p, -1)
-                log = shared["cursor_log"][p]
-                # the newest fully-deposited chunk at/below the watermark
-                # becomes the partition's durable re-open point; the gap up
-                # to the watermark replays and dedupes via pk-upsert
-                while log and log[0][0] <= acked:
-                    pool["resume_cursors"][p] = log.pop(0)[1]
-                cursors[p] = PartitionCursor(
-                    acked_seq=acked, resume=pool["resume_cursors"].get(p)
-                )
-            checkpoint.commit(
-                RunCheckpoint(
-                    feed=feed.name,
-                    intake_partitions=num_partitions,
-                    cursors=cursors,
-                    acked_batches=base_acked_batches + sequencer.next_index,
-                    records_stored=storage.records_stored,
-                    complete=complete,
-                )
-            )
-            pool["checkpoint_commits"] += 1
-
-        def worker_loop(worker_name: str, inflight: Dict[str, object]):
-            """One pool worker's AFM loop: collect, invoke, sequence.
-
-            ``inflight`` is the worker's un-acked (index, batch) pair: set
-            when pulled from the intake buffer, cleared only after the
-            sequenced storage hand-off — a crash in between replays it
-            under the *same* batch index (at-least-once; the sequencer
-            re-releases already-released indices and upsert dedupes).
-            """
-            claim_shrink = None
-            if elastic:
-                def claim_shrink():
-                    if pool["shrink"] > 0:
-                        pool["shrink"] -= 1
-                        return True
-                    return False
-
-            while True:
-                if inflight["batch"] is not None:
-                    index = inflight["index"]
-                    batch = inflight["batch"]
-                    sub = inflight["sub"]
-                    of = inflight["of"]
-                    faults.records_replayed += sum(len(p) for p in batch)
-                else:
-                    got = yield from buffer.collect(
-                        batch_size, cancel=claim_shrink, steal=steal
-                    )
-                    if got is CANCELLED:
-                        pool["scale_downs"] += 1
-                        break  # retired by the elastic controller
-                    if got is None:
-                        break  # EOF and drained
-                    if isinstance(got, _SubBatch):
-                        # a peer's oversized batch: work one slice of it
-                        index, sub, of = got.index, got.sub, got.of
-                        batch = got.lists
-                    else:
-                        index = pool["assign"]
-                        pool["assign"] += 1
-                        if track:
-                            note_claimed(index, got)
-                        subs = (
-                            _split_batch(got, max_sub)
-                            if split_enabled
-                            else None
-                        )
-                        if subs is None:
-                            batch, sub, of = got, 0, 1
-                        else:
-                            # keep the first slice; queue the rest and wake
-                            # idle peers to steal them
-                            of = len(subs)
-                            pool["subbatches"] += of
-                            for s in range(1, of):
-                                pool["subqueue"].append(
-                                    _SubBatch(index, s, of, subs[s])
-                                )
-                            buffer.kick()
-                            batch, sub = subs[0], 0
-                    inflight["index"] = index
-                    inflight["batch"] = batch
-                    inflight["sub"] = sub
-                    inflight["of"] = of
-                total = sum(len(p) for p in batch)
-                outputs: List[List[dict]] = [[] for _ in range(n)]
-                collect_slot["outputs"] = outputs
-                eval_ctx.refresh_batch()
-                eval_ctx.shared_meter.reset()
-                eval_ctx.replicated_meter.reset()
-                if predeploy:
-                    result = self.afm.invoke_computing_job(feed.name, batch)
-                else:
-                    result = cluster.controller.run_job(spec_builder(batch))
-                shared_seconds = eval_ctx.shared_meter.charge(cost)
-                replicated_seconds = eval_ctx.replicated_meter.charge(cost)
-                busy = dict(result.node_busy_seconds)
-                for node in busy:
-                    busy[node] += shared_seconds / n + replicated_seconds
-                teardown = (
-                    result.makespan_seconds
-                    - result.startup_seconds
-                    - result.critical_node_seconds
-                )
-                makespan = result.startup_seconds + max(busy.values()) + teardown
-                if feed.functions:
-                    makespan += cost.udf_job_overhead(n)
-                if coordinator is not None:
-                    # External fan-out happens after the local computing
-                    # job finishes, so its fault windows are evaluated at
-                    # the batch's completion time and its elapsed time
-                    # lands on the batch makespan (mutates ``outputs``:
-                    # enrichments stored, pending markers added,
-                    # dead-lettered records removed before storage).
-                    makespan += coordinator.enrich_batch(
-                        outputs, runtime.clock.now + makespan
-                    )
-                batch_started = runtime.clock.now
-                if pool["first_busy"] is None:
-                    pool["first_busy"] = batch_started
-                yield Advance(makespan)
-                # Sequenced hand-off: the real writes (and storage-channel
-                # items) for this index — plus any later indices it
-                # unblocks — are released in batch order.
-                released = yield from sequencer.put(
-                    index, outputs, sub_index=sub, num_subs=of
-                )
-                if track and released:
-                    # the released batches' writes are on disk: persist
-                    # the cursors that make them durable across a restart
-                    commit_checkpoint()
-                if fabric is not None and released:
-                    # a batch boundary: the memory governor's rebalance
-                    # point (a no-op for fabrics without a governor)
-                    fabric.note_batch_released(run_name)
-                if not decoupled:
-                    # §5.2 ablation: the coupled insert job waits for the
-                    # log force and storage writes before finishing (a
-                    # worker also absorbs the wait for any peer batches
-                    # its release unblocked).
-                    for rel_index, rel_seconds in released:
-                        if rel_seconds > 0:
-                            yield Advance(rel_seconds)
-                        if rel_index == index:
-                            makespan += rel_seconds
-                        state["coupled_extra"] += rel_seconds
-                state["computing_total"] += makespan
-                pool["worker_busy"][worker_name] += makespan
-                pool["last_busy"] = max(pool["last_busy"], runtime.clock.now)
-                report.num_computing_jobs += 1
-                batch_latencies.append(runtime.clock.now - batch_started)
-                report.batch_stats.append(
-                    BatchStats(
-                        batch_index=index,
-                        records=total,
-                        makespan_seconds=makespan,
-                        startup_seconds=result.startup_seconds,
-                        shared_state_seconds=shared_seconds,
-                        sub_index=sub,
-                    )
-                )
-                if update_client is not None:
-                    update_client.advance(makespan)
-                inflight["index"] = None
-                inflight["batch"] = None  # acked: the sequencer released it
-            pool["running"] -= 1
-            pool["timeline"].append(
-                (runtime.clock.now - runtime.epoch, pool["running"])
-            )
-            if fabric is not None:
-                # EOF drain or a recalled retire: either way this worker's
-                # lease returns to the fabric, which may immediately fund
-                # a queued borrower's grow
-                fabric.release_worker(run_name)
-            if pool["running"] == 0 and not pool["ended"]:
-                pool["ended"] = True
-                if storage_channel is not None:
-                    storage_channel.end()
-
-        def spawn_worker():
-            wid = pool["spawned"]
-            pool["spawned"] += 1
-            # worker 0 keeps the historical single-actor name; extra
-            # workers get a .wN suffix (fault targets matching the
-            # 'computing' layer hit them all)
-            name = (
-                f"{run_name}.computing"
-                if wid == 0
-                else f"{run_name}.computing.w{wid}"
-            )
-            pool["worker_busy"][name] = 0.0
-            pool["running"] += 1
-            pool["peak"] = max(pool["peak"], pool["running"])
-            pool["timeline"].append(
-                (runtime.clock.now - runtime.epoch, pool["running"])
-            )
-            inflight = {"index": None, "batch": None, "sub": 0, "of": 1}
-            supervisor.spawn(
-                name, lambda: worker_loop(name, inflight), layer="computing"
-            )
-
-        def elastic_controller():
-            """Sample intake congestion on the clock; resize the pool.
-
-            Grover & Carey's congestion reaction, made real: sustained
-            high occupancy (or a blocked producer / fresh backpressure
-            stall) grows the pool toward ``max_computing_workers``;
-            sustained starvation retires workers back toward
-            ``min_computing_workers`` via cancel tokens claimed at the
-            next batch boundary.  The controller exits once the buffer is
-            drained after EOF, so it never outlives the feed.
-            """
-            up_streak = 0
-            down_streak = 0
-            last_stalls = buffer.stalls
-            while not (buffer.all_eof and buffer.drained):
-                yield Advance(policy.elastic_sample_seconds, state=IDLE)
-                if buffer.all_eof and buffer.drained:
-                    break
-                occupancy = buffer.occupancy
-                backlog = buffer.queued_records / batch_size
-                congested = (
-                    occupancy >= policy.elastic_scale_up_occupancy
-                    or buffer.producer_blocked
-                    or buffer.stalls > last_stalls
-                    or backlog >= policy.elastic_backlog_batches
-                )
-                starved = (
-                    occupancy <= policy.elastic_scale_down_occupancy
-                    and backlog < 1.0
-                    and not buffer.producer_blocked
-                )
-                last_stalls = buffer.stalls
-                if fabric is not None:
-                    # the feed's standing bid: every sample tick's
-                    # congestion signals, whether or not a grow follows
-                    fabric.tick(
-                        run_name,
-                        FeedSignals(
-                            occupancy=occupancy,
-                            backlog_batches=backlog,
-                            producer_blocked=buffer.producer_blocked,
-                            congested=congested,
-                            starved=starved,
-                        ),
-                    )
-                if congested:
-                    up_streak += 1
-                    down_streak = 0
-                elif starved:
-                    down_streak += 1
-                    up_streak = 0
-                else:
-                    up_streak = 0
-                    down_streak = 0
-                effective = pool["running"] - pool["shrink"]
-                if (
-                    congested
-                    and up_streak >= policy.elastic_sustained_samples
-                    and effective < workers_max
-                ):
-                    if pool["shrink"] > 0:
-                        pool["shrink"] -= 1  # cancel a pending retire instead
-                        if fabric is not None:
-                            # a fabric recall may have been riding that token
-                            fabric.note_shrink_cancelled(run_name)
-                    elif fabric is None or fabric.acquire(run_name):
-                        # under a fabric, a grow must be funded from the
-                        # global budget; an unfunded bid queues inside the
-                        # fabric, which grows this pool itself (via the
-                        # registered grow hook) once a worker frees up
-                        pool["scale_ups"] += 1
-                        spawn_worker()
-                    up_streak = 0
-                elif (
-                    down_streak >= policy.elastic_sustained_samples
-                    and effective > workers_min
-                ):
-                    pool["shrink"] += 1
-                    buffer.kick()  # wake an idle worker to claim the token
-                    down_streak = 0
-
-        supervisor = Supervisor(runtime, policy.restart_policy())
-
-        if fabric is not None:
-
-            def fabric_grow():
-                # a queued borrow bid just got funded: grow the pool now
-                pool["scale_ups"] += 1
-                spawn_worker()
-
-            def fabric_recall():
-                # Recall safety: re-check the live pool so a fabric recall
-                # can never stack with the feed's own pending retires to
-                # drop the pool below its floor.
-                if pool["running"] - pool["shrink"] > workers_min:
-                    pool["shrink"] += 1
-                    buffer.kick()  # wake an idle worker to claim the token
-                    return True
-                return False
-
-            fabric.register_feed(
-                run_name,
-                policy,
-                grow=fabric_grow if elastic else None,
-                recall=fabric_recall if elastic else None,
-            )
-        if num_partitions == 1:
-            supervisor.spawn(
-                f"{run_name}.intake",
-                intake.make_body(
-                    adapters[0], buffer, batch_size, policy, faults,
-                    partition=0, shared=shared,
-                    resume_from=resume_cursors.get(0),
-                ),
-                layer="intake",
-            )
-        else:
-            # one intake actor per partition, individually supervised:
-            # fault targets can name one ('intake.p1') or the whole layer
-            for p, part_adapter in enumerate(adapters):
-                supervisor.spawn(
-                    f"{run_name}.intake.p{p}",
-                    intake.make_body(
-                        part_adapter, buffer, batch_size, policy, faults,
-                        partition=p, shared=shared,
-                        resume_from=resume_cursors.get(p),
-                    ),
-                    layer="intake",
-                )
-        for _ in range(workers_min):
-            spawn_worker()
-        if fabric is not None:
-            fabric.note_initial(run_name, workers_min)
-        if decoupled:
-            supervisor.spawn(
-                f"{run_name}.storage",
-                lambda: storage.process(storage_channel),
-                layer="storage",
-            )
-        if elastic:
-            runtime.spawn(
-                f"{run_name}.elastic", elastic_controller(), layer="elastic"
-            )
-
-        def collect_faults():
-            # On a private runtime every injected crash is this feed's;
-            # on a shared (multi-feed) runtime the per-feed supervisor
-            # counts this feed's crashes.  Injected stall time is a
-            # runtime-global figure either way: exact for a private
-            # runtime, fleet-wide on a shared one.
-            faults.crashes = (
-                runtime.injected_crashes
-                if owns_runtime
-                else supervisor.total_crashes
-            )
-            faults.restarts = supervisor.total_restarts
-            faults.backoff_seconds = supervisor.total_backoff_seconds
-            faults.stall_seconds = runtime.injected_stall_seconds
-            if storage_channel is not None:
-                faults.channel_send_failures = storage_channel.send_failures
-
-        def finalize(elapsed: float) -> FeedRunReport:
-            if track:
-                # the run drained cleanly: seal the checkpoint so a later
-                # resume knows there is nothing left to replay
-                commit_checkpoint(complete=True)
-            return assemble_report(elapsed)
-
-        def assemble_report(elapsed: float) -> FeedRunReport:
-            computing_total = state["computing_total"]
-            # With overlapping workers the layer's aggregate busy exceeds
-            # any wall-clock interval; the *bottleneck* contribution is the
-            # slowest single worker (identical to the aggregate when the
-            # pool size is 1).
-            computing_bottleneck = (
-                max(pool["worker_busy"].values()) if pool["worker_busy"] else 0.0
-            )
-            report.batch_stats.sort(
-                key=lambda stats: (stats.batch_index, stats.sub_index)
-            )
-            # With one intake actor the layer's bottleneck is the busiest
-            # intake node; partitioned actors overlap, so it is the slowest
-            # single partition (analogous to the worker pool above).
-            intake_bottleneck = (
-                intake.max_busy
-                if num_partitions == 1
-                else max(intake.partition_busy.values())
-            )
-            report.records_ingested = intake.records_received
-            report.records_stored = storage.records_stored
-            report.intake_seconds = intake_bottleneck
-            report.intake_partitions = num_partitions
-            if num_partitions > 1:
-                report.intake_partition_busy = dict(intake.partition_busy)
-            report.subbatches_dispatched = pool["subbatches"]
-            report.acked_batches = sequencer.next_index
-            report.checkpoint_commits = pool["checkpoint_commits"]
-            report.resumed_from_checkpoint = base_checkpoint is not None
-            report.computing_seconds = computing_total
-            report.computing_worker_busy = dict(pool["worker_busy"])
-            report.computing_wall_seconds = (
-                pool["last_busy"] - pool["first_busy"]
-                if pool["first_busy"] is not None
-                else 0.0
-            )
-            report.peak_computing_workers = pool["peak"]
-            report.scale_ups = pool["scale_ups"]
-            report.scale_downs = pool["scale_downs"]
-            report.storage_seconds = storage.max_busy
-            if decoupled:
-                steady = max(
-                    intake_bottleneck, computing_bottleneck, storage.max_busy
-                )
-            else:
-                steady = max(intake_bottleneck, computing_bottleneck)
-            start_overhead = cost.job_startup(n, predeployed=False) * 2
-            # The emergent makespan exceeds the bottleneck layer's busy time
-            # by the pipeline's fill/drain ramp; like job startup, that ramp
-            # is a one-time cost that amortizes to nothing on a long-running
-            # feed, so it lands in fixed_start_seconds and steady-state
-            # throughput remains records / bottleneck-busy.  Computed as one
-            # subtraction so simulated - fixed_start recovers the bottleneck
-            # time exactly.  On a shared multi-feed runtime ``elapsed`` is
-            # the *fleet's* makespan, so every report of the run carries the
-            # same simulated_seconds — the aggregate figure multi-tenant
-            # benchmarks compare.
-            report.simulated_seconds = start_overhead + elapsed
-            report.fixed_start_seconds = report.simulated_seconds - steady
-            report.stalls = buffer.stalls
-            report.extra["deploy_seconds"] = (
-                cluster.controller.simulated_deploy_seconds
-            )
-            if state_cache is not None and state_cache_before is not None:
-                after = state_cache.stats()
-                report.state_cache_hits = (
-                    after["hits"] - state_cache_before["hits"]
-                )
-                report.state_cache_misses = (
-                    after["misses"] - state_cache_before["misses"]
-                )
-                report.state_cache_evictions = (
-                    after["evictions"] - state_cache_before["evictions"]
-                )
-                report.state_cache_bytes = after["bytes"]
-            if memo is not None and memo_before is not None:
-                after = memo.stats()
-                report.memo_hits = after["hits"] - memo_before["hits"]
-                report.memo_misses = after["misses"] - memo_before["misses"]
-                report.memo_evictions = (
-                    after["evictions"] - memo_before["evictions"]
-                )
-                report.memo_bytes = after["bytes"]
-            if owns_runtime:
-                _apply_plan_cache_delta(report, eval_ctx, plan_cache_before)
-            else:
-                # shared runtime: the registry-wide delta interleaves every
-                # tenant's batches — use this feed's own invocation tally
-                for name in _VECTORIZATION_COUNTERS:
-                    setattr(report, name, eval_ctx.columnar_tally[name])
-            if coordinator is not None:
-                report.external = coordinator.finalize()
-                report.enrichment_completeness = coordinator.completeness
-            if fabric is not None:
-                tenant = fabric.tenant_report(run_name)
-                report.borrowed_workers = tenant["borrowed_workers"]
-                report.lease_timeline = tenant["lease_timeline"]
-                report.governor_grants = fabric.governor_grants_for(run_name)
-            report.runtime = RuntimeMetrics.from_runtime(
-                runtime,
-                holders=list(intake.holders) + list(storage.holders),
-                stall_count=buffer.stalls
-                + (storage_channel.stalls if storage_channel is not None else 0),
-                batch_latencies=batch_latencies,
-                steady_state_seconds=steady,
-                faults=faults,
-                worker_pool_timeline=pool["timeline"],
-                scale_ups=pool["scale_ups"],
-                scale_downs=pool["scale_downs"],
-                reordered_batches=sequencer.reordered,
-                intake_partitions=num_partitions,
-                subbatches=pool["subbatches"],
-                subbatch_merges=sequencer.subbatch_merges,
-                checkpoint_commits=pool["checkpoint_commits"],
-                state_cache_hits=report.state_cache_hits,
-                state_cache_misses=report.state_cache_misses,
-                state_cache_evictions=report.state_cache_evictions,
-                state_cache_bytes=report.state_cache_bytes,
-                memo_hits=report.memo_hits,
-                memo_misses=report.memo_misses,
-                memo_evictions=report.memo_evictions,
-                memo_bytes=report.memo_bytes,
-                vectorized_batches=report.vectorized_batches,
-                vectorized_records=report.vectorized_records,
-                scalar_fallbacks=report.scalar_fallbacks,
-                external=report.external,
-                enrichment_completeness=report.enrichment_completeness,
-                process_prefix=None if owns_runtime else f"{run_name}.",
-                borrowed_workers=report.borrowed_workers,
-                lease_timeline=report.lease_timeline,
-                governor_grants=report.governor_grants,
-            )
-            return report
-
-        handle = FeedRunHandle()
-        handle.feed_name = feed.name
-        handle.run_name = run_name
-        handle.runtime = runtime
-        handle.owns_runtime = owns_runtime
-        handle.finalize = finalize
-        handle.collect_faults = collect_faults
-        handle.cleanup = cleanup if cleanup is not None else (lambda: None)
-        return handle
+        return feed_run

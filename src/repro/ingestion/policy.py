@@ -31,6 +31,7 @@ from ..adm.schema import open_type
 from ..errors import CircuitBreakerError
 from ..runtime.metrics import FaultMetrics
 from ..runtime.supervisor import RestartPolicy
+from ..storage.dataset import Dataset
 
 
 class SoftErrorAction(enum.Enum):
@@ -73,8 +74,6 @@ class FeedPolicy:
     on_congestion: CongestionAction = CongestionAction.BLOCK
     max_consecutive_soft_errors: int = 0
     dead_letter_dataset: Optional[str] = None  # default: <feed>_DeadLetters
-    throttle_seconds: float = 0.01  # initial admission delay when throttling
-    throttle_max_seconds: float = 0.64
     #: sim seconds an idle-but-open adapter (e.g. an un-ended QueueAdapter)
     #: may starve intake before the feed treats the stream as complete
     adapter_idle_timeout_seconds: Optional[float] = 10.0
@@ -82,31 +81,15 @@ class FeedPolicy:
     # supervised-recovery knobs (crashed layer actors)
     max_restarts: int = 3
     backoff_initial_seconds: float = 0.05
-    backoff_multiplier: float = 2.0
-    backoff_max_seconds: float = 5.0
     # computing worker-pool knobs: the feed runs ``min_computing_workers``
     # concurrent computing actors, and — when ``max_computing_workers`` is
     # larger — the elastic controller scales the pool between the bounds
-    # from sampled intake-buffer congestion.  A single-worker pool is
-    # byte-identical to the pre-pool single computing actor.
+    # from sampled intake-buffer congestion (its sampling period and
+    # thresholds are the ``ELASTIC_*`` constants in ingestion/pipelines.py).
+    # A single-worker pool is byte-identical to the pre-pool single
+    # computing actor.
     min_computing_workers: int = 1
     max_computing_workers: int = 1
-    # elastic-controller knobs (only consulted when max > min): sample the
-    # intake buffer every ``elastic_sample_seconds`` of simulated time.
-    # A sample is *congested* when holder occupancy reaches the scale-up
-    # threshold, the producer is blocked (or stalled since the last
-    # sample), or at least ``elastic_backlog_batches`` full batches of
-    # records sit ready in the buffer; after
-    # ``elastic_sustained_samples`` consecutive congested samples the pool
-    # grows by one worker.  A sample is *starved* when occupancy is at or
-    # below the scale-down threshold, the producer is unblocked, and less
-    # than one full batch is queued; sustained starvation retires one
-    # worker.
-    elastic_sample_seconds: float = 0.02
-    elastic_scale_up_occupancy: float = 0.5
-    elastic_scale_down_occupancy: float = 0.05
-    elastic_backlog_batches: float = 2.0
-    elastic_sustained_samples: int = 2
     #: byte budget for the cross-batch enrichment-state cache (hash-join
     #: build tables etc. reused across batches while the reference data's
     #: version is unchanged).  ``0`` — the default — disables the cache
@@ -134,41 +117,31 @@ class FeedPolicy:
     #: ``0`` (the default) disables sub-batch splitting.
     max_subbatch_records: int = 0
     # external-enrichment resilience knobs — consulted only when the feed
-    # has external enrichers attached (see ingestion/external.py).  Every
-    # enricher call gets a deadline; a failed chunk is retried up to
-    # ``external_max_attempts`` total attempts with exponential backoff
-    # plus deterministic jitter; a client-side token bucket paces calls;
-    # a per-enricher circuit breaker fails fast once the remote looks
-    # hard-down and probes it again after a cool-off.
-    external_deadline_seconds: float = 0.05
+    # has external enrichers attached (see ingestion/external.py, which
+    # also holds the fixed call deadline, backoff curve, and half-open
+    # probe count).  A failed chunk is retried up to
+    # ``external_max_attempts`` total attempts; a client-side token bucket
+    # paces calls; a per-enricher circuit breaker fails fast once the
+    # remote looks hard-down and probes it again after a cool-off.
     external_max_attempts: int = 3
-    external_backoff_initial_seconds: float = 0.01
-    external_backoff_multiplier: float = 2.0
-    external_backoff_max_seconds: float = 0.5
-    external_backoff_jitter: float = 0.25  # fraction added on top, [0, jitter)
     external_concurrency: int = 4  # simulated in-flight calls per enricher
     external_chunk_size: int = 16  # probe keys per batched call
     external_rate_limit_per_second: float = 0.0  # client bucket; 0 = unlimited
     external_rate_limit_burst: int = 4
     external_breaker_failures: int = 5  # consecutive failures to open; 0 = off
     external_breaker_reset_seconds: float = 0.5  # open -> half-open cool-off
-    external_breaker_half_open_probes: int = 1
     external_on_failure: ExternalFailureAction = ExternalFailureAction.PENDING
-    # multi-tenant fabric knobs — consulted only when the feed runs under a
-    # :class:`~repro.ingestion.fabric.FeedFabric`.  ``priority`` orders
+    # multi-tenant fabric knob — consulted only when the feed runs under a
+    # :class:`~repro.ingestion.fabric.FeedFabric`: ``priority`` orders
     # tenants when worker leases or governor bytes are contended (higher
     # wins ties first; lower-priority tenants are preferred recall
-    # victims); ``fair_share`` is a relative weight multiplying the
-    # tenant's claim on the governed cache budget.  Both are inert for a
-    # solo feed, keeping single-feed runs byte-identical.
+    # victims).  Inert for a solo feed, keeping single-feed runs
+    # byte-identical.
     priority: int = 1
-    fair_share: float = 1.0
 
     def __post_init__(self):
         if self.priority < 1:
             raise ValueError("priority must be >= 1")
-        if self.fair_share <= 0:
-            raise ValueError("fair_share must be positive")
         if self.state_cache_bytes < 0:
             raise ValueError("state_cache_bytes must be >= 0")
         if self.enrichment_memo_bytes < 0:
@@ -183,14 +156,6 @@ class FeedPolicy:
             raise ValueError(
                 "max_computing_workers must be >= min_computing_workers"
             )
-        if self.elastic_sample_seconds <= 0:
-            raise ValueError("elastic_sample_seconds must be positive")
-        if self.elastic_sustained_samples < 1:
-            raise ValueError("elastic_sustained_samples must be >= 1")
-        if self.elastic_backlog_batches <= 0:
-            raise ValueError("elastic_backlog_batches must be positive")
-        if self.external_deadline_seconds <= 0:
-            raise ValueError("external_deadline_seconds must be positive")
         if self.external_max_attempts < 1:
             raise ValueError("external_max_attempts must be >= 1")
         if self.external_concurrency < 1:
@@ -203,8 +168,6 @@ class FeedPolicy:
             raise ValueError("external_rate_limit_burst must be >= 1")
         if self.external_breaker_failures < 0:
             raise ValueError("external_breaker_failures must be >= 0")
-        if self.external_breaker_half_open_probes < 1:
-            raise ValueError("external_breaker_half_open_probes must be >= 1")
 
     @property
     def elastic_enabled(self) -> bool:
@@ -285,8 +248,6 @@ class FeedPolicy:
         return RestartPolicy(
             max_restarts=self.max_restarts,
             backoff_initial_seconds=self.backoff_initial_seconds,
-            backoff_multiplier=self.backoff_multiplier,
-            backoff_max_seconds=self.backoff_max_seconds,
         )
 
 
@@ -307,8 +268,6 @@ def ensure_dead_letter_dataset(
     carries the feed name, failing stage, ``seq``, the raw record text,
     and the error message — queryable via SQL++ like any other dataset.
     """
-    from ..storage.dataset import Dataset
-
     name = policy.dead_letter_name(feed_name)
     dataset = catalog.get(name)
     if dataset is None:

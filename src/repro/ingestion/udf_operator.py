@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from typing import Callable, List, Optional
 
 from ..hyracks.cost import WorkMeter
@@ -131,7 +132,9 @@ class UdfEvaluatorOperator(Operator):
     it installs that meter on the shared evaluation context so probe work
     is charged to this partition's node, while cache *builds* accumulate on
     the context's ``shared_meter`` (split across partitions by the feed
-    driver).
+    driver).  ``counters`` is the run's
+    :class:`~repro.runtime.metrics.RunCounters`: each invocation adds its
+    own columnar batches/records/fallbacks there.
     """
 
     def __init__(
@@ -139,35 +142,38 @@ class UdfEvaluatorOperator(Operator):
         ctx: OperatorContext,
         eval_ctx: EvaluationContext,
         invoker: Callable,
+        counters,
         soft_errors=None,
         batch_invoker: Optional[Callable] = None,
     ):
         super().__init__(ctx)
         self.eval_ctx = eval_ctx
         self.invoker = invoker
+        self.counters = counters
         self.soft_errors = soft_errors
         self.batch_invoker = batch_invoker
         self.records_in = 0
         self.records_out = 0
 
     def next_frame(self, frame: Frame) -> None:
-        # The plan cache's columnar counters are registry-shared; on a
-        # multi-feed runtime each feed attributes its own share by
-        # snapshotting around the (synchronous) invocation into the
-        # context's tally — no other actor can run inside this window.
-        tally = getattr(self.eval_ctx, "columnar_tally", None)
-        if tally is not None:
-            cache = self.eval_ctx.plan_cache
-            before = {name: getattr(cache, name) for name in tally}
+        # The plan cache's columnar counters are cumulative and
+        # registry-shared; each run attributes its own share by
+        # snapshotting around the (synchronous) invocation — no other
+        # actor can run inside this window, even on a multi-feed runtime.
+        cache = self.eval_ctx.plan_cache
+        batches = cache.vectorized_batches
+        records = cache.vectorized_records
+        fallbacks = cache.scalar_fallbacks
         meter = WorkMeter(scale=self.eval_ctx.reference_work_scale)
         out = None
         if self.batch_invoker is not None and len(frame) > 0:
             out = self._batch_frame(frame, meter)
         if out is None:
             out = self._scalar_frame(frame, meter)
-        if tally is not None:
-            for name in tally:
-                tally[name] += getattr(cache, name) - before[name]
+        counters = self.counters
+        counters.vectorized_batches += cache.vectorized_batches - batches
+        counters.vectorized_records += cache.vectorized_records - records
+        counters.scalar_fallbacks += cache.scalar_fallbacks - fallbacks
         cost = self.ctx.cost
         self.ctx.charge(cost.udf_eval_base * len(frame) + meter.charge(cost))
         if out:
@@ -208,8 +214,6 @@ class UdfEvaluatorOperator(Operator):
         return out
 
     def _scalar_frame(self, frame: Frame, meter: WorkMeter) -> List[dict]:
-        import json as _json
-
         previous_meter = self.eval_ctx.meter
         self.eval_ctx.meter = meter
         out: List[dict] = []
@@ -226,7 +230,7 @@ class UdfEvaluatorOperator(Operator):
                     except Exception as exc:
                         self.soft_errors.handle(
                             "udf",
-                            _json.dumps(record, default=str, sort_keys=True),
+                            json.dumps(record, default=str, sort_keys=True),
                             exc,
                         )
                         continue

@@ -61,6 +61,7 @@ from .metrics import (
     FaultMetrics,
     HolderStats,
     LayerTimes,
+    RunCounters,
     RuntimeMetrics,
 )
 from .supervisor import RestartPolicy, SupervisedStats, Supervisor
@@ -91,6 +92,7 @@ __all__ = [
     "LayerTimes",
     "Process",
     "RestartPolicy",
+    "RunCounters",
     "Runtime",
     "RuntimeMetrics",
     "Sequencer",

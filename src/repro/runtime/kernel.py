@@ -122,6 +122,7 @@ class Process:
         #: stale heap entries and stale signal waits are skipped
         self._token = 0
         self.crashes_received = 0
+        self.stall_seconds = 0.0  # injected slow-consumer stall time
 
     def _suspend(self, now: float, state: str) -> None:
         self._pending_state = state
@@ -242,6 +243,7 @@ class Runtime:
                     # duration, accounted as blocked time.
                     process._account(self.clock.now)
                     process._suspend(self.clock.now, BLOCKED)
+                    process.stall_seconds += stall.duration
                     self.injected_stall_seconds += stall.duration
                     self._schedule(self.clock.now + stall.duration, process)
                     continue

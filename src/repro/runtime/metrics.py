@@ -11,7 +11,8 @@ with terminal ``max()`` arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from .kernel import BLOCKED, BUSY, IDLE, Runtime
@@ -41,8 +42,21 @@ class LayerTimes:
         self.blocked += totals.get(BLOCKED, 0.0)
 
 
+class _CounterSet:
+    """Shared serialization for the flat per-run counter dataclasses."""
+
+    def as_dict(self) -> Dict[str, float]:
+        """Stable plain-dict form, keys in field order (what the chaos and
+        external benchmarks serialize)."""
+        return asdict(self)
+
+    @property
+    def any_activity(self) -> bool:
+        return any(asdict(self).values())
+
+
 @dataclass
-class FaultMetrics:
+class FaultMetrics(_CounterSet):
     """Per-feed failure/recovery counters for one run.
 
     Deterministic for a deterministic (workload, policy, fault plan)
@@ -66,34 +80,9 @@ class FaultMetrics:
     adapter_crashes: int = 0  # injected adapter deaths (source died mid-fetch)
     adapter_reopens: int = 0  # adapter re-opened from its resume cursor
 
-    def as_dict(self) -> Dict[str, float]:
-        """Stable plain-dict form (what the chaos benchmark serializes)."""
-        return {
-            "records_skipped": self.records_skipped,
-            "records_dead_lettered": self.records_dead_lettered,
-            "records_replayed": self.records_replayed,
-            "records_discarded": self.records_discarded,
-            "frames_dropped": self.frames_dropped,
-            "crashes": self.crashes,
-            "restarts": self.restarts,
-            "backoff_seconds": self.backoff_seconds,
-            "stall_seconds": self.stall_seconds,
-            "channel_send_failures": self.channel_send_failures,
-            "disconnect_waits": self.disconnect_waits,
-            "throttle_seconds": self.throttle_seconds,
-            "idle_timeouts": self.idle_timeouts,
-            "circuit_breaker_trips": self.circuit_breaker_trips,
-            "adapter_crashes": self.adapter_crashes,
-            "adapter_reopens": self.adapter_reopens,
-        }
-
-    @property
-    def any_activity(self) -> bool:
-        return any(v for v in self.as_dict().values())
-
 
 @dataclass
-class ExternalMetrics:
+class ExternalMetrics(_CounterSet):
     """Per-feed external-enrichment resilience counters for one run.
 
     Kept separate from :class:`FaultMetrics` so feeds without external
@@ -119,31 +108,6 @@ class ExternalMetrics:
     records_pending: int = 0  # stored with the _enrichment_pending marker
     records_dead_lettered: int = 0  # routed aside by ExternalFailureAction
 
-    def as_dict(self) -> Dict[str, float]:
-        """Stable plain-dict form (what the external benchmark serializes)."""
-        return {
-            "calls": self.calls,
-            "keys_requested": self.keys_requested,
-            "retries": self.retries,
-            "errors": self.errors,
-            "timeouts": self.timeouts,
-            "rate_limited": self.rate_limited,
-            "fail_fast": self.fail_fast,
-            "breaker_opens": self.breaker_opens,
-            "breaker_half_opens": self.breaker_half_opens,
-            "breaker_closes": self.breaker_closes,
-            "call_seconds": self.call_seconds,
-            "backoff_seconds": self.backoff_seconds,
-            "rate_limit_wait_seconds": self.rate_limit_wait_seconds,
-            "records_enriched": self.records_enriched,
-            "records_pending": self.records_pending,
-            "records_dead_lettered": self.records_dead_lettered,
-        }
-
-    @property
-    def any_activity(self) -> bool:
-        return any(v for v in self.as_dict().values())
-
 
 @dataclass
 class HolderStats:
@@ -159,6 +123,81 @@ class HolderStats:
     blocked_seconds: float = 0.0  # producer time stalled on this holder
 
 
+#: field metadata marking the counters ``plan_cache_stats(feed=...)`` lists
+_PLAN_CACHE_STAT = {"plan_cache_stat": True}
+
+
+@dataclass
+class RunCounters:
+    """The per-run counters a feed run fills once.
+
+    One instance per run: :class:`RuntimeMetrics` and
+    :class:`~repro.ingestion.feed.FeedRunReport` both hold it and expose
+    every field under its own name (:func:`exposes_run_counters`), so
+    ``report.memo_hits`` and ``report.runtime.memo_hits`` read the same
+    object.  Adding a run counter = declare it here, fill it where the
+    run computes it.
+    """
+
+    scale_ups: int = 0  # elastic pool grow events
+    scale_downs: int = 0  # elastic pool shrink events (workers retired)
+    intake_partitions: int = 1  # intake partition actors
+    checkpoint_commits: int = 0  # durable checkpoint commits written
+    #: cross-batch enrichment-state cache activity during this run (zeros
+    #: when the feed policy leaves the cache disabled); ``bytes`` is the
+    #: cache's resident size at run end, not a per-run delta
+    state_cache_hits: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    state_cache_misses: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    state_cache_evictions: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    state_cache_bytes: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    #: key-level enrichment memo activity during this run (same
+    #: conventions as the state cache fields); one shared memo spans the
+    #: scalar, columnar, and external probe paths
+    memo_hits: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    memo_misses: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    memo_evictions: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    memo_bytes: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    #: columnar execution during this run, tallied per UDF-operator
+    #: invocation: batches/records enriched through vectorized batch
+    #: kernels and scalar fallbacks (whole frames plus individual
+    #: fallen-back columns)
+    vectorized_batches: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    vectorized_records: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    scalar_fallbacks: int = field(default=0, metadata=_PLAN_CACHE_STAT)
+    #: external-enrichment resilience counters (``None`` when the feed has
+    #: no external enrichers attached — default-off parity)
+    external: Optional[ExternalMetrics] = None
+    #: fraction of enrichment-requiring stored records fully enriched by
+    #: run end (1.0 when nothing degraded, or nothing was required)
+    enrichment_completeness: float = 1.0
+    #: multi-tenant fabric attribution (zeros/empty when the run had no
+    #: :class:`~repro.ingestion.fabric.FeedFabric` — default-off parity):
+    #: peak workers this feed held beyond its policy floor, the feed's
+    #: ``(sim_seconds, held_workers)`` lease steps, and the memory
+    #: governor's ``(sim_seconds, cache_kind, granted_bytes)`` grants
+    borrowed_workers: int = 0
+    lease_timeline: List[Tuple[float, int]] = field(default_factory=list)
+    governor_grants: List[Tuple[float, str, int]] = field(default_factory=list)
+
+
+#: the counters a feed's ``plan_cache_stats(feed=...)`` row lists
+PLAN_CACHE_COUNTERS = tuple(
+    counter.name
+    for counter in fields(RunCounters)
+    if counter.metadata.get("plan_cache_stat")
+)
+
+
+def exposes_run_counters(cls):
+    """Class decorator: read every :class:`RunCounters` field of
+    ``self.counters`` as an attribute of ``self``, under the same name."""
+    for counter in fields(RunCounters):
+        getter = attrgetter(f"counters.{counter.name}")
+        setattr(cls, counter.name, property(getter))
+    return cls
+
+
+@exposes_run_counters
 @dataclass
 class RuntimeMetrics:
     """Snapshot of one feed run on the discrete-event runtime."""
@@ -183,49 +222,14 @@ class RuntimeMetrics:
     #: computing worker-pool size over the run: ``(sim_seconds, size)``
     #: steps, one entry per spawn/retire event (empty for static pipelines)
     worker_pool_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    scale_ups: int = 0  # elastic controller grow events
-    scale_downs: int = 0  # elastic controller shrink events (workers retired)
     reordered_batches: int = 0  # batches the sequencer held for an earlier one
-    #: partitioned intake / intra-batch parallelism / durable restart:
-    #: intake partition actors, sub-batch slices dispatched, indices the
-    #: sequencer reassembled from sub-results, checkpoint commits written
-    intake_partitions: int = 1
+    #: intra-batch parallelism: sub-batch slices dispatched, and indices
+    #: the sequencer reassembled from sub-results
     subbatches: int = 0
     subbatch_merges: int = 0
-    checkpoint_commits: int = 0
-    #: cross-batch enrichment-state cache activity during this run (zeros
-    #: when the feed policy leaves the cache disabled)
-    state_cache_hits: int = 0
-    state_cache_misses: int = 0
-    state_cache_evictions: int = 0
-    state_cache_bytes: int = 0  # resident bytes at run end (gauge)
-    #: key-level enrichment memo activity during this run (zeros when the
-    #: feed policy leaves the memo disabled); one shared memo spans the
-    #: scalar, columnar, and external probe paths
-    memo_hits: int = 0
-    memo_misses: int = 0
-    memo_evictions: int = 0
-    memo_bytes: int = 0  # resident bytes at run end (gauge)
-    #: columnar execution during this run: batches/records enriched through
-    #: vectorized batch kernels and scalar fallbacks (whole frames plus
-    #: individual fallen-back columns)
-    vectorized_batches: int = 0
-    vectorized_records: int = 0
-    scalar_fallbacks: int = 0
-    #: external-enrichment resilience counters (``None`` when the feed has
-    #: no external enrichers attached — default-off parity)
-    external: Optional[ExternalMetrics] = None
-    #: fraction of enrichment-requiring stored records fully enriched by
-    #: run end (1.0 when nothing degraded, or nothing was required)
-    enrichment_completeness: float = 1.0
-    #: multi-tenant fabric attribution (zeros/empty when the run had no
-    #: :class:`~repro.ingestion.fabric.FeedFabric` — default-off parity):
-    #: peak workers this feed held beyond its policy floor, the feed's
-    #: ``(sim_seconds, held_workers)`` lease steps, and the memory
-    #: governor's ``(sim_seconds, cache_kind, granted_bytes)`` grants
-    borrowed_workers: int = 0
-    lease_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    governor_grants: List[Tuple[float, str, int]] = field(default_factory=list)
+    #: the run's shared counters (also readable as attributes of this
+    #: snapshot: ``metrics.memo_hits`` is ``metrics.counters.memo_hits``)
+    counters: RunCounters = field(default_factory=RunCounters)
 
     # ------------------------------------------------------------- assembly
 
@@ -239,30 +243,11 @@ class RuntimeMetrics:
         steady_state_seconds: Optional[float] = None,
         faults: Optional[FaultMetrics] = None,
         worker_pool_timeline: Optional[List[Tuple[float, int]]] = None,
-        scale_ups: int = 0,
-        scale_downs: int = 0,
         reordered_batches: int = 0,
-        intake_partitions: int = 1,
         subbatches: int = 0,
         subbatch_merges: int = 0,
-        checkpoint_commits: int = 0,
-        state_cache_hits: int = 0,
-        state_cache_misses: int = 0,
-        state_cache_evictions: int = 0,
-        state_cache_bytes: int = 0,
-        memo_hits: int = 0,
-        memo_misses: int = 0,
-        memo_evictions: int = 0,
-        memo_bytes: int = 0,
-        vectorized_batches: int = 0,
-        vectorized_records: int = 0,
-        scalar_fallbacks: int = 0,
-        external: Optional[ExternalMetrics] = None,
-        enrichment_completeness: float = 1.0,
         process_prefix: Optional[str] = None,
-        borrowed_workers: int = 0,
-        lease_timeline: Optional[List[Tuple[float, int]]] = None,
-        governor_grants: Optional[List[Tuple[float, str, int]]] = None,
+        counters: Optional[RunCounters] = None,
     ) -> "RuntimeMetrics":
         makespan = runtime.elapsed
         steady = steady_state_seconds if steady_state_seconds is not None else makespan
@@ -273,29 +258,10 @@ class RuntimeMetrics:
             batch_latencies_seconds=list(batch_latencies or []),
             faults=faults,
             worker_pool_timeline=list(worker_pool_timeline or []),
-            scale_ups=scale_ups,
-            scale_downs=scale_downs,
             reordered_batches=reordered_batches,
-            intake_partitions=intake_partitions,
             subbatches=subbatches,
             subbatch_merges=subbatch_merges,
-            checkpoint_commits=checkpoint_commits,
-            state_cache_hits=state_cache_hits,
-            state_cache_misses=state_cache_misses,
-            state_cache_evictions=state_cache_evictions,
-            state_cache_bytes=state_cache_bytes,
-            memo_hits=memo_hits,
-            memo_misses=memo_misses,
-            memo_evictions=memo_evictions,
-            memo_bytes=memo_bytes,
-            vectorized_batches=vectorized_batches,
-            vectorized_records=vectorized_records,
-            scalar_fallbacks=scalar_fallbacks,
-            external=external,
-            enrichment_completeness=enrichment_completeness,
-            borrowed_workers=borrowed_workers,
-            lease_timeline=list(lease_timeline or []),
-            governor_grants=list(governor_grants or []),
+            counters=counters if counters is not None else RunCounters(),
         )
         for process in runtime.processes:
             # A shared multi-feed runtime hosts every feed's processes;

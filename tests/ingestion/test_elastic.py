@@ -130,8 +130,6 @@ class TestElasticController:
         assert report.scale_ups >= 1
         assert report.peak_computing_workers > 1
         assert len(stored) == 480
-        # the events surface in RuntimeMetrics too
-        assert report.runtime.scale_ups == report.scale_ups
         sizes = [size for _at, size in report.runtime.worker_pool_timeline]
         assert max(sizes) == report.peak_computing_workers
 
@@ -181,8 +179,6 @@ class TestElasticController:
             FeedPolicy(min_computing_workers=0)
         with pytest.raises(ValueError):
             FeedPolicy(min_computing_workers=4, max_computing_workers=2)
-        with pytest.raises(ValueError):
-            FeedPolicy(elastic_sample_seconds=0.0)
         assert FeedPolicy.elastic().elastic_enabled
         assert not FeedPolicy.spill().elastic_enabled
 

@@ -14,7 +14,7 @@ from repro.ingestion import (
     GeneratorAdapter,
     MemoryGovernor,
 )
-from repro.runtime import CrashAt, FaultPlan
+from repro.runtime import CrashAt, FaultPlan, StallAt
 from repro.sqlpp.state_cache import StateCache
 
 CONGESTED = FeedSignals(
@@ -186,8 +186,8 @@ class TestMemoryGovernor:
     def test_budgets_track_window_hit_ratio(self):
         governor = MemoryGovernor(total_bytes=1024 * 1024)
         hot, cold = StateCache(label="A.state"), StateCache(label="B.state")
-        governor.register("A", hot.kind, hot, 1, 1.0)
-        governor.register("B", cold.kind, cold, 1, 1.0)
+        governor.register("A", hot.kind, hot, 1)
+        governor.register("B", cold.kind, cold, 1)
         self._window(hot, hits=20, misses=0)
         self._window(cold, hits=0, misses=20)
         governor.rebalance(now=1.0)
@@ -197,8 +197,8 @@ class TestMemoryGovernor:
     def test_midrun_hit_ratio_shift_moves_bytes(self):
         governor = MemoryGovernor(total_bytes=1024 * 1024)
         a, b = StateCache(label="A.state"), StateCache(label="B.state")
-        governor.register("A", a.kind, a, 1, 1.0)
-        governor.register("B", b.kind, b, 1, 1.0)
+        governor.register("A", a.kind, a, 1)
+        governor.register("B", b.kind, b, 1)
         self._window(a, hits=20, misses=0)
         self._window(b, hits=0, misses=20)
         governor.rebalance(now=1.0)
@@ -224,7 +224,7 @@ class TestMemoryGovernor:
         governor = MemoryGovernor(total_bytes=300_000)
         caches = [StateCache(label=f"F{i}.state") for i in range(3)]
         for i, cache in enumerate(caches):
-            governor.register(f"F{i}", cache.kind, cache, 1, 1.0)
+            governor.register(f"F{i}", cache.kind, cache, 1)
         governor.rebalance(now=1.0)
         budgets = [
             t["budget_bytes"] for t in governor.summary()["tenants"].values()
@@ -236,22 +236,22 @@ class TestMemoryGovernor:
     def test_priority_weighs_cold_budgets(self):
         governor = MemoryGovernor(total_bytes=1024 * 1024)
         a, b = StateCache(label="A.state"), StateCache(label="B.state")
-        governor.register("A", a.kind, a, 2, 1.0)
-        governor.register("B", b.kind, b, 1, 1.0)
+        governor.register("A", a.kind, a, 2)
+        governor.register("B", b.kind, b, 1)
         tenants = governor.summary()["tenants"]
         assert tenants["A/state"]["budget_bytes"] > tenants["B/state"]["budget_bytes"]
 
     def test_shrink_applies_eviction_pressure(self):
         governor = MemoryGovernor(total_bytes=64 * 4096)
         a, b = StateCache(label="A.state"), StateCache(label="B.state")
-        governor.register("A", a.kind, a, 1, 1.0)
+        governor.register("A", a.kind, a, 1)
         # A fills its whole solo budget...
         for i in range(100):
             a.put(("k", i), 1, {"v": i}, 1, nbytes=2048)
         resident_before = a.current_bytes
         # ...then a hot second tenant arrives and the split shrinks A:
         # the lowest-value tenant absorbs the eviction pressure at once
-        governor.register("B", b.kind, b, 1, 1.0)
+        governor.register("B", b.kind, b, 1)
         self._window(b, hits=20, misses=0)
         governor.rebalance(now=1.0)
         assert a.current_bytes <= resident_before
@@ -453,3 +453,53 @@ class TestFabricCrashRestart:
             total <= fabric.total_workers
             for _t, _f, _e, _h, total in fabric.lease_events
         )
+
+
+class TestFleetStallAttribution:
+    """Injected stall time is summed over the feed's own processes, so a
+    fleet's tenants report disjoint shares of the shared runtime's total."""
+
+    STALL = StallAt(at=0.0, target="feed-A.storage", duration=0.3)
+
+    def launch(self, name):
+        return FeedLaunch(
+            feed=name,
+            adapter=GeneratorAdapter(raws(60, name)),
+            batch_size=30,
+            fault_plan=FaultPlan(stalls=(self.STALL,)) if name == "A" else None,
+        )
+
+    def capture_runtimes(self, system):
+        made = []
+        new_runtime = system.cluster.new_runtime
+
+        def capturing(name):
+            made.append(new_runtime(name))
+            return made[-1]
+
+        system.cluster.new_runtime = capturing
+        return made
+
+    def test_stall_lands_on_the_stalled_tenant_only(self):
+        system = build_fleet(["A", "B"])
+        runtimes = self.capture_runtimes(system)
+        reports = system.start_feeds([self.launch("A"), self.launch("B")])
+        assert reports["A"].faults.stall_seconds == 0.3
+        assert reports["B"].faults.stall_seconds == 0.0
+        (fleet,) = runtimes
+        assert fleet.injected_stall_seconds == sum(
+            report.faults.stall_seconds for report in reports.values()
+        )
+
+    def test_solo_figure_is_the_runtime_total(self):
+        system = build_fleet(["A"])
+        runtimes = self.capture_runtimes(system)
+        launch = self.launch("A")
+        report = system.start_feed(
+            "A",
+            adapter=launch.adapter,
+            batch_size=launch.batch_size,
+            fault_plan=launch.fault_plan,
+        )
+        (solo,) = runtimes
+        assert report.faults.stall_seconds == solo.injected_stall_seconds == 0.3

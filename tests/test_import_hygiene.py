@@ -14,7 +14,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 CHECKED = sorted(
     path
-    for package in ("adm", "storage", "hyracks", "runtime")
+    for package in ("adm", "storage", "hyracks", "runtime", "ingestion")
     for path in (SRC / package).rglob("*.py")
 ) + [
     SRC / "sqlpp" / f"{name}.py"
