@@ -131,20 +131,21 @@ GATED_RATIOS = {
 }
 
 
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=REPO_ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def _git_label() -> str:
+    """Short hash of HEAD, with a ``+`` when tracked files differ from it:
+    a row measured before its commit exists names the parent it sits on."""
     try:
-        return (
-            subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
-                cwd=REPO_ROOT,
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout.strip()
-            or "unknown"
-        )
+        head = _git("rev-parse", "--short", "HEAD") or "unknown"
+        dirty = _git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
+    return head + "+" if dirty else head
 
 
 def main(argv=None) -> int:
@@ -192,6 +193,7 @@ def main(argv=None) -> int:
     # ratio amortizes fixed per-batch costs over the record count — so the
     # gate uses the most recent row whose mode matches this run's.
     mode = "smoke" if args.smoke else "full"
+    label = _git_label()  # before the suites rewrite their BENCH_*.json
     baseline_row = None
     if args.baseline is not None and args.baseline.exists():
         rows = json.loads(args.baseline.read_text()).get("rows", [])
@@ -214,7 +216,7 @@ def main(argv=None) -> int:
         suites[name] = summarize(result)
 
     row = {
-        "label": _git_label(),
+        "label": label,
         "mode": mode,
         "suites": suites,
     }

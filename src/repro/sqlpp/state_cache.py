@@ -116,6 +116,11 @@ def estimate_payload_bytes(value) -> int:
     return _OPAQUE_BYTES  # datetimes, spatial values, other leaf objects
 
 
+def estimate_entry_bytes(value) -> int:
+    """What :meth:`StateCache.put` books for an entry holding ``value``."""
+    return ENTRY_OVERHEAD_BYTES + estimate_payload_bytes(value)
+
+
 class StateCacheEntry:
     """One cached piece of build-side state."""
 
@@ -202,7 +207,7 @@ class StateCache:
     ) -> None:
         """Install freshly built state under the current version key."""
         if nbytes is None:
-            nbytes = ENTRY_OVERHEAD_BYTES + estimate_payload_bytes(value)
+            nbytes = estimate_entry_bytes(value)
         old = self._entries.pop(key, None)
         if old is not None:
             self.current_bytes -= old.nbytes

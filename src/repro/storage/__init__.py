@@ -3,7 +3,7 @@
 from .btree import BPlusTree
 from .checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
 from .component import SortedRunComponent, merge_components
-from .dataset import Dataset, hash_partition
+from .dataset import Dataset, ReferenceSnapshot, hash_partition
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMStats, LSMTree
 from .memtable import TOMBSTONE, MemTable
@@ -21,6 +21,7 @@ __all__ = [
     "LSMTree",
     "MemTable",
     "RTree",
+    "ReferenceSnapshot",
     "SecondaryIndex",
     "SortedRunComponent",
     "TOMBSTONE",

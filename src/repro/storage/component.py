@@ -8,9 +8,9 @@ key array; range scans slice it.
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .memtable import TOMBSTONE
+from .memtable import TOMBSTONE, entry_key
 
 
 class SortedRunComponent:
@@ -69,8 +69,30 @@ class SortedRunComponent:
                 if include_high
                 else bisect.bisect_left(self._keys, high)
             )
-        for i in range(start, stop):
-            yield self._keys[i], self._values[i]
+        return zip(self._keys[start:stop], self._values[start:stop])
+
+
+def overlay_runs(
+    runs: Sequence[Iterable[Tuple[object, object]]],
+) -> List[Tuple[object, object]]:
+    """Several runs of (key, value) pairs, newest first, as one sorted run.
+
+    For a key in more than one run the newest run's entry wins, tombstone
+    or not.  A key lives at most once in each run, so older entries are
+    overlaid by newer ones in a dict and the surviving keys sorted once.
+    """
+    merged: dict = {}
+    for run in reversed(runs):  # oldest first; newer overwrite
+        merged.update(run)
+    try:
+        return sorted(merged.items(), key=entry_key)
+    except TypeError:
+        # Keys within one LSM tree are homogeneous; tag by type name so
+        # mixed trees (used in some property tests) still order
+        # deterministically.
+        return sorted(
+            merged.items(), key=lambda entry: (type(entry[0]).__name__, entry[0])
+        )
 
 
 def merge_components(
@@ -84,11 +106,7 @@ def merge_components(
     from the earliest-listed component wins.  Tombstones are dropped only
     when merging down to the bottommost level (``drop_tombstones``).
     """
-    merged: dict = {}
-    for comp in reversed(components):  # oldest first; newer overwrite
-        for key, value in comp.scan():
-            merged[key] = value
-    entries = sorted(merged.items())
+    entries = overlay_runs([comp.scan() for comp in components])
     if drop_tombstones:
         entries = [(k, v) for k, v in entries if v is not TOMBSTONE]
     new_level = level if level is not None else max(c.level for c in components) + 1

@@ -41,6 +41,34 @@ def hash_partition(key, num_partitions: int) -> int:
     return key_hash(key) % num_partitions
 
 
+class ReferenceSnapshot:
+    """An immutable read snapshot of a dataset: what one full scan returned.
+
+    ``records`` is the scan's record sequence (partition order, key order
+    within).  :meth:`derived` memoizes what readers compute from it — a
+    per-field hash table, rendered resource lines, a size estimate — for
+    as long as the snapshot itself is current.
+    """
+
+    __slots__ = ("records", "_derived")
+
+    def __init__(self, records: Tuple[dict, ...]):
+        self.records = records
+        self._derived: Dict[object, object] = {}
+
+    def derived(self, key, build: Callable[[Tuple[dict, ...]], object]):
+        """``build(records)``, computed once per snapshot and ``key``.
+
+        The result is shared by every reader of this snapshot, so readers
+        must treat it as read-only.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self.records)
+            return value
+
+
 class Dataset:
     """A partitioned, indexed record store."""
 
@@ -69,6 +97,8 @@ class Dataset:
         self._index_fields: Dict[str, Tuple[str, IndexKind]] = {}
         self.version = 0
         self._update_listeners: List[Callable[[str, object], None]] = []
+        # (partition LSNs, snapshot) of the latest snapshot() call
+        self._snapshot: Optional[Tuple[Tuple[int, ...], ReferenceSnapshot]] = None
 
     # ------------------------------------------------------------------ admin
 
@@ -193,6 +223,22 @@ class Dataset:
     def scan_partition(self, pid: int) -> Iterator[dict]:
         for _key, record in self.partitions[pid].scan():
             yield record
+
+    def snapshot(self) -> ReferenceSnapshot:
+        """The dataset's contents as one shared, immutable read snapshot.
+
+        Keyed on the partitions' WAL LSNs: while no partition has taken a
+        write, a rescan would return the same record objects in the same
+        order, so the held snapshot — and everything derived from it — *is*
+        that rescan.  Any write, through the dataset or straight to a
+        partition, moves an LSN and the next call scans afresh.  One
+        snapshot is held per dataset; a newer one replaces it.
+        """
+        lsns = tuple(tree.lsn for tree in self.partitions)
+        held = self._snapshot
+        if held is None or held[0] != lsns:
+            held = self._snapshot = (lsns, ReferenceSnapshot(tuple(self.scan())))
+        return held[1]
 
     # -------------------------------------------------------------- index API
 

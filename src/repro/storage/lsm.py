@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from ..errors import DuplicateKeyError, KeyNotFoundError
-from .component import SortedRunComponent, merge_components
+from .component import SortedRunComponent, merge_components, overlay_runs
 from .memtable import TOMBSTONE, MemTable
 
 
@@ -113,8 +113,9 @@ class LSMTree:
         """Freeze the memtable into a new newest disk component."""
         if self._memtable.is_empty:
             return
-        entries = list(self._memtable.sorted_entries())
-        self._components.insert(0, SortedRunComponent(entries, level=0))
+        self._components.insert(
+            0, SortedRunComponent(self._memtable.sorted_entries(), level=0)
+        )
         self._memtable = MemTable(self.memtable_budget)
         self.stats.flushes += 1
         if len(self._components) >= self.merge_fanin:
@@ -148,22 +149,29 @@ class LSMTree:
 
     def scan(self) -> Iterator[Tuple[object, object]]:
         """Full scan in key order, newest version of each key, no tombstones."""
-        yield from self.range_scan()
+        return self.range_scan()
 
     def range_scan(
         self, low=None, high=None, include_low=True, include_high=True
     ) -> Iterator[Tuple[object, object]]:
-        """Merge-scan the memtable and every component over a key range."""
-        sources: List[Iterator[Tuple[object, object]]] = []
-        mem = [
-            (k, v)
-            for k, v in self._memtable.sorted_entries()
-            if _in_range(k, low, high, include_low, include_high)
+        """Scan a key range in key order: newest version of each key, no
+        tombstones.
+
+        Every structure is already sorted, so one live structure (the
+        flushed steady state of a reference dataset) is passed straight
+        through; several go through :func:`overlay_runs`.
+        """
+        bounds = (low, high, include_low, include_high)
+        sources = [
+            comp.range_scan(*bounds) for comp in self._components if len(comp)
         ]
-        sources.append(iter(mem))
-        for comp in self._components:
-            sources.append(comp.range_scan(low, high, include_low, include_high))
-        yield from _merge_scan(sources)
+        if not self._memtable.is_empty:
+            entries = self._memtable.sorted_entries()
+            if low is not None or high is not None:
+                entries = [kv for kv in entries if _in_range(kv[0], *bounds)]
+            sources.insert(0, entries)  # newest first
+        merged = sources[0] if len(sources) == 1 else overlay_runs(sources)
+        return (entry for entry in merged if entry[1] is not TOMBSTONE)
 
     # ------------------------------------------------------------- observables
 
@@ -192,6 +200,16 @@ class LSMTree:
     def wal_length(self) -> int:
         return len(self._wal)
 
+    @property
+    def lsn(self) -> int:
+        """The LSN the next write will take.
+
+        Every write appends a WAL record; flush and merge do not.  Two
+        reads at the same ``lsn`` therefore scan the same record objects in
+        the same order, however the components were reorganised between.
+        """
+        return self._next_lsn
+
     def recover_from_wal(self) -> "LSMTree":
         """Rebuild an equivalent tree by replaying the write-ahead log.
 
@@ -217,31 +235,3 @@ def _in_range(key, low, high, include_low, include_high) -> bool:
         if key > high or (not include_high and key == high):
             return False
     return True
-
-
-def _merge_scan(
-    sources: List[Iterator[Tuple[object, object]]],
-) -> Iterator[Tuple[object, object]]:
-    """K-way merge, newest source first; tombstones suppress older entries.
-
-    The sorted-list merge is simpler than a heap and fine at the component
-    counts the prefix policy allows (bounded by ``merge_fanin``).
-    """
-    entries: List[Tuple[object, int, object]] = []
-    for priority, source in enumerate(sources):
-        for key, value in source:
-            entries.append((key, priority, value))
-    entries.sort(key=lambda t: (_sort_key(t[0]), t[1]))
-    last_key = object()
-    for key, _priority, value in entries:
-        if key == last_key:
-            continue
-        last_key = key
-        if value is not TOMBSTONE:
-            yield key, value
-
-
-def _sort_key(key):
-    # Keys within one LSM tree are homogeneous; tag by type name so mixed
-    # trees (used in some property tests) still order deterministically.
-    return (type(key).__name__, key)

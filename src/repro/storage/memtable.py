@@ -7,7 +7,11 @@ tombstones so they shadow older components during reads and merges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Tuple
+
+#: sort key of a (key, record-or-tombstone) entry
+entry_key = itemgetter(0)
 
 
 class Tombstone:
@@ -72,10 +76,9 @@ class MemTable:
     def contains(self, key) -> bool:
         return key in self._entries
 
-    def sorted_entries(self) -> Iterator[Tuple[object, object]]:
-        """Yield (key, record-or-tombstone) in key order."""
-        for key in sorted(self._entries):
-            yield key, self._entries[key]
+    def sorted_entries(self) -> List[Tuple[object, object]]:
+        """The (key, record-or-tombstone) pairs in key order, as of now."""
+        return sorted(self._entries.items(), key=entry_key)
 
     def scan(self) -> Iterator[Tuple[object, object]]:
-        return self.sorted_entries()
+        return iter(self.sorted_entries())

@@ -347,12 +347,18 @@ class PaperWorkload:
         Each provider snapshots the *current* dataset contents when called,
         emulating node-local resource files regenerated from the source of
         truth: a static feed reads them once, a dynamic feed re-reads per
-        batch.
+        batch.  The rendered lines are kept on the dataset's read snapshot,
+        so they are rendered again only after the dataset has changed.
         """
 
         def lines_of(name: str, render) -> callable:
+            def render_all(records):
+                return tuple(render(record) for record in records)
+
             def provider():
-                return [render(record) for record in catalog[name].scan()]
+                return catalog[name].snapshot().derived(
+                    "java_resource_lines", render_all
+                )
 
             return provider
 
