@@ -1,24 +1,27 @@
 """Perf observatory: run every BENCH_* suite through one harness.
 
-Runs each standalone benchmark script (wallclock, updates, elastic,
-chaos, scale-out, external, memo, multitenant) as a subprocess, collects the key machine-comparable
-numbers from the ``BENCH_*.json`` each one writes, and appends a per-PR
-row to ``BENCH_TRAJECTORY.json`` at the repo root — one row per git
-head, so the file reads as the repo's performance history.
+Runs each standalone simulated-cost benchmark script (updates, elastic,
+chaos, scale-out, external, memo, multitenant) as a subprocess, collects
+the key machine-comparable numbers from the ``BENCH_*.json`` each one
+writes, and appends a per-PR row to ``BENCH_TRAJECTORY.json`` at the repo
+root — one row per git head, so the file reads as the repo's performance
+history.  Wall-clock throughput is not measured here: that is
+``benchmarks/e2e`` (``BENCHMARK.json``).  Rows recorded before the
+``wallclock`` suite was retired keep its numbers; nothing reads them.
 
 Usage::
 
     python benchmarks/bench_all.py                  # full run, all suites
     python benchmarks/bench_all.py --smoke          # quick CI run
-    python benchmarks/bench_all.py --suites wallclock,updates
+    python benchmarks/bench_all.py --suites memo,updates
     python benchmarks/bench_all.py --smoke --baseline BENCH_TRAJECTORY.json
 
 Exit is non-zero if any suite fails its own invariants (each script
-already gates itself), or — with ``--baseline`` — if a gated speedup
-ratio (wall-clock planned/columnar, or the memo's rate-0 simulated win)
+already gates itself), or — with ``--baseline`` — if a gated simulated
+speedup ratio (the memo's rate-0 win, the fabric's skewed-fleet win)
 dropped more than ``--baseline-tolerance`` (default 20%) below the last
-committed trajectory row.  Speedup *ratios* are compared, never absolute rec/s:
-ratios survive machine and workload-size changes, throughput does not.
+committed trajectory row.  Speedup *ratios* are compared, never absolute
+rec/s: ratios survive workload-size changes, throughput does not.
 """
 
 from __future__ import annotations
@@ -31,19 +34,6 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
-
-
-def _wallclock_summary(result: dict) -> dict:
-    aggregate = result["aggregate"]
-    return {
-        "speedup": aggregate["speedup"],
-        "columnar_speedup": aggregate["columnar_speedup"],
-        "planned_records_per_sec": aggregate["planned_records_per_sec"],
-        "columnar_records_per_sec": aggregate["columnar_records_per_sec"],
-        "interp_normalized_throughput": result["interpreter"]["aggregate"][
-            "normalized_throughput"
-        ],
-    }
 
 
 def _updates_summary(result: dict) -> dict:
@@ -108,7 +98,6 @@ def _scaleout_summary(result: dict) -> dict:
 
 #: suite name -> (script, output json, summary extractor)
 SUITES = {
-    "wallclock": ("bench_wallclock.py", "BENCH_wallclock.json", _wallclock_summary),
     "updates": ("bench_updates.py", "BENCH_updates.json", _updates_summary),
     "elastic": ("bench_elastic.py", "BENCH_elastic.json", _elastic_summary),
     "chaos": ("bench_chaos.py", "BENCH_chaos.json", _chaos_summary),
@@ -125,7 +114,6 @@ SUITES = {
 #: suite -> speedup-ratio metrics the --baseline gate compares (ratios
 #: survive machine and workload-size changes; absolute numbers do not)
 GATED_RATIOS = {
-    "wallclock": ("speedup", "columnar_speedup"),
     "memo": ("sim_win_rate0",),
     "multitenant": ("skewed_speedup",),
 }
@@ -170,15 +158,15 @@ def main(argv=None) -> int:
         "--baseline",
         type=Path,
         default=None,
-        help="previous BENCH_TRAJECTORY.json to gate the wall-clock "
+        help="previous BENCH_TRAJECTORY.json to gate the simulated "
         "speedup ratios against (fail on regression beyond the tolerance)",
     )
     parser.add_argument(
         "--baseline-tolerance",
         type=float,
         default=0.20,
-        help="allowed fractional drop in the wall-clock planned/columnar "
-        "speedup ratios vs the last baseline row",
+        help="allowed fractional drop in the gated speedup ratios vs the "
+        "last baseline row",
     )
     args = parser.parse_args(argv)
 
@@ -189,9 +177,8 @@ def main(argv=None) -> int:
 
     # Snapshot the baseline row before running: --output may point at the
     # committed BENCH_TRAJECTORY.json, which this run rewrites.  Only rows
-    # recorded at the same workload size are comparable — the columnar
-    # ratio amortizes fixed per-batch costs over the record count — so the
-    # gate uses the most recent row whose mode matches this run's.
+    # recorded at the same workload size are comparable, so the gate uses
+    # the most recent row whose mode matches this run's.
     mode = "smoke" if args.smoke else "full"
     label = _git_label()  # before the suites rewrite their BENCH_*.json
     baseline_row = None

@@ -5,7 +5,6 @@ reference-update rate over a hash-join enrichment feed with the
 cross-batch enrichment memo off and on, verifying:
 
 * >= 2x simulated computing-cost win at high skew / update rate 0;
-* >= 1.3x wall-clock win at high skew / rate 0 (full mode only);
 * *exact* 1.00x parity (and zero hits) when every probe key is unique;
 * byte-identical stored outputs memo-on vs. memo-off at every sweep
   point, including a 4-worker computing pool and a 4-partition intake.
@@ -37,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small fast run for CI (fewer records, no wall-clock gate)",
+        help="small fast run for CI (fewer records)",
     )
     parser.add_argument("--ref-records", type=int, default=None)
     parser.add_argument("--tweets", type=int, default=None)
@@ -64,9 +63,6 @@ def main(argv=None) -> int:
         tweets=tweets,
         batch_size=batch_size,
         work_scale=work_scale,
-        # Wall clock is too noisy to gate on the smoke run's tiny volumes
-        # (and CI runners are shared); the full run enforces the floor.
-        check_wallclock=not args.smoke,
     )
     result["mode"] = "smoke" if args.smoke else "full"
     args.output.write_text(json.dumps(result, indent=2) + "\n")
@@ -85,13 +81,6 @@ def main(argv=None) -> int:
         print(
             f"  {shape:>20}: win {cell['computing_seconds_win']:.2f}x  "
             f"hashes_equal={cell['output_hashes_equal']}"
-        )
-    if "wallclock_high_skew_rate0" in result:
-        wc = result["wallclock_high_skew_rate0"]
-        print(
-            f"  wall clock high-skew rate 0: {wc['ratio']:.2f}x "
-            f"(off {wc['memo_off_best_seconds']:.3f}s, "
-            f"on {wc['memo_on_best_seconds']:.3f}s)"
         )
     for name, passed in result["checks"].items():
         print(f"  [{'PASS' if passed else 'FAIL'}] {name}")

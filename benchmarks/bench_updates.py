@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="small fast run for CI (fewer records, no wall-clock timing)",
+        help="small fast run for CI (fewer records)",
     )
     parser.add_argument("--ref-records", type=int, default=None)
     parser.add_argument("--tweets", type=int, default=None)
@@ -63,9 +63,6 @@ def main(argv=None) -> int:
         tweets=tweets,
         batch_size=batch_size,
         work_scale=work_scale,
-        # reported, never gated; the smoke run's volumes are too small
-        # for the figure to mean anything
-        report_wallclock=not args.smoke,
     )
     result["mode"] = "smoke" if args.smoke else "full"
     args.output.write_text(json.dumps(result, indent=2) + "\n")
@@ -77,13 +74,6 @@ def main(argv=None) -> int:
             f"throughput on/off {cell['throughput_ratio_on_vs_off']:.3f}  "
             f"hits {cell['cache_on']['state_cache_hits']}  "
             f"hashes_equal={cell['output_hashes_equal']}"
-        )
-    if "wallclock_rate0" in result:
-        wc = result["wallclock_rate0"]
-        print(
-            f"  wall clock at rate 0 (not gated): "
-            f"off {wc['cache_off_best_seconds']:.3f}s, "
-            f"on {wc['cache_on_best_seconds']:.3f}s"
         )
     for name, passed in result["checks"].items():
         print(f"  [{'PASS' if passed else 'FAIL'}] {name}")

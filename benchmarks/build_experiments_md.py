@@ -224,20 +224,15 @@ at milder absolute ratios (see the Figure 27 verdict).
 Beyond the paper, `benchmarks/bench_updates.py` sweeps the update rate
 with the cross-batch state cache off and on (`BENCH_updates.json`): a
 >=2x win in *simulated* computing cost at rate 0, degrading to parity at
-100 updates/s, stored bytes identical at every rate.  It also reports
-the two runs' wall seconds at rate 0, but no longer gates on their
-ratio.  The cache is modeled reuse; the scan and hash build it saves in
-the model are shared physically by `Dataset.snapshot()` whether the
-cache is on or off (DESIGN.md §8.2), so on the wall clock the cache-on
-run has only its own bookkeeping left to show: cache-off 0.100 s,
-cache-on 0.169 s in the committed run, where they were 1.314 s and
-0.305 s.  The cache-on wall-clock path is
-guarded end to end instead: the `enrich_updates` workload of
-`BENCHMARK.json` runs `upd_cached` with both `state_cache_bytes` and
-`enrichment_memo_bytes` granted, and its `records_per_s` may not fall.
-`bench_memo.py` keeps its >=1.3x wall-clock floor, which the memo still
-clears (8.8x) because it skips per-record probe work that nothing else
-shares.
+100 updates/s, stored bytes identical at every rate.  Neither it nor
+`bench_memo.py` reads the wall clock any more.  The cache is modeled
+reuse; the scan and hash build it saves in the model are shared
+physically by `Dataset.snapshot()` whether the cache is on or off
+(DESIGN.md §8.2), so on the wall clock the cache-on run has only its own
+bookkeeping left to show.  That path is measured end to end instead: the
+`enrich_updates` workload of `BENCHMARK.json` runs `upd_cached` with
+both `state_cache_bytes` and `enrichment_memo_bytes` granted, and its
+`records_per_s` may not fall.
 
 ---
 

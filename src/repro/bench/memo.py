@@ -8,7 +8,8 @@ two key-distribution profiles:
   every batch.  After the cold first batch the memo serves whole batches
   without touching (or even building) the reference hash table; the memo
   must win by at least :data:`SIM_WIN_FLOOR` in simulated computing cost
-  at update rate 0 and by :data:`WALLCLOCK_FLOOR` in wall clock;
+  at update rate 0 (its wall-clock side is the ``enrich_updates``
+  workload of ``BENCHMARK.json``);
 * **all_unique** — every record probes a distinct key, so the memo can
   never hit.  The memo-on run must be *exact* parity (1.00x simulated
   cost, byte-identical stored output) — the miss path charges precisely
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Dict, List, Optional, Sequence
 
 from ..core.system import AsterixLite
@@ -48,7 +48,6 @@ DATASET = "EnrichedTweets"
 REFERENCE = "SafetyRatings"
 UPDATE_RATES = (0.0, 1.0, 10.0, 100.0)
 SIM_WIN_FLOOR = 2.0  # acceptance: memo-on computing win, high skew, rate 0
-WALLCLOCK_FLOOR = 1.3  # wall-clock win, high skew, rate 0 (full mode only)
 PARITY_EPSILON = 1e-9  # all-unique keys: memo-on must cost *exactly* parity
 MEMO_BUDGET = 32 << 20
 
@@ -119,7 +118,7 @@ def _run_once(
     work_scale: float,
     policy_overrides: Optional[Dict] = None,
 ):
-    """One sweep cell; returns (report, output_sha256, wall_seconds)."""
+    """One sweep cell; returns (report, output_sha256)."""
     system = _build_system(ref_records, counties)
     policy = FeedPolicy.basic(
         enrichment_memo_bytes=MEMO_BUDGET if memo_on else 0,
@@ -155,9 +154,7 @@ def _run_once(
         ]
     else:
         adapter = GeneratorAdapter(raw)
-    started = time.perf_counter()
     report = pipeline.run(feed, adapter, update_client=update_client)
-    wall = time.perf_counter() - started
     stored = sorted(
         (r["id"], tuple(r.get("safety") or ()))
         for r in system.catalog[DATASET].scan()
@@ -165,10 +162,10 @@ def _run_once(
     digest = hashlib.sha256(
         json.dumps(stored, sort_keys=True).encode()
     ).hexdigest()
-    return report, digest, wall
+    return report, digest
 
 
-def _summarize(report, digest: str, wall: float) -> Dict:
+def _summarize(report, digest: str) -> Dict:
     return {
         "computing_seconds": report.computing_seconds,
         "simulated_seconds": report.simulated_seconds,
@@ -179,21 +176,20 @@ def _summarize(report, digest: str, wall: float) -> Dict:
         "memo_evictions": report.memo_evictions,
         "memo_bytes": report.memo_bytes,
         "output_sha256": digest,
-        "wall_seconds": wall,
     }
 
 
 def _cell(off, on) -> Dict:
-    off_report, off_digest, off_wall = off
-    on_report, on_digest, on_wall = on
+    off_report, off_digest = off
+    on_report, on_digest = on
     win = (
         off_report.computing_seconds / on_report.computing_seconds
         if on_report.computing_seconds > 0
         else 0.0
     )
     return {
-        "memo_off": _summarize(off_report, off_digest, off_wall),
-        "memo_on": _summarize(on_report, on_digest, on_wall),
+        "memo_off": _summarize(off_report, off_digest),
+        "memo_on": _summarize(on_report, on_digest),
         "computing_seconds_win": win,
         "output_hashes_equal": off_digest == on_digest,
     }
@@ -206,8 +202,6 @@ def run_memo_sweep(
     batch_size: int = 100,
     work_scale: float = 30.0,
     rates: Sequence[float] = UPDATE_RATES,
-    wallclock_repeats: int = 3,
-    check_wallclock: bool = True,
 ) -> Dict:
     """Run the memo-off/memo-on sweep; returns the results + gate verdicts."""
     results: Dict = {
@@ -218,7 +212,6 @@ def run_memo_sweep(
         "reference_work_scale": work_scale,
         "memo_budget_bytes": MEMO_BUDGET,
         "sim_win_floor": SIM_WIN_FLOOR,
-        "wallclock_floor": WALLCLOCK_FLOOR,
         "profiles": {},
     }
 
@@ -262,27 +255,6 @@ def run_memo_sweep(
         )
         results["shapes"][name] = _cell(off, on)
 
-    # Wall clock, high skew at rate 0: best of N repeats per configuration
-    # (simulated numbers are deterministic; only wall clock is noisy).
-    wall_ratio: Optional[float] = None
-    if check_wallclock:
-        best = {False: float("inf"), True: float("inf")}
-        for memo_on in (False, True):
-            for _ in range(max(1, wallclock_repeats)):
-                _r, _d, wall = _run_once(
-                    memo_on, 0.0, ref_records, high_skew_counties, tweets,
-                    batch_size, work_scale,
-                )
-                best[memo_on] = min(best[memo_on], wall)
-        wall_ratio = best[False] / best[True] if best[True] > 0 else 0.0
-        results["wallclock_high_skew_rate0"] = {
-            "memo_off_best_seconds": best[False],
-            "memo_on_best_seconds": best[True],
-            "ratio": wall_ratio,
-            "floor": WALLCLOCK_FLOOR,
-            "repeats": wallclock_repeats,
-        }
-
     wins = [high[str(rate)]["computing_seconds_win"] for rate in rates]
     unique_cell = unique["0.0"]
     every_cell = (
@@ -310,8 +282,6 @@ def run_memo_sweep(
             for cell in every_cell
         ),
     }
-    if wall_ratio is not None:
-        checks["wallclock_win_high_skew_rate0"] = wall_ratio >= WALLCLOCK_FLOOR
     results["wins"] = wins
     results["checks"] = checks
     results["ok"] = all(checks.values())

@@ -7,12 +7,12 @@ simulated second, reproducing the paper's §7.3 sensitivity axis:
 
 * at rate 0 the reference data never changes, so every batch after the
   first reuses the cached build table — the cache must win by at least
-  :data:`SIM_WIN_FLOOR` in simulated computing cost.  Both runs' wall
-  seconds are reported but not compared: the cache is *modeled* reuse,
-  and the scan and hash build it saves in the model are already shared
-  physically, cache or no cache, by ``Dataset.snapshot()``.  What is left
-  of the cache on the wall clock is its own bookkeeping, which the
-  ``enrich_updates`` workload of ``BENCHMARK.json`` guards end to end;
+  :data:`SIM_WIN_FLOOR` in simulated computing cost.  No wall clock is
+  read here: the cache is *modeled* reuse, and the scan and hash build it
+  saves in the model are already shared physically, cache or no cache, by
+  ``Dataset.snapshot()``.  What is left of the cache on the wall clock is
+  its own bookkeeping, which the ``enrich_updates`` workload of
+  ``BENCHMARK.json`` measures end to end;
 * as the rate grows, version bumps land between more and more batch
   boundaries, forcing rebuilds; the win degrades gracefully toward the
   per-batch-rebuild baseline (throughput within
@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Dict, List, Sequence
 
 from ..core.system import AsterixLite
@@ -152,7 +151,7 @@ def _run_once(
     batch_size: int,
     work_scale: float,
 ):
-    """One sweep cell; returns (report, output_sha256, wall_seconds)."""
+    """One sweep cell; returns (report, output_sha256, updates_applied)."""
     system = _build_system(ref_records, counties)
     policy = FeedPolicy.basic(
         state_cache_bytes=STATE_CACHE_BUDGET if cache_on else 0
@@ -178,9 +177,7 @@ def _run_once(
         system.cluster, system.catalog, system.registry, afm=system.afm
     )
     adapter = GeneratorAdapter(_raw_tweets(tweets, counties))
-    started = time.perf_counter()
     report = pipeline.run(feed, adapter, update_client=update_client)
-    wall = time.perf_counter() - started
     stored = sorted(
         (r["id"], tuple(r.get("safety") or ()))
         for r in system.catalog[DATASET].scan()
@@ -189,10 +186,10 @@ def _run_once(
         json.dumps(stored, sort_keys=True).encode()
     ).hexdigest()
     applied = update_client.applied if update_client is not None else 0
-    return report, digest, wall, applied
+    return report, digest, applied
 
 
-def _summarize(report, digest: str, wall: float) -> Dict:
+def _summarize(report, digest: str) -> Dict:
     return {
         "computing_seconds": report.computing_seconds,
         "simulated_seconds": report.simulated_seconds,
@@ -204,7 +201,6 @@ def _summarize(report, digest: str, wall: float) -> Dict:
         "state_cache_evictions": report.state_cache_evictions,
         "state_cache_bytes": report.state_cache_bytes,
         "output_sha256": digest,
-        "wall_seconds": wall,
     }
 
 
@@ -215,8 +211,6 @@ def run_update_sweep(
     batch_size: int = 100,
     work_scale: float = 30.0,
     rates: Sequence[float] = UPDATE_RATES,
-    wallclock_repeats: int = 3,
-    report_wallclock: bool = True,
 ) -> Dict:
     """Run the cache-off/cache-on sweep over ``rates``; returns results."""
     results: Dict = {
@@ -238,8 +232,8 @@ def run_update_sweep(
                 cache_on, rate, ref_records, counties, tweets, batch_size,
                 work_scale,
             )
-        off_report, off_digest, off_wall, off_applied = cells[False]
-        on_report, on_digest, on_wall, on_applied = cells[True]
+        off_report, off_digest, off_applied = cells[False]
+        on_report, on_digest, on_applied = cells[True]
         win = (
             off_report.computing_seconds / on_report.computing_seconds
             if on_report.computing_seconds > 0
@@ -248,8 +242,8 @@ def run_update_sweep(
         wins.append(win)
         hashes_equal = hashes_equal and off_digest == on_digest
         results["rates"][str(rate)] = {
-            "cache_off": _summarize(off_report, off_digest, off_wall),
-            "cache_on": _summarize(on_report, on_digest, on_wall),
+            "cache_off": _summarize(off_report, off_digest),
+            "cache_on": _summarize(on_report, on_digest),
             "computing_seconds_win": win,
             "throughput_ratio_on_vs_off": (
                 on_report.throughput / off_report.throughput
@@ -258,23 +252,6 @@ def run_update_sweep(
             ),
             "updates_applied": {"cache_off": off_applied, "cache_on": on_applied},
             "output_hashes_equal": off_digest == on_digest,
-        }
-
-    # Wall clock at rate 0: best of N repeats per configuration (the
-    # simulated numbers are deterministic; only the wall clock is noisy).
-    if report_wallclock:
-        best = {False: float("inf"), True: float("inf")}
-        for cache_on in (False, True):
-            for _ in range(max(1, wallclock_repeats)):
-                _report, _digest, wall, _applied = _run_once(
-                    cache_on, 0.0, ref_records, counties, tweets, batch_size,
-                    work_scale,
-                )
-                best[cache_on] = min(best[cache_on], wall)
-        results["wallclock_rate0"] = {
-            "cache_off_best_seconds": best[False],
-            "cache_on_best_seconds": best[True],
-            "repeats": wallclock_repeats,
         }
 
     rate0 = results["rates"][str(rates[0])]

@@ -1,53 +1,23 @@
-"""Wall-clock micro-benchmark: real Python records/sec for enrichment UDFs.
+"""Machine-speed calibration for wall-clock measurements.
 
-Everything else in ``bench/`` measures *simulated* cost (WorkMeter units on
-a discrete-event clock); this module measures actual elapsed time.  It runs
-a representative UDF mix through the feed invoker twice — once with the
-evaluator's compile-once plan layer disabled (``use_plans=False``, the
-pre-plan interpreted path) and once with it enabled — and reports
-records/sec for both, giving the repo a real-time performance trajectory
-alongside the paper-faithful simulated figures.
-
-Numbers are machine-dependent and nondeterministic, so results go to
-``BENCH_wallclock.json`` at the repo root, never into
-``benchmarks/results/`` (which is byte-compared across runs).
+The end-to-end benchmark (``benchmarks/e2e``) is the repo's wall-clock
+record; it stamps each result with this score so numbers from different
+hosts can be told apart.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
-
-from ..ingestion.feed import AttachedFunction
-from ..ingestion.udf_operator import make_batch_invoker, make_invoker
-from ..sqlpp.evaluator import EvaluationContext
-from .harness import BATCH_16X, USE_CASES, ExperimentHarness
-
-#: Default UDF mix: two equality-probe enrichments and one with a
-#: grouped/ordered subquery, covering the common plan shapes.
-DEFAULT_CASES = ("safety_rating", "religious_population", "largest_religions")
-
-#: Interpreter-path case set: timed with ``use_plans=False`` only, so the
-#: committed numbers baseline the raw expression interpreter (Env
-#: handling, dispatch) independently of the plan layer.  Mixes a cheap
-#: equality probe, a multi-dataset join, and a grouped/ordered subquery.
-DEFAULT_INTERPRETER_CASES = (
-    "safety_rating",
-    "suspicious_names",
-    "largest_religions",
-)
 
 
 def calibration_score(repeats: int = 3, loops: int = 200_000) -> float:
     """Machine-speed score: pure-Python ops/sec on a fixed loop.
 
-    Interpreter throughput is machine-dependent, so the committed
-    interpreter baseline cannot gate absolute rec/s across machines.
-    Dividing by this score (measured on the same machine, at the same
-    time, with the same Python) yields a normalized throughput that *is*
-    comparable — both numerator and denominator move together with CPU
-    speed.  The loop mixes dict access, attribute-free arithmetic, and
-    branching, approximating the interpreter's instruction mix.
+    Interpreter throughput is machine-dependent; dividing a rec/s figure
+    by this score (measured on the same machine, at the same time, with
+    the same Python) yields a throughput that is comparable across hosts.
+    The loop mixes dict access, attribute-free arithmetic, and branching,
+    approximating the interpreter's instruction mix.
     """
     best = float("inf")
     for _ in range(max(1, repeats)):
@@ -61,220 +31,3 @@ def calibration_score(repeats: int = 3, loops: int = 200_000) -> float:
                 acc -= 1
         best = min(best, time.perf_counter() - start)
     return loops / best
-
-
-def _time_mode(
-    tweets: List[dict],
-    catalog: Dict[str, object],
-    registry,
-    function_name: str,
-    use_plans: bool,
-    batch_size: int,
-    reference_work_scale: float,
-):
-    """One timed pass over ``tweets``; returns (elapsed_seconds, outputs)."""
-    ctx = EvaluationContext(
-        catalog,
-        functions=registry,
-        reference_work_scale=reference_work_scale,
-        use_plans=use_plans,
-    )
-    invoker = make_invoker([AttachedFunction(function_name)], registry)
-    out: List[dict] = []
-    start = time.perf_counter()
-    for position, record in enumerate(tweets):
-        if position and position % batch_size == 0:
-            ctx.refresh_batch()
-        out.extend(invoker(record, ctx))
-    return time.perf_counter() - start, out
-
-
-def _time_columnar(
-    tweets: List[dict],
-    catalog: Dict[str, object],
-    registry,
-    function_name: str,
-    batch_size: int,
-    reference_work_scale: float,
-):
-    """One timed pass through the columnar batch invoker.
-
-    Batches match :func:`_time_mode`'s refresh boundaries exactly; a batch
-    the invoker declines falls back to the scalar invoker, the same
-    protocol the UDF evaluator operator uses.
-    """
-    ctx = EvaluationContext(
-        catalog,
-        functions=registry,
-        reference_work_scale=reference_work_scale,
-        use_plans=True,
-    )
-    attached = [AttachedFunction(function_name)]
-    batch_invoker = make_batch_invoker(attached, registry)
-    scalar_invoker = make_invoker(attached, registry)
-    out: List[dict] = []
-    start = time.perf_counter()
-    for lo in range(0, len(tweets), batch_size):
-        if lo:
-            ctx.refresh_batch()
-        chunk = tweets[lo : lo + batch_size]
-        rows = (
-            batch_invoker(chunk, ctx) if batch_invoker is not None else None
-        )
-        if rows is None:
-            for record in chunk:
-                out.extend(scalar_invoker(record, ctx))
-        else:
-            out.extend(rows)
-    return time.perf_counter() - start, out
-
-
-def run_wallclock(
-    records: int = 1500,
-    batch_size: int = BATCH_16X,
-    cases: Sequence[str] = DEFAULT_CASES,
-    repeats: int = 3,
-    reference_scale: float = 0.01,
-    interpreter_cases: Sequence[str] = DEFAULT_INTERPRETER_CASES,
-) -> Dict:
-    """Measure interpreted vs. planned records/sec over the UDF mix.
-
-    The default batch size is the paper's 16X (6720): per-batch hash-build
-    cost is identical in both modes, so the benchmark amortizes it away to
-    isolate what the plan layer actually changes — per-record evaluation.
-
-    Each (case, mode) pair is timed ``repeats`` times and the best run is
-    kept (standard micro-benchmark practice: the minimum is the least
-    noisy estimate of the achievable rate).  Outputs from both modes are
-    compared for equality so a plan-layer bug cannot masquerade as a
-    speedup.
-    """
-    harness = ExperimentHarness(
-        reference_scale=reference_scale, num_partitions=2
-    )
-    tweets = list(harness.workload.tweet_generator.records(records))
-
-    per_case: Dict[str, Dict] = {}
-    total_interpreted = 0.0
-    total_planned = 0.0
-    total_columnar = 0.0
-    for key in cases:
-        case = USE_CASES[key]
-        catalog = harness.catalog_for(case.datasets)
-        registry = harness.registry_for(catalog)
-
-        timings = {}
-        outputs = {}
-        for use_plans in (False, True):
-            best = float("inf")
-            for _ in range(max(1, repeats)):
-                elapsed, out = _time_mode(
-                    tweets,
-                    catalog,
-                    registry,
-                    case.sqlpp_function,
-                    use_plans,
-                    batch_size,
-                    harness.reference_work_scale,
-                )
-                best = min(best, elapsed)
-            timings[use_plans] = best
-            outputs[use_plans] = out
-        if outputs[False] != outputs[True]:
-            raise AssertionError(
-                f"{case.sqlpp_function}: planned and interpreted outputs differ"
-            )
-
-        columnar_best = float("inf")
-        columnar_out = None
-        for _ in range(max(1, repeats)):
-            elapsed, out = _time_columnar(
-                tweets,
-                catalog,
-                registry,
-                case.sqlpp_function,
-                batch_size,
-                harness.reference_work_scale,
-            )
-            columnar_best = min(columnar_best, elapsed)
-            columnar_out = out
-        if columnar_out != outputs[True]:
-            raise AssertionError(
-                f"{case.sqlpp_function}: columnar and planned outputs differ"
-            )
-
-        total_interpreted += timings[False]
-        total_planned += timings[True]
-        total_columnar += columnar_best
-        per_case[key] = {
-            "function": case.sqlpp_function,
-            "interpreted_seconds": timings[False],
-            "planned_seconds": timings[True],
-            "columnar_seconds": columnar_best,
-            "interpreted_records_per_sec": records / timings[False],
-            "planned_records_per_sec": records / timings[True],
-            "columnar_records_per_sec": records / columnar_best,
-            "speedup": timings[False] / timings[True],
-            "columnar_speedup": timings[True] / columnar_best,
-        }
-
-    # ---------------------------------------------- interpreter-only pass
-    # Baselines the raw interpreter (no plan layer) per case, normalized
-    # by a machine-speed calibration so --baseline can gate regressions
-    # across machines.
-    score = calibration_score(repeats=max(1, repeats))
-    interp_cases: Dict[str, Dict] = {}
-    interp_total = 0.0
-    for key in interpreter_cases:
-        case = USE_CASES[key]
-        catalog = harness.catalog_for(case.datasets)
-        registry = harness.registry_for(catalog)
-        best = float("inf")
-        for _ in range(max(1, repeats)):
-            elapsed, _out = _time_mode(
-                tweets,
-                catalog,
-                registry,
-                case.sqlpp_function,
-                False,
-                batch_size,
-                harness.reference_work_scale,
-            )
-            best = min(best, elapsed)
-        interp_total += best
-        rate = records / best
-        interp_cases[key] = {
-            "function": case.sqlpp_function,
-            "interpreted_seconds": best,
-            "interpreted_records_per_sec": rate,
-            # records evaluated per million calibration ops: the
-            # machine-comparable number the baseline gate uses
-            "normalized_throughput": rate / (score / 1e6),
-        }
-    interp_rate = records * len(interp_cases) / interp_total
-    interpreter = {
-        "cases": interp_cases,
-        "aggregate": {
-            "interpreted_records_per_sec": interp_rate,
-            "normalized_throughput": interp_rate / (score / 1e6),
-        },
-    }
-
-    total_records = records * len(per_case)
-    return {
-        "benchmark": "wallclock enrichment micro-benchmark",
-        "records_per_case": records,
-        "batch_size": batch_size,
-        "repeats": repeats,
-        "reference_scale": reference_scale,
-        "cases": per_case,
-        "aggregate": {
-            "interpreted_records_per_sec": total_records / total_interpreted,
-            "planned_records_per_sec": total_records / total_planned,
-            "columnar_records_per_sec": total_records / total_columnar,
-            "speedup": total_interpreted / total_planned,
-            "columnar_speedup": total_planned / total_columnar,
-        },
-        "calibration_ops_per_sec": score,
-        "interpreter": interpreter,
-    }

@@ -19,8 +19,7 @@ class Expr:
 
     Every node is a ``slots=True`` dataclass: ASTs are allocated on the
     ingestion hot path (probe expressions, circle-flip rewrites), so
-    per-instance ``__dict__`` overhead is measurable in the wall-clock
-    benchmark (``benchmarks/bench_wallclock.py``).
+    per-instance ``__dict__`` overhead is measurable on the wall clock.
     """
 
     __slots__ = ()

@@ -444,9 +444,7 @@ class Evaluator:
                 if key not in ctx.batch_cache:
                     version_key = None
                     if ctx.state_cache is not None:
-                        version_key = dataset_version_key(
-                            ctx.catalog, plan.dataset_deps
-                        )
+                        version_key = self._pinned_version_key(plan.dataset_deps)
                         reused = self._reuse_cached_state(
                             key, key, version_key
                         )
@@ -476,7 +474,7 @@ class Evaluator:
             if key not in ctx.batch_cache:
                 version_key = None
                 if ctx.state_cache is not None:
-                    version_key = dataset_version_key(ctx.catalog, fv)
+                    version_key = self._pinned_version_key(fv)
                     reused = self._reuse_cached_state(key, key, version_key)
                     if reused is not None:
                         return reused
@@ -729,6 +727,24 @@ class Evaluator:
         if cache is not None:
             cache.put(state_key, version_key, value, records)
 
+    def _pinned_version(self, dataset) -> int:
+        """The committed version of ``dataset`` this generation reads at.
+
+        Fixed at the generation's first touch of the dataset, whichever
+        read that is, and used for every StateCache / memo ``get`` and
+        ``put`` after it: state probed from what the batch pinned is filed
+        under the version it was pinned at, so a write landing inside the
+        job cannot pass pre-write state off as current.
+        """
+        key = ("version", dataset.name)
+        version = self.ctx.batch_cache.get(key)
+        if version is None:
+            version = self.ctx.batch_cache[key] = dataset.version
+        return version
+
+    def _pinned_version_key(self, names) -> Tuple:
+        return dataset_version_key(self.ctx.catalog, names, self._pinned_version)
+
     def _install_snapshot_state(self, key, dataset, snapshot, value, payload):
         """Offer state built from ``snapshot`` to the StateCache.
 
@@ -741,7 +757,13 @@ class Evaluator:
             nbytes = snapshot.derived(
                 ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
             )
-            cache.put(key, dataset.version, value, len(snapshot.records), nbytes)
+            cache.put(
+                key,
+                self._pinned_version(dataset),
+                value,
+                len(snapshot.records),
+                nbytes,
+            )
 
     def _memoized_correlated(self, plan, env):
         """Key-level memo for a correlated (hash-probe-backed) subquery.
@@ -770,7 +792,7 @@ class Evaluator:
                 return _MEMO_BYPASS
             bindings.append(canonical_probe_key(value))
         key = ("correlated", plan.token, tuple(bindings))
-        version_key = dataset_version_key(catalog, plan.correlated_deps)
+        version_key = self._pinned_version_key(plan.correlated_deps)
         entry = ctx.memo.get(key, version_key)
         if entry is not None:
             ctx.meter.memo_hits += 1
@@ -791,7 +813,9 @@ class Evaluator:
         key = ("scan", dataset.name)
         snapshot = self.ctx.batch_cache.get(key)
         if snapshot is None:
-            snapshot = self._reuse_cached_state(key, key, dataset.version)
+            snapshot = self._reuse_cached_state(
+                key, key, self._pinned_version(dataset)
+            )
         if snapshot is None:
             snapshot = dataset.snapshot()
             self.ctx.batch_cache[key] = snapshot
@@ -836,7 +860,9 @@ class Evaluator:
         key = ("hash", dataset.name, field)
         table = self.ctx.batch_cache.get(key)
         if table is None:
-            table = self._reuse_cached_state(key, key, dataset.version)
+            table = self._reuse_cached_state(
+                key, key, self._pinned_version(dataset)
+            )
         if table is None:
             snapshot = self._pinned_snapshot(dataset)
             table = snapshot.derived(key, _hash_table_builder(field))

@@ -306,31 +306,41 @@ def order_terms(
 # -------------------------------------------------------- expression closures
 
 
-def compile_expr(expr: Expr) -> Callable:
+def compile_expr(expr: Expr, row_var: Optional[str] = None) -> Callable:
     """Compile ``expr`` to a closure ``fn(evaluator, env) -> value``.
 
     Each closure mirrors the corresponding ``Evaluator._eval_*`` method
     exactly (including error messages and GROUP BY key shadowing); the
     structural decisions — which node kind, which operator, which argument
     sub-closures — are made here, once, instead of per record.
+
+    With ``row_var`` the closure is ``fn(evaluator, row)`` instead: that
+    one variable resolves to the second argument itself, so the columnar
+    probe kernels shape each match without building an ``Env`` for it.
+    The caller guarantees the expression needs no scope beyond the row —
+    no other variable, no aggregate, no nested select.
     """
     builder = _COMPILERS.get(type(expr))
     if builder is None:
         raise SqlppEvaluationError(f"cannot compile node {type(expr).__name__}")
-    return builder(expr)
+    return builder(expr, row_var)
 
 
-def _compile_literal(expr: Literal) -> Callable:
+def _compile_literal(expr: Literal, row_var) -> Callable:
     value = expr.value
     return lambda ev, env: value
 
 
-def _compile_missing(expr: MissingLiteral) -> Callable:
+def _compile_missing(expr: MissingLiteral, row_var) -> Callable:
     return lambda ev, env: MISSING
 
 
-def _compile_varref(expr: VarRef) -> Callable:
+def _compile_varref(expr: VarRef, row_var) -> Callable:
     name = expr.name
+    if row_var is not None:
+        if name != row_var:
+            raise SqlppAnalysisError(f"unresolved variable: {name}")
+        return lambda ev, row: row
 
     def run(ev, env):
         # group-key expression lookup first (GROUP BY aliases shadow);
@@ -350,9 +360,18 @@ def _compile_varref(expr: VarRef) -> Callable:
     return run
 
 
-def _compile_field(expr: FieldAccess) -> Callable:
-    base_fn = compile_expr(expr.base)
+def _compile_field(expr: FieldAccess, row_var) -> Callable:
+    base_fn = compile_expr(expr.base, row_var)
     field = expr.field
+    if row_var is not None:  # a bare row has no group scope to shadow it
+
+        def run_row(ev, row):
+            base = base_fn(ev, row)
+            if isinstance(base, dict):
+                return base.get(field, MISSING)
+            return MISSING
+
+        return run_row
 
     def run(ev, env):
         genv = env._group_env
@@ -360,8 +379,6 @@ def _compile_field(expr: FieldAccess) -> Callable:
             if expr in genv.group_key_values:
                 return genv.group_key_values[expr]
         base = base_fn(ev, env)
-        if base is MISSING or base is None:
-            return MISSING
         if isinstance(base, dict):
             return base.get(field, MISSING)
         return MISSING
@@ -369,9 +386,9 @@ def _compile_field(expr: FieldAccess) -> Callable:
     return run
 
 
-def _compile_index(expr: IndexAccess) -> Callable:
-    base_fn = compile_expr(expr.base)
-    index_fn = compile_expr(expr.index)
+def _compile_index(expr: IndexAccess, row_var) -> Callable:
+    base_fn = compile_expr(expr.base, row_var)
+    index_fn = compile_expr(expr.index, row_var)
 
     def run(ev, env):
         base = base_fn(ev, env)
@@ -389,8 +406,8 @@ def _compile_index(expr: IndexAccess) -> Callable:
     return run
 
 
-def _compile_unary(expr: UnaryOp) -> Callable:
-    operand_fn = compile_expr(expr.operand)
+def _compile_unary(expr: UnaryOp, row_var) -> Callable:
+    operand_fn = compile_expr(expr.operand, row_var)
     if expr.op == "not":
 
         def run(ev, env):
@@ -412,10 +429,10 @@ def _compile_unary(expr: UnaryOp) -> Callable:
     raise SqlppEvaluationError(f"unknown unary operator {expr.op!r}")
 
 
-def _compile_binary(expr: BinaryOp) -> Callable:
+def _compile_binary(expr: BinaryOp, row_var) -> Callable:
     op = expr.op
-    left_fn = compile_expr(expr.left)
-    right_fn = compile_expr(expr.right)
+    left_fn = compile_expr(expr.left, row_var)
+    right_fn = compile_expr(expr.right, row_var)
     if op == "and":
 
         def run(ev, env):
@@ -499,13 +516,13 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
     return run
 
 
-def _compile_call(expr: Call) -> Callable:
+def _compile_call(expr: Call, row_var) -> Callable:
     name = expr.name
     lowered = name.lower()
     library = expr.library
     if library is None and lowered in AGGREGATE_NAMES:
         return _compile_aggregate(expr, lowered)
-    arg_fns = tuple(compile_expr(arg) for arg in expr.args)
+    arg_fns = tuple(compile_expr(arg, row_var) for arg in expr.args)
     if library is not None:
         qualified = expr.qualified_name
 
@@ -534,12 +551,17 @@ def _compile_call(expr: Call) -> Callable:
     return run
 
 
-def _compile_case(expr: CaseExpr) -> Callable:
-    operand_fn = compile_expr(expr.operand) if expr.operand is not None else None
-    when_fns = tuple(
-        (compile_expr(cond), compile_expr(value)) for cond, value in expr.whens
+def _compile_case(expr: CaseExpr, row_var) -> Callable:
+    operand_fn = (
+        compile_expr(expr.operand, row_var) if expr.operand is not None else None
     )
-    default_fn = compile_expr(expr.default) if expr.default is not None else None
+    when_fns = tuple(
+        (compile_expr(cond, row_var), compile_expr(value, row_var))
+        for cond, value in expr.whens
+    )
+    default_fn = (
+        compile_expr(expr.default, row_var) if expr.default is not None else None
+    )
     if operand_fn is not None:
 
         def run(ev, env):
@@ -564,8 +586,10 @@ def _compile_case(expr: CaseExpr) -> Callable:
     return run
 
 
-def _compile_object(expr: ObjectConstructor) -> Callable:
-    field_fns = tuple((name, compile_expr(value)) for name, value in expr.fields)
+def _compile_object(expr: ObjectConstructor, row_var) -> Callable:
+    field_fns = tuple(
+        (name, compile_expr(value, row_var)) for name, value in expr.fields
+    )
 
     def run(ev, env):
         out = {}
@@ -578,8 +602,8 @@ def _compile_object(expr: ObjectConstructor) -> Callable:
     return run
 
 
-def _compile_array(expr: ArrayConstructor) -> Callable:
-    item_fns = tuple(compile_expr(item) for item in expr.items)
+def _compile_array(expr: ArrayConstructor, row_var) -> Callable:
+    item_fns = tuple(compile_expr(item, row_var) for item in expr.items)
 
     def run(ev, env):
         return [fn(ev, env) for fn in item_fns]
@@ -587,8 +611,8 @@ def _compile_array(expr: ArrayConstructor) -> Callable:
     return run
 
 
-def _compile_exists(expr: Exists) -> Callable:
-    sub_fn = compile_expr(expr.subquery)
+def _compile_exists(expr: Exists, row_var) -> Callable:
+    sub_fn = compile_expr(expr.subquery, row_var)
 
     def run(ev, env):
         value = sub_fn(ev, env)
@@ -599,7 +623,7 @@ def _compile_exists(expr: Exists) -> Callable:
     return run
 
 
-def _compile_subquery(expr: Subquery) -> Callable:
+def _compile_subquery(expr: Subquery, row_var) -> Callable:
     select = expr.select
     # Child plans resolve through _cached_select at runtime: the child's
     # plan key depends on the *runtime* visible names (group aliases,
@@ -607,11 +631,11 @@ def _compile_subquery(expr: Subquery) -> Callable:
     return lambda ev, env: ev._cached_select(select, env)
 
 
-def _compile_select(expr: SelectBlock) -> Callable:
+def _compile_select(expr: SelectBlock, row_var) -> Callable:
     return lambda ev, env: ev._cached_select(expr, env)
 
 
-def _compile_star(expr: Star) -> Callable:
+def _compile_star(expr: Star, row_var) -> Callable:
     def run(ev, env):
         raise SqlppEvaluationError("'.*' is only valid in a SELECT clause")
 
@@ -651,6 +675,7 @@ class TermPlan:
         "no_index",
         "access_kind",  # "equality" | "spatial" | None
         "access_field",
+        "probe_expr",
         "probe_fn",
         "source_fn",  # compiled source for non-dataset terms
     )
@@ -663,6 +688,7 @@ class TermPlan:
         self.no_index = False
         self.access_kind = None
         self.access_field = None
+        self.probe_expr = None
         self.probe_fn = None
         self.source_fn = None
 
@@ -798,8 +824,8 @@ def _plan_from_terms(
             tp.no_index = "no-index" in term.hints or "no-index" in block.hints
             path = find_access_path(term, conjuncts, bound, catalog_names)
             if path is not None:
-                tp.access_kind, tp.access_field, probe = path
-                tp.probe_fn = compile_expr(probe)
+                tp.access_kind, tp.access_field, tp.probe_expr = path
+                tp.probe_fn = compile_expr(tp.probe_expr)
         else:
             tp.source_fn = compile_expr(source)
         plans.append(tp)
@@ -834,8 +860,9 @@ class PlanCache:
         self.invalidations = 0
         # Columnar-execution observability (cumulative, like hits/misses):
         # batches/records that ran through a batch kernel, and scalar
-        # fallbacks (one per fallen-back column per batch, plus one per
-        # whole-frame fallback).
+        # fallbacks — per batch, one for each column whose subquery ran
+        # per record, one for a body the kernel declined, and one for a
+        # frame rerun record-at-a-time after an exception.
         self.vectorized_batches = 0
         self.vectorized_records = 0
         self.scalar_fallbacks = 0

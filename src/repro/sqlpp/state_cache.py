@@ -49,6 +49,7 @@ resume, so ``get``/``put`` never interleave mid-build.
 from __future__ import annotations
 
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Dict, Optional, Tuple
 
 #: fixed per-entry overhead (key + version key + OrderedDict slot) and the
@@ -286,13 +287,17 @@ class StateCache:
         }
 
 
-def dataset_version_key(catalog: Dict[str, object], names) -> Tuple:
+def dataset_version_key(
+    catalog: Dict[str, object], names, version_of=attrgetter("version")
+) -> Tuple:
     """The version key for state derived from several datasets.
 
     Sorted ``(name, version)`` pairs: equal iff every referenced dataset
-    is at the same committed version as when the state was built.
+    is at the same committed version as when the state was built.  The
+    evaluator passes ``version_of`` to read the version its generation
+    *pinned* rather than the live one.
     """
     return tuple(
-        (name, catalog[name].version) for name in sorted(names)
+        (name, version_of(catalog[name])) for name in sorted(names)
         if name in catalog
     )

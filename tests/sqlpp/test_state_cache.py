@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sqlpp import EvaluationContext
+from repro.ingestion.feed import AttachedFunction
+from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.sqlpp import EvaluationContext, Evaluator
+from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import (
     ENTRY_OVERHEAD_BYTES,
     RECORD_ESTIMATE_BYTES,
@@ -226,6 +229,44 @@ class TestEvaluatorIntegration:
         ctx.refresh_batch()
         after = self._invoke(registry, ctx, sample_tweet)
         assert after[0]["safety_rating"] == ["1"]
+
+    @pytest.mark.parametrize("with_memo", [False, True], ids=["cache", "memo"])
+    @pytest.mark.parametrize("path", ["interpreted", "planned", "columnar"])
+    @pytest.mark.parametrize("first_touch", ["scan", "cached_table"])
+    def test_write_inside_a_job_is_filed_under_the_pinned_version(
+        self, small_catalog, registry, sample_tweet, first_touch, path, with_memo
+    ):
+        """State probed from the scan a job *pinned* must not be cached as
+        if it were built at the version a mid-job write moved to — the next
+        job would hit it and never see the write."""
+        ctx = EvaluationContext(
+            small_catalog,
+            functions=registry,
+            use_plans=path != "interpreted",
+            state_cache=StateCache(budget_bytes=8 << 20),
+            memo=EnrichmentMemo(budget_bytes=8 << 20) if with_memo else None,
+        )
+        attached = [AttachedFunction("enrichTweetQ1")]
+        if path == "columnar":
+            batch = make_batch_invoker(attached, registry)
+            invoke = lambda tweet: batch([tweet], ctx)  # noqa: E731
+        else:
+            scalar = make_invoker(attached, registry)
+            invoke = lambda tweet: scalar(tweet, ctx)  # noqa: E731
+        ratings = small_catalog["SafetyRatings"]
+        tweet = dict(sample_tweet, country="XX")
+
+        if first_touch == "scan":
+            Evaluator(ctx)._scan_dataset(ratings)  # the job pins its snapshot
+        else:
+            # ... or reads a table an earlier job cached, pinning no scan
+            invoke(sample_tweet)
+            ctx.refresh_batch()
+            invoke(sample_tweet)
+        ratings.insert({"country_code": "XX", "safety_rating": "9"})
+        assert invoke(tweet)[0]["safety_rating"] == []  # stale within the job
+        ctx.refresh_batch()
+        assert invoke(tweet)[0]["safety_rating"] == ["9"]
 
     def test_interpreted_path_uses_cache_too(
         self, small_catalog, registry, sample_tweet
