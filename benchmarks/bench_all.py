@@ -1,11 +1,11 @@
-"""Perf observatory: run every BENCH_* suite through one harness.
+"""Perf observatory: the one runner of every simulated-cost suite.
 
-Runs each standalone simulated-cost benchmark script (updates, elastic,
-chaos, scale-out, external, memo, multitenant) as a subprocess, collects
-the key machine-comparable numbers from the ``BENCH_*.json`` each one
-writes, and appends a per-PR row to ``BENCH_TRAJECTORY.json`` at the repo
-root — one row per git head, so the file reads as the repo's performance
-history.  Wall-clock throughput is not measured here: that is
+Runs the selected ``benchmarks/suites`` modules (updates, elastic, chaos,
+scale-out, external, memo, multitenant) in this process, writes each
+result to ``BENCH_<suite>.json``, prints its trajectory summary and its
+named checks, and appends a per-PR row to ``BENCH_TRAJECTORY.json`` at
+the repo root — one row per git head, so the file reads as the repo's
+performance history.  Wall-clock throughput is not measured here: that is
 ``benchmarks/e2e`` (``BENCHMARK.json``).  Rows recorded before the
 ``wallclock`` suite was retired keep its numbers; nothing reads them.
 
@@ -16,12 +16,15 @@ Usage::
     python benchmarks/bench_all.py --suites memo,updates
     python benchmarks/bench_all.py --smoke --baseline BENCH_TRAJECTORY.json
 
-Exit is non-zero if any suite fails its own invariants (each script
-already gates itself), or — with ``--baseline`` — if a gated simulated
-speedup ratio (the memo's rate-0 win, the fabric's skewed-fleet win)
-dropped more than ``--baseline-tolerance`` (default 20%) below the last
-committed trajectory row.  Speedup *ratios* are compared, never absolute
-rec/s: ratios survive workload-size changes, throughput does not.
+A full run writes the committed ``BENCH_<suite>.json`` files at the repo
+root; a ``--smoke`` run writes under the ignored ``benchmarks/out/``.
+
+Exit is non-zero if any suite fails one of its checks, or — with
+``--baseline`` — if a gated simulated speedup ratio (the memo's rate-0
+win, the fabric's skewed-fleet win) dropped more than
+``--baseline-tolerance`` (default 20%) below the last committed
+trajectory row.  Speedup *ratios* are compared, never absolute rec/s:
+ratios survive workload-size changes, throughput does not.
 """
 
 from __future__ import annotations
@@ -33,90 +36,23 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-BENCH_DIR = REPO_ROOT / "benchmarks"
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+from suites import SUITES  # noqa: E402  (needs src/ on the path)
+
+SMOKE_DIR = REPO_ROOT / "benchmarks" / "out"
 
 
-def _updates_summary(result: dict) -> dict:
-    return {"sim_win_rate0": result["wins"][0], "ok": result["ok"]}
-
-
-def _elastic_summary(result: dict) -> dict:
-    return {
-        "speedup_at_max_workers": result["speedup_at_max_workers"],
-        "elastic_speedup": result["elastic_speedup"],
-        "ok": result["ok"],
-    }
-
-
-def _chaos_summary(result: dict) -> dict:
-    return {"scenarios": len(result["scenarios"]), "ok": result["ok"]}
-
-
-def _external_summary(result: dict) -> dict:
-    return {
-        "scenarios": len(result["scenarios"]),
-        "hard_down_completeness": result["scenarios"]["hard_down"][
-            "enrichment_completeness"
-        ],
-        "ok": result["ok"],
-    }
-
-
-def _memo_summary(result: dict) -> dict:
-    high = result["profiles"]["high_skew"]["rates"]
-    rate0 = high["0.0"]
-    return {
-        "sim_win_rate0": rate0["computing_seconds_win"],
-        "memo_hits_rate0": rate0["memo_on"]["memo_hits"],
-        "parity_all_unique": result["checks"]["exact_parity_at_all_unique_keys"],
-        "ok": result["ok"],
-    }
-
-
-def _multitenant_summary(result: dict) -> dict:
-    return {
-        "skewed_speedup": result["skewed_speedup"],
-        "uniform_speedup": result["uniform_speedup"],
-        "recalls_issued": result["skewed"]["fabric"]["fabric_summary"][
-            "recalls_issued"
-        ],
-        "ok": result["ok"],
-    }
-
-
-def _scaleout_summary(result: dict) -> dict:
-    return {
-        "intake_speedup_at_max_partitions": result[
-            "intake_speedup_at_max_partitions"
-        ],
-        "subbatch_speedup_at_quarter_splits": result[
-            "subbatch_speedup_at_quarter_splits"
-        ],
-        "ok": result["ok"],
-    }
-
-
-#: suite name -> (script, output json, summary extractor)
-SUITES = {
-    "updates": ("bench_updates.py", "BENCH_updates.json", _updates_summary),
-    "elastic": ("bench_elastic.py", "BENCH_elastic.json", _elastic_summary),
-    "chaos": ("bench_chaos.py", "BENCH_chaos.json", _chaos_summary),
-    "scaleout": ("bench_scaleout.py", "BENCH_scaleout.json", _scaleout_summary),
-    "external": ("bench_external.py", "BENCH_external.json", _external_summary),
-    "memo": ("bench_memo.py", "BENCH_memo.json", _memo_summary),
-    "multitenant": (
-        "bench_multitenant.py",
-        "BENCH_multitenant.json",
-        _multitenant_summary,
-    ),
-}
-
-#: suite -> speedup-ratio metrics the --baseline gate compares (ratios
-#: survive machine and workload-size changes; absolute numbers do not)
-GATED_RATIOS = {
-    "memo": ("sim_win_rate0",),
-    "multitenant": ("skewed_speedup",),
-}
+def _checks(result: dict) -> dict:
+    """Every named verdict of a result: its own ``checks`` and, for the
+    scenario suites (chaos, external), each scenario's and the
+    cross-scenario ones."""
+    checks = dict(result.get("checks", {}))
+    for name, scenario in result.get("scenarios", {}).items():
+        for check, passed in scenario["checks"].items():
+            checks[f"{name}: {check}"] = passed
+    checks.update(result.get("cross_scenario_checks", {}))
+    return checks
 
 
 def _git(*args: str) -> str:
@@ -141,7 +77,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="pass --smoke to every suite (small fast CI run)",
+        help="run every suite at its small CI size",
     )
     parser.add_argument(
         "--suites",
@@ -180,7 +116,7 @@ def main(argv=None) -> int:
     # recorded at the same workload size are comparable, so the gate uses
     # the most recent row whose mode matches this run's.
     mode = "smoke" if args.smoke else "full"
-    label = _git_label()  # before the suites rewrite their BENCH_*.json
+    label = _git_label()  # before a full run rewrites the BENCH_*.json
     baseline_row = None
     if args.baseline is not None and args.baseline.exists():
         rows = json.loads(args.baseline.read_text()).get("rows", [])
@@ -188,19 +124,26 @@ def main(argv=None) -> int:
         if matching:
             baseline_row = matching[-1]
 
+    out_dir = SMOKE_DIR if args.smoke else REPO_ROOT
+    out_dir.mkdir(parents=True, exist_ok=True)
     suites: dict = {}
     for name in selected:
-        script, output_json, summarize = SUITES[name]
-        cmd = [sys.executable, str(BENCH_DIR / script)]
-        if args.smoke:
-            cmd.append("--smoke")
-        print(f"=== {name}: {' '.join(cmd[1:])}")
-        proc = subprocess.run(cmd, cwd=REPO_ROOT)
-        if proc.returncode != 0:
-            print(f"FAIL: suite {name} exited {proc.returncode}", file=sys.stderr)
-            return proc.returncode
-        result = json.loads((REPO_ROOT / output_json).read_text())
-        suites[name] = summarize(result)
+        print(f"=== {name} ({mode})")
+        result = SUITES[name].run(args.smoke)
+        result["mode"] = mode
+        path = out_dir / f"BENCH_{name}.json"
+        path.write_text(json.dumps(result, indent=2) + "\n")
+        suites[name] = SUITES[name].summarize(result)
+        parts = ", ".join(
+            f"{key} {value:.2f}" if isinstance(value, float) else f"{key} {value}"
+            for key, value in suites[name].items()
+        )
+        print(f"  {parts} -> {path}")
+        for check, passed in _checks(result).items():
+            print(f"  [{'PASS' if passed else 'FAIL'}] {check}")
+        if not result["ok"]:
+            print(f"FAIL: suite {name} failed a check", file=sys.stderr)
+            return 1
 
     row = {
         "label": label,
@@ -222,20 +165,11 @@ def main(argv=None) -> int:
     rows.append(row)
     args.output.write_text(json.dumps(trajectory, indent=2) + "\n")
     print(f"wrote {args.output} ({len(rows)} row(s), head {row['label']})")
-    for name, summary in suites.items():
-        parts = ", ".join(
-            f"{key} {value:.2f}" if isinstance(value, float) else f"{key} {value}"
-            for key, value in summary.items()
-        )
-        print(f"  {name:10s} {parts}")
 
     if baseline_row is not None:
-        for suite_name, metrics in GATED_RATIOS.items():
-            if suite_name not in suites:
-                continue
+        for suite_name, current in suites.items():
             recorded = baseline_row.get("suites", {}).get(suite_name, {})
-            current = suites[suite_name]
-            for metric in metrics:
+            for metric in getattr(SUITES[suite_name], "GATED_RATIOS", ()):
                 recorded_value = recorded.get(metric)
                 if not recorded_value:
                     continue  # baseline predates this metric

@@ -200,8 +200,9 @@ As with Figure 28, the table's runs are cross-checked against the real
 partitioned pipeline: `test_fig31_partitioned_subbatch_parity` re-runs
 Suspicious Names with 4 intake partitions, a 4-worker pool, and
 quarter-batch sub-splits and asserts byte-identical storage and
-no-worse makespan.  `benchmarks/bench_scaleout.py` measures the
-partitioned path's own speedups (>=1.8x at 4 intake partitions on an
+no-worse makespan.  The `scaleout` suite (`python
+benchmarks/bench_all.py --suites scaleout`) measures the partitioned
+path's own speedups (>=1.8x at 4 intake partitions on an
 intake-bound feed, >=1.5x from sub-batch splits on one oversized batch)
 plus the durable kill/resume cycle, writing `BENCH_scaleout.json`.
 
@@ -221,11 +222,12 @@ Rating 52%.  Measured (Figure 27's ratio table): Nearby Monuments is the
 most-degraded case and the scan-once cases degrade about half as much,
 at milder absolute ratios (see the Figure 27 verdict).
 
-Beyond the paper, `benchmarks/bench_updates.py` sweeps the update rate
-with the cross-batch state cache off and on (`BENCH_updates.json`): a
+Beyond the paper, the `updates` suite (`python benchmarks/bench_all.py
+--suites updates`) sweeps the update rate with the cross-batch state
+cache off and on (`BENCH_updates.json`): a
 >=2x win in *simulated* computing cost at rate 0, degrading to parity at
-100 updates/s, stored bytes identical at every rate.  Neither it nor
-`bench_memo.py` reads the wall clock any more.  The cache is modeled
+100 updates/s, stored bytes identical at every rate.  Neither it nor the
+`memo` suite reads the wall clock any more.  The cache is modeled
 reuse; the scan and hash build it saves in the model are shared
 physically by `Dataset.snapshot()` whether the cache is on or off
 (DESIGN.md §8.2), so on the wall clock the cache-on run has only its own

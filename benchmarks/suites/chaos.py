@@ -6,10 +6,6 @@ flaky stress test: each scenario runs twice and the two runs must produce
 byte-identical fault counters, and every scenario checks **zero
 acked-record loss** — each well-formed input record is present in the
 target dataset after recovery (at-least-once replay + primary-key upsert).
-
-Results go to ``BENCH_chaos.json`` at the repo root, next to the
-wall-clock harness's output; ``benchmarks/results/`` stays reserved for
-the paper-figure tables, which this module never touches.
 """
 
 from __future__ import annotations
@@ -17,10 +13,10 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..core.system import AsterixLite
-from ..ingestion.adapter import GeneratorAdapter
-from ..ingestion.policy import FeedPolicy
-from ..runtime.faults import (
+from repro.core.system import AsterixLite
+from repro.ingestion.adapter import GeneratorAdapter
+from repro.ingestion.policy import FeedPolicy
+from repro.runtime.faults import (
     AdapterFailAt,
     ChannelSendFailure,
     CrashAt,
@@ -29,27 +25,19 @@ from ..runtime.faults import (
     StallAt,
 )
 
+from .common import raw_records
+
+FULL = (2000, 200)  # (records, batch_size)
+SMOKE = (600, 100)
 FEED = "ChaosFeed"
 DATASET = "ChaosTweets"
 
 
-def _raw_records(records: int, malformed_every: int = 0) -> List[str]:
-    """``records`` JSON tweets; every ``malformed_every``-th is truncated."""
-    out = []
-    for i in range(records):
-        if malformed_every and i % malformed_every == 37 % malformed_every:
-            out.append('{"id": %d, "text": ' % i)
-        else:
-            out.append(json.dumps({"id": i, "text": f"tweet {i}"}))
-    return out
-
-
-def _well_formed_ids(records: int, malformed_every: int = 0) -> set:
-    return {
-        i
-        for i in range(records)
-        if not (malformed_every and i % malformed_every == 37 % malformed_every)
-    }
+def _malformed_ids(records: int, malformed_every: int) -> set:
+    """Every ``malformed_every``-th input position (none when 0)."""
+    if not malformed_every:
+        return set()
+    return set(range(37 % malformed_every, records, malformed_every))
 
 
 def _run_feed(
@@ -58,9 +46,8 @@ def _run_feed(
     malformed_every: int,
     policy: FeedPolicy,
     plan: Optional[FaultPlan],
-    num_nodes: int = 2,
 ):
-    system = AsterixLite(num_nodes=num_nodes)
+    system = AsterixLite(num_nodes=2)
     system.execute(
         """
         CREATE TYPE ChaosTweetType AS OPEN { id: int64, text: string };
@@ -69,7 +56,10 @@ def _run_feed(
     )
     system.create_feed(FEED, {"type-name": "ChaosTweetType"})
     system.connect_feed(FEED, DATASET, policy=policy)
-    adapter = GeneratorAdapter(_raw_records(records, malformed_every))
+    raw = raw_records(records, lambda i: {"id": i, "text": f"tweet {i}"})
+    for i in _malformed_ids(records, malformed_every):
+        raw[i] = '{"id": %d, "text": ' % i  # truncated JSON
+    adapter = GeneratorAdapter(raw)
     report = system.start_feed(
         FEED, adapter, batch_size=batch_size, fault_plan=plan
     )
@@ -158,7 +148,7 @@ def _scenarios(records: int) -> List[Dict]:
     ]
 
 
-def run_chaos(records: int = 2000, batch_size: int = 200) -> Dict:
+def run(smoke: bool) -> Dict:
     """Run every chaos scenario twice; returns results + invariant checks.
 
     Per scenario:
@@ -168,6 +158,7 @@ def run_chaos(records: int = 2000, batch_size: int = 200) -> Dict:
       and the same simulated makespan;
     * ``recovered`` — the feed completed despite the injected faults.
     """
+    records, batch_size = SMOKE if smoke else FULL
     results: Dict = {"records": records, "batch_size": batch_size, "scenarios": {}}
     ok = True
     for scenario in _scenarios(records):
@@ -185,7 +176,9 @@ def run_chaos(records: int = 2000, batch_size: int = 200) -> Dict:
         faults = report.faults
         counters = faults.as_dict()
         counters2 = runs[1][1].faults.as_dict()
-        expected = _well_formed_ids(records, scenario["malformed_every"])
+        expected = set(range(records)) - _malformed_ids(
+            records, scenario["malformed_every"]
+        )
         stored = set(system.query(f"SELECT VALUE t.id FROM {DATASET} t"))
         checks = {
             "zero_acked_loss": expected <= stored,
@@ -216,3 +209,8 @@ def run_chaos(records: int = 2000, batch_size: int = 200) -> Dict:
         }
     results["ok"] = ok
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {"scenarios": len(result["scenarios"]), "ok": result["ok"]}

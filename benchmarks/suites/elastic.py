@@ -16,59 +16,35 @@ invariants that make the pool trustworthy, not just fast:
   1, at least one scale-up) and lands between the 1- and 4-worker
   makespans.
 
-Results go to ``BENCH_elastic.json`` at the repo root;
-``benchmarks/results/`` stays reserved for the paper-figure tables.
+Each configuration's per-layer utilization table is printed as it runs;
+the result holds numbers only.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-from ..core.system import AsterixLite
-from ..ingestion.adapter import GeneratorAdapter
-from ..ingestion.policy import FeedPolicy
-from .reporting import layer_utilization_table
+from repro.bench.reporting import layer_utilization_table
+from repro.ingestion.adapter import GeneratorAdapter
+from repro.ingestion.policy import FeedPolicy
 
+from .common import heavy_check_system, ratio, raw_records, sha256_json
+
+FULL = (2400, 80)  # (records, batch_size)
+SMOKE = (960, 40)
+WORKER_COUNTS = (1, 2, 4)
+WORDS = 300
 FEED = "ElasticFeed"
 DATASET = "EnrichedTweets"
 SPEEDUP_FLOOR = 1.8  # acceptance: >= this at 4 workers vs 1
 
 
-def _raw_records(records: int) -> List[str]:
-    return [
-        json.dumps({"id": i, "text": f"tweet {i}", "country": "US"})
-        for i in range(records)
-    ]
-
-
-def _run_once(policy: FeedPolicy, records: int, batch_size: int,
-              num_nodes: int = 4, words: int = 300):
+def _run_once(policy: FeedPolicy, records: int, batch_size: int):
     """One feed run of the compute-bound enrichment; returns (report, hash)."""
-    system = AsterixLite(num_nodes=num_nodes)
+    system = heavy_check_system(WORDS)
     system.execute(
         """
-        CREATE TYPE TweetType AS OPEN { id: int64, text: string };
         CREATE DATASET EnrichedTweets(TweetType) PRIMARY KEY id;
-        CREATE TYPE WordType AS OPEN { wid: int64 };
-        CREATE DATASET SensitiveWords(WordType) PRIMARY KEY wid;
-        """
-    )
-    system.insert(
-        "SensitiveWords",
-        [{"wid": i, "country": "US", "word": f"w{i}"} for i in range(words)],
-    )
-    system.execute(
-        """
-        CREATE FUNCTION heavyCheck(tweet) {
-            LET flag = CASE
-                EXISTS(SELECT w FROM SensitiveWords w
-                       WHERE tweet.country = w.country
-                         AND contains(tweet.text, w.word))
-                WHEN true THEN "Red" ELSE "Green" END
-            SELECT tweet.*, flag
-        };
         CREATE FEED ElasticFeed WITH { "type-name": "TweetType" };
         CONNECT FEED ElasticFeed TO DATASET EnrichedTweets
             APPLY FUNCTION heavyCheck;
@@ -76,21 +52,24 @@ def _run_once(policy: FeedPolicy, records: int, batch_size: int,
     )
     report = system.start_feed(
         FEED,
-        adapter=GeneratorAdapter(_raw_records(records)),
+        adapter=GeneratorAdapter(
+            raw_records(
+                records,
+                lambda i: {"id": i, "text": f"tweet {i}", "country": "US"},
+            )
+        ),
         batch_size=batch_size,
         policy=policy,
     )
-    stored = sorted(
-        (r["id"], r["flag"]) for r in system.catalog[DATASET].scan()
+    digest = sha256_json(
+        sorted((r["id"], r["flag"]) for r in system.catalog[DATASET].scan())
     )
-    digest = hashlib.sha256(
-        json.dumps(stored, sort_keys=True).encode()
-    ).hexdigest()
     return report, digest
 
 
-def _summarize(report, digest: str) -> Dict:
+def _run_summary(label: str, report, digest: str) -> Dict:
     metrics = report.runtime
+    print(layer_utilization_table(metrics, per_process=True, label=label))
     return {
         "makespan_seconds": metrics.makespan_seconds,
         "throughput_records_per_sim_second": report.throughput,
@@ -107,18 +86,12 @@ def _summarize(report, digest: str) -> Dict:
             [at, size] for at, size in metrics.worker_pool_timeline
         ],
         "output_sha256": digest,
-        "layer_utilization": layer_utilization_table(
-            metrics, per_process=True
-        ),
     }
 
 
-def run_elastic(
-    records: int = 2400,
-    batch_size: int = 80,
-    worker_counts: Sequence[int] = (1, 2, 4),
-) -> Dict:
+def run(smoke: bool) -> Dict:
     """Run the static-pool sweep plus the elastic run; returns results."""
+    records, batch_size = SMOKE if smoke else FULL
     results: Dict = {
         "records": records,
         "batch_size": batch_size,
@@ -128,7 +101,7 @@ def run_elastic(
     makespans: Dict[int, float] = {}
     digests: Dict[int, str] = {}
     repeats: Dict[int, Tuple[float, str]] = {}
-    for workers in worker_counts:
+    for workers in WORKER_COUNTS:
         policy = FeedPolicy.spill(
             min_computing_workers=workers, max_computing_workers=workers
         )
@@ -137,7 +110,9 @@ def run_elastic(
         makespans[workers] = report.runtime.makespan_seconds
         digests[workers] = digest
         repeats[workers] = (report2.runtime.makespan_seconds, digest2)
-        results["static"][str(workers)] = _summarize(report, digest)
+        results["static"][str(workers)] = _run_summary(
+            f"{workers} worker(s)", report, digest
+        )
 
     elastic_report, elastic_digest = _run_once(
         FeedPolicy.elastic(), records, batch_size
@@ -145,25 +120,23 @@ def run_elastic(
     elastic_repeat, elastic_digest2 = _run_once(
         FeedPolicy.elastic(), records, batch_size
     )
-    results["elastic"] = _summarize(elastic_report, elastic_digest)
+    results["elastic"] = _run_summary("elastic", elastic_report, elastic_digest)
 
-    base = makespans[min(worker_counts)]
-    top = max(worker_counts)
-    speedup = base / makespans[top] if makespans[top] > 0 else 0.0
+    base = makespans[min(WORKER_COUNTS)]
+    top = max(WORKER_COUNTS)
+    speedup = ratio(base, makespans[top])
     results["speedup_at_max_workers"] = speedup
-    results["elastic_speedup"] = (
-        base / elastic_report.runtime.makespan_seconds
-        if elastic_report.runtime.makespan_seconds > 0
-        else 0.0
+    results["elastic_speedup"] = ratio(
+        base, elastic_report.runtime.makespan_seconds
     )
 
     checks = {
         "speedup_reaches_floor": speedup >= SPEEDUP_FLOOR,
         "outputs_identical_across_worker_counts": (
-            len({digests[w] for w in worker_counts} | {elastic_digest}) == 1
+            len({digests[w] for w in WORKER_COUNTS} | {elastic_digest}) == 1
         ),
         "deterministic_repeats": all(
-            repeats[w] == (makespans[w], digests[w]) for w in worker_counts
+            repeats[w] == (makespans[w], digests[w]) for w in WORKER_COUNTS
         )
         and (
             elastic_repeat.runtime.makespan_seconds,
@@ -179,10 +152,19 @@ def run_elastic(
         ),
         "all_records_stored": all(
             results["static"][str(w)]["records_stored"] == records
-            for w in worker_counts
+            for w in WORKER_COUNTS
         )
         and elastic_report.records_stored == records,
     }
     results["checks"] = checks
     results["ok"] = all(checks.values())
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {
+        "speedup_at_max_workers": result["speedup_at_max_workers"],
+        "elastic_speedup": result["elastic_speedup"],
+        "ok": result["ok"],
+    }

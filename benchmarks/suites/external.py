@@ -30,9 +30,6 @@ and across scenarios:
   :func:`~repro.ingestion.external.backfill_pending` drives a degraded
   dataset back to completeness 1.0, and replay re-ingests dead-lettered
   records.
-
-Results go to ``BENCH_external.json`` at the repo root;
-``benchmarks/results/`` stays reserved for the paper-figure tables.
 """
 
 from __future__ import annotations
@@ -40,17 +37,21 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional
 
-from ..core.system import AsterixLite
-from ..ingestion.adapter import GeneratorAdapter
-from ..ingestion.external import EnricherBinding, ExternalEnricher
-from ..ingestion.policy import ExternalFailureAction, FeedPolicy
-from ..runtime.faults import (
+from repro.core.system import AsterixLite
+from repro.ingestion.adapter import GeneratorAdapter
+from repro.ingestion.external import EnricherBinding, ExternalEnricher
+from repro.ingestion.policy import ExternalFailureAction, FeedPolicy
+from repro.runtime.faults import (
     EnricherFlaky,
     EnricherOutage,
     EnricherSlowdown,
     FaultPlan,
 )
 
+from .common import raw_records
+
+FULL = (2000, 200)  # (records, batch_size)
+SMOKE = (600, 100)
 FEED = "GeoFeed"
 DATASET = "GeoTweets"
 ENRICHER = "geo"
@@ -59,13 +60,6 @@ KEY_CARDINALITY = 40  # distinct probe keys — exercises per-batch dedup
 
 def _geo_lookup(key):
     return {"user": key, "region": f"r{len(str(key)) % 5}"}
-
-
-def _raw_records(records: int) -> List[str]:
-    return [
-        json.dumps({"id": i, "user": f"u{i % KEY_CARDINALITY}"})
-        for i in range(records)
-    ]
 
 
 def _run_feed(
@@ -89,7 +83,11 @@ def _run_feed(
         policy=policy,
         external_enrichers=[EnricherBinding(enricher, "user", "user_geo")],
     )
-    adapter = GeneratorAdapter(_raw_records(records))
+    adapter = GeneratorAdapter(
+        raw_records(
+            records, lambda i: {"id": i, "user": f"u{i % KEY_CARDINALITY}"}
+        )
+    )
     report = system.start_feed(
         FEED, adapter, batch_size=batch_size, fault_plan=plan
     )
@@ -131,21 +129,20 @@ def _accounted(system, report, records: int) -> Dict[str, bool]:
     }
 
 
-def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
+def _scenarios(healthy_makespan: float) -> List[Dict]:
     """Fault schedules scaled to the measured healthy makespan ``H``."""
     H = healthy_makespan
-    base = dict(policy_overrides)
     return [
         {
             "name": "healthy",
             "description": "remote up: completeness 1.0, zero retries",
-            "policy": FeedPolicy.spill(**base),
+            "policy": FeedPolicy.spill(),
             "plan": None,
         },
         {
             "name": "flaky_remote",
             "description": "40% of calls error; retries absorb the noise",
-            "policy": FeedPolicy.spill(**dict(base, external_max_attempts=6)),
+            "policy": FeedPolicy.spill(external_max_attempts=6),
             "plan": FaultPlan(
                 enricher_faults=(EnricherFlaky(ENRICHER, rate=0.4),)
             ),
@@ -155,7 +152,7 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
             "description": "a 60x slowdown window pushes calls past the "
             "deadline; timeouts burn it, late batches recover",
             "policy": FeedPolicy.spill(
-                **dict(base, external_breaker_reset_seconds=0.05 * H)
+                external_breaker_reset_seconds=0.05 * H
             ),
             "plan": FaultPlan(
                 enricher_faults=(
@@ -171,12 +168,9 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
             "run: the breaker opens, half-opens after the cool-off, and "
             "closes on a healthy probe",
             "policy": FeedPolicy.spill(
-                **dict(
-                    base,
-                    external_max_attempts=2,
-                    external_breaker_failures=3,
-                    external_breaker_reset_seconds=0.05 * H,
-                )
+                external_max_attempts=2,
+                external_breaker_failures=3,
+                external_breaker_reset_seconds=0.05 * H,
             ),
             "plan": FaultPlan(
                 enricher_faults=(
@@ -188,7 +182,7 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
             "name": "hard_down",
             "description": "the remote never answers: every record stores "
             "with a pending marker; backfill restores completeness",
-            "policy": FeedPolicy.spill(**base),
+            "policy": FeedPolicy.spill(),
             "plan": FaultPlan(
                 enricher_faults=(
                     EnricherOutage(ENRICHER, at=0.0, duration=1e9),
@@ -200,9 +194,7 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
             "name": "hard_down_no_breaker",
             "description": "same outage with the breaker disabled: every "
             "chunk burns its full retry budget (what fail-fast saves)",
-            "policy": FeedPolicy.spill(
-                **dict(base, external_breaker_failures=0)
-            ),
+            "policy": FeedPolicy.spill(external_breaker_failures=0),
             "plan": FaultPlan(
                 enricher_faults=(
                     EnricherOutage(ENRICHER, at=0.0, duration=1e9),
@@ -215,10 +207,7 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
             "records park in the dead-letter dataset with provenance and "
             "replay re-ingests them once the remote recovers",
             "policy": FeedPolicy.spill(
-                **dict(
-                    base,
-                    external_on_failure=ExternalFailureAction.DEAD_LETTER,
-                )
+                external_on_failure=ExternalFailureAction.DEAD_LETTER
             ),
             "plan": FaultPlan(
                 enricher_faults=(
@@ -230,9 +219,9 @@ def _scenarios(policy_overrides: Dict, healthy_makespan: float) -> List[Dict]:
     ]
 
 
-def run_external(records: int = 2000, batch_size: int = 200) -> Dict:
+def run(smoke: bool) -> Dict:
     """Run every external-resilience scenario twice; results + checks."""
-    overrides = {}  # the stock FeedPolicy resilience knobs
+    records, batch_size = SMOKE if smoke else FULL
     # Measure the healthy makespan first: fault windows scale to it, so
     # scenario schedules stay meaningful across workload sizes.
     _, probe = _run_feed(records, batch_size, FeedPolicy.spill(), None)
@@ -247,7 +236,7 @@ def run_external(records: int = 2000, batch_size: int = 200) -> Dict:
     }
     ok = True
     by_name: Dict[str, Dict] = {}
-    for scenario in _scenarios(overrides, healthy_makespan):
+    for scenario in _scenarios(healthy_makespan):
         runs = [
             _run_feed(
                 records, batch_size, scenario["policy"], scenario["plan"]
@@ -334,3 +323,14 @@ def run_external(records: int = 2000, batch_size: int = 200) -> Dict:
     results["cross_scenario_checks"] = cross
     results["ok"] = ok
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {
+        "scenarios": len(result["scenarios"]),
+        "hard_down_completeness": result["scenarios"]["hard_down"][
+            "enrichment_completeness"
+        ],
+        "ok": result["ok"],
+    }

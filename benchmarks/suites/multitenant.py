@@ -28,22 +28,25 @@ The harness verifies the fabric is a pure scheduler win:
   :class:`~repro.ingestion.fabric.MemoryGovernor` splits one cache
   budget across tenants without changing any stored byte.
 
-Results go to ``BENCH_multitenant.json`` at the repo root;
-``benchmarks/results/`` stays reserved for the paper-figure tables.
+The fabric fleets' per-tenant utilization tables are printed as they
+run; the result holds numbers only.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.system import AsterixLite
-from ..ingestion.adapter import GeneratorAdapter
-from ..ingestion.fabric import FeedFabric, FeedLaunch
-from ..ingestion.policy import FeedPolicy
-from .reporting import fleet_utilization_table
+from repro.bench.reporting import fleet_utilization_table
+from repro.core.system import AsterixLite
+from repro.ingestion.adapter import GeneratorAdapter
+from repro.ingestion.fabric import FeedFabric, FeedLaunch
+from repro.ingestion.policy import FeedPolicy
 
+from .common import heavy_check_system, ratio, raw_records, sha256_json
+
+FULL = (2400, 80, 200)  # (heavy_records, batch_size, words)
+SMOKE = (800, 40, 120)
+GATED_RATIOS = ("skewed_speedup",)
 SKEWED_SPEEDUP_FLOOR = 1.5  # acceptance: fabric vs equal split, skewed fleet
 UNIFORM_PARITY_FLOOR = 0.75  # fabric must not tank a fleet with no skew
 # (the uniform fleet pays the elastic ramp-up lag — floors of 1 growing
@@ -62,41 +65,8 @@ def _dataset_name(index: int) -> str:
     return f"EnrichedTenant{index}"
 
 
-def _raw_records(records: int, feed_index: int) -> List[str]:
-    return [
-        json.dumps(
-            {"id": i, "text": f"tweet {i} of tenant {feed_index}",
-             "country": "US"}
-        )
-        for i in range(records)
-    ]
-
-
-def _build_system(num_feeds: int, num_nodes: int, words: int) -> AsterixLite:
-    system = AsterixLite(num_nodes=num_nodes)
-    system.execute(
-        """
-        CREATE TYPE TweetType AS OPEN { id: int64, text: string };
-        CREATE TYPE WordType AS OPEN { wid: int64 };
-        CREATE DATASET SensitiveWords(WordType) PRIMARY KEY wid;
-        """
-    )
-    system.insert(
-        "SensitiveWords",
-        [{"wid": i, "country": "US", "word": f"w{i}"} for i in range(words)],
-    )
-    system.execute(
-        """
-        CREATE FUNCTION heavyCheck(tweet) {
-            LET flag = CASE
-                EXISTS(SELECT w FROM SensitiveWords w
-                       WHERE tweet.country = w.country
-                         AND contains(tweet.text, w.word))
-                WHEN true THEN "Red" ELSE "Green" END
-            SELECT tweet.*, flag
-        };
-        """
-    )
+def _build_system(num_feeds: int, words: int) -> AsterixLite:
+    system = heavy_check_system(words)
     for index in range(num_feeds):
         system.execute(
             f"""
@@ -110,25 +80,24 @@ def _build_system(num_feeds: int, num_nodes: int, words: int) -> AsterixLite:
 
 
 def _digest(system: AsterixLite, index: int) -> str:
-    stored = sorted(
-        (r["id"], r["flag"]) for r in system.catalog[_dataset_name(index)].scan()
+    return sha256_json(
+        sorted(
+            (r["id"], r["flag"])
+            for r in system.catalog[_dataset_name(index)].scan()
+        )
     )
-    return hashlib.sha256(
-        json.dumps(stored, sort_keys=True).encode()
-    ).hexdigest()
 
 
 def _run_fleet(
     per_feed_records: Sequence[int],
     policies: Sequence[FeedPolicy],
     batch_size: int,
-    num_nodes: int,
     words: int,
     fabric_workers: Optional[int] = None,
     memory_bytes: int = 0,
 ) -> Tuple[Dict, Dict[str, str], float, Optional[FeedFabric]]:
     """One fleet run; returns (reports, per-feed digests, makespan, fabric)."""
-    system = _build_system(len(per_feed_records), num_nodes, words)
+    system = _build_system(len(per_feed_records), words)
     fabric = (
         FeedFabric(fabric_workers, memory_bytes=memory_bytes)
         if fabric_workers is not None
@@ -137,7 +106,16 @@ def _run_fleet(
     launches = [
         FeedLaunch(
             feed=_feed_name(index),
-            adapter=GeneratorAdapter(_raw_records(count, index)),
+            adapter=GeneratorAdapter(
+                raw_records(
+                    count,
+                    lambda i: {
+                        "id": i,
+                        "text": f"tweet {i} of tenant {index}",
+                        "country": "US",
+                    },
+                )
+            ),
             batch_size=batch_size,
             policy=policies[index],
         )
@@ -197,9 +175,9 @@ def _per_feed_summary(reports: Dict) -> Dict[str, Dict]:
 
 
 def _scenario(
+    name: str,
     per_feed_records: Sequence[int],
     batch_size: int,
-    num_nodes: int,
     words: int,
     total_workers: int,
 ) -> Dict:
@@ -208,21 +186,23 @@ def _scenario(
     baseline_policies = _baseline_policies(len(per_feed_records), total_workers)
 
     fab_reports, fab_digests, fab_makespan, fabric = _run_fleet(
-        per_feed_records, fabric_policies, batch_size, num_nodes, words,
+        per_feed_records, fabric_policies, batch_size, words,
         fabric_workers=total_workers,
     )
     _, fab_digests2, fab_makespan2, _ = _run_fleet(
-        per_feed_records, fabric_policies, batch_size, num_nodes, words,
+        per_feed_records, fabric_policies, batch_size, words,
         fabric_workers=total_workers,
     )
     base_reports, base_digests, base_makespan, _ = _run_fleet(
-        per_feed_records, baseline_policies, batch_size, num_nodes, words,
+        per_feed_records, baseline_policies, batch_size, words,
     )
     _, base_digests2, base_makespan2, _ = _run_fleet(
-        per_feed_records, baseline_policies, batch_size, num_nodes, words,
+        per_feed_records, baseline_policies, batch_size, words,
     )
+    print(f"--- {name} fleet under the fabric ---")
+    print(fleet_utilization_table(fab_reports))
 
-    speedup = base_makespan / fab_makespan if fab_makespan > 0 else 0.0
+    speedup = ratio(base_makespan, fab_makespan)
     return {
         "records_per_feed": list(per_feed_records),
         "total_workers": total_workers,
@@ -230,7 +210,6 @@ def _scenario(
             "makespan_seconds": fab_makespan,
             "per_feed": _per_feed_summary(fab_reports),
             "fabric_summary": fabric.summary(),
-            "fleet_table": fleet_utilization_table(fab_reports),
         },
         "baseline": {
             "makespan_seconds": base_makespan,
@@ -258,13 +237,9 @@ def _scenario(
     }
 
 
-def run_multitenant(
-    heavy_records: int = 2400,
-    batch_size: int = 80,
-    num_nodes: int = 4,
-    words: int = 200,
-) -> Dict:
+def run(smoke: bool) -> Dict:
     """Skewed + uniform fleets, fabric vs equal split; returns results."""
+    heavy_records, batch_size, words = SMOKE if smoke else FULL
     light_records = max(batch_size, heavy_records // 10)
     skewed = [heavy_records] * NUM_HEAVY + [light_records] * (
         NUM_FEEDS - NUM_HEAVY
@@ -278,10 +253,10 @@ def run_multitenant(
         "skewed_speedup_floor": SKEWED_SPEEDUP_FLOOR,
         "uniform_parity_floor": UNIFORM_PARITY_FLOOR,
         "skewed": _scenario(
-            skewed, batch_size, num_nodes, words, TOTAL_WORKERS
+            "skewed", skewed, batch_size, words, TOTAL_WORKERS
         ),
         "uniform": _scenario(
-            uniform, batch_size, num_nodes, words, TOTAL_WORKERS
+            "uniform", uniform, batch_size, words, TOTAL_WORKERS
         ),
     }
 
@@ -299,7 +274,7 @@ def run_multitenant(
         for count in skewed
     ]
     gov_reports, gov_digests, gov_makespan, gov_fabric = _run_fleet(
-        skewed, governed_policies, batch_size, num_nodes, words,
+        skewed, governed_policies, batch_size, words,
         fabric_workers=TOTAL_WORKERS, memory_bytes=1024 * 1024,
     )
     results["governed"] = {
@@ -338,3 +313,15 @@ def run_multitenant(
     results["checks"] = checks
     results["ok"] = all(checks.values())
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {
+        "skewed_speedup": result["skewed_speedup"],
+        "uniform_speedup": result["uniform_speedup"],
+        "recalls_issued": result["skewed"]["fabric"]["fabric_summary"][
+            "recalls_issued"
+        ],
+        "ok": result["ok"],
+    }

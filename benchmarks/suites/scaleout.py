@@ -22,9 +22,6 @@ makespan numbers:
   Acceptance: the interrupted run checkpointed progress, the resumed
   run skips the acked prefix, and the final dataset is byte-identical
   to an uninterrupted run.
-
-Results go to ``BENCH_scaleout.json`` at the repo root;
-``benchmarks/results/`` stays reserved for the paper-figure tables.
 """
 
 from __future__ import annotations
@@ -33,19 +30,26 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.system import AsterixLite
-from ..errors import FeedFailedError
-from ..ingestion.adapter import FileAdapter, GeneratorAdapter
-from ..ingestion.feed import AttachedFunction, FeedDefinition
-from ..ingestion.pipelines import DynamicIngestionPipeline
-from ..ingestion.policy import FeedPolicy
-from ..runtime import CrashAt, FaultPlan
-from ..storage.checkpoint import CheckpointStore
-from ..workloads.tweets import TWEET_TYPE_FULL
-from .harness import ExperimentHarness, scaled_batch_sizes
+from repro.bench.harness import ExperimentHarness, scaled_batch_sizes
+from repro.cluster.controller import Cluster
+from repro.core.system import AsterixLite
+from repro.errors import FeedFailedError
+from repro.ingestion.adapter import FileAdapter, GeneratorAdapter
+from repro.ingestion.feed import AttachedFunction, FeedDefinition
+from repro.ingestion.pipelines import DynamicIngestionPipeline
+from repro.ingestion.policy import FeedPolicy
+from repro.runtime import CrashAt, FaultPlan
+from repro.storage.checkpoint import CheckpointStore
+from repro.workloads.tweets import TWEET_TYPE_FULL
 
+from .common import intake_adapters, ratio, raw_records
+
+FULL = (4800, 480)  # (records, batch_size)
+SMOKE = (2400, 240)
+TWEETS = 480  # the sub-batch sweep's Tweet Context feed
+PARTITION_COUNTS = (1, 2, 4)
 FEED = "ScaleoutFeed"
 INTAKE_SPEEDUP_FLOOR = 1.8  # acceptance: >= this at 4 partitions vs 1
 SUBBATCH_SPEEDUP_FLOOR = 1.5  # acceptance: quarter-splits vs unsplit
@@ -53,10 +57,9 @@ STATE_CACHE_BYTES = 256 * 1024 * 1024
 
 
 def _raw_records(records: int) -> List[str]:
-    return [
-        json.dumps({"id": i, "text": f"tweet {i}", "country": "US"})
-        for i in range(records)
-    ]
+    return raw_records(
+        records, lambda i: {"id": i, "text": f"tweet {i}", "country": "US"}
+    )
 
 
 def _digest(rows) -> str:
@@ -65,9 +68,9 @@ def _digest(rows) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _build_plain_system(num_nodes: int = 8) -> AsterixLite:
+def _build_plain_system() -> AsterixLite:
     """A no-UDF ingestion feed: intake is the only per-record hot loop."""
-    system = AsterixLite(num_nodes=num_nodes)
+    system = AsterixLite(num_nodes=8)
     system.execute(
         """
         CREATE TYPE TweetType AS OPEN { id: int64, text: string };
@@ -77,17 +80,6 @@ def _build_plain_system(num_nodes: int = 8) -> AsterixLite:
     system.create_feed(FEED, {"type-name": "TweetType"})
     system.connect_feed(FEED, "Tweets")
     return system
-
-
-def _partition_adapters(records: int, partitions: int):
-    """Round-robin pre-split of the deterministic raw stream."""
-    stream = _raw_records(records)
-    if partitions <= 1:
-        return GeneratorAdapter(iter(stream))
-    return [
-        GeneratorAdapter(iter(stream[p::partitions]))
-        for p in range(partitions)
-    ]
 
 
 def _run_plain(
@@ -106,7 +98,7 @@ def _run_plain(
     )
     report = system.start_feed(
         FEED,
-        adapter=_partition_adapters(records, partitions),
+        adapter=intake_adapters(_raw_records(records), partitions),
         batch_size=batch_size,
         policy=policy,
     )
@@ -114,7 +106,7 @@ def _run_plain(
     return report, digest
 
 
-def _summarize(report, digest: str) -> Dict:
+def _run_summary(report, digest: str) -> Dict:
     metrics = report.runtime
     return {
         "makespan_seconds": metrics.makespan_seconds,
@@ -170,10 +162,7 @@ def _run_tweet_context(
     )
     feed.reference_work_scale = harness.reference_work_scale
 
-    from ..cluster.controller import Cluster
-
-    cluster = Cluster(6)
-    pipeline = DynamicIngestionPipeline(cluster, catalog, registry)
+    pipeline = DynamicIngestionPipeline(Cluster(6), catalog, registry)
     adapter = GeneratorAdapter(
         harness.workload.tweet_generator.raw_json(tweets)
     )
@@ -291,13 +280,9 @@ def _run_restart_cycle(records: int, batch_size: int) -> Dict:
 # ----------------------------------------------------------------------- main
 
 
-def run_scaleout(
-    records: int = 4800,
-    batch_size: int = 480,
-    tweets: int = 480,
-    partition_counts: Sequence[int] = (1, 2, 4),
-) -> Dict:
+def run(smoke: bool) -> Dict:
     """Run all three sweeps; returns the results document."""
+    records, batch_size = SMOKE if smoke else FULL
     results: Dict = {
         "records": records,
         "batch_size": batch_size,
@@ -311,22 +296,20 @@ def run_scaleout(
     workers = 8
     makespans: Dict[int, float] = {}
     digests: Dict[int, str] = {}
-    for partitions in partition_counts:
+    for partitions in PARTITION_COUNTS:
         report, digest = _run_plain(records, batch_size, partitions, workers)
         makespans[partitions] = report.runtime.makespan_seconds
         digests[partitions] = digest
-        results["intake_sweep"][str(partitions)] = _summarize(report, digest)
-    top = max(partition_counts)
-    intake_speedup = (
-        makespans[1] / makespans[top] if makespans[top] > 0 else 0.0
-    )
+        results["intake_sweep"][str(partitions)] = _run_summary(report, digest)
+    top = max(PARTITION_COUNTS)
+    intake_speedup = ratio(makespans[1], makespans[top])
     results["intake_speedup_at_max_partitions"] = intake_speedup
 
     # combined partitions x sub-batches on the same feed
     combined_report, combined_digest = _run_plain(
         records, batch_size, top, workers, subbatch=max(batch_size // 4, 1)
     )
-    results["combined"] = _summarize(combined_report, combined_digest)
+    results["combined"] = _run_summary(combined_report, combined_digest)
 
     # --- sub-batch sweep (compute-bound: Tweet Context, one 16X batch) ---
     harness = ExperimentHarness()
@@ -336,17 +319,13 @@ def run_scaleout(
     sub_workers = 4
     for subbatch in (0, batch_16x // 2, batch_16x // 4):
         report, digest = _run_tweet_context(
-            harness, tweets, batch_16x, subbatch, sub_workers
+            harness, TWEETS, batch_16x, subbatch, sub_workers
         )
         sub_makespans[subbatch] = report.runtime.makespan_seconds
         sub_digests[subbatch] = digest
-        results["subbatch_sweep"][str(subbatch)] = _summarize(report, digest)
+        results["subbatch_sweep"][str(subbatch)] = _run_summary(report, digest)
     quarter = batch_16x // 4
-    subbatch_speedup = (
-        sub_makespans[0] / sub_makespans[quarter]
-        if sub_makespans[quarter] > 0
-        else 0.0
-    )
+    subbatch_speedup = ratio(sub_makespans[0], sub_makespans[quarter])
     results["subbatch_speedup_at_quarter_splits"] = subbatch_speedup
 
     # --- durable restart cycle ---
@@ -363,10 +342,23 @@ def run_scaleout(
         "subbatch_outputs_identical": len(set(sub_digests.values())) == 1,
         "all_records_stored": all(
             results["intake_sweep"][str(p)]["records_stored"] == records
-            for p in partition_counts
+            for p in PARTITION_COUNTS
         ),
         "restart_cycle_ok": all(results["restart"]["checks"].values()),
     }
     results["checks"] = checks
     results["ok"] = all(checks.values())
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {
+        "intake_speedup_at_max_partitions": result[
+            "intake_speedup_at_max_partitions"
+        ],
+        "subbatch_speedup_at_quarter_splits": result[
+            "subbatch_speedup_at_quarter_splits"
+        ],
+        "ok": result["ok"],
+    }

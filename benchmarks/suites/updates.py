@@ -31,23 +31,30 @@ Pinning the update schedule to batch indices keeps the §7.3 sweep
 semantics (updates per unit of feed progress) while making cache-on and
 cache-off runs bit-comparable.
 
-Results go to ``BENCH_updates.json`` at the repo root;
-``benchmarks/results/`` stays reserved for the paper-figure tables.
+The scenario (system, update stream, one feed run) is shared with the
+``memo`` suite, which sweeps the same feed with the key-level memo in
+place of the state cache.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
-from ..core.system import AsterixLite
-from ..ingestion.adapter import GeneratorAdapter
-from ..ingestion.feed import AttachedFunction, FeedDefinition
-from ..ingestion.pipelines import DynamicIngestionPipeline
-from ..ingestion.policy import FeedPolicy
-from ..ingestion.updates import ReferenceUpdateClient
+from repro.core.system import AsterixLite
+from repro.ingestion.feed import AttachedFunction, FeedDefinition
+from repro.ingestion.pipelines import DynamicIngestionPipeline
+from repro.ingestion.policy import FeedPolicy
+from repro.ingestion.updates import ReferenceUpdateClient
 
+from .common import intake_adapters, ratio, raw_records, sha256_json
+
+#: (ref_records, tweets, batch_size, work_scale).  The smoke run's smaller
+#: reference dataset charges its work at a higher scale so the build stays
+#: dominated by reference cardinality (the regime the cache targets), like
+#: the figure benches do.
+FULL = (20000, 3000, 100, 30.0)
+SMOKE = (2000, 600, 60, 100.0)
+COUNTIES = 200
 FEED = "UpdateSweepFeed"
 DATASET = "EnrichedTweets"
 REFERENCE = "SafetyRatings"
@@ -82,15 +89,6 @@ class BatchScheduledUpdates:
     @property
     def exhausted(self) -> bool:
         return self.client.exhausted
-
-
-def _raw_tweets(count: int, counties: int) -> List[str]:
-    return [
-        json.dumps(
-            {"id": i, "text": f"tweet {i}", "county": f"county{i % counties}"}
-        )
-        for i in range(count)
-    ]
 
 
 def _update_stream(counties: int):
@@ -142,8 +140,8 @@ def _build_system(ref_records: int, counties: int) -> AsterixLite:
     return system
 
 
-def _run_once(
-    cache_on: bool,
+def run_cell(
+    policy: FeedPolicy,
     rate: float,
     ref_records: int,
     counties: int,
@@ -151,11 +149,11 @@ def _run_once(
     batch_size: int,
     work_scale: float,
 ):
-    """One sweep cell; returns (report, output_sha256, updates_applied)."""
+    """One sweep cell; returns (report, output_sha256, updates_applied).
+
+    ``counties == tweets`` makes every probe key unique (no key recurs).
+    """
     system = _build_system(ref_records, counties)
-    policy = FeedPolicy.basic(
-        state_cache_bytes=STATE_CACHE_BUDGET if cache_on else 0
-    )
     feed = FeedDefinition(
         name=FEED,
         target_dataset=DATASET,
@@ -176,20 +174,26 @@ def _run_once(
     pipeline = DynamicIngestionPipeline(
         system.cluster, system.catalog, system.registry, afm=system.afm
     )
-    adapter = GeneratorAdapter(_raw_tweets(tweets, counties))
-    report = pipeline.run(feed, adapter, update_client=update_client)
-    stored = sorted(
-        (r["id"], tuple(r.get("safety") or ()))
-        for r in system.catalog[DATASET].scan()
+    raw = raw_records(
+        tweets,
+        lambda i: {"id": i, "text": f"tweet {i}", "county": f"county{i % counties}"},
     )
-    digest = hashlib.sha256(
-        json.dumps(stored, sort_keys=True).encode()
-    ).hexdigest()
+    report = pipeline.run(
+        feed,
+        intake_adapters(raw, policy.intake_partitions),
+        update_client=update_client,
+    )
+    digest = sha256_json(
+        sorted(
+            (r["id"], tuple(r.get("safety") or ()))
+            for r in system.catalog[DATASET].scan()
+        )
+    )
     applied = update_client.applied if update_client is not None else 0
     return report, digest, applied
 
 
-def _summarize(report, digest: str) -> Dict:
+def _cell_summary(report, digest: str) -> Dict:
     return {
         "computing_seconds": report.computing_seconds,
         "simulated_seconds": report.simulated_seconds,
@@ -204,15 +208,9 @@ def _summarize(report, digest: str) -> Dict:
     }
 
 
-def run_update_sweep(
-    ref_records: int = 20000,
-    counties: int = 200,
-    tweets: int = 3000,
-    batch_size: int = 100,
-    work_scale: float = 30.0,
-    rates: Sequence[float] = UPDATE_RATES,
-) -> Dict:
-    """Run the cache-off/cache-on sweep over ``rates``; returns results."""
+def run(smoke: bool) -> Dict:
+    """Run the cache-off/cache-on sweep over the update rates."""
+    ref_records, tweets, batch_size, work_scale = SMOKE if smoke else FULL
     results: Dict = {
         "ref_records": ref_records,
         "tweets": tweets,
@@ -225,37 +223,33 @@ def run_update_sweep(
     }
     wins: List[float] = []
     hashes_equal = True
-    for rate in rates:
+    for rate in UPDATE_RATES:
         cells = {}
         for cache_on in (False, True):
-            cells[cache_on] = _run_once(
-                cache_on, rate, ref_records, counties, tweets, batch_size,
-                work_scale,
+            cells[cache_on] = run_cell(
+                FeedPolicy.basic(
+                    state_cache_bytes=STATE_CACHE_BUDGET if cache_on else 0
+                ),
+                rate, ref_records, COUNTIES, tweets, batch_size, work_scale,
             )
         off_report, off_digest, off_applied = cells[False]
         on_report, on_digest, on_applied = cells[True]
-        win = (
-            off_report.computing_seconds / on_report.computing_seconds
-            if on_report.computing_seconds > 0
-            else 0.0
-        )
+        win = ratio(off_report.computing_seconds, on_report.computing_seconds)
         wins.append(win)
         hashes_equal = hashes_equal and off_digest == on_digest
         results["rates"][str(rate)] = {
-            "cache_off": _summarize(off_report, off_digest),
-            "cache_on": _summarize(on_report, on_digest),
+            "cache_off": _cell_summary(off_report, off_digest),
+            "cache_on": _cell_summary(on_report, on_digest),
             "computing_seconds_win": win,
-            "throughput_ratio_on_vs_off": (
-                on_report.throughput / off_report.throughput
-                if off_report.throughput > 0
-                else 0.0
+            "throughput_ratio_on_vs_off": ratio(
+                on_report.throughput, off_report.throughput
             ),
             "updates_applied": {"cache_off": off_applied, "cache_on": on_applied},
             "output_hashes_equal": off_digest == on_digest,
         }
 
-    rate0 = results["rates"][str(rates[0])]
-    top = results["rates"][str(rates[-1])]
+    rate0 = results["rates"][str(UPDATE_RATES[0])]
+    top = results["rates"][str(UPDATE_RATES[-1])]
     checks = {
         "sim_win_at_rate_0_reaches_floor": wins[0] >= SIM_WIN_FLOOR,
         "output_hashes_equal_at_every_rate": hashes_equal,
@@ -279,3 +273,8 @@ def run_update_sweep(
     results["checks"] = checks
     results["ok"] = all(checks.values())
     return results
+
+
+def summarize(result: Dict) -> Dict:
+    """The suite's trajectory-row entry."""
+    return {"sim_win_rate0": result["wins"][0], "ok": result["ok"]}

@@ -214,6 +214,43 @@ class AsterixLite:
     def set_feed_adapter(self, feed: str, adapter: FeedAdapter) -> None:
         self._feed(feed).adapter = adapter
 
+    def _prepare_run(
+        self,
+        feed: str,
+        adapter,
+        batch_size: int,
+        balanced_intake: bool,
+        computing_model: ComputingModel,
+        policy: Optional[FeedPolicy],
+        fault_plan: Optional[FaultPlan],
+        framework: Framework = Framework.DYNAMIC,
+    ):
+        """Check ``feed`` can start; returns ``(state, adapter, definition)``
+        with the run's overrides laid over what the feed was connected with."""
+        state = self._feed(feed)
+        if state.target_dataset is None:
+            raise FeedStateError(f"feed {feed!r} is not connected to a dataset")
+        if state.running:
+            raise FeedStateError(f"feed {feed!r} is already running")
+        adapter = adapter if adapter is not None else state.adapter
+        if adapter is None:
+            raise FeedStateError(f"feed {feed!r} has no adapter")
+        type_name = state.config.get("type-name")
+        definition = FeedDefinition(
+            name=feed,
+            target_dataset=state.target_dataset,
+            datatype=self.types.get(type_name) if type_name else None,
+            batch_size=batch_size,
+            framework=framework,
+            computing_model=computing_model,
+            functions=list(state.functions),
+            balanced_intake=balanced_intake,
+            policy=policy or state.policy,
+            fault_plan=fault_plan,
+            external_enrichers=list(state.external_enrichers),
+        )
+        return state, adapter, definition
+
     def start_feed(
         self,
         feed: str,
@@ -246,15 +283,11 @@ class AsterixLite:
         the run durably restartable (dynamic framework only): see
         :meth:`resume_run`.
         """
-        state = self._feed(feed)
-        if state.target_dataset is None:
-            raise FeedStateError(f"feed {feed!r} is not connected to a dataset")
-        if state.running:
-            raise FeedStateError(f"feed {feed!r} is already running")
-        adapter = adapter if adapter is not None else state.adapter
-        if adapter is None:
-            raise FeedStateError(f"feed {feed!r} has no adapter")
         framework = Framework(framework) if isinstance(framework, str) else framework
+        state, adapter, definition = self._prepare_run(
+            feed, adapter, batch_size, balanced_intake, computing_model,
+            policy, fault_plan, framework,
+        )
         if framework is Framework.STATIC and checkpoint is not None:
             raise FeedStateError(
                 "durable checkpoints need the dynamic framework (the static "
@@ -265,21 +298,6 @@ class AsterixLite:
                 "partitioned intake (multiple adapters) needs the dynamic "
                 "framework"
             )
-        type_name = state.config.get("type-name")
-        datatype = self.types.get(type_name) if type_name else None
-        definition = FeedDefinition(
-            name=feed,
-            target_dataset=state.target_dataset,
-            datatype=datatype,
-            batch_size=batch_size,
-            framework=framework,
-            computing_model=computing_model,
-            functions=list(state.functions),
-            balanced_intake=balanced_intake,
-            policy=policy or state.policy,
-            fault_plan=fault_plan,
-            external_enrichers=list(state.external_enrichers),
-        )
         state.running = True
         try:
             if framework is Framework.STATIC:
@@ -354,32 +372,10 @@ class AsterixLite:
 
         entries = []
         for launch in launches:
-            state = self._feed(launch.feed)
-            if state.target_dataset is None:
-                raise FeedStateError(
-                    f"feed {launch.feed!r} is not connected to a dataset"
-                )
-            if state.running:
-                raise FeedStateError(f"feed {launch.feed!r} is already running")
-            adapter = (
-                launch.adapter if launch.adapter is not None else state.adapter
-            )
-            if adapter is None:
-                raise FeedStateError(f"feed {launch.feed!r} has no adapter")
-            type_name = state.config.get("type-name")
-            datatype = self.types.get(type_name) if type_name else None
-            definition = FeedDefinition(
-                name=launch.feed,
-                target_dataset=state.target_dataset,
-                datatype=datatype,
-                batch_size=launch.batch_size,
-                framework=Framework.DYNAMIC,
-                computing_model=computing_model,
-                functions=list(state.functions),
-                balanced_intake=launch.balanced_intake,
-                policy=launch.policy or state.policy,
-                fault_plan=launch.fault_plan,
-                external_enrichers=list(state.external_enrichers),
+            state, adapter, definition = self._prepare_run(
+                launch.feed, launch.adapter, launch.batch_size,
+                launch.balanced_intake, computing_model, launch.policy,
+                launch.fault_plan,
             )
             entries.append((state, launch, adapter, definition))
 

@@ -19,10 +19,10 @@ def make_invoker(functions, registry) -> Callable:
     Chains the feed's attached functions; a SQL++ UDF returning a
     collection is unnested (the ``SELECT VALUE f(t)`` of Figure 10).
 
-    Each attached SQL++ function is resolved through a *prepared* invoker
-    (the §5.2 predeployed-job analog): name lookup and arity checking
-    happen once per registry version instead of once per record, while a
-    ``replace_sqlpp`` mid-feed still takes effect on the very next call.
+    This is the scalar reference path — soft-error reruns, body shapes
+    the batch invoker declines, Java chains — so each record resolves its
+    function through :meth:`FunctionRegistry.invoke`, and a
+    ``replace_sqlpp`` mid-feed takes effect on the very next record.
     """
 
     steps = []
@@ -35,10 +35,8 @@ def make_invoker(functions, registry) -> Callable:
 
             steps.append(java_step)
         else:
-            prepared = registry.prepared_invoker(fn.name)
-
-            def sqlpp_step(rec, eval_ctx, _prepared=prepared):
-                return _prepared([rec], eval_ctx)
+            def sqlpp_step(rec, eval_ctx, _name=fn.name):
+                return registry.invoke(_name, [rec], eval_ctx)
 
             steps.append(sqlpp_step)
 

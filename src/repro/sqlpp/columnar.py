@@ -398,7 +398,7 @@ def _compile_probe_kernel(
         meter = ctx.meter
         # the version this generation pinned, not the live one: a write
         # landing mid-job must not refile pre-write rows as current
-        version_key = ((dataset_name, ev._pinned_version(dataset)),)
+        version_key = ((dataset_name, ev._pin(dataset).lsns),)
         l1: Dict = {}
         l1_get = l1.get
         slots: List = [None] * cb.n

@@ -727,25 +727,33 @@ class Evaluator:
         if cache is not None:
             cache.put(state_key, version_key, value, records)
 
-    def _pinned_version(self, dataset) -> int:
-        """The committed version of ``dataset`` this generation reads at.
+    def _pin(self, dataset):
+        """The snapshot of ``dataset`` this generation reads at — uncharged.
 
-        Fixed at the generation's first touch of the dataset, whichever
-        read that is, and used for every StateCache / memo ``get`` and
-        ``put`` after it: state probed from what the batch pinned is filed
-        under the version it was pinned at, so a write landing inside the
-        job cannot pass pre-write state off as current.
+        Taken at the generation's first touch of the dataset, whichever
+        read that is.  One object is both the value — every scan, hash
+        build and probe of this generation reads its ``records`` — and,
+        through its ``lsns``, the proof every StateCache / memo ``get`` and
+        ``put`` is filed under.  So a write landing inside the job cannot
+        pass pre-write state off as current, and a write that reaches a
+        partition without going through the ``Dataset`` (``version`` does
+        not move, the WAL LSN does) invalidates like any other.  The scan
+        charge, or the StateCache reuse charge, stays with the first read
+        that needs the records (:meth:`_charged_scan`): a batch the memo
+        serves whole pins but is charged neither.
         """
-        key = ("version", dataset.name)
-        version = self.ctx.batch_cache.get(key)
-        if version is None:
-            version = self.ctx.batch_cache[key] = dataset.version
-        return version
+        key = ("pinned", dataset.name)
+        snapshot = self.ctx.batch_cache.get(key)
+        if snapshot is None:
+            snapshot = self.ctx.batch_cache[key] = dataset.snapshot()
+        return snapshot
 
     def _pinned_version_key(self, names) -> Tuple:
-        return dataset_version_key(self.ctx.catalog, names, self._pinned_version)
+        return dataset_version_key(
+            self.ctx.catalog, names, lambda dataset: self._pin(dataset).lsns
+        )
 
-    def _install_snapshot_state(self, key, dataset, snapshot, value, payload):
+    def _install_snapshot_state(self, key, snapshot, value, payload):
         """Offer state built from ``snapshot`` to the StateCache.
 
         ``payload`` is what the entry pins; its size estimate is memoized
@@ -757,13 +765,7 @@ class Evaluator:
             nbytes = snapshot.derived(
                 ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
             )
-            cache.put(
-                key,
-                self._pinned_version(dataset),
-                value,
-                len(snapshot.records),
-                nbytes,
-            )
+            cache.put(key, snapshot.lsns, value, len(snapshot.records), nbytes)
 
     def _memoized_correlated(self, plan, env):
         """Key-level memo for a correlated (hash-probe-backed) subquery.
@@ -802,8 +804,8 @@ class Evaluator:
         ctx.memo.put(key, version_key, result, len(result))
         return result
 
-    def _pinned_snapshot(self, dataset):
-        """The dataset's read snapshot, pinned for this context generation.
+    def _charged_scan(self, dataset):
+        """The generation's pinned snapshot, charged as this batch's scan.
 
         Every batch is charged a full scan (or a StateCache reuse), as the
         modeled per-job rebuild demands; the records themselves come from
@@ -812,26 +814,22 @@ class Evaluator:
         """
         key = ("scan", dataset.name)
         snapshot = self.ctx.batch_cache.get(key)
-        if snapshot is None:
-            snapshot = self._reuse_cached_state(
-                key, key, self._pinned_version(dataset)
-            )
-        if snapshot is None:
-            snapshot = dataset.snapshot()
-            self.ctx.batch_cache[key] = snapshot
+        if snapshot is not None:
+            return snapshot
+        snapshot = self._pin(dataset)
+        if self._reuse_cached_state(key, key, snapshot.lsns) is None:
             scanned = len(snapshot.records)
             self.ctx.shared_meter.records_scanned += scanned
             self.ctx.shared_meter.penalized_reads += self._penalty_units(
                 dataset, scanned
             )
-            self._install_snapshot_state(
-                key, dataset, snapshot, snapshot, snapshot.records
-            )
+            self._install_snapshot_state(key, snapshot, snapshot, snapshot.records)
+        self.ctx.batch_cache[key] = snapshot
         return snapshot
 
     def _scan_dataset(self, dataset) -> Tuple[dict, ...]:
         """Batch-cached full scan (once per context generation)."""
-        return self._pinned_snapshot(dataset).records
+        return self._charged_scan(dataset).records
 
     def _hash_probe(self, dataset, field: str, probe_value) -> List[dict]:
         """Batch-cached hash table keyed on ``field`` (§4.3.4 case 1).
@@ -860,15 +858,13 @@ class Evaluator:
         key = ("hash", dataset.name, field)
         table = self.ctx.batch_cache.get(key)
         if table is None:
-            table = self._reuse_cached_state(
-                key, key, self._pinned_version(dataset)
-            )
+            table = self._reuse_cached_state(key, key, self._pin(dataset).lsns)
         if table is None:
-            snapshot = self._pinned_snapshot(dataset)
+            snapshot = self._charged_scan(dataset)
             table = snapshot.derived(key, _hash_table_builder(field))
             self.ctx.batch_cache[key] = table
             self.ctx.shared_meter.hash_builds += len(snapshot.records)
-            self._install_snapshot_state(key, dataset, snapshot, table, table)
+            self._install_snapshot_state(key, snapshot, table, table)
         return table
 
     def _btree_probe(self, dataset, index_name: str, probe_value) -> List[dict]:

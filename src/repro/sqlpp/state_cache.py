@@ -5,18 +5,19 @@ join build tables, batch-cached scans, uncorrelated top-k subquery
 results) on every invocation so that enrichment UDFs observe reference
 updates at batch boundaries (§5, §7.3).  When the reference dataset has
 *not* changed between two batches that rebuild is pure waste: the build
-input is byte-identical, so the build output is too.  Every
-:class:`~repro.storage.dataset.Dataset` carries a monotonic ``version``
-counter bumped on each committed write, which is exactly the proof needed
-— the classic view-maintenance observation (Gupta & Mumick) specialised
-to the degenerate "nothing changed" delta.
+input is byte-identical, so the build output is too.  Every write to a
+:class:`~repro.storage.dataset.Dataset` partition appends a WAL record, so
+the partitions' LSNs — carried by the
+:class:`~repro.storage.dataset.ReferenceSnapshot` a batch pins — are
+exactly the proof needed: the classic view-maintenance observation (Gupta
+& Mumick) specialised to the degenerate "nothing changed" delta.
 
 This module implements that reuse as an LRU-by-bytes cache:
 
 * entries are keyed by the *identity* of the materialised state — e.g.
   ``("scan", dataset_name)``, ``("hash", dataset_name, field)``,
-  ``("uncorrelated", plan_token)`` — and guarded by a **version key**
-  derived from the referenced dataset versions at build time;
+  ``("uncorrelated", plan_token)`` — and guarded by a **version key**:
+  the LSNs of the snapshot(s) the state was built from;
 * :meth:`StateCache.get` returns the entry only when the stored version
   key equals the current one, so *any* committed write (insert, upsert,
   delete, dead-letter replay) between batches forces a rebuild at the
@@ -49,25 +50,10 @@ resume, so ``get``/``put`` never interleave mid-build.
 from __future__ import annotations
 
 from collections import OrderedDict
-from operator import attrgetter
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-#: fixed per-entry overhead (key + version key + OrderedDict slot) and the
-#: legacy per-record estimate kept for callers that size by row count.
+#: fixed per-entry overhead (key + version key + OrderedDict slot)
 ENTRY_OVERHEAD_BYTES = 512
-RECORD_ESTIMATE_BYTES = 256
-
-
-def estimate_record_bytes(records: int) -> int:
-    """Legacy row-count size estimate (``512 + 256·records``).
-
-    Superseded by :func:`estimate_payload_bytes` as the cache's default
-    sizer — a record count says nothing about whether the rows are bare
-    ints or kilobyte documents — but kept for callers that only know a
-    cardinality.
-    """
-    return ENTRY_OVERHEAD_BYTES + RECORD_ESTIMATE_BYTES * max(0, int(records))
-
 
 #: CPython-flavoured base costs for the payload-aware sizer: small-object
 #: header + typical container slack.  Estimates, not ``sys.getsizeof``
@@ -89,8 +75,8 @@ def estimate_payload_bytes(value) -> int:
 
     Walks dicts/lists/tuples/sets and sums per-element estimates, so an
     entry holding ten 1 KiB documents weighs ~40× one holding ten small
-    ints — unlike :func:`estimate_record_bytes`, which priced both
-    identically.  Shared sub-objects are counted at every reference
+    ints — a row count would price both identically.  Shared
+    sub-objects are counted at every reference
     (deliberate: eviction should track what the entry *pins*, and a
     conservative overestimate only evicts a little early).
     """
@@ -146,7 +132,7 @@ class StateCache:
     The budget is *live-resizable*: :meth:`configure` may be called
     mid-run (the multi-tenant memory governor does, at batch boundaries)
     and a shrink evicts immediately, so the cache never sits over its
-    current grant.  :meth:`mark_window`/:attr:`windowed_hit_ratio` give a
+    current grant.  :meth:`mark_window`/:meth:`window_counts` give a
     recency-weighted utility signal for that arbitration without
     disturbing the cumulative counters reports diff.
     """
@@ -256,18 +242,6 @@ class StateCache:
             self.misses - self._window_misses_mark,
         )
 
-    @property
-    def windowed_hit_ratio(self) -> float:
-        """Hit ratio since the last :meth:`mark_window`.
-
-        Falls back to the cumulative ratio while the current window has
-        no lookups, so a governor sampling between batches never reads a
-        spurious 0.0 from a momentarily idle tenant.
-        """
-        hits, misses = self.window_counts()
-        lookups = hits + misses
-        return hits / lookups if lookups else self.hit_ratio
-
     def mark_window(self) -> None:
         """Start a fresh observation window (governor rebalance boundary)."""
         self._window_hits_mark = self.hits
@@ -288,14 +262,14 @@ class StateCache:
 
 
 def dataset_version_key(
-    catalog: Dict[str, object], names, version_of=attrgetter("version")
+    catalog: Dict[str, object], names, version_of: Callable[[object], object]
 ) -> Tuple:
     """The version key for state derived from several datasets.
 
     Sorted ``(name, version)`` pairs: equal iff every referenced dataset
-    is at the same committed version as when the state was built.  The
-    evaluator passes ``version_of`` to read the version its generation
-    *pinned* rather than the live one.
+    is at the same committed version as when the state was built.
+    ``version_of`` is the evaluator's read of the LSNs its generation
+    *pinned* — never a live counter.
     """
     return tuple(
         (name, version_of(catalog[name])) for name in sorted(names)

@@ -45,15 +45,18 @@ class ReferenceSnapshot:
     """An immutable read snapshot of a dataset: what one full scan returned.
 
     ``records`` is the scan's record sequence (partition order, key order
-    within).  :meth:`derived` memoizes what readers compute from it — a
-    per-field hash table, rendered resource lines, a size estimate — for
-    as long as the snapshot itself is current.
+    within) and ``lsns`` the partitions' WAL LSNs it was taken at — the
+    version proof for anything cached from it.  :meth:`derived` memoizes
+    what readers compute from it — a per-field hash table, rendered
+    resource lines, a size estimate — for as long as the snapshot itself
+    is current.
     """
 
-    __slots__ = ("records", "_derived")
+    __slots__ = ("records", "lsns", "_derived")
 
-    def __init__(self, records: Tuple[dict, ...]):
+    def __init__(self, records: Tuple[dict, ...], lsns: Tuple[int, ...]):
         self.records = records
+        self.lsns = lsns
         self._derived: Dict[object, object] = {}
 
     def derived(self, key, build: Callable[[Tuple[dict, ...]], object]):
@@ -97,8 +100,8 @@ class Dataset:
         self._index_fields: Dict[str, Tuple[str, IndexKind]] = {}
         self.version = 0
         self._update_listeners: List[Callable[[str, object], None]] = []
-        # (partition LSNs, snapshot) of the latest snapshot() call
-        self._snapshot: Optional[Tuple[Tuple[int, ...], ReferenceSnapshot]] = None
+        # the latest snapshot() call's result
+        self._snapshot: Optional[ReferenceSnapshot] = None
 
     # ------------------------------------------------------------------ admin
 
@@ -236,9 +239,9 @@ class Dataset:
         """
         lsns = tuple(tree.lsn for tree in self.partitions)
         held = self._snapshot
-        if held is None or held[0] != lsns:
-            held = self._snapshot = (lsns, ReferenceSnapshot(tuple(self.scan())))
-        return held[1]
+        if held is None or held.lsns != lsns:
+            held = self._snapshot = ReferenceSnapshot(tuple(self.scan()), lsns)
+        return held
 
     # -------------------------------------------------------------- index API
 

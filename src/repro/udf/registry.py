@@ -61,8 +61,8 @@ class FunctionRegistry:
         # registry's wholesale invalidations — DDL and function
         # replacement clear them exactly like the shared singletons.
         self._scoped_caches: List[StateCache] = []
-        # Bumped on every registration change; prepared invokers re-resolve
-        # their function when it moves (§3.2 instant updates).
+        # Bumped on every registration change; batch invokers re-resolve
+        # their functions when it moves (§3.2 instant updates).
         self.version = 0
 
     # ---------------------------------------------------------------- sql++
@@ -195,63 +195,6 @@ class FunctionRegistry:
             )
         env = Env(dict(zip(udf.definition.params, args)))
         return Evaluator(ctx).evaluate(udf.definition.body, env)
-
-    def prepared_invoker(self, name: str):
-        """Return a callable ``fn(args, ctx)`` that skips per-call lookup.
-
-        The function is resolved (name lookup + arity) once per registry
-        version, not once per record; a ``replace_sqlpp`` bumps the version
-        so the next call re-resolves and picks up the new body (§3.2).
-
-        The parameter binding set of a UDF is static, so the per-record
-        hot path reuses one pooled ``Env`` (rebinding parameters in place)
-        and one ``Evaluator`` per evaluation context instead of allocating
-        fresh ones per record.  Nested/recursive invocations go through
-        :meth:`invoke` with their own fresh ``Env``, so the pooled scope is
-        only ever live for one top-level call at a time; a re-entrancy
-        guard falls back to allocation if that ever changes.
-        """
-        from ..sqlpp.evaluator import Env, Evaluator
-
-        state = {
-            "version": -1,
-            "udf": None,
-            "params": None,
-            "ctx": None,
-            "evaluator": None,
-            "env": Env({}),
-            "busy": False,
-        }
-
-        def invoke_prepared(args: List, ctx):
-            if state["version"] != self.version:
-                udf = self.get(name)
-                state["udf"] = udf
-                state["params"] = tuple(udf.definition.params)
-                state["version"] = self.version
-            udf = state["udf"]
-            if len(args) != udf.arity:
-                raise UdfError(
-                    f"{name} expects {udf.arity} argument(s), got {len(args)}"
-                )
-            if state["busy"]:
-                env = Env(dict(zip(state["params"], args)))
-                return Evaluator(ctx).evaluate(udf.definition.body, env)
-            if ctx is not state["ctx"]:
-                state["ctx"] = ctx
-                state["evaluator"] = Evaluator(ctx)
-            env = state["env"]
-            env_vars = env.vars
-            env_vars.clear()
-            for param, arg in zip(state["params"], args):
-                env_vars[param] = arg
-            state["busy"] = True
-            try:
-                return state["evaluator"].evaluate(udf.definition.body, env)
-            finally:
-                state["busy"] = False
-
-        return invoke_prepared
 
     def invoke_java(self, library: str, name: str, args: List, ctx):
         """Invoke a Java UDF through its per-generation cached instance."""

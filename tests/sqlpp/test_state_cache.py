@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adm import open_type
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import (
     ENTRY_OVERHEAD_BYTES,
-    RECORD_ESTIMATE_BYTES,
     StateCache,
     dataset_version_key,
     estimate_payload_bytes,
-    estimate_record_bytes,
 )
-
-
-def entry_bytes(records: int) -> int:
-    return ENTRY_OVERHEAD_BYTES + RECORD_ESTIMATE_BYTES * records
+from repro.storage import Dataset
+from repro.udf import FunctionRegistry
 
 
 def payload_entry_bytes(value) -> int:
@@ -99,14 +96,9 @@ class TestStateCacheUnit:
         assert ("hash", "R", "f") not in cache
         assert pinned is table and pinned["k"] == ["v"]
 
-    def test_estimate_record_bytes(self):
-        assert estimate_record_bytes(0) == ENTRY_OVERHEAD_BYTES
-        assert estimate_record_bytes(4) == entry_bytes(4)
-        assert estimate_record_bytes(-3) == ENTRY_OVERHEAD_BYTES
-
     def test_payload_sizer_tracks_actual_weight(self):
         """Ten fat documents must weigh far more than ten bare ints —
-        the regression the legacy row-count estimate could not see."""
+        the regression a row-count estimate could not see."""
         fat = [{"body": "x" * 1024, "tags": ["a", "b", "c"]} for _ in range(10)]
         thin = list(range(10))
         assert estimate_payload_bytes(fat) > 20 * estimate_payload_bytes(thin)
@@ -158,7 +150,9 @@ class TestStateCacheUnit:
                 self.version = version
 
         catalog = {"B": FakeDs(7), "A": FakeDs(2)}
-        key = dataset_version_key(catalog, {"B", "A", "Missing"})
+        key = dataset_version_key(
+            catalog, {"B", "A", "Missing"}, lambda dataset: dataset.version
+        )
         assert key == (("A", 2), ("B", 7))
 
 
@@ -268,6 +262,48 @@ class TestEvaluatorIntegration:
         ctx.refresh_batch()
         assert invoke(tweet)[0]["safety_rating"] == ["9"]
 
+    @pytest.mark.parametrize("with_memo", [False, True], ids=["cache", "memo"])
+    @pytest.mark.parametrize("path", ["interpreted", "planned", "columnar"])
+    def test_partition_write_invalidates_like_a_dataset_write(
+        self, small_catalog, registry, sample_tweet, path, with_memo
+    ):
+        """A write straight to a partition moves the WAL LSN but not
+        ``Dataset.version``; the caches key on what the snapshot keys on,
+        so the next batch sees it — cache-on equals cache-off."""
+        ratings = small_catalog["SafetyRatings"]
+        attached = [AttachedFunction("enrichTweetQ1")]
+
+        def second_batch(**caches):
+            ctx = EvaluationContext(
+                small_catalog,
+                functions=registry,
+                use_plans=path != "interpreted",
+                **caches,
+            )
+            if path == "columnar":
+                batch = make_batch_invoker(attached, registry)
+                invoke = lambda: batch([sample_tweet], ctx)  # noqa: E731
+            else:
+                scalar = make_invoker(attached, registry)
+                invoke = lambda: scalar(sample_tweet, ctx)  # noqa: E731
+            ratings.upsert({"country_code": "US", "safety_rating": "3"})
+            invoke()
+            version = ratings.version
+            update = {"country_code": "US", "safety_rating": "8"}
+            key, hashed = ratings.locate(update)
+            ratings.partitions[hashed % ratings.num_partitions].upsert(key, update)
+            assert ratings.version == version
+            ctx.refresh_batch()
+            return invoke()[0]["safety_rating"], ctx
+
+        uncached, _ = second_batch()
+        cached, ctx = second_batch(
+            state_cache=StateCache(budget_bytes=8 << 20),
+            memo=EnrichmentMemo(budget_bytes=8 << 20) if with_memo else None,
+        )
+        assert cached == uncached == ["8"]
+        assert ctx.state_cache.stats()["version_mismatches"] >= 1
+
     def test_interpreted_path_uses_cache_too(
         self, small_catalog, registry, sample_tweet
     ):
@@ -314,3 +350,84 @@ class TestEvaluatorIntegration:
             "CREATE FUNCTION enrichTweetQ1(t) { SELECT t.* }"
         )
         assert len(registry.state_cache) == 0
+
+
+#: Figure 18's shape: a LET whose subquery reads only catalog datasets
+UNCORRELATED = {
+    "top2": "SELECT VALUE p.country FROM Pop p ORDER BY p.population DESC LIMIT 2",
+    "empty": "SELECT VALUE p.country FROM Pop p WHERE p.population < 0",
+}
+
+
+class TestUncorrelatedSubqueryReuse:
+    """An uncorrelated subquery's result is the one cached value that no
+    snapshot can re-derive: the entry itself carries it across batches."""
+
+    def _three_generations(self, path, subquery, state_cache):
+        """Per generation: (rows, hits, reused records, records scanned);
+        a write lands before the third."""
+        pop = Dataset("Pop", open_type("PopT"), "country", 2, validate=False)
+        for rank, country in enumerate("ABC"):
+            pop.insert({"country": country, "population": 10 * rank})
+        registry = FunctionRegistry(lambda: {"Pop"})
+        registry.register_sqlpp(
+            f"CREATE FUNCTION ranked(t) {{ LET top = ({UNCORRELATED[subquery]}) "
+            "SELECT t.*, top }"
+        )
+        ctx = EvaluationContext(
+            {"Pop": pop},
+            functions=registry,
+            use_plans=path != "interpreted",
+            state_cache=state_cache,
+        )
+        attached = [AttachedFunction("ranked")]
+        if path == "columnar":
+            batch = make_batch_invoker(attached, registry)
+            invoke = lambda t: batch([t], ctx)  # noqa: E731
+        else:
+            scalar = make_invoker(attached, registry)
+            invoke = lambda t: scalar(t, ctx)  # noqa: E731
+        generations = []
+        for generation in range(3):
+            if generation == 2:
+                pop.insert({"country": "D", "population": 99})
+            ctx.refresh_batch()
+            ctx.shared_meter.reset()
+            rows = invoke({"id": generation}) + invoke({"id": generation + 10})
+            meter = ctx.shared_meter
+            generations.append(
+                (
+                    rows,
+                    meter.state_cache_hits,
+                    meter.state_cache_reused_records,
+                    meter.records_scanned,
+                )
+            )
+        return generations
+
+    @pytest.mark.parametrize("subquery", sorted(UNCORRELATED))
+    @pytest.mark.parametrize("path", ["interpreted", "planned", "columnar"])
+    def test_result_reused_until_a_write(self, path, subquery):
+        cache = StateCache(budget_bytes=8 << 20)
+        plain = self._three_generations(path, subquery, None)
+        cached = self._three_generations(path, subquery, cache)
+
+        assert [rows for rows, *_ in cached] == [rows for rows, *_ in plain]
+        top = {"top2": (["C", "B"], ["D", "C"]), "empty": ([], [])}[subquery]
+        assert [rows[0]["top"] for rows, *_ in cached] == [top[0], top[0], top[1]]
+
+        assert [gen[1:] for gen in plain] == [(0, 0, 3), (0, 0, 3), (0, 0, 4)]
+        # generation 1 builds (and scans); generation 2 is one hit, charged
+        # as a reuse of the cached rows, with no scan behind it — an empty
+        # result list is a hit like any other; the write makes generation 3
+        # a version-mismatched miss that rebuilds
+        assert [gen[1:] for gen in cached] == [
+            (0, 0, 3),
+            (1, len(top[0]), 0),
+            (0, 0, 4),
+        ]
+        stats = cache.stats()
+        assert stats["hits"] == 1
+        # ("uncorrelated", token) and ("scan", "Pop"): absent, then stale
+        assert stats["misses"] == 4
+        assert stats["version_mismatches"] == 2

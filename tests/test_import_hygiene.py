@@ -5,6 +5,9 @@ every call (a ``sys.modules`` lookup plus, for ``from .. import``, the
 package-resolution helpers): on a per-record function that was the largest
 single row of the plain-feed profile.  The hot packages import at module
 level; a deliberate exception goes in ``ALLOWED`` with its reason.
+
+Also the package boundary: ``benchmarks/`` imports ``repro``, never the
+reverse, and ``repro/bench`` holds only what ``src/`` callers import.
 """
 
 import ast
@@ -56,3 +59,26 @@ def test_no_function_level_imports_on_hot_paths():
 def test_allow_list_has_no_stale_entries():
     found = {where for path in CHECKED for where, _ in function_level_imports(path)}
     assert set(ALLOWED) <= found
+
+
+def test_src_never_imports_from_benchmarks():
+    """The dependency arrow points one way: ``benchmarks -> repro``."""
+    benchmark_modules = {"benchmarks", "suites", "bench_all"}
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in benchmark_modules for name in names):
+                offenders.append(f"{path.relative_to(SRC).as_posix()}:{node.lineno}")
+    assert not offenders
+
+
+def test_repro_bench_holds_only_what_src_callers_import():
+    """A suite is a scenario under ``benchmarks/suites``, not a module here."""
+    modules = sorted(path.stem for path in (SRC / "bench").glob("*.py"))
+    assert modules == ["__init__", "harness", "reporting", "wallclock"]

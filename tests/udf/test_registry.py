@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import UdfError, UdfRegistrationError
+from repro.ingestion.feed import AttachedFunction
+from repro.ingestion.udf_operator import make_invoker
 from repro.sqlpp.evaluator import EvaluationContext
 from repro.udf import FunctionRegistry, JavaUdf, JavaUdfDescriptor
 
@@ -44,15 +46,16 @@ class TestSqlppRegistration:
         reg.register_sqlpp("CREATE FUNCTION f(a) { SELECT VALUE lower(a) }")
         assert calls["count"] == 1
 
-    def test_prepared_invoker_tracks_replacement(self, reg):
+    def test_make_invoker_tracks_replacement(self, reg):
         reg.register_sqlpp("CREATE FUNCTION f(a) { SELECT VALUE a + 1 }")
-        prepared = reg.prepared_invoker("f")
+        invoke = make_invoker([AttachedFunction("f")], reg)
         ctx = EvaluationContext({}, functions=reg)
-        assert prepared([1], ctx) == [2]
+        assert invoke(1, ctx) == [2]
         reg.replace_sqlpp("CREATE FUNCTION f(a) { SELECT VALUE a + 10 }")
-        assert prepared([1], ctx) == [11]  # re-resolves on version bump
-        with pytest.raises(UdfError, match="expects 1 argument"):
-            prepared([1, 2], ctx)
+        assert invoke(1, ctx) == [11]  # the very next record, same batch
+        reg.replace_sqlpp("CREATE FUNCTION f(a, b) { SELECT VALUE a + b }")
+        with pytest.raises(UdfError, match="expects 2 argument"):
+            invoke(1, ctx)
 
     def test_stateful_classification(self, reg):
         udf = reg.register_sqlpp(
