@@ -24,9 +24,10 @@ CASES = [
 ]
 NODE_SIZES = [6, 12, 18, 24]
 TWEETS = env_tweets(7000)
-# the naive scan plan's real (wall-clock) cost per tweet is ~20x the
-# others'; its simulated throughput is per-record dominated, so a shorter
-# stream measures the same steady state
+# the naive scan plan tests every monument for every tweet (in wall-clock
+# 3-8x the others' cost per tweet); its simulated throughput is per-record
+# dominated, so a shorter stream measures the same steady state, and the
+# committed table was produced at this count
 NAIVE_TWEETS = env_tweets(800)
 
 

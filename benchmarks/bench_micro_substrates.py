@@ -5,15 +5,16 @@ the building blocks so substrate regressions are visible independently of
 the simulated-time results.
 """
 
+import json
 import random
 
 import pytest
 
 from repro.adm import Point, open_type, parse_json
-from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
+from repro.sqlpp import EvaluationContext, Evaluator, edit_distance, parse_expression
 from repro.storage import BPlusTree, Dataset, LSMTree, RTree
-from repro.udf.library import SQLPP_UDFS
-from repro.workloads import TweetGenerator
+from repro.udf.library import SQLPP_UDFS, RemoveSpecialUdf
+from repro.workloads import PaperWorkload, TweetGenerator, WorkloadScale
 
 
 def test_micro_adm_parse(benchmark):
@@ -62,6 +63,19 @@ def test_micro_btree_probe(benchmark):
     benchmark(probe_all)
 
 
+def test_micro_rtree_build(benchmark):
+    rnd = random.Random(0)
+    points = [Point(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(5000)]
+
+    def insert_5000():
+        tree = RTree(max_entries=16)
+        for pk, point in enumerate(points):
+            tree.insert(point, pk)
+        return tree
+
+    benchmark(insert_5000)
+
+
 def test_micro_rtree_probe(benchmark):
     rnd = random.Random(0)
     tree = RTree(max_entries=16)
@@ -79,6 +93,24 @@ def test_micro_rtree_probe(benchmark):
             list(tree.search(query))
 
     benchmark(probe_all)
+
+
+def test_micro_edit_distance(benchmark):
+    """Q4's pairs: cleaned screen names against the sensitive-name list."""
+    workload = PaperWorkload(scale=WorkloadScale(reference_scale=0.01))
+    suspects = [record["sensitiveName"] for record in workload.sensitive_names()]
+    clean = RemoveSpecialUdf().evaluate
+    names = [
+        clean(json.loads(raw)["user"]["screen_name"])
+        for raw in workload.tweet_generator.raw_json(100)
+    ]
+
+    def all_pairs():
+        for name in names:
+            for suspect in suspects:
+                edit_distance(name, suspect)
+
+    benchmark(all_pairs)
 
 
 def test_micro_sqlpp_parse(benchmark):

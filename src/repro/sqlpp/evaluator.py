@@ -32,7 +32,8 @@ from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..adm.schema import field_getter
-from ..adm.values import MISSING
+from ..adm.values import MISSING, Point
+from ..adm.values import spatial_intersect as _geo_intersect
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
 from ..storage.index import IndexKind
@@ -70,9 +71,6 @@ from .plans import (
     aggregate_values,
     apply_binary,
     default_alias,
-    match_equality,
-    match_spatial,
-    other_side_center,
     truthy,
 )
 from .plans import find_access_path as _plan_find_access_path
@@ -1054,6 +1052,10 @@ class Evaluator:
         ctx = self.ctx
         terms = plan.terms
         total = len(terms)
+        if terms[0].filter_join is not None:
+            tuples = self._spatial_filter_join(terms[0], scope)
+            if tuples is not None:
+                return tuples
         post_let_fns = plan.post_let_fns
         where_fn = plan.where_fn
         tuples: List[Env] = []
@@ -1117,18 +1119,95 @@ class Evaluator:
                 return self._btree_probe(dataset, index_name, probe_value)
             return self._hash_probe(dataset, tp.access_field, probe_value)
         if tp.access_kind == "spatial":
-            index_name = (
-                dataset.index_on(tp.access_field, IndexKind.RTREE)
-                if not tp.no_index
-                else None
-            )
-            if index_name is not None and self.ctx.allow_index:
+            index_name = self._spatial_index(tp, dataset)
+            if index_name is not None:
                 query = tp.probe_fn(self, env)
                 if query is MISSING or query is None:
                     return []
                 return self._rtree_probe(dataset, index_name, query)
             # no index: fall through to a batch-cached scan (naive NLJ)
         return self._scan_dataset(dataset)
+
+    def _spatial_index(self, tp: TermPlan, dataset) -> Optional[str]:
+        """The R-tree serving ``tp`` right now — asked per access, so an
+        index created or dropped mid-run flips the path without a re-plan."""
+        if tp.no_index or not self.ctx.allow_index:
+            return None
+        return dataset.index_on(tp.access_field, IndexKind.RTREE)
+
+    def _spatial_filter_join(self, tp: TermPlan, scope: Env) -> Optional[List[Env]]:
+        """The tuple envs of a :class:`~repro.sqlpp.plans.SpatialFilterJoin`
+        block, or None when this binding must run the scalar loop.
+
+        Candidates come from the same R-tree probe or charged scan as
+        :meth:`_planned_access`; each one's field value is tested against
+        the probe region directly, and only the survivors get an ``Env``
+        and the residual WHERE.  ``spatial_tests`` is charged for exactly
+        the candidates the builtin would have charged: those whose field
+        is neither MISSING nor NULL, up to and including one that raises.
+        """
+        kernel = tp.filter_join
+        ctx = self.ctx
+        functions = ctx.functions
+        if scope._group_env is not None or (
+            functions is not None and any(map(functions.has, kernel.calls))
+        ):
+            return None  # an outer GROUP BY key or a UDF may shadow the conjunct
+        dataset = ctx.catalog[tp.dataset_name]
+        index_name = self._spatial_index(tp, dataset)
+        if index_name is not None:
+            region = tp.probe_fn(self, scope)
+            if region is MISSING or region is None:
+                return []
+            records = self._rtree_probe(dataset, index_name, region)
+            values = kernel.column_of(records)
+        else:
+            snapshot = self._charged_scan(dataset)
+            records = snapshot.records
+            try:
+                region = tp.probe_fn(self, scope)
+            except Exception:
+                return None  # the scalar loop raises it where, and if, it would
+            if region is MISSING or region is None:
+                # flipped, create_circle still type-checks every center
+                return None if kernel.flipped else []
+            values = snapshot.derived(("column", tp.access_field), kernel.column_of)
+        if kernel.flipped:  # as written: the circle is around the candidate
+            center, radius = region.center, region.radius
+            contains = lambda point: point.distance_to(center) <= radius
+        else:
+            contains = getattr(region, "contains_point", None)  # circle, rectangle
+        var, residual_fn = tp.var, kernel.residual_fn
+        tuples: List[Env] = []
+        tests = 0
+        try:
+            for record, value in zip(records, values):
+                if value is MISSING or value is None:
+                    continue
+                try:
+                    if contains is not None and isinstance(value, Point):
+                        tests += 1
+                        hit = contains(value)
+                    elif kernel.flipped:
+                        raise SqlppEvaluationError(
+                            "create_circle: center must be a point"
+                        )
+                    else:
+                        tests += 1
+                        hit = (
+                            _geo_intersect(value, region)
+                            if kernel.field_first
+                            else _geo_intersect(region, value)
+                        )
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise SqlppEvaluationError(f"{kernel.call_name}: {exc}") from exc
+                if hit:
+                    env = Env({var: record}, scope)
+                    if residual_fn is None or _truthy(residual_fn(self, env)):
+                        tuples.append(env)
+        finally:
+            ctx.meter.spatial_tests += tests
+        return tuples
 
     def _planned_order_key(self, plan: SelectPlan, env: Env, row) -> Tuple:
         oenv = self._order_env(env, row)
@@ -1273,12 +1352,6 @@ def _distinct_rows(rows: List) -> List:
             seen.add(key)
             out.append(row)
     return out
-
-
-# Pattern matchers for access-path selection live in plans.py (they are
-# shared by plan building); historical module-private aliases:
-_match_equality = match_equality
-_match_spatial = match_spatial
 
 
 # Bind the dispatch table now that all methods exist.

@@ -7,6 +7,7 @@ Builtins receive the evaluation context first so the expensive ones
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Dict, List
 
 from ..adm.values import (
@@ -83,24 +84,51 @@ VECTORIZABLE_BUILTINS = frozenset(
 )
 
 
+@lru_cache(maxsize=4096)
+def _match_masks(pattern) -> Dict[object, int]:
+    """Per character, the bitmask of the positions it occupies in ``pattern``."""
+    masks: Dict[object, int] = {}
+    for position, char in enumerate(pattern):
+        masks[char] = masks.get(char, 0) | (1 << position)
+    return masks
+
+
 def edit_distance(a: str, b: str, meter=None) -> int:
-    """Levenshtein distance with O(min(a,b)) rows; meters DP cells."""
+    """Levenshtein distance, bit-parallel; meters the DP matrix's cells.
+
+    Myers' algorithm in Hyyrö's formulation: one column of the DP matrix
+    is two bit-vectors (which vertical deltas are +1, which are -1), and a
+    text character advances the column with a fixed number of word
+    operations.  Python ints are the words, so a pattern of any length is
+    one word; the charge stays the full matrix the textbook DP fills.
+    """
     if len(a) < len(b):
         a, b = b, a
     if meter is not None:
         meter.edit_distance_cells += (len(a) + 1) * (len(b) + 1)
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            cost = 0 if ca == cb else 1
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + cost)
-            )
-        previous = current
-    return previous[-1]
+    # the longer side is the pattern: fewer steps (an array is hashed as a tuple)
+    masks = _match_masks(a if isinstance(a, str) else tuple(a))
+    distance = len(a)
+    full = (1 << distance) - 1
+    last = 1 << (distance - 1)
+    # vertical +1 / -1 deltas of the current column; d0 marks the zero
+    # diagonal deltas, hp / hn the horizontal +1 / -1 deltas into the next
+    vp, vn = full, 0
+    for char in b:
+        eq = masks.get(char, 0)
+        d0 = ((((eq & vp) + vp) ^ vp) | eq | vn) & full
+        hp = vn | (full & ~(d0 | vp))
+        hn = d0 & vp
+        if hp & last:
+            distance += 1
+        elif hn & last:
+            distance -= 1
+        hp = ((hp << 1) | 1) & full
+        vp = ((hn << 1) & full) | (full & ~(d0 | hp))
+        vn = hp & d0
+    return distance
 
 
 def _propagate_missing(*args) -> bool:
@@ -241,6 +269,12 @@ class Builtins:
         def _create_rectangle(ctx, p1, p2):
             if _propagate_missing(p1, p2):
                 return MISSING
+            if p1 is None or p2 is None:
+                return None
+            if not (isinstance(p1, Point) and isinstance(p2, Point)):
+                raise SqlppEvaluationError(
+                    "create_rectangle: corners must be points"
+                )
             return Rectangle(p1.x, p1.y, p2.x, p2.y)
 
         def _spatial_intersect(ctx, a, b):

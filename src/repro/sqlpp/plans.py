@@ -28,8 +28,10 @@ acyclic.
 
 from __future__ import annotations
 
+from functools import reduce
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..adm.schema import field_getter
 from ..adm.values import MISSING, DateTime, Duration
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from .analysis import (
@@ -57,8 +59,9 @@ from .ast import (
     Subquery,
     UnaryOp,
     VarRef,
+    walk,
 )
-from .functions import AGGREGATE_NAMES, BUILTINS
+from .functions import AGGREGATE_NAMES, BUILTINS, VECTORIZABLE_BUILTINS
 
 #: the "name is unbound" marker shared with ``Env`` (class attr ``_SENTINEL``)
 SENTINEL = object()
@@ -207,20 +210,18 @@ def match_equality(conjunct: Expr, var: str, allowed: Set[str]):
 def match_spatial(conjunct: Expr, var: str, allowed: Set[str]):
     """Match spatial_intersect patterns usable with an R-tree on ``var``.
 
-    Handled shapes (x = any expression not referencing ``var``):
+    Handled shapes (X = any expression not referencing ``var``, P = a
+    ``create_point(...)`` call not referencing it):
       spatial_intersect(var.f, X)                -> probe with X
       spatial_intersect(X, var.f)                -> probe with X
-      spatial_intersect(X, create_circle(var.f, R)) -> probe with circle(X', R)
+      spatial_intersect(P, create_circle(var.f, R)) -> probe with circle(P, R)
         (point-in-circle around var.f  ==  var.f within R of the point)
+    The circle flip is an identity only for a point, so any other outer
+    region has no access path and is filtered from the scan.
     Returns (field, probe_expr) where probe_expr evaluates to the query
     region, or None.
     """
-    if not (
-        isinstance(conjunct, Call)
-        and conjunct.library is None
-        and conjunct.name.lower() == "spatial_intersect"
-        and len(conjunct.args) == 2
-    ):
+    if not _is_builtin_call(conjunct, "spatial_intersect", 2):
         return None
     outer_allowed = allowed - {var}
     a, b = conjunct.args
@@ -228,12 +229,8 @@ def match_spatial(conjunct: Expr, var: str, allowed: Set[str]):
         path = field_path_of(term_side, var)
         if path is not None and references_only(other_side, outer_allowed):
             return (path, other_side)
-        # create_circle(var.f, R) vs outer point/expr
-        if (
-            isinstance(term_side, Call)
-            and term_side.library is None
-            and term_side.name.lower() == "create_circle"
-            and len(term_side.args) == 2
+        if _is_builtin_call(term_side, "create_circle", 2) and _is_builtin_call(
+            other_side, "create_point", 2
         ):
             center, radius = term_side.args
             path = field_path_of(center, var)
@@ -242,18 +239,17 @@ def match_spatial(conjunct: Expr, var: str, allowed: Set[str]):
                 and references_only(radius, outer_allowed)
                 and references_only(other_side, outer_allowed)
             ):
-                probe = Call("create_circle", (other_side_center(other_side), radius))
-                return (path, probe)
+                return (path, Call("create_circle", (other_side, radius)))
     return None
 
 
-def other_side_center(expr: Expr) -> Expr:
-    """The probe center for the circle-flip rewrite.
-
-    If the outer side is ``create_point(x, y)`` we can use it directly;
-    any other expression is used as-is (it must evaluate to a point).
-    """
-    return expr
+def _is_builtin_call(expr: Expr, name: str, arity: int) -> bool:
+    return (
+        isinstance(expr, Call)
+        and expr.library is None
+        and expr.name.lower() == name
+        and len(expr.args) == arity
+    )
 
 
 def find_access_path(
@@ -678,6 +674,7 @@ class TermPlan:
         "probe_expr",
         "probe_fn",
         "source_fn",  # compiled source for non-dataset terms
+        "filter_join",  # SpatialFilterJoin when the kernel may run this term
     )
 
     def __init__(self):
@@ -691,6 +688,55 @@ class TermPlan:
         self.probe_expr = None
         self.probe_fn = None
         self.source_fn = None
+        self.filter_join = None
+
+
+class SpatialFilterJoin:
+    """What ``Evaluator._spatial_filter_join`` needs to test a term's
+    candidates against its probe region without an ``Env`` apiece.
+
+    The kernel evaluates the region once per outer binding and the access
+    conjunct once per candidate.  The scalar loop does the same only when
+    that conjunct is the first thing the WHERE evaluates for every
+    candidate — it leads the WHERE and the term is the block's only one —
+    and evaluating the region is charge-free and repeatable: no subquery,
+    no Java, metered or aggregate call, and (checked on every run, against
+    ``calls``) no registered function under a builtin's name.
+    """
+
+    __slots__ = ("call_name", "calls", "field_first", "flipped", "column_of",
+                 "residual_fn")
+
+    def __init__(self, tp: TermPlan, conjuncts: List[Expr], calls: FrozenSet[str]):
+        lead = conjuncts[0]
+        self.call_name = lead.name  # as written: it prefixes wrapped errors
+        self.calls = calls | {lead.name}
+        first, second = (field_path_of(arg, tp.var) is not None for arg in lead.args)
+        self.field_first = first
+        self.flipped = not (first or second)  # create_circle(var.f, R) instead
+        get = field_getter(tp.access_field)
+        self.column_of = lambda records: tuple(map(get, records))
+        self.residual_fn = (
+            compile_expr(reduce(lambda l, r: BinaryOp("and", l, r), conjuncts[1:]))
+            if len(conjuncts) > 1
+            else None
+        )
+
+
+def _charge_free_calls(exprs) -> Optional[FrozenSet[str]]:
+    """The function names ``exprs`` call, as written — or None when
+    evaluating them can charge a meter or differ from one time to the next."""
+    names = set()
+    for node in (node for expr in exprs for node in walk(expr)):
+        if isinstance(node, (SelectBlock, Subquery, Star)):
+            return None
+        if isinstance(node, Call):
+            if node.library is not None:
+                return None
+            if node.name.lower() not in VECTORIZABLE_BUILTINS:
+                return None
+            names.add(node.name)
+    return frozenset(names)
 
 
 class SelectPlan:
@@ -831,6 +877,18 @@ def _plan_from_terms(
         plans.append(tp)
         bound.add(term.var)
         visible.add(term.var)
+    tp = plans[0]
+    if (
+        len(plans) == 1
+        and tp.access_kind == "spatial"
+        and not block.post_lets
+        # find_access_path takes the first conjunct that matches, so if the
+        # leading one does it is the term's access conjunct
+        and match_spatial(conjuncts[0], tp.var, outer_bound | catalog_names)
+    ):
+        calls = _charge_free_calls((*conjuncts[0].args, tp.probe_expr))
+        if calls is not None:
+            tp.filter_join = SpatialFilterJoin(tp, conjuncts, calls)
     return tuple(plans)
 
 

@@ -9,7 +9,7 @@ search-by-query-rectangle.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..adm.values import Circle, Point, Rectangle
 
@@ -57,10 +57,10 @@ class _RNode:
         self.parent: Optional[_RNode] = None
 
     def mbr(self) -> Rectangle:
-        out = self.entries[0].mbr
-        for entry in self.entries[1:]:
-            out = _union(out, entry.mbr)
-        return out
+        x1s, y1s, x2s, y2s = zip(
+            *[(e.mbr.x1, e.mbr.y1, e.mbr.x2, e.mbr.y2) for e in self.entries]
+        )
+        return Rectangle(min(x1s), min(y1s), max(x2s), max(y2s))
 
 
 class RTree:
@@ -90,9 +90,9 @@ class RTree:
         self._adjust_upward(leaf)
 
     def _adjust_upward(self, node: _RNode) -> None:
-        """Re-tighten every ancestor entry MBR after a leaf change."""
+        """Re-tighten the entry of every node on the path up from ``node``."""
         while node.parent is not None:
-            self._refresh_entry_mbrs(node.parent)
+            self._tighten(node)
             node = node.parent
 
     def _choose_leaf(self, node: _RNode, mbr: Rectangle) -> _RNode:
@@ -118,7 +118,7 @@ class RTree:
                 return
             parent.entries.append(_Entry(sibling.mbr(), child=sibling))
             sibling.parent = parent
-            self._refresh_entry_mbrs(parent)
+            self._tighten(node)
             node = parent
 
     def _split(self, node: _RNode) -> _RNode:
@@ -164,10 +164,18 @@ class RTree:
                 entry.child.parent = sibling
         return sibling
 
-    def _refresh_entry_mbrs(self, node: _RNode) -> None:
-        for entry in node.entries:
-            if entry.child is not None:
-                entry.mbr = entry.child.mbr()
+    @staticmethod
+    def _tighten(node: _RNode) -> None:
+        """Set the parent entry of ``node`` to the union of its entries.
+
+        Every interior entry equals its child's union between operations,
+        so an insert or delete leaves only the entries above the nodes it
+        changed to recompute; the siblings are already exact.
+        """
+        for entry in node.parent.entries:
+            if entry.child is node:
+                entry.mbr = node.mbr()
+                return
 
     # ----------------------------------------------------------------- delete
 
@@ -205,7 +213,7 @@ class RTree:
                 parent.entries = [e for e in parent.entries if e.child is not node]
                 self._collect_leaf_entries(node, orphans)
             else:
-                self._refresh_entry_mbrs(parent)
+                self._tighten(node)
             node = parent
         if not self._root.is_leaf and len(self._root.entries) == 1:
             self._root = self._root.entries[0].child
@@ -224,8 +232,8 @@ class RTree:
 
     # ----------------------------------------------------------------- search
 
-    def search(self, query) -> Iterator[Tuple[object, object]]:
-        """Yield (spatial_value, primary_key) whose MBR intersects ``query``.
+    def search(self, query) -> List[Tuple[object, object]]:
+        """The (spatial_value, primary_key) whose MBR intersects ``query``.
 
         ``query`` may be a Point/Rectangle/Circle; circles are searched by
         their MBR (callers apply the exact predicate afterwards, as the
@@ -233,16 +241,24 @@ class RTree:
         """
         self.probes += 1
         query_mbr = mbr_of(query)
+        qx1, qy1, qx2, qy2 = query_mbr.x1, query_mbr.y1, query_mbr.x2, query_mbr.y2
+        found: List[Tuple[object, object]] = []
+        visited = 0
         stack = [self._root]
         while stack:
             node = stack.pop()
-            self.nodes_visited += 1
+            visited += 1
+            is_leaf = node.is_leaf
             for entry in node.entries:
-                if entry.mbr.intersects(query_mbr):
-                    if node.is_leaf:
-                        yield entry.payload
+                m = entry.mbr
+                # ``m.intersects(query_mbr)``, inlined
+                if not (qx1 > m.x2 or qx2 < m.x1 or qy1 > m.y2 or qy2 < m.y1):
+                    if is_leaf:
+                        found.append(entry.payload)
                     else:
                         stack.append(entry.child)
+        self.nodes_visited += visited
+        return found
 
     def check_invariants(self) -> None:
         """Assert structural invariants (used by property tests)."""

@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adm import Point, Rectangle
+from repro.adm import Circle, Point, Rectangle
 from repro.storage import BPlusTree, RTree
 
 postings = st.lists(
@@ -64,6 +64,25 @@ coords = st.floats(min_value=0, max_value=100, allow_nan=False, width=32)
 points = st.tuples(coords, coords)
 
 
+def assert_entries_are_tight(node):
+    """Every interior entry's MBR *is* the union of its child's entries.
+
+    ``check_invariants`` accepts any cover, so it would pass a tree whose
+    ancestors were never re-tightened; searches on one visit more nodes.
+    """
+    if node.is_leaf:
+        return
+    for entry in node.entries:
+        mbrs = [child_entry.mbr for child_entry in entry.child.entries]
+        assert entry.mbr == Rectangle(
+            min(m.x1 for m in mbrs),
+            min(m.y1 for m in mbrs),
+            max(m.x2 for m in mbrs),
+            max(m.y2 for m in mbrs),
+        )
+        assert_entries_are_tight(entry.child)
+
+
 class TestRTreeProperties:
     @given(st.lists(points, max_size=200), points, points)
     @settings(max_examples=50)
@@ -100,3 +119,34 @@ class TestRTreeProperties:
         world = Rectangle(0, 0, 100, 100)
         got = sorted(pk for _v, pk in tree.search(world))
         assert got == sorted(pk for _p, pk in remaining)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from("pprc"), points, st.sampled_from([False, False, True])
+            ),
+            min_size=20,  # past one node, so there are interior entries
+            max_size=150,
+        ),
+        st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=60)
+    def test_entries_stay_tight_under_inserts_and_deletes(self, ops, max_entries):
+        """Only the path an operation changed is re-tightened; that is
+        enough only if every other entry was exact to begin with."""
+        tree = RTree(max_entries=max_entries)
+        live = []
+        for pk, (shape, (x, y), delete) in enumerate(ops):
+            if delete and live:
+                assert tree.delete(*live.pop(pk % len(live)))
+            else:
+                value = {
+                    "p": Point(x, y),
+                    "r": Rectangle(x, y, x + 3.0, y + 1.0),
+                    "c": Circle(Point(x, y), 2.0),
+                }[shape]
+                tree.insert(value, pk)
+                live.append((value, pk))
+            assert_entries_are_tight(tree._root)
+        tree.check_invariants()
+        assert len(tree) == len(live)

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hyracks.cost import WorkMeter
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.sqlpp.functions import edit_distance
 
@@ -88,7 +89,39 @@ class TestSelectProperties:
 words = st.text(alphabet="abcdef", max_size=12)
 
 
+def textbook_edit_distance(a, b):
+    """The full Levenshtein matrix, row by row: (distance, cells filled)."""
+    previous = list(range(len(b) + 1))
+    cells = len(previous)
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        cells += len(current)
+        previous = current
+    return previous[-1], cells
+
+
+# any unicode (mostly disjoint texts), two letters (every alignment is
+# plausible), and few-letter texts running past one 64-bit word of pattern
+texts = st.one_of(
+    st.text(max_size=20),
+    st.text(alphabet="ab", max_size=12),
+    st.text(alphabet="abé☃", min_size=50, max_size=150),
+)
+
+
 class TestEditDistanceProperties:
+    @given(texts, texts)
+    @settings(max_examples=300)
+    def test_bit_parallel_matches_the_textbook_matrix(self, a, b):
+        meter = WorkMeter()
+        expected, cells = textbook_edit_distance(a, b)
+        assert edit_distance(a, b, meter) == expected
+        assert meter.edit_distance_cells == cells
+
     @given(words, words)
     @settings(max_examples=100)
     def test_symmetric(self, a, b):

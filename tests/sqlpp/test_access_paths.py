@@ -7,7 +7,7 @@ probes see mid-batch updates; uncorrelated subqueries cache per batch.
 
 import pytest
 
-from repro.adm import Point, open_type
+from repro.adm import Point, Rectangle, open_type
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.storage import Dataset, IndexKind
 from repro.udf import FunctionRegistry, register_paper_udfs
@@ -178,6 +178,40 @@ class TestSpatialAccess:
         )
         assert sorted(got) == ["m2", "m3", "m4"]
         assert ctx.meter.rtree_nodes_visited > 0
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize(
+        "region, expected",
+        [
+            ("create_point(3.0, 3.0)", ["m2", "m3", "m4"]),
+            (
+                "create_rectangle(create_point(2.0, 2.0), create_point(3.0, 3.0))",
+                ["m1", "m2", "m3", "m4"],
+            ),
+            ("create_circle(create_point(3.0, 3.0), 1.0)", ["m2", "m3", "m4"]),
+            ("t.where", ["m5", "m6", "m7"]),
+        ],
+    )
+    def test_flipped_circle_index_on_equals_index_off(
+        self, monuments, region, expected, use_plans
+    ):
+        # the flip is an identity only for a point: any other outer region
+        # must be filtered exactly, never handed to create_circle as a center
+        query = parse_expression(
+            "SELECT VALUE m.monument_id FROM monumentList m "
+            f"WHERE spatial_intersect({region}, "
+            "create_circle(m.monument_location, 1.5))"
+        )
+        bindings = {"t": {"where": Rectangle(6.0, 6.0, 6.5, 6.5)}}
+        got = {}
+        for allow_index in (True, False):
+            ctx = EvaluationContext(
+                {"monumentList": monuments},
+                allow_index=allow_index,
+                use_plans=use_plans,
+            )
+            got[allow_index] = sorted(Evaluator(ctx).evaluate_query(query, bindings))
+        assert got[True] == got[False] == expected
 
 
 class TestUncorrelatedCaching:

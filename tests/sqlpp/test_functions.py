@@ -128,6 +128,15 @@ class TestSpatialFunctions:
         got = run("create_rectangle(create_point(0, 0), create_point(2, 3))")
         assert got == Rectangle(0, 0, 2, 3)
 
+    def test_create_rectangle_propagates_unknowns_like_its_siblings(self):
+        from repro.errors import SqlppEvaluationError
+
+        assert run("create_rectangle(null, create_point(1.0, 2.0))") is None
+        assert run("create_rectangle(create_point(1.0, 2.0), null)") is None
+        assert run("create_rectangle(missing, null)") is MISSING
+        with pytest.raises(SqlppEvaluationError, match="corners must be points"):
+            run("create_rectangle(1, create_point(1.0, 2.0))")
+
     def test_spatial_intersect_and_meter(self):
         ctx = EvaluationContext({})
         result = Evaluator(ctx).evaluate_query(
