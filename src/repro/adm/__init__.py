@@ -7,20 +7,17 @@ plus open/closed record datatypes (Section 2.1 of the paper).
 from .parser import (
     coerce_record,
     parse_json,
-    parse_json_lines,
     record_size_bytes,
     serialize,
 )
 from .schema import (
-    closed_type,
     field_path,
     make_type,
     open_type,
     primary_key_of,
-    set_field_path,
     split_path,
 )
-from .types import Datatype, FieldType, TypeTag, tag_of
+from .types import Datatype, FieldType, TypeTag
 from .values import (
     MISSING,
     Circle,
@@ -41,18 +38,14 @@ __all__ = [
     "Point",
     "Rectangle",
     "TypeTag",
-    "closed_type",
     "coerce_record",
     "field_path",
     "make_type",
     "open_type",
     "parse_json",
-    "parse_json_lines",
     "primary_key_of",
     "record_size_bytes",
     "serialize",
-    "set_field_path",
     "spatial_intersect",
     "split_path",
-    "tag_of",
 ]

@@ -9,7 +9,7 @@ into their ADM wrapper classes based on the target datatype.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from ..errors import AdmParseError
 from .types import Datatype, coerce_record  # noqa: F401 - coerce_record re-exported
@@ -35,16 +35,6 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
     if datatype is not None:
         datatype.decode(raw)
     return raw
-
-
-def parse_json_lines(
-    lines: Iterable[str], datatype: Optional[Datatype] = None
-) -> Iterator[dict]:
-    """Parse newline-delimited JSON records, skipping blank lines."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_json(line, datatype)
 
 
 class _AdmEncoder(json.JSONEncoder):

@@ -100,19 +100,6 @@ def field_getter(path: PathLike) -> Callable[[object], object]:
     return lambda record: field_path(record, steps)
 
 
-def set_field_path(record: dict, path: PathLike, value) -> None:
-    """Set a (possibly nested) field, creating intermediate objects."""
-    steps = split_path(path)
-    current = record
-    for step in steps[:-1]:
-        nxt = current.get(step)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            current[step] = nxt
-        current = nxt
-    current[steps[-1]] = value
-
-
 def primary_key_of(record: dict, key_path: PathLike):
     """Extract the primary key; raises if the key is missing."""
     value = field_path(record, key_path)
@@ -129,7 +116,3 @@ def open_type(type_name: str, **fields: str) -> Datatype:
     field called ``name``.
     """
     return make_type(type_name, fields, open=True)
-
-
-def closed_type(type_name: str, **fields: str) -> Datatype:
-    return make_type(type_name, fields, open=False)

@@ -37,22 +37,6 @@ class TypeTag(enum.Enum):
     ANY = "any"
 
 
-_SCALAR_TAGS = frozenset(
-    {
-        TypeTag.NULL,
-        TypeTag.BOOLEAN,
-        TypeTag.INT64,
-        TypeTag.DOUBLE,
-        TypeTag.STRING,
-        TypeTag.DATETIME,
-        TypeTag.DURATION,
-        TypeTag.POINT,
-        TypeTag.RECTANGLE,
-        TypeTag.CIRCLE,
-    }
-)
-
-
 @dataclass(frozen=True)
 class FieldType:
     """The type of a single declared field.
@@ -87,9 +71,6 @@ class Datatype:
     name: str
     fields: Dict[str, FieldType] = field(default_factory=dict)
     is_open: bool = True
-
-    def declared(self, field_name: str) -> bool:
-        return field_name in self.fields
 
     # The record codec: ``(fields it was compiled from, per-field plan)``.
     # A plain class attribute, not a dataclass field, so equality and repr
@@ -269,38 +250,3 @@ def _validate_value(value, ftype: FieldType, type_name: str, fname: str) -> None
             f"type {type_name}.{fname}: expected {ftype.describe()}, "
             f"got {type(value).__name__} ({value!r})"
         )
-
-
-def tag_of(value) -> TypeTag:
-    """Return the runtime :class:`TypeTag` of a Python-represented ADM value."""
-    if value is MISSING:
-        return TypeTag.MISSING
-    if value is None:
-        return TypeTag.NULL
-    if isinstance(value, bool):
-        return TypeTag.BOOLEAN
-    if isinstance(value, int):
-        return TypeTag.INT64
-    if isinstance(value, float):
-        return TypeTag.DOUBLE
-    if isinstance(value, str):
-        return TypeTag.STRING
-    if isinstance(value, DateTime):
-        return TypeTag.DATETIME
-    if isinstance(value, Duration):
-        return TypeTag.DURATION
-    if isinstance(value, Point):
-        return TypeTag.POINT
-    if isinstance(value, Rectangle):
-        return TypeTag.RECTANGLE
-    if isinstance(value, Circle):
-        return TypeTag.CIRCLE
-    if isinstance(value, list):
-        return TypeTag.ARRAY
-    if isinstance(value, dict):
-        return TypeTag.OBJECT
-    raise AdmTypeError(f"value {value!r} has no ADM type")
-
-
-def is_scalar_tag(tag: TypeTag) -> bool:
-    return tag in _SCALAR_TAGS

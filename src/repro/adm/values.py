@@ -239,10 +239,6 @@ class Rectangle:
             or other.y2 < self.y1
         )
 
-    @property
-    def mbr(self) -> "Rectangle":
-        return self
-
     def __repr__(self):
         return f"rectangle({self.x1},{self.y1} {self.x2},{self.y2})"
 

@@ -15,19 +15,10 @@ from .harness import (
     format_table,
     scaled_batch_sizes,
 )
-from .reporting import (
-    ascii_bar_chart,
-    ascii_line_chart,
-    fleet_utilization_table,
-    layer_utilization_table,
-    speedup_table,
-)
+from .reporting import fleet_utilization_table, layer_utilization_table
 
 __all__ = [
     "BATCH_16X",
-    "ascii_bar_chart",
-    "ascii_line_chart",
-    "speedup_table",
     "BATCH_1X",
     "BATCH_4X",
     "BATCH_SIZES",

@@ -1,92 +1,8 @@
-"""Terminal-friendly rendering of benchmark series.
-
-The benchmarks print the paper's tables; these helpers render the same
-series as ASCII charts for quick shape-checking in environments without
-plotting libraries.
-"""
+"""Per-layer utilization tables for one feed's run or a whole fleet's."""
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-
-def ascii_bar_chart(
-    values: Dict[str, float],
-    width: int = 50,
-    title: Optional[str] = None,
-    log_scale: bool = False,
-) -> str:
-    """Render a labeled horizontal bar chart.
-
-    ``log_scale`` mirrors the paper's Figure 25 presentation: bar lengths
-    proportional to log2 of the value.
-    """
-    if not values:
-        return title or ""
-    import math
-
-    def magnitude(value: float) -> float:
-        if value <= 0:
-            return 0.0
-        return math.log2(value + 1) if log_scale else value
-
-    peak = max(magnitude(v) for v in values.values()) or 1.0
-    label_width = max(len(label) for label in values)
-    lines: List[str] = [title] if title else []
-    for label, value in values.items():
-        bar = "#" * max(1 if value > 0 else 0, round(width * magnitude(value) / peak))
-        lines.append(f"{label.rjust(label_width)} | {bar} {value:,.0f}")
-    return "\n".join(lines)
-
-
-def ascii_line_chart(
-    x_values: Sequence[float],
-    series: Dict[str, Sequence[float]],
-    height: int = 12,
-    width: int = 60,
-    title: Optional[str] = None,
-) -> str:
-    """Render multiple series as an ASCII scatter/line chart.
-
-    Each series gets a marker character; points share the plot area scaled
-    to the global min/max.  Good enough to see 'flat', 'rising', and
-    'crossover' — the shapes EXPERIMENTS.md talks about.
-    """
-    if not series or not x_values:
-        return title or ""
-    markers = "*o+x@%&$"
-    all_y = [y for ys in series.values() for y in ys]
-    y_min, y_max = min(all_y), max(all_y)
-    y_span = (y_max - y_min) or 1.0
-    x_min, x_max = min(x_values), max(x_values)
-    x_span = (x_max - x_min) or 1.0
-
-    grid = [[" "] * width for _ in range(height)]
-    for index, (name, ys) in enumerate(series.items()):
-        marker = markers[index % len(markers)]
-        for x, y in zip(x_values, ys):
-            col = round((x - x_min) / x_span * (width - 1))
-            row = height - 1 - round((y - y_min) / y_span * (height - 1))
-            grid[row][col] = marker
-
-    lines: List[str] = [title] if title else []
-    for row_index, row in enumerate(grid):
-        if row_index == 0:
-            label = f"{y_max:>10,.0f} |"
-        elif row_index == height - 1:
-            label = f"{y_min:>10,.0f} |"
-        else:
-            label = " " * 10 + " |"
-        lines.append(label + "".join(row))
-    lines.append(" " * 11 + "+" + "-" * width)
-    lines.append(
-        " " * 12 + f"{x_min:<10g}" + " " * max(0, width - 20) + f"{x_max:>10g}"
-    )
-    legend = "   ".join(
-        f"{markers[i % len(markers)]} {name}" for i, name in enumerate(series)
-    )
-    lines.append(" " * 12 + legend)
-    return "\n".join(lines)
+from typing import Dict, Optional
 
 
 def layer_utilization_table(
@@ -204,18 +120,3 @@ def fleet_utilization_table(reports: Dict[str, object], per_process: bool = Fals
         f"{total_borrowed} peak borrowed worker(s) across tenants"
     )
     return "\n\n".join(sections)
-
-
-def speedup_table(
-    baseline: Dict[str, float], scaled: Dict[str, float], ideal: float
-) -> str:
-    """Render per-case speed-ups against an ideal (Figure 30 style)."""
-    lines = [f"{'case':<24} {'speed-up':>9} {'of ideal':>9}"]
-    for case in baseline:
-        if baseline[case] <= 0:
-            continue
-        speedup = scaled.get(case, 0.0) / baseline[case]
-        lines.append(
-            f"{case:<24} {speedup:>8.2f}x {speedup / ideal:>8.0%}"
-        )
-    return "\n".join(lines)

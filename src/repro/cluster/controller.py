@@ -136,27 +136,6 @@ class Cluster:
         self.runner = LocalJobRunner(num_nodes, self.cost_model, clock=self.clock)
         self.controller = ClusterController(self.nodes, self.runner)
         self.holder_manager = PartitionHolderManager()
-        #: the cluster's default multi-tenant arbiter; ``start_feeds``
-        #: uses it when no fabric is passed explicitly
-        self.fabric = None
-
-    def attach_fabric(self, fabric) -> None:
-        """Install a :class:`~repro.ingestion.fabric.FeedFabric` as this
-        cluster's default arbiter for multi-feed runs.
-
-        A fabric arbitrates exactly one run (its lease ledger is a run
-        artifact), so attaching replaces any previous — typically spent —
-        fabric.  Refuses to swap while runs are in flight.
-        """
-        if self.controller.active_runs:
-            raise HyracksError(
-                "cannot attach a fabric while runs are active: "
-                + ", ".join(self.controller.active_runs)
-            )
-        self.fabric = fabric
-
-    def detach_fabric(self) -> None:
-        self.fabric = None
 
     def new_runtime(self, name: str) -> Runtime:
         """A discrete-event runtime sharing the cluster's clock."""

@@ -131,9 +131,13 @@ class AsterixLite:
     def create_index(
         self, name: str, dataset: str, field: str, kind: str = "btree"
     ) -> None:
-        self._dataset(dataset).create_index(
-            name, field, IndexKind.RTREE if kind == "rtree" else IndexKind.BTREE
-        )
+        try:
+            index_kind = IndexKind(kind)
+        except ValueError:
+            raise SqlppAnalysisError(
+                f"unknown index type {kind!r}: expected 'btree' or 'rtree'"
+            ) from None
+        self._dataset(dataset).create_index(name, field, index_kind)
         self.registry.invalidate_plans()
 
     def drop_index(self, dataset: str, name: str) -> None:
@@ -340,12 +344,10 @@ class AsterixLite:
         the fleet multi-tenant: per-feed elastic controllers bid into one
         global worker budget, and — when the fabric carries a memory
         governor — each feed's cache/memo becomes a governed private
-        tenant.  Defaults to the cluster's attached fabric
-        (:meth:`Cluster.attach_fabric`) when that one is fresh, else no
-        arbitration (feeds still share the clock but size their pools
-        independently).  Per-feed stored outputs are byte-identical with
-        and without a fabric — the fabric only changes pool sizes over
-        time, never batch order.
+        tenant.  Without one there is no arbitration (feeds still share
+        the clock but size their pools independently).  Per-feed stored
+        outputs are byte-identical with and without a fabric — the fabric
+        only changes pool sizes over time, never batch order.
 
         Per-feed fault plans are merged onto the shared runtime; target
         entries should use feed-scoped names (``feed-<name>.computing``)
@@ -353,8 +355,8 @@ class AsterixLite:
         ``feed=`` field, since bare layer targets match every feed.
 
         Returns ``{feed name: report}``; each feed's report is also its
-        ``last_report`` (visible to :meth:`feed_report`,
-        :meth:`runtime_metrics`, and ``plan_cache_stats(feed=...)``).
+        ``last_report`` (visible to :meth:`feed_report` and
+        ``plan_cache_stats(feed=...)``).
         """
         launches = [
             launch if isinstance(launch, FeedLaunch) else FeedLaunch(feed=launch)
@@ -365,10 +367,6 @@ class AsterixLite:
         names = [launch.feed for launch in launches]
         if len(set(names)) != len(names):
             raise FeedStateError(f"duplicate feeds in start_feeds: {names}")
-        if fabric is None:
-            attached = self.cluster.fabric
-            if attached is not None and not attached.used:
-                fabric = attached
 
         entries = []
         for launch in launches:
@@ -496,16 +494,6 @@ class AsterixLite:
             self, feed, bindings=bindings, policy=policy, fault_plan=fault_plan
         )
 
-    def runtime_metrics(self, feed: str):
-        """The feed's last-run :class:`~repro.runtime.RuntimeMetrics`.
-
-        Per-layer busy/idle/blocked timelines, partition-holder high-water
-        marks, stall counts, and batch latencies — ``None`` before the
-        feed's first run.
-        """
-        report = self._feed(feed).last_report
-        return report.runtime if report is not None else None
-
     # ------------------------------------------------------------------- DML
 
     def insert(self, dataset: str, records: List[dict], upsert: bool = False) -> int:
@@ -545,77 +533,6 @@ class AsterixLite:
             ast = text_or_ast
         return self._compiler.compile(ast).execute()
 
-    def prepare(self, text: str) -> "PreparedQuery":
-        """Predeploy a parameterized query (Figure 20).
-
-        Placeholders are written ``$name``; ``PreparedQuery.execute`` binds
-        them per invocation.  The compiled specification is cached on every
-        node, so invocations pay the predeployed-invoke overhead rather
-        than re-compiling — the same mechanism the dynamic ingestion
-        framework uses for its computing jobs.
-        """
-        statements = parse_statements(text)
-        if len(statements) != 1 or not isinstance(statements[0], QueryStatement):
-            raise SqlppAnalysisError("prepare() expects exactly one SELECT")
-        ast = statements[0].query
-        from ..sqlpp.analysis import free_vars
-
-        params = sorted(
-            name for name in free_vars(ast)
-            if name.startswith("$")
-        )
-        from ..hyracks.connectors import OneToOne
-        from ..hyracks.job import JobSpecification, OperatorDescriptor
-        from ..hyracks.operators import ListSource, NullSink
-
-        def spec_builder(bound):
-            # the invocation message: ship the parameter to the cluster
-            spec = JobSpecification("prepared-query")
-            src = spec.add_operator(
-                OperatorDescriptor(
-                    "params",
-                    lambda c: ListSource(c, [dict(bound)] if bound else []),
-                    partitions=1,
-                )
-            )
-            sink = spec.add_operator(
-                OperatorDescriptor("sink", lambda c: NullSink(c), partitions=1)
-            )
-            spec.connect(src, sink, OneToOne())
-            return spec
-
-        job_id = self.cluster.controller.deploy("prepared-query", spec_builder)
-        return PreparedQuery(self, ast, params, job_id)
-
-    def save_dataset(self, dataset: str, path: str) -> int:
-        """Snapshot a dataset to disk; returns records written."""
-        from ..storage.persistence import save_dataset
-
-        return save_dataset(self._dataset(dataset), path)
-
-    def load_dataset(self, path: str) -> Dataset:
-        """Load a snapshot into the catalog (name comes from the file)."""
-        from ..storage.persistence import load_dataset
-
-        dataset = load_dataset(path, num_partitions=self.default_partitions)
-        if dataset.name in self.catalog:
-            raise SqlppAnalysisError(f"dataset {dataset.name!r} already exists")
-        self.catalog[dataset.name] = dataset
-        self.types.setdefault(dataset.datatype.name, dataset.datatype)
-        self.registry.invalidate_plans()
-        return dataset
-
-    def explain(self, text_or_ast) -> str:
-        """Describe the physical plan a query compiles to (EXPLAIN)."""
-        if isinstance(text_or_ast, str):
-            statements = parse_statements(text_or_ast)
-            if len(statements) != 1 or not isinstance(statements[0], QueryStatement):
-                raise SqlppAnalysisError("explain() expects exactly one SELECT")
-            ast = statements[0].query
-        else:
-            ast = text_or_ast
-        return self._compiler.compile(ast).plan
-
     # ------------------------------------------------------------- statements
 
     def execute(self, sqlpp_text: str):
@@ -635,6 +552,12 @@ class AsterixLite:
                 statement.name, statement.type_name, statement.primary_key
             )
         if isinstance(statement, CreateIndex):
+            if len(statement.fields) != 1:
+                raise SqlppAnalysisError(
+                    "composite indexes are not supported: "
+                    f"{statement.name} ON {statement.dataset}"
+                    f"({', '.join(statement.fields)})"
+                )
             return self.create_index(
                 statement.name,
                 statement.dataset,
@@ -684,39 +607,3 @@ class AsterixLite:
         if name not in self.feeds:
             raise FeedStateError(f"unknown feed: {name}")
         return self.feeds[name]
-
-
-class PreparedQuery:
-    """A predeployed parameterized query (the paper's Figure 20)."""
-
-    def __init__(self, system: AsterixLite, ast, params, job_id: str):
-        self._system = system
-        self.ast = ast
-        self.params = params  # sorted "$name" placeholders
-        self.job_id = job_id
-        self.invocations = 0
-
-    def execute(self, **bindings) -> List:
-        """Run the query with ``name=value`` bindings for each ``$name``."""
-        bound = {f"${name}": value for name, value in bindings.items()}
-        missing_params = [p for p in self.params if p not in bound]
-        if missing_params:
-            raise SqlppAnalysisError(
-                f"missing parameter(s): {', '.join(missing_params)}"
-            )
-        unknown = [p for p in bound if p not in self.params]
-        if unknown:
-            raise SqlppAnalysisError(
-                f"unknown parameter(s): {', '.join(unknown)}"
-            )
-        # Bookkeeping through the predeployed-job machinery: invocations
-        # are tracked per node (Figure 20's invocation message).
-        self._system.cluster.controller.invoke(self.job_id, bound)
-        self.invocations += 1
-        evaluator = self._system.evaluator()
-        result = evaluator.evaluate_query(self.ast, bound)
-        return result if isinstance(result, list) else [result]
-
-    def close(self) -> None:
-        """Undeploy the cached specification from the cluster."""
-        self._system.cluster.controller.undeploy(self.job_id)

@@ -5,23 +5,10 @@ from .basic import (
     FilterOperator,
     LimitOperator,
     ParseOperator,
-    ProjectOperator,
     UnionAllOperator,
 )
-from .joins import (
-    HashJoinOperator,
-    IndexNestedLoopJoinOperator,
-    NestedLoopJoinOperator,
-)
 from .sinks import CallbackSink, CollectSink, DatasetWriteSink, NullSink
-from .sort_group import (
-    Aggregator,
-    HashGroupByOperator,
-    SortOperator,
-    collect_aggregator,
-    count_aggregator,
-    sum_aggregator,
-)
+from .sort_group import Aggregator, HashGroupByOperator, SortOperator
 from .sources import CallbackSource, DatasetScanSource, ListSource
 
 __all__ = [
@@ -34,17 +21,10 @@ __all__ = [
     "DatasetWriteSink",
     "FilterOperator",
     "HashGroupByOperator",
-    "HashJoinOperator",
-    "IndexNestedLoopJoinOperator",
     "LimitOperator",
     "ListSource",
-    "NestedLoopJoinOperator",
     "NullSink",
     "ParseOperator",
-    "ProjectOperator",
     "SortOperator",
     "UnionAllOperator",
-    "collect_aggregator",
-    "count_aggregator",
-    "sum_aggregator",
 ]

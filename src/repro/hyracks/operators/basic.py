@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, List, Optional
 
 from ...adm.parser import parse_json
 from ...errors import AdmParseError
@@ -59,19 +59,6 @@ class AssignOperator(Operator):
                 out.append(produced)
         if out:
             self.emit(Frame(out))
-
-
-class ProjectOperator(Operator):
-    """Keep only the named top-level fields of each record."""
-
-    def __init__(self, ctx: OperatorContext, fields: Iterable[str]):
-        super().__init__(ctx)
-        self.fields = list(fields)
-
-    def next_frame(self, frame: Frame) -> None:
-        self.ctx.charge(self.ctx.cost.move_per_record * len(frame))
-        out = [{f: r[f] for f in self.fields if f in r} for r in frame]
-        self.emit(Frame(out))
 
 
 class LimitOperator(Operator):

@@ -47,24 +47,6 @@ class Aggregator:
         self.final = final or (lambda acc: acc)
 
 
-def count_aggregator(name: str = "count") -> Aggregator:
-    return Aggregator(name, lambda: 0, lambda acc, _record: acc + 1)
-
-
-def sum_aggregator(name: str, value_fn: Callable[[dict], float]) -> Aggregator:
-    def step(acc, record):
-        value = value_fn(record)
-        return acc if value is None else acc + value
-
-    return Aggregator(name, lambda: 0, step)
-
-
-def collect_aggregator(name: str, value_fn: Callable[[dict], object]) -> Aggregator:
-    return Aggregator(
-        name, lambda: [], lambda acc, record: acc + [value_fn(record)]
-    )
-
-
 class HashGroupByOperator(Operator):
     """Hash-based grouping with pluggable aggregators.
 

@@ -164,6 +164,3 @@ class PartitionHolderManager:
             return
         for key in [k for k in self._holders if k[0] == holder_id]:
             del self._holders[key]
-
-    def holders_for(self, holder_id: str) -> List[object]:
-        return [h for (hid, _p), h in sorted(self._holders.items()) if hid == holder_id]

@@ -6,7 +6,6 @@ from .adapter import (
     FileAdapter,
     GeneratorAdapter,
     QueueAdapter,
-    chunked,
     drain_available,
 )
 from .external import (
@@ -51,7 +50,7 @@ from .policy import (
 )
 from .replay import ReplayReport, replay_dead_letters
 from .udf_operator import UdfEvaluatorOperator, make_invoker
-from .updates import CompositeUpdateClient, ReferenceUpdateClient
+from .updates import ReferenceUpdateClient
 
 __all__ = [
     "ADAPTER_IDLE",
@@ -60,7 +59,6 @@ __all__ = [
     "BackfillReport",
     "BatchStats",
     "CircuitBreaker",
-    "CompositeUpdateClient",
     "ComputingModel",
     "CongestionAction",
     "DynamicIngestionPipeline",
@@ -90,7 +88,6 @@ __all__ = [
     "TokenBucket",
     "UdfEvaluatorOperator",
     "backfill_pending",
-    "chunked",
     "drain_available",
     "enrichment_completeness",
     "ensure_dead_letter_dataset",

@@ -322,17 +322,3 @@ def drain_available(adapter: FeedAdapter) -> List[Dict[str, object]]:
             break
         envelopes.append(envelope)
     return envelopes
-
-
-def chunked(iterator: Iterator, size: int) -> Iterator[List]:
-    """Yield lists of up to ``size`` items from an iterator."""
-    if size < 1:
-        raise ValueError("chunk size must be >= 1")
-    chunk: List = []
-    for item in iterator:
-        chunk.append(item)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
-        yield chunk

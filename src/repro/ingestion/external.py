@@ -353,9 +353,6 @@ class EnrichmentCoordinator:
                 else None
             )
 
-    def breaker(self, enricher_name: str) -> CircuitBreaker:
-        return self._breakers[enricher_name]
-
     @property
     def breaker_transitions(self) -> Dict[str, List[Tuple[float, str]]]:
         return {

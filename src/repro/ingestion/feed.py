@@ -185,12 +185,6 @@ class FeedRunReport:
     def latency_p99(self) -> float:
         return self.latency_percentile(99)
 
-    def latency_summary(self) -> Dict[str, float]:
-        """Count, p50/p95/p99, and max batch latency (SLO groundwork)."""
-        if self.runtime is None:
-            return {"count": 0, "p50": 0.0, "p95": 0.0, "p99": 0.0, "max": 0.0}
-        return self.runtime.latency_summary()
-
     @property
     def refresh_period(self) -> float:
         """Mean computing-job execution time (Figure 26's metric)."""

@@ -506,14 +506,6 @@ class _IntakeLayer:
         return body
 
     @property
-    def queued(self) -> int:
-        return sum(holder.queued_records for holder in self.holders)
-
-    @property
-    def drained(self) -> bool:
-        return all(holder.drained for holder in self.holders)
-
-    @property
     def max_busy(self) -> float:
         return max(self.node_busy.values())
 

@@ -10,7 +10,7 @@ pay the activity penalty.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator
 
 
 class ReferenceUpdateClient:
@@ -57,22 +57,3 @@ class ReferenceUpdateClient:
             self._carry -= 1.0
         self.applied += fired
         return fired
-
-
-class CompositeUpdateClient:
-    """Fans :meth:`advance` out to several clients (multi-dataset UDFs)."""
-
-    def __init__(self, clients: List[ReferenceUpdateClient]):
-        self.clients = list(clients)
-
-    def advance(self, sim_seconds: float) -> int:
-        return sum(client.advance(sim_seconds) for client in self.clients)
-
-    @property
-    def applied(self) -> int:
-        return sum(client.applied for client in self.clients)
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every member client has run out of updates."""
-        return bool(self.clients) and all(c.exhausted for c in self.clients)

@@ -69,10 +69,6 @@ class Channel:
     def __len__(self) -> int:
         return len(self._items)
 
-    @property
-    def eof(self) -> bool:
-        return self._eof
-
     def put(self, item):
         """Coroutine: enqueue ``item``, blocking while the channel is full.
 

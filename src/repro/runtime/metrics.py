@@ -26,10 +26,6 @@ class LayerTimes:
     idle: float = 0.0
     blocked: float = 0.0
 
-    @property
-    def total(self) -> float:
-        return self.busy + self.idle + self.blocked
-
     def utilization(self, makespan: float) -> float:
         """Fraction of the run this layer spent doing work."""
         if makespan <= 0:
@@ -306,10 +302,6 @@ class RuntimeMetrics:
         """Peak queued frames across every passive holder."""
         return max((h.high_water for h in self.holders), default=0)
 
-    @property
-    def total_rejected_offers(self) -> int:
-        return sum(h.rejected for h in self.holders)
-
     def latency_percentile(self, q: float) -> float:
         """Nearest-rank batch-latency percentile in simulated seconds.
 
@@ -325,124 +317,6 @@ class RuntimeMetrics:
             return 0.0
         rank = max(1, math.ceil(q / 100.0 * len(latencies)))
         return latencies[rank - 1]
-
-    @property
-    def latency_p50(self) -> float:
-        return self.latency_percentile(50)
-
-    @property
-    def latency_p95(self) -> float:
-        return self.latency_percentile(95)
-
-    @property
-    def latency_p99(self) -> float:
-        return self.latency_percentile(99)
-
-    def latency_summary(self) -> Dict[str, float]:
-        """The SLO-facing latency digest: count, p50/p95/p99, and max."""
-        latencies = self.batch_latencies_seconds
-        return {
-            "count": len(latencies),
-            "p50": self.latency_p50,
-            "p95": self.latency_p95,
-            "p99": self.latency_p99,
-            "max": max(latencies) if latencies else 0.0,
-        }
-
-    def latency_histogram(self, bins: int = 8) -> List[Tuple[float, int]]:
-        """Batch-latency histogram: ``(upper_bound_seconds, count)`` rows.
-
-        Linear bins over ``[0, max latency]``; deterministic for a
-        deterministic run.
-        """
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        latencies = self.batch_latencies_seconds
-        if not latencies:
-            return []
-        top = max(latencies)
-        if top <= 0:
-            return [(0.0, len(latencies))]
-        width = top / bins
-        counts = [0] * bins
-        for value in latencies:
-            index = min(bins - 1, int(value / width))
-            counts[index] += 1
-        return [(width * (i + 1), counts[i]) for i in range(bins)]
-
-    def describe(self) -> str:
-        """Human-readable per-layer utilization summary."""
-        lines = [
-            f"runtime makespan {self.makespan_seconds:.4f}s "
-            f"(fill/drain {self.fill_drain_seconds:.4f}s), "
-            f"{self.stall_count} intake stall(s), "
-            f"holder high-water {self.holder_high_water} frame(s)"
-        ]
-        for name in sorted(self.layers):
-            times = self.layers[name]
-            lines.append(
-                f"  {name:<10} busy {times.busy:.4f}s  idle {times.idle:.4f}s  "
-                f"blocked {times.blocked:.4f}s  "
-                f"({times.utilization(self.makespan_seconds):.0%} utilized)"
-            )
-        if self.peak_workers > 1 or self.scale_ups or self.scale_downs:
-            lines.append(
-                f"  computing pool: peak {self.peak_workers} worker(s), "
-                f"{self.scale_ups} scale-up(s), {self.scale_downs} "
-                f"scale-down(s), {self.reordered_batches} reordered batch(es)"
-            )
-        if self.intake_partitions > 1 or self.subbatches:
-            lines.append(
-                f"  scale-out: {self.intake_partitions} intake partition(s), "
-                f"{self.subbatches} sub-batch(es) dispatched, "
-                f"{self.subbatch_merges} merged"
-            )
-        if self.checkpoint_commits:
-            lines.append(
-                f"  durability: {self.checkpoint_commits} checkpoint commit(s)"
-            )
-        if self.vectorized_batches or self.scalar_fallbacks:
-            lines.append(
-                f"  columnar: {self.vectorized_batches} vectorized "
-                f"batch(es), {self.vectorized_records} record(s), "
-                f"{self.scalar_fallbacks} scalar fallback(s)"
-            )
-        if self.memo_hits or self.memo_misses:
-            total = self.memo_hits + self.memo_misses
-            lines.append(
-                f"  memo: {self.memo_hits} hit(s), {self.memo_misses} "
-                f"miss(es) ({self.memo_hits / total:.0%} hit ratio), "
-                f"{self.memo_evictions} eviction(s), "
-                f"{self.memo_bytes} resident byte(s)"
-            )
-        if self.external is not None and self.external.any_activity:
-            e = self.external
-            lines.append(
-                f"  external: {e.calls} call(s), {e.retries} retrie(s), "
-                f"{e.timeouts} timeout(s), {e.errors} error(s), "
-                f"{e.breaker_opens} breaker open(s), completeness "
-                f"{self.enrichment_completeness:.2f} "
-                f"({e.records_pending} pending, "
-                f"{e.records_dead_lettered} dead-lettered)"
-            )
-        if self.lease_timeline or self.governor_grants:
-            lines.append(
-                f"  fabric: peak +{self.borrowed_workers} borrowed "
-                f"worker(s), {len(self.lease_timeline)} lease step(s), "
-                f"{len(self.governor_grants)} governor grant(s)"
-            )
-        if self.faults is not None and self.faults.any_activity:
-            f = self.faults
-            lines.append(
-                f"  faults: {f.crashes} crash(es), {f.restarts} restart(s) "
-                f"({f.backoff_seconds:.4f}s backoff), "
-                f"{f.records_skipped} skipped, "
-                f"{f.records_dead_lettered} dead-lettered, "
-                f"{f.records_replayed} replayed, "
-                f"{f.records_discarded} discarded"
-            )
-        return "\n".join(lines)
-
 
 def _holder_stats(holder) -> HolderStats:
     kind = "passive" if hasattr(holder, "poll_batch") else "active"

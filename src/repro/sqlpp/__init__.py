@@ -13,7 +13,6 @@ from .parser import (
     Parser,
     parse_expression,
     parse_function,
-    parse_query,
     parse_statement,
     parse_statements,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_stateful",
     "parse_expression",
     "parse_function",
-    "parse_query",
     "parse_statement",
     "parse_statements",
     "split_conjuncts",

@@ -45,53 +45,12 @@ from .evaluator import (
 class CompiledQuery:
     """A query bound to an execution strategy."""
 
-    def __init__(self, strategy: str, runner, plan: Optional[str] = None):
+    def __init__(self, strategy: str, runner):
         self.strategy = strategy  # 'hyracks' | 'interpreter'
         self._runner = runner
-        self.plan = plan or strategy
 
     def execute(self) -> List:
         return self._runner()
-
-
-def explain_plan(block, catalog: Dict[str, object]) -> str:
-    """Render the physical plan a parallelizable SELECT compiles to.
-
-    Mirrors AsterixDB's logical-plan EXPLAIN at the granularity the paper's
-    Figure 2 sketch uses: one line per operator, source first.
-    """
-    if not isinstance(block, SelectBlock):
-        return "interpreter: non-select expression"
-    lines: List[str] = []
-    if len(block.from_terms) == 1 and isinstance(block.from_terms[0].source, VarRef):
-        name = block.from_terms[0].source.name
-        if name in catalog:
-            dataset = catalog[name]
-            lines.append(
-                f"scan {name} ({dataset.num_partitions} partitions)"
-            )
-        else:
-            lines.append(f"iterate {name}")
-    else:
-        sources = ", ".join(
-            term.source.name if isinstance(term.source, VarRef) else "<expr>"
-            for term in block.from_terms
-        ) or "<constant>"
-        lines.append(f"interpreter join over [{sources}]")
-    if block.post_lets:
-        lines.append(
-            "assign " + ", ".join(let.var for let in block.post_lets)
-        )
-    if block.where is not None:
-        lines.append("filter <where>")
-    if block.group_keys:
-        lines.append(f"hash group-by ({len(block.group_keys)} key(s))")
-    if block.order_items:
-        lines.append(f"sort ({len(block.order_items)} key(s))")
-    if block.limit is not None:
-        lines.append("limit")
-    lines.append("project" if block.select_value is None else "project value")
-    return " -> ".join(lines)
 
 
 class QueryCompiler:
@@ -109,16 +68,8 @@ class QueryCompiler:
 
     def compile(self, query: Expr) -> CompiledQuery:
         if isinstance(query, SelectBlock) and self._is_parallelizable(query):
-            return CompiledQuery(
-                "hyracks",
-                lambda: self._run_hyracks(query),
-                plan="hyracks: " + explain_plan(query, self.catalog),
-            )
-        return CompiledQuery(
-            "interpreter",
-            lambda: self._run_interpreter(query),
-            plan="interpreter: " + explain_plan(query, self.catalog),
-        )
+            return CompiledQuery("hyracks", lambda: self._run_hyracks(query))
+        return CompiledQuery("interpreter", lambda: self._run_interpreter(query))
 
     def _is_parallelizable(self, block: SelectBlock) -> bool:
         """Single stored-dataset FROM, no top-level LETs before SELECT."""

@@ -8,7 +8,7 @@ Builtins receive the evaluation context first so the expensive ones
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from ..adm.values import (
     MISSING,
@@ -150,9 +150,6 @@ class Builtins:
 
     def register(self, name: str, fn: Callable) -> None:
         self._fns[name.lower()] = fn
-
-    def names(self) -> List[str]:
-        return sorted(self._fns)
 
     # ------------------------------------------------------------------ setup
 

@@ -24,8 +24,8 @@ memoizes the *result* of enriching one key, across batches:
 
 Invalidation mirrors the StateCache exactly: any committed write bumps
 the source dataset's ``version`` and makes entries guarded by it
-unreachable; DDL / ``replace_sqlpp`` / ``load_dataset`` / dead-letter
-replay clear the memo wholesale through the owning
+unreachable; DDL / ``replace_sqlpp`` / dead-letter replay clear the
+memo wholesale through the owning
 :class:`~repro.udf.registry.FunctionRegistry`.  External-enrichment
 entries carry the constant :data:`EXTERNAL_VERSION_KEY` guard (a remote's
 answer is not derived from any local dataset) and only ``"ok"`` outcomes

@@ -622,10 +622,6 @@ def parse_expression(source: str) -> Expr:
     return expr
 
 
-def parse_query(source: str) -> Expr:
-    return parse_expression(source)
-
-
 def parse_function(source: str) -> FunctionDefinition:
     parser = Parser(source)
     stmt = parser.parse_statement()

@@ -26,8 +26,8 @@ This module implements that reuse as an LRU-by-bytes cache:
 * DDL and function changes clear the cache wholesale (the owning
   :class:`~repro.udf.registry.FunctionRegistry` calls :meth:`clear` from
   ``invalidate_plans``/``replace_sqlpp``), so ``create_index`` /
-  ``drop_index`` / ``load_dataset`` / ``CREATE OR REPLACE FUNCTION`` all
-  start the next batch from a cold build;
+  ``drop_index`` / ``CREATE OR REPLACE FUNCTION`` all start the next
+  batch from a cold build;
 * eviction (LRU by estimated bytes, against a per-feed configured
   budget) only drops the *cache's* reference — a batch that already
   installed the table into its per-batch ``batch_cache`` keeps using it

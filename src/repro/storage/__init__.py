@@ -7,7 +7,6 @@ from .dataset import Dataset, ReferenceSnapshot, hash_partition
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMStats, LSMTree
 from .memtable import TOMBSTONE, MemTable
-from .persistence import load_dataset, save_dataset
 from .rtree import RTree, mbr_of
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "SortedRunComponent",
     "TOMBSTONE",
     "hash_partition",
-    "load_dataset",
     "mbr_of",
-    "save_dataset",
     "merge_components",
 ]

@@ -34,14 +34,6 @@ class SortedRunComponent:
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def min_key(self):
-        return self._keys[0] if self._keys else None
-
-    @property
-    def max_key(self):
-        return self._keys[-1] if self._keys else None
-
     def get(self, key):
         """Return the record, TOMBSTONE, or None if absent."""
         idx = bisect.bisect_left(self._keys, key)

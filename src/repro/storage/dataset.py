@@ -185,13 +185,6 @@ class Dataset:
             per_partition[pid].on_delete(old, key)
         self._commit("delete", key)
 
-    def insert_many(self, records) -> int:
-        count = 0
-        for record in records:
-            self.insert(record)
-            count += 1
-        return count
-
     def upsert_many(self, records) -> int:
         count = 0
         for record in records:

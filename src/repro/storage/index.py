@@ -79,24 +79,11 @@ class SecondaryIndex:
             raise IndexError_(f"index {self.name} is not a B-tree")
         return self._btree.search(value)
 
-    def probe_range(
-        self, low=None, high=None, include_low=True, include_high=True
-    ) -> Iterator[Tuple[object, Set[object]]]:
-        if self._btree is None:
-            raise IndexError_(f"index {self.name} is not a B-tree")
-        return self._btree.range_search(low, high, include_low, include_high)
-
     def probe_spatial(self, query) -> Iterator[Tuple[object, object]]:
         """Yield (spatial_value, primary_key) with MBRs intersecting query."""
         if self._rtree is None:
             raise IndexError_(f"index {self.name} is not an R-tree")
         return self._rtree.search(query)
-
-    @property
-    def probe_count(self) -> int:
-        if self._rtree is not None:
-            return self._rtree.probes
-        return 0
 
     @property
     def nodes_visited(self) -> int:

@@ -197,10 +197,6 @@ class LSMTree:
         return (1 if self.in_memory_component_active else 0) + len(self._components)
 
     @property
-    def wal_length(self) -> int:
-        return len(self._wal)
-
-    @property
     def lsn(self) -> int:
         """The LSN the next write will take.
 

@@ -8,7 +8,7 @@ tombstones so they shadow older components during reads and merges.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 #: sort key of a (key, record-or-tombstone) entry
 entry_key = itemgetter(0)
@@ -79,6 +79,3 @@ class MemTable:
     def sorted_entries(self) -> List[Tuple[object, object]]:
         """The (key, record-or-tombstone) pairs in key order, as of now."""
         return sorted(self._entries.items(), key=entry_key)
-
-    def scan(self) -> Iterator[Tuple[object, object]]:
-        return iter(self.sorted_entries())

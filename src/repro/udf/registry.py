@@ -162,9 +162,6 @@ class FunctionRegistry:
     def has(self, name: str) -> bool:
         return name in self._sqlpp
 
-    def has_java(self, library: str, name: str) -> bool:
-        return f"{library}#{name}" in self._java
-
     def get(self, name: str) -> SqlppUdf:
         if name not in self._sqlpp:
             raise UdfError(f"unknown function: {name}")
@@ -175,12 +172,6 @@ class FunctionRegistry:
         if key not in self._java:
             raise UdfError(f"unknown java function: {key}")
         return self._java[key]
-
-    def sqlpp_names(self) -> List[str]:
-        return sorted(self._sqlpp)
-
-    def java_names(self) -> List[str]:
-        return sorted(self._java)
 
     # ------------------------------------------------------------ invocation
 

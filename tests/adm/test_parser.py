@@ -10,7 +10,6 @@ from repro.adm import (
     Rectangle,
     make_type,
     parse_json,
-    parse_json_lines,
     record_size_bytes,
     serialize,
 )
@@ -62,12 +61,6 @@ class TestParseJson:
         t = make_type("T", {"x": "double"})
         assert parse_json('{"x": 3}', t)["x"] == 3.0
         assert isinstance(parse_json('{"x": 3}', t)["x"], float)
-
-
-class TestParseLines:
-    def test_skips_blank_lines(self):
-        lines = ['{"id": 1}', "", "  ", '{"id": 2}']
-        assert [r["id"] for r in parse_json_lines(lines)] == [1, 2]
 
 
 class TestSerialize:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adm import field_path, open_type, primary_key_of, set_field_path, split_path
+from repro.adm import field_path, open_type, primary_key_of, split_path
 from repro.adm.schema import parse_field_spec, resolve_tag
 from repro.adm.types import TypeTag
 from repro.adm.values import MISSING
@@ -29,18 +29,6 @@ class TestFieldPath:
     def test_split_path(self):
         assert split_path("a.b.c") == ("a", "b", "c")
         assert split_path(["a", "b"]) == ("a", "b")
-
-
-class TestSetFieldPath:
-    def test_sets_nested_creating_intermediates(self):
-        record = {}
-        set_field_path(record, "a.b.c", 1)
-        assert record == {"a": {"b": {"c": 1}}}
-
-    def test_overwrites_non_object_intermediate(self):
-        record = {"a": 5}
-        set_field_path(record, "a.b", 1)
-        assert record == {"a": {"b": 1}}
 
 
 class TestPrimaryKey:
@@ -81,4 +69,4 @@ class TestTypeSpecs:
 
     def test_open_type_shorthand(self):
         t = open_type("T", id="int64")
-        assert t.is_open and t.declared("id")
+        assert t.is_open and "id" in t.fields

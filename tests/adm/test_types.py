@@ -11,12 +11,9 @@ from repro.adm import (
     Point,
     Rectangle,
     TypeTag,
-    closed_type,
     make_type,
     open_type,
-    tag_of,
 )
-from repro.adm.values import MISSING
 from repro.errors import AdmTypeError
 
 
@@ -58,12 +55,12 @@ class TestOpenTypes:
 
 class TestClosedTypes:
     def test_extra_fields_rejected(self):
-        t = closed_type("T", id="int64")
+        t = make_type("T", {"id": "int64"}, open=False)
         with pytest.raises(AdmTypeError, match="undeclared fields"):
             t.validate({"id": 1, "extra": 2})
 
     def test_exact_fields_ok(self):
-        t = closed_type("T", id="int64", name="string")
+        t = make_type("T", {"id": "int64", "name": "string"}, open=False)
         t.validate({"id": 1, "name": "x"})
 
 
@@ -122,30 +119,3 @@ class TestOptionalAndStructured:
         t = open_type("T", id="int64")
         assert t.conforms({"id": 1})
         assert not t.conforms({"id": "x"})
-
-
-class TestTagOf:
-    @pytest.mark.parametrize(
-        "value,tag",
-        [
-            (None, TypeTag.NULL),
-            (True, TypeTag.BOOLEAN),
-            (1, TypeTag.INT64),
-            (1.5, TypeTag.DOUBLE),
-            ("s", TypeTag.STRING),
-            (DateTime(0), TypeTag.DATETIME),
-            (Duration(1, 0), TypeTag.DURATION),
-            (Point(0, 0), TypeTag.POINT),
-            (Rectangle(0, 0, 1, 1), TypeTag.RECTANGLE),
-            (Circle(Point(0, 0), 1), TypeTag.CIRCLE),
-            ([], TypeTag.ARRAY),
-            ({}, TypeTag.OBJECT),
-            (MISSING, TypeTag.MISSING),
-        ],
-    )
-    def test_runtime_tags(self, value, tag):
-        assert tag_of(value) is tag
-
-    def test_unknown_type_raises(self):
-        with pytest.raises(AdmTypeError):
-            tag_of(object())

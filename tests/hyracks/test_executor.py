@@ -14,7 +14,7 @@ from repro.hyracks import (
     RoundRobin,
 )
 from repro.hyracks.operators import (
-    AssignOperator,
+    Aggregator,
     CollectSink,
     DatasetWriteSink,
     FilterOperator,
@@ -22,8 +22,6 @@ from repro.hyracks.operators import (
     ListSource,
     NullSink,
     SortOperator,
-    count_aggregator,
-    sum_aggregator,
 )
 from repro.storage import Dataset
 from repro.storage.dataset import hash_partition
@@ -70,7 +68,10 @@ class TestExecution:
                     ctx,
                     lambda r: (r["country"],),
                     ["country"],
-                    [count_aggregator("num"), sum_aggregator("total", lambda r: r["id"])],
+                    [
+                        Aggregator("num", lambda: 0, lambda acc, _r: acc + 1),
+                        Aggregator("total", lambda: 0, lambda acc, r: acc + r["id"]),
+                    ],
                 ),
                 2,
             )

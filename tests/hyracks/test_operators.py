@@ -15,7 +15,6 @@ from repro.hyracks.operators import (
     LimitOperator,
     ListSource,
     ParseOperator,
-    ProjectOperator,
 )
 from repro.storage import Dataset
 
@@ -74,14 +73,6 @@ class TestBasicOperators:
             lambda ctx: FilterOperator(ctx, lambda r: r["v"] % 2 == 0),
         )
         assert sorted(r["v"] for r in out) == [0, 2, 4, 6, 8]
-
-    def test_project(self):
-        out = run_pipeline(
-            [{"a": 1, "b": 2, "c": 3}],
-            lambda ctx: ProjectOperator(ctx, ["a", "c", "zz"]),
-            source_partitions=1,
-        )
-        assert out == [{"a": 1, "c": 3}]
 
     def test_limit_is_global_across_partitions(self):
         out = run_pipeline(

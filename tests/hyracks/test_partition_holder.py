@@ -163,9 +163,3 @@ class TestManager:
         mgr.unregister("h")
         with pytest.raises(PartitionHolderError):
             mgr.lookup("h", 1)
-
-    def test_holders_for_sorted(self):
-        mgr = PartitionHolderManager()
-        for p in [2, 0, 1]:
-            mgr.register(PassivePartitionHolder("h", p))
-        assert [h.partition for h in mgr.holders_for("h")] == [0, 1, 2]

@@ -8,35 +8,11 @@ from repro.hyracks.operators import (
     CollectSink,
     ListSource,
     UnionAllOperator,
-    collect_aggregator,
-    count_aggregator,
-    sum_aggregator,
 )
 from repro.hyracks.operators.sort_group import Aggregator
 
 
 class TestAggregators:
-    def test_count(self):
-        agg = count_aggregator("n")
-        acc = agg.init()
-        for record in [{}, {}, {}]:
-            acc = agg.step(acc, record)
-        assert agg.final(acc) == 3
-
-    def test_sum_skips_none(self):
-        agg = sum_aggregator("s", lambda r: r.get("v"))
-        acc = agg.init()
-        for record in [{"v": 1}, {"v": None}, {"v": 4}]:
-            acc = agg.step(acc, record)
-        assert agg.final(acc) == 5
-
-    def test_collect(self):
-        agg = collect_aggregator("items", lambda r: r["v"])
-        acc = agg.init()
-        for record in [{"v": "a"}, {"v": "b"}]:
-            acc = agg.step(acc, record)
-        assert agg.final(acc) == ["a", "b"]
-
     def test_custom_final(self):
         agg = Aggregator("avg", lambda: (0, 0),
                          lambda acc, r: (acc[0] + r["v"], acc[1] + 1),

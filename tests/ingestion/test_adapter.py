@@ -10,7 +10,6 @@ from repro.ingestion import (
     FileAdapter,
     GeneratorAdapter,
     QueueAdapter,
-    chunked,
     drain_available,
 )
 
@@ -253,12 +252,3 @@ class TestDrainAvailable:
         adapter.send("a")
         adapter.end()
         assert len(drain_available(adapter)) == 1
-
-
-class TestChunked:
-    def test_chunks(self):
-        assert list(chunked(iter(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            list(chunked(iter([]), 0))

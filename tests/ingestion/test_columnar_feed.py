@@ -97,7 +97,6 @@ def test_vectorized_feed_reports_counters():
     assert report.runtime.scalar_fallbacks == 0
     table = layer_utilization_table(report.runtime)
     assert "columnar: 10 vectorized batch(es), 50 record(s)" in table
-    assert "columnar" in report.runtime.describe()
 
     # The system facade exposes the cumulative plan-cache counters.
     stats = system.plan_cache_stats()

@@ -421,8 +421,6 @@ class TestFleetParity:
         for name, report in reports.items():
             assert report.latency_p50 <= report.latency_p95 <= report.latency_p99
             assert report.latency_p99 > 0
-            summary = report.latency_summary()
-            assert {"p50", "p95", "p99"} <= set(summary)
         # the governor split one budget across the enrolled tenants (the
         # tenants deregister at cleanup; the grant ledger is the artifact)
         granted_feeds = {feed for _t, feed, _k, _b in fabric.governor.grants}

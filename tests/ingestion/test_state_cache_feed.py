@@ -2,7 +2,7 @@
 
 Every mutation channel that can change what a UDF should observe —
 update-client upserts mid-run, dead-letter replay, ``create_index`` /
-``drop_index``, ``load_dataset`` — must force rebuilds at the next batch
+``drop_index`` — must force rebuilds at the next batch
 boundary, and enabling the cache must never change stored outputs
 (including under a 4-worker elastic pool).
 """
@@ -163,7 +163,7 @@ def test_update_client_mid_run_forces_rebuild_without_changing_outputs():
     assert output_digest(on) == output_digest(off)
 
 
-def test_ddl_and_load_dataset_clear_the_cache(tmp_path):
+def test_ddl_clears_the_cache():
     system = build_system()
     run_feed(system, raw_tweets(30), cache_policy())
     cache = system.registry.state_cache
@@ -178,23 +178,6 @@ def test_ddl_and_load_dataset_clear_the_cache(tmp_path):
     run_feed(system, raw_tweets(30, start=30), cache_policy())
     assert len(cache) > 0
     system.drop_index("SafetyRatings", "by_rating")
-    assert len(cache) == 0
-
-    # load_dataset goes through the same invalidation path.
-    donor = AsterixLite(num_nodes=1)
-    donor.execute(
-        """
-        CREATE TYPE ExtraType AS OPEN { xid: int64 };
-        CREATE DATASET Extra(ExtraType) PRIMARY KEY xid;
-        """
-    )
-    donor.insert("Extra", [{"xid": 1}])
-    snapshot = tmp_path / "extra.json"
-    donor.save_dataset("Extra", str(snapshot))
-
-    run_feed(system, raw_tweets(30, start=60), cache_policy())
-    assert len(cache) > 0
-    system.load_dataset(str(snapshot))
     assert len(cache) == 0
 
 

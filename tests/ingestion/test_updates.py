@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.ingestion import CompositeUpdateClient, ReferenceUpdateClient
+from repro.ingestion import ReferenceUpdateClient
 
 
 def make_client(rate, applied):
@@ -82,25 +82,3 @@ class TestReferenceUpdateClient:
         )
         client.advance(1.0)
         assert ds.update_activity  # the §7.3 in-memory component effect
-
-
-class TestCompositeClient:
-    def test_fans_out(self):
-        a, b = [], []
-        composite = CompositeUpdateClient([make_client(1.0, a), make_client(2.0, b)])
-        fired = composite.advance(1.0)
-        assert fired == 3
-        assert composite.applied == 3
-        assert len(a) == 1 and len(b) == 2
-
-    def test_exhausted_only_when_all_members_are(self):
-        finite = ReferenceUpdateClient(
-            10.0, iter([{"id": 1}]), lambda r: None
-        )
-        endless = make_client(1.0, [])
-        composite = CompositeUpdateClient([finite, endless])
-        composite.advance(1.0)
-        assert finite.exhausted
-        assert not composite.exhausted
-        alone = CompositeUpdateClient([finite])
-        assert alone.exhausted

@@ -1,72 +1,4 @@
-"""ASCII chart rendering."""
-
-import pytest
-
-from repro.bench.reporting import ascii_bar_chart, ascii_line_chart, speedup_table
-
-
-class TestBarChart:
-    def test_longest_bar_for_largest_value(self):
-        chart = ascii_bar_chart({"small": 10, "big": 100}, width=20)
-        lines = {line.split("|")[0].strip(): line for line in chart.splitlines()}
-        assert lines["big"].count("#") == 20
-        assert lines["small"].count("#") == 2
-
-    def test_log_scale_compresses(self):
-        linear = ascii_bar_chart({"a": 1, "b": 1024}, width=20)
-        logged = ascii_bar_chart({"a": 1, "b": 1024}, width=20, log_scale=True)
-        a_linear = [l for l in linear.splitlines() if l.startswith("a")][0]
-        a_logged = [l for l in logged.splitlines() if l.startswith("a")][0]
-        assert a_logged.count("#") > a_linear.count("#")
-
-    def test_title_and_values_shown(self):
-        chart = ascii_bar_chart({"x": 1234}, title="T")
-        assert chart.startswith("T")
-        assert "1,234" in chart
-
-    def test_empty(self):
-        assert ascii_bar_chart({}, title="T") == "T"
-
-    def test_zero_value_gets_no_bar(self):
-        chart = ascii_bar_chart({"z": 0, "a": 10})
-        z_line = [l for l in chart.splitlines() if l.strip().startswith("z")][0]
-        assert "#" not in z_line
-
-
-class TestLineChart:
-    def test_extremes_labeled(self):
-        chart = ascii_line_chart(
-            [1, 2, 3], {"s": [10, 20, 30]}, height=5, width=20
-        )
-        assert "30" in chart and "10" in chart
-
-    def test_all_series_in_legend(self):
-        chart = ascii_line_chart(
-            [1, 2], {"alpha": [1, 2], "beta": [2, 1]}, height=4, width=10
-        )
-        assert "alpha" in chart and "beta" in chart
-
-    def test_rising_series_rises(self):
-        chart = ascii_line_chart([0, 10], {"s": [0, 100]}, height=5, width=11)
-        rows = [line for line in chart.splitlines() if "|" in line][:5]
-        # first point bottom-left, last point top-right
-        assert rows[0].rstrip().endswith("*")
-        assert rows[-1].split("|")[1].startswith("*")
-
-    def test_empty(self):
-        assert ascii_line_chart([], {}, title="T") == "T"
-
-
-class TestSpeedupTable:
-    def test_ratios(self):
-        table = speedup_table({"a": 100.0, "b": 50.0}, {"a": 300.0, "b": 60.0}, 4.0)
-        assert "3.00x" in table
-        assert "1.20x" in table
-        assert "75%" in table
-
-    def test_zero_baseline_skipped(self):
-        table = speedup_table({"a": 0.0}, {"a": 10.0}, 4.0)
-        assert "a" not in table.splitlines()[-1] or len(table.splitlines()) == 1
+"""Utilization-table rendering."""
 
 
 class TestLayerUtilizationTable:

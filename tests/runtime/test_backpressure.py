@@ -40,7 +40,7 @@ class TestBlockedIntake:
         assert metrics is not None
         assert metrics.layer("intake").blocked > 0.0
         assert metrics.stall_count >= report.stalls
-        assert metrics.total_rejected_offers > 0
+        assert sum(h.rejected for h in metrics.holders) > 0
 
     def test_roomy_holder_never_blocks(self):
         catalog = make_catalog()

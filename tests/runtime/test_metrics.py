@@ -109,53 +109,13 @@ class TestFromRuntime:
         assert by_id["storage-x"].kind == "active"
         assert by_id["storage-x"].received == 2
         assert metrics.holder_high_water == 1
-        assert metrics.total_rejected_offers == 1
 
 
 class TestLayerTimes:
-    def test_total_and_utilization(self):
+    def test_utilization(self):
         times = LayerTimes(busy=3.0, idle=1.0, blocked=2.0)
-        assert times.total == pytest.approx(6.0)
         assert times.utilization(10.0) == pytest.approx(0.3)
         assert times.utilization(0.0) == 0.0
-
-
-class TestLatencyHistogram:
-    def make(self, latencies):
-        return RuntimeMetrics(
-            makespan_seconds=1.0,
-            fill_drain_seconds=0.0,
-            batch_latencies_seconds=latencies,
-        )
-
-    def test_empty_latencies_empty_histogram(self):
-        assert self.make([]).latency_histogram() == []
-
-    def test_linear_bins_cover_range(self):
-        hist = self.make([0.5, 1.5, 2.5, 3.5]).latency_histogram(bins=4)
-        assert [upper for upper, _ in hist] == [0.875, 1.75, 2.625, 3.5]
-        assert sum(count for _, count in hist) == 4
-        assert hist[-1][1] == 1  # the max lands in the last bin
-
-    def test_all_zero_latencies_collapse(self):
-        assert self.make([0.0, 0.0]).latency_histogram() == [(0.0, 2)]
-
-    def test_bins_validated(self):
-        with pytest.raises(ValueError):
-            self.make([1.0]).latency_histogram(bins=0)
-
-    def test_deterministic(self):
-        metrics = self.make([0.2, 0.4, 0.4, 0.9])
-        assert metrics.latency_histogram() == metrics.latency_histogram()
-
-
-class TestDescribe:
-    def test_mentions_every_layer(self):
-        metrics = RuntimeMetrics.from_runtime(run_two_layer_runtime())
-        text = metrics.describe()
-        assert "intake" in text
-        assert "computing" in text
-        assert "stall" in text
 
 
 class TestRunCounters:

@@ -186,7 +186,3 @@ class TestRegistry:
     def test_contains_protocol(self):
         assert "contains" in BUILTINS
         assert "no_such_fn" not in BUILTINS
-
-    def test_names_sorted(self):
-        names = BUILTINS.names()
-        assert names == sorted(names)

@@ -48,6 +48,38 @@ class TestFacadeErrors:
         with pytest.raises(SqlppAnalysisError, match="unknown dataset"):
             system.connect_feed("F", "Ghost")
 
+    def test_composite_index_rejected(self, system):
+        with pytest.raises(SqlppAnalysisError, match="composite indexes"):
+            system.execute("CREATE INDEX ab ON D(a, b);")
+        assert system.catalog["D"].indexes == {}
+
+    def test_unknown_index_kind_rejected(self, system):
+        for kind in ("RTREE", "hash"):
+            with pytest.raises(SqlppAnalysisError, match="unknown index type"):
+                system.create_index("loc", "D", "b", kind=kind)
+        assert system.catalog["D"].indexes == {}
+
+
+#: every public method of the facade, each with a caller outside its own
+#: unit test (benchmarks/census_never_called.txt names the exceptions)
+FACADE_METHODS = {
+    "create_type", "create_dataset", "create_index", "drop_index",
+    "create_function", "create_java_function", "create_feed", "connect_feed",
+    "set_feed_adapter", "start_feed", "start_feeds", "resume_run",
+    "feed_report", "plan_cache_stats", "replay_dead_letters",
+    "backfill_pending", "insert", "upsert", "delete_where", "query",
+    "execute", "evaluation_context", "evaluator",
+}
+
+
+def test_facade_surface_is_pinned():
+    """A facade method arrives only by someone deciding it has a caller."""
+    public = {
+        name for name, member in vars(AsterixLite).items()
+        if callable(member) and not name.startswith("_")
+    }
+    assert public == FACADE_METHODS
+
 
 class TestFacadeBehaviour:
     def test_upsert_via_facade(self, system):

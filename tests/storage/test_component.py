@@ -12,10 +12,6 @@ class TestSortedRun:
         assert comp.get(42) == "v42"
         assert comp.get(43) is None
 
-    def test_min_max_keys(self):
-        comp = SortedRunComponent([(3, "a"), (7, "b")])
-        assert comp.min_key == 3 and comp.max_key == 7
-
     def test_unsorted_entries_rejected(self):
         with pytest.raises(ValueError):
             SortedRunComponent([(2, "a"), (1, "b")])

@@ -63,9 +63,6 @@ class TestWrites:
         with pytest.raises(AdmTypeError):
             ds.insert({"id": "nope"})
 
-    def test_insert_many_counts(self, dataset):
-        assert dataset.insert_many({"id": 200 + i} for i in range(5)) == 5
-
     def test_version_bumps_on_writes(self, dataset):
         v = dataset.version
         dataset.upsert({"id": 1, "value": 0})

@@ -7,10 +7,12 @@ single row of the plain-feed profile.  The hot packages import at module
 level; a deliberate exception goes in ``ALLOWED`` with its reason.
 
 Also the package boundary: ``benchmarks/`` imports ``repro``, never the
-reverse, and ``repro/bench`` holds only what ``src/`` callers import.
+reverse, ``repro/bench`` holds only what ``src/`` callers import, and every
+name a package exports exists.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -82,3 +84,17 @@ def test_repro_bench_holds_only_what_src_callers_import():
     """A suite is a scenario under ``benchmarks/suites``, not a module here."""
     modules = sorted(path.stem for path in (SRC / "bench").glob("*.py"))
     assert modules == ["__init__", "harness", "reporting", "wallclock"]
+
+
+def test_every_exported_name_resolves():
+    """Each name in a package's ``__all__`` is an attribute of that package."""
+    stale = []
+    for init in sorted(SRC.rglob("__init__.py")):
+        parts = ("repro", *init.parent.relative_to(SRC).parts)
+        package = importlib.import_module(".".join(parts))
+        stale += [
+            f"{package.__name__}.{name}"
+            for name in getattr(package, "__all__", ())
+            if not hasattr(package, name)
+        ]
+    assert not stale

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.adm import Point
+from repro.errors import UdfError
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.udf import (
     JAVA_UDF_CLASSES,
@@ -151,8 +152,9 @@ class TestRegistration:
         register_paper_udfs(registry)
         for key in SQLPP_FUNCTION_NAMES.values():
             assert registry.has(key)
-        assert registry.has_java("testlib", "removeSpecial")
-        assert not registry.has_java("udflib", "safety_rating")
+        assert registry.get_java("testlib", "removeSpecial")
+        with pytest.raises(UdfError):
+            registry.get_java("udflib", "safety_rating")
 
     def test_all_sqlpp_udfs_stateful_except_udf1(self, small_catalog):
         registry = FunctionRegistry(lambda: set(small_catalog))

@@ -84,12 +84,6 @@ class TestSqlppRegistration:
         with pytest.raises(UdfError, match="unknown function"):
             reg.invoke("ghost", [], ctx)
 
-    def test_names_listing(self, reg):
-        reg.register_sqlpp("CREATE FUNCTION zz(a) { SELECT VALUE a }")
-        reg.register_sqlpp("CREATE FUNCTION aa(a) { SELECT VALUE a }")
-        assert reg.sqlpp_names() == ["aa", "zz"]
-
-
 class _CountingUdf(JavaUdf):
     required_resources = ("data",)
     instances = 0
