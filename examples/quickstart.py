@@ -46,7 +46,7 @@ def main() -> None:
         SELECT t.country AS country, count(*) AS num
         FROM Tweets t
         GROUP BY t.country
-        ORDER BY num DESC
+        ORDER BY num DESC, country
         """
     )
     print("tweets per country:", counts)

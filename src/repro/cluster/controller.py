@@ -92,12 +92,7 @@ class ClusterController:
         )
         return job_id
 
-    def invoke(
-        self,
-        job_id: str,
-        params: object,
-        extra_node_busy: Optional[Dict[int, float]] = None,
-    ) -> JobResult:
+    def invoke(self, job_id: str, params: object) -> JobResult:
         """Invoke a predeployed job with a parameter (Fig. 20)."""
         deployed = self._deployed.get(job_id)
         if deployed is None:
@@ -110,9 +105,7 @@ class ClusterController:
             node.note_invocation(job_id)
         deployed.invocations += 1
         spec = deployed.spec_builder(params)
-        return self.runner.execute(
-            spec, predeployed=True, extra_node_busy=extra_node_busy
-        )
+        return self.runner.execute(spec, predeployed=True)
 
     def undeploy(self, job_id: str) -> None:
         self._deployed.pop(job_id, None)

@@ -21,11 +21,15 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from ..adm.schema import make_type
+from ..adm.schema import make_type, primary_key_of
 from ..adm.types import Datatype
 from ..cluster.controller import Cluster
 from ..errors import FeedStateError, SqlppAnalysisError
+from ..hyracks.connectors import HashPartition
 from ..hyracks.cost import CostModel
+from ..hyracks.executor import JobResult
+from ..hyracks.job import JobSpecification, OperatorDescriptor
+from ..hyracks.operators import DatasetWriteSink, ListSource
 from ..ingestion.adapter import FeedAdapter
 from ..ingestion.feed import (
     AttachedFunction,
@@ -39,14 +43,15 @@ from ..ingestion.pipelines import (
     ActiveFeedManager,
     DynamicIngestionPipeline,
     StaticIngestionPipeline,
+    drive_runs,
 )
 from ..ingestion.policy import DEFAULT_POLICY, FeedPolicy
 from ..runtime.faults import FaultPlan
 from ..runtime.metrics import PLAN_CACHE_COUNTERS
-from ..sqlpp.compiler import QueryCompiler, run_insert
 from ..storage.checkpoint import CheckpointStore
-from ..sqlpp.evaluator import EvaluationContext, Evaluator
+from ..sqlpp.evaluator import Env, EvaluationContext, Evaluator
 from ..sqlpp.parser import parse_statements
+from ..sqlpp.plans import PlanCache, compile_expr, truthy
 from ..sqlpp.statements import (
     ConnectFeed,
     CreateDataset,
@@ -63,6 +68,35 @@ from ..sqlpp.statements import (
 from ..storage.dataset import Dataset
 from ..storage.index import IndexKind
 from ..udf.registry import FunctionRegistry
+
+
+def run_insert(
+    cluster: Cluster,
+    catalog: Dict[str, Dataset],
+    dataset_name: str,
+    rows: List[dict],
+    upsert: bool = False,
+) -> JobResult:
+    """The insert job (§5.1): hash-partition rows by primary key and store them."""
+    if dataset_name not in catalog:
+        raise SqlppAnalysisError(f"unknown dataset: {dataset_name}")
+    dataset = catalog[dataset_name]
+    n = cluster.num_nodes
+    spec = JobSpecification(f"insert-{dataset_name}")
+    src = spec.add_operator(
+        OperatorDescriptor("rows", lambda c: ListSource(c, rows), partitions=n)
+    )
+    sink = spec.add_operator(
+        OperatorDescriptor(
+            "store",
+            lambda c: DatasetWriteSink(c, dataset, "upsert" if upsert else "insert"),
+            partitions=n,
+        )
+    )
+    spec.connect(
+        src, sink, HashPartition(lambda r: primary_key_of(r, dataset.primary_key))
+    )
+    return cluster.controller.run_job(spec)
 
 
 class _FeedState:
@@ -94,7 +128,6 @@ class AsterixLite:
         self.feeds: Dict[str, _FeedState] = {}
         self.afm = ActiveFeedManager(self.cluster)
         self.default_partitions = default_partitions or num_nodes
-        self._compiler = QueryCompiler(self.cluster, self.catalog, self.registry)
 
     # ------------------------------------------------------------------- DDL
 
@@ -393,43 +426,31 @@ class AsterixLite:
         pipeline = DynamicIngestionPipeline(
             self.cluster, self.catalog, self.registry, afm=self.afm
         )
-        handles = []
-        reports: Dict[str, FeedRunReport] = {}
         for state, _, _, _ in entries:
             state.running = True
         try:
+            runs = []
             try:
-                for state, launch, adapter, definition in entries:
-                    handles.append(
-                        (
-                            state,
-                            pipeline.launch(
-                                definition,
-                                adapter,
-                                update_client=launch.update_client,
-                                runtime=runtime,
-                                fabric=fabric,
-                            ),
+                for _, launch, adapter, definition in entries:
+                    runs.append(
+                        pipeline.launch(
+                            definition,
+                            adapter,
+                            update_client=launch.update_client,
+                            runtime=runtime,
+                            fabric=fabric,
                         )
                     )
-                for _, handle in handles:
-                    self.cluster.controller.begin_run(handle.run_name)
-                try:
-                    elapsed = runtime.run()
-                finally:
-                    for _, handle in handles:
-                        self.cluster.controller.finish_run(handle.run_name)
-                        handle.collect_faults()
-                for state, handle in handles:
-                    report = handle.finalize(elapsed)
-                    state.last_report = report
-                    reports[handle.feed_name] = report
-            finally:
-                for _, handle in handles:
-                    handle.cleanup()
+            except BaseException:
+                for run in runs:
+                    run.cleanup()
+                raise
+            reports = dict(zip(names, drive_runs(runtime, runs)))
         finally:
             for state, _, _, _ in entries:
                 state.running = False
+        for state, _, _, _ in entries:
+            state.last_report = reports[state.name]
         return reports
 
     def resume_run(
@@ -509,14 +530,10 @@ class AsterixLite:
         """Delete records matching ``where``; returns how many went."""
         dataset = self._dataset(dataset_name)
         evaluator = self.evaluator()
-        from ..adm.schema import primary_key_of
-        from ..sqlpp.evaluator import Env, _truthy
-
+        matches = compile_expr(where) if where is not None else None
         doomed = []
         for record in dataset.scan():
-            if where is None or _truthy(
-                evaluator.evaluate(where, Env({var: record}))
-            ):
+            if matches is None or truthy(matches(evaluator, Env({var: record}))):
                 doomed.append(primary_key_of(record, dataset.primary_key))
         for key in doomed:
             dataset.delete(key)
@@ -531,7 +548,11 @@ class AsterixLite:
             ast = statements[0].query
         else:
             ast = text_or_ast
-        return self._compiler.compile(ast).execute()
+        return self._evaluate(ast)
+
+    def _evaluate(self, query) -> List:
+        result = self.evaluator().evaluate_query(query)
+        return result if isinstance(result, list) else [result]
 
     # ------------------------------------------------------------- statements
 
@@ -584,10 +605,10 @@ class AsterixLite:
                 statement.dataset, statement.var, statement.where
             )
         if isinstance(statement, InsertStatement):
-            rows = self._compiler.compile(statement.query).execute()
+            rows = self._evaluate(statement.query)
             return self.insert(statement.dataset, rows, upsert=statement.upsert)
         if isinstance(statement, QueryStatement):
-            return self._compiler.compile(statement.query).execute()
+            return self._evaluate(statement.query)
         raise SqlppAnalysisError(f"unsupported statement: {type(statement).__name__}")
 
     # ---------------------------------------------------------------- helpers
@@ -596,7 +617,16 @@ class AsterixLite:
         return EvaluationContext(self.catalog, functions=self.registry)
 
     def evaluator(self) -> Evaluator:
-        return Evaluator(self.evaluation_context())
+        """An evaluator for one ad-hoc statement.
+
+        Its plans live in a cache of its own: ``PlanCache`` pins every
+        block it has planned, and an ad-hoc query's AST is never seen
+        again, so in the registry's cache (which feeds share, and which
+        only DDL empties) each query would stay pinned for good.
+        """
+        ctx = self.evaluation_context()
+        ctx.plan_cache = PlanCache()
+        return Evaluator(ctx)
 
     def _dataset(self, name: str) -> Dataset:
         if name not in self.catalog:

@@ -1,6 +1,6 @@
-"""Hyracks substrate: frames, job DAGs, operators, connectors, executor."""
+"""Hyracks substrate: frames, job pipelines, operators, connectors, executor."""
 
-from .connectors import Broadcast, HashPartition, OneToOne, RoundRobin
+from .connectors import HashPartition, OneToOne, RoundRobin
 from .cost import DEFAULT_COST_MODEL, CostModel, WorkMeter
 from .executor import JobResult, LocalJobRunner
 from .frame import DEFAULT_FRAME_CAPACITY, Frame, FrameWriter, frames_of
@@ -19,7 +19,6 @@ from .partition_holder import (
 
 __all__ = [
     "ActivePartitionHolder",
-    "Broadcast",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "DEFAULT_FRAME_CAPACITY",

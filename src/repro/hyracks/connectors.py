@@ -56,17 +56,6 @@ class HashPartition(RoutingStrategy):
         return [hash_partition(self.key_fn(record), fanout)]
 
 
-class Broadcast(RoutingStrategy):
-    """Replicate every record to all consumer partitions.
-
-    Used by index-nested-loop joins that must probe every node's local
-    index partition (the Nearby Monuments limitation in §7.4.2).
-    """
-
-    def route(self, record, producer_partition, fanout):
-        return list(range(fanout))
-
-
 class ConnectorRuntime:
     """Per-edge runtime: buffers per consumer partition, flushes as frames."""
 
@@ -145,26 +134,3 @@ class _ConnectorWriter:
 
     def fail(self) -> None:
         self.close()
-
-
-class FanOutWriter:
-    """Duplicates one producer's output to several downstream writers."""
-
-    def __init__(self, writers):
-        self.writers = list(writers)
-
-    def open(self) -> None:
-        for writer in self.writers:
-            writer.open()
-
-    def next_frame(self, frame: Frame) -> None:
-        for writer in self.writers:
-            writer.next_frame(frame)
-
-    def close(self) -> None:
-        for writer in self.writers:
-            writer.close()
-
-    def fail(self) -> None:
-        for writer in self.writers:
-            writer.fail()

@@ -36,8 +36,7 @@ class CostModel:
     intake_fanout_per_record: float = 0.35e-6  # round-robin partitioner, per target hop
 
     # Generic operator work
-    move_per_record: float = 2.0e-6  # pass-through / projection / assign
-    filter_per_record: float = 1.5e-6
+    move_per_record: float = 2.0e-6  # sink hand-off
     transfer_per_record: float = 4.0e-6  # cross-node connector hop
     sort_per_record_log: float = 1.2e-6  # multiplied by log2(n)
     group_per_record: float = 2.5e-6

@@ -19,9 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..runtime.clock import Clock
 
 from ..errors import JobSpecificationError
-from .connectors import ConnectorRuntime, FanOutWriter
+from .connectors import ConnectorRuntime
 from .cost import DEFAULT_COST_MODEL, CostModel
-from .frame import Frame, FrameWriter
 from .job import JobSpecification, OperatorContext, OperatorDescriptor, SourceOperator
 
 
@@ -44,38 +43,8 @@ class JobResult:
         return max(self.node_busy_seconds.values()) if self.node_busy_seconds else 0.0
 
 
-class _MergingWriter(FrameWriter):
-    """Collapses N inbound edges into one open/close pair for the consumer."""
-
-    def __init__(self, target: FrameWriter, expected: int):
-        self.target = target
-        self.expected = expected
-        self._opened = 0
-        self._closed = 0
-
-    def open(self) -> None:
-        self._opened += 1
-        if self._opened == 1:
-            self.target.open()
-
-    def next_frame(self, frame: Frame) -> None:
-        self.target.next_frame(frame)
-
-    def close(self) -> None:
-        self._closed += 1
-        if self._closed == self.expected:
-            self.target.close()
-
-    def fail(self) -> None:
-        self.target.fail()
-
-
 class LocalJobRunner:
-    """Executes job specifications against a cluster of ``num_nodes``.
-
-    One runner is shared across the jobs of a feed so connectors and
-    operators can coordinate through ``shared_state``.
-    """
+    """Executes job specifications against a cluster of ``num_nodes``."""
 
     def __init__(
         self,
@@ -88,9 +57,6 @@ class LocalJobRunner:
         self.num_nodes = num_nodes
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.clock = clock  # cluster clock; stamps JobResult sim timestamps
-        self.shared_state: Dict[object, object] = {}
-        self.current_job_name = ""
-        self.jobs_executed = 0
 
     # ------------------------------------------------------------------ place
 
@@ -101,20 +67,9 @@ class LocalJobRunner:
 
     # ---------------------------------------------------------------- execute
 
-    def execute(
-        self,
-        spec: JobSpecification,
-        predeployed: bool = False,
-        extra_node_busy: Optional[Dict[int, float]] = None,
-    ) -> JobResult:
-        """Run a job to completion and return its result.
-
-        ``extra_node_busy`` lets callers fold pre-charged work (e.g. a
-        partition holder hand-off) into the makespan computation.
-        """
+    def execute(self, spec: JobSpecification, predeployed: bool = False) -> JobResult:
+        """Run a job to completion and return its result."""
         spec.validate()
-        self.current_job_name = spec.name
-        self.jobs_executed += 1
 
         # Instantiate every operator partition with its context.
         instances: Dict[int, List] = {}
@@ -132,27 +87,12 @@ class LocalJobRunner:
         def charge_node(node: int, seconds: float) -> None:
             node_busy[node] += seconds
 
-        # Wire connectors.  Consumers with multiple inbound edges get a
-        # merging writer so open/close pair up; producers with multiple
-        # outbound edges get a fan-out writer.
-        inbound_counts = {op.op_id: len(spec.inbound(op)) for op in spec.operators}
-        consumer_targets: Dict[int, List[FrameWriter]] = {}
-        for op in spec.operators:
-            expected = inbound_counts[op.op_id]
-            if expected > 1:
-                consumer_targets[op.op_id] = [
-                    _MergingWriter(inst, expected) for inst in instances[op.op_id]
-                ]
-            else:
-                consumer_targets[op.op_id] = list(instances[op.op_id])
-
-        producer_writers: Dict[int, List[List[FrameWriter]]] = {
-            op.op_id: [[] for _ in range(op.partitions)] for op in spec.operators
-        }
+        # Wire each connector between its producer's and consumer's
+        # partitions (validate() guarantees one edge per side).
         for conn in spec.connectors:
             runtime = ConnectorRuntime(
                 strategy=conn.strategy,
-                consumers=consumer_targets[conn.consumer.op_id],
+                consumers=instances[conn.consumer.op_id],
                 producer_nodes=[
                     self.node_of(conn.producer, p)
                     for p in range(conn.producer.partitions)
@@ -164,22 +104,12 @@ class LocalJobRunner:
                 charge=charge_node,
                 transfer_cost=self.cost_model.transfer_per_record,
             )
-            for p in range(conn.producer.partitions):
-                producer_writers[conn.producer.op_id][p].append(
-                    runtime.writer_for_producer(p)
-                )
+            for p, instance in enumerate(instances[conn.producer.op_id]):
+                instance.set_output(runtime.writer_for_producer(p))
 
-        for op in spec.operators:
-            for p, instance in enumerate(instances[op.op_id]):
-                writers = producer_writers[op.op_id][p]
-                if len(writers) == 1:
-                    instance.set_output(writers[0])
-                elif len(writers) > 1:
-                    instance.set_output(FanOutWriter(writers))
-
-        # Drive the sources in topological order; frames propagate
-        # synchronously through the wired writers.
-        sources = [op for op in spec.topological_order() if not spec.inbound(op)]
+        # Drive the sources; frames propagate synchronously through the
+        # wired writers.
+        sources = spec.sources()
         for op in sources:
             for instance in instances[op.op_id]:
                 if not isinstance(instance, SourceOperator):
@@ -187,8 +117,9 @@ class LocalJobRunner:
                         f"operator {op.name} has no inputs but is not a source"
                     )
         # Open every source before running any, and close every source only
-        # after all have run: connectors count producer opens/closes, so
-        # blocking consumers (sort, group-by) must see one open/close pair.
+        # after all have run: a connector opens its consumers at the first
+        # producer open and closes them at the last close, so each consumer
+        # sees one open/close pair.
         for op in sources:
             for instance in instances[op.op_id]:
                 instance.open()
@@ -210,10 +141,6 @@ class LocalJobRunner:
             per_operator_busy[op.name] = op_busy
             for instance in instances[op.op_id]:
                 records_out += getattr(instance, "written", 0)
-
-        if extra_node_busy:
-            for node, seconds in extra_node_busy.items():
-                node_busy[node] = node_busy.get(node, 0.0) + seconds
 
         startup = self.cost_model.job_startup(self.num_nodes, predeployed)
         makespan = (

@@ -1,8 +1,12 @@
-"""Job specifications: DAGs of operator and connector descriptors.
+"""Job specifications: pipelines of operator and connector descriptors.
 
 A *job* is the unit of work executed on the Hyracks platform; its *job
-specification* describes data flow as a DAG of operators (computation) and
-connectors (routing) — Section 2.2 of the paper.
+specification* describes data flow as operators (computation) joined by
+connectors (routing) — Section 2.2 of the paper.  Hyracks allows any DAG;
+the jobs this system runs (the static feed, the per-batch computing job,
+the insert job — Fig. 23, §5.1) are linear, so a specification here is a
+set of pipelines: an operator has at most one inbound and one outbound
+connector.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class ConnectorDescriptor:
 
 
 class JobSpecification:
-    """A DAG of operator descriptors wired by connector descriptors."""
+    """Pipelines of operator descriptors wired by connector descriptors."""
 
     def __init__(self, name: str = "job"):
         self.name = name
@@ -135,18 +139,20 @@ class JobSpecification:
         return [op for op in self.operators if not self.inbound(op)]
 
     def validate(self) -> None:
-        """Check the DAG: no cycles, every non-source has inputs."""
+        """Check the shape: linear (one edge in, one edge out), no cycles."""
         if not self.operators:
             raise JobSpecificationError("job has no operators")
+        for op in self.operators:
+            if len(self.inbound(op)) > 1 or len(self.outbound(op)) > 1:
+                raise JobSpecificationError(
+                    f"operator {op.name} has more than one inbound or "
+                    "outbound connector: jobs are linear pipelines"
+                )
         if not self.sources():
             raise JobSpecificationError("job has no source operators (cycle?)")
-        # Kahn's algorithm for cycle detection + topological order
+        # Kahn's algorithm: a ring beside a well-formed pipeline has
+        # sources elsewhere and one edge per side, and is caught here.
         self.topological_order()
-        for conn in self.connectors:
-            if conn.producer is conn.consumer:
-                raise JobSpecificationError(
-                    f"self-loop on operator {conn.producer.name}"
-                )
 
     def topological_order(self) -> List[OperatorDescriptor]:
         indegree: Dict[int, int] = {op.op_id: 0 for op in self.operators}

@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from ..frame import Frame
 from ..job import Operator, OperatorContext
-
-
-class CollectSink(Operator):
-    """Append every record to a shared result list (the Result Writer)."""
-
-    def __init__(self, ctx: OperatorContext, result: List[dict]):
-        super().__init__(ctx)
-        self.result = result
-
-    def next_frame(self, frame: Frame) -> None:
-        self.ctx.charge(self.ctx.cost.move_per_record * len(frame))
-        self.result.extend(frame.records)
 
 
 class DatasetWriteSink(Operator):
@@ -53,17 +41,6 @@ class DatasetWriteSink(Operator):
             self.written += 1
             if self.on_record is not None:
                 self.on_record(record)
-
-
-class NullSink(Operator):
-    """Discard all input (used when only side effects matter)."""
-
-    def __init__(self, ctx: OperatorContext):
-        super().__init__(ctx)
-        self.seen = 0
-
-    def next_frame(self, frame: Frame) -> None:
-        self.seen += len(frame)
 
 
 class CallbackSink(Operator):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from ..frame import DEFAULT_FRAME_CAPACITY, frames_of
 from ..job import OperatorContext, SourceOperator
@@ -36,41 +36,3 @@ class ListSource(SourceOperator):
             self.ctx.charge(self.per_record_cost * len(self._records))
         for frame in frames_of(self._records, DEFAULT_FRAME_CAPACITY):
             self.emit(frame)
-
-
-class DatasetScanSource(SourceOperator):
-    """Scan one partition of a stored dataset (Fig. 2's Scanner)."""
-
-    def __init__(self, ctx: OperatorContext, dataset):
-        super().__init__(ctx)
-        self.dataset = dataset
-
-    def run(self) -> None:
-        if self.ctx.partition >= self.dataset.num_partitions:
-            return  # more scanners than storage partitions: nothing local
-        records = list(self.dataset.scan_partition(self.ctx.partition))
-        self.ctx.charge(self.ctx.cost.scan_per_record * len(records))
-        for frame in frames_of(records):
-            self.emit(frame)
-
-
-class CallbackSource(SourceOperator):
-    """Emit records produced by a callable ``fn(partition) -> iterable``."""
-
-    def __init__(
-        self,
-        ctx: OperatorContext,
-        fn: Callable[[int], Iterable[dict]],
-        per_record_cost: float = 0.0,
-    ):
-        super().__init__(ctx)
-        self.fn = fn
-        self.per_record_cost = per_record_cost
-
-    def run(self) -> None:
-        count = 0
-        for frame in frames_of(self.fn(self.ctx.partition)):
-            count += len(frame)
-            self.emit(frame)
-        if self.per_record_cost:
-            self.ctx.charge(self.per_record_cost * count)

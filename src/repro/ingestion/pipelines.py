@@ -831,11 +831,8 @@ class FeedRun:
     layers built, computing job predeployed, actors spawned on the
     runtime — and returns it instead of driving the clock, so a caller
     can launch *several* feeds onto one shared runtime and run them as a
-    fleet (:meth:`AsterixLite.start_feeds`).  The driving protocol, in
-    order: ``run.runtime.run()`` (inside the controller's begin/finish
-    bracket), :meth:`collect_faults`, :meth:`finalize`, and
-    :meth:`cleanup` in a ``finally``.  :meth:`DynamicIngestionPipeline.run`
-    is exactly this protocol for a single feed.
+    fleet (:meth:`AsterixLite.start_feeds`).  :func:`drive_runs` is the
+    driving protocol for both.
 
     The actors are this object's generator methods, each a
     :class:`~repro.runtime.Process` on the run's runtime: one intake actor
@@ -1652,6 +1649,30 @@ class FeedRun:
             part_adapter.close()
 
 
+def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
+    """Drive launched runs — one feed or a fleet — to completion on ``runtime``.
+
+    The driving protocol, once: the controller's begin/finish bracket
+    around ``runtime.run()``, each run's faults folded in whether or not
+    the clock stopped cleanly, one report per run carrying the runtime's
+    makespan, and every run cleaned up on every way out.
+    """
+    controller = runs[0].cluster.controller
+    try:
+        for run in runs:
+            controller.begin_run(run.run_name)
+        try:
+            elapsed = runtime.run()
+        finally:
+            for run in runs:
+                controller.finish_run(run.run_name)
+                run.collect_faults()
+        return [run.finalize(elapsed) for run in runs]
+    finally:
+        for run in runs:
+            run.cleanup()
+
+
 class DynamicIngestionPipeline:
     """The paper's layered ingestion framework."""
 
@@ -1704,16 +1725,7 @@ class DynamicIngestionPipeline:
             checkpoint=checkpoint,
             resume=resume,
         )
-        try:
-            self.cluster.controller.begin_run(feed_run.run_name)
-            try:
-                elapsed = feed_run.runtime.run()
-            finally:
-                self.cluster.controller.finish_run(feed_run.run_name)
-                feed_run.collect_faults()
-            return feed_run.finalize(elapsed)
-        finally:
-            feed_run.cleanup()
+        return drive_runs(feed_run.runtime, [feed_run])[0]
 
     def launch(
         self,

@@ -268,7 +268,7 @@ class Evaluator:
             return value
         dataset = self.ctx.dataset(expr.name)
         if dataset is not None:
-            return _DatasetRef(dataset)
+            return DatasetRef(dataset)
         raise SqlppAnalysisError(f"unresolved variable: {expr.name}")
 
     def _eval_field(self, expr: FieldAccess, env: Env):
@@ -364,7 +364,7 @@ class Evaluator:
                     value = self.evaluate(arg, tuple_env)
                     if value is not MISSING and value is not None:
                         values.append(value)
-            return _aggregate(name, values)
+            return aggregate_values(name, values)
         # No group: SQL++ array form — the argument must be a collection.
         if not expr.args:
             raise SqlppEvaluationError(f"{name}() requires an argument")
@@ -378,7 +378,7 @@ class Evaluator:
                 f"{name}() outside GROUP BY requires an array argument"
             )
         cleaned = [v for v in value if v is not None and v is not MISSING]
-        return _aggregate(name, cleaned)
+        return aggregate_values(name, cleaned)
 
     # ----------------------------------------------------------- other nodes
 
@@ -644,7 +644,7 @@ class Evaluator:
             and not env.is_bound(source.name)
         ):
             value = self.evaluate(source, env)
-            if isinstance(value, _DatasetRef):
+            if isinstance(value, DatasetRef):
                 return self._scan_dataset(value.dataset)
             if value is MISSING or value is None:
                 return []
@@ -963,7 +963,7 @@ class Evaluator:
                     genv.vars[key_spec.alias] = value
                 else:
                     # allow referring to the key by its last path component
-                    name = _default_alias(key_spec.expr, fallback=None)
+                    name = default_alias(key_spec.expr, fallback=None)
                     if name:
                         genv.vars.setdefault(name, value)
             group_envs.append(genv)
@@ -989,7 +989,7 @@ class Evaluator:
                 if isinstance(base, dict):
                     out.update(base)
                 continue
-            name = proj.alias or _default_alias(proj.expr, fallback=f"${position}")
+            name = proj.alias or default_alias(proj.expr, fallback=f"${position}")
             value = self.evaluate(proj.expr, env)
             if value is not MISSING:
                 out[name] = value
@@ -1098,7 +1098,7 @@ class Evaluator:
         # Non-dataset sources: evaluate and iterate.
         if not tp.is_dataset:
             value = tp.source_fn(self, env)
-            if isinstance(value, _DatasetRef):
+            if isinstance(value, DatasetRef):
                 return self._scan_dataset(value.dataset)
             if value is MISSING or value is None:
                 return []
@@ -1330,17 +1330,6 @@ class _OrderKey:
 
     def __eq__(self, other):
         return self.key == other.key
-
-
-# Shared with the plan compiler (plans.py); kept under the historical
-# module-private names for existing importers (compiler.py, tests).
-_DatasetRef = DatasetRef
-_default_alias = default_alias
-
-
-# Aggregate folding lives in plans.py (shared with compiled aggregate
-# closures); historical module-private alias:
-_aggregate = aggregate_values
 
 
 def _distinct_rows(rows: List) -> List:

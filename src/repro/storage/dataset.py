@@ -216,10 +216,6 @@ class Dataset:
             for _key, record in tree.scan():
                 yield record
 
-    def scan_partition(self, pid: int) -> Iterator[dict]:
-        for _key, record in self.partitions[pid].scan():
-            yield record
-
     def snapshot(self) -> ReferenceSnapshot:
         """The dataset's contents as one shared, immutable read snapshot.
 

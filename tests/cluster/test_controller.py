@@ -5,7 +5,8 @@ import pytest
 from repro.cluster import Cluster
 from repro.errors import HyracksError
 from repro.hyracks import JobSpecification, OneToOne, OperatorDescriptor
-from repro.hyracks.operators import CollectSink, ListSource
+from repro.hyracks.operators import ListSource
+from tests.hyracks import collect_into
 
 
 def make_builder(out):
@@ -15,7 +16,7 @@ def make_builder(out):
             OperatorDescriptor("src", lambda ctx: ListSource(ctx, params), 2)
         )
         sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
+            OperatorDescriptor("sink", collect_into(out), 1)
         )
         spec.connect(src, sink, OneToOne())
         return spec

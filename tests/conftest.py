@@ -5,11 +5,22 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.adm import DateTime, Point, Rectangle, open_type
 from repro.storage import Dataset, IndexKind
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.udf import FunctionRegistry, register_paper_udfs
+
+# Example budgets for the six property tests that set no ``max_examples``:
+# the four codec differentials, the filter-join differential and the
+# facade-query differential (400-600 examples as literals before).  Every
+# other property test pins its own count and ignores the profile.  ``tier1``
+# is what ``pytest -x -q`` runs; CI's ``properties-deep`` job runs
+# ``tests/properties`` with ``--hypothesis-profile=deep``, the old literals.
+settings.register_profile("tier1", max_examples=50)
+settings.register_profile("deep", max_examples=400)
+settings.load_profile("tier1")
 
 
 def load(dataset: Dataset, records) -> Dataset:

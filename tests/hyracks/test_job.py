@@ -10,11 +10,10 @@ from repro.hyracks import (
     OperatorDescriptor,
     SourceOperator,
 )
-from repro.hyracks.operators import ListSource, NullSink
 
 
 def op(name, partitions=1, nodes=None):
-    return OperatorDescriptor(name, lambda ctx: NullSink(ctx), partitions, nodes)
+    return OperatorDescriptor(name, Operator, partitions, nodes)
 
 
 class TestSpecification:
@@ -85,3 +84,35 @@ class TestSpecification:
         assert len(spec.outbound(a)) == 1
         assert len(spec.inbound(b)) == 1
         assert spec.inbound(a) == []
+
+    def test_two_inbound_edges_rejected(self):
+        spec = JobSpecification()
+        a = spec.add_operator(op("a"))
+        b = spec.add_operator(op("b"))
+        merged = spec.add_operator(op("merged"))
+        spec.connect(a, merged, OneToOne())
+        spec.connect(b, merged, OneToOne())
+        with pytest.raises(JobSpecificationError, match="linear"):
+            spec.validate()
+
+    def test_two_outbound_edges_rejected(self):
+        spec = JobSpecification()
+        a = spec.add_operator(op("a"))
+        left = spec.add_operator(op("left"))
+        right = spec.add_operator(op("right"))
+        spec.connect(a, left, OneToOne())
+        spec.connect(a, right, OneToOne())
+        with pytest.raises(JobSpecificationError, match="linear"):
+            spec.validate()
+
+    def test_ring_beside_a_pipeline_detected(self):
+        spec = JobSpecification()
+        a = spec.add_operator(op("a"))
+        b = spec.add_operator(op("b"))
+        x = spec.add_operator(op("x"))
+        y = spec.add_operator(op("y"))
+        spec.connect(a, b, OneToOne())
+        spec.connect(x, y, OneToOne())
+        spec.connect(y, x, OneToOne())
+        with pytest.raises(JobSpecificationError, match="cycle"):
+            spec.validate()

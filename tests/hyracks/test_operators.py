@@ -2,21 +2,11 @@
 
 import pytest
 
-from repro.adm import open_type
 from repro.hyracks import Frame, JobSpecification, LocalJobRunner, OneToOne, OperatorDescriptor
 from repro.hyracks.frame import frames_of
 from repro.hyracks.job import OperatorContext
-from repro.hyracks.operators import (
-    AssignOperator,
-    CallbackSource,
-    CollectSink,
-    DatasetScanSource,
-    FilterOperator,
-    LimitOperator,
-    ListSource,
-    ParseOperator,
-)
-from repro.storage import Dataset
+from repro.hyracks.operators import CallbackSink, ListSource, ParseOperator
+from tests.hyracks import collect_into
 
 
 def run_pipeline(records, middle_factory, nodes=2, source_partitions=2):
@@ -27,7 +17,7 @@ def run_pipeline(records, middle_factory, nodes=2, source_partitions=2):
     )
     mid = spec.add_operator(OperatorDescriptor("mid", middle_factory, source_partitions))
     sink = spec.add_operator(
-        OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
+        OperatorDescriptor("sink", collect_into(out), 1)
     )
     spec.connect(src, mid, OneToOne())
     spec.connect(mid, sink, OneToOne())
@@ -51,38 +41,6 @@ class TestFrames:
 
 
 class TestBasicOperators:
-    def test_assign_maps(self):
-        out = run_pipeline(
-            [{"v": i} for i in range(10)],
-            lambda ctx: AssignOperator(ctx, lambda r: {"v": r["v"] * 2}),
-        )
-        assert sorted(r["v"] for r in out) == [i * 2 for i in range(10)]
-
-    def test_assign_can_drop_and_unnest(self):
-        def fn(record):
-            if record["v"] == 0:
-                return None
-            return [{"v": record["v"]}, {"v": -record["v"]}]
-
-        out = run_pipeline([{"v": i} for i in range(3)], lambda ctx: AssignOperator(ctx, fn))
-        assert sorted(r["v"] for r in out) == [-2, -1, 1, 2]
-
-    def test_filter(self):
-        out = run_pipeline(
-            [{"v": i} for i in range(10)],
-            lambda ctx: FilterOperator(ctx, lambda r: r["v"] % 2 == 0),
-        )
-        assert sorted(r["v"] for r in out) == [0, 2, 4, 6, 8]
-
-    def test_limit_is_global_across_partitions(self):
-        out = run_pipeline(
-            [{"v": i} for i in range(100)],
-            lambda ctx: LimitOperator(ctx, 7),
-            nodes=4,
-            source_partitions=4,
-        )
-        assert len(out) == 7
-
     def test_parse_operator_envelopes(self):
         out = run_pipeline(
             [{"raw": '{"id": 1, "x": 2}'}, {"raw": '{"id": 2}'}],
@@ -114,7 +72,7 @@ class TestBasicOperators:
 class TestSources:
     def test_list_source_partitions_records(self):
         records = [{"i": i} for i in range(10)]
-        out = run_pipeline(records, lambda ctx: AssignOperator(ctx, lambda r: r))
+        out = run_pipeline(records, lambda ctx: ParseOperator(ctx))
         assert sorted(r["i"] for r in out) == list(range(10))
 
     def test_list_source_explicit_partition_lists(self):
@@ -127,57 +85,30 @@ class TestSources:
             )
         )
         sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
+            OperatorDescriptor("sink", collect_into(out), 1)
         )
         spec.connect(src, sink, OneToOne())
         LocalJobRunner(2).execute(spec)
         assert sorted(r["p"] for r in out) == [0, 1, 11]
 
-    def test_callback_source(self):
+
+class TestSinks:
+    def test_callback_sink_reports_partition(self):
+        received = []
+
+        def callback(partition, frame):
+            received.append((partition, len(frame)))
+
         spec = JobSpecification("cb")
-        out = []
         src = spec.add_operator(
             OperatorDescriptor(
-                "src",
-                lambda ctx: CallbackSource(ctx, lambda p: [{"partition": p}]),
-                3,
+                "src", lambda c: ListSource(c, [{"i": i} for i in range(10)]), 2
             )
         )
         sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
-        )
-        spec.connect(src, sink, OneToOne())
-        LocalJobRunner(3).execute(spec)
-        assert sorted(r["partition"] for r in out) == [0, 1, 2]
-
-    def test_dataset_scan_source(self):
-        ds = Dataset("D", open_type("T", id="int64"), "id", num_partitions=2)
-        for i in range(20):
-            ds.insert({"id": i})
-        spec = JobSpecification("scan")
-        out = []
-        src = spec.add_operator(
-            OperatorDescriptor("scan", lambda ctx: DatasetScanSource(ctx, ds), 2)
-        )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
+            OperatorDescriptor("sink", lambda c: CallbackSink(c, callback), 2)
         )
         spec.connect(src, sink, OneToOne())
         LocalJobRunner(2).execute(spec)
-        assert sorted(r["id"] for r in out) == list(range(20))
-
-    def test_dataset_scan_more_partitions_than_storage(self):
-        ds = Dataset("D", open_type("T", id="int64"), "id", num_partitions=2)
-        for i in range(10):
-            ds.insert({"id": i})
-        spec = JobSpecification("scan")
-        out = []
-        src = spec.add_operator(
-            OperatorDescriptor("scan", lambda ctx: DatasetScanSource(ctx, ds), 4)
-        )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CollectSink(ctx, out), 1)
-        )
-        spec.connect(src, sink, OneToOne())
-        LocalJobRunner(4).execute(spec)
-        assert sorted(r["id"] for r in out) == list(range(10))
+        assert sum(count for _p, count in received) == 10
+        assert {p for p, _c in received} == {0, 1}

@@ -217,7 +217,7 @@ def test_corners_generation_rarely_reaches(locs, query, tweet):
     _assert_same(records, False, False, parse_expression(query), [tweet], 9, late)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(deadline=None)
 @given(st.data())
 def test_planned_spatial_blocks_match_the_interpreter(data):
     indexed = data.draw(st.booleans(), label="indexed")

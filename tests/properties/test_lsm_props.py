@@ -9,6 +9,10 @@ from repro.storage import LSMTree
 keys = st.integers(min_value=0, max_value=50)
 values = st.integers()
 
+# Hypothesis's own default, spelled out: these properties never set a count
+# and must not follow the smaller ``tier1`` profile (tests/conftest.py).
+default_budget = settings(max_examples=100)
+
 
 class LSMComparison(RuleBasedStateMachine):
     """Drive an LSM tree and a model dict with the same operations."""
@@ -56,6 +60,7 @@ TestLSMComparison = LSMComparison.TestCase
 TestLSMComparison.settings = settings(max_examples=40, stateful_step_count=30)
 
 
+@default_budget
 @given(st.lists(st.tuples(keys, values)))
 def test_scan_is_sorted_and_unique(operations):
     tree = LSMTree(memtable_budget=3, merge_fanin=3)
@@ -65,6 +70,7 @@ def test_scan_is_sorted_and_unique(operations):
     assert scanned_keys == sorted(set(scanned_keys))
 
 
+@default_budget
 @given(
     st.lists(st.tuples(keys, values), min_size=1),
     st.integers(min_value=0, max_value=50),
@@ -81,6 +87,7 @@ def test_range_scan_agrees_with_full_scan(operations, low, high):
     assert ranged == full
 
 
+@default_budget
 @given(st.lists(st.tuples(keys, st.sampled_from(["upsert", "delete"]), values)))
 def test_wal_replay_equivalence(operations):
     tree = LSMTree(memtable_budget=4)
@@ -93,6 +100,7 @@ def test_wal_replay_equivalence(operations):
     assert dict(recovered.scan()) == dict(tree.scan())
 
 
+@default_budget
 @given(
     st.lists(st.tuples(keys, values), min_size=1),
     st.integers(min_value=1, max_value=6),
@@ -111,6 +119,7 @@ def test_flush_merge_equivalence_across_configs(operations, budget, fanin):
     assert dict(tree.scan()) == reference
 
 
+@default_budget
 @given(st.lists(st.tuples(keys, values), min_size=1))
 def test_get_after_merge_matches_before(operations):
     tree = LSMTree(memtable_budget=2, merge_fanin=100)

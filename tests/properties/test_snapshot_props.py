@@ -15,6 +15,10 @@ from repro.adm import open_type
 from repro.sqlpp.evaluator import EvaluationContext, Evaluator
 from repro.storage import TOMBSTONE, Dataset, LSMTree
 
+# Hypothesis's own default, spelled out: these properties never set a count
+# and must not follow the smaller ``tier1`` profile (tests/conftest.py).
+default_budget = settings(max_examples=100)
+
 # ------------------------------------------------------------------- oracle
 
 
@@ -84,6 +88,7 @@ def apply_tree_op(tree, op, key, value):
         getattr(tree, op)()
 
 
+@default_budget
 @given(tree_ops, st.integers(min_value=1, max_value=5), int_keys, int_keys)
 def test_scan_and_range_scan_agree_with_merge_scan(ops, budget, low, high):
     # merge_fanin=6: tombstones survive in flushed components until a
@@ -118,6 +123,7 @@ generations = st.lists(
 )
 
 
+@default_budget
 @given(generations)
 def test_mixed_key_types_order_like_the_oracle(gens):
     """Components of int keys under components of str keys: the C-level

@@ -86,6 +86,25 @@ def test_repro_bench_holds_only_what_src_callers_import():
     assert modules == ["__init__", "harness", "reporting", "wallclock"]
 
 
+def test_sqlpp_takes_only_the_work_meter_from_hyracks():
+    """A query has one executor, in ``repro.sqlpp``; Hyracks is the feed's
+    job substrate and the query engine builds no jobs on it."""
+    assert not (SRC / "sqlpp" / "compiler.py").exists()
+    imported = set()
+    for path in sorted((SRC / "sqlpp").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name for a in node.names if "hyracks" in a.name}
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                imported |= {
+                    f"{module}.{a.name}".lstrip(".")
+                    for a in node.names
+                    if "hyracks" in f"{module}.{a.name}"
+                }
+    assert imported == {"hyracks.cost.WorkMeter"}
+
+
 def test_every_exported_name_resolves():
     """Each name in a package's ``__all__`` is an attribute of that package."""
     stale = []
