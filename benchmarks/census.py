@@ -11,8 +11,8 @@ generator function that is called but never advanced is not entered
 (CPython 3.11 does enter it once when the unstarted generator is discarded,
 to throw ``GeneratorExit``).  The
 *traffic* is everything in the repository that is not a test: the nine figure
-/ ablation files and the substrate micro-benchmarks (one pytest session, the
-documented order, so ``benchmarks/results/`` is rewritten byte-identical),
+/ ablation files and the substrate micro-benchmarks (one pytest session;
+``benchmarks/results/`` is rewritten byte-identical in any order),
 ``bench_all.py --smoke``, the e2e benchmark at smoke size and with one
 full-size plain and one traced round per workload, and the five examples.
 

@@ -20,7 +20,8 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def harness():
-    """One harness (catalog cache) shared by every benchmark."""
+    """One harness for every benchmark: it fixes scale, seed and
+    partitioning and holds no state a run could leave behind."""
     return ExperimentHarness(reference_scale=env_scale(), num_partitions=6)
 
 

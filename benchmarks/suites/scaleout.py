@@ -141,8 +141,6 @@ def _run_tweet_context(
     """
     case_datasets = ("AverageIncomes", "DistrictAreas", "Facilities", "Persons")
     catalog = harness.catalog_for(case_datasets)
-    for dataset in catalog.values():
-        dataset.flush_all()
     target = harness.workload.enriched_tweets_dataset()
     catalog["EnrichedTweets"] = target
     registry = harness.registry_for(catalog)

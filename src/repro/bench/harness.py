@@ -165,7 +165,7 @@ def scaled_batch_sizes() -> Dict[str, int]:
 
 
 class ExperimentHarness:
-    """Builds catalogs/registries once per (scale, partitions) and runs feeds."""
+    """Runs one feed configuration over a freshly built catalog and registry."""
 
     def __init__(
         self,
@@ -191,17 +191,13 @@ class ExperimentHarness:
         self.workload = PaperWorkload(
             scale=self.scale, num_partitions=num_partitions
         )
-        self._catalog_cache: Dict[tuple, Dict] = {}
 
     # ----------------------------------------------------------------- setup
 
     def catalog_for(self, datasets: Sequence[str]) -> Dict[str, object]:
-        """Build (and cache) the reference datasets a use case needs."""
-        key = tuple(sorted(datasets))
-        if key not in self._catalog_cache:
-            self._catalog_cache[key] = self.workload.build_catalog(list(key))
-        # Shallow copy so callers can add their target dataset.
-        return dict(self._catalog_cache[key])
+        """Build the reference datasets a use case needs, fresh every call:
+        a run's reference upserts end with the run."""
+        return self.workload.build_catalog(sorted(datasets))
 
     def registry_for(self, catalog: Dict[str, object]) -> FunctionRegistry:
         registry = FunctionRegistry(lambda: set(catalog))
@@ -243,10 +239,6 @@ class ExperimentHarness:
         """
         case = USE_CASES[use_case] if use_case else None
         catalog = self.catalog_for(case.datasets if case else [])
-        for dataset in catalog.values():
-            # quiesce: a previous run's update client must not leak its
-            # in-memory LSM activity into this configuration
-            dataset.flush_all()
         target = self.workload.enriched_tweets_dataset()
         catalog["EnrichedTweets"] = target
         registry = self.registry_for(catalog)

@@ -112,6 +112,18 @@ class _FeedState:
         self.running = False
 
 
+#: policy fields only the dynamic framework's run honours; a static run
+#: refuses a policy that sets one rather than ignore it
+_DYNAMIC_ONLY_POLICY_FIELDS = (
+    "state_cache_bytes",
+    "enrichment_memo_bytes",
+    "intake_partitions",
+    "max_subbatch_records",
+    "min_computing_workers",
+    "max_computing_workers",
+)
+
+
 class AsterixLite:
     """An embedded, single-process reproduction of the paper's system."""
 
@@ -178,17 +190,15 @@ class AsterixLite:
         self.registry.invalidate_plans()
 
     def plan_cache_stats(self, feed: Optional[str] = None) -> Dict[str, int]:
-        """Plan-cache + enrichment-state-cache + enrichment-memo counters.
+        """Plan-cache counters, or one feed's cache / memo / columnar row.
 
-        With no ``feed``, the registry-global view: plan-cache keys are
-        unprefixed (``plans``/``hits``/``misses``/``invalidations``); the
-        cross-batch state cache's counters are merged in under a
-        ``state_cache_`` prefix and the key-level enrichment memo's under
-        a ``memo_`` prefix.  Under concurrent feeds those singleton
-        counters interleave every tenant's traffic, so pass a feed name
-        to get *that feed's* disjoint, labeled row instead: its last
-        run's per-run cache/memo deltas plus its columnar counters (all
-        zero before the feed's first run).
+        With no ``feed``: the registry's plan cache (``plans`` / ``hits``
+        / ``misses`` / ``invalidations``), the one cache every feed over
+        this system shares.  With a feed name: *that feed's* labeled row —
+        its last run's hit / miss / eviction deltas on its own state cache
+        and memo (:meth:`FunctionRegistry.caches_for`; no other feed's
+        traffic is in them) plus its columnar counters, all zero before
+        the feed's first run.
         """
         if feed is not None:
             report = self._feed(feed).last_report
@@ -198,12 +208,7 @@ class AsterixLite:
             for name in PLAN_CACHE_COUNTERS:
                 stats[name] = getattr(report, name)
             return stats
-        stats = dict(self.registry.plan_cache.stats())
-        for key, value in self.registry.state_cache.stats().items():
-            stats[f"state_cache_{key}"] = value
-        for key, value in self.registry.enrichment_memo.stats().items():
-            stats[f"memo_{key}"] = value
-        return stats
+        return self.registry.plan_cache.stats()
 
     def create_function(self, source_or_definition) -> None:
         self.registry.register_sqlpp(source_or_definition)
@@ -335,6 +340,16 @@ class AsterixLite:
                 "partitioned intake (multiple adapters) needs the dynamic "
                 "framework"
             )
+        if framework is Framework.STATIC:
+            run_policy = definition.policy or DEFAULT_POLICY
+            for name in _DYNAMIC_ONLY_POLICY_FIELDS:
+                if getattr(run_policy, name) != getattr(DEFAULT_POLICY, name):
+                    raise FeedStateError(
+                        f"policy field {name!r} needs the dynamic framework "
+                        "(the static pipeline is one job: no cross-batch "
+                        "caches, intake partitions, sub-batches or worker "
+                        "pool)"
+                    )
         state.running = True
         try:
             if framework is Framework.STATIC:
@@ -376,9 +391,9 @@ class AsterixLite:
         ``fabric`` (a :class:`~repro.ingestion.fabric.FeedFabric`) makes
         the fleet multi-tenant: per-feed elastic controllers bid into one
         global worker budget, and — when the fabric carries a memory
-        governor — each feed's cache/memo becomes a governed private
-        tenant.  Without one there is no arbitration (feeds still share
-        the clock but size their pools independently).  Per-feed stored
+        governor — it sets the budget of each feed's own cache/memo.
+        Without one there is no arbitration (feeds still share the clock
+        but size their pools independently).  Per-feed stored
         outputs are byte-identical with and without a fabric — the fabric
         only changes pool sizes over time, never batch order.
 

@@ -691,11 +691,11 @@ def backfill_pending(
     memo = None
     registry = getattr(system, "registry", None)
     if resolved_policy.enrichment_memo_bytes > 0 and registry is not None:
-        # The backfill pass shares the registry's cross-batch memo: keys the
+        # The backfill pass uses the feed's own cross-batch memo: keys the
         # live feed already resolved are reused, and keys the backfill
         # resolves warm the memo for subsequent batches.  Pending markers
         # themselves are never memoized, so every pending key re-probes.
-        memo = registry.enrichment_memo
+        _, memo = registry.caches_for(feed_name)
         memo.configure(resolved_policy.enrichment_memo_bytes)
     coordinator = EnrichmentCoordinator(
         resolved_bindings,

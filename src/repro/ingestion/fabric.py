@@ -286,9 +286,8 @@ class FeedFabric:
     of registered feeds' ``min_computing_workers`` floors must fit in
     it.  ``memory_bytes > 0`` additionally attaches a
     :class:`MemoryGovernor` arbitrating one cache budget across every
-    governed feed (feeds whose policy enables a cache get *private*
-    governor-sized instances instead of configuring the registry-shared
-    singletons).
+    governed feed (the governor, not the policy's byte count, sets the
+    budget of each cache the feed's policy enables).
 
     A fabric arbitrates exactly one ``start_feeds`` run: its lease
     ledger, timelines, and governor grants are run artifacts, inspected
@@ -350,7 +349,7 @@ class FeedFabric:
         self._tenants[name] = _WorkerTenant(name, policy, grow, recall)
 
     def register_cache(self, name: str, cache, policy) -> None:
-        """Enroll one feed's private cache with the governor."""
+        """Enroll one of a feed's own caches with the governor."""
         if self.governor is None:
             raise IngestionError("this fabric has no memory governor")
         self.governor.register(

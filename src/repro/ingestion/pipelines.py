@@ -58,8 +58,6 @@ from ..runtime import (
 )
 from ..sqlpp.analysis import dataset_references
 from ..sqlpp.evaluator import EvaluationContext, Evaluator
-from ..sqlpp.memo import EnrichmentMemo
-from ..sqlpp.state_cache import StateCache
 from ..storage.checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
 from .adapter import ADAPTER_IDLE, FeedAdapter, drain_available
 from .feed import (
@@ -616,7 +614,7 @@ class StaticIngestionPipeline:
         )
         eval_ctx.cluster_nodes = n
         invoker = make_invoker(feed.functions, self.registry) if feed.functions else None
-        batch_invoker = make_batch_invoker(feed.functions, self.registry)
+        batch_invoker = make_batch_invoker(feed.functions, self.registry, counters)
         self._prewarm_stream_state(feed, eval_ctx)
 
         # Synchronous drain: an idle-but-open adapter contributes what it
@@ -861,7 +859,7 @@ class FeedRun:
         self.feed_name = feed.name
         self.run_name = run_name = f"feed-{feed.name}"
         self.cluster = cluster = pipeline.cluster
-        self.registry = registry = pipeline.registry
+        registry = pipeline.registry
         self.afm = pipeline.afm
         self.update_client = update_client
         self.predeploy = predeploy
@@ -911,25 +909,20 @@ class FeedRun:
         self.soft_errors = SoftErrorHandler(
             feed.name, policy, self.faults, dead_letters
         )
-        governed = (
-            fabric is not None
-            and fabric.governor is not None
-            and registry is not None
-        )
-        #: governed tenants' private caches, released at cleanup
-        self.scoped_caches: List[StateCache] = []
-        self.memo = None
-        if policy.enrichment_memo_bytes > 0 and registry is not None:
-            if governed:
-                self.memo = self._govern(EnrichmentMemo(label=f"{run_name}.memo"))
-            else:
-                # Opt-in cross-batch key-level result reuse (L2 memo):
-                # owned by the registry (same sharing/invalidations as the
-                # state cache), bounded by the policy's byte budget, and
-                # handed to both the local probe paths (via eval_ctx) and
-                # the external coordinator.
-                self.memo = registry.enrichment_memo
-                self.memo.configure(policy.enrichment_memo_bytes)
+        # Opt-in cross-batch reuse: the feed's own state cache (build-side
+        # state) and memo (key-level results; handed to the local probe
+        # paths via eval_ctx and to the external coordinator), kept across
+        # the feed's runs.  A run uses the ones its policy grants bytes
+        # for; the memo is enrolled first (the governor's grant order).
+        state_cache = self.memo = None
+        if registry is not None:
+            own_state_cache, own_memo = registry.caches_for(feed.name)
+            if policy.enrichment_memo_bytes > 0:
+                self.memo = own_memo
+                self._set_budget(own_memo, policy.enrichment_memo_bytes)
+            if policy.state_cache_bytes > 0:
+                state_cache = own_state_cache
+                self._set_budget(state_cache, policy.state_cache_bytes)
         self.coordinator = None
         if feed.external_enrichers:
             # One coordinator per run: breakers and rate limiters carry
@@ -955,22 +948,13 @@ class FeedRun:
         )
         eval_ctx.cluster_nodes = n
         eval_ctx.memo = self.memo
-        if policy.state_cache_bytes > 0 and registry is not None:
-            if governed:
-                eval_ctx.state_cache = self._govern(
-                    StateCache(label=f"{run_name}.state")
-                )
-            else:
-                # Opt-in cross-batch build-state reuse: the registry-owned
-                # cache is shared by every worker (and every feed) over
-                # this registry; the policy's budget bounds its resident
-                # bytes.
-                registry.state_cache.configure(policy.state_cache_bytes)
-                eval_ctx.state_cache = registry.state_cache
+        eval_ctx.state_cache = state_cache
         self.invoker = (
             make_invoker(feed.functions, registry) if feed.functions else None
         )
-        self.batch_invoker = make_batch_invoker(feed.functions, registry)
+        self.batch_invoker = make_batch_invoker(
+            feed.functions, registry, self.counters
+        )
         #: the CallbackSink's output slot, swapped per invocation:
         #: concurrent workers each install their own buffer right before
         #: invoking (an invocation is synchronous within one worker resume,
@@ -991,14 +975,11 @@ class FeedRun:
             storage_seconds=0.0,
             counters=self.counters,
         )
-        # Per-run delta baselines for the shared (registry-owned, possibly
-        # multi-feed) state cache's and enrichment memo's cumulative
-        # counters (the memo covers all three probe paths — scalar,
-        # columnar, external — through one instance).
+        # The feed's caches outlive a run, so a run reports the deltas of
+        # their cumulative counters since launch (the memo covers all
+        # three probe paths — scalar, columnar, external — in one instance).
         self.state_cache_before = (
-            eval_ctx.state_cache.stats()
-            if eval_ctx.state_cache is not None
-            else None
+            state_cache.stats() if state_cache is not None else None
         )
         self.memo_before = self.memo.stats() if self.memo is not None else None
 
@@ -1018,16 +999,14 @@ class FeedRun:
         self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
         self.subbatches = 0  # sub-batch dispatches (counts the first slice)
 
-    def _govern(self, cache):
-        """Enroll a governed tenant's *private* cache: the fabric's memory
-        governor assigns its budget (and re-assigns it at batch boundaries)
-        instead of the policy's fixed byte count, and the registry adopts
-        it so DDL / replace_sqlpp clear it exactly like the shared
-        singleton."""
-        self.registry.adopt_cache(cache)
-        self.scoped_caches.append(cache)
-        self.fabric.register_cache(self.run_name, cache, self.policy)
-        return cache
+    def _set_budget(self, cache, policy_bytes: int) -> None:
+        """Who sets the budget of one of the feed's caches: the fabric's
+        memory governor (which re-assigns it at batch boundaries) when
+        there is one, else the policy's fixed byte count."""
+        if self.fabric is not None and self.fabric.governor is not None:
+            self.fabric.register_cache(self.run_name, cache, self.policy)
+        else:
+            cache.configure(policy_bytes)
 
     # ------------------------------------------------------------ wiring
 
@@ -1527,7 +1506,7 @@ class FeedRun:
         return self._assemble_report(elapsed)
 
     def _fill_cache_counters(self, prefix: str, cache, before) -> None:
-        """This run's share of a shared cache's cumulative counters:
+        """This run's share of the feed's cache's cumulative counters:
         hit/miss/eviction deltas since launch, resident bytes as a gauge."""
         if cache is None:
             return
@@ -1593,9 +1572,6 @@ class FeedRun:
         report.simulated_seconds = start_overhead + elapsed
         report.fixed_start_seconds = report.simulated_seconds - steady
         report.stalls = self.buffer.stalls
-        report.extra["deploy_seconds"] = (
-            cluster.controller.simulated_deploy_seconds
-        )
         self._fill_cache_counters(
             "state_cache", self.eval_ctx.state_cache, self.state_cache_before
         )
@@ -1639,9 +1615,6 @@ class FeedRun:
         """
         if self.fabric is not None:
             self.fabric.deregister_feed(self.run_name)
-        if self.registry is not None:
-            for cache in self.scoped_caches:
-                self.registry.release_cache(cache)
         self.afm.deregister_feed(self.feed.name)
         self.intake.close()
         self.storage.close()
@@ -1746,8 +1719,8 @@ class DynamicIngestionPipeline:
         caller is then responsible for installing the fleet's (merged)
         fault plan before launching and for driving ``runtime.run()``
         itself.  ``fabric`` enrolls the feed's elastic worker pool — and,
-        when the fabric carries a memory governor, private
-        state-cache/memo tenants — with a
+        when the fabric carries a memory governor, the feed's
+        state cache and memo — with a
         :class:`~repro.ingestion.fabric.FeedFabric`.  Both default to
         ``None``: the solo path (:meth:`run`) is bit-for-bit the
         historical single-feed pipeline.

@@ -56,7 +56,7 @@ def make_invoker(functions, registry) -> Callable:
     return invoke
 
 
-def make_batch_invoker(functions, registry) -> Optional[Callable]:
+def make_batch_invoker(functions, registry, counters) -> Optional[Callable]:
     """Build ``invoke_batch(records, eval_ctx) -> rows or None``.
 
     The columnar counterpart of :func:`make_invoker`: each attached SQL++
@@ -73,6 +73,11 @@ def make_batch_invoker(functions, registry) -> Optional[Callable]:
     :func:`make_invoker`: a kernel's output rows are the concatenation of
     the per-record result lists, so chaining feeds the flattened rows to
     the next function.
+
+    ``counters`` is the run's :class:`~repro.runtime.metrics.RunCounters`:
+    a batch that ran through kernels adds itself to ``vectorized_batches``
+    / ``vectorized_records`` and one ``scalar_fallbacks`` per column whose
+    subquery ran per record; a body the kernel declines adds one fallback.
     """
     if not functions or any(fn.is_java for fn in functions):
         return None
@@ -111,13 +116,13 @@ def make_batch_invoker(functions, registry) -> Optional[Callable]:
             )
             kernel = columnar.kernel_for(plan, params, eval_ctx, version)
             if kernel is columnar.UNSUPPORTED:
-                plan_cache.scalar_fallbacks += 1
+                counters.scalar_fallbacks += 1
                 return None
             fallback_columns += kernel.fallback_lets
             current = kernel.run(ev, current)
-        plan_cache.vectorized_batches += 1
-        plan_cache.vectorized_records += len(records)
-        plan_cache.scalar_fallbacks += fallback_columns
+        counters.vectorized_batches += 1
+        counters.vectorized_records += len(records)
+        counters.scalar_fallbacks += fallback_columns
         return current
 
     return invoke_batch
@@ -131,8 +136,9 @@ class UdfEvaluatorOperator(Operator):
     is charged to this partition's node, while cache *builds* accumulate on
     the context's ``shared_meter`` (split across partitions by the feed
     driver).  ``counters`` is the run's
-    :class:`~repro.runtime.metrics.RunCounters`: each invocation adds its
-    own columnar batches/records/fallbacks there.
+    :class:`~repro.runtime.metrics.RunCounters`, the one the batch invoker
+    was built over: a frame rerun record-at-a-time after an exception
+    adds one ``scalar_fallbacks`` there.
     """
 
     def __init__(
@@ -154,24 +160,12 @@ class UdfEvaluatorOperator(Operator):
         self.records_out = 0
 
     def next_frame(self, frame: Frame) -> None:
-        # The plan cache's columnar counters are cumulative and
-        # registry-shared; each run attributes its own share by
-        # snapshotting around the (synchronous) invocation — no other
-        # actor can run inside this window, even on a multi-feed runtime.
-        cache = self.eval_ctx.plan_cache
-        batches = cache.vectorized_batches
-        records = cache.vectorized_records
-        fallbacks = cache.scalar_fallbacks
         meter = WorkMeter(scale=self.eval_ctx.reference_work_scale)
         out = None
         if self.batch_invoker is not None and len(frame) > 0:
             out = self._batch_frame(frame, meter)
         if out is None:
             out = self._scalar_frame(frame, meter)
-        counters = self.counters
-        counters.vectorized_batches += cache.vectorized_batches - batches
-        counters.vectorized_records += cache.vectorized_records - records
-        counters.scalar_fallbacks += cache.scalar_fallbacks - fallbacks
         cost = self.ctx.cost
         self.ctx.charge(cost.udf_eval_base * len(frame) + meter.charge(cost))
         if out:
@@ -196,7 +190,7 @@ class UdfEvaluatorOperator(Operator):
             # Unsupported-at-runtime shapes and per-record soft errors
             # alike: the scalar loop re-runs the frame and applies the
             # soft-error policy with exact record attribution.
-            eval_ctx.plan_cache.scalar_fallbacks += 1
+            self.counters.scalar_fallbacks += 1
             return None
         finally:
             eval_ctx.meter = previous_meter

@@ -147,8 +147,8 @@ class RunCounters:
     state_cache_evictions: int = field(default=0, metadata=_PLAN_CACHE_STAT)
     state_cache_bytes: int = field(default=0, metadata=_PLAN_CACHE_STAT)
     #: key-level enrichment memo activity during this run (same
-    #: conventions as the state cache fields); one shared memo spans the
-    #: scalar, columnar, and external probe paths
+    #: conventions as the state cache fields); the feed's one memo spans
+    #: the scalar, columnar, and external probe paths
     memo_hits: int = field(default=0, metadata=_PLAN_CACHE_STAT)
     memo_misses: int = field(default=0, metadata=_PLAN_CACHE_STAT)
     memo_evictions: int = field(default=0, metadata=_PLAN_CACHE_STAT)

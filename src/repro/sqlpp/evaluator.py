@@ -756,7 +756,7 @@ class Evaluator:
 
         ``payload`` is what the entry pins; its size estimate is memoized
         on the snapshot, so every cache that admits this version of this
-        state (one private cache per fleet tenant) walks it once.
+        state (one cache per fleet tenant) walks it once.
         """
         cache = self.ctx.state_cache
         if cache is not None:

@@ -916,14 +916,6 @@ class PlanCache:
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        # Columnar-execution observability (cumulative, like hits/misses):
-        # batches/records that ran through a batch kernel, and scalar
-        # fallbacks — per batch, one for each column whose subquery ran
-        # per record, one for a body the kernel declined, and one for a
-        # frame rerun record-at-a-time after an exception.
-        self.vectorized_batches = 0
-        self.vectorized_records = 0
-        self.scalar_fallbacks = 0
 
     def token_for(self, block: SelectBlock) -> int:
         """A stable, never-reused identity token for ``block``."""
@@ -979,9 +971,6 @@ class PlanCache:
             "hits": self.hits,
             "misses": self.misses,
             "invalidations": self.invalidations,
-            "vectorized_batches": self.vectorized_batches,
-            "vectorized_records": self.vectorized_records,
-            "scalar_fallbacks": self.scalar_fallbacks,
         }
 
     def __len__(self) -> int:

@@ -142,8 +142,7 @@ class StateCache:
 
     def __init__(self, budget_bytes: int = 0, label: str = ""):
         self.budget_bytes = int(budget_bytes)
-        #: owner tag for multi-tenant reporting (e.g. ``"F3.state"``);
-        #: empty for the registry-shared singleton
+        #: owner tag for multi-tenant reporting (e.g. ``"F3.state"``)
         self.label = label
         self._entries: "OrderedDict[tuple, StateCacheEntry]" = OrderedDict()
         self.current_bytes = 0

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from ..errors import UdfError, UdfRegistrationError
 from ..sqlpp.analysis import is_stateful, uses_unsupported_builtin
@@ -47,20 +47,8 @@ class FunctionRegistry:
         # contexts built over this registry share it, so plans survive
         # across batches and are invalidated centrally.
         self.plan_cache = PlanCache()
-        # Cross-batch enrichment-state cache (version-keyed build reuse).
-        # Owned here so every feed over this registry shares one bounded
-        # working set; disabled (budget 0) until a FeedPolicy grants bytes.
-        self.state_cache = StateCache()
-        # Cross-batch key-level enrichment memo (per-key results reused
-        # across batches under the same version proofs).  Same ownership
-        # rationale as the state cache; same default-off budget.
-        self.enrichment_memo = EnrichmentMemo()
-        # Per-feed scoped caches adopted for the duration of a governed
-        # multi-tenant run: they are private to one feed (the memory
-        # governor resizes them individually) but must still observe the
-        # registry's wholesale invalidations — DDL and function
-        # replacement clear them exactly like the shared singletons.
-        self._scoped_caches: List[StateCache] = []
+        # feed name -> that feed's cross-batch caches (:meth:`caches_for`)
+        self._feed_caches: Dict[str, Tuple[StateCache, EnrichmentMemo]] = {}
         # Bumped on every registration change; batch invokers re-resolve
         # their functions when it moves (§3.2 instant updates).
         self.version = 0
@@ -110,10 +98,7 @@ class FunctionRegistry:
         # state may have been produced by the old body's subqueries, so it
         # goes too, as do memoized per-key results it produced.
         self.plan_cache.invalidate()
-        self.state_cache.clear()
-        self.enrichment_memo.clear()
-        for cache in self._scoped_caches:
-            cache.clear()
+        self._clear_feed_caches()
         return udf
 
     def invalidate_plans(self) -> None:
@@ -123,30 +108,30 @@ class FunctionRegistry:
         # bumping any Dataset.version (create_index/drop_index), so the
         # version-keyed state cache must start cold as well — and so must
         # the per-key memo, whose entries are guarded by the same keys.
-        self.state_cache.clear()
-        self.enrichment_memo.clear()
-        for cache in self._scoped_caches:
-            cache.clear()
+        self._clear_feed_caches()
         self.version += 1
 
-    def adopt_cache(self, cache: StateCache) -> StateCache:
-        """Enroll a per-feed scoped cache in registry-wide invalidation.
+    def caches_for(self, feed_name: str) -> Tuple[StateCache, EnrichmentMemo]:
+        """The feed's own cross-batch state cache and key-level memo.
 
-        Governed multi-tenant runs give each feed its *own*
-        StateCache/EnrichmentMemo (so the memory governor can resize
-        tenants independently); adoption keeps those private instances
-        subject to the same DDL / ``replace_sqlpp`` clears as the shared
-        singletons.  Pair with :meth:`release_cache` at run teardown.
+        One pair per feed name, created on first use with budget 0 (a run
+        whose policy grants bytes — or the fabric's memory governor —
+        sets the budget) and kept across that feed's runs, so a resumed
+        run, a dead-letter replay or a backfill starts warm.  No other
+        feed reads or resizes them; DDL and ``replace_sqlpp`` clear them.
         """
-        self._scoped_caches.append(cache)
-        return cache
+        pair = self._feed_caches.get(feed_name)
+        if pair is None:
+            pair = self._feed_caches[feed_name] = (
+                StateCache(label=f"{feed_name}.state"),
+                EnrichmentMemo(label=f"{feed_name}.memo"),
+            )
+        return pair
 
-    def release_cache(self, cache: StateCache) -> None:
-        """Un-enroll a scoped cache (its run is over)."""
-        try:
-            self._scoped_caches.remove(cache)
-        except ValueError:
-            pass
+    def _clear_feed_caches(self) -> None:
+        for pair in self._feed_caches.values():
+            for cache in pair:
+                cache.clear()
 
     # ----------------------------------------------------------------- java
 

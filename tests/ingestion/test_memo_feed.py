@@ -89,6 +89,11 @@ def run_feed(system, tweets, policy, update_client=None):
     )
 
 
+def feed_memo(system, feed=FEED):
+    """The feed's own memo (``FunctionRegistry.caches_for``)."""
+    return system.registry.caches_for(feed)[1]
+
+
 def output_digest(system, dataset="EnrichedTweets") -> str:
     stored = sorted(
         (r["id"], tuple(r.get("safety") or ()))
@@ -110,12 +115,11 @@ def test_memo_on_matches_memo_off_and_reports_counters():
     assert report_on.memo_bytes > 0
     assert report_off.memo_hits == 0
     assert report_off.memo_misses == 0
-    # The counters surface on the system-level stats facade (with a
-    # hit_ratio convenience)...
-    stats = on.plan_cache_stats()
+    # The counters surface on the feed's row of the stats facade, and the
+    # feed's own memo carries the hit_ratio convenience...
+    stats = on.plan_cache_stats(feed=FEED)
     assert stats["memo_hits"] == report_on.memo_hits
-    assert 0.0 < stats["memo_hit_ratio"] <= 1.0
-    assert "state_cache_hit_ratio" in stats
+    assert 0.0 < feed_memo(on).hit_ratio <= 1.0
     # ...and on the utilization table rendering.
     table = layer_utilization_table(report_on.runtime)
     assert "memo:" in table and "hit ratio" in table
@@ -138,11 +142,11 @@ def test_memo_survives_across_runs_until_reference_changes():
     system.catalog["SafetyRatings"].upsert(
         {"sid": 0, "county": "county0", "rating": 49}
     )
-    before = system.registry.enrichment_memo.stats()["version_mismatches"]
+    before = feed_memo(system).stats()["version_mismatches"]
     third = run_feed(system, raw_tweets(30, start=60), memo_policy())
     assert third.memo_misses > 0
     assert (
-        system.registry.enrichment_memo.stats()["version_mismatches"] > before
+        feed_memo(system).stats()["version_mismatches"] > before
     )
     county0 = [
         r
@@ -167,14 +171,14 @@ def test_update_client_mid_run_invalidates_without_changing_outputs():
 
     # The upserts landed after batch 0: batch 1 re-derives every touched
     # key at the boundary, and stored outputs still match memo-off.
-    assert on.registry.enrichment_memo.stats()["version_mismatches"] > 0
+    assert feed_memo(on).stats()["version_mismatches"] > 0
     assert output_digest(on) == output_digest(off)
 
 
 def test_ddl_clears_the_memo():
     system = build_system()
     run_feed(system, raw_tweets(30), memo_policy())
-    memo = system.registry.enrichment_memo
+    memo = feed_memo(system)
     assert len(memo) > 0
 
     system.create_index("by_rating", "SafetyRatings", "rating")
@@ -189,7 +193,7 @@ def test_ddl_clears_the_memo():
 def test_replace_function_clears_the_memo():
     system = build_system()
     run_feed(system, raw_tweets(30), memo_policy())
-    memo = system.registry.enrichment_memo
+    memo = feed_memo(system)
     assert len(memo) > 0
     system.registry.replace_sqlpp(
         "CREATE FUNCTION enrichSafety(t) { SELECT t.*, [] AS safety }"
@@ -343,7 +347,7 @@ class TestExternalMemo:
         system, _enricher, report = self._run(policy, n=40, fault_plan=plan)
         assert report.external.records_pending == 40
         # Nothing resolved, so nothing may be memoized.
-        assert len(system.registry.enrichment_memo) == 0
+        assert len(feed_memo(system, "TweetFeed")) == 0
         rows = list(system.catalog["Tweets"].scan())
         assert all(r[PENDING_FIELD] == ["geo:user_geo"] for r in rows)
 
@@ -352,6 +356,6 @@ class TestExternalMemo:
         backfill = system.backfill_pending("TweetFeed")
         assert backfill.still_pending == 0
         assert backfill.completeness == 1.0
-        assert len(system.registry.enrichment_memo) > 0
+        assert len(feed_memo(system, "TweetFeed")) > 0
         rows = list(system.catalog["Tweets"].scan())
         assert all(PENDING_FIELD not in r for r in rows)

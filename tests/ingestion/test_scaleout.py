@@ -157,6 +157,34 @@ class TestPartitionedIntake:
         with pytest.raises(FeedStateError, match="dynamic framework"):
             system.start_feed("TweetFeed", adapters, framework="static")
 
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("state_cache_bytes", {"state_cache_bytes": 1 << 20}),
+            ("enrichment_memo_bytes", {"enrichment_memo_bytes": 1 << 20}),
+            ("intake_partitions", {"intake_partitions": 4}),
+            ("max_subbatch_records", {"max_subbatch_records": 5}),
+            ("max_computing_workers", {"max_computing_workers": 4}),
+            (
+                "min_computing_workers",
+                {"min_computing_workers": 4, "max_computing_workers": 4},
+            ),
+        ],
+    )
+    def test_static_framework_rejects_a_policy_it_cannot_honour(
+        self, field, overrides
+    ):
+        """One job, no caches, partitions, sub-batches or pool: a policy
+        that asks for one is refused by name, not silently ignored."""
+        system = build_system()
+        with pytest.raises(FeedStateError, match=f"'{field}' needs the dynamic"):
+            system.start_feed(
+                "TweetFeed",
+                GeneratorAdapter(raws(10)),
+                framework="static",
+                policy=FeedPolicy.basic(**overrides),
+            )
+
 
 class TestSubBatchParallelism:
     def test_split_batches_store_identical_output(self):

@@ -80,6 +80,11 @@ def run_feed(system, tweets, policy, update_client=None):
     )
 
 
+def feed_cache(system):
+    """The feed's own state cache (``FunctionRegistry.caches_for``)."""
+    return system.registry.caches_for(FEED)[0]
+
+
 def output_digest(system) -> str:
     stored = sorted(
         (r["id"], tuple(r.get("safety") or ()))
@@ -102,7 +107,7 @@ def test_cache_on_matches_cache_off_and_reports_counters():
     assert report_off.state_cache_hits == 0
     assert report_off.state_cache_misses == 0
     # The counters surface on the system-level stats facade.
-    stats = on.plan_cache_stats()
+    stats = on.plan_cache_stats(feed=FEED)
     assert stats["state_cache_hits"] == report_on.state_cache_hits
     assert stats["state_cache_bytes"] > 0
     # Identical stored outputs; cost is the only thing that changed.
@@ -123,10 +128,10 @@ def test_cache_survives_across_runs_until_reference_changes():
     system.catalog["SafetyRatings"].upsert(
         {"sid": 0, "county": "county0", "rating": 49}
     )
-    before = system.registry.state_cache.stats()["version_mismatches"]
+    before = feed_cache(system).stats()["version_mismatches"]
     third = run_feed(system, raw_tweets(30, start=60), cache_policy())
     assert third.state_cache_misses > 0
-    assert system.registry.state_cache.stats()["version_mismatches"] > before
+    assert feed_cache(system).stats()["version_mismatches"] > before
     # The rebuild observed the upsert: county0 tweets carry the new rating.
     county0 = [
         r
@@ -166,7 +171,7 @@ def test_update_client_mid_run_forces_rebuild_without_changing_outputs():
 def test_ddl_clears_the_cache():
     system = build_system()
     run_feed(system, raw_tweets(30), cache_policy())
-    cache = system.registry.state_cache
+    cache = feed_cache(system)
     assert len(cache) > 0
 
     # Index an unrelated field so the planner keeps using the hash-probe

@@ -1,5 +1,7 @@
 """The benchmark harness itself (small configurations)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.bench import (
@@ -65,20 +67,22 @@ class TestHarness:
         )
         assert report.extra["updates_applied"] > 0
 
-    def test_catalogs_cached_across_runs(self, harness):
-        first = harness.catalog_for(["SafetyRatings"])
-        second = harness.catalog_for(["SafetyRatings"])
-        assert first["SafetyRatings"] is second["SafetyRatings"]
+    def test_a_run_is_a_function_of_its_arguments(self, harness):
+        """The same call gives the same report whatever ran before it on
+        this harness — here a run whose update client upserts into the
+        reference dataset both calls read."""
+        def run(**overrides):
+            return harness.run_enrichment(
+                "nearby_monuments", tweets=120, num_nodes=4, batch_size=30,
+                **overrides,
+            )
 
-    def test_quiesced_between_runs(self, harness):
-        harness.run_enrichment(
-            "safety_rating", tweets=100, num_nodes=4, batch_size=20,
-            update_rate=200.0,
-        )
-        # next run must start from a flushed reference dataset
-        harness.run_enrichment("safety_rating", tweets=20, num_nodes=4)
-        catalog = harness.catalog_for(["SafetyRatings"])
-        assert not catalog["SafetyRatings"].update_activity
+        first = run()
+        assert run(update_rate=400.0).extra["updates_applied"] > 0
+        third = run()
+        assert third.throughput == first.throughput
+        assert third.records_stored == first.records_stored == 120
+        assert asdict(third.counters) == asdict(first.counters)
 
     def test_reference_work_scale_propagates(self, harness):
         report_small = harness.run_enrichment(

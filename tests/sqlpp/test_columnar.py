@@ -15,6 +15,7 @@ from repro.errors import SqlppAnalysisError
 from repro.hyracks.cost import WorkMeter
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_function
 from repro.sqlpp.evaluator import Env
 from repro.sqlpp.columnar import (
@@ -269,7 +270,9 @@ def test_registry_function_shadowing_a_builtin_is_honoured_per_match(
             small_catalog, functions=registry, use_plans=use_plans
         )
 
-    batched = make_batch_invoker(attached, registry)(tweets, context(True))
+    batched = make_batch_invoker(attached, registry, RunCounters())(
+        tweets, context(True)
+    )
     scalar = make_invoker(attached, registry)
     planned, interpreted = (
         [row for tweet in tweets for row in scalar(tweet, context(use_plans))]
@@ -332,12 +335,14 @@ def test_batch_invoker_declines_java_functions(registry):
         AttachedFunction("enrichTweetQ1"),
         AttachedFunction("remove_special", language="java", library="udflib"),
     ]
-    assert make_batch_invoker(attached, registry) is None
-    assert make_batch_invoker([], registry) is None
+    assert make_batch_invoker(attached, registry, RunCounters()) is None
+    assert make_batch_invoker([], registry, RunCounters()) is None
 
 
 def test_batch_invoker_requires_plans(small_catalog, registry, sample_tweet):
-    invoker = make_batch_invoker([AttachedFunction("enrichTweetQ1")], registry)
+    invoker = make_batch_invoker(
+        [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
+    )
     assert invoker is not None
     ctx = EvaluationContext(small_catalog, functions=registry, use_plans=False)
     assert invoker([dict(sample_tweet)], ctx) is None
@@ -353,8 +358,10 @@ def test_batch_invoker_counts_unsupported_bodies(
         }"""
     )
     ctx = _ctx(small_catalog, registry)
-    invoker = make_batch_invoker([AttachedFunction("colUnsupported")], registry)
-    before = ctx.plan_cache.scalar_fallbacks
+    counters = RunCounters()
+    invoker = make_batch_invoker(
+        [AttachedFunction("colUnsupported")], registry, counters
+    )
     assert invoker([dict(sample_tweet)], ctx) is None
-    assert ctx.plan_cache.scalar_fallbacks == before + 1
-    assert ctx.plan_cache.vectorized_batches == 0
+    assert counters.scalar_fallbacks == 1
+    assert counters.vectorized_batches == 0

@@ -17,6 +17,7 @@ import pytest
 from repro.hyracks.cost import WorkMeter
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext
 
 #: fn -> LET columns expected to fall back per batch (everything else
@@ -66,7 +67,8 @@ def _run_scalar(catalog, registry, fn_name, tweets):
 
 def _run_batched(catalog, registry, fn_name, tweets):
     ctx = EvaluationContext(catalog, functions=registry, use_plans=True)
-    invoker = make_batch_invoker([AttachedFunction(fn_name)], registry)
+    counters = RunCounters()
+    invoker = make_batch_invoker([AttachedFunction(fn_name)], registry, counters)
     assert invoker is not None
     out = []
     for batch in (tweets[:SPLIT], tweets[SPLIT:]):
@@ -75,13 +77,13 @@ def _run_batched(catalog, registry, fn_name, tweets):
         rows = invoker(batch, ctx)
         assert rows is not None, f"{fn_name}: batch declined vectorization"
         out.extend(rows)
-    return out, ctx
+    return out, ctx, counters
 
 
 @pytest.mark.parametrize("fn_name", sorted(EXPECTED_FALLBACK_LETS))
 def test_columnar_matches_scalar(small_catalog, registry, sample_tweet, fn_name):
     tweets = _tweet_sample(sample_tweet)
-    batched, batch_ctx = _run_batched(small_catalog, registry, fn_name, tweets)
+    batched, batch_ctx, _ = _run_batched(small_catalog, registry, fn_name, tweets)
     scalar, scalar_ctx = _run_scalar(small_catalog, registry, fn_name, tweets)
 
     assert batched == scalar
@@ -102,12 +104,8 @@ def test_columnar_matches_scalar(small_catalog, registry, sample_tweet, fn_name)
 @pytest.mark.parametrize("fn_name", sorted(EXPECTED_FALLBACK_LETS))
 def test_vectorization_counters(small_catalog, registry, sample_tweet, fn_name):
     tweets = _tweet_sample(sample_tweet)
-    _out, ctx = _run_batched(small_catalog, registry, fn_name, tweets)
-    cache = ctx.plan_cache
-    assert cache.vectorized_batches == 2
-    assert cache.vectorized_records == len(tweets)
+    _out, _ctx, counters = _run_batched(small_catalog, registry, fn_name, tweets)
+    assert counters.vectorized_batches == 2
+    assert counters.vectorized_records == len(tweets)
     # One fallback per fallen-back column per batch.
-    assert cache.scalar_fallbacks == 2 * EXPECTED_FALLBACK_LETS[fn_name]
-    stats = cache.stats()
-    for key in ("vectorized_batches", "vectorized_records", "scalar_fallbacks"):
-        assert stats[key] == getattr(cache, key)
+    assert counters.scalar_fallbacks == 2 * EXPECTED_FALLBACK_LETS[fn_name]

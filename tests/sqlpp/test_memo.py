@@ -171,12 +171,13 @@ class TestScalarEvaluatorMemo:
         assert ctx.meter.memo_reused_records == 0
 
     def test_registry_clears_cover_the_memo(self, registry):
-        registry.enrichment_memo.configure(1 << 20)
-        registry.enrichment_memo.put(("probe", 1, "us"), (("R", 1),), [], 0)
+        _, memo = registry.caches_for("F")
+        memo.configure(1 << 20)
+        memo.put(("probe", 1, "us"), (("R", 1),), [], 0)
         registry.invalidate_plans()
-        assert len(registry.enrichment_memo) == 0
-        registry.enrichment_memo.put(("probe", 1, "us"), (("R", 1),), [], 0)
+        assert len(memo) == 0
+        memo.put(("probe", 1, "us"), (("R", 1),), [], 0)
         registry.replace_sqlpp(
             "CREATE FUNCTION enrichTweetQ1(t) { SELECT t.* }"
         )
-        assert len(registry.enrichment_memo) == 0
+        assert len(memo) == 0

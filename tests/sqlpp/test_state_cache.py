@@ -7,6 +7,7 @@ import pytest
 from repro.adm import open_type
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import (
@@ -242,7 +243,7 @@ class TestEvaluatorIntegration:
         )
         attached = [AttachedFunction("enrichTweetQ1")]
         if path == "columnar":
-            batch = make_batch_invoker(attached, registry)
+            batch = make_batch_invoker(attached, registry, RunCounters())
             invoke = lambda tweet: batch([tweet], ctx)  # noqa: E731
         else:
             scalar = make_invoker(attached, registry)
@@ -281,7 +282,7 @@ class TestEvaluatorIntegration:
                 **caches,
             )
             if path == "columnar":
-                batch = make_batch_invoker(attached, registry)
+                batch = make_batch_invoker(attached, registry, RunCounters())
                 invoke = lambda: batch([sample_tweet], ctx)  # noqa: E731
             else:
                 scalar = make_invoker(attached, registry)
@@ -340,16 +341,33 @@ class TestEvaluatorIntegration:
         assert ctx.shared_meter.state_cache_reused_records == 0
 
     def test_registry_invalidate_plans_clears_cache(self, registry):
-        registry.state_cache.put(("scan", "R"), 1, [], records=0)
+        caches = [registry.caches_for(feed)[0] for feed in ("A", "B")]
+        for cache in caches:
+            cache.configure(1 << 20)
+            cache.put(("scan", "R"), 1, [], records=0)
+        assert [len(cache) for cache in caches] == [1, 1]
         registry.invalidate_plans()
-        assert len(registry.state_cache) == 0
+        assert [len(cache) for cache in caches] == [0, 0]
 
     def test_replace_sqlpp_clears_cache(self, registry):
-        registry.state_cache.put(("scan", "R"), 1, [], records=0)
+        caches = [registry.caches_for(feed)[0] for feed in ("A", "B")]
+        for cache in caches:
+            cache.configure(1 << 20)
+            cache.put(("scan", "R"), 1, [], records=0)
         registry.replace_sqlpp(
             "CREATE FUNCTION enrichTweetQ1(t) { SELECT t.* }"
         )
-        assert len(registry.state_cache) == 0
+        assert [len(cache) for cache in caches] == [0, 0]
+
+    def test_a_feed_keeps_one_cache_pair_and_shares_it_with_no_other(
+        self, registry
+    ):
+        assert registry.caches_for("A") is registry.caches_for("A")
+        a_state, a_memo = registry.caches_for("A")
+        b_state, b_memo = registry.caches_for("B")
+        assert len({id(c) for c in (a_state, a_memo, b_state, b_memo)}) == 4
+        assert (a_state.kind, a_memo.kind) == ("state", "memo")
+        assert a_state.budget_bytes == a_memo.budget_bytes == 0
 
 
 #: Figure 18's shape: a LET whose subquery reads only catalog datasets
@@ -382,7 +400,7 @@ class TestUncorrelatedSubqueryReuse:
         )
         attached = [AttachedFunction("ranked")]
         if path == "columnar":
-            batch = make_batch_invoker(attached, registry)
+            batch = make_batch_invoker(attached, registry, RunCounters())
             invoke = lambda t: batch([t], ctx)  # noqa: E731
         else:
             scalar = make_invoker(attached, registry)

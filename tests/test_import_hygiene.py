@@ -117,3 +117,22 @@ def test_every_exported_name_resolves():
             if not hasattr(package, name)
         ]
     assert not stale
+
+
+def test_state_lives_on_the_thing_whose_lifetime_it_has():
+    """A feed owns its caches (``FunctionRegistry.caches_for``), a run its
+    columnar counters (``RunCounters``), a figure run its catalog: the
+    shared slots they used to sit in do not come back."""
+    from repro.bench import ExperimentHarness
+    from repro.sqlpp.plans import PlanCache
+    from repro.udf.registry import FunctionRegistry
+
+    registry = FunctionRegistry()
+    for name in ("state_cache", "enrichment_memo", "adopt_cache", "release_cache"):
+        assert not hasattr(registry, name), name
+    plan_cache = PlanCache()
+    for name in ("vectorized_batches", "vectorized_records", "scalar_fallbacks"):
+        assert not hasattr(plan_cache, name), name
+        assert name not in plan_cache.stats()
+    harness = ExperimentHarness(reference_scale=0.002, num_partitions=2)
+    assert not hasattr(harness, "_catalog_cache")
