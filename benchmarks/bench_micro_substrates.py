@@ -10,21 +10,62 @@ import random
 
 import pytest
 
-from repro.adm import Point, open_type, parse_json
+from repro.adm import DateTime, Point, open_type, parse_json
+from repro.cluster import Cluster
+from repro.ingestion.pipelines import _StorageLayer
 from repro.sqlpp import EvaluationContext, Evaluator, edit_distance, parse_expression
 from repro.storage import BPlusTree, Dataset, LSMTree, RTree
 from repro.udf.library import SQLPP_UDFS, RemoveSpecialUdf
-from repro.workloads import PaperWorkload, TweetGenerator, WorkloadScale
+from repro.workloads import (
+    TWEET_TYPE_FULL,
+    PaperWorkload,
+    TweetGenerator,
+    WorkloadScale,
+)
 
 
 def test_micro_adm_parse(benchmark):
     raws = list(TweetGenerator().raw_json(500))
 
     def parse_all():
+        # against the feed's type, so the codec and DateTime.parse are timed
         for raw in raws:
-            parse_json(raw)
+            parse_json(raw, TWEET_TYPE_FULL)
 
     benchmark(parse_all)
+
+
+def test_micro_datetime_parse(benchmark):
+    # tweets are 100 ms apart, so both wire shapes occur: one stamp in ten
+    # is whole seconds (``…:40Z``), the rest carry milliseconds (``…:40.100Z``)
+    stamps = [json.loads(raw)["created_at"] for raw in TweetGenerator().raw_json(500)]
+    assert {len(stamp) for stamp in stamps} == {20, 24}
+
+    def parse_all():
+        for stamp in stamps:
+            DateTime.parse(stamp)
+
+    benchmark(parse_all)
+
+
+def test_micro_store_batch(benchmark):
+    """50 batches of 420 through the storage job on a 2-partition dataset."""
+    raws = TweetGenerator().raw_json(50 * 420)
+    records = [parse_json(raw, TWEET_TYPE_FULL) for raw in raws]
+    batches = [
+        [records[at : at + 420 : 2], records[at + 1 : at + 420 : 2]]
+        for at in range(0, len(records), 420)
+    ]
+
+    def store_all():
+        target = Dataset("Tweets", TWEET_TYPE_FULL, "id", num_partitions=2)
+        storage = _StorageLayer(Cluster(2), target, "upsert")
+        for outputs in batches:
+            storage.store_batch(outputs)
+        storage.close()
+        return storage.records_stored
+
+    assert benchmark(store_all) == 50 * 420
 
 
 def test_micro_lsm_insert(benchmark):

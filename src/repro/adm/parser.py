@@ -16,6 +16,10 @@ from .types import Datatype, coerce_record  # noqa: F401 - coerce_record re-expo
 from .values import Circle, DateTime, Duration, Point, Rectangle
 
 
+#: the C scanner behind :func:`json.loads`, without its Python wrappers
+_scan_once = json.JSONDecoder().scan_once
+
+
 def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
     """Parse one JSON object into an ADM record.
 
@@ -23,11 +27,23 @@ def parse_json(text: str, datatype: Optional[Datatype] = None) -> dict:
     type (datetime, duration, point...) are coerced, and the record is
     validated against the type — one pass of the type's compiled codec
     (:meth:`Datatype.decode`) over the freshly decoded dict, in place.
+
+    One C scan from offset 0 decodes a record that is exactly one JSON
+    value.  Anything else — padding, trailing data, ``bytes``, malformed
+    text — is handed to :func:`json.loads`, which accepts what it always
+    accepted and words every error; bytes that are not valid UTF-8 are
+    malformed JSON like any other.
     """
     try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise AdmParseError(f"malformed JSON: {exc}") from exc
+        raw, end = _scan_once(text, 0)
+        whole = end == len(text)
+    except (StopIteration, TypeError, ValueError):
+        whole = False
+    if not whole:
+        try:
+            raw = json.loads(text)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise AdmParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise AdmParseError(
             f"expected a JSON object record, got {type(raw).__name__}"

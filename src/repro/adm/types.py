@@ -109,7 +109,13 @@ class Datatype:
         # field has been coerced, because the unfused order is "coerce all
         # fields (a parse error wins), then validate in field order".
         error = None
-        for fname, ftype, exact, wire, convert in self._field_plan():
+        codec = self._codec  # _field_plan(), without the call while it holds
+        plan = (
+            codec[1]
+            if codec is not None and codec[0] is self.fields
+            else self._field_plan()
+        )
+        for fname, ftype, exact, wire, convert in plan:
             value = record.get(fname)
             if value is None:
                 if not ftype.optional and error is None:

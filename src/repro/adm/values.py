@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from datetime import datetime
 from functools import total_ordering
 
 from ..errors import AdmParseError
@@ -42,8 +43,11 @@ MISSING = _Missing()
 
 
 _DATETIME_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?Z?$"
+    r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?Z?$",
+    re.ASCII,
 )
+_fromisoformat = datetime.fromisoformat
+_EPOCH_ORDINAL = 719163  # date(1970, 1, 1).toordinal()
 _DAYS_PER_MONTH = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
@@ -88,6 +92,36 @@ class DateTime:
 
     @classmethod
     def parse(cls, text: str) -> "DateTime":
+        """Decode a datetime literal.
+
+        The two shapes the wire carries — ``YYYY-MM-DDTHH:MM:SSZ`` and
+        ``…SS.mmmZ`` — are decoded by C ``datetime.fromisoformat``; the
+        shape test (length, every separator in place, ASCII) admits only
+        texts on which a C success is also a :meth:`_parse_general`
+        success with the same value.  Every other text, and every text the
+        C call refuses (year 0000, a bad month, a stray letter), takes
+        :meth:`_parse_general`, which decides what is a datetime and words
+        every error.
+        """
+        marks = text[4:20:3]
+        if (
+            (marks == "--T::Z" and len(text) == 20)
+            or (marks == "--T::." and len(text) == 24 and text[23] == "Z")
+        ) and text.isascii():
+            try:
+                stamp = _fromisoformat(text)
+            except ValueError:
+                pass
+            else:
+                days = stamp.toordinal() - _EPOCH_ORDINAL
+                total = (
+                    (days * 24 + stamp.hour) * 60 + stamp.minute
+                ) * 60 + stamp.second
+                return cls(total * 1000 + stamp.microsecond // 1000)
+        return cls._parse_general(text)
+
+    @classmethod
+    def _parse_general(cls, text: str) -> "DateTime":
         match = _DATETIME_RE.match(text.strip())
         if not match:
             raise AdmParseError(f"invalid datetime literal: {text!r}")
@@ -149,7 +183,8 @@ class DateTime:
 
 _DURATION_RE = re.compile(
     r"^P(?:(\d+)Y)?(?:(\d+)M)?(?:(\d+)D)?"
-    r"(?:T(?:(\d+)H)?(?:(\d+)M)?(?:(\d+(?:\.\d+)?)S)?)?$"
+    r"(?:T(?:(\d+)H)?(?:(\d+)M)?(?:(\d+(?:\.\d+)?)S)?)?$",
+    re.ASCII,
 )
 
 

@@ -3,6 +3,13 @@
 A connector takes frames produced by one operator partition and routes
 records to the consumer's partitions.  Cross-node hops charge transfer cost
 to the producing node (the sending CPU does the serialization work).
+
+A strategy that spreads a frame's records over several consumers
+(:class:`RoundRobin`, :class:`HashPartition`) is asked record by record.
+A :class:`OneToOne` edge sends the whole frame to one consumer, so it is
+routed once and moved as a list; either way the consumer receives the
+same frames — cut at ``frame_capacity`` — and the producer's node the
+same charges in the same order.
 """
 
 from __future__ import annotations
@@ -75,6 +82,8 @@ class ConnectorRuntime:
         self.consumer_nodes = consumer_nodes
         self.charge = charge
         self.transfer_cost = transfer_cost
+        if frame_capacity < 1:
+            raise ValueError("frame capacity must be >= 1")
         self.frame_capacity = frame_capacity
         self._buffers = [[] for _ in consumers]
         self._open_count = 0
@@ -97,6 +106,30 @@ class ConnectorRuntime:
                 self._flush(idx)
             for consumer in self.consumers:
                 consumer.close()
+
+    def _push_frame(self, frame: Frame, producer_partition: int) -> None:
+        """A :class:`OneToOne` edge: every record goes to the one target."""
+        # OneToOne routes on the partition alone, so no record is needed
+        (target,) = self.strategy.route(None, producer_partition, len(self.consumers))
+        producer_node = self.producer_nodes[producer_partition]
+        remote = self.consumer_nodes[target] != producer_node
+        capacity = self.frame_capacity
+        records = frame.records
+        start, total = 0, len(records)
+        while start < total:
+            buffered = self._buffers[target]
+            stop = min(total, start + capacity - len(buffered))
+            if remote:
+                for _ in range(stop - start):
+                    self.charge(producer_node, self.transfer_cost)
+            if stop - start == total == capacity:
+                # a full frame behind an empty buffer is the next frame out
+                self.consumers[target].next_frame(frame)
+                return
+            buffered.extend(records[start:stop])
+            start = stop
+            if len(buffered) >= capacity:
+                self._flush(target)
 
     def _push(self, record: dict, producer_partition: int) -> None:
         targets = self.strategy.route(record, producer_partition, len(self.consumers))
@@ -121,11 +154,15 @@ class _ConnectorWriter:
     def __init__(self, runtime: ConnectorRuntime, producer_partition: int):
         self.runtime = runtime
         self.producer_partition = producer_partition
+        self._whole_frames = type(runtime.strategy) is OneToOne
 
     def open(self) -> None:
         self.runtime._producer_opened()
 
     def next_frame(self, frame: Frame) -> None:
+        if self._whole_frames:
+            self.runtime._push_frame(frame, self.producer_partition)
+            return
         for record in frame:
             self.runtime._push(record, self.producer_partition)
 

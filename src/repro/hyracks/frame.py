@@ -13,12 +13,19 @@ DEFAULT_FRAME_CAPACITY = 64
 
 
 class Frame:
-    """A batch of ADM records moving through the runtime."""
+    """A batch of ADM records moving through the runtime.
+
+    A ``list`` is handed over, not copied: the producer built it for this
+    frame and does not touch it again.  Any other iterable is drained
+    into a new list.
+    """
 
     __slots__ = ("records",)
 
     def __init__(self, records: Iterable[dict] = ()):
-        self.records: List[dict] = list(records)
+        self.records: List[dict] = (
+            records if type(records) is list else list(records)
+        )
 
     def __len__(self) -> int:
         return len(self.records)
@@ -36,6 +43,10 @@ def frames_of(
     """Pack an iterable of records into frames of at most ``capacity``."""
     if capacity < 1:
         raise ValueError("frame capacity must be >= 1")
+    if isinstance(records, list):  # cut, not walked
+        for start in range(0, len(records), capacity):
+            yield Frame(records[start : start + capacity])
+        return
     batch: List[dict] = []
     for record in records:
         batch.append(record)

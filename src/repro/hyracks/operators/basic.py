@@ -34,26 +34,25 @@ class ParseOperator(Operator):
 
     def next_frame(self, frame: Frame) -> None:
         self.ctx.charge(self.ctx.cost.parse_per_record * len(frame))
+        # per frame, not per envelope: the module global is what a tracer
+        # rebinds, so it is read afresh here on every frame
+        parse, datatype, soft_errors = parse_json, self.datatype, self.soft_errors
+        is_envelope = _ENVELOPE_KEYS.issuperset
         out: List[dict] = []
-        for envelope in frame:
-            if (
-                isinstance(envelope, dict)
-                and "raw" in envelope
-                and _ENVELOPE_KEYS.issuperset(envelope)
-            ):
-                raw = envelope["raw"]
-                seq = envelope.get("seq")
+        append = out.append
+        for envelope in frame.records:
+            if isinstance(envelope, dict) and "raw" in envelope and is_envelope(envelope):
                 try:
-                    out.append(parse_json(raw, self.datatype))
+                    append(parse(envelope["raw"], datatype))
                 except AdmParseError as exc:
-                    exc.seq = seq
+                    exc.seq = seq = envelope.get("seq")
                     exc.source = "parse"
-                    if self.soft_errors is None:
+                    if soft_errors is None:
                         raise
-                    self.soft_errors.handle("parse", raw, exc, seq=seq)
+                    soft_errors.handle("parse", envelope["raw"], exc, seq=seq)
                     continue
-                if self.soft_errors is not None:
-                    self.soft_errors.note_success()
+                if soft_errors is not None:
+                    soft_errors.note_success()
             else:  # already parsed (in-memory short-circuit)
-                out.append(envelope)
+                append(envelope)
         self.emit(Frame(out))

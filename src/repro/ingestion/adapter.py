@@ -15,6 +15,10 @@ Adapters yield *envelopes* ``{"raw": <json text>, "seq": <n>}``; ``seq``
 is the adapter-local record sequence number (the file line number for a
 :class:`FileAdapter`) and is the record's *provenance*: parse errors and
 dead-letter entries carry it so the offending input can be identified.
+A file line that is not UTF-8 is a malformed record, not a dead adapter:
+its envelope carries the line's ``bytes`` as ``raw`` and the parser turns
+them into the same ``AdmParseError`` — and the same policy decision — as
+any other malformed JSON.
 Parsing into typed ADM records is a separate pipeline stage (coupled with
 intake in the old framework, moved into the computing job in the new one).
 
@@ -243,15 +247,21 @@ class FileAdapter(FeedAdapter):
         handle.seek(start_offset)
         offset = start_offset
         line_number = next_line - 1
+        end_line = self.end_line
         try:
             for raw_line in handle:
                 line_number += 1
                 offset += len(raw_line)
-                if self.end_line is not None and line_number > self.end_line:
+                if end_line is not None and line_number > end_line:
                     break
                 if line_number <= skip_through:
                     continue  # already delivered before the re-open
-                line = raw_line.decode("utf-8").strip()
+                try:
+                    line = raw_line.decode("utf-8").strip()
+                except UnicodeDecodeError:
+                    # not text: the bytes travel as the record, and the
+                    # parser reports them malformed under this line's seq
+                    line = raw_line.strip()
                 if line:
                     self.received += 1
                     self.last_line = line_number

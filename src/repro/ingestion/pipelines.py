@@ -170,34 +170,38 @@ class _StorageLayer:
         """
         cost = self.cluster.cost_model
         n = self.cluster.num_nodes
+        transfer, store = cost.transfer_per_record, cost.store_per_record
         locate, write = self.dataset.locate, self.write
-        batch_busy: Dict[int, float] = {}
-        touched = set()
-        for producer_node, records in enumerate(outputs):
-            if not records:
-                continue
-            self.holders[producer_node % n].push(Frame(records))
-            for record in records:
-                # key and hash once per record: the node here, the
-                # dataset partition inside the write
-                located = locate(record)
-                target = located[1] % n
-                if target != producer_node % n:
-                    batch_busy[producer_node % n] = (
-                        batch_busy.get(producer_node % n, 0.0)
-                        + cost.transfer_per_record
-                    )
-                write(record, located)
-                self.records_stored += 1
-                batch_busy[target] = (
-                    batch_busy.get(target, 0.0) + cost.store_per_record
-                )
-                touched.add(target)
-        for target in touched:
-            batch_busy[target] = batch_busy.get(target, 0.0) + cost.log_flush_per_batch
-        for node, seconds in batch_busy.items():
-            self.node_busy[node] += seconds
-        return max(batch_busy.values()) if batch_busy else 0.0
+        # per node: seconds this batch charged it (a node nothing charged
+        # stays at 0.0, which adds nothing below) and whether it stored
+        batch_busy = [0.0] * n
+        touched = [False] * n
+        stored = 0
+        try:
+            for producer_node, records in enumerate(outputs):
+                if not records:
+                    continue
+                home = producer_node % n
+                self.holders[home].push(Frame(records))
+                for record in records:
+                    # key and hash once per record: the node here, the
+                    # dataset partition inside the write
+                    located = locate(record)
+                    target = located[1] % n
+                    if target != home:
+                        batch_busy[home] += transfer
+                    write(record, located)
+                    stored += 1
+                    batch_busy[target] += store
+                    touched[target] = True
+        finally:
+            self.records_stored += stored
+        node_busy = self.node_busy
+        for node in range(n):
+            if touched[node]:
+                batch_busy[node] += cost.log_flush_per_batch
+            node_busy[node] += batch_busy[node]
+        return max(batch_busy)
 
     def process(self, channel: Channel):
         """Runtime process: advance through queued per-batch write work."""
@@ -293,34 +297,46 @@ class _IntakeLayer:
         cost = self.cluster.cost_model
         n = self.cluster.num_nodes
         buffers: List[List[dict]] = [[] for _ in range(n)]
+        per = cost.receive_per_record + cost.intake_fanout_per_record
+        transfer = cost.transfer_per_record
+        node_busy = self.node_busy
+        # the round-robin cursors advance once per envelope; they are
+        # walked in locals and written back after the chunk
+        target = self._rr % n
         if self.num_partitions > 1:
             pinned = self.intake_nodes[partition % len(self.intake_nodes)]
+            remote = per + transfer
+            busy, mine = node_busy[pinned], self.partition_busy[partition]
             for envelope in chunk:
                 envelope["partition"] = partition
-                per = cost.receive_per_record + cost.intake_fanout_per_record
-                target = self._rr % n
-                self._rr += 1
-                if target != pinned:  # holder p lives on node p
-                    per += cost.transfer_per_record
-                self.node_busy[pinned] += per
-                self.partition_busy[partition] += per
+                # holder p lives on node p
+                charged = remote if target != pinned else per
+                busy += charged
+                mine += charged
                 buffers[target].append(envelope)
-                self.records_received += 1
+                target += 1
+                if target == n:
+                    target = 0
+            node_busy[pinned], self.partition_busy[partition] = busy, mine
         else:
+            intake_nodes = self.intake_nodes
+            width = len(intake_nodes)
+            at = self._intake_rr % width
             for envelope in chunk:
-                intake_node = self.intake_nodes[
-                    self._intake_rr % len(self.intake_nodes)
-                ]
-                self._intake_rr += 1
-                self.node_busy[intake_node] += (
-                    cost.receive_per_record + cost.intake_fanout_per_record
-                )
-                target = self._rr % n
-                self._rr += 1
+                intake_node = intake_nodes[at]
+                at += 1
+                if at == width:
+                    at = 0
+                node_busy[intake_node] += per
                 if target != intake_node:  # holder p lives on node p
-                    self.node_busy[intake_node] += cost.transfer_per_record
+                    node_busy[intake_node] += transfer
                 buffers[target].append(envelope)
-                self.records_received += 1
+                target += 1
+                if target == n:
+                    target = 0
+            self._intake_rr += len(chunk)
+        self._rr += len(chunk)
+        self.records_received += len(chunk)
         frames = []
         for target, buffered in enumerate(buffers):
             for start in range(0, len(buffered), DEFAULT_FRAME_CAPACITY):
@@ -393,8 +409,6 @@ class _IntakeLayer:
         timeout = policy.adapter_idle_timeout_seconds
 
         def due_adapter_fault():
-            if plan is None:
-                return None
             for index, fault in plan.adapter_failures_indexed():
                 if index in self.faults_consumed:
                     continue
@@ -426,7 +440,7 @@ class _IntakeLayer:
                         state["chunk"] = []
                     chunk = state["chunk"]
                     while len(chunk) < chunk_size:
-                        fault = due_adapter_fault()
+                        fault = due_adapter_fault() if plan is not None else None
                         if fault is not None:
                             # the source died mid-fetch: drop the iterator,
                             # release its resources, and crash this actor —

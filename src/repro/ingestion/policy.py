@@ -305,8 +305,10 @@ class SoftErrorHandler:
         """React to one soft error per the policy; raises to escalate.
 
         ``stage`` is ``'parse'`` or ``'udf'``; ``raw`` is the offending
-        record's raw text (or serialized form); ``seq`` is the
-        adapter-stamped sequence number when known.
+        record's raw text (or serialized form) — or its ``bytes`` when
+        they were not UTF-8, dead-lettered as text with each undecodable
+        byte written ``\\xNN``; ``seq`` is the adapter-stamped sequence
+        number when known.
         """
         action = self.policy.on_soft_error
         if action is SoftErrorAction.FAIL:
@@ -322,6 +324,8 @@ class SoftErrorHandler:
             self.faults.records_skipped += 1
             return
         self.faults.records_dead_lettered += 1
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8", "backslashreplace")
         # Stable key: a replayed batch upserts the same entry rather than
         # appending a duplicate (the dead-letter analog of pk-upsert dedup).
         dl_id = f"{stage}#{seq}" if seq is not None else f"{stage}#{raw}"

@@ -90,6 +90,9 @@ class Dataset:
         self.datatype = datatype
         self.primary_key = primary_key
         self._key_path = split_path(primary_key)
+        # a top-level key is read straight off the record; a nested one
+        # is walked by primary_key_of
+        self._key_field = self._key_path[0] if len(self._key_path) == 1 else None
         self.num_partitions = num_partitions
         self.validate = validate
         self.partitions: List[LSMTree] = [
@@ -143,7 +146,14 @@ class Dataset:
         """``(primary key, its 64-bit hash)``: what a caller that also routes
         by the key hands back to :meth:`upsert` / :meth:`insert` as
         ``located``, so both are worked out once per record."""
-        key = primary_key_of(record, self._key_path)
+        field = self._key_field
+        key = (
+            record.get(field)
+            if field is not None and isinstance(record, dict)
+            else None
+        )
+        if key is None:  # nested path, or no key: the walker words the error
+            key = primary_key_of(record, self._key_path)
         return key, key_hash(key)
 
     def _prepare(self, record: dict, located=None):
@@ -166,13 +176,22 @@ class Dataset:
         self._commit("insert", key)
 
     def upsert(self, record: dict, located=None) -> None:
-        key, pid = self._prepare(record, located)
+        # the feed's write, once per stored record: _prepare and _commit
+        # are written out here
+        if self.validate:
+            self.datatype.validate(record)
+        key, hashed = located or self.locate(record)
+        pid = hashed % self.num_partitions
         tree = self.partitions[pid]
         old = tree.get(key)
         tree.upsert(key, record)
-        for per_partition in self.indexes.values():
-            per_partition[pid].on_upsert(old, record, key)
-        self._commit("upsert", key)
+        if self.indexes:
+            for per_partition in self.indexes.values():
+                per_partition[pid].on_upsert(old, record, key)
+        self.version += 1
+        if self._update_listeners:
+            for listener in self._update_listeners:
+                listener("upsert", key)
 
     def delete(self, key) -> None:
         pid = self._partition_of(key)

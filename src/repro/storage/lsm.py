@@ -42,7 +42,7 @@ class LSMStats:
         return dict(self.__dict__)
 
 
-@dataclass
+@dataclass(slots=True)
 class _WalRecord:
     lsn: int
     op: str
@@ -91,10 +91,18 @@ class LSMTree:
 
     def upsert(self, key, record) -> None:
         """Insert or replace, the paper's UPSERT semantics."""
-        lsn = self._append_wal("upsert", key, record)
-        self._memtable.put(key, record, lsn)
-        self.stats.upserts += 1
-        self._maybe_flush()
+        # the feed's write, once per stored record: _append_wal and
+        # _maybe_flush are written out here
+        lsn = self._next_lsn
+        self._next_lsn = lsn + 1
+        self._wal.append(_WalRecord(lsn, "upsert", key, record))
+        stats = self.stats
+        stats.wal_appends += 1
+        memtable = self._memtable
+        memtable.put(key, record, lsn)
+        stats.upserts += 1
+        if len(memtable._entries) >= memtable.entry_budget:  # is_full
+            self.flush()
 
     def delete(self, key) -> None:
         """Delete; raises :class:`KeyNotFoundError` if the key is absent."""

@@ -12,9 +12,11 @@ from repro.storage import Dataset, IndexKind
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.udf import FunctionRegistry, register_paper_udfs
 
-# Example budgets for the six property tests that set no ``max_examples``:
+# Example budgets for the eight property tests that set no ``max_examples``:
 # the four codec differentials, the filter-join differential and the
-# facade-query differential (400-600 examples as literals before).  Every
+# facade-query differential (400-600 examples as literals before), and the
+# record path's two fast-arm differentials (``DateTime.parse`` vs its regex
+# arm, ``parse_json`` vs ``json.loads`` on arbitrary text).  Every
 # other property test pins its own count and ignores the profile.  ``tier1``
 # is what ``pytest -x -q`` runs; CI's ``properties-deep`` job runs
 # ``tests/properties`` with ``--hypothesis-profile=deep``, the old literals.

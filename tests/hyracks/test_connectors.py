@@ -111,3 +111,75 @@ class TestConnectorRuntime:
         # producer on node 0; consumer 0 co-located, consumer 1 remote
         assert [len(c.records()) for c in consumers] == [1, 1]
         assert charges == [(0, 1e-6)]
+
+
+class TestOneToOneMovesFrames:
+    """A ``OneToOne`` edge moves a frame as a list; the per-record ``_push``
+    (what ``RoundRobin`` / ``HashPartition`` run) is the reference for what
+    the consumer must see and the producer's node must be charged."""
+
+    SIZES = [64, 63, 64, 1, 0, 64]
+
+    def run_edge(self, consumer_nodes, per_record):
+        events = []
+
+        class Consumer(_Collector):
+            def __init__(self, partition):
+                super().__init__()
+                self.partition = partition
+
+            def next_frame(self, frame):
+                events.append(("frame", self.partition, [r["i"] for r in frame]))
+
+        runtime = ConnectorRuntime(
+            strategy=OneToOne(),
+            consumers=[Consumer(0), Consumer(1)],
+            producer_nodes=[0, 1],
+            consumer_nodes=consumer_nodes,
+            charge=lambda node, seconds: events.append(("charge", node, seconds)),
+            transfer_cost=1e-6,
+            frame_capacity=64,
+        )
+        writers = [runtime.writer_for_producer(p) for p in (0, 1)]
+        for writer in writers:
+            writer.open()
+        serial = 0
+        for size in self.SIZES:
+            for writer in writers:
+                frame = Frame([{"i": serial + k} for k in range(size)])
+                serial += size
+                if per_record:
+                    for record in frame:
+                        runtime._push(record, writer.producer_partition)
+                else:
+                    writer.next_frame(frame)
+        for writer in writers:
+            writer.close()
+        return events
+
+    @pytest.mark.parametrize(
+        "consumer_nodes", [[0, 1], [1, 0]], ids=["same-node", "cross-node"]
+    )
+    def test_same_frames_order_and_charges_as_per_record_push(self, consumer_nodes):
+        moved = self.run_edge(consumer_nodes, per_record=False)
+        assert moved == self.run_edge(consumer_nodes, per_record=True)
+        sizes = [len(e[2]) for e in moved if e[0] == "frame" and e[1] == 0]
+        assert sizes == [64, 64, 64, 64]  # 256 records, re-cut at capacity
+        charged = sum(1 for e in moved if e[0] == "charge")
+        assert charged == (0 if consumer_nodes == [0, 1] else 2 * sum(self.SIZES))
+
+    def test_a_routing_strategy_still_sees_every_record(self):
+        seen = []
+
+        class Spy(OneToOne):
+            def route(self, record, producer_partition, fanout):
+                seen.append(record)
+                return super().route(record, producer_partition, fanout)
+
+        consumers = [_Collector()]
+        runtime, _ = make_runtime(consumers, strategy=Spy(), frame_capacity=2)
+        writer = runtime.writer_for_producer(0)
+        writer.open()
+        writer.next_frame(Frame([{"i": 0}, {"i": 1}, {"i": 2}]))
+        writer.close()
+        assert seen == consumers[0].records() == [{"i": 0}, {"i": 1}, {"i": 2}]

@@ -14,6 +14,7 @@ from repro.ingestion import (
     FeedDefinition,
     FeedPolicy,
     Framework,
+    FileAdapter,
     GeneratorAdapter,
     QueueAdapter,
     SoftErrorAction,
@@ -372,6 +373,44 @@ class TestSystemLevelDeadLetters:
             "SELECT VALUE d.error FROM TweetFeed_DeadLetters d"
         )
         assert all("AdmParseError" in e for e in errors)
+
+    @pytest.mark.parametrize("preset", ["spill", "discard", "basic"])
+    def test_a_line_that_is_not_utf8_is_a_malformed_record(self, preset, tmp_path):
+        """Line 5 is not UTF-8 and line 7 is not JSON: both are parse
+        errors carrying their line number, under every policy."""
+        lines = [json.dumps({"id": i}).encode() for i in range(1, 11)]
+        lines[4] = b'{"id": 99, "text": "\xff\xfe"}'
+        lines[6] = b'{"id": 7, "text": '
+        path = tmp_path / "tweets.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        system = self._system()
+        system.connect_feed("TweetFeed", "Tweets")
+        adapter = FileAdapter(str(path))
+        policy = getattr(FeedPolicy, preset)()
+        if preset == "basic":
+            with pytest.raises(AdmParseError, match="malformed JSON: 'utf-8'") as info:
+                system.start_feed("TweetFeed", adapter, batch_size=4, policy=policy)
+            assert (info.value.seq, info.value.source) == (5, "parse")
+            return
+        report = system.start_feed("TweetFeed", adapter, batch_size=4, policy=policy)
+        assert report.records_stored == 8
+        assert sorted(system.query("SELECT VALUE t.id FROM Tweets t")) == [
+            1, 2, 3, 4, 6, 8, 9, 10
+        ]
+        assert adapter.resume_position()[0] == 10  # the cursor moved past both
+        if preset == "discard":
+            assert report.faults.records_skipped == 2
+            return
+        assert report.faults.records_dead_lettered == 2
+        letters = {
+            d["seq"]: d for d in system.query("SELECT VALUE d FROM TweetFeed_DeadLetters d")
+        }
+        assert sorted(letters) == [5, 7]
+        assert letters[5]["raw"] == '{"id": 99, "text": "\\xff\\xfe"}'
+        assert letters[5]["error"].startswith(
+            "AdmParseError: malformed JSON: 'utf-8' codec can't decode byte 0xff"
+        )
+        assert letters[7]["raw"] == '{"id": 7, "text":'
 
     def test_start_feed_policy_overrides_connect_policy(self):
         system = self._system()

@@ -27,20 +27,24 @@ def typed_tweets(count):
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count trips through the FNV hash and the key extractor."""
-    counts = {"key_hash": 0, "primary_key_of": 0}
+    """Count trips through the FNV hash and the key extractor.
 
-    def counting(name):
-        original = getattr(dataset_module, name)
+    ``Dataset.locate`` is where every write path reads a record's key (a
+    top-level key straight off the record, a nested one through
+    ``primary_key_of``), so one trip is one extraction."""
+    counts = {"key_hash": 0, "locate": 0}
+    original_hash, original_locate = dataset_module.key_hash, Dataset.locate
 
-        def stub(*args):
-            counts[name] += 1
-            return original(*args)
+    def key_hash(key):
+        counts["key_hash"] += 1
+        return original_hash(key)
 
-        monkeypatch.setattr(dataset_module, name, stub)
+    def locate(self, record):
+        counts["locate"] += 1
+        return original_locate(self, record)
 
-    counting("key_hash")
-    counting("primary_key_of")
+    monkeypatch.setattr(dataset_module, "key_hash", key_hash)
+    monkeypatch.setattr(Dataset, "locate", locate)
     return counts
 
 
@@ -56,7 +60,7 @@ class TestStoreBatchOncePerRecord:
         storage.store_batch(outputs)
 
         n = len(records)
-        assert calls == {"key_hash": n, "primary_key_of": n}
+        assert calls == {"key_hash": n, "locate": n}
         assert storage.records_stored == n
         assert target.version == n
         in_order = [r["id"] for part in outputs for r in part]
@@ -89,7 +93,7 @@ class TestStoreBatchOncePerRecord:
     def test_direct_upsert_still_extracts_and_hashes_once(self, calls):
         target = make_target()
         assert target.upsert_many(typed_tweets(50)) == 50
-        assert calls == {"key_hash": 50, "primary_key_of": 50}
+        assert calls == {"key_hash": 50, "locate": 50}
         assert target.version == 50
 
     def test_target_type_is_still_enforced_at_store(self):

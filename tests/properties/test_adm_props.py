@@ -1,5 +1,6 @@
 """Property-based tests for the ADM value layer."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,9 @@ from repro.adm import (
     serialize,
     spatial_intersect,
 )
+from repro.errors import AdmParseError
+
+from .test_codec_props import outcome  # a call's typed result, or its failure
 
 epoch_millis = st.integers(min_value=0, max_value=4_102_444_800_000)  # ..2100
 
@@ -51,6 +55,136 @@ class TestDateTimeProperties:
     def test_millis_addition_exact(self, base, delta):
         dt = DateTime(base)
         assert dt.add(Duration(0, delta)).epoch_millis == base + delta
+
+
+#: what can stand where a digit or a separator should: the separators
+#: themselves, signs, a space, a week marker, letters, an Arabic-Indic digit
+STRAY = "-:TZ.,+ WzE\u0662"
+fields = st.tuples(
+    st.sampled_from([0, 1, 4, 100, 1900, 1969, 1970, 2000, 2019, 2020, 2100, 9999]),
+    st.sampled_from([0, 1, 2, 2, 12, 13]) | st.integers(1, 12),  # month
+    st.sampled_from([0, 1, 28, 29, 30, 31, 32]) | st.integers(1, 28),  # day
+    st.sampled_from([0, 23, 24]) | st.integers(0, 23),
+    st.sampled_from([0, 59, 60]) | st.integers(0, 59),
+    st.sampled_from([0, 59, 60]) | st.integers(0, 59),
+    st.sampled_from(["", ".5", ".25", ".125", ".000", ".999"])
+    | st.integers(0, 999).map(".{:03d}".format),
+)
+wire_texts = fields.map(
+    lambda f: "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}{}Z".format(*f)
+)
+
+
+@st.composite
+def near_wire_texts(draw):
+    """A wire-shaped text, as it is or damaged in one of the listed ways."""
+    text = draw(wire_texts)
+    damage = draw(st.sampled_from(["none", "none", "chars", "no_z", "space", "pad"]))
+    if damage == "chars":
+        chars = list(text)
+        for _ in range(draw(st.integers(1, 3))):
+            at = draw(st.integers(0, len(chars) - 1))
+            chars[at] = draw(st.sampled_from(STRAY + "0123456789"))
+        text = "".join(chars)
+    elif damage == "no_z":
+        text = text[:-1]
+    elif damage == "space":
+        text = text.replace("T", " ")
+    elif damage == "pad":
+        pads = st.sampled_from(["", " ", "\n", "\t ", "\u00a0"])
+        text = draw(pads) + text + draw(pads)
+    return text
+
+
+datetime_texts = st.one_of(
+    near_wire_texts(),
+    near_wire_texts(),
+    st.text(STRAY + "0123456789", min_size=20, max_size=20),
+    st.text(STRAY + "0123456789", min_size=24, max_size=24),
+    st.text(max_size=30),
+)
+
+
+class TestDateTimeFastArm:
+    """``DateTime.parse`` decodes the two wire shapes in C; the regex arm
+    (``_parse_general``) is what it must agree with on every text."""
+
+    @given(datetime_texts)
+    @settings(deadline=None)  # example count from the profile (tests/conftest.py)
+    def test_parse_equals_the_regex_arm(self, text):
+        assert outcome(DateTime.parse, text) == outcome(
+            DateTime._parse_general, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "2019-03-08T00:26:40Z",
+            "2019-03-08T00:26:40.5Z",
+            "2019-03-08T00:26:40.25Z",
+            "2019-03-08T00:26:40.125Z",
+            "2019-03-08T00:26:40.125",
+            "2019-03-08T00:26:40",
+            "2019-03-08 00:26:40Z",
+            " 2019-03-08T00:26:40Z",
+            "2019-03-08T00:26:40.125Z\n",
+            "2019-00-08T00:26:40Z",
+            "2019-13-08T00:26:40.000Z",
+            "2019-02-30T00:00:00Z",
+            "2019-02-29T00:00:00.000Z",  # not a leap year
+            "2020-02-29T00:00:00Z",
+            "1900-02-29T00:00:00Z",  # a century that is not
+            "2000-02-29T00:00:00.001Z",
+            "2019-03-08T24:00:00Z",
+            "2019-03-08T23:60:00Z",
+            "2019-03-08T23:59:60.000Z",
+            "0000-01-01T00:00:00Z",
+            "0000-12-31T23:59:59.999Z",
+            "0001-01-01T00:00:00Z",
+            "9999-12-31T23:59:59.999Z",
+            "1969-12-31T23:59:59.999Z",
+            "2019/03-08T00:26:40Z",
+            "2019-03/08T00:26:40Z",
+            "2019-03-08t00:26:40Z",
+            "2019-03-08T00.26:40Z",
+            "2019-03-08T00:26.40Z",
+            "2019-03-08T00:26:40z",
+            "2019-03-08T00:26:40,125Z",
+            "2019-03-08T00:26:40.125z",
+            "2019-W10-5T00:26:40Z",
+            "2019-03-08T00:26:40.+12Z",
+            "2019-03-08T00:26:40.1-1Z",
+            "2019-03-08T00:26:4ZZ",
+            "+019-03-08T00:26:40Z",
+            "2019-03-08T00:26:4 Z",
+            "\u0662\u0660\u0661\u0669-\u0660\u0663-\u0660\u0667"
+            "T\u0662\u0663:\u0660\u0666:\u0664\u0660Z",
+            "2019-03-08T00:26:4\u0660Z",
+            "2019-03-08T00:26:40.12\u0665Z",
+        ],
+    )
+    def test_named_edges(self, text):
+        assert outcome(DateTime.parse, text) == outcome(
+            DateTime._parse_general, text
+        )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0662\u0660\u0661\u0669-\u0660\u0663-\u0660\u0667"
+            "T\u0662\u0663:\u0660\u0666:\u0664\u0660Z",
+            "2019-03-07T23:06:4\u0660Z",
+            "201\uff19-03-07T23:06:40Z",  # a fullwidth nine
+        ],
+    )
+    def test_non_ascii_digits_are_not_digits(self, text):
+        with pytest.raises(AdmParseError, match="invalid datetime literal"):
+            DateTime.parse(text)
+
+    @pytest.mark.parametrize("text", ["P\u0661D", "PT\u0663\u0660S", "P1Y\uff12M"])
+    def test_duration_rejects_non_ascii_digits(self, text):
+        with pytest.raises(AdmParseError, match="invalid duration literal"):
+            Duration.parse(text)
 
 
 coords = st.floats(-1000, 1000, allow_nan=False, allow_infinity=False)

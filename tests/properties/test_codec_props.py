@@ -350,6 +350,137 @@ class TestCodecMatchesGenericWalkers:
             )
 
 
+# ------------------------------------------------------- text, not json.dumps
+
+
+def reference_parse(text, datatype):
+    """``parse_json`` before the one-scan arm: ``json.loads``, then the
+    unfused decode.  Text that is not JSON — or not UTF-8 — is an
+    ``AdmParseError`` carrying the library's own message."""
+    try:
+        raw = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise AdmParseError(f"malformed JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise AdmParseError(
+            f"expected a JSON object record, got {type(raw).__name__}"
+        )
+    return raw if datatype is None else reference_decode(datatype, raw)
+
+
+def _dumps(record):
+    try:
+        return json.dumps(record)  # NaN / Infinity are written as literals
+    except TypeError:  # ADM wrapper values have no plain-JSON form
+        return json.dumps({"a": 1, "b": [True, None, 2.5], "c": {"d": "e"}})
+
+
+WHITESPACE = st.text(" \t\n\r", max_size=3)
+#: ``\x0b`` and ``\u00a0`` are whitespace to ``str.strip`` and not to JSON
+PADDING = st.one_of(WHITESPACE, st.sampled_from(["\x0b", "\u00a0", "\ufeff"]))
+TRAILING = st.sampled_from(["x", "{}", ",", "]", "}", "null", '"', "\x00", " 1"])
+ENCODINGS = ["utf-8", "utf-8-sig", "utf-16", "utf-16-le", "utf-32-be", "latin-1"]
+FIXED_TEXTS = [
+    "",
+    " ",
+    "{",
+    "{}",
+    " {} ",
+    "[]",
+    "[{}]",
+    "null",
+    "true",
+    "3",
+    "-",
+    "1.5e",
+    '"a"',
+    '"\\ud800"',
+    "NaN",
+    "-Infinity",
+    '{"a": NaN, "b": [Infinity, -Infinity]}',
+    '{"a": 1, "a": 2}',
+    '{"a": {"b": 1, "b": 2}, "a": "last one wins"}',
+    '{"a": 1,}',
+    "{'a': 1}",
+    '{"a": 01}',
+    '{"a": 1}{"a": 2}',
+    '{"a": 1}\n{"a": 2}',
+    '\ufeff{"a": 1}',
+    '{"a": "\x00"}',
+    '{"a": "\\x"}',
+    '{"a":' * 200 + "1" + "}" * 200,
+    '{"a":' + "[" * 200 + "]" * 200 + "}",
+    "[" * 200 + "]" * 200,
+    '{"a": ' + "9" * 400 + "}",
+    b'{"id": 99, "text": "\xff\xfe"}',
+    b"\xff",
+    b"\xef\xbb\xbf{}",
+    b"",
+]
+
+
+@st.composite
+def record_texts(draw):
+    """The text (or bytes) of a record as an adapter might hand it over:
+    ``json.dumps`` output left alone, padded, cut short, followed by more
+    data, encoded — or not a record's text at all."""
+    datatype, record = draw(typed_records)
+    if draw(st.booleans()):
+        record = dict(record, **draw(st.dictionaries(
+            st.sampled_from(FIELD_NAMES),
+            st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+            max_size=2,
+        )))
+    text = _dumps(record)
+    shape_of = draw(st.sampled_from(
+        ["as_is", "padded", "cut", "trailing", "encoded", "broken_bytes",
+         "value", "fixed", "noise"]
+    ))
+    if shape_of == "padded":
+        text = draw(PADDING) + text + draw(PADDING)
+    elif shape_of == "cut":
+        text = text[: draw(st.integers(0, len(text)))]
+    elif shape_of == "trailing":
+        text = text + draw(WHITESPACE) + draw(TRAILING)
+    elif shape_of == "encoded":
+        text = text.encode(draw(st.sampled_from(ENCODINGS)), "replace")
+    elif shape_of == "broken_bytes":
+        raw = bytearray(text.encode("utf-8"))
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.sampled_from([0xFF, 0xC3, 0x80]))
+        text = bytes(raw)
+    elif shape_of == "value":  # a top-level array or scalar
+        text = _dumps(draw(st.one_of(st.lists(st.integers(), max_size=3), numbers,
+                                     st.text(max_size=5), st.none())))
+    elif shape_of == "fixed":
+        text = draw(st.sampled_from(FIXED_TEXTS))
+    elif shape_of == "noise":
+        text = draw(st.text(max_size=12))
+    return datatype, text
+
+
+class TestParseJsonOnArbitraryText:
+    """One C scan decodes a text that is exactly one JSON value;
+    ``json.loads`` takes the rest.  Whichever arm ran, the record and the
+    error are what ``json.loads`` followed by the unfused decode give."""
+
+    @given(record_texts())
+    @settings(deadline=None)  # example count from the profile (tests/conftest.py)
+    def test_parse_json_equals_json_loads_then_reference_decode(self, case):
+        datatype, text = case
+        assert outcome(parse_json, text, datatype) == outcome(
+            reference_parse, text, datatype
+        )
+
+    @pytest.mark.parametrize("text", FIXED_TEXTS, ids=lambda text: repr(text)[:24])
+    @pytest.mark.parametrize(
+        "datatype", [None, make_type("T", {"a": "double?"})], ids=["untyped", "typed"]
+    )
+    def test_named_texts(self, text, datatype):
+        assert outcome(parse_json, text, datatype) == outcome(
+            reference_parse, text, datatype
+        )
+
+
 class TestCodecErrorOrder:
     """The unfused order — coerce every field, then validate in field order —
     decides which error a record with several defects reports."""
