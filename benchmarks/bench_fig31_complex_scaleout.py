@@ -115,7 +115,7 @@ def test_fig31_partitioned_subbatch_parity(harness):
         computing_workers=4,
     )
     assert scaled.intake_partitions == 4
-    assert scaled.subbatches_dispatched > 0
+    assert scaled.subbatches > 0
     assert scaled.records_stored == single.records_stored
     # the pool + splits may help; they must never hurt
     assert scaled.runtime.makespan_seconds <= single.runtime.makespan_seconds * 1.05

@@ -62,7 +62,6 @@ def test_micro_store_batch(benchmark):
         storage = _StorageLayer(Cluster(2), target, "upsert")
         for outputs in batches:
             storage.store_batch(outputs)
-        storage.close()
         return storage.records_stored
 
     assert benchmark(store_all) == 50 * 420

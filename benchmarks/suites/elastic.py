@@ -81,7 +81,7 @@ def _run_summary(label: str, report, digest: str) -> Dict:
         "peak_workers": report.peak_computing_workers,
         "scale_ups": report.scale_ups,
         "scale_downs": report.scale_downs,
-        "reordered_batches": metrics.reordered_batches,
+        "reordered_batches": report.reordered_batches,
         "worker_pool_timeline": [
             [at, size] for at, size in metrics.worker_pool_timeline
         ],

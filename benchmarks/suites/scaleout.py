@@ -117,8 +117,8 @@ def _run_summary(report, digest: str) -> Dict:
             str(p): busy
             for p, busy in sorted(report.intake_partition_busy.items())
         },
-        "subbatches_dispatched": report.subbatches_dispatched,
-        "subbatch_merges": metrics.subbatch_merges,
+        "subbatches_dispatched": report.subbatches,
+        "subbatch_merges": report.subbatch_merges,
         "checkpoint_commits": report.checkpoint_commits,
         "output_sha256": digest,
     }
@@ -333,7 +333,7 @@ def run(smoke: bool) -> Dict:
         "intake_speedup_reaches_floor": intake_speedup >= INTAKE_SPEEDUP_FLOOR,
         "intake_outputs_identical": len(set(digests.values())) == 1,
         "combined_output_identical": combined_digest == digests[1],
-        "combined_split_batches": combined_report.subbatches_dispatched > 0,
+        "combined_split_batches": combined_report.subbatches > 0,
         "subbatch_speedup_reaches_floor": (
             subbatch_speedup >= SUBBATCH_SPEEDUP_FLOOR
         ),

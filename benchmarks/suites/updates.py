@@ -172,7 +172,7 @@ def run_cell(
             NOMINAL_BATCH_SECONDS,
         )
     pipeline = DynamicIngestionPipeline(
-        system.cluster, system.catalog, system.registry, afm=system.afm
+        system.cluster, system.catalog, system.registry
     )
     raw = raw_records(
         tweets,

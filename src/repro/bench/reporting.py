@@ -50,9 +50,9 @@ def layer_utilization_table(
                         f"{ptimes.idle:>10.4f} {ptimes.blocked:>12.4f} "
                         f"{ptimes.utilization(metrics.makespan_seconds):>8.0%}"
                     )
-    if per_process and metrics.peak_workers > 1:
+    if per_process and metrics.peak_computing_workers > 1:
         lines.append(
-            f"computing pool: peak {metrics.peak_workers} worker(s), "
+            f"computing pool: peak {metrics.peak_computing_workers} worker(s), "
             f"{metrics.scale_ups} scale-up(s), "
             f"{metrics.scale_downs} scale-down(s), "
             f"{metrics.reordered_batches} reordered batch(es)"

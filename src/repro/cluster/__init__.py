@@ -1,6 +1,5 @@
-"""Cluster substrate: Cluster Controller, Node Controllers, predeploy."""
+"""Cluster substrate: the Cluster Controller and predeployed jobs."""
 
-from .controller import Cluster, ClusterController, DeployedJob
-from .node import NodeController
+from .controller import Cluster, ClusterController
 
-__all__ = ["Cluster", "ClusterController", "DeployedJob", "NodeController"]
+__all__ = ["Cluster", "ClusterController"]

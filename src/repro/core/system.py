@@ -40,7 +40,6 @@ from ..ingestion.feed import (
 )
 from ..ingestion.fabric import FeedLaunch, merge_fault_plans
 from ..ingestion.pipelines import (
-    ActiveFeedManager,
     DynamicIngestionPipeline,
     StaticIngestionPipeline,
     drive_runs,
@@ -138,7 +137,6 @@ class AsterixLite:
         self.catalog: Dict[str, Dataset] = {}
         self.registry = FunctionRegistry(lambda: set(self.catalog))
         self.feeds: Dict[str, _FeedState] = {}
-        self.afm = ActiveFeedManager(self.cluster)
         self.default_partitions = default_partitions or num_nodes
 
     # ------------------------------------------------------------------- DDL
@@ -359,7 +357,7 @@ class AsterixLite:
                 report = pipeline.run(definition, adapter)
             else:
                 pipeline = DynamicIngestionPipeline(
-                    self.cluster, self.catalog, self.registry, afm=self.afm
+                    self.cluster, self.catalog, self.registry
                 )
                 report = pipeline.run(
                     definition,
@@ -439,7 +437,7 @@ class AsterixLite:
         if fabric is not None:
             fabric.bind(runtime)
         pipeline = DynamicIngestionPipeline(
-            self.cluster, self.catalog, self.registry, afm=self.afm
+            self.cluster, self.catalog, self.registry
         )
         for state, _, _, _ in entries:
             state.running = True

@@ -11,14 +11,9 @@ from .job import (
     OperatorDescriptor,
     SourceOperator,
 )
-from .partition_holder import (
-    ActivePartitionHolder,
-    PartitionHolderManager,
-    PassivePartitionHolder,
-)
+from .partition_holder import PassivePartitionHolder
 
 __all__ = [
-    "ActivePartitionHolder",
     "CostModel",
     "DEFAULT_COST_MODEL",
     "DEFAULT_FRAME_CAPACITY",
@@ -32,7 +27,6 @@ __all__ = [
     "Operator",
     "OperatorContext",
     "OperatorDescriptor",
-    "PartitionHolderManager",
     "PassivePartitionHolder",
     "RoundRobin",
     "SourceOperator",

@@ -6,19 +6,23 @@ with a bounded frame queue — so the intake, computing, and storage jobs can
 hand frames to each other through memory.
 
 * A **passive** holder receives frames from its upstream operators and
-  waits for another job to *pull* them (used at the tail of the intake
-  job; computing jobs request batches from it).
+  waits for another job to *pull* them: the tail of the intake job, which
+  computing jobs request batches from.  That is
+  :class:`PassivePartitionHolder`; its bound is the feed's backpressure
+  (:class:`~repro.runtime.IntakeBuffer` blocks a producer on a full one).
 * An **active** holder receives frames from other jobs and *pushes* them
-  to its downstream operators (used at the head of the storage job).
+  to its downstream operators: the head of the storage job.  That push is
+  ``_StorageLayer.store_batch`` (:mod:`repro.ingestion.pipelines`), which
+  the run's sequencer calls in batch order; no queue stands in front of it.
 
-Each holder registers with a :class:`PartitionHolderManager` under a
-(holder id, partition) key so jobs can locate their peers.
+A holder belongs to the feed run that built it; nothing looks one up by
+name, so two feeds writing one dataset share no holder.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, List
 
 from ..errors import PartitionHolderError
 from .frame import Frame
@@ -111,56 +115,3 @@ class PassivePartitionHolder:
     def drained(self) -> bool:
         """True once EOF was signalled and every record was pulled."""
         return self._eof and not self._queue
-
-
-class ActivePartitionHolder:
-    """Push-style holder: forwards received frames to a downstream writer."""
-
-    def __init__(self, holder_id: str, partition: int, downstream):
-        self.holder_id = holder_id
-        self.partition = partition
-        self.downstream = downstream
-        self.received = 0
-        self._open = False
-
-    def open(self) -> None:
-        if not self._open:
-            self.downstream.open()
-            self._open = True
-
-    def push(self, frame: Frame) -> None:
-        if not self._open:
-            self.open()
-        self.received += len(frame)
-        self.downstream.next_frame(frame)
-
-    def close(self) -> None:
-        if self._open:
-            self.downstream.close()
-            self._open = False
-
-
-class PartitionHolderManager:
-    """Cluster-wide registry: (holder id, partition) -> holder."""
-
-    def __init__(self):
-        self._holders: Dict[Tuple[str, int], object] = {}
-
-    def register(self, holder) -> None:
-        key = (holder.holder_id, holder.partition)
-        if key in self._holders:
-            raise PartitionHolderError(f"holder already registered: {key}")
-        self._holders[key] = holder
-
-    def lookup(self, holder_id: str, partition: int):
-        key = (holder_id, partition)
-        if key not in self._holders:
-            raise PartitionHolderError(f"no such holder: {key}")
-        return self._holders[key]
-
-    def unregister(self, holder_id: str, partition: Optional[int] = None) -> None:
-        if partition is not None:
-            self._holders.pop((holder_id, partition), None)
-            return
-        for key in [k for k in self._holders if k[0] == holder_id]:
-            del self._holders[key]

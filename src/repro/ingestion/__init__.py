@@ -1,4 +1,4 @@
-"""The IDEA ingestion framework: static vs dynamic pipelines, feeds, AFM."""
+"""The IDEA ingestion framework: static vs dynamic pipelines, feeds."""
 
 from .adapter import (
     ADAPTER_IDLE,
@@ -34,12 +34,7 @@ from .feed import (
     FeedRunReport,
     Framework,
 )
-from .pipelines import (
-    ActiveFeedManager,
-    DynamicIngestionPipeline,
-    FeedRun,
-    StaticIngestionPipeline,
-)
+from .pipelines import DynamicIngestionPipeline, FeedRun, StaticIngestionPipeline
 from .policy import (
     CongestionAction,
     ExternalFailureAction,
@@ -54,7 +49,6 @@ from .updates import ReferenceUpdateClient
 
 __all__ = [
     "ADAPTER_IDLE",
-    "ActiveFeedManager",
     "AttachedFunction",
     "BackfillReport",
     "BatchStats",

@@ -109,21 +109,18 @@ class FeedRunReport:
     #: ``computing_worker_busy`` is each worker's own aggregate
     computing_wall_seconds: float = 0.0
     computing_worker_busy: Dict[str, float] = field(default_factory=dict)
-    peak_computing_workers: int = 1
     #: partitioned intake: each partition's aggregate busy seconds (empty
     #: for the single actor)
     intake_partition_busy: Dict[int, float] = field(default_factory=dict)
-    #: intra-batch parallelism: sub-batch slices dispatched across the
-    #: worker pool (0 when no batch was split)
-    subbatches_dispatched: int = 0
     #: durable-restart accounting: batches released in order by the
     #: sequencer, and whether this run resumed from a durable checkpoint
     acked_batches: int = 0
     resumed_from_checkpoint: bool = False
-    #: the run's shared counters — elastic scale events, cache / memo /
-    #: columnar activity, external enrichment, fabric attribution — each
-    #: also readable as an attribute of this report (``report.memo_hits``);
-    #: the same object backs ``report.runtime``
+    #: the run's shared counters — worker pool and sub-batches, elastic
+    #: scale events, cache / memo / columnar activity, external
+    #: enrichment, fabric attribution — each also readable as an
+    #: attribute of this report (``report.memo_hits``); the same object
+    #: backs ``report.runtime``
     counters: RunCounters = field(default_factory=RunCounters)
     #: per-layer busy/idle/blocked timelines, holder high-water marks,
     #: stall counts, and batch latencies from the discrete-event runtime

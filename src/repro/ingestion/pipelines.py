@@ -11,11 +11,13 @@ explicitly opts into the Model-3 ablation.
 
 * an *intake job* running for the feed's lifetime: adapter + round-robin
   partitioner + passive intake partition holders;
-* a *computing job*, predeployed and invoked once per batch by the Active
-  Feed Manager: collector + parser + UDF evaluator, with intermediate
-  state refreshed every invocation;
-* a *storage job* running for the feed's lifetime: active storage
-  partition holders + primary-key hash partitioner + LSM writers.
+* a *computing job*, predeployed and invoked once per batch by the run's
+  computing workers (the paper's Active Feed Manager loop,
+  :meth:`FeedRun._worker_loop`): collector + parser + UDF evaluator, with
+  intermediate state refreshed every invocation;
+* a *storage job* running for the feed's lifetime: the batch-ordered push
+  of each job's output (the active side of the partition holders) +
+  primary-key hash partitioner + LSM writers.
 
 Execution model: each layer is a :class:`~repro.runtime.Process` on the
 cluster's discrete-event runtime.  The intake process blocks (with real
@@ -43,7 +45,7 @@ from ..hyracks.frame import DEFAULT_FRAME_CAPACITY, Frame
 from ..hyracks.job import JobSpecification, OperatorDescriptor
 from ..hyracks.operators import DatasetWriteSink, ListSource, ParseOperator
 from ..hyracks.operators.sinks import CallbackSink
-from ..hyracks.partition_holder import ActivePartitionHolder, PassivePartitionHolder
+from ..hyracks.partition_holder import PassivePartitionHolder
 from ..runtime import (
     Advance,
     CANCELLED,
@@ -141,7 +143,7 @@ def _split_batch(
 
 
 class _StorageLayer:
-    """The storage job: active holders feeding per-node LSM writers.
+    """The storage job: per-node LSM writers behind the sequencer.
 
     Performs the real dataset writes and accounts per-node storage busy
     time (store cost, log forces, cross-node transfer for records whose
@@ -156,17 +158,13 @@ class _StorageLayer:
         self.write = dataset.insert if write_mode == "insert" else dataset.upsert
         self.node_busy: Dict[int, float] = {n: 0.0 for n in range(cluster.num_nodes)}
         self.records_stored = 0
-        self.holders = [
-            ActivePartitionHolder(f"storage-{dataset.name}", p, _NullWriter())
-            for p in range(cluster.num_nodes)
-        ]
-        for holder in self.holders:
-            cluster.holder_manager.register(holder)
 
     def store_batch(self, outputs: List[List[dict]]) -> float:
         """Write one computing job's output; returns this batch's max busy.
 
         ``outputs[p]`` is the enriched record list produced on node ``p``.
+        This is §5.3's push side — the active partition holder at the head
+        of the storage job — called by the run's sequencer in batch order.
         """
         cost = self.cluster.cost_model
         n = self.cluster.num_nodes
@@ -182,7 +180,6 @@ class _StorageLayer:
                 if not records:
                     continue
                 home = producer_node % n
-                self.holders[home].push(Frame(records))
                 for record in records:
                     # key and hash once per record: the node here, the
                     # dataset partition inside the write
@@ -215,22 +212,6 @@ class _StorageLayer:
     @property
     def max_busy(self) -> float:
         return max(self.node_busy.values())
-
-    def close(self) -> None:
-        for holder in self.holders:
-            holder.close()
-        self.cluster.holder_manager.unregister(f"storage-{self.dataset.name}")
-
-
-class _NullWriter:
-    def open(self):
-        pass
-
-    def next_frame(self, frame):
-        pass
-
-    def close(self):
-        pass
 
 
 class _IntakeLayer:
@@ -276,8 +257,6 @@ class _IntakeLayer:
             )
             for p in range(n)
         ]
-        for holder in self.holders:
-            cluster.holder_manager.register(holder)
         self._rr = 0
         self._intake_rr = 0
         self.records_received = 0
@@ -303,6 +282,10 @@ class _IntakeLayer:
         # the round-robin cursors advance once per envelope; they are
         # walked in locals and written back after the chunk
         target = self._rr % n
+        # Two branches, not one: a remote record's charge is ``per`` then
+        # ``transfer`` on a single lane but ``per + transfer`` on a
+        # partitioned one, and BENCH_scaleout.json pins both float sums
+        # to the last bit.
         if self.num_partitions > 1:
             pinned = self.intake_nodes[partition % len(self.intake_nodes)]
             remote = per + transfer
@@ -345,8 +328,48 @@ class _IntakeLayer:
                 )
         return frames
 
-    def make_body(
+    @property
+    def max_busy(self) -> float:
+        return max(self.node_busy.values())
+
+
+class _IntakeLane:
+    """One intake partition's actor: its adapter drawing into the buffer.
+
+    The lane's bound :meth:`run` is the supervisor's body factory, called
+    once for the first run and once per restart.  What a restart must not
+    lose lives on the lane — envelopes drawn but not yet framed
+    (:attr:`chunk`) and frames not yet deposited (:attr:`pending`) — so a
+    crash mid-deposit replays them instead of losing them (at-least-once;
+    duplicates resolve downstream via primary-key upsert).
+
+    ``buffer.put`` suspends this process (accounted as *blocked*) while
+    the target holder is full — backpressure propagates to the adapter
+    instead of force-appending past the holder's bound.  An idle-but-open
+    adapter (a :class:`QueueAdapter` drained before ``end()``) surfaces as
+    accounted idle time, bounded by the policy's
+    ``adapter_idle_timeout_seconds``.
+
+    An :class:`~repro.runtime.faults.AdapterFailAt` in the fault plan
+    kills the adapter after it has drawn that many envelopes: the source
+    is closed and the lane crashes; on the supervisor's restart the
+    adapter is re-opened from its resume cursor
+    (:meth:`~repro.ingestion.adapter.FeedAdapter.resume_position`), so
+    envelopes already drawn (held on the lane) are never drawn twice and
+    nothing after the cursor is skipped.
+
+    The lanes of one feed coordinate through their :class:`_IntakeLayer`
+    (open-lane count so the *last* finisher ends the buffer, the run-wide
+    set of consumed adapter faults, and the per-partition durable cursor
+    log the checkpoint commits consume).  ``resume_from`` re-opens a fresh
+    adapter at a durable cursor (``resume_run``) — distinct from the
+    in-process re-open after an adapter death, which resumes from the live
+    ``resume_position()``.
+    """
+
+    def __init__(
         self,
+        layer: _IntakeLayer,
         adapter: FeedAdapter,
         buffer: IntakeBuffer,
         chunk_size: int,
@@ -355,174 +378,137 @@ class _IntakeLayer:
         partition: int = 0,
         resume_from=None,
     ):
-        """Build the intake actor's restartable body factory.
+        self.layer = layer
+        self.adapter = adapter
+        self.buffer = buffer
+        self.chunk_size = chunk_size
+        self.faults = faults
+        self.partition = partition
+        self.plan = buffer.runtime.fault_plan
+        self.poll = policy.adapter_idle_poll_seconds
+        self.timeout = policy.adapter_idle_timeout_seconds
+        # only pass resume_from when actually resuming: adapter
+        # subclasses predating durable restart may not accept it
+        self.source = (
+            adapter.envelopes(resume_from=resume_from)
+            if resume_from is not None
+            else adapter.envelopes()
+        )
+        self.drawn = 0  # envelopes drawn over the adapter's lifetime
+        self.exhausted = False
+        self.advanced = 0.0
+        self.chunk: Optional[List[dict]] = None
+        self.pending: Optional[list] = None
+        self.idle = 0.0
+        self.ended = False
 
-        The returned factory is invoked once for the first run and once
-        per supervisor restart; drawn-but-undelivered envelopes and frames
-        live in closure state, so a crash mid-deposit replays them instead
-        of losing them (at-least-once — duplicates resolve downstream via
-        primary-key upsert).
+    def due_adapter_fault(self):
+        """The fault plan's next unconsumed adapter death due on this lane."""
+        consumed = self.layer.faults_consumed
+        for index, fault in self.plan.adapter_failures_indexed():
+            if index in consumed:
+                continue
+            if fault.partition is not None and fault.partition != self.partition:
+                continue
+            if (
+                getattr(fault, "feed", None) is not None
+                and fault.feed != self.layer.feed.name
+            ):
+                continue
+            if self.drawn >= fault.after_records:
+                consumed.add(index)
+                return fault
+        return None
 
-        ``buffer.put`` suspends this process (accounted as *blocked*) while
-        the target holder is full — backpressure propagates to the adapter
-        instead of force-appending past the holder's bound.  An idle-but-
-        open adapter (a :class:`QueueAdapter` drained before ``end()``)
-        surfaces as accounted idle time, bounded by the policy's
-        ``adapter_idle_timeout_seconds``.
-
-        An :class:`~repro.runtime.faults.AdapterFailAt` in the fault plan
-        kills the adapter after it has drawn that many envelopes: the
-        source is closed and the intake actor crashes; on the supervisor's
-        restart the adapter is re-opened from its resume cursor
-        (:meth:`~repro.ingestion.adapter.FeedAdapter.resume_position`), so
-        envelopes already drawn (held in closure state) are never drawn
-        twice and nothing after the cursor is skipped.
-
-        ``partition`` names this actor's intake partition; the partition
-        actors coordinate through this layer (open-actor count so the
-        *last* finisher ends the buffer, the run-wide set of consumed
-        adapter faults, and the per-partition durable cursor log the
-        checkpoint commits consume).  ``resume_from`` re-opens a fresh
-        adapter at a durable cursor (``resume_run``) — distinct from the
-        in-process re-open after an adapter death, which resumes from the
-        live ``resume_position()``.
-        """
-        plan = buffer.runtime.fault_plan
-        cursor_log = self.cursor_log
-        state = {
-            # only pass resume_from when actually resuming: adapter
-            # subclasses predating durable restart may not accept it
-            "source": (
-                adapter.envelopes(resume_from=resume_from)
-                if resume_from is not None
-                else adapter.envelopes()
-            ),
-            "drawn": 0,  # envelopes drawn over the adapter's lifetime
-            "exhausted": False,
-            "advanced": 0.0,
-            "chunk": None,  # envelopes drawn but not yet framed
-            "pending": None,  # (target, frame) pairs not yet delivered
-            "idle": 0.0,
-            "ended": False,
-        }
-        poll = policy.adapter_idle_poll_seconds
-        timeout = policy.adapter_idle_timeout_seconds
-
-        def due_adapter_fault():
-            for index, fault in plan.adapter_failures_indexed():
-                if index in self.faults_consumed:
-                    continue
-                if fault.partition is not None and fault.partition != partition:
-                    continue
-                if (
-                    getattr(fault, "feed", None) is not None
-                    and fault.feed != self.feed.name
-                ):
-                    continue
-                if state["drawn"] >= fault.after_records:
-                    self.faults_consumed.add(index)
-                    return fault
-            return None
-
-        def body():
-            if state["source"] is None:
-                # restarted after an adapter death: re-open from the cursor
-                state["source"] = adapter.envelopes(
-                    resume_from=adapter.resume_position()
-                )
-                faults.adapter_reopens += 1
-            source = state["source"]
-            while True:
-                if state["pending"] is None:
-                    if state["exhausted"]:
+    def run(self):
+        layer, adapter, buffer = self.layer, self.adapter, self.buffer
+        faults, partition, plan = self.faults, self.partition, self.plan
+        chunk_size, poll, timeout = self.chunk_size, self.poll, self.timeout
+        cursor_log = layer.cursor_log
+        if self.source is None:
+            # restarted after an adapter death: re-open from the cursor
+            self.source = adapter.envelopes(resume_from=adapter.resume_position())
+            faults.adapter_reopens += 1
+        source = self.source
+        while True:
+            if self.pending is None:
+                if self.exhausted:
+                    break
+                if self.chunk is None:
+                    self.chunk = []
+                chunk = self.chunk
+                while len(chunk) < chunk_size:
+                    fault = self.due_adapter_fault() if plan is not None else None
+                    if fault is not None:
+                        # the source died mid-fetch: drop the iterator,
+                        # release its resources, and crash this actor —
+                        # the supervisor restarts it and the re-opened
+                        # source resumes from the cursor
+                        self.source = None
+                        faults.adapter_crashes += 1
+                        adapter.close()
+                        raise InjectedCrash(fault)
+                    try:
+                        item = next(source)
+                    except StopIteration:
+                        self.exhausted = True
                         break
-                    if state["chunk"] is None:
-                        state["chunk"] = []
-                    chunk = state["chunk"]
-                    while len(chunk) < chunk_size:
-                        fault = due_adapter_fault() if plan is not None else None
-                        if fault is not None:
-                            # the source died mid-fetch: drop the iterator,
-                            # release its resources, and crash this actor —
-                            # the supervisor restarts it and the re-opened
-                            # source resumes from the cursor
-                            state["source"] = None
-                            faults.adapter_crashes += 1
-                            adapter.close()
-                            raise InjectedCrash(fault)
-                        try:
-                            item = next(source)
-                        except StopIteration:
-                            state["exhausted"] = True
+                    if item is ADAPTER_IDLE:
+                        if chunk:
+                            break  # deliver what we have before idling
+                        if timeout is not None and self.idle >= timeout:
+                            faults.idle_timeouts += 1
+                            self.exhausted = True
                             break
-                        if item is ADAPTER_IDLE:
-                            if chunk:
-                                break  # deliver what we have before idling
-                            if timeout is not None and state["idle"] >= timeout:
-                                faults.idle_timeouts += 1
-                                state["exhausted"] = True
-                                break
-                            state["idle"] += poll
-                            yield Advance(poll, state=IDLE)
-                            continue
-                        state["idle"] = 0.0
-                        state["drawn"] += 1
-                        chunk.append(item)
-                    if not chunk:
-                        if state["exhausted"]:
-                            break
+                        self.idle += poll
+                        yield Advance(poll, state=IDLE)
                         continue
-                    frames = self._receive(chunk, partition)
-                    if cursor_log is not None:
-                        # durable-resume hint: after this chunk is fully
-                        # deposited, a restart may re-open the adapter here
-                        cursor_log[partition].append(
-                            (
-                                max(e["seq"] for e in chunk),
-                                adapter.resume_position(),
-                            )
-                        )
-                    state["chunk"] = None
-                    # Stash undelivered frames *before* consuming sim time:
-                    # a crash from here on replays them.
-                    state["pending"] = list(frames)
-                    # A partitioned actor advances by its own partition's
-                    # busy time (actors overlap); the single actor keeps
-                    # the historical max-over-intake-nodes accounting.
-                    busy_now = (
-                        self.partition_busy[partition]
-                        if self.num_partitions > 1
-                        else self.max_busy
+                    self.idle = 0.0
+                    self.drawn += 1
+                    chunk.append(item)
+                if not chunk:
+                    if self.exhausted:
+                        break
+                    continue
+                frames = layer._receive(chunk, partition)
+                if cursor_log is not None:
+                    # durable-resume hint: after this chunk is fully
+                    # deposited, a restart may re-open the adapter here
+                    cursor_log[partition].append(
+                        (max(e["seq"] for e in chunk), adapter.resume_position())
                     )
-                    delta = busy_now - state["advanced"]
-                    state["advanced"] = busy_now
-                    if delta > 0:
-                        yield Advance(delta)
-                pending = state["pending"]
-                while pending:
-                    target, frame = pending[0]
-                    yield from buffer.put(target, frame)
-                    pending.pop(0)
-                state["pending"] = None
-                # Batch boundary: yield the slice so a waiting computing
-                # process evaluates this chunk's batch before the adapter
-                # draws (and side-effects) the next chunk.
-                yield Advance(0.0)
-            if not state["ended"]:
-                state["ended"] = True
-                self.open_actors -= 1
-                if self.open_actors == 0:
-                    # last partition standing ends the shared buffer
-                    buffer.end()
-
-        return body
-
-    @property
-    def max_busy(self) -> float:
-        return max(self.node_busy.values())
-
-    def close(self) -> None:
-        self.cluster.holder_manager.unregister(f"intake-{self.feed.name}")
+                self.chunk = None
+                # Stash undelivered frames *before* consuming sim time:
+                # a crash from here on replays them.
+                self.pending = list(frames)
+                # A partitioned actor advances by its own partition's
+                # busy time (actors overlap); the single actor keeps
+                # the historical max-over-intake-nodes accounting.
+                busy_now = (
+                    layer.partition_busy[partition]
+                    if layer.num_partitions > 1
+                    else layer.max_busy
+                )
+                delta = busy_now - self.advanced
+                self.advanced = busy_now
+                if delta > 0:
+                    yield Advance(delta)
+            pending = self.pending
+            while pending:
+                target, frame = pending[0]
+                yield from buffer.put(target, frame)
+                pending.pop(0)
+            self.pending = None
+            # Batch boundary: yield the slice so a waiting computing
+            # process evaluates this chunk's batch before the adapter
+            # draws (and side-effects) the next chunk.
+            yield Advance(0.0)
+        if not self.ended:
+            self.ended = True
+            layer.open_actors -= 1
+            if layer.open_actors == 0:
+                # last partition standing ends the shared buffer
+                buffer.end()
 
 
 def _check_stateful_support(feed: FeedDefinition, registry, catalog) -> None:
@@ -599,6 +585,12 @@ class StaticIngestionPipeline:
                 "external enrichers need the dynamic framework: the static "
                 "pipeline has no per-batch coordinator to route probe keys "
                 "through"
+            )
+        if feed.computing_model is ComputingModel.PER_RECORD:
+            raise IngestionError(
+                "computing model 'per_record' (Model 1) needs the dynamic "
+                "framework: the static pipeline is one job and cannot "
+                "refresh state per record"
             )
         if feed.functions:
             _check_stateful_support(feed, self.registry, self.catalog)
@@ -716,8 +708,8 @@ class StaticIngestionPipeline:
         # walking startup -> critical-path work -> teardown on the shared
         # cluster clock, so static and dynamic runs share one execution
         # path and one metrics format.
-        runtime = cluster.new_runtime(f"feed-{feed.name}-static")
         run_name = f"feed-{feed.name}-static"
+        runtime = cluster.new_runtime(run_name)
 
         def feed_process():
             yield Advance(result.startup_seconds)
@@ -726,11 +718,7 @@ class StaticIngestionPipeline:
                 yield Advance(teardown)
 
         runtime.spawn(run_name, feed_process(), layer="feed")
-        cluster.controller.begin_run(run_name)
-        try:
-            runtime.run()
-        finally:
-            cluster.controller.finish_run(run_name)
+        runtime.run()
 
         report = FeedRunReport(
             feed_name=feed.name,
@@ -755,33 +743,6 @@ class StaticIngestionPipeline:
             runtime, faults=faults, counters=counters
         )
         return report
-
-
-class ActiveFeedManager:
-    """The AFM (§6.1): tracks active feeds, invokes computing jobs."""
-
-    def __init__(self, cluster: Cluster):
-        self.cluster = cluster
-        self.active_feeds: Dict[str, str] = {}  # feed name -> deployed job id
-        self.jobs_invoked: Dict[str, int] = {}
-
-    def register_feed(self, feed_name: str, deployed_job_id: str) -> None:
-        if feed_name in self.active_feeds:
-            raise IngestionError(f"feed {feed_name!r} is already active")
-        self.active_feeds[feed_name] = deployed_job_id
-        self.jobs_invoked.setdefault(feed_name, 0)
-
-    def invoke_computing_job(self, feed_name: str, params, predeployed=True):
-        if feed_name not in self.active_feeds:
-            raise IngestionError(f"feed {feed_name!r} is not active")
-        job_id = self.active_feeds[feed_name]
-        self.jobs_invoked[feed_name] += 1
-        return self.cluster.controller.invoke(job_id, params)
-
-    def deregister_feed(self, feed_name: str) -> None:
-        job_id = self.active_feeds.pop(feed_name, None)
-        if job_id is not None:
-            self.cluster.controller.undeploy(job_id)
 
 
 def _normalize_adapters(
@@ -847,8 +808,8 @@ class FeedRun:
     driving protocol for both.
 
     The actors are this object's generator methods, each a
-    :class:`~repro.runtime.Process` on the run's runtime: one intake actor
-    per partition (:meth:`_IntakeLayer.make_body`), a pool of computing
+    :class:`~repro.runtime.Process` on the run's runtime: one intake lane
+    per partition (:meth:`_IntakeLane.run`), a pool of computing
     workers (:meth:`_worker_loop`), the storage writer
     (:meth:`_StorageLayer.process`) and — for an elastic policy — the
     controller that resizes the pool (:meth:`_elastic_controller`).  They
@@ -869,12 +830,17 @@ class FeedRun:
         resume: bool = False,
         fabric=None,
     ):
+        if feed.computing_model is ComputingModel.STREAM:
+            raise IngestionError(
+                "computing model 'stream' (Model 3) needs the static "
+                "framework: a dynamic run rebuilds state every batch, so "
+                "it would run Model 2 and see reference updates"
+            )
         self.feed = feed
         self.feed_name = feed.name
         self.run_name = run_name = f"feed-{feed.name}"
         self.cluster = cluster = pipeline.cluster
         registry = pipeline.registry
-        self.afm = pipeline.afm
         self.update_client = update_client
         self.predeploy = predeploy
         self.decoupled = decoupled
@@ -975,8 +941,7 @@ class FeedRun:
         #: so the slot is never shared across two in-flight invokes)
         self.outputs: List[List[dict]] = [[] for _ in range(n)]
 
-        job_id = cluster.controller.deploy(run_name, self._computing_spec)
-        self.afm.register_feed(feed.name, job_id)
+        self.job_id = cluster.controller.deploy(run_name, self._computing_spec)
 
         self.report = FeedRunReport(
             feed_name=feed.name,
@@ -1003,7 +968,6 @@ class FeedRun:
         self.next_batch_index = 0  # next batch index to hand to a worker
         self.workers_spawned = 0  # workers ever created (names stay unique)
         self.workers_running = 0
-        self.workers_peak = 0
         self.shrink_tokens = 0  # outstanding scale-down tokens
         self.pool_timeline: List[tuple] = []  # (sim_seconds, pool size) steps
         self.worker_busy: Dict[str, float] = {}  # per-worker aggregate busy
@@ -1011,7 +975,6 @@ class FeedRun:
         self.last_busy = 0.0  # clock after the last batch's work
         self.pool_ended = False
         self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
-        self.subbatches = 0  # sub-batch dispatches (counts the first slice)
 
     def _set_budget(self, cache, policy_bytes: int) -> None:
         """Who sets the budget of one of the feed's caches: the fabric's
@@ -1076,11 +1039,12 @@ class FeedRun:
                 f"{run_name}.intake"
                 if self.num_partitions == 1
                 else f"{run_name}.intake.p{p}",
-                self.intake.make_body(
-                    part_adapter, buffer, self.batch_size, policy, self.faults,
+                _IntakeLane(
+                    self.intake, part_adapter, buffer, self.batch_size,
+                    policy, self.faults,
                     partition=p,
                     resume_from=self.resume_cursors.get(p),
-                ),
+                ).run,
                 layer="intake",
             )
         for _ in range(policy.min_computing_workers):
@@ -1228,6 +1192,10 @@ class FeedRun:
     def _worker_loop(self, worker_name: str, inflight: _Inflight):
         """One pool worker's AFM loop: collect, invoke, sequence.
 
+        The paper's Active Feed Manager (§6.1) is this loop: it invokes
+        the run's predeployed computing job (:attr:`job_id`) on the
+        cluster controller once per collected batch.
+
         ``inflight`` is the worker's un-acked (index, batch) pair: set
         when pulled from the intake buffer, cleared only after the
         sequenced storage hand-off — a crash in between replays it
@@ -1274,7 +1242,7 @@ class FeedRun:
                         # keep the first slice; queue the rest and wake
                         # idle peers to steal them
                         of = len(subs)
-                        self.subbatches += of
+                        self.counters.subbatches += of
                         for s in range(1, of):
                             self.subqueue.append(_SubBatch(index, s, of, subs[s]))
                         buffer.kick()
@@ -1287,7 +1255,7 @@ class FeedRun:
             eval_ctx.shared_meter.reset()
             eval_ctx.replicated_meter.reset()
             if self.predeploy:
-                result = self.afm.invoke_computing_job(feed.name, batch)
+                result = cluster.controller.invoke(self.job_id, batch)
             else:
                 result = cluster.controller.run_job(self._computing_spec(batch))
             shared_seconds = eval_ctx.shared_meter.charge(cost)
@@ -1384,7 +1352,10 @@ class FeedRun:
         )
         self.worker_busy[name] = 0.0
         self.workers_running += 1
-        self.workers_peak = max(self.workers_peak, self.workers_running)
+        counters = self.counters
+        counters.peak_computing_workers = max(
+            counters.peak_computing_workers, self.workers_running
+        )
         runtime = self.runtime
         self.pool_timeline.append((runtime.clock.now - runtime.epoch, self.workers_running))
         inflight = _Inflight()
@@ -1556,7 +1527,6 @@ class FeedRun:
         report.intake_seconds = intake_bottleneck
         if self.num_partitions > 1:
             report.intake_partition_busy = dict(intake.partition_busy)
-        report.subbatches_dispatched = self.subbatches
         report.acked_batches = self.sequencer.next_index
         report.resumed_from_checkpoint = self.base_checkpoint is not None
         report.computing_seconds = self.computing_total
@@ -1566,7 +1536,6 @@ class FeedRun:
             if self.first_busy is not None
             else 0.0
         )
-        report.peak_computing_workers = self.workers_peak
         report.storage_seconds = storage.max_busy
         if self.decoupled:
             steady = max(intake_bottleneck, computing_bottleneck, storage.max_busy)
@@ -1586,6 +1555,8 @@ class FeedRun:
         report.simulated_seconds = start_overhead + elapsed
         report.fixed_start_seconds = report.simulated_seconds - steady
         report.stalls = self.buffer.stalls
+        counters.reordered_batches = self.sequencer.reordered
+        counters.subbatch_merges = self.sequencer.subbatch_merges
         self._fill_cache_counters(
             "state_cache", self.eval_ctx.state_cache, self.state_cache_before
         )
@@ -1603,35 +1574,29 @@ class FeedRun:
         storage_channel = self.storage_channel
         report.runtime = RuntimeMetrics.from_runtime(
             self.runtime,
-            holders=list(intake.holders) + list(storage.holders),
+            holders=intake.holders,
             stall_count=self.buffer.stalls
             + (storage_channel.stalls if storage_channel is not None else 0),
             batch_latencies=self.batch_latencies,
             steady_state_seconds=steady,
             faults=self.faults,
             worker_pool_timeline=self.pool_timeline,
-            reordered_batches=self.sequencer.reordered,
-            subbatches=self.subbatches,
-            subbatch_merges=self.sequencer.subbatch_merges,
             process_prefix=f"{self.run_name}.",
             counters=counters,
         )
         return report
 
     def cleanup(self) -> None:
-        """Release everything the run registered (also the path taken when
-        :meth:`start` fails half-way).
+        """Release everything the run holds outside itself (also the path
+        taken when :meth:`start` fails half-way).
 
         A failing UDF or adapter must not leak the feed's runtime state:
-        the fabric/governor tenancy, the AFM entry, the predeployed job,
-        the registered intake/storage partition holders, or the adapter's
-        external resources (e.g. a FileAdapter's handle).
+        the fabric/governor tenancy, the predeployed job, or the
+        adapter's external resources (e.g. a FileAdapter's handle).
         """
         if self.fabric is not None:
             self.fabric.deregister_feed(self.run_name)
-        self.afm.deregister_feed(self.feed.name)
-        self.intake.close()
-        self.storage.close()
+        self.cluster.controller.undeploy(self.job_id)
         for part_adapter in self.adapters:
             part_adapter.close()
 
@@ -1639,20 +1604,16 @@ class FeedRun:
 def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
     """Drive launched runs — one feed or a fleet — to completion on ``runtime``.
 
-    The driving protocol, once: the controller's begin/finish bracket
-    around ``runtime.run()``, each run's faults folded in whether or not
-    the clock stopped cleanly, one report per run carrying the runtime's
-    makespan, and every run cleaned up on every way out.
+    The driving protocol, once: ``runtime.run()``, each run's faults
+    folded in whether or not the clock stopped cleanly, one report per run
+    carrying the runtime's makespan, and every run cleaned up on every way
+    out.
     """
-    controller = runs[0].cluster.controller
     try:
-        for run in runs:
-            controller.begin_run(run.run_name)
         try:
             elapsed = runtime.run()
         finally:
             for run in runs:
-                controller.finish_run(run.run_name)
                 run.collect_faults()
         return [run.finalize(elapsed) for run in runs]
     finally:
@@ -1668,12 +1629,10 @@ class DynamicIngestionPipeline:
         cluster: Cluster,
         catalog: Dict[str, object],
         registry=None,
-        afm: Optional[ActiveFeedManager] = None,
     ):
         self.cluster = cluster
         self.catalog = catalog
         self.registry = registry
-        self.afm = afm or ActiveFeedManager(cluster)
 
     def run(
         self,

@@ -345,7 +345,6 @@ class Sequencer:
         self._stash: Dict[int, object] = {}
         self._subs: Dict[int, Dict[int, object]] = {}
         self.reordered = 0  # puts that had to wait for an earlier index
-        self.released = 0
         self.subbatch_merges = 0  # indices reassembled from sub-batches
 
     def __len__(self) -> int:
@@ -375,7 +374,6 @@ class Sequencer:
             # crash replay of an already-released batch (or one of its
             # sub-batches): release the replayed payload again
             result = self.release(payload)
-            self.released += 1
             out.append((index, result))
             if self.channel is not None:
                 yield from self.channel.put(result)
@@ -388,7 +386,6 @@ class Sequencer:
             self.reordered += 1
         while self.next_index in self._stash:
             result = self.release(self._stash.pop(self.next_index))
-            self.released += 1
             out.append((self.next_index, result))
             self.next_index += 1
             if self.channel is not None:

@@ -111,11 +111,9 @@ class HolderStats:
 
     holder_id: str
     partition: int
-    kind: str  # 'passive' | 'active'
-    high_water: int = 0  # peak queued frames (passive)
+    high_water: int = 0  # peak queued frames
     offered: int = 0
     rejected: int = 0  # failed offers (backpressure)
-    received: int = 0  # records pushed through (active)
     blocked_seconds: float = 0.0  # producer time stalled on this holder
 
 
@@ -139,6 +137,14 @@ class RunCounters:
     scale_downs: int = 0  # elastic pool shrink events (workers retired)
     intake_partitions: int = 1  # intake partition actors
     checkpoint_commits: int = 0  # durable checkpoint commits written
+    #: the computing pool: its largest concurrent size (1 for the static
+    #: pipeline's one job), sub-batch slices dispatched (counting each
+    #: split batch's first slice), batch indices the sequencer reassembled
+    #: from sub-results, and batches it held for an earlier index
+    peak_computing_workers: int = 1
+    subbatches: int = 0
+    subbatch_merges: int = 0
+    reordered_batches: int = 0
     #: cross-batch enrichment-state cache activity during this run (zeros
     #: when the feed policy leaves the cache disabled); ``bytes`` is the
     #: cache's resident size at run end, not a per-run delta
@@ -218,11 +224,6 @@ class RuntimeMetrics:
     #: computing worker-pool size over the run: ``(sim_seconds, size)``
     #: steps, one entry per spawn/retire event (empty for static pipelines)
     worker_pool_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    reordered_batches: int = 0  # batches the sequencer held for an earlier one
-    #: intra-batch parallelism: sub-batch slices dispatched, and indices
-    #: the sequencer reassembled from sub-results
-    subbatches: int = 0
-    subbatch_merges: int = 0
     #: the run's shared counters (also readable as attributes of this
     #: snapshot: ``metrics.memo_hits`` is ``metrics.counters.memo_hits``)
     counters: RunCounters = field(default_factory=RunCounters)
@@ -239,9 +240,6 @@ class RuntimeMetrics:
         steady_state_seconds: Optional[float] = None,
         faults: Optional[FaultMetrics] = None,
         worker_pool_timeline: Optional[List[Tuple[float, int]]] = None,
-        reordered_batches: int = 0,
-        subbatches: int = 0,
-        subbatch_merges: int = 0,
         process_prefix: Optional[str] = None,
         counters: Optional[RunCounters] = None,
     ) -> "RuntimeMetrics":
@@ -254,9 +252,6 @@ class RuntimeMetrics:
             batch_latencies_seconds=list(batch_latencies or []),
             faults=faults,
             worker_pool_timeline=list(worker_pool_timeline or []),
-            reordered_batches=reordered_batches,
-            subbatches=subbatches,
-            subbatch_merges=subbatch_merges,
             counters=counters if counters is not None else RunCounters(),
         )
         for process in runtime.processes:
@@ -293,13 +288,8 @@ class RuntimeMetrics:
         }
 
     @property
-    def peak_workers(self) -> int:
-        """Largest concurrent computing-pool size seen during the run."""
-        return max((size for _at, size in self.worker_pool_timeline), default=1)
-
-    @property
     def holder_high_water(self) -> int:
-        """Peak queued frames across every passive holder."""
+        """Peak queued frames across every intake holder."""
         return max((h.high_water for h in self.holders), default=0)
 
     def latency_percentile(self, q: float) -> float:
@@ -319,14 +309,11 @@ class RuntimeMetrics:
         return latencies[rank - 1]
 
 def _holder_stats(holder) -> HolderStats:
-    kind = "passive" if hasattr(holder, "poll_batch") else "active"
     return HolderStats(
         holder_id=holder.holder_id,
         partition=holder.partition,
-        kind=kind,
-        high_water=getattr(holder, "high_water", 0),
-        offered=getattr(holder, "offered", 0),
-        rejected=getattr(holder, "rejected", 0),
-        received=getattr(holder, "received", 0),
-        blocked_seconds=getattr(holder, "blocked_seconds", 0.0),
+        high_water=holder.high_water,
+        offered=holder.offered,
+        rejected=holder.rejected,
+        blocked_seconds=holder.blocked_seconds,
     )

@@ -1,14 +1,9 @@
-"""Partition holders: bounded queues, EOF, FIFO, registry."""
+"""Partition holders: bounded queues, EOF, FIFO."""
 
 import pytest
 
 from repro.errors import PartitionHolderError
-from repro.hyracks import (
-    ActivePartitionHolder,
-    Frame,
-    PartitionHolderManager,
-    PassivePartitionHolder,
-)
+from repro.hyracks import Frame, PassivePartitionHolder
 
 
 class TestPassiveHolder:
@@ -102,64 +97,3 @@ class TestPassiveHolder:
         assert [r["id"] for r in holder.poll_batch(4)] == [4]
         assert holder.pulled_records == 5
 
-
-class _Recorder:
-    def __init__(self):
-        self.opened = False
-        self.closed = False
-        self.frames = []
-
-    def open(self):
-        self.opened = True
-
-    def next_frame(self, frame):
-        self.frames.append(frame)
-
-    def close(self):
-        self.closed = True
-
-
-class TestActiveHolder:
-    def test_pushes_downstream(self):
-        rec = _Recorder()
-        holder = ActivePartitionHolder("s", 0, rec)
-        holder.push(Frame([{"id": 1}]))
-        holder.push(Frame([{"id": 2}]))
-        holder.close()
-        assert rec.opened and rec.closed
-        assert holder.received == 2
-        assert len(rec.frames) == 2
-
-    def test_open_idempotent(self):
-        rec = _Recorder()
-        holder = ActivePartitionHolder("s", 0, rec)
-        holder.open()
-        holder.open()
-        holder.push(Frame([{}]))
-        assert holder.received == 1
-
-
-class TestManager:
-    def test_register_lookup(self):
-        mgr = PartitionHolderManager()
-        holder = PassivePartitionHolder("intake", 2)
-        mgr.register(holder)
-        assert mgr.lookup("intake", 2) is holder
-
-    def test_duplicate_registration_rejected(self):
-        mgr = PartitionHolderManager()
-        mgr.register(PassivePartitionHolder("h", 0))
-        with pytest.raises(PartitionHolderError):
-            mgr.register(PassivePartitionHolder("h", 0))
-
-    def test_unknown_lookup_raises(self):
-        with pytest.raises(PartitionHolderError):
-            PartitionHolderManager().lookup("nope", 0)
-
-    def test_unregister_all_partitions(self):
-        mgr = PartitionHolderManager()
-        for p in range(3):
-            mgr.register(PassivePartitionHolder("h", p))
-        mgr.unregister("h")
-        with pytest.raises(PartitionHolderError):
-            mgr.lookup("h", 1)

@@ -105,7 +105,7 @@ class TestStaticPool:
         assert report.computing_wall_seconds < report.computing_seconds
         assert report.computing_concurrency > 1.5
         assert report.peak_computing_workers == 4
-        assert report.runtime.peak_workers == 4
+        assert report.runtime.peak_computing_workers == 4
 
     def test_single_worker_keeps_legacy_shape(self):
         report, _ = run_feed(FeedPolicy.spill())

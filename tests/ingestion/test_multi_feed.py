@@ -5,8 +5,8 @@ import json
 import pytest
 
 from repro import AsterixLite
-from repro.errors import IngestionError
-from repro.ingestion import ActiveFeedManager, FeedPolicy, GeneratorAdapter
+from repro.errors import FeedStateError
+from repro.ingestion import FeedPolicy, GeneratorAdapter
 from repro.ingestion.fabric import FeedFabric, FeedLaunch
 
 
@@ -35,34 +35,94 @@ class TestMultipleFeeds:
         assert len(system.catalog["A"]) == 30
         assert len(system.catalog["B"]) == 40
 
-    def test_afm_tracks_concurrent_registrations(self):
-        from repro.cluster import Cluster
-
-        cluster = Cluster(2)
-        afm = ActiveFeedManager(cluster)
-        a = cluster.controller.deploy("a", lambda params: None)
-        b = cluster.controller.deploy("b", lambda params: None)
-        afm.register_feed("feedA", a)
-        afm.register_feed("feedB", b)
-        assert set(afm.active_feeds) == {"feedA", "feedB"}
-        afm.deregister_feed("feedA")
-        assert set(afm.active_feeds) == {"feedB"}
-
     def test_duplicate_active_feed_rejected(self):
-        from repro.cluster import Cluster
+        """A feed is active once: the facade refuses a second start while a
+        run is in flight, and a fleet that names a feed twice."""
+        system = AsterixLite(num_nodes=1)
+        system.execute(
+            """
+            CREATE TYPE T AS OPEN { id: int64 };
+            CREATE DATASET Out(T) PRIMARY KEY id;
+            CREATE FEED F WITH { "type-name": "T" };
+            CONNECT FEED F TO DATASET Out;
+            """
+        )
+        refused = []
 
-        cluster = Cluster(1)
-        afm = ActiveFeedManager(cluster)
-        afm.register_feed("F", "job#0")
-        with pytest.raises(IngestionError, match="already active"):
-            afm.register_feed("F", "job#1")
+        class Restarting(GeneratorAdapter):
+            def envelopes(self, resume_from=None):
+                try:
+                    system.start_feed("F", adapter=GeneratorAdapter([]))
+                except FeedStateError as error:
+                    refused.append(str(error))
+                yield from super().envelopes(resume_from)
 
-    def test_invoking_inactive_feed_rejected(self):
-        from repro.cluster import Cluster
+        report = system.start_feed(
+            "F", adapter=Restarting([json.dumps({"id": 1})])
+        )
+        assert refused == ["feed 'F' is already running"]
+        assert report.records_stored == 1
+        with pytest.raises(FeedStateError, match="duplicate feeds"):
+            system.start_feeds(["F", "F"])
 
-        afm = ActiveFeedManager(Cluster(1))
-        with pytest.raises(IngestionError, match="not active"):
-            afm.invoke_computing_job("ghost", [])
+
+def _one_dataset_fleet_system() -> AsterixLite:
+    """FA and FB, both connected to the one dataset Out."""
+    system = AsterixLite(num_nodes=2)
+    system.execute(
+        """
+        CREATE TYPE T AS OPEN { id: int64 };
+        CREATE DATASET Out(T) PRIMARY KEY id;
+        CREATE FEED FA WITH { "type-name": "T" };
+        CREATE FEED FB WITH { "type-name": "T" };
+        CONNECT FEED FA TO DATASET Out;
+        CONNECT FEED FB TO DATASET Out;
+        """
+    )
+    return system
+
+
+def _keyed_launch(feed: str, ids, tag: str) -> FeedLaunch:
+    raws = [json.dumps({"id": i, "by": tag}) for i in ids]
+    return FeedLaunch(feed=feed, adapter=GeneratorAdapter(raws), batch_size=10)
+
+
+class TestAFleetSharingOneDataset:
+    """Two feeds of one fleet may write one dataset: the storage side
+    keeps no registry a second writer could collide in."""
+
+    def test_disjoint_keys_store_the_union(self):
+        system = _one_dataset_fleet_system()
+        reports = system.start_feeds(
+            [
+                _keyed_launch("FA", range(0, 20), "a"),
+                _keyed_launch("FB", range(20, 40), "b"),
+            ]
+        )
+        assert {feed: r.records_stored for feed, r in reports.items()} == {
+            "FA": 20,
+            "FB": 20,
+        }
+        stored = {r["id"]: r["by"] for r in system.catalog["Out"].scan()}
+        assert stored == {i: "a" if i < 20 else "b" for i in range(40)}
+
+    def test_overlapping_keys_store_identical_bytes(self):
+        def fleet_bytes():
+            system = _one_dataset_fleet_system()
+            system.start_feeds(
+                [
+                    _keyed_launch("FA", range(0, 30), "a"),
+                    _keyed_launch("FB", range(10, 40), "b"),
+                ]
+            )
+            return [
+                json.dumps(r, sort_keys=True)
+                for r in system.catalog["Out"].scan()
+            ]
+
+        first = fleet_bytes()
+        assert len(first) == 40
+        assert fleet_bytes() == first
 
 
 class TestChainedUdfs:

@@ -8,7 +8,6 @@ from repro.adm import open_type
 from repro.cluster import Cluster
 from repro.errors import IngestionError, StreamingJoinError
 from repro.ingestion import (
-    ActiveFeedManager,
     AttachedFunction,
     ComputingModel,
     DynamicIngestionPipeline,
@@ -137,17 +136,23 @@ class TestDynamicPipeline:
         assert flags[0] == "Green"  # first batch: word not yet added
         assert flags[29] == "Red"  # later batch: update observed
 
-    def test_computing_jobs_predeployed_and_invoked(self, env):
+    def test_computing_jobs_predeployed_and_invoked(self, env, monkeypatch):
         catalog, registry = env
         cluster = Cluster(2)
-        afm = ActiveFeedManager(cluster)
-        pipeline = DynamicIngestionPipeline(cluster, catalog, registry, afm=afm)
+        invoked = []
+        invoke = cluster.controller.invoke
+
+        def counting_invoke(job_id, params):
+            invoked.append(job_id)
+            return invoke(job_id, params)
+
+        monkeypatch.setattr(cluster.controller, "invoke", counting_invoke)
+        pipeline = DynamicIngestionPipeline(cluster, catalog, registry)
         report = pipeline.run(dynamic_feed(batch_size=20),
                               GeneratorAdapter(raw_tweets(100)))
         assert report.num_computing_jobs == 5
-        assert afm.jobs_invoked["F"] == 5
-        # feed deregistered and job undeployed afterwards
-        assert afm.active_feeds == {}
+        # one deployed job, invoked once per batch, undeployed afterwards
+        assert len(invoked) == 5 and len(set(invoked)) == 1
         assert cluster.controller.deployed_job_ids() == []
 
     def test_batch_stats_recorded(self, env):
@@ -223,6 +228,48 @@ class TestDynamicPipeline:
                 dynamic_feed(functions=[AttachedFunction("tweetSafetyCheck")]),
                 GeneratorAdapter(raw_tweets(5)),
             )
+
+
+class TestComputingModelsPerFramework:
+    """Each framework runs the computing models it can honour and refuses
+    the one it cannot, instead of silently running another."""
+
+    @pytest.mark.parametrize(
+        "framework, model, jobs",
+        [
+            ("dynamic", "per_record", 40),
+            ("dynamic", "per_batch", 4),
+            ("dynamic", "stream", None),
+            ("static", "per_record", None),
+            ("static", "per_batch", 1),
+            ("static", "stream", 1),
+        ],
+    )
+    def test_model_honoured_or_refused(self, env, framework, model, jobs):
+        framework, model = Framework(framework), ComputingModel(model)
+        catalog, registry = env
+        registry.register_sqlpp(
+            "CREATE FUNCTION stampModel(t) { LET m = 1 SELECT t.*, m }"
+        )
+        feed = dynamic_feed(
+            batch_size=10,
+            functions=[AttachedFunction("stampModel")],
+            framework=framework,
+            computing_model=model,
+        )
+        pipeline = (
+            StaticIngestionPipeline
+            if framework is Framework.STATIC
+            else DynamicIngestionPipeline
+        )(Cluster(2), catalog, registry)
+        adapter = GeneratorAdapter(raw_tweets(40))
+        if jobs is None:
+            with pytest.raises(IngestionError, match=f"'{model.value}'"):
+                pipeline.run(feed, adapter)
+            return
+        report = pipeline.run(feed, adapter)
+        assert report.num_computing_jobs == jobs
+        assert report.records_stored == 40
 
 
 class TestStaticPipeline:

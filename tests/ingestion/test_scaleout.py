@@ -194,7 +194,7 @@ class TestSubBatchParallelism:
             policy=scaleout_policy(subbatch=10, workers=3),
         )
         # 240 records / 40-record batches, each split into ceil(40/10)=4
-        assert report.subbatches_dispatched == 24
+        assert report.subbatches == 24
         assert report.runtime.subbatch_merges == 6
         assert stored_bytes(system) == expected
 
@@ -206,7 +206,7 @@ class TestSubBatchParallelism:
             policy=scaleout_policy(partitions=4, subbatch=12, workers=3),
         )
         assert report.intake_partitions == 4
-        assert report.subbatches_dispatched > 0
+        assert report.subbatches > 0
         assert stored_bytes(system) == expected
 
     def test_worker_crash_mid_subbatch_recovers_byte_identical(self):

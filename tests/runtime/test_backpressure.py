@@ -76,9 +76,7 @@ class TestBlockedIntake:
         report = DynamicIngestionPipeline(Cluster(2), catalog, None).run(
             feed, GeneratorAdapter(raw_tweets(200))
         )
-        intake_holders = [
-            h for h in report.runtime.holders if h.kind == "passive"
-        ]
+        intake_holders = report.runtime.holders
         assert intake_holders
         assert all(h.high_water <= 2 for h in intake_holders)
         assert report.runtime.holder_high_water <= 2

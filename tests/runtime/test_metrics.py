@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro import AsterixLite
-from repro.hyracks import ActivePartitionHolder, Frame, PassivePartitionHolder
+from repro.hyracks import Frame, PassivePartitionHolder
 from repro.ingestion import FeedPolicy, FeedRunReport, GeneratorAdapter
 from repro.runtime import (
     BLOCKED,
@@ -21,17 +21,6 @@ from repro.runtime import (
     RuntimeMetrics,
     Wait,
 )
-
-
-class _Sink:
-    def open(self):
-        pass
-
-    def next_frame(self, frame):
-        pass
-
-    def close(self):
-        pass
 
 
 def run_two_layer_runtime():
@@ -96,18 +85,12 @@ class TestFromRuntime:
         passive.offer(Frame([{}]))
         passive.offer(Frame([{}]))  # rejected
         passive.note_blocked(0.5)
-        active = ActivePartitionHolder("storage-x", 1, _Sink())
-        active.push(Frame([{}, {}]))
-        metrics = RuntimeMetrics.from_runtime(
-            Runtime(), holders=[passive, active]
-        )
-        by_id = {h.holder_id: h for h in metrics.holders}
-        assert by_id["intake-x"].kind == "passive"
-        assert by_id["intake-x"].high_water == 1
-        assert by_id["intake-x"].rejected == 1
-        assert by_id["intake-x"].blocked_seconds == pytest.approx(0.5)
-        assert by_id["storage-x"].kind == "active"
-        assert by_id["storage-x"].received == 2
+        metrics = RuntimeMetrics.from_runtime(Runtime(), holders=[passive])
+        (stats,) = metrics.holders
+        assert (stats.holder_id, stats.partition) == ("intake-x", 0)
+        assert stats.high_water == 1
+        assert (stats.offered, stats.rejected) == (1, 1)
+        assert stats.blocked_seconds == pytest.approx(0.5)
         assert metrics.holder_high_water == 1
 
 

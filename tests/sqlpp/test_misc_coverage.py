@@ -76,12 +76,6 @@ class TestRuntimeMisc:
         result = JobResult("j", 1.0, {}, 0.5)
         assert result.critical_node_seconds == 0.0
 
-    def test_node_repr(self):
-        from repro.cluster import NodeController
-
-        assert "CC+NC" in repr(NodeController(0, is_cc=True))
-        assert "(NC)" in repr(NodeController(1))
-
     def test_cluster_repr(self):
         from repro.cluster import Cluster
 

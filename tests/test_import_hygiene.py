@@ -136,3 +136,25 @@ def test_state_lives_on_the_thing_whose_lifetime_it_has():
         assert name not in plan_cache.stats()
     harness = ExperimentHarness(reference_scale=0.002, num_partitions=2)
     assert not hasattr(harness, "_catalog_cache")
+
+
+def test_a_feed_run_is_recorded_once():
+    """A run's facts each have one owner — the facade's running flag, the
+    controller's deployment table, the run's ``RunCounters`` — so the
+    registries that copied them do not come back."""
+    import repro.cluster
+    import repro.hyracks
+    import repro.ingestion
+    from repro.cluster import Cluster, ClusterController
+
+    gone = {
+        repro.hyracks: ("ActivePartitionHolder", "PartitionHolderManager"),
+        repro.ingestion: ("ActiveFeedManager",),
+        repro.cluster: ("NodeController", "DeployedJob"),
+        Cluster(2): ("holder_manager", "nodes"),
+        ClusterController: ("begin_run",),
+    }
+    for owner, names in gone.items():
+        for name in names:
+            assert not hasattr(owner, name), name
+    assert not (SRC / "cluster" / "node.py").exists()
