@@ -37,7 +37,6 @@ their markers, driving ``enrichment_completeness`` back to 1.0.
 
 from __future__ import annotations
 
-import json
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -46,7 +45,12 @@ from ..errors import ExternalEnrichmentError, IngestionError
 from ..runtime.faults import FaultPlan
 from ..runtime.metrics import ExternalMetrics
 from ..sqlpp.memo import EXTERNAL_VERSION_KEY, canonical_probe_key
-from .policy import DEFAULT_POLICY, ExternalFailureAction, FeedPolicy
+from .policy import (
+    DEFAULT_POLICY,
+    ExternalFailureAction,
+    FeedPolicy,
+    write_dead_letter,
+)
 
 #: marker field on stored records whose enrichment is not yet resolved;
 #: holds the list of still-pending binding labels (``enricher:field``)
@@ -589,20 +593,16 @@ class EnrichmentCoordinator:
         self._outcomes[self._record_key(record)] = outcome
 
     def _dead_letter(self, record, pending, errors) -> None:
-        key = self._record_key(record)
-        raw = {k: v for k, v in record.items() if k != PENDING_FIELD}
-        self.dead_letters.upsert(
-            {
-                # Parsed records carry no adapter seq, so the stable
-                # replay-dedup key is the record's own primary key.
-                "dl_id": f"external#{key}",
-                "feed": self.feed_name,
-                "stage": "external",
-                "seq": None,
-                "raw": json.dumps(raw, sort_keys=True, default=str),
-                "error": "; ".join(errors),
-                "enrichers": list(pending),
-            }
+        write_dead_letter(
+            self.dead_letters,
+            self.feed_name,
+            "external",
+            {k: v for k, v in record.items() if k != PENDING_FIELD},
+            "; ".join(errors),
+            # Parsed records carry no adapter seq, so the stable
+            # replay-dedup key is the record's own primary key.
+            key=self._record_key(record),
+            enrichers=list(pending),
         )
 
     # ------------------------------------------------------------ reporting

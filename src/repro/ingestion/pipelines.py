@@ -79,7 +79,7 @@ from .policy import (
     SoftErrorHandler,
     ensure_dead_letter_dataset,
 )
-from .udf_operator import UdfEvaluatorOperator, make_batch_invoker, make_invoker
+from .udf_operator import UdfEvaluatorOperator, make_invoker
 
 #: elastic-controller constants.  Every ``ELASTIC_SAMPLE_SECONDS`` of
 #: simulated time the controller samples the intake buffer.  A sample is
@@ -557,14 +557,10 @@ class StaticIngestionPipeline:
         evaluator = Evaluator(eval_ctx)
         for fn in feed.functions:
             if fn.is_java:
-                descriptor = self.registry.get_java(fn.library or "udflib", fn.name)
-                key = ("java_instance", descriptor.qualified_name)
-                if key not in eval_ctx.batch_cache:
-                    instance = descriptor.instantiate()
-                    eval_ctx.batch_cache[key] = instance
-                    eval_ctx.replicated_meter.records_scanned += (
-                        instance.resource_lines_loaded
-                    )
+                self.registry.java_instance(
+                    self.registry.get_java(fn.library or "udflib", fn.name),
+                    eval_ctx,
+                )
             else:
                 udf = self.registry.get(fn.name)
                 refs = dataset_references(udf.definition.body, set(self.catalog))
@@ -619,8 +615,6 @@ class StaticIngestionPipeline:
             reference_work_scale=feed.reference_work_scale,
         )
         eval_ctx.cluster_nodes = n
-        invoker = make_invoker(feed.functions, self.registry) if feed.functions else None
-        batch_invoker = make_batch_invoker(feed.functions, self.registry, counters)
         self._prewarm_stream_state(feed, eval_ctx)
 
         # Synchronous drain: an idle-but-open adapter contributes what it
@@ -656,17 +650,13 @@ class StaticIngestionPipeline:
         )
         spec.connect(src, parse, OneToOne())
         upstream = parse
-        if invoker is not None:
+        if feed.functions:
+            invoker = make_invoker(feed.functions, self.registry, counters)
             udf = spec.add_operator(
                 OperatorDescriptor(
                     "udf-evaluator",
                     lambda ctx: UdfEvaluatorOperator(
-                        ctx,
-                        eval_ctx,
-                        invoker,
-                        counters,
-                        soft_errors=soft_errors,
-                        batch_invoker=batch_invoker,
+                        ctx, eval_ctx, invoker, counters, soft_errors
                     ),
                     partitions=n,
                 )
@@ -930,10 +920,9 @@ class FeedRun:
         eval_ctx.memo = self.memo
         eval_ctx.state_cache = state_cache
         self.invoker = (
-            make_invoker(feed.functions, registry) if feed.functions else None
-        )
-        self.batch_invoker = make_batch_invoker(
-            feed.functions, registry, self.counters
+            make_invoker(feed.functions, registry, self.counters)
+            if feed.functions
+            else None
         )
         #: the CallbackSink's output slot, swapped per invocation:
         #: concurrent workers each install their own buffer right before
@@ -1090,12 +1079,8 @@ class FeedRun:
                 OperatorDescriptor(
                     "udf-evaluator",
                     lambda ctx: UdfEvaluatorOperator(
-                        ctx,
-                        self.eval_ctx,
-                        self.invoker,
-                        self.counters,
-                        soft_errors=self.soft_errors,
-                        batch_invoker=self.batch_invoker,
+                        ctx, self.eval_ctx, self.invoker, self.counters,
+                        self.soft_errors,
                     ),
                     partitions=n,
                 )

@@ -27,6 +27,7 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
+from ..adm.parser import serialize
 from ..adm.schema import open_type
 from ..errors import CircuitBreakerError
 from ..runtime.metrics import FaultMetrics
@@ -281,6 +282,43 @@ def ensure_dead_letter_dataset(
     return dataset
 
 
+def write_dead_letter(
+    dataset, feed_name: str, stage: str, record, error: str, seq=None,
+    key=None, **extra,
+) -> None:
+    """Upsert one entry into a feed's dead-letter dataset.
+
+    ``record`` is what failed: its raw text; its raw ``bytes`` when they
+    were not UTF-8, written as text with each undecodable byte ``\\xNN``;
+    or, past the parser, the parsed record, written as its ADM
+    serialization so a replay parses it back to the same typed values.
+    ``dl_id`` is ``stage#key`` with ``key`` defaulting to ``seq`` when
+    known and the raw text otherwise — a stable key, so a batch replayed
+    after a crash upserts the same entry rather than appending a
+    duplicate (the dead-letter analog of pk-upsert dedup).  ``extra``
+    fields follow the common ones.
+    """
+    if isinstance(record, bytes):
+        raw = record.decode("utf-8", "backslashreplace")
+    elif isinstance(record, str):
+        raw = record
+    else:
+        raw = serialize(record)
+    if key is None:
+        key = seq if seq is not None else raw
+    dataset.upsert(
+        {
+            "dl_id": f"{stage}#{key}",
+            "feed": feed_name,
+            "stage": stage,
+            "seq": seq,
+            "raw": raw,
+            "error": error,
+            **extra,
+        }
+    )
+
+
 class SoftErrorHandler:
     """Per-run soft-error enforcement shared by the parse and UDF stages.
 
@@ -301,14 +339,13 @@ class SoftErrorHandler:
         self.dead_letters = dead_letter_dataset
         self.consecutive = 0
 
-    def handle(self, stage: str, raw: str, error: Exception, seq=None) -> None:
+    def handle(self, stage: str, record, error: Exception, seq=None) -> None:
         """React to one soft error per the policy; raises to escalate.
 
-        ``stage`` is ``'parse'`` or ``'udf'``; ``raw`` is the offending
-        record's raw text (or serialized form) — or its ``bytes`` when
-        they were not UTF-8, dead-lettered as text with each undecodable
-        byte written ``\\xNN``; ``seq`` is the adapter-stamped sequence
-        number when known.
+        ``stage`` is ``'parse'`` or ``'udf'``; ``record`` is the offending
+        record as :func:`write_dead_letter` takes it — raw text or bytes
+        before parsing, the parsed record after; ``seq`` is the
+        adapter-stamped sequence number when known.
         """
         action = self.policy.on_soft_error
         if action is SoftErrorAction.FAIL:
@@ -324,20 +361,13 @@ class SoftErrorHandler:
             self.faults.records_skipped += 1
             return
         self.faults.records_dead_lettered += 1
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", "backslashreplace")
-        # Stable key: a replayed batch upserts the same entry rather than
-        # appending a duplicate (the dead-letter analog of pk-upsert dedup).
-        dl_id = f"{stage}#{seq}" if seq is not None else f"{stage}#{raw}"
-        self.dead_letters.upsert(
-            {
-                "dl_id": dl_id,
-                "feed": self.feed_name,
-                "stage": stage,
-                "seq": seq,
-                "raw": raw,
-                "error": f"{type(error).__name__}: {error}",
-            }
+        write_dead_letter(
+            self.dead_letters,
+            self.feed_name,
+            stage,
+            record,
+            f"{type(error).__name__}: {error}",
+            seq=seq,
         )
 
     def note_success(self) -> None:

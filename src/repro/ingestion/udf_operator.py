@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List
 
 from ..hyracks.cost import WorkMeter
 from ..hyracks.frame import Frame
@@ -13,132 +12,124 @@ from ..sqlpp.ast import SelectBlock
 from ..sqlpp.evaluator import EvaluationContext, Evaluator
 
 
-def make_invoker(functions, registry) -> Callable:
-    """Build ``invoke(record, eval_ctx) -> list of enriched records``.
+def _unnested(results: Iterable) -> List:
+    """Per-record results concatenated: a collection is unnested (the
+    ``SELECT VALUE f(t)`` of Figure 10), a null result dropped."""
+    out: List = []
+    for result in results:
+        if isinstance(result, list):
+            out.extend(result)
+        elif result is not None:
+            out.append(result)
+    return out
 
-    Chains the feed's attached functions; a SQL++ UDF returning a
-    collection is unnested (the ``SELECT VALUE f(t)`` of Figure 10).
 
-    This is the scalar reference path — soft-error reruns, body shapes
-    the batch invoker declines, Java chains — so each record resolves its
-    function through :meth:`FunctionRegistry.invoke`, and a
-    ``replace_sqlpp`` mid-feed takes effect on the very next record.
+def make_invoker(functions, registry, counters) -> Callable:
+    """Build ``invoke(records, eval_ctx) -> enriched rows`` for a feed's chain.
+
+    One step per attached function, each mapping a list of records to
+    their unnested result rows, so the next function sees the flattened
+    rows of the one before.
+
+    * A SQL++ step runs its body's
+      :class:`~repro.sqlpp.columnar.BlockKernel` over the whole list.  It
+      calls :meth:`FunctionRegistry.invoke` once per record instead when
+      plans are off, when the body compiles to no kernel, or when the
+      kernel raises :class:`~repro.sqlpp.columnar.KernelFallback` — whose
+      partial charges are discarded first.
+    * A Java step calls :meth:`FunctionRegistry.invoke_java` once per
+      record: its instance lifecycle and metering are per record.
+
+    Every call resolves the functions through ``registry``, so a
+    ``replace_sqlpp`` mid-feed takes effect on the next batch.
+
+    ``counters`` is the run's :class:`~repro.runtime.metrics.RunCounters`:
+    a kernel run adds one ``vectorized_batches``, its records to
+    ``vectorized_records`` and its fallen-back columns to
+    ``scalar_fallbacks``; a body without a kernel and a ``KernelFallback``
+    add one ``scalar_fallbacks`` each.
     """
 
-    steps = []
-    for fn in functions:
-        if fn.is_java:
-            library = fn.library or "udflib"
+    def java_step(library, name):
+        def step(records, eval_ctx):
+            return _unnested(
+                registry.invoke_java(library, name, [record], eval_ctx)
+                for record in records
+            )
 
-            def java_step(rec, eval_ctx, _library=library, _name=fn.name):
-                return registry.invoke_java(_library, _name, [rec], eval_ctx)
+        return step
 
-            steps.append(java_step)
-        else:
-            def sqlpp_step(rec, eval_ctx, _name=fn.name):
-                return registry.invoke(_name, [rec], eval_ctx)
+    def sqlpp_step(name):
+        def per_record(records, eval_ctx):
+            return _unnested(
+                registry.invoke(name, [record], eval_ctx) for record in records
+            )
 
-            steps.append(sqlpp_step)
+        def step(records, eval_ctx):
+            definition = registry.get(name).definition
+            params = tuple(definition.params)
+            if (
+                not eval_ctx.use_plans
+                or len(params) != 1
+                or not isinstance(definition.body, SelectBlock)
+            ):
+                return per_record(records, eval_ctx)
+            plan = eval_ctx.plan_cache.plan_for(
+                definition.body, frozenset(params), eval_ctx.catalog
+            )
+            kernel = columnar.kernel_for(plan, params, eval_ctx, registry.version)
+            if kernel is columnar.UNSUPPORTED:
+                counters.scalar_fallbacks += 1
+                return per_record(records, eval_ctx)
+            meter = eval_ctx.meter
+            eval_ctx.meter = scratch = WorkMeter()
+            try:
+                rows = kernel.run(Evaluator(eval_ctx), records)
+            except columnar.KernelFallback:
+                scratch.reset()
+                counters.scalar_fallbacks += 1
+            else:
+                counters.vectorized_batches += 1
+                counters.vectorized_records += len(records)
+                counters.scalar_fallbacks += kernel.fallback_lets
+                return rows
+            finally:
+                # Any other exception keeps what the kernel charged, as a
+                # record that raises record-at-a-time does.
+                eval_ctx.meter = meter
+                meter.absorb(scratch)
+            return per_record(records, eval_ctx)
 
-    def invoke(record: dict, eval_ctx: EvaluationContext) -> List[dict]:
-        current = [record]
+        return step
+
+    steps = [
+        java_step(fn.library or "udflib", fn.name)
+        if fn.is_java
+        else sqlpp_step(fn.name)
+        for fn in functions
+    ]
+
+    def invoke(records: List[dict], eval_ctx: EvaluationContext) -> List[dict]:
         for step in steps:
-            produced: List[dict] = []
-            for rec in current:
-                result = step(rec, eval_ctx)
-                if isinstance(result, list):
-                    produced.extend(result)
-                elif result is not None:
-                    produced.append(result)
-            current = produced
-        return current
+            if not records:
+                break
+            records = step(records, eval_ctx)
+        return records
 
     return invoke
 
 
-def make_batch_invoker(functions, registry, counters) -> Optional[Callable]:
-    """Build ``invoke_batch(records, eval_ctx) -> rows or None``.
-
-    The columnar counterpart of :func:`make_invoker`: each attached SQL++
-    UDF whose body is a top-level FROM-less ``SelectBlock`` is compiled to
-    a :class:`~repro.sqlpp.columnar.BlockKernel` and run one whole batch
-    at a time.  Returns ``None`` at build time when any attached function
-    is Java (instance lifecycle + metering are per record); the returned
-    callable returns ``None`` at run time whenever the batch must take the
-    scalar path (plans disabled, a non-unary or replaced function, an
-    unsupported block shape) — the caller then falls back to the
-    record-at-a-time :func:`make_invoker` loop.
-
-    A SQL++ UDF returning a collection is unnested exactly as in
-    :func:`make_invoker`: a kernel's output rows are the concatenation of
-    the per-record result lists, so chaining feeds the flattened rows to
-    the next function.
-
-    ``counters`` is the run's :class:`~repro.runtime.metrics.RunCounters`:
-    a batch that ran through kernels adds itself to ``vectorized_batches``
-    / ``vectorized_records`` and one ``scalar_fallbacks`` per column whose
-    subquery ran per record; a body the kernel declines adds one fallback.
-    """
-    if not functions or any(fn.is_java for fn in functions):
-        return None
-    names = tuple(fn.name for fn in functions)
-    # Resolved once per registry version (the §5.2 predeployed analog);
-    # a replace_sqlpp bumps the version so the next batch re-resolves.
-    state = {"version": -1, "udfs": None}
-
-    def invoke_batch(records: List[dict], eval_ctx: EvaluationContext):
-        if not eval_ctx.use_plans:
-            return None
-        if state["version"] != registry.version:
-            udfs = []
-            for name in names:
-                udf = registry.get(name)
-                if udf.arity != 1 or not isinstance(
-                    udf.definition.body, SelectBlock
-                ):
-                    udfs = None
-                    break
-                udfs.append(udf)
-            state["udfs"] = udfs
-            state["version"] = registry.version
-        udfs = state["udfs"]
-        if udfs is None:
-            return None
-        plan_cache = eval_ctx.plan_cache
-        version = registry.version
-        ev = Evaluator(eval_ctx)
-        fallback_columns = 0
-        current = records
-        for udf in udfs:
-            params = tuple(udf.definition.params)
-            plan = plan_cache.plan_for(
-                udf.definition.body, frozenset(params), eval_ctx.catalog
-            )
-            kernel = columnar.kernel_for(plan, params, eval_ctx, version)
-            if kernel is columnar.UNSUPPORTED:
-                counters.scalar_fallbacks += 1
-                return None
-            fallback_columns += kernel.fallback_lets
-            current = kernel.run(ev, current)
-        counters.vectorized_batches += 1
-        counters.vectorized_records += len(records)
-        counters.scalar_fallbacks += fallback_columns
-        return current
-
-    return invoke_batch
-
-
 class UdfEvaluatorOperator(Operator):
-    """Applies the attached UDF(s) to each record of each frame.
+    """Applies the attached function chain to each frame.
 
     The operator owns a per-partition :class:`WorkMeter`; before evaluating
     it installs that meter on the shared evaluation context so probe work
     is charged to this partition's node, while cache *builds* accumulate on
     the context's ``shared_meter`` (split across partitions by the feed
     driver).  ``counters`` is the run's
-    :class:`~repro.runtime.metrics.RunCounters`, the one the batch invoker
-    was built over: a frame rerun record-at-a-time after an exception
-    adds one ``scalar_fallbacks`` there.
+    :class:`~repro.runtime.metrics.RunCounters`, the one ``invoker`` was
+    built over: a frame rerun record by record after an exception adds one
+    ``scalar_fallbacks`` there.
     """
 
     def __init__(
@@ -147,88 +138,49 @@ class UdfEvaluatorOperator(Operator):
         eval_ctx: EvaluationContext,
         invoker: Callable,
         counters,
-        soft_errors=None,
-        batch_invoker: Optional[Callable] = None,
+        soft_errors,
     ):
         super().__init__(ctx)
         self.eval_ctx = eval_ctx
         self.invoker = invoker
         self.counters = counters
         self.soft_errors = soft_errors
-        self.batch_invoker = batch_invoker
-        self.records_in = 0
-        self.records_out = 0
 
     def next_frame(self, frame: Frame) -> None:
-        meter = WorkMeter(scale=self.eval_ctx.reference_work_scale)
-        out = None
-        if self.batch_invoker is not None and len(frame) > 0:
-            out = self._batch_frame(frame, meter)
-        if out is None:
-            out = self._scalar_frame(frame, meter)
+        """Run the frame through the chain once.  If that raises, discard
+        the frame's charges and run each record alone, as a batch of one,
+        so the soft-error policy sees exactly the record that failed.
+
+        Builds the aborted attempt installed in the batch cache survive —
+        they are idempotent within a generation, so the rerun finds them
+        already charged and totals equal a clean record-at-a-time run.
+        """
+        eval_ctx = self.eval_ctx
+        records = frame.records
+        previous_meter = eval_ctx.meter
+        meter = eval_ctx.meter = WorkMeter(scale=eval_ctx.reference_work_scale)
+        try:
+            out = self.invoker(records, eval_ctx)
+        except Exception:
+            self.counters.scalar_fallbacks += 1
+            meter = eval_ctx.meter = WorkMeter(scale=eval_ctx.reference_work_scale)
+            out = []
+            for record in records:
+                try:
+                    rows = self.invoker([record], eval_ctx)
+                except Exception as exc:
+                    # skip / dead-letter / escalate, per the policy
+                    self.soft_errors.handle("udf", record, exc)
+                    continue
+                self.soft_errors.note_success()
+                out.extend(rows)
+        else:
+            # One batch-level success: note_success only resets the
+            # consecutive-failure count, so it equals N per-record calls.
+            self.soft_errors.note_success()
+        finally:
+            eval_ctx.meter = previous_meter
         cost = self.ctx.cost
         self.ctx.charge(cost.udf_eval_base * len(frame) + meter.charge(cost))
         if out:
             self.emit(Frame(out))
-
-    def _batch_frame(self, frame: Frame, meter: WorkMeter):
-        """One whole-batch columnar attempt; ``None`` means scalar rerun.
-
-        Work is metered on a scratch meter and merged into ``meter`` only
-        on success, so an aborted attempt charges nothing.  Builds the
-        attempt installed in the batch cache survive the abort — they are
-        idempotent within a generation, so the scalar rerun finds them
-        already charged and totals stay byte-identical.
-        """
-        eval_ctx = self.eval_ctx
-        scratch = WorkMeter(scale=eval_ctx.reference_work_scale)
-        previous_meter = eval_ctx.meter
-        eval_ctx.meter = scratch
-        try:
-            out = self.batch_invoker(list(frame), eval_ctx)
-        except Exception:
-            # Unsupported-at-runtime shapes and per-record soft errors
-            # alike: the scalar loop re-runs the frame and applies the
-            # soft-error policy with exact record attribution.
-            self.counters.scalar_fallbacks += 1
-            return None
-        finally:
-            eval_ctx.meter = previous_meter
-        if out is None:
-            return None
-        meter.absorb(scratch)
-        self.records_in += len(frame)
-        self.records_out += len(out)
-        if self.soft_errors is not None:
-            # One batch-level success: note_success only resets the
-            # consecutive-failure count, so it equals N per-record calls.
-            self.soft_errors.note_success()
-        return out
-
-    def _scalar_frame(self, frame: Frame, meter: WorkMeter) -> List[dict]:
-        previous_meter = self.eval_ctx.meter
-        self.eval_ctx.meter = meter
-        out: List[dict] = []
-        try:
-            for record in frame:
-                self.records_in += 1
-                if self.soft_errors is None:
-                    enriched = self.invoker(record, self.eval_ctx)
-                else:
-                    # Per-record UDF evaluation failures are soft errors:
-                    # the policy decides skip / dead-letter / escalate.
-                    try:
-                        enriched = self.invoker(record, self.eval_ctx)
-                    except Exception as exc:
-                        self.soft_errors.handle(
-                            "udf",
-                            json.dumps(record, default=str, sort_keys=True),
-                            exc,
-                        )
-                        continue
-                    self.soft_errors.note_success()
-                out.extend(enriched)
-                self.records_out += len(enriched)
-        finally:
-            self.eval_ctx.meter = previous_meter
-        return out

@@ -38,12 +38,14 @@ per-record increments, which is why they are only hoisted from
 always-evaluated positions and why per-match shaping is restricted to
 charge-free expressions.
 
-Failure protocol: kernels never handle errors themselves.  Any exception
-during a batch attempt (including :class:`KernelFallback` runtime guards)
-aborts the attempt; the caller discards the scratch meter and re-runs the
-frame through the scalar loop.  Build-side state installed by the aborted
-attempt lives in the batch cache, so the re-run does not re-charge it —
-totals stay identical.
+Failure protocol: kernels never handle errors themselves.  A
+:class:`KernelFallback` runtime guard aborts one function's kernel: the
+feed's invoker discards what that kernel charged and runs the function
+once per record instead.  Any other exception propagates to the UDF
+operator, which discards the frame's charges and re-runs each record
+alone, as a batch of one, so the soft-error policy sees the record that
+failed.  Build-side state installed by an aborted attempt lives in the
+batch cache, so neither re-run re-charges it — totals stay identical.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ class Unsupported(Exception):
 
 class KernelFallback(Exception):
     """Runtime: this batch cannot run vectorized (e.g. a B-tree index
-    appeared on the probe field); the caller must re-run the frame through
-    the scalar path."""
+    appeared on the probe field); the caller discards the kernel's
+    charges and evaluates this function's batch record by record."""
 
 
 #: cached on ``SelectPlan.batch_kernel`` when compilation found the block

@@ -49,8 +49,8 @@ class FunctionRegistry:
         self.plan_cache = PlanCache()
         # feed name -> that feed's cross-batch caches (:meth:`caches_for`)
         self._feed_caches: Dict[str, Tuple[StateCache, EnrichmentMemo]] = {}
-        # Bumped on every registration change; batch invokers re-resolve
-        # their functions when it moves (§3.2 instant updates).
+        # Bumped on every registration change; batch kernels cached on a
+        # plan recompile when it moves (§3.2 instant updates).
         self.version = 0
 
     # ---------------------------------------------------------------- sql++
@@ -180,6 +180,14 @@ class FunctionRegistry:
                 f"{descriptor.qualified_name} expects {descriptor.arity} "
                 f"argument(s), got {len(args)}"
             )
+        instance = self.java_instance(descriptor, ctx)
+        # Expose the meter so expensive UDFs can count work units.
+        instance.meter = ctx.meter
+        return instance(*args)
+
+    def java_instance(self, descriptor, ctx):
+        """The context generation's instance of a Java UDF, created (and
+        its resource files read) on first use."""
         key = ("java_instance", descriptor.qualified_name)
         instance = ctx.batch_cache.get(key)
         if instance is None:
@@ -188,6 +196,4 @@ class FunctionRegistry:
             # Resource files are node-local: every node re-reads the whole
             # file when a new generation initializes the UDF.
             ctx.replicated_meter.records_scanned += instance.resource_lines_loaded
-        # Expose the meter so expensive UDFs can count work units.
-        instance.meter = ctx.meter
-        return instance(*args)
+        return instance

@@ -12,11 +12,12 @@ from repro.storage import Dataset, IndexKind
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.udf import FunctionRegistry, register_paper_udfs
 
-# Example budgets for the eight property tests that set no ``max_examples``:
+# Example budgets for the nine property tests that set no ``max_examples``:
 # the four codec differentials, the filter-join differential and the
-# facade-query differential (400-600 examples as literals before), and the
+# facade-query differential (400-600 examples as literals before), the
 # record path's two fast-arm differentials (``DateTime.parse`` vs its regex
-# arm, ``parse_json`` vs ``json.loads`` on arbitrary text).  Every
+# arm, ``parse_json`` vs ``json.loads`` on arbitrary text), and the UDF
+# operator's frame path vs per-record calls.  Every
 # other property test pins its own count and ignores the profile.  ``tier1``
 # is what ``pytest -x -q`` runs; CI's ``properties-deep`` job runs
 # ``tests/properties`` with ``--hypothesis-profile=deep``, the old literals.

@@ -2,10 +2,19 @@
 
 import json
 
+from repro.adm import serialize
 from repro.core import AsterixLite
 from repro.errors import AdmParseError, CircuitBreakerError
-from repro.ingestion import FeedPolicy, GeneratorAdapter, replay_dead_letters
+from repro.ingestion import (
+    EnricherBinding,
+    ExternalEnricher,
+    ExternalFailureAction,
+    FeedPolicy,
+    GeneratorAdapter,
+    replay_dead_letters,
+)
 from repro.ingestion.replay import classify_replay_error
+from repro.runtime import EnricherOutage, FaultPlan
 
 
 def make_system(policy=None):
@@ -155,3 +164,106 @@ class TestReplayDeadLetters:
         assert result.replayed_ids == ["parse#3"]
         assert result.run is not None
         assert result.run.records_stored == 1
+
+
+TYPED_DDL = """
+    CREATE TYPE TweetType AS OPEN {
+        id: int64, created_at: datetime, location: point
+    };
+    CREATE DATASET Tweets(TweetType) PRIMARY KEY id;
+"""
+QUOTIENT = "CREATE FUNCTION quotient(t) {{ LET q = {expr} SELECT t.*, q }}"
+RAISING = "6 / (t.id % 3)"  # ZeroDivisionError on ids 0 and 3
+REPAIRED = "CASE t.id % 3 = 0 WHEN true THEN 0 ELSE 6 / (t.id % 3) END"
+
+
+def typed_raws(n):
+    return [
+        json.dumps(
+            {
+                "id": i,
+                "created_at": f"2019-03-01T10:0{i}:00Z",
+                "location": [1.5 + i, 2.5],
+                "user": f"u{i}",
+            }
+        )
+        for i in range(n)
+    ]
+
+
+def stored_bytes(system):
+    rows = sorted(system.catalog["Tweets"].scan(), key=lambda row: row["id"])
+    return [serialize(row) for row in rows]
+
+
+class TestReplayOfParsedRecords:
+    """A dead letter written past the parser carries the record's ADM
+    serialization, so its datetime and point fields parse back and the
+    replay stores exactly what a run without the failure stores."""
+
+    def _udf_system(self, body):
+        system = AsterixLite(num_nodes=2)
+        system.execute(TYPED_DDL)
+        system.create_function(QUOTIENT.format(expr=body))
+        system.create_feed("TweetFeed", {"type-name": "TweetType"})
+        system.connect_feed(
+            "TweetFeed", "Tweets", ["quotient"], policy=FeedPolicy.spill()
+        )
+        return system
+
+    def _external_system(self):
+        system = AsterixLite(num_nodes=2)
+        system.execute(TYPED_DDL)
+        system.create_feed("TweetFeed", {"type-name": "TweetType"})
+        enricher = ExternalEnricher("geo", lookup=lambda key: {"user": key})
+        system.connect_feed(
+            "TweetFeed",
+            "Tweets",
+            policy=FeedPolicy.spill(
+                external_on_failure=ExternalFailureAction.DEAD_LETTER
+            ),
+            external_enrichers=[EnricherBinding(enricher, "user", "user_geo")],
+        )
+        return system
+
+    def test_udf_stage_dead_letters_replay_to_a_clean_runs_bytes(self):
+        system = self._udf_system(RAISING)
+        report = system.start_feed(
+            "TweetFeed", GeneratorAdapter(typed_raws(6)), batch_size=6
+        )
+        assert report.records_stored == 4
+        assert report.faults.records_dead_lettered == 2
+        system.registry.replace_sqlpp(QUOTIENT.format(expr=REPAIRED))
+
+        result = system.replay_dead_letters("TweetFeed", batch_size=6)
+        assert (result.replayed, result.records_stored, result.still_dead) == (
+            2,
+            2,
+            0,
+        )
+        clean = self._udf_system(REPAIRED)
+        clean.start_feed("TweetFeed", GeneratorAdapter(typed_raws(6)), batch_size=6)
+        assert stored_bytes(system) == stored_bytes(clean)
+
+    def test_external_stage_dead_letters_replay_to_a_clean_runs_bytes(self):
+        system = self._external_system()
+        outage = FaultPlan(
+            enricher_faults=[EnricherOutage("geo", at=0.0, duration=1e9)]
+        )
+        report = system.start_feed(
+            "TweetFeed",
+            GeneratorAdapter(typed_raws(4)),
+            batch_size=4,
+            fault_plan=outage,
+        )
+        assert report.external.records_dead_lettered == 4
+
+        result = system.replay_dead_letters("TweetFeed", batch_size=4)
+        assert (result.replayed, result.records_stored, result.still_dead) == (
+            4,
+            4,
+            0,
+        )
+        clean = self._external_system()
+        clean.start_feed("TweetFeed", GeneratorAdapter(typed_raws(4)), batch_size=4)
+        assert stored_bytes(system) == stored_bytes(clean)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.adm import serialize
 from repro.errors import SqlppAnalysisError
 from repro.hyracks.cost import WorkMeter
 from repro.ingestion.feed import AttachedFunction
-from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_function
 from repro.sqlpp.evaluator import Env
@@ -26,6 +27,7 @@ from repro.sqlpp.columnar import (
     kernel_for,
 )
 from repro.storage import IndexKind
+from tests.udf import per_record_chain
 
 
 def _compile(ctx, source):
@@ -186,6 +188,13 @@ COLUMN_CASES = [
 ]
 
 
+def _counter_totals(ctx):
+    return [
+        {name: getattr(meter, name) for name in WorkMeter._COUNTERS}
+        for meter in (ctx.meter, ctx.shared_meter, ctx.replicated_meter)
+    ]
+
+
 def _outcome(small_catalog, registry, definition, tweets, batched):
     """(rows, all three meters' counters) — or the exception type raised."""
     ctx = _ctx(small_catalog, registry)
@@ -202,14 +211,10 @@ def _outcome(small_catalog, registry, definition, tweets, batched):
                 for row in ev._planned_select(plan, Env({params[0]: tweet}))
             ]
     except Exception as exc:
-        # the operator discards an aborted attempt's scratch meter, so
-        # only the error's type is comparable
+        # the operator discards a raising frame's meter, so only the
+        # error's type is comparable
         return type(exc)
-    meters = (ctx.meter, ctx.shared_meter, ctx.replicated_meter)
-    return rows, [
-        {name: getattr(meter, name) for name in WorkMeter._COUNTERS}
-        for meter in meters
-    ]
+    return rows, _counter_totals(ctx)
 
 
 @pytest.mark.parametrize(
@@ -270,12 +275,15 @@ def test_registry_function_shadowing_a_builtin_is_honoured_per_match(
             small_catalog, functions=registry, use_plans=use_plans
         )
 
-    batched = make_batch_invoker(attached, registry, RunCounters())(
+    batched = make_invoker(attached, registry, RunCounters())(
         tweets, context(True)
     )
-    scalar = make_invoker(attached, registry)
     planned, interpreted = (
-        [row for tweet in tweets for row in scalar(tweet, context(use_plans))]
+        [
+            row
+            for tweet in tweets
+            for row in registry.invoke("shadowProbe", [tweet], context(use_plans))
+        ]
         for use_plans in (True, False)
     )
     assert [row["codes"] for row in interpreted] == [["SHADOWED"], ["SHADOWED"]]
@@ -330,22 +338,13 @@ def test_btree_index_created_after_compile_aborts_at_runtime(
 # --------------------------------------------------------- batch invoker
 
 
-def test_batch_invoker_declines_java_functions(registry):
-    attached = [
-        AttachedFunction("enrichTweetQ1"),
-        AttachedFunction("remove_special", language="java", library="udflib"),
-    ]
-    assert make_batch_invoker(attached, registry, RunCounters()) is None
-    assert make_batch_invoker([], registry, RunCounters()) is None
-
-
 def test_batch_invoker_requires_plans(small_catalog, registry, sample_tweet):
-    invoker = make_batch_invoker(
-        [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
-    )
-    assert invoker is not None
+    counters = RunCounters()
+    invoker = make_invoker([AttachedFunction("enrichTweetQ1")], registry, counters)
     ctx = EvaluationContext(small_catalog, functions=registry, use_plans=False)
-    assert invoker([dict(sample_tweet)], ctx) is None
+    rows = invoker([dict(sample_tweet)], ctx)
+    assert rows == registry.invoke("enrichTweetQ1", [dict(sample_tweet)], ctx)
+    assert (counters.vectorized_batches, counters.scalar_fallbacks) == (0, 0)
 
 
 def test_batch_invoker_counts_unsupported_bodies(
@@ -359,9 +358,69 @@ def test_batch_invoker_counts_unsupported_bodies(
     )
     ctx = _ctx(small_catalog, registry)
     counters = RunCounters()
-    invoker = make_batch_invoker(
-        [AttachedFunction("colUnsupported")], registry, counters
-    )
-    assert invoker([dict(sample_tweet)], ctx) is None
+    invoker = make_invoker([AttachedFunction("colUnsupported")], registry, counters)
+    rows = invoker([dict(sample_tweet)], ctx)
+    assert rows == registry.invoke("colUnsupported", [dict(sample_tweet)], ctx)
     assert counters.scalar_fallbacks == 1
     assert counters.vectorized_batches == 0
+
+
+def test_a_java_step_leaves_the_sqlpp_steps_of_its_chain_kernels(
+    small_catalog, registry, sample_tweet
+):
+    attached = [
+        AttachedFunction("tweet_safety_check", language="java", library="udflib"),
+        AttachedFunction("enrichTweetQ1"),
+    ]
+    tweets = [
+        dict(sample_tweet, id=index, country=country)
+        for index, country in enumerate(("US", "FR", "Atlantis"))
+    ]
+    counters = RunCounters()
+    batched_ctx = _ctx(small_catalog, registry)
+    oracle_ctx = _ctx(small_catalog, registry)
+    rows = make_invoker(attached, registry, counters)(tweets, batched_ctx)
+    oracle = per_record_chain(attached, registry, tweets, oracle_ctx)
+
+    assert serialize(rows) == serialize(oracle)
+    assert [row["safety_check_flag"] for row in rows] == ["Red", "Green", "Green"]
+    assert (counters.vectorized_batches, counters.vectorized_records) == (1, 3)
+    assert counters.scalar_fallbacks == 0
+    assert _counter_totals(batched_ctx) == _counter_totals(oracle_ctx)
+
+
+def test_a_btree_between_batches_reverts_only_the_step_it_breaks(
+    small_catalog, registry, sample_tweet
+):
+    """Q1 probes SafetyRatings, Q2 ReligiousPopulations: a B-tree on the
+    first's probe field makes only Q1's kernel fall back."""
+    attached = [AttachedFunction("enrichTweetQ1"), AttachedFunction("enrichTweetQ2")]
+    batches = [
+        [dict(sample_tweet, id=3 * b + i, country=c) for i, c in enumerate(cs)]
+        for b, cs in enumerate((("US", "FR", "DE"), ("FR", "Atlantis", "US")))
+    ]
+    ratings = small_catalog["SafetyRatings"]
+
+    def two_batches(invoke):
+        ctx = _ctx(small_catalog, registry)
+        rows = invoke(batches[0], ctx)
+        ratings.create_index("by_cc", "country_code", IndexKind.BTREE)
+        ctx.refresh_batch()
+        try:
+            rows += invoke(batches[1], ctx)
+        finally:
+            ratings.drop_index("by_cc")
+        return rows, _counter_totals(ctx)
+
+    oracle = two_batches(
+        lambda records, ctx: per_record_chain(attached, registry, records, ctx)
+    )
+    counters = RunCounters()
+    batched = two_batches(make_invoker(attached, registry, counters))
+
+    assert batched == oracle
+    assert oracle[1][0]["btree_probes"] == 3  # the second batch probed the index
+    # batch 1: two kernels; batch 2: Q1 fell back, Q2 still a kernel
+    assert counters.vectorized_batches == 3
+    assert counters.vectorized_records == 3 + 3 + 3
+    assert counters.scalar_fallbacks == 1

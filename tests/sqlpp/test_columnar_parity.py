@@ -2,12 +2,12 @@
 
 The batch kernels are a pure wall-clock optimization on top of the plan
 layer: for every UDF, every enriched record AND every WorkMeter counter
-(on all three meters) must be identical between one batch-invoker call
-per batch and the record-at-a-time scalar invoker — including the
-aggregated per-batch charges, which must sum to exactly the per-record
-totals.  The expected per-batch fallback column counts are pinned so a
-supported construct silently dropping out of the vector subset fails
-loudly.
+(on all three meters) must be identical between one invoker call per
+batch and one planned ``FunctionRegistry.invoke`` per record — including
+the aggregated per-batch charges, which must sum to exactly the
+per-record totals.  The expected per-batch fallback column counts are
+pinned so a supported construct silently dropping out of the vector
+subset fails loudly.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 
 from repro.hyracks.cost import WorkMeter
 from repro.ingestion.feed import AttachedFunction
-from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext
 
@@ -56,27 +56,23 @@ def _tweet_sample(sample_tweet):
 
 def _run_scalar(catalog, registry, fn_name, tweets):
     ctx = EvaluationContext(catalog, functions=registry, use_plans=True)
-    invoker = make_invoker([AttachedFunction(fn_name)], registry)
     out = []
     for position, tweet in enumerate(tweets):
         if position == SPLIT:
             ctx.refresh_batch()
-        out.extend(invoker(tweet, ctx))
+        out.extend(registry.invoke(fn_name, [tweet], ctx))
     return out, ctx
 
 
 def _run_batched(catalog, registry, fn_name, tweets):
     ctx = EvaluationContext(catalog, functions=registry, use_plans=True)
     counters = RunCounters()
-    invoker = make_batch_invoker([AttachedFunction(fn_name)], registry, counters)
-    assert invoker is not None
+    invoker = make_invoker([AttachedFunction(fn_name)], registry, counters)
     out = []
     for batch in (tweets[:SPLIT], tweets[SPLIT:]):
         if out:
             ctx.refresh_batch()
-        rows = invoker(batch, ctx)
-        assert rows is not None, f"{fn_name}: batch declined vectorization"
-        out.extend(rows)
+        out.extend(invoker(batch, ctx))
     return out, ctx, counters
 
 

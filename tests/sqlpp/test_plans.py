@@ -18,9 +18,11 @@ from repro.core.system import AsterixLite
 from repro.errors import IndexError_
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
+from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_function
 from repro.sqlpp.plans import PlanCache
 from repro.storage import IndexKind
+from tests.udf import per_record_chain
 
 
 def _counting(target, counter, key):
@@ -34,13 +36,16 @@ def _counting(target, counter, key):
 def test_zero_per_record_analysis_after_warmup(
     small_catalog, registry, sample_tweet, monkeypatch
 ):
-    """After the first record, the hot loop never re-analyzes the AST."""
+    """After the first batch, the hot loop never re-analyzes the AST —
+    neither the feed's batch invoker nor per-record invocation."""
     ctx = EvaluationContext(small_catalog, functions=registry)
-    invoker = make_invoker(
-        [AttachedFunction("enrichTweetQ1"), AttachedFunction("enrichTweetQ5")],
-        registry,
+    attached = [AttachedFunction("enrichTweetQ1"), AttachedFunction("enrichTweetQ5")]
+    invokers = (
+        make_invoker(attached, registry, RunCounters()),
+        lambda records, ctx: per_record_chain(attached, registry, records, ctx),
     )
-    invoker(sample_tweet, ctx)  # warm-up: plans are built here
+    for invoker in invokers:
+        invoker([sample_tweet], ctx)  # warm-up: plans are built here
 
     counter = {"free_vars": 0, "split_conjuncts": 0, "order_terms": 0}
     monkeypatch.setattr(
@@ -75,9 +80,8 @@ def test_zero_per_record_analysis_after_warmup(
     )
 
     for batch in range(3):
-        for i in range(10):
-            tweet = dict(sample_tweet, id=100 * batch + i)
-            invoker(tweet, ctx)
+        for invoker in invokers:
+            invoker([dict(sample_tweet, id=100 * batch + i) for i in range(10)], ctx)
         ctx.refresh_batch()  # new generation must NOT trigger replanning
 
     assert counter == {"free_vars": 0, "split_conjuncts": 0, "order_terms": 0}
@@ -87,15 +91,17 @@ def test_plan_cache_reports_hits_after_first_record(
     small_catalog, registry, sample_tweet
 ):
     ctx = EvaluationContext(small_catalog, functions=registry)
-    invoker = make_invoker([AttachedFunction("enrichTweetQ1")], registry)
+    invoker = make_invoker(
+        [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
+    )
     assert ctx.plan_cache is registry.plan_cache
 
-    invoker(sample_tweet, ctx)
+    invoker([sample_tweet], ctx)
     first = registry.plan_cache.stats()
     assert first["plans"] > 0
     assert first["misses"] == first["plans"]
 
-    invoker(dict(sample_tweet, id=2), ctx)
+    invoker([dict(sample_tweet, id=2)], ctx)
     second = registry.plan_cache.stats()
     assert second["plans"] == first["plans"]  # nothing new compiled
     assert second["hits"] > first["hits"]
@@ -106,9 +112,11 @@ def test_replace_sqlpp_mid_feed_uses_new_body_next_batch(
 ):
     """§3.2 instant updates: an UPSERT drops stale plans immediately."""
     ctx = EvaluationContext(small_catalog, functions=registry)
-    invoker = make_invoker([AttachedFunction("enrichTweetQ1")], registry)
+    invoker = make_invoker(
+        [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
+    )
 
-    before = invoker(sample_tweet, ctx)
+    before = invoker([sample_tweet], ctx)
     assert before[0]["safety_rating"] == ["3"]  # US rating from the catalog
 
     registry.replace_sqlpp(
@@ -124,7 +132,7 @@ def test_replace_sqlpp_mid_feed_uses_new_body_next_batch(
     assert registry.plan_cache.stats()["invalidations"] >= 1
 
     ctx.refresh_batch()  # next batch of the running feed
-    after = invoker(dict(sample_tweet, id=2), ctx)
+    after = invoker([dict(sample_tweet, id=2)], ctx)
     assert after[0]["safety_rating"] == "patched"
 
 
@@ -133,11 +141,13 @@ def test_dropped_and_recreated_index_flips_access_path(
 ):
     """Physical access is decided per batch, not baked into the plan."""
     dataset = small_catalog["SafetyRatings"]
-    invoker = make_invoker([AttachedFunction("enrichTweetQ1")], registry)
+    invoker = make_invoker(
+        [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
+    )
 
     def run_batch(ctx):
         ctx.refresh_batch()
-        invoker(dict(sample_tweet, id=ctx.generation), ctx)
+        invoker([dict(sample_tweet, id=ctx.generation)], ctx)
         return ctx
 
     ctx = EvaluationContext(small_catalog, functions=registry)

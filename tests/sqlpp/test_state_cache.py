@@ -6,7 +6,7 @@ import pytest
 
 from repro.adm import open_type
 from repro.ingestion.feed import AttachedFunction
-from repro.ingestion.udf_operator import make_batch_invoker, make_invoker
+from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.sqlpp.memo import EnrichmentMemo
@@ -243,11 +243,12 @@ class TestEvaluatorIntegration:
         )
         attached = [AttachedFunction("enrichTweetQ1")]
         if path == "columnar":
-            batch = make_batch_invoker(attached, registry, RunCounters())
+            batch = make_invoker(attached, registry, RunCounters())
             invoke = lambda tweet: batch([tweet], ctx)  # noqa: E731
         else:
-            scalar = make_invoker(attached, registry)
-            invoke = lambda tweet: scalar(tweet, ctx)  # noqa: E731
+            invoke = lambda tweet: registry.invoke(  # noqa: E731
+                "enrichTweetQ1", [tweet], ctx
+            )
         ratings = small_catalog["SafetyRatings"]
         tweet = dict(sample_tweet, country="XX")
 
@@ -282,11 +283,12 @@ class TestEvaluatorIntegration:
                 **caches,
             )
             if path == "columnar":
-                batch = make_batch_invoker(attached, registry, RunCounters())
+                batch = make_invoker(attached, registry, RunCounters())
                 invoke = lambda: batch([sample_tweet], ctx)  # noqa: E731
             else:
-                scalar = make_invoker(attached, registry)
-                invoke = lambda: scalar(sample_tweet, ctx)  # noqa: E731
+                invoke = lambda: registry.invoke(  # noqa: E731
+                    "enrichTweetQ1", [sample_tweet], ctx
+                )
             ratings.upsert({"country_code": "US", "safety_rating": "3"})
             invoke()
             version = ratings.version
@@ -400,11 +402,10 @@ class TestUncorrelatedSubqueryReuse:
         )
         attached = [AttachedFunction("ranked")]
         if path == "columnar":
-            batch = make_batch_invoker(attached, registry, RunCounters())
+            batch = make_invoker(attached, registry, RunCounters())
             invoke = lambda t: batch([t], ctx)  # noqa: E731
         else:
-            scalar = make_invoker(attached, registry)
-            invoke = lambda t: scalar(t, ctx)  # noqa: E731
+            invoke = lambda t: registry.invoke("ranked", [t], ctx)  # noqa: E731
         generations = []
         for generation in range(3):
             if generation == 2:

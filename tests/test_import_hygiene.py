@@ -158,3 +158,21 @@ def test_a_feed_run_is_recorded_once():
         for name in names:
             assert not hasattr(owner, name), name
     assert not (SRC / "cluster" / "node.py").exists()
+
+
+def test_a_frame_has_one_udf_path():
+    """A feed's function chain is one batch invoker and a failing record
+    re-runs as a batch of one: the second invoker, the two frame paths
+    and the counts nothing read do not come back."""
+    import inspect
+
+    import repro.ingestion.udf_operator as udf_operator
+    from repro.hyracks.job import OperatorContext
+
+    assert not hasattr(udf_operator, "make_batch_invoker")
+    operator_class = udf_operator.UdfEvaluatorOperator
+    operator = operator_class(OperatorContext(0, 1, 0, None), None, None, None, None)
+    for name in ("_batch_frame", "_scalar_frame", "batch_invoker", "records_in", "records_out"):
+        assert not hasattr(operator, name), name
+    soft_errors = inspect.signature(operator_class).parameters["soft_errors"]
+    assert soft_errors.default is inspect.Parameter.empty

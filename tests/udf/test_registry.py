@@ -5,6 +5,7 @@ import pytest
 from repro.errors import UdfError, UdfRegistrationError
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
+from repro.runtime.metrics import RunCounters
 from repro.sqlpp.evaluator import EvaluationContext
 from repro.udf import FunctionRegistry, JavaUdf, JavaUdfDescriptor
 
@@ -48,14 +49,14 @@ class TestSqlppRegistration:
 
     def test_make_invoker_tracks_replacement(self, reg):
         reg.register_sqlpp("CREATE FUNCTION f(a) { SELECT VALUE a + 1 }")
-        invoke = make_invoker([AttachedFunction("f")], reg)
+        invoke = make_invoker([AttachedFunction("f")], reg, RunCounters())
         ctx = EvaluationContext({}, functions=reg)
-        assert invoke(1, ctx) == [2]
+        assert invoke([1], ctx) == [2]
         reg.replace_sqlpp("CREATE FUNCTION f(a) { SELECT VALUE a + 10 }")
-        assert invoke(1, ctx) == [11]  # the very next record, same batch
+        assert invoke([1], ctx) == [11]  # the very next batch
         reg.replace_sqlpp("CREATE FUNCTION f(a, b) { SELECT VALUE a + b }")
         with pytest.raises(UdfError, match="expects 2 argument"):
-            invoke(1, ctx)
+            invoke([1], ctx)
 
     def test_stateful_classification(self, reg):
         udf = reg.register_sqlpp(
@@ -117,6 +118,18 @@ class TestJavaLifecycle:
         for _ in range(5):
             reg.invoke_java("lib", "counting", [None], ctx)
         assert _CountingUdf.instances == 1
+
+    def test_a_prewarmed_instance_is_the_one_invoke_java_uses(self, reg):
+        _CountingUdf.instances = 0
+        descriptor = self.make_descriptor(["a", "b"])
+        reg.register_java(descriptor)
+        ctx = EvaluationContext({}, functions=reg)
+        instance = reg.java_instance(descriptor, ctx)  # a static feed's prewarm
+        assert ctx.replicated_meter.records_scanned == 2
+        assert reg.invoke_java("lib", "counting", [None], ctx) == 2
+        assert _CountingUdf.instances == 1
+        assert ctx.replicated_meter.records_scanned == 2  # read once
+        assert instance.meter is ctx.meter
 
     def test_refresh_reinitializes(self, reg):
         _CountingUdf.instances = 0
