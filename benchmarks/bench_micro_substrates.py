@@ -59,7 +59,7 @@ def test_micro_store_batch(benchmark):
 
     def store_all():
         target = Dataset("Tweets", TWEET_TYPE_FULL, "id", num_partitions=2)
-        storage = _StorageLayer(Cluster(2), target, "upsert")
+        storage = _StorageLayer(Cluster(2), target)
         for outputs in batches:
             storage.store_batch(outputs)
         return storage.records_stored

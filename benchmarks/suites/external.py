@@ -2,8 +2,7 @@
 
 Every scenario drives a full feed whose records fan out through an
 :class:`~repro.ingestion.external.ExternalEnricher` behind the complete
-resilience stack (deadline, retry/backoff, rate limiting, circuit
-breaker).  Remote misbehavior is scripted on the feed's
+resilience stack (deadline, retry/backoff, circuit breaker).  Remote misbehavior is scripted on the feed's
 :class:`~repro.runtime.faults.FaultPlan` (``EnricherOutage`` /
 ``EnricherSlowdown`` / ``EnricherFlaky``), so — like the chaos suite —
 this is *not* a flaky stress test: each scenario runs twice and must

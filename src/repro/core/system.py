@@ -317,7 +317,8 @@ class AsterixLite:
 
         ``policy`` overrides the policy attached at ``connect_feed`` time
         for this run only; ``fault_plan`` injects a deterministic schedule
-        of actor crashes/stalls/disconnects (chaos testing).
+        of actor crashes/stalls/disconnects (chaos testing).  A static run
+        refuses each of these it cannot honour rather than ignore it.
 
         ``checkpoint`` (a :class:`~repro.storage.CheckpointStore`) makes
         the run durably restartable (dynamic framework only): see
@@ -337,6 +338,11 @@ class AsterixLite:
             raise FeedStateError(
                 "partitioned intake (multiple adapters) needs the dynamic "
                 "framework"
+            )
+        if framework is Framework.STATIC and update_client is not None:
+            raise FeedStateError(
+                "a reference update client needs the dynamic framework (the "
+                "static pipeline has no batch boundaries to apply updates at)"
             )
         if framework is Framework.STATIC:
             run_policy = definition.policy or DEFAULT_POLICY

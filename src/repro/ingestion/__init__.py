@@ -11,11 +11,9 @@ from .adapter import (
 from .external import (
     PENDING_FIELD,
     BackfillReport,
-    CircuitBreaker,
     EnricherBinding,
     EnrichmentCoordinator,
     ExternalEnricher,
-    TokenBucket,
     backfill_pending,
     enrichment_completeness,
 )
@@ -36,6 +34,7 @@ from .feed import (
 )
 from .pipelines import DynamicIngestionPipeline, FeedRun, StaticIngestionPipeline
 from .policy import (
+    CircuitBreaker,
     CongestionAction,
     ExternalFailureAction,
     FeedPolicy,
@@ -79,7 +78,6 @@ __all__ = [
     "SoftErrorAction",
     "SoftErrorHandler",
     "StaticIngestionPipeline",
-    "TokenBucket",
     "UdfEvaluatorOperator",
     "backfill_pending",
     "drain_available",

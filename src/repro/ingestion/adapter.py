@@ -35,8 +35,8 @@ adapter and skips by sequence number.
 A :class:`QueueAdapter` drained before ``end()`` yields the
 :data:`ADAPTER_IDLE` sentinel instead of raising: under the discrete-event
 runtime an empty-but-open queue is a *starved intake*, surfaced as idle
-time (bounded by the feed policy's ``adapter_idle_timeout_seconds``), not
-a crash.
+time (bounded by ``ADAPTER_IDLE_TIMEOUT_SECONDS`` in
+ingestion/pipelines.py), not a crash.
 """
 
 from __future__ import annotations

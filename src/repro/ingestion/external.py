@@ -18,13 +18,14 @@ discrete-event clock, deterministically:
 * :class:`EnrichmentCoordinator` — what the feed's computing stage routes
   external probe keys through, per batch: dedupe keys (an API hit per
   *distinct* key, not per record), chunk them into batched calls, fan out
-  across ``external_concurrency`` simulated lanes, and wrap every call in
-  the full resilience stack — per-call deadline, retries with exponential
-  backoff + deterministic jitter, a client-side token-bucket rate limiter,
-  and a per-enricher circuit breaker (closed → open → half-open with probe
-  requests).  The knobs callers vary live on
-  :class:`~repro.ingestion.policy.FeedPolicy`; the call deadline, backoff
-  curve and half-open probe count are the constants below.
+  across ``CONCURRENT_CALLS`` simulated lanes, and wrap every call in the
+  full resilience stack — per-call deadline, retries with exponential
+  backoff + deterministic jitter, and a per-enricher
+  :class:`~repro.ingestion.policy.CircuitBreaker` (closed → open →
+  half-open with probe requests).  The knobs workloads vary live on
+  :class:`~repro.ingestion.policy.FeedPolicy`; the chunk size, lane
+  count, call deadline, backoff curve and half-open probe count are the
+  constants below.
 
 Failures degrade progressively instead of stalling ingestion
 (:class:`~repro.ingestion.policy.ExternalFailureAction`): after the retry
@@ -47,6 +48,7 @@ from ..runtime.metrics import ExternalMetrics
 from ..sqlpp.memo import EXTERNAL_VERSION_KEY, canonical_probe_key
 from .policy import (
     DEFAULT_POLICY,
+    CircuitBreaker,
     ExternalFailureAction,
     FeedPolicy,
     write_dead_letter,
@@ -56,6 +58,10 @@ from .policy import (
 #: holds the list of still-pending binding labels (``enricher:field``)
 PENDING_FIELD = "_enrichment_pending"
 
+#: probe keys per batched call
+CHUNK_SIZE = 16
+#: simulated in-flight calls per enricher (the fan-out's lanes)
+CONCURRENT_CALLS = 4
 #: per-call deadline: a slow remote burns exactly this long, then times out
 CALL_DEADLINE_SECONDS = 0.05
 #: retry backoff: ``initial × multiplier^(attempt-1)`` capped at ``max``,
@@ -190,123 +196,17 @@ class EnricherBinding:
         return f"{self.enricher.name}:{self.output_field}"
 
 
-# ---------------------------------------------------------- resilience stack
-
-
-class CircuitBreaker:
-    """Per-enricher breaker: closed → open → half-open, on the sim clock.
-
-    ``failure_threshold`` consecutive call failures open the breaker;
-    while open every chunk fails fast (no remote call, no deadline
-    burned).  After ``reset_seconds`` the breaker half-opens and admits
-    ``half_open_probes`` probe calls: a probe success closes it, a probe
-    failure re-opens it for another cool-off.  ``failure_threshold == 0``
-    disables the breaker entirely.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-
-    def __init__(
-        self,
-        enricher_name: str,
-        failure_threshold: int,
-        reset_seconds: float,
-        half_open_probes: int,
-        metrics: ExternalMetrics,
-    ):
-        self.enricher_name = enricher_name
-        self.failure_threshold = failure_threshold
-        self.reset_seconds = reset_seconds
-        self.half_open_probes = max(1, half_open_probes)
-        self.metrics = metrics
-        self.state = self.CLOSED
-        self.consecutive_failures = 0
-        self.open_until = 0.0
-        self.probes_left = 0
-        #: ``(sim_time, state)`` per transition — byte-identical across
-        #: identical runs, and what the bench's recovery check inspects
-        self.transitions: List[Tuple[float, str]] = [(0.0, self.CLOSED)]
-
-    @property
-    def enabled(self) -> bool:
-        return self.failure_threshold > 0
-
-    def _transition(self, now: float, state: str) -> None:
-        self.state = state
-        self.transitions.append((now, state))
-
-    def allow(self, now: float) -> bool:
-        """May a call start at ``now``?  Moves open → half-open when due."""
-        if not self.enabled or self.state == self.CLOSED:
-            return True
-        if self.state == self.OPEN:
-            if now < self.open_until:
-                return False
-            self._transition(now, self.HALF_OPEN)
-            self.metrics.breaker_half_opens += 1
-            self.probes_left = self.half_open_probes
-        if self.probes_left > 0:
-            self.probes_left -= 1
-            return True
-        return False
-
-    def on_success(self, now: float) -> None:
-        self.consecutive_failures = 0
-        if self.enabled and self.state != self.CLOSED:
-            self._transition(now, self.CLOSED)
-            self.metrics.breaker_closes += 1
-
-    def on_failure(self, now: float) -> None:
-        if not self.enabled:
-            return
-        if self.state == self.HALF_OPEN:
-            self._open(now)
-            return
-        self.consecutive_failures += 1
-        if self.state == self.CLOSED and (
-            self.consecutive_failures >= self.failure_threshold
-        ):
-            self._open(now)
-
-    def _open(self, now: float) -> None:
-        self._transition(now, self.OPEN)
-        self.metrics.breaker_opens += 1
-        self.open_until = now + self.reset_seconds
-        self.consecutive_failures = 0
-
-
-class TokenBucket:
-    """Deterministic client-side rate limiter (GCRA virtual scheduling).
-
-    ``reserve(now)`` returns the earliest conforming start time at or
-    after ``now`` for the next call and books it — pure arithmetic on a
-    virtual clock, so pacing is byte-identical across runs.
-    """
-
-    def __init__(self, rate_per_second: float, burst: int):
-        self.interval = 1.0 / rate_per_second
-        self.tolerance = max(0, burst - 1) * self.interval
-        self._tat = 0.0  # theoretical arrival time of the next call
-
-    def reserve(self, now: float) -> float:
-        start = max(now, self._tat - self.tolerance)
-        self._tat = max(self._tat, start) + self.interval
-        return start
-
-
 # ------------------------------------------------------------- coordinator
 
 
 class EnrichmentCoordinator:
     """Per-batch external fan-out with the full resilience stack.
 
-    One coordinator lives for a feed run (breakers and rate limiters
-    carry state *across* batches); :meth:`enrich_batch` is called by the
-    computing stage with a batch's output records and the batch's start
-    time, mutates the records in place, and returns the simulated seconds
-    the external fan-out added to the batch's makespan.
+    One coordinator lives for a feed run (breakers carry state *across*
+    batches); :meth:`enrich_batch` is called by the computing stage with
+    a batch's output records and the batch's start time, mutates the
+    records in place, and returns the simulated seconds the external
+    fan-out added to the batch's makespan.
     """
 
     def __init__(
@@ -317,7 +217,6 @@ class EnrichmentCoordinator:
         dead_letters=None,
         feed_name: str = "",
         primary_key: str = "id",
-        metrics: Optional[ExternalMetrics] = None,
         memo=None,
     ):
         self.bindings = list(bindings)
@@ -326,36 +225,28 @@ class EnrichmentCoordinator:
         self.dead_letters = dead_letters
         self.feed_name = feed_name
         self.primary_key = primary_key
-        self.metrics = metrics if metrics is not None else ExternalMetrics()
+        self.metrics = ExternalMetrics()
         #: optional cross-batch EnrichmentMemo: an L2 hit on a canonical
         #: probe key skips the remote call entirely — no lane time, no
-        #: rate-limit token, no breaker budget.  Only ``"ok"`` outcomes
-        #: are ever memoized, so pending/failed keys stay re-probable and
+        #: breaker budget.  Only ``"ok"`` outcomes are ever memoized, so
+        #: pending/failed keys stay re-probable and
         #: :func:`backfill_pending` semantics survive.
         self.memo = memo
         #: record pk -> 'enriched' | 'pending' | 'dead_lettered'.  Keyed by
         #: primary key so at-least-once batch replays after a crash update
         #: the outcome instead of double-counting the record.
         self._outcomes: Dict[object, str] = {}
+        #: one breaker per enricher: closed → open at
+        #: ``external_breaker_failures``, half-open after the cool-off
         self._breakers: Dict[str, CircuitBreaker] = {}
-        self._buckets: Dict[str, Optional[TokenBucket]] = {}
         for binding in self.bindings:
             name = binding.enricher.name
-            if name in self._breakers:
-                continue
-            self._breakers[name] = CircuitBreaker(
-                name,
-                policy.external_breaker_failures,
-                policy.external_breaker_reset_seconds,
-                BREAKER_HALF_OPEN_PROBES,
-                self.metrics,
-            )
-            rate = policy.external_rate_limit_per_second
-            self._buckets[name] = (
-                TokenBucket(rate, policy.external_rate_limit_burst)
-                if rate > 0
-                else None
-            )
+            if name not in self._breakers:
+                self._breakers[name] = CircuitBreaker(
+                    policy.external_breaker_failures,
+                    policy.external_breaker_reset_seconds,
+                    BREAKER_HALF_OPEN_PROBES,
+                )
 
     @property
     def breaker_transitions(self) -> Dict[str, List[Tuple[float, str]]]:
@@ -449,23 +340,20 @@ class EnrichmentCoordinator:
         results: Dict[object, Tuple[str, object]] = {}
         if not keys:
             return results, 0.0
-        policy = self.policy
         enricher = binding.enricher
         breaker = self._breakers[enricher.name]
-        bucket = self._buckets[enricher.name]
-        chunk_size = policy.external_chunk_size
         chunks = [
-            keys[i : i + chunk_size] for i in range(0, len(keys), chunk_size)
+            keys[i : i + CHUNK_SIZE] for i in range(0, len(keys), CHUNK_SIZE)
         ]
         # Bounded concurrency as lane simulation: each lane is the sim time
         # it frees up; a chunk runs on the earliest-free lane (lowest index
         # on ties), and the fan-out's elapsed time is the latest lane.
-        lanes = [now] * policy.external_concurrency
+        lanes = [now] * CONCURRENT_CALLS
         for chunk in chunks:
             lane = min(range(len(lanes)), key=lambda i: (lanes[i], i))
             raw_chunk = [raw for _ck, raw in chunk]
             outcome, values, freed = self._call_with_retries(
-                enricher, breaker, bucket, raw_chunk, lanes[lane]
+                enricher, breaker, raw_chunk, lanes[lane]
             )
             lanes[lane] = freed
             for ck, raw in chunk:
@@ -475,8 +363,8 @@ class EnrichmentCoordinator:
                     results[ck] = (outcome, None)
         return results, max(lanes) - now
 
-    def _call_with_retries(self, enricher, breaker, bucket, chunk, t):
-        """One chunk through deadline + retry/backoff + limiter + breaker."""
+    def _call_with_retries(self, enricher, breaker, chunk, t):
+        """One chunk through deadline + retry/backoff + breaker."""
         policy = self.policy
         metrics = self.metrics
         attempt = 0
@@ -484,17 +372,11 @@ class EnrichmentCoordinator:
             if not breaker.allow(t):
                 metrics.fail_fast += 1
                 return "breaker_open", None, t
-            start = t
-            if bucket is not None:
-                start = bucket.reserve(t)
-                metrics.rate_limit_wait_seconds += start - t
-            result = enricher.call(
-                chunk, start, CALL_DEADLINE_SECONDS, self.fault_plan
-            )
+            result = enricher.call(chunk, t, CALL_DEADLINE_SECONDS, self.fault_plan)
             metrics.calls += 1
             metrics.keys_requested += len(chunk)
             metrics.call_seconds += result.latency
-            t = start + result.latency
+            t += result.latency
             if result.outcome == "ok":
                 breaker.on_success(t)
                 return "ok", result.results, t
@@ -617,14 +499,24 @@ class EnrichmentCoordinator:
         return enriched / total
 
     def finalize(self) -> ExternalMetrics:
-        """Fold per-record outcomes into the metrics; returns them."""
+        """Fold per-record outcomes and the breakers' transitions into the
+        metrics; returns them."""
         counts = {"enriched": 0, "pending": 0, "dead_lettered": 0}
         for outcome in self._outcomes.values():
             counts[outcome] += 1
-        self.metrics.records_enriched = counts["enriched"]
-        self.metrics.records_pending = counts["pending"]
-        self.metrics.records_dead_lettered = counts["dead_lettered"]
-        return self.metrics
+        metrics = self.metrics
+        metrics.records_enriched = counts["enriched"]
+        metrics.records_pending = counts["pending"]
+        metrics.records_dead_lettered = counts["dead_lettered"]
+        states = [
+            state
+            for breaker in self._breakers.values()
+            for _at, state in breaker.transitions[1:]
+        ]
+        metrics.breaker_opens = states.count(CircuitBreaker.OPEN)
+        metrics.breaker_half_opens = states.count(CircuitBreaker.HALF_OPEN)
+        metrics.breaker_closes = states.count(CircuitBreaker.CLOSED)
+        return metrics
 
 
 # ---------------------------------------------------------------- backfill
@@ -668,8 +560,8 @@ def backfill_pending(
 ) -> BackfillReport:
     """Catch-up pass: re-probe stored ``_enrichment_pending`` records.
 
-    Runs the same coordinator fan-out (deadlines, retries, rate limiting,
-    a fresh closed breaker) over every stored record still carrying the
+    Runs the same coordinator fan-out (deadlines, retries, a fresh
+    closed breaker) over every stored record still carrying the
     marker, restricted to its pending enrichments, and upserts repaired
     records back.  With a healthy ``fault_plan`` (or none) this drives
     :func:`enrichment_completeness` back to 1.0.

@@ -45,7 +45,12 @@ class AttachedFunction:
 
 @dataclass
 class FeedDefinition:
-    """Everything needed to run one feed."""
+    """Everything needed to run one feed.
+
+    What no caller varies is not a field: a feed always upserts, and its
+    storage-channel depth is ``STORAGE_QUEUE_CAPACITY`` in
+    ingestion/pipelines.py.
+    """
 
     name: str
     target_dataset: str
@@ -56,10 +61,8 @@ class FeedDefinition:
     functions: List[AttachedFunction] = field(default_factory=list)
     balanced_intake: bool = False  # adapter on all nodes vs node 0 only
     intake_holder_capacity: int = 64  # frames per passive partition holder
-    write_mode: str = "upsert"
     stream_memory_budget: int = 1 << 20  # records; Model 3 spill threshold
     reference_work_scale: float = 1.0  # charge ref work as if x larger
-    storage_queue_capacity: int = 8  # computing->storage work items in flight
     #: fault handling: soft errors, congestion, restarts (None = Basic,
     #: i.e. the fail-fast seed behavior)
     policy: Optional["FeedPolicy"] = None

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..adm.schema import primary_key_of
 from ..cluster.controller import Cluster
-from ..errors import IngestionError, InjectedCrash, StreamingJoinError
+from ..errors import FeedStateError, IngestionError, InjectedCrash, StreamingJoinError
 from ..hyracks.connectors import HashPartition, OneToOne, RoundRobin
 from ..hyracks.frame import DEFAULT_FRAME_CAPACITY, Frame
 from ..hyracks.job import JobSpecification, OperatorDescriptor
@@ -95,6 +95,8 @@ ELASTIC_SCALE_UP_OCCUPANCY = 0.5
 ELASTIC_SCALE_DOWN_OCCUPANCY = 0.05
 ELASTIC_BACKLOG_BATCHES = 2.0
 ELASTIC_SUSTAINED_SAMPLES = 2
+#: computing → storage work items in flight on the decoupled storage channel
+STORAGE_QUEUE_CAPACITY = 8
 
 
 class _SubBatch:
@@ -152,10 +154,11 @@ class _StorageLayer:
     its busy time overlaps the next computing job.
     """
 
-    def __init__(self, cluster: Cluster, dataset, write_mode: str):
+    def __init__(self, cluster: Cluster, dataset):
         self.cluster = cluster
         self.dataset = dataset
-        self.write = dataset.insert if write_mode == "insert" else dataset.upsert
+        # a feed always upserts: an at-least-once replay dedupes on the key
+        self.write = dataset.upsert
         self.node_busy: Dict[int, float] = {n: 0.0 for n in range(cluster.num_nodes)}
         self.records_stored = 0
 
@@ -333,6 +336,13 @@ class _IntakeLayer:
         return max(self.node_busy.values())
 
 
+#: sim seconds an idle-but-open adapter (an un-ended QueueAdapter) may
+#: starve its intake lane before the feed treats the stream as complete,
+#: and the lane's poll period while it waits
+ADAPTER_IDLE_TIMEOUT_SECONDS = 10.0
+ADAPTER_IDLE_POLL_SECONDS = 0.5
+
+
 class _IntakeLane:
     """One intake partition's actor: its adapter drawing into the buffer.
 
@@ -347,8 +357,7 @@ class _IntakeLane:
     the target holder is full — backpressure propagates to the adapter
     instead of force-appending past the holder's bound.  An idle-but-open
     adapter (a :class:`QueueAdapter` drained before ``end()``) surfaces as
-    accounted idle time, bounded by the policy's
-    ``adapter_idle_timeout_seconds``.
+    accounted idle time, bounded by ``ADAPTER_IDLE_TIMEOUT_SECONDS``.
 
     An :class:`~repro.runtime.faults.AdapterFailAt` in the fault plan
     kills the adapter after it has drawn that many envelopes: the source
@@ -373,7 +382,6 @@ class _IntakeLane:
         adapter: FeedAdapter,
         buffer: IntakeBuffer,
         chunk_size: int,
-        policy: FeedPolicy,
         faults: FaultMetrics,
         partition: int = 0,
         resume_from=None,
@@ -385,8 +393,6 @@ class _IntakeLane:
         self.faults = faults
         self.partition = partition
         self.plan = buffer.runtime.fault_plan
-        self.poll = policy.adapter_idle_poll_seconds
-        self.timeout = policy.adapter_idle_timeout_seconds
         # only pass resume_from when actually resuming: adapter
         # subclasses predating durable restart may not accept it
         self.source = (
@@ -423,7 +429,7 @@ class _IntakeLane:
     def run(self):
         layer, adapter, buffer = self.layer, self.adapter, self.buffer
         faults, partition, plan = self.faults, self.partition, self.plan
-        chunk_size, poll, timeout = self.chunk_size, self.poll, self.timeout
+        chunk_size = self.chunk_size
         cursor_log = layer.cursor_log
         if self.source is None:
             # restarted after an adapter death: re-open from the cursor
@@ -456,12 +462,12 @@ class _IntakeLane:
                     if item is ADAPTER_IDLE:
                         if chunk:
                             break  # deliver what we have before idling
-                        if timeout is not None and self.idle >= timeout:
+                        if self.idle >= ADAPTER_IDLE_TIMEOUT_SECONDS:
                             faults.idle_timeouts += 1
                             self.exhausted = True
                             break
-                        self.idle += poll
-                        yield Advance(poll, state=IDLE)
+                        self.idle += ADAPTER_IDLE_POLL_SECONDS
+                        yield Advance(ADAPTER_IDLE_POLL_SECONDS, state=IDLE)
                         continue
                     self.idle = 0.0
                     self.drawn += 1
@@ -588,6 +594,12 @@ class StaticIngestionPipeline:
                 "framework: the static pipeline is one job and cannot "
                 "refresh state per record"
             )
+        if feed.fault_plan is not None:
+            raise FeedStateError(
+                "a fault plan needs the dynamic framework: the static "
+                "pipeline is one job with no supervised actors to crash, "
+                "stall or restart"
+            )
         if feed.functions:
             _check_stateful_support(feed, self.registry, self.catalog)
         dataset = self.catalog[feed.target_dataset]
@@ -666,7 +678,7 @@ class StaticIngestionPipeline:
         sink = spec.add_operator(
             OperatorDescriptor(
                 "storage",
-                lambda ctx: DatasetWriteSink(ctx, dataset, feed.write_mode),
+                lambda ctx: DatasetWriteSink(ctx, dataset),
                 partitions=n,
             )
         )
@@ -895,8 +907,8 @@ class FeedRun:
                 self._set_budget(state_cache, policy.state_cache_bytes)
         self.coordinator = None
         if feed.external_enrichers:
-            # One coordinator per run: breakers and rate limiters carry
-            # state across batches (and across worker-crash replays).
+            # One coordinator per run: breakers carry state across
+            # batches (and across worker-crash replays).
             self.coordinator = EnrichmentCoordinator(
                 feed.external_enrichers,
                 policy,
@@ -910,7 +922,7 @@ class FeedRun:
         self.intake = _IntakeLayer(
             cluster, feed, num_partitions, track_cursors=checkpoint is not None
         )
-        self.storage = _StorageLayer(cluster, dataset, feed.write_mode)
+        self.storage = _StorageLayer(cluster, dataset)
         self.eval_ctx = eval_ctx = EvaluationContext(
             pipeline.catalog,
             functions=registry,
@@ -997,7 +1009,7 @@ class FeedRun:
             faults=self.faults,
         )
         self.storage_channel = (
-            Channel(runtime, feed.storage_queue_capacity, name=f"{run_name}.storage")
+            Channel(runtime, STORAGE_QUEUE_CAPACITY, name=f"{run_name}.storage")
             if self.decoupled
             else None
         )
@@ -1030,7 +1042,7 @@ class FeedRun:
                 else f"{run_name}.intake.p{p}",
                 _IntakeLane(
                     self.intake, part_adapter, buffer, self.batch_size,
-                    policy, self.faults,
+                    self.faults,
                     partition=p,
                     resume_from=self.resume_cursors.get(p),
                 ).run,

@@ -17,6 +17,9 @@ that concept for the reproduction:
   the parse and UDF stages: it skips, dead-letters (raw text + error +
   provenance into a queryable dataset), or escalates, and trips a
   max-consecutive-failures circuit breaker;
+* :class:`CircuitBreaker` — the one consecutive-failure breaker, which
+  the soft-error handler (never half-opens) and each external enricher
+  (half-opens after a cool-off) configure differently;
 * :func:`ensure_dead_letter_dataset` — creates/returns the feed's
   dead-letter dataset so entries are queryable via SQL++.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..adm.parser import serialize
 from ..adm.schema import open_type
@@ -64,6 +67,12 @@ class ExternalFailureAction(enum.Enum):
 class FeedPolicy:
     """Per-feed fault-handling knobs.
 
+    A field is here because a workload sets it; a setting no workload
+    varies is a module constant beside its reader (the adapter idle
+    timeout beside ``_IntakeLane`` in ingestion/pipelines.py, the
+    external chunk size and lane count in ingestion/external.py, the
+    restart backoff on :class:`~repro.runtime.supervisor.RestartPolicy`).
+
     ``max_consecutive_soft_errors`` is the circuit breaker: more than that
     many soft errors *in a row* (successes reset the streak) escalate to
     :class:`~repro.errors.CircuitBreakerError` regardless of the soft-error
@@ -75,13 +84,8 @@ class FeedPolicy:
     on_congestion: CongestionAction = CongestionAction.BLOCK
     max_consecutive_soft_errors: int = 0
     dead_letter_dataset: Optional[str] = None  # default: <feed>_DeadLetters
-    #: sim seconds an idle-but-open adapter (e.g. an un-ended QueueAdapter)
-    #: may starve intake before the feed treats the stream as complete
-    adapter_idle_timeout_seconds: Optional[float] = 10.0
-    adapter_idle_poll_seconds: float = 0.5
-    # supervised-recovery knobs (crashed layer actors)
+    # supervised-recovery budget (crashed layer actors)
     max_restarts: int = 3
-    backoff_initial_seconds: float = 0.05
     # computing worker-pool knobs: the feed runs ``min_computing_workers``
     # concurrent computing actors, and — when ``max_computing_workers`` is
     # larger — the elastic controller scales the pool between the bounds
@@ -99,9 +103,9 @@ class FeedPolicy:
     #: byte budget for the cross-batch key-level enrichment memo (per-key
     #: correlated-subquery / probe-kernel / external-enrichment results
     #: reused across batches under the same version proofs as the state
-    #: cache; external hits skip the remote call, its rate-limit token,
-    #: and its breaker budget entirely).  ``0`` — the default — disables
-    #: the memo, keeping exact re-enrichment cost accounting.
+    #: cache; external hits skip the remote call and its breaker budget
+    #: entirely).  ``0`` — the default — disables the memo, keeping exact
+    #: re-enrichment cost accounting.
     enrichment_memo_bytes: int = 0
     #: partitioned-intake knob: run this many adapter partitions, each as
     #: its own supervised intake actor merging into the shared intake
@@ -119,16 +123,12 @@ class FeedPolicy:
     max_subbatch_records: int = 0
     # external-enrichment resilience knobs — consulted only when the feed
     # has external enrichers attached (see ingestion/external.py, which
-    # also holds the fixed call deadline, backoff curve, and half-open
-    # probe count).  A failed chunk is retried up to
-    # ``external_max_attempts`` total attempts; a client-side token bucket
-    # paces calls; a per-enricher circuit breaker fails fast once the
-    # remote looks hard-down and probes it again after a cool-off.
+    # also holds the fixed chunk size, lane count, call deadline, backoff
+    # curve, and half-open probe count).  A failed chunk is retried up to
+    # ``external_max_attempts`` total attempts; a per-enricher circuit
+    # breaker fails fast once the remote looks hard-down and probes it
+    # again after a cool-off.
     external_max_attempts: int = 3
-    external_concurrency: int = 4  # simulated in-flight calls per enricher
-    external_chunk_size: int = 16  # probe keys per batched call
-    external_rate_limit_per_second: float = 0.0  # client bucket; 0 = unlimited
-    external_rate_limit_burst: int = 4
     external_breaker_failures: int = 5  # consecutive failures to open; 0 = off
     external_breaker_reset_seconds: float = 0.5  # open -> half-open cool-off
     external_on_failure: ExternalFailureAction = ExternalFailureAction.PENDING
@@ -159,14 +159,6 @@ class FeedPolicy:
             )
         if self.external_max_attempts < 1:
             raise ValueError("external_max_attempts must be >= 1")
-        if self.external_concurrency < 1:
-            raise ValueError("external_concurrency must be >= 1")
-        if self.external_chunk_size < 1:
-            raise ValueError("external_chunk_size must be >= 1")
-        if self.external_rate_limit_per_second < 0:
-            raise ValueError("external_rate_limit_per_second must be >= 0")
-        if self.external_rate_limit_burst < 1:
-            raise ValueError("external_rate_limit_burst must be >= 1")
         if self.external_breaker_failures < 0:
             raise ValueError("external_breaker_failures must be >= 0")
 
@@ -246,10 +238,7 @@ class FeedPolicy:
         return self.dead_letter_dataset or f"{feed_name}_DeadLetters"
 
     def restart_policy(self) -> RestartPolicy:
-        return RestartPolicy(
-            max_restarts=self.max_restarts,
-            backoff_initial_seconds=self.backoff_initial_seconds,
-        )
+        return RestartPolicy(max_restarts=self.max_restarts)
 
 
 #: the default policy: identical to the seed behavior (fail on anything)
@@ -319,6 +308,78 @@ def write_dead_letter(
     )
 
 
+class CircuitBreaker:
+    """A consecutive-failure circuit breaker: closed → open → half-open.
+
+    ``threshold`` failures in a row (a success resets the streak) open
+    the breaker; ``0`` disables it.  An open breaker admits nothing until
+    ``reset_seconds`` later, when it half-opens and admits
+    ``half_open_probes`` probes: a probe success closes it, a probe
+    failure re-opens it for another cool-off.  With the default infinite
+    reset it never half-opens.  ``failures`` is the current streak.  The
+    breaker counts nothing itself: each caller keeps its own counters,
+    from the ``(time, state)`` :attr:`transitions` or from :attr:`state`.
+    """
+
+    CLOSED = "closed"
+    OPEN = "open"
+    HALF_OPEN = "half_open"
+
+    def __init__(
+        self,
+        threshold: int,
+        reset_seconds: float = float("inf"),
+        half_open_probes: int = 1,
+    ):
+        self.threshold = threshold
+        self.reset_seconds = reset_seconds
+        self.half_open_probes = max(1, half_open_probes)
+        self.state = self.CLOSED
+        self.failures = 0
+        self.open_until = 0.0
+        self.probes_left = 0
+        #: ``(time, state)`` per transition — byte-identical across
+        #: identical runs
+        self.transitions: List[Tuple[float, str]] = [(0.0, self.CLOSED)]
+
+    def _transition(self, now: float, state: str) -> None:
+        self.state = state
+        self.transitions.append((now, state))
+
+    def allow(self, now: float = 0.0) -> bool:
+        """May a call start at ``now``?  Moves open → half-open when due."""
+        if self.state == self.CLOSED:
+            return True
+        if self.state == self.OPEN:
+            if now < self.open_until:
+                return False
+            self._transition(now, self.HALF_OPEN)
+            self.probes_left = self.half_open_probes
+        if self.probes_left > 0:
+            self.probes_left -= 1
+            return True
+        return False
+
+    def on_success(self, now: float = 0.0) -> None:
+        self.failures = 0
+        if self.state != self.CLOSED:
+            self._transition(now, self.CLOSED)
+
+    def on_failure(self, now: float = 0.0) -> None:
+        if not self.threshold:
+            return
+        if self.state == self.HALF_OPEN:
+            self._open(now)
+            return
+        self.failures += 1
+        if self.state == self.CLOSED and self.failures >= self.threshold:
+            self._open(now)
+
+    def _open(self, now: float) -> None:
+        self._transition(now, self.OPEN)
+        self.open_until = now + self.reset_seconds
+
+
 class SoftErrorHandler:
     """Per-run soft-error enforcement shared by the parse and UDF stages.
 
@@ -337,7 +398,12 @@ class SoftErrorHandler:
         self.policy = policy
         self.faults = faults
         self.dead_letters = dead_letter_dataset
-        self.consecutive = 0
+        limit = policy.max_consecutive_soft_errors
+        #: opens on failure ``limit + 1`` and never half-opens: a tripped
+        #: breaker fails the run
+        self.breaker = CircuitBreaker(limit + 1 if limit else 0)
+        #: a record made it through: the breaker streak resets
+        self.note_success = self.breaker.on_success
 
     def handle(self, stage: str, record, error: Exception, seq=None) -> None:
         """React to one soft error per the policy; raises to escalate.
@@ -350,12 +416,15 @@ class SoftErrorHandler:
         action = self.policy.on_soft_error
         if action is SoftErrorAction.FAIL:
             raise error
-        self.consecutive += 1
-        limit = self.policy.max_consecutive_soft_errors
-        if limit and self.consecutive > limit:
+        breaker = self.breaker
+        breaker.on_failure()
+        if breaker.state == breaker.OPEN:
             self.faults.circuit_breaker_trips += 1
             raise CircuitBreakerError(
-                self.feed_name, self.consecutive, limit, last_error=error
+                self.feed_name,
+                breaker.failures,
+                self.policy.max_consecutive_soft_errors,
+                last_error=error,
             ) from error
         if action is SoftErrorAction.SKIP or self.dead_letters is None:
             self.faults.records_skipped += 1
@@ -369,7 +438,3 @@ class SoftErrorHandler:
             f"{type(error).__name__}: {error}",
             seq=seq,
         )
-
-    def note_success(self) -> None:
-        """A record made it through: the breaker streak resets."""
-        self.consecutive = 0

@@ -99,7 +99,6 @@ class ExternalMetrics(_CounterSet):
     breaker_closes: int = 0  # recoveries (half-open probe succeeded)
     call_seconds: float = 0.0  # simulated time inside enricher calls
     backoff_seconds: float = 0.0  # simulated retry backoff
-    rate_limit_wait_seconds: float = 0.0  # client token-bucket waits
     records_enriched: int = 0  # records with every enrichment resolved
     records_pending: int = 0  # stored with the _enrichment_pending marker
     records_dead_lettered: int = 0  # routed aside by ExternalFailureAction

@@ -35,8 +35,7 @@ so ``backfill_pending`` semantics survive.
 Reuse is charged honestly through the priced ``memo_hits`` /
 ``memo_reused_records`` :class:`~repro.hyracks.cost.WorkMeter` counters
 (local paths) and shows up as genuinely skipped remote calls (external
-path: an L2 hit consumes no lane time, no rate-limit token, and no
-breaker budget).
+path: an L2 hit consumes no lane time and no breaker budget).
 """
 
 from __future__ import annotations

@@ -142,14 +142,12 @@ class TestElasticController:
         assert len(stored) == 480
 
     def test_scales_down_when_starved(self):
-        # a burst followed by an idle-but-open queue: the pool must grow
-        # for the burst and retire workers once the buffer drains
+        # a burst followed by an idle-but-open queue (until the adapter
+        # idle timeout ends it): the pool must grow for the burst and
+        # retire workers once the buffer drains
         adapter = QueueAdapter()
         adapter.send_many(raws(480))
-        policy = FeedPolicy.elastic(
-            adapter_idle_timeout_seconds=2.0, adapter_idle_poll_seconds=0.25
-        )
-        report, stored = run_feed(policy, adapter=adapter)
+        report, stored = run_feed(FeedPolicy.elastic(), adapter=adapter)
         assert report.scale_ups >= 1
         assert report.scale_downs >= 1
         assert len(stored) == 480

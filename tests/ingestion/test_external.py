@@ -15,13 +15,12 @@ from repro.ingestion import (
     ExternalFailureAction,
     FeedPolicy,
     GeneratorAdapter,
-    TokenBucket,
 )
+from repro.ingestion.external import CHUNK_SIZE, CONCURRENT_CALLS
 from repro.runtime import (
     EnricherFlaky,
     EnricherOutage,
     EnricherSlowdown,
-    ExternalMetrics,
     FaultPlan,
 )
 
@@ -133,11 +132,13 @@ class TestExternalEnricher:
         assert "error" in outcomes[0] and "ok" in outcomes[0]
 
 
+def entered(breaker, state):
+    return [s for _t, s in breaker.transitions[1:]].count(state)
+
+
 class TestCircuitBreaker:
     def _breaker(self, threshold=3, reset=1.0, probes=1):
-        return CircuitBreaker(
-            "geo", threshold, reset, probes, ExternalMetrics()
-        )
+        return CircuitBreaker(threshold, reset, probes)
 
     def test_opens_at_threshold_and_fails_fast(self):
         breaker = self._breaker(threshold=3)
@@ -145,7 +146,7 @@ class TestCircuitBreaker:
             assert breaker.allow(float(t))
             breaker.on_failure(float(t))
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.metrics.breaker_opens == 1
+        assert entered(breaker, CircuitBreaker.OPEN) == 1
         assert not breaker.allow(2.5)  # inside the cool-off: fail fast
 
     def test_half_open_probe_success_closes(self):
@@ -156,8 +157,8 @@ class TestCircuitBreaker:
         assert breaker.state == CircuitBreaker.HALF_OPEN
         breaker.on_success(1.6)
         assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.metrics.breaker_half_opens == 1
-        assert breaker.metrics.breaker_closes == 1
+        assert entered(breaker, CircuitBreaker.HALF_OPEN) == 1
+        assert entered(breaker, CircuitBreaker.CLOSED) == 1
 
     def test_half_open_probe_failure_reopens(self):
         breaker = self._breaker(threshold=1, reset=1.0)
@@ -165,7 +166,7 @@ class TestCircuitBreaker:
         breaker.allow(1.5)
         breaker.on_failure(1.6)
         assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.metrics.breaker_opens == 2
+        assert entered(breaker, CircuitBreaker.OPEN) == 2
         assert not breaker.allow(2.0)  # new cool-off starts at the reopen
         assert breaker.allow(2.7)
 
@@ -181,7 +182,7 @@ class TestCircuitBreaker:
         for t in range(50):
             breaker.on_failure(float(t))
             assert breaker.allow(float(t))
-        assert breaker.metrics.breaker_opens == 0
+        assert entered(breaker, CircuitBreaker.OPEN) == 0
 
     def test_transitions_are_recorded(self):
         breaker = self._breaker(threshold=1, reset=1.0)
@@ -195,20 +196,14 @@ class TestCircuitBreaker:
             "closed",
         ]
 
-
-class TestTokenBucket:
-    def test_burst_then_paced(self):
-        bucket = TokenBucket(rate_per_second=10.0, burst=2)
-        assert bucket.reserve(0.0) == pytest.approx(0.0)
-        assert bucket.reserve(0.0) == pytest.approx(0.0)  # burst capacity
-        assert bucket.reserve(0.0) == pytest.approx(0.1)
-        assert bucket.reserve(0.0) == pytest.approx(0.2)
-
-    def test_idle_time_refills(self):
-        bucket = TokenBucket(rate_per_second=10.0, burst=1)
-        bucket.reserve(0.0)
-        assert bucket.reserve(0.0) == pytest.approx(0.1)
-        assert bucket.reserve(5.0) == pytest.approx(5.0)  # long idle: free
+    def test_without_a_reset_it_never_half_opens(self):
+        # the soft-error handler's configuration: once open, it stays open
+        breaker = CircuitBreaker(2)
+        breaker.on_failure()
+        breaker.on_failure()
+        assert not breaker.allow(1e9)
+        assert breaker.state == CircuitBreaker.OPEN
+        assert entered(breaker, CircuitBreaker.HALF_OPEN) == 0
 
 
 class TestCoordinator:
@@ -227,9 +222,7 @@ class TestCoordinator:
         return [{"id": i, "user": f"u{i % cardinality}"} for i in range(n)]
 
     def test_keys_are_deduped_per_batch(self):
-        coordinator, enricher = self._coordinator(
-            policy=FeedPolicy.spill(external_chunk_size=100)
-        )
+        coordinator, enricher = self._coordinator()
         records = self._records(60, cardinality=5)
         coordinator.enrich_batch([records], now=0.0)
         assert enricher.calls == 1  # 5 distinct keys -> one chunk
@@ -237,25 +230,33 @@ class TestCoordinator:
         assert all(r["user_geo"]["user"] == r["user"] for r in records)
 
     def test_chunking_splits_large_key_sets(self):
-        coordinator, enricher = self._coordinator(
-            policy=FeedPolicy.spill(external_chunk_size=4)
+        coordinator, enricher = self._coordinator()
+        keys = 2 * CHUNK_SIZE + 1
+        coordinator.enrich_batch(
+            [self._records(2 * keys, cardinality=keys)], now=0.0
         )
-        coordinator.enrich_batch([self._records(40, cardinality=10)], now=0.0)
-        assert enricher.calls == 3  # ceil(10 / 4)
+        assert enricher.calls == 3  # ceil(keys / CHUNK_SIZE)
+        assert coordinator.metrics.keys_requested == keys
 
     def test_bounded_concurrency_shortens_fanout(self):
-        elapsed = {}
-        for lanes in (1, 4):
-            coordinator, _ = self._coordinator(
-                policy=FeedPolicy.spill(
-                    external_chunk_size=2, external_concurrency=lanes
-                )
-            )
-            elapsed[lanes] = coordinator.enrich_batch(
-                [self._records(16, cardinality=16)], now=0.0
-            )
-        assert elapsed[4] < elapsed[1]
-        assert elapsed[1] / elapsed[4] > 2.0
+        # one chunk per lane: the fan-out takes about one call, not the sum
+        coordinator, enricher = self._coordinator()
+        keys = CONCURRENT_CALLS * CHUNK_SIZE
+        elapsed = coordinator.enrich_batch(
+            [self._records(keys, cardinality=keys)], now=0.0
+        )
+        assert enricher.calls == CONCURRENT_CALLS
+        starts = {start for start, _o, _l in enricher.call_log}
+        assert starts == {0.0}  # every lane starts at once
+        assert elapsed == max(latency for _s, _o, latency in enricher.call_log)
+        assert coordinator.metrics.call_seconds / elapsed > 2.0
+        # one chunk more than lanes waits for the earliest-free lane
+        coordinator, enricher = self._coordinator()
+        coordinator.enrich_batch(
+            [self._records(keys + 1, cardinality=keys + 1)], now=0.0
+        )
+        first = min(latency for _s, _o, latency in enricher.call_log[:-1])
+        assert enricher.call_log[-1][0] == pytest.approx(first)
 
     def test_retries_back_off_then_succeed(self):
         # one flaky window long enough that some chunks need a retry
@@ -263,12 +264,10 @@ class TestCoordinator:
             enricher_faults=[EnricherFlaky("geo", rate=0.4, mode="error")]
         )
         coordinator, _ = self._coordinator(
-            policy=FeedPolicy.spill(
-                external_chunk_size=1, external_max_attempts=5
-            ),
+            policy=FeedPolicy.spill(external_max_attempts=5),
             fault_plan=plan,
         )
-        records = self._records(30, cardinality=30)
+        records = self._records(10 * CHUNK_SIZE, cardinality=10 * CHUNK_SIZE)
         coordinator.enrich_batch([records], now=0.0)
         m = coordinator.metrics
         assert m.errors > 0
@@ -299,29 +298,15 @@ class TestCoordinator:
             policy=FeedPolicy.spill(
                 external_breaker_failures=2,
                 external_max_attempts=1,
-                external_chunk_size=1,
             ),
             fault_plan=plan,
         )
-        coordinator.enrich_batch([self._records(10, cardinality=10)], now=0.0)
-        m = coordinator.metrics
+        keys = 10 * CHUNK_SIZE  # ten chunks
+        coordinator.enrich_batch([self._records(keys, cardinality=keys)], now=0.0)
+        m = coordinator.finalize()
         assert m.fail_fast == 8  # 2 real failures open it; 8 chunks skip
         assert enricher.calls == 2
-
-    def test_rate_limiter_paces_calls(self):
-        coordinator, enricher = self._coordinator(
-            policy=FeedPolicy.spill(
-                external_chunk_size=1,
-                external_concurrency=1,
-                external_rate_limit_per_second=100.0,
-                external_rate_limit_burst=1,
-            )
-        )
-        coordinator.enrich_batch([self._records(5, cardinality=5)], now=0.0)
-        assert coordinator.metrics.rate_limit_wait_seconds > 0
-        starts = [start for start, _o, _l in enricher.call_log]
-        gaps = [b - a for a, b in zip(starts, starts[1:])]
-        assert all(gap >= 0.01 - 1e-9 for gap in gaps)
+        assert m.breaker_opens == 1
 
     def test_records_without_key_pass_through(self):
         coordinator, enricher = self._coordinator()

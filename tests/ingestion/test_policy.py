@@ -22,7 +22,11 @@ from repro.ingestion import (
     StaticIngestionPipeline,
     CongestionAction,
 )
-from repro.runtime import CrashAt, FaultMetrics, FaultPlan
+from repro.ingestion.pipelines import (
+    ADAPTER_IDLE_POLL_SECONDS,
+    ADAPTER_IDLE_TIMEOUT_SECONDS,
+)
+from repro.runtime import CrashAt, FaultMetrics, FaultPlan, RestartPolicy
 from repro.storage import Dataset
 from repro.udf import FunctionRegistry
 
@@ -79,10 +83,10 @@ class TestPresets:
         assert FeedPolicy.spill().dead_letter_name("F") == "F_DeadLetters"
 
     def test_restart_policy_projection(self):
-        policy = FeedPolicy.elastic(backoff_initial_seconds=0.1)
-        restart = policy.restart_policy()
+        restart = FeedPolicy.elastic().restart_policy()
         assert restart.max_restarts == 8
-        assert restart.backoff_initial_seconds == pytest.approx(0.1)
+        # the backoff curve is the supervisor's, not a policy field
+        assert restart == RestartPolicy(max_restarts=8)
 
 
 class TestSoftErrorHandler:
@@ -157,7 +161,7 @@ class TestBreakerEdges:
         handler, faults = self._handler(limit=3)
         for seq in range(3):
             handler.handle("parse", f"r{seq}", AdmParseError("bad"), seq=seq)
-        assert handler.consecutive == 3
+        assert handler.breaker.failures == 3
         assert faults.circuit_breaker_trips == 0
         with pytest.raises(CircuitBreakerError) as info:
             handler.handle("parse", "r3", AdmParseError("bad"), seq=3)
@@ -172,7 +176,7 @@ class TestBreakerEdges:
         handler.handle("parse", "a", AdmParseError("bad"))
         handler.handle("parse", "b", AdmParseError("bad"))
         handler.note_success()
-        assert handler.consecutive == 0
+        assert handler.breaker.failures == 0
         handler.handle("parse", "c", AdmParseError("bad"))
         handler.handle("parse", "d", AdmParseError("bad"))
         assert faults.circuit_breaker_trips == 0
@@ -301,18 +305,17 @@ class TestPipelinePolicies:
         pipeline = DynamicIngestionPipeline(Cluster(2), catalog)
         adapter = QueueAdapter()
         adapter.send_many(json.dumps({"id": i}) for i in range(3))
-        # the producer never calls end(): the policy's idle timeout is what
+        # the producer never calls end(): the idle timeout is what
         # completes the feed instead of a FeedStateError crash
         feed = FeedDefinition(
-            "F", "T", batch_size=8,
-            policy=FeedPolicy.discard(
-                adapter_idle_timeout_seconds=1.0, adapter_idle_poll_seconds=0.25
-            ),
+            "F", "T", batch_size=8, policy=FeedPolicy.discard()
         )
         report = pipeline.run(feed, adapter)
         assert report.records_stored == 3
         assert report.faults.idle_timeouts == 1
-        assert report.runtime.layers["intake"].idle >= 1.0
+        idle = report.runtime.layers["intake"].idle
+        assert idle >= ADAPTER_IDLE_TIMEOUT_SECONDS
+        assert idle < ADAPTER_IDLE_TIMEOUT_SECONDS + 2 * ADAPTER_IDLE_POLL_SECONDS
 
 
 class TestCongestionReactions:

@@ -12,12 +12,16 @@ import pytest
 from repro.core import AsterixLite
 from repro.errors import FeedFailedError, FeedStateError, IngestionError
 from repro.ingestion import (
+    FeedDefinition,
     FeedPolicy,
     FileAdapter,
+    Framework,
     GeneratorAdapter,
     QueueAdapter,
+    ReferenceUpdateClient,
+    StaticIngestionPipeline,
 )
-from repro.runtime import CrashAt, FaultPlan
+from repro.runtime import CrashAt, FaultPlan, StallAt
 from repro.storage import CheckpointStore
 
 RECORDS = 240
@@ -52,6 +56,20 @@ def build_system(words=20):
         CREATE FEED TweetFeed WITH { "type-name": "TweetType" };
         CONNECT FEED TweetFeed TO DATASET EnrichedTweets
             APPLY FUNCTION flagTweet;
+        """
+    )
+    return system
+
+
+def plain_system():
+    """A feed with no UDF, which the static framework runs."""
+    system = AsterixLite(num_nodes=2)
+    system.execute(
+        """
+        CREATE TYPE TweetType AS OPEN { id: int64 };
+        CREATE DATASET Tweets(TweetType) PRIMARY KEY id;
+        CREATE FEED TweetFeed WITH { "type-name": "TweetType" };
+        CONNECT FEED TweetFeed TO DATASET Tweets;
         """
     )
     return system
@@ -184,6 +202,44 @@ class TestPartitionedIntake:
                 framework="static",
                 policy=FeedPolicy.basic(**overrides),
             )
+
+    def test_static_framework_rejects_a_fault_plan(self):
+        """One job, no supervised actors: a crash and a stall are refused,
+        through the facade and the pipeline alike, not run as no plan."""
+        plan = FaultPlan(
+            crashes=(CrashAt(0.0, "feed"),), stalls=(StallAt(0.0, "feed", 5.0),)
+        )
+        with pytest.raises(FeedStateError, match="fault plan"):
+            plain_system().start_feed(
+                "TweetFeed",
+                GeneratorAdapter(raws(10)),
+                framework="static",
+                fault_plan=plan,
+            )
+        system = plain_system()
+        feed = FeedDefinition(
+            "TweetFeed", "Tweets", framework=Framework.STATIC, fault_plan=plan
+        )
+        pipeline = StaticIngestionPipeline(system.cluster, system.catalog)
+        with pytest.raises(FeedStateError, match="fault plan"):
+            pipeline.run(feed, GeneratorAdapter(raws(10)))
+
+    def test_static_framework_rejects_an_update_client(self):
+        """The static job has no batch boundary to apply updates at: the
+        client is refused, not left with zero updates applied."""
+        system = plain_system()
+        applied = []
+        client = ReferenceUpdateClient(
+            1000.0, iter([{"id": i} for i in range(100)]), applied.append
+        )
+        with pytest.raises(FeedStateError, match="update client"):
+            system.start_feed(
+                "TweetFeed",
+                GeneratorAdapter(raws(10)),
+                framework="static",
+                update_client=client,
+            )
+        assert not applied
 
 
 class TestSubBatchParallelism:

@@ -49,14 +49,13 @@ def calls(monkeypatch):
 
 
 class TestStoreBatchOncePerRecord:
-    @pytest.mark.parametrize("write_mode", ["upsert", "insert"])
-    def test_one_hash_and_one_key_extraction_per_record(self, calls, write_mode):
+    def test_one_hash_and_one_key_extraction_per_record(self, calls):
         target = make_target()
         events = []
         target.add_update_listener(lambda op, key: events.append((op, key)))
         records = typed_tweets(240)
         outputs = [records[0::2], records[1::2]]  # as produced on two nodes
-        storage = _StorageLayer(Cluster(NODES), target, write_mode)
+        storage = _StorageLayer(Cluster(NODES), target)
         storage.store_batch(outputs)
 
         n = len(records)
@@ -64,7 +63,7 @@ class TestStoreBatchOncePerRecord:
         assert storage.records_stored == n
         assert target.version == n
         in_order = [r["id"] for part in outputs for r in part]
-        assert events == [(write_mode, key) for key in in_order]
+        assert events == [("upsert", key) for key in in_order]
         # node and partition are the same hash under two moduli
         for pid, tree in enumerate(target.partitions):
             for key, _record in tree.scan():
@@ -75,7 +74,7 @@ class TestStoreBatchOncePerRecord:
         outputs = [records[:100], records[100:]]
         cluster = Cluster(NODES)
         cost = cluster.cost_model
-        storage = _StorageLayer(cluster, make_target(), "upsert")
+        storage = _StorageLayer(cluster, make_target())
         busiest = storage.store_batch(outputs)
 
         expected = {}
@@ -97,7 +96,7 @@ class TestStoreBatchOncePerRecord:
         assert target.version == 50
 
     def test_target_type_is_still_enforced_at_store(self):
-        storage = _StorageLayer(Cluster(NODES), make_target(), "upsert")
+        storage = _StorageLayer(Cluster(NODES), make_target())
         bad = dict(typed_tweets(1)[0], latitude="north")
         with pytest.raises(AdmTypeError, match="TweetTypeFull.latitude"):
             storage.store_batch([[bad], []])

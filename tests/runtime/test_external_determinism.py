@@ -12,6 +12,7 @@ from repro.ingestion import (
     FeedPolicy,
     GeneratorAdapter,
 )
+from repro.ingestion.external import CHUNK_SIZE, CONCURRENT_CALLS
 from repro.runtime import (
     EnricherFlaky,
     EnricherOutage,
@@ -89,7 +90,6 @@ class TestCoordinatorDeterminism:
         coordinator = EnrichmentCoordinator(
             [EnricherBinding(enricher, "user", "user_geo")],
             FeedPolicy.spill(
-                external_chunk_size=2,
                 external_breaker_failures=2,
                 external_breaker_reset_seconds=0.01,
                 external_max_attempts=2,
@@ -98,9 +98,11 @@ class TestCoordinatorDeterminism:
             feed_name="F",
         )
         elapsed = []
+        keys = CONCURRENT_CALLS * CHUNK_SIZE  # a chunk on every lane
         for batch in range(6):
             records = [
-                {"id": batch * 20 + i, "user": f"u{i % 7}"} for i in range(20)
+                {"id": batch * 2 * keys + i, "user": f"u{i % keys}"}
+                for i in range(2 * keys)
             ]
             elapsed.append(
                 coordinator.enrich_batch([records], now=batch * 0.012)
@@ -128,7 +130,7 @@ class TestCoordinatorDeterminism:
             enricher = ExternalEnricher("geo", seed=seed)
             coordinator = EnrichmentCoordinator(
                 [EnricherBinding(enricher, "user", "user_geo")],
-                FeedPolicy.spill(external_chunk_size=1),
+                FeedPolicy.spill(),
                 fault_plan=FaultPlan(
                     enricher_faults=[EnricherFlaky("geo", rate=0.5)]
                 ),

@@ -206,8 +206,8 @@ class TestCounterDicts:
             "calls", "keys_requested", "retries", "errors", "timeouts",
             "rate_limited", "fail_fast", "breaker_opens",
             "breaker_half_opens", "breaker_closes", "call_seconds",
-            "backoff_seconds", "rate_limit_wait_seconds", "records_enriched",
-            "records_pending", "records_dead_lettered",
+            "backoff_seconds", "records_enriched", "records_pending",
+            "records_dead_lettered",
         ]
 
     def test_any_activity(self):

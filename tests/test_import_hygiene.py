@@ -176,3 +176,29 @@ def test_a_frame_has_one_udf_path():
         assert not hasattr(operator, name), name
     soft_errors = inspect.signature(operator_class).parameters["soft_errors"]
     assert soft_errors.default is inspect.Parameter.empty
+
+
+def test_a_feed_setting_is_one_a_workload_varies():
+    """The client-side rate limiter only unset policy knobs reached, and
+    the knobs and definition fields no workload sets, do not come back."""
+    import pytest
+
+    import repro.ingestion
+    import repro.ingestion.external as external
+    from repro.ingestion import FeedDefinition, FeedPolicy
+    from repro.runtime import ExternalMetrics
+
+    assert not hasattr(repro.ingestion, "TokenBucket")
+    assert not hasattr(external, "TokenBucket")
+    assert "rate_limit_wait_seconds" not in ExternalMetrics().as_dict()
+    for knob in (
+        "adapter_idle_timeout_seconds", "adapter_idle_poll_seconds",
+        "backoff_initial_seconds", "external_concurrency",
+        "external_chunk_size", "external_rate_limit_per_second",
+        "external_rate_limit_burst",
+    ):
+        with pytest.raises(TypeError):
+            FeedPolicy(**{knob: 1})
+    for field in ("write_mode", "storage_queue_capacity"):
+        with pytest.raises(TypeError):
+            FeedDefinition("F", "T", **{field: 1})
