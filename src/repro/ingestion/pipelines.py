@@ -34,6 +34,7 @@ the computing process charges per batch.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -1019,7 +1020,7 @@ class FeedRun:
         #: pk-upsert order / acked guarantees / dead-letter provenance are
         #: byte-identical to the single-actor pipeline
         self.sequencer = Sequencer(
-            self.storage.store_batch,
+            self._commit_batch,
             self.storage_channel,
             merge=self._merge_subbatch,
         )
@@ -1111,6 +1112,19 @@ class FeedRun:
 
     def _collect(self, partition: int, frame: Frame) -> None:
         self.outputs[partition].extend(frame.records)
+
+    def _commit_batch(self, outputs: List[List[dict]]) -> float:
+        """The sequencer's release: store one batch, then move everything
+        the collector tracks into the permanent generation.
+
+        A stored record lives as long as its dataset, so a collection that
+        walks it again finds nothing to free; after the freeze every
+        generation holds only what was allocated since this commit.
+        :func:`drive_runs` unfreezes on the way out.
+        """
+        busy = self.storage.store_batch(outputs)
+        gc.freeze()
+        return busy
 
     def _merge_subbatch(self, parts: List[List[List[dict]]]) -> List[List[dict]]:
         # Per-node concatenation in sub order recovers exactly the
@@ -1605,6 +1619,11 @@ def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
     folded in whether or not the clock stopped cleanly, one report per run
     carrying the runtime's makespan, and every run cleaned up on every way
     out.
+
+    It also owns the cyclic collector for the drive: each batch commit
+    freezes (:meth:`FeedRun._commit_batch`) and every way out unfreezes,
+    so the permanent generation is empty again when this returns or
+    raises — including anything a caller had frozen before the drive.
     """
     try:
         try:
@@ -1614,6 +1633,7 @@ def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
                 run.collect_faults()
         return [run.finalize(elapsed) for run in runs]
     finally:
+        gc.unfreeze()
         for run in runs:
             run.cleanup()
 

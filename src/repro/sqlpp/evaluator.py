@@ -134,34 +134,34 @@ class EvaluationContext:
         return self.catalog.get(name)
 
 
+class Group:
+    """One GROUP BY group as the scopes inside it see it: the member tuple
+    envs (what an aggregate folds over) and the key values that shadow a
+    re-evaluation of the key expressions."""
+
+    __slots__ = ("members", "key_values")
+
+    def __init__(self, members: List["Env"], key_values: Dict[Expr, object]):
+        self.members = members
+        self.key_values = key_values
+
+
 class Env:
     """A lexical scope chain of variable bindings."""
 
-    __slots__ = ("vars", "parent", "_group", "_group_env", "group_key_values")
+    __slots__ = ("vars", "parent", "group")
 
     def __init__(self, vars=None, parent: Optional["Env"] = None):
         self.vars: Dict[str, object] = vars or {}
         self.parent = parent
-        self._group: Optional[List["Env"]] = None  # set in group contexts
-        # Nearest enclosing group env, maintained eagerly so the per-record
-        # hot path (every VarRef/FieldAccess checks for group-key
-        # shadowing) is an attribute read instead of a chain walk.  Group
-        # envs always assign ``.group`` before any child scopes are made,
-        # so inheriting the parent's pointer at construction is exact.
-        self._group_env: Optional["Env"] = (
-            parent._group_env if parent is not None else None
-        )
-        self.group_key_values: Optional[Dict[Expr, object]] = None
-
-    @property
-    def group(self) -> Optional[List["Env"]]:
-        return self._group
-
-    @group.setter
-    def group(self, members: Optional[List["Env"]]) -> None:
-        self._group = members
-        if members is not None:
-            self._group_env = self
+        # Nearest enclosing group, maintained eagerly so the per-record hot
+        # path (every VarRef/FieldAccess checks for group-key shadowing) is
+        # an attribute read instead of a chain walk.  A group env assigns
+        # ``.group`` before any child scopes are made, so inheriting the
+        # parent's pointer at construction is exact.  The pointer is to the
+        # :class:`Group`, not to the group env: an env that pointed at
+        # itself would be a reference cycle only the collector frees.
+        self.group: Optional[Group] = parent.group if parent is not None else None
 
     _SENTINEL = SENTINEL  # shared with compiled closures (plans.SENTINEL)
 
@@ -186,9 +186,6 @@ class Env:
 
     def child(self, vars=None) -> "Env":
         return Env(vars or {}, parent=self)
-
-    def find_group(self) -> Optional["Env"]:
-        return self._group_env
 
 
 # SQL++ WHERE semantics: NULL/MISSING are not true (shared with plans.py).
@@ -259,10 +256,10 @@ class Evaluator:
 
     def _eval_varref(self, expr: VarRef, env: Env):
         # group-key expression lookup first (GROUP BY aliases shadow)
-        genv = env.find_group()
-        if genv is not None and genv.group_key_values:
-            if expr in genv.group_key_values:
-                return genv.group_key_values[expr]
+        group = env.group
+        if group is not None and group.key_values:
+            if expr in group.key_values:
+                return group.key_values[expr]
         value = env.lookup(expr.name)
         if value is not Env._SENTINEL:
             return value
@@ -272,10 +269,10 @@ class Evaluator:
         raise SqlppAnalysisError(f"unresolved variable: {expr.name}")
 
     def _eval_field(self, expr: FieldAccess, env: Env):
-        genv = env.find_group()
-        if genv is not None and genv.group_key_values:
-            if expr in genv.group_key_values:
-                return genv.group_key_values[expr]
+        group = env.group
+        if group is not None and group.key_values:
+            if expr in group.key_values:
+                return group.key_values[expr]
         base = self.evaluate(expr.base, env)
         if base is MISSING or base is None:
             return MISSING
@@ -353,14 +350,14 @@ class Evaluator:
 
     def _eval_aggregate(self, expr: Call, env: Env):
         name = expr.name.lower()
-        genv = env.find_group()
-        if genv is not None:
+        group = env.group
+        if group is not None:
             values = []
             if expr.args and isinstance(expr.args[0], Star):
-                values = [1] * len(genv.group)
+                values = [1] * len(group.members)
             else:
                 arg = expr.args[0] if expr.args else Star(VarRef("*"))
-                for tuple_env in genv.group:
+                for tuple_env in group.members:
                     value = self.evaluate(arg, tuple_env)
                     if value is not MISSING and value is not None:
                         values.append(value)
@@ -953,12 +950,10 @@ class Evaluator:
 
         group_envs: List[Env] = []
         for hashable, key in group_order:
-            members = groups[hashable]
             genv = scope.child()
-            genv.group = members
-            genv.group_key_values = {}
+            genv.group = group = Group(groups[hashable], {})
             for key_spec, value in zip(block.group_keys, key):
-                genv.group_key_values[key_spec.expr] = value
+                group.key_values[key_spec.expr] = value
                 if key_spec.alias:
                     genv.vars[key_spec.alias] = value
                 else:
@@ -1091,7 +1086,13 @@ class Evaluator:
             for record in candidates:
                 recurse(idx + 1, Env({var: record}, env_cur), next_depth)
 
-        recurse(0, scope, 0)
+        try:
+            recurse(0, scope, 0)
+        finally:
+            # ``recurse`` reaches itself through its closure cell; emptying
+            # the cell lets the closure, ``tuples`` and the env chain die
+            # by refcount instead of waiting for the cyclic collector
+            del recurse
         return tuples
 
     def _planned_access(self, tp: TermPlan, env: Env) -> Iterable:
@@ -1149,7 +1150,7 @@ class Evaluator:
         kernel = tp.filter_join
         ctx = self.ctx
         functions = ctx.functions
-        if scope._group_env is not None or (
+        if scope.group is not None or (
             functions is not None and any(map(functions.has, kernel.calls))
         ):
             return None  # an outer GROUP BY key or a UDF may shadow the conjunct
@@ -1278,12 +1279,10 @@ class Evaluator:
 
         group_envs: List[Env] = []
         for hashable, key in group_order:
-            members = groups[hashable]
             genv = scope.child()
-            genv.group = members
-            genv.group_key_values = {}
+            genv.group = group = Group(groups[hashable], {})
             for (expr, alias, default_name, _fn), value in zip(plan.group_keys, key):
-                genv.group_key_values[expr] = value
+                group.key_values[expr] = value
                 if alias:
                     genv.vars[alias] = value
                 elif default_name:

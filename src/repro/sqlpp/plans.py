@@ -340,11 +340,11 @@ def _compile_varref(expr: VarRef, row_var) -> Callable:
 
     def run(ev, env):
         # group-key expression lookup first (GROUP BY aliases shadow);
-        # ``_group_env`` is the O(1) cached ``find_group()`` pointer
-        genv = env._group_env
-        if genv is not None and genv.group_key_values:
-            if expr in genv.group_key_values:
-                return genv.group_key_values[expr]
+        # ``env.group`` is the O(1) nearest-enclosing-group pointer
+        group = env.group
+        if group is not None and group.key_values:
+            if expr in group.key_values:
+                return group.key_values[expr]
         value = env.lookup(name)
         if value is not SENTINEL:
             return value
@@ -370,10 +370,10 @@ def _compile_field(expr: FieldAccess, row_var) -> Callable:
         return run_row
 
     def run(ev, env):
-        genv = env._group_env
-        if genv is not None and genv.group_key_values:
-            if expr in genv.group_key_values:
-                return genv.group_key_values[expr]
+        group = env.group
+        if group is not None and group.key_values:
+            if expr in group.key_values:
+                return group.key_values[expr]
         base = base_fn(ev, env)
         if isinstance(base, dict):
             return base.get(field, MISSING)
@@ -482,14 +482,14 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
         arg_fn = compile_expr(expr.args[0])
 
     def run(ev, env):
-        genv = env._group_env
-        if genv is not None:
+        group = env.group
+        if group is not None:
             if count_star:
-                return aggregate_values(lowered, [1] * len(genv.group))
+                return aggregate_values(lowered, [1] * len(group.members))
             if arg_fn is None:
                 return ev._eval_aggregate(expr, env)
             values = []
-            for tuple_env in genv.group:
+            for tuple_env in group.members:
                 value = arg_fn(ev, tuple_env)
                 if value is not MISSING and value is not None:
                     values.append(value)

@@ -8,7 +8,8 @@ level; a deliberate exception goes in ``ALLOWED`` with its reason.
 
 Also the package boundary: ``benchmarks/`` imports ``repro``, never the
 reverse, ``repro/bench`` holds only what ``src/`` callers import, and every
-name a package exports exists.
+name a package exports exists; and the cyclic collector's state has one
+owner, the feed run.
 """
 
 import ast
@@ -61,6 +62,31 @@ def test_no_function_level_imports_on_hot_paths():
 def test_allow_list_has_no_stale_entries():
     found = {where for path in CHECKED for where, _ in function_level_imports(path)}
     assert set(ALLOWED) <= found
+
+
+#: what moves objects between the collector's generations or changes when
+#: it runs; a feed run owns that state (``drive_runs``), nothing else does
+COLLECTOR_STATE = {"freeze", "unfreeze", "disable", "enable", "set_threshold"}
+
+
+def test_one_owner_for_the_collectors_state():
+    users = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                names = {alias.name for alias in node.names}
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "gc"
+            ):
+                names = {node.attr}
+            else:
+                continue
+            if names & COLLECTOR_STATE or "*" in names:
+                users.append(where)
+    assert set(users) == {"ingestion/pipelines.py"}, users
 
 
 def test_src_never_imports_from_benchmarks():
