@@ -70,7 +70,7 @@ class Cluster:
         self.num_nodes = num_nodes
         self.cost_model = cost_model or DEFAULT_COST_MODEL
         self.clock = Clock()
-        self.runner = LocalJobRunner(num_nodes, self.cost_model, clock=self.clock)
+        self.runner = LocalJobRunner(num_nodes, self.cost_model)
         self.controller = ClusterController(self.runner)
 
     def new_runtime(self, name: str) -> Runtime:

@@ -13,10 +13,7 @@ parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from ..runtime.clock import Clock
+from typing import Dict, List, Optional
 
 from ..errors import JobSpecificationError
 from .connectors import ConnectorRuntime
@@ -34,9 +31,6 @@ class JobResult:
     startup_seconds: float
     records_out: int = 0
     per_operator_busy: Dict[str, float] = field(default_factory=dict)
-    #: simulated timestamps on the cluster clock (equal when no clock is wired)
-    sim_started_at: float = 0.0
-    sim_finished_at: float = 0.0
 
     @property
     def critical_node_seconds(self) -> float:
@@ -46,17 +40,11 @@ class JobResult:
 class LocalJobRunner:
     """Executes job specifications against a cluster of ``num_nodes``."""
 
-    def __init__(
-        self,
-        num_nodes: int,
-        cost_model: Optional[CostModel] = None,
-        clock: Optional["Clock"] = None,
-    ):
+    def __init__(self, num_nodes: int, cost_model: Optional[CostModel] = None):
         if num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
         self.num_nodes = num_nodes
         self.cost_model = cost_model or DEFAULT_COST_MODEL
-        self.clock = clock  # cluster clock; stamps JobResult sim timestamps
 
     # ------------------------------------------------------------------ place
 
@@ -148,7 +136,6 @@ class LocalJobRunner:
             + max(node_busy.values())
             + self.cost_model.job_teardown(self.num_nodes)
         )
-        sim_now = self.clock.now if self.clock is not None else 0.0
         return JobResult(
             job_name=spec.name,
             makespan_seconds=makespan,
@@ -156,6 +143,4 @@ class LocalJobRunner:
             startup_seconds=startup,
             records_out=records_out,
             per_operator_busy=per_operator_busy,
-            sim_started_at=sim_now,
-            sim_finished_at=sim_now + makespan,
         )

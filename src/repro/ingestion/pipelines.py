@@ -564,9 +564,9 @@ class StaticIngestionPipeline:
         evaluator = Evaluator(eval_ctx)
         for fn in feed.functions:
             if fn.is_java:
-                self.registry.java_instance(
+                eval_ctx.snapshots.java_instance(
                     self.registry.get_java(fn.library or "udflib", fn.name),
-                    eval_ctx,
+                    eval_ctx.replicated_meter,
                 )
             else:
                 udf = self.registry.get(fn.name)

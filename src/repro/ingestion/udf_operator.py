@@ -151,9 +151,10 @@ class UdfEvaluatorOperator(Operator):
         the frame's charges and run each record alone, as a batch of one,
         so the soft-error policy sees exactly the record that failed.
 
-        Builds the aborted attempt installed in the batch cache survive —
-        they are idempotent within a generation, so the rerun finds them
-        already charged and totals equal a clean record-at-a-time run.
+        Builds the aborted attempt charged stay in the generation's
+        ``SnapshotSet``: they are idempotent within a generation, so the
+        rerun finds them already charged and totals equal a clean
+        record-at-a-time run.
         """
         eval_ctx = self.eval_ctx
         records = frame.records

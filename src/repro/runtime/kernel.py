@@ -73,7 +73,6 @@ class Signal:
         self._runtime = runtime
         self.name = name
         self._waiters: List[Tuple["Process", int]] = []
-        self.notifications = 0
 
     def wait(self, process: "Process") -> None:
         # Capture the resume token: an interrupt (injected crash) that
@@ -83,7 +82,6 @@ class Signal:
 
     def notify_all(self) -> None:
         """Schedule every still-valid waiter to resume now (FIFO order)."""
-        self.notifications += 1
         waiters, self._waiters = self._waiters, []
         for process, token in waiters:
             if process.done or token != process._token:

@@ -11,13 +11,13 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   cacheable block evaluated once per batch through
   ``Evaluator._cached_select`` and broadcast, or a single-term equality
   block run as **one hash-probe pass per batch** against the evaluator's
-  batch-cached (and, cross-batch, StateCache'd) build table, with the
+  per-generation (and, cross-batch, StateCache-booked) build table, with the
   inner block's shaping (SELECT VALUE / named projections / implicit
   GROUP BY aggregates / single-key ORDER BY / LIMIT) applied per match
   list;
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
-  plan-cache keys (and therefore batch-cache tokens) match the
+  plan-cache keys (and therefore uncorrelated-result tokens) match the
   record-at-a-time path exactly.
 
 Hoisting: a batchable subquery the scalar closure evaluates for *every*
@@ -44,8 +44,8 @@ feed's invoker discards what that kernel charged and runs the function
 once per record instead.  Any other exception propagates to the UDF
 operator, which discards the frame's charges and re-runs each record
 alone, as a batch of one, so the soft-error policy sees the record that
-failed.  Build-side state installed by an aborted attempt lives in the
-batch cache, so neither re-run re-charges it — totals stay identical.
+failed.  A build an aborted attempt charged is kept in the generation's
+``SnapshotSet``, so neither re-run re-charges it — totals stay identical.
 """
 
 from __future__ import annotations
@@ -398,9 +398,7 @@ def _compile_probe_kernel(
         ctx = ev.ctx
         memo = ctx.memo
         meter = ctx.meter
-        # the version this generation pinned, not the live one: a write
-        # landing mid-job must not refile pre-write rows as current
-        version_key = ((dataset_name, ev._pin(dataset).lsns),)
+        version_key = ctx.snapshots.version((dataset_name,))
         l1: Dict = {}
         l1_get = l1.get
         slots: List = [None] * cb.n

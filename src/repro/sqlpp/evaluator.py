@@ -36,12 +36,9 @@ from ..adm.values import MISSING, Point
 from ..adm.values import spatial_intersect as _geo_intersect
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
+from ..storage.dataset import ReferenceSnapshot
 from ..storage.index import IndexKind
-from .analysis import (
-    contains_aggregate,
-    free_vars,
-    split_conjuncts,
-)
+from .analysis import free_vars, split_conjuncts
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -71,15 +68,70 @@ from .plans import (
     aggregate_values,
     apply_binary,
     default_alias,
+    find_access_path,
+    has_top_level_aggregate,
+    order_terms,
     truthy,
 )
-from .plans import find_access_path as _plan_find_access_path
 from .memo import canonical_probe_key
-from .state_cache import StateCache, dataset_version_key, estimate_entry_bytes
+from .state_cache import estimate_entry_bytes
+
+
+class SnapshotSet:
+    """What one context generation reads, and what it built from that.
+
+    :meth:`pin` takes a dataset's snapshot at the generation's first touch
+    of it, whichever read that is, uncharged: every scan, hash build and
+    probe of the generation reads that snapshot's ``records``, so a write
+    landing inside the job stays invisible until the next generation.
+    :meth:`version` is the one spelling of the proof every StateCache and
+    memo entry is filed under.  ``built`` holds what the generation
+    computed once — charged builds, uncorrelated-subquery results, Java
+    UDF instances — and lapses with it.
+    """
+
+    __slots__ = ("catalog", "pinned", "built")
+
+    def __init__(self, catalog: Dict[str, object]):
+        self.catalog = catalog
+        self.pinned: Dict[str, ReferenceSnapshot] = {}
+        self.built: Dict[tuple, object] = {}
+
+    def pin(self, dataset) -> ReferenceSnapshot:
+        snapshot = self.pinned.get(dataset.name)
+        if snapshot is None:
+            snapshot = self.pinned[dataset.name] = dataset.snapshot()
+        return snapshot
+
+    def version(self, names) -> Tuple:
+        """Sorted ``(name, lsns)`` pairs for the catalog datasets in
+        ``names``, at the LSNs this generation pinned — never live ones, so
+        a write that reaches a partition mid-job cannot file pre-write state
+        as current."""
+        catalog = self.catalog
+        return tuple(
+            (name, self.pin(catalog[name]).lsns)
+            for name in sorted(names)
+            if name in catalog
+        )
+
+    def java_instance(self, descriptor, meter: WorkMeter):
+        """This generation's instance of a Java UDF, created on first use.
+
+        Resource files are node-local: every node re-reads the whole file
+        when a new generation initializes the UDF, so ``meter`` is the
+        context's replicated meter.
+        """
+        key = ("java_instance", descriptor.qualified_name)
+        instance = self.built.get(key)
+        if instance is None:
+            instance = self.built[key] = descriptor.instantiate()
+            meter.records_scanned += instance.resource_lines_loaded
+        return instance
 
 
 class EvaluationContext:
-    """Catalog + functions + work meters + the per-batch cache."""
+    """Catalog + functions + work meters + the generation's snapshots."""
 
     def __init__(
         self,
@@ -103,8 +155,7 @@ class EvaluationContext:
         # partitioned work divided across the cluster.
         self.replicated_meter = WorkMeter(scale=reference_work_scale)
         self.allow_index = allow_index
-        self.batch_cache: Dict[object, object] = {}
-        self.generation = 0
+        self.snapshots = SnapshotSet(catalog)
         self.cluster_nodes = 1  # set by the ingestion pipelines
         # Compile-once plans (§5.2 analog): share the registry's cache when
         # there is one, so plans survive across per-batch contexts and are
@@ -126,9 +177,8 @@ class EvaluationContext:
         self.memo = memo
 
     def refresh_batch(self) -> None:
-        """Drop all cached intermediate state (a new batch begins)."""
-        self.batch_cache.clear()
-        self.generation += 1
+        """Start a new generation: nothing pinned, nothing built."""
+        self.snapshots = SnapshotSet(self.catalog)
 
     def dataset(self, name: str):
         return self.catalog.get(name)
@@ -419,41 +469,20 @@ class Evaluator:
     # ---------------------------------------------------------------- select
 
     def _cached_select(self, block: SelectBlock, env: Env):
-        """Evaluate a select block, caching it when it has no outer refs.
-
-        Cacheable = every free variable is a catalog dataset.  The cache
-        lives for one context generation (one batch), implementing the
-        stale-until-next-batch top-10 list of Figure 18.
+        """Evaluate a select block, once per generation when it has no
+        outer refs (:meth:`_uncorrelated`).
 
         With ``use_plans`` (the default) the block's compiled plan carries
         the cacheability verdict and all structural analysis; the
-        interpreted fallback re-derives them per call.  Both paths key the
-        batch cache by the plan cache's stable token — never raw ``id()``,
-        which can be recycled after the block is garbage-collected.
+        interpreted fallback re-derives them per call.
         """
         ctx = self.ctx
         if ctx.use_plans:
             plan = ctx.plan_cache.plan_for(block, env.bound_names(), ctx.catalog)
             if plan.cacheable:
-                key = ("uncorrelated", plan.token)
-                if key not in ctx.batch_cache:
-                    version_key = None
-                    if ctx.state_cache is not None:
-                        version_key = self._pinned_version_key(plan.dataset_deps)
-                        reused = self._reuse_cached_state(
-                            key, key, version_key
-                        )
-                        if reused is not None:
-                            return reused
-                    result = self._planned_select(
-                        plan, env, meter=ctx.shared_meter
-                    )
-                    ctx.batch_cache[key] = result
-                    if version_key is not None:
-                        self._install_built_state(
-                            key, version_key, result, len(result)
-                        )
-                return ctx.batch_cache[key]
+                return self._uncorrelated(
+                    plan.token, plan.dataset_deps, self._planned_select, plan, env
+                )
             if (
                 ctx.memo is not None
                 and plan.correlated_vars
@@ -465,24 +494,40 @@ class Evaluator:
             return self._planned_select(plan, env)
         fv = free_vars(block)
         if fv and all(name in ctx.catalog for name in fv):
-            key = ("uncorrelated", ctx.plan_cache.token_for(block))
-            if key not in ctx.batch_cache:
-                version_key = None
-                if ctx.state_cache is not None:
-                    version_key = self._pinned_version_key(fv)
-                    reused = self._reuse_cached_state(key, key, version_key)
-                    if reused is not None:
-                        return reused
-                result = self.evaluate_select(
-                    block, env, meter=ctx.shared_meter
-                )
-                ctx.batch_cache[key] = result
-                if version_key is not None:
-                    self._install_built_state(
-                        key, version_key, result, len(result)
-                    )
-            return ctx.batch_cache[key]
+            return self._uncorrelated(
+                ctx.plan_cache.token_for(block), fv, self.evaluate_select, block, env
+            )
         return self.evaluate_select(block, env)
+
+    def _uncorrelated(self, token, deps, select, subject, env: Env) -> List:
+        """A block whose free variables are all catalog datasets, evaluated
+        once per generation: Figure 18's top-10 list, stale until the next
+        batch.  ``select(subject, env, meter=...)`` is the planned or the
+        interpreted SELECT; its work goes on the shared meter.
+
+        Keyed by the plan cache's stable token, never raw ``id()``, which
+        can be recycled after the block is garbage-collected.  The result
+        is the one value the StateCache holds: no snapshot re-derives it.
+        """
+        ctx = self.ctx
+        key = ("uncorrelated", token)
+        built = ctx.snapshots.built
+        result = built.get(key)
+        if result is not None:
+            return result
+        cache = ctx.state_cache
+        if cache is not None:
+            version = ctx.snapshots.version(deps)
+            entry = cache.get(key, version)
+            if entry is not None:
+                ctx.shared_meter.state_cache_hits += 1
+                ctx.shared_meter.state_cache_reused_records += entry.records
+                built[key] = entry.value
+                return entry.value
+        result = built[key] = select(subject, env, meter=ctx.shared_meter)
+        if cache is not None:
+            cache.put(key, version, result, len(result))
+        return result
 
     def evaluate_select(
         self, block: SelectBlock, env: Env, meter: Optional[WorkMeter] = None
@@ -519,7 +564,7 @@ class Evaluator:
         implicit_group = (
             not block.group_keys
             and block.from_terms
-            and self._has_top_level_aggregate(block)
+            and has_top_level_aggregate(block)
         )
         if block.group_keys or implicit_group:
             rows = self._grouped_output(block, scope, tuple_envs, implicit_group)
@@ -535,17 +580,14 @@ class Evaluator:
             rows = rows[:limit]
         return rows
 
-    def _has_top_level_aggregate(self, block: SelectBlock) -> bool:
-        if block.select_value is not None and contains_aggregate(block.select_value):
-            return True
-        return any(contains_aggregate(p.expr) for p in block.projections)
-
     # ------------------------------------------------------- tuple generation
 
     def _generate_tuples(self, block: SelectBlock, scope: Env) -> List[Env]:
         conjuncts = split_conjuncts(block.where)
         outer_bound = scope.bound_names() - set(self.ctx.catalog)
-        order = self._order_terms(block.from_terms, conjuncts, outer_bound, block)
+        order = order_terms(
+            block.from_terms, conjuncts, outer_bound, frozenset(self.ctx.catalog)
+        )
         tuples: List[Env] = []
 
         def recurse(idx: int, env_cur: Env, bound: Set[str], dataset_depth: int):
@@ -587,43 +629,7 @@ class Evaluator:
         recurse(0, scope, set(outer_bound), 0)
         return tuples
 
-    def _order_terms(
-        self,
-        terms: List[FromTerm],
-        conjuncts: List[Expr],
-        outer_bound: Set[str],
-        block: SelectBlock,
-    ) -> List[FromTerm]:
-        """Greedy join-order: pick next the term with a usable access path."""
-        remaining = list(terms)
-        ordered: List[FromTerm] = []
-        bound = set(outer_bound)
-        while remaining:
-            chosen = None
-            for term in remaining:
-                if self._find_access_path(term, conjuncts, bound, block) is not None:
-                    chosen = term
-                    break
-            if chosen is None:
-                chosen = remaining[0]
-            ordered.append(chosen)
-            remaining.remove(chosen)
-            bound.add(chosen.var)
-        return ordered
-
     # ----------------------------------------------------------- access paths
-
-    def _find_access_path(
-        self,
-        term: FromTerm,
-        conjuncts: List[Expr],
-        bound: Set[str],
-        block: SelectBlock,
-    ):
-        """Return ("equality"|"spatial", field, probe_expr_builder) or None."""
-        return _plan_find_access_path(
-            term, conjuncts, bound, frozenset(self.ctx.catalog)
-        )
 
     def _access_term(
         self,
@@ -653,7 +659,7 @@ class Evaluator:
 
         dataset = self.ctx.catalog[source.name]
         no_index = "no-index" in term.hints or "no-index" in block.hints
-        path = self._find_access_path(term, conjuncts, bound, block)
+        path = find_access_path(term, conjuncts, bound, frozenset(self.ctx.catalog))
         if path is not None:
             kind, field, probe_builder = path
             if kind == "equality":
@@ -697,78 +703,13 @@ class Evaluator:
             return int(reads * (0.15 + 4.0 * pressure))
         return int(reads * 0.35 * pressure**0.5)
 
-    def _reuse_cached_state(self, batch_key, state_key, version_key):
-        """Cross-batch StateCache lookup for one materialised-state key.
-
-        On a hit the cached object is installed into this generation's
-        ``batch_cache`` (pinning it against eviction for the rest of the
-        batch) and the *reuse* — not the avoided build — is metered onto
-        ``shared_meter`` so the win is observable instead of silent.
-        Returns the cached value or ``None``.
-        """
-        cache = self.ctx.state_cache
-        if cache is None:
-            return None
-        entry = cache.get(state_key, version_key)
-        if entry is None:
-            return None
-        self.ctx.batch_cache[batch_key] = entry.value
-        self.ctx.shared_meter.state_cache_hits += 1
-        self.ctx.shared_meter.state_cache_reused_records += entry.records
-        return entry.value
-
-    def _install_built_state(self, state_key, version_key, value, records):
-        cache = self.ctx.state_cache
-        if cache is not None:
-            cache.put(state_key, version_key, value, records)
-
-    def _pin(self, dataset):
-        """The snapshot of ``dataset`` this generation reads at — uncharged.
-
-        Taken at the generation's first touch of the dataset, whichever
-        read that is.  One object is both the value — every scan, hash
-        build and probe of this generation reads its ``records`` — and,
-        through its ``lsns``, the proof every StateCache / memo ``get`` and
-        ``put`` is filed under.  So a write landing inside the job cannot
-        pass pre-write state off as current, and a write that reaches a
-        partition without going through the ``Dataset`` (``version`` does
-        not move, the WAL LSN does) invalidates like any other.  The scan
-        charge, or the StateCache reuse charge, stays with the first read
-        that needs the records (:meth:`_charged_scan`): a batch the memo
-        serves whole pins but is charged neither.
-        """
-        key = ("pinned", dataset.name)
-        snapshot = self.ctx.batch_cache.get(key)
-        if snapshot is None:
-            snapshot = self.ctx.batch_cache[key] = dataset.snapshot()
-        return snapshot
-
-    def _pinned_version_key(self, names) -> Tuple:
-        return dataset_version_key(
-            self.ctx.catalog, names, lambda dataset: self._pin(dataset).lsns
-        )
-
-    def _install_snapshot_state(self, key, snapshot, value, payload):
-        """Offer state built from ``snapshot`` to the StateCache.
-
-        ``payload`` is what the entry pins; its size estimate is memoized
-        on the snapshot, so every cache that admits this version of this
-        state (one cache per fleet tenant) walks it once.
-        """
-        cache = self.ctx.state_cache
-        if cache is not None:
-            nbytes = snapshot.derived(
-                ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
-            )
-            cache.put(key, snapshot.lsns, value, len(snapshot.records), nbytes)
-
     def _memoized_correlated(self, plan, env):
         """Key-level memo for a correlated (hash-probe-backed) subquery.
 
         The block's result is a pure function of (a) the bindings of its
         free outer variables and (b) the contents of the catalog datasets
         it reads — so an entry keyed on the canonical outer bindings and
-        guarded by the datasets' ``dataset_version_key`` is a proof the
+        guarded by the datasets' :meth:`SnapshotSet.version` is a proof the
         recomputation would be identical.  Bypasses (returns
         :data:`_MEMO_BYPASS`) whenever the proof does not hold: an outer
         variable is unbound here, a dep dataset is missing from the
@@ -789,37 +730,70 @@ class Evaluator:
                 return _MEMO_BYPASS
             bindings.append(canonical_probe_key(value))
         key = ("correlated", plan.token, tuple(bindings))
-        version_key = self._pinned_version_key(plan.correlated_deps)
-        entry = ctx.memo.get(key, version_key)
+        version = ctx.snapshots.version(plan.correlated_deps)
+        entry = ctx.memo.get(key, version)
         if entry is not None:
             ctx.meter.memo_hits += 1
             ctx.meter.memo_reused_records += entry.records
             return entry.value
         result = self._planned_select(plan, env)
-        ctx.memo.put(key, version_key, result, len(result))
+        ctx.memo.put(key, version, result, len(result))
         return result
 
-    def _charged_scan(self, dataset):
+    def _charge_build(self, key, dataset, charge) -> ReferenceSnapshot:
+        """Charge building ``key`` from ``dataset``'s pinned snapshot — or,
+        when the StateCache booked that build at the snapshot's version,
+        its reuse — and return the snapshot the state is read from.
+
+        Callers run this once per generation (``snapshots.built``) and read
+        the state from the snapshot, on a hit exactly as on a rebuild, so a
+        StateCache entry books a build (key, version, records, bytes) and
+        holds no value.  ``charge(snapshot)`` meters the build and returns
+        what its bytes are estimated over; the estimate is memoized on the
+        snapshot, so every cache that books this build (one per fleet
+        tenant) walks it once.
+        """
+        ctx = self.ctx
+        snapshot = ctx.snapshots.pin(dataset)
+        cache = ctx.state_cache
+        if cache is None:
+            charge(snapshot)
+            return snapshot
+        version = ctx.snapshots.version((dataset.name,))
+        entry = cache.get(key, version)
+        if entry is not None:
+            ctx.shared_meter.state_cache_hits += 1
+            ctx.shared_meter.state_cache_reused_records += entry.records
+            return snapshot
+        payload = charge(snapshot)
+        nbytes = snapshot.derived(
+            ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
+        )
+        cache.put(key, version, None, len(snapshot.records), nbytes)
+        return snapshot
+
+    def _charged_scan(self, dataset) -> ReferenceSnapshot:
         """The generation's pinned snapshot, charged as this batch's scan.
 
         Every batch is charged a full scan (or a StateCache reuse), as the
         modeled per-job rebuild demands; the records themselves come from
         :meth:`Dataset.snapshot`, which rescans only when the dataset has
-        taken a write since its last snapshot.
+        taken a write since its last snapshot.  A batch the memo serves
+        whole pins the snapshot but is charged neither.
         """
         key = ("scan", dataset.name)
-        snapshot = self.ctx.batch_cache.get(key)
-        if snapshot is not None:
-            return snapshot
-        snapshot = self._pin(dataset)
-        if self._reuse_cached_state(key, key, snapshot.lsns) is None:
-            scanned = len(snapshot.records)
-            self.ctx.shared_meter.records_scanned += scanned
-            self.ctx.shared_meter.penalized_reads += self._penalty_units(
-                dataset, scanned
-            )
-            self._install_snapshot_state(key, snapshot, snapshot, snapshot.records)
-        self.ctx.batch_cache[key] = snapshot
+        built = self.ctx.snapshots.built
+        snapshot = built.get(key)
+        if snapshot is None:
+
+            def charge(snapshot):
+                scanned = len(snapshot.records)
+                meter = self.ctx.shared_meter
+                meter.records_scanned += scanned
+                meter.penalized_reads += self._penalty_units(dataset, scanned)
+                return snapshot.records
+
+            snapshot = built[key] = self._charge_build(key, dataset, charge)
         return snapshot
 
     def _scan_dataset(self, dataset) -> Tuple[dict, ...]:
@@ -829,12 +803,12 @@ class Evaluator:
     def _hash_probe(self, dataset, field: str, probe_value) -> List[dict]:
         """Batch-cached hash table keyed on ``field`` (§4.3.4 case 1).
 
-        The build reads the generation's scan snapshot, so pre-warming the
-        scan cache (as the stream-model pipeline does at feed start) freezes
+        The build reads the generation's pinned snapshot, so pre-warming
+        the scan (as the stream-model pipeline does at feed start) freezes
         the data the table will be built from.  With a StateCache attached,
-        a table built at the dataset's current committed version is reused
-        across batches until a write bumps the version — the UDF observes
-        updates at exactly the same batch boundaries as a rebuild would.
+        a build booked at the dataset's pinned LSNs is charged as a reuse
+        until a write moves them — the UDF observes updates at exactly the
+        same batch boundaries as a rebuild would.
         """
         table = self._hash_table(dataset, field)
         self.ctx.meter.hash_probes += 1
@@ -851,15 +825,18 @@ class Evaluator:
         are identical whichever path triggers them first.
         """
         key = ("hash", dataset.name, field)
-        table = self.ctx.batch_cache.get(key)
+        built = self.ctx.snapshots.built
+        table = built.get(key)
         if table is None:
-            table = self._reuse_cached_state(key, key, self._pin(dataset).lsns)
-        if table is None:
-            snapshot = self._charged_scan(dataset)
-            table = snapshot.derived(key, _hash_table_builder(field))
-            self.ctx.batch_cache[key] = table
-            self.ctx.shared_meter.hash_builds += len(snapshot.records)
-            self._install_snapshot_state(key, snapshot, table, table)
+            build = _hash_table_builder(field)
+
+            def charge(snapshot):
+                self._charged_scan(dataset)
+                self.ctx.shared_meter.hash_builds += len(snapshot.records)
+                return snapshot.derived(key, build)
+
+            snapshot = self._charge_build(key, dataset, charge)
+            table = built[key] = snapshot.derived(key, build)
         return table
 
     def _btree_probe(self, dataset, index_name: str, probe_value) -> List[dict]:
@@ -994,7 +971,7 @@ class Evaluator:
     #
     # Mirrors of the interpreted SELECT machinery above, driven by a
     # compiled :class:`~repro.sqlpp.plans.SelectPlan` instead of the AST.
-    # Every WorkMeter charge and every batch-cache/visibility rule must
+    # Every WorkMeter charge and every per-generation/visibility rule must
     # stay byte-identical to the interpreted path — the access primitives
     # (_scan_dataset/_hash_probe/_btree_probe/_rtree_probe) are shared.
 

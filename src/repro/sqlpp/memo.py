@@ -17,14 +17,14 @@ memoizes the *result* of enriching one key, across batches:
   LRU-by-bytes inventory (it reuses the StateCache machinery: same
   ``get``/``put``/``configure``/``clear`` contract, same payload-aware
   sizer) keyed on the **canonical probe key** and guarded by the same
-  ``dataset_version_key`` proofs as the StateCache, so a hit is a proof
+  ``SnapshotSet.version`` proofs as the StateCache, so a hit is a proof
   the recomputation would return an identical value.  It is attached to a
   run only when ``FeedPolicy.enrichment_memo_bytes > 0`` (default 0 =
   off, keeping every committed benchmark table byte-identical).
 
-Invalidation mirrors the StateCache exactly: any committed write bumps
-the source dataset's ``version`` and makes entries guarded by it
-unreachable; DDL / ``replace_sqlpp`` / dead-letter replay clear the
+Invalidation mirrors the StateCache exactly: any committed write moves
+a partition's WAL LSN of the source dataset and makes entries guarded by
+it unreachable; DDL / ``replace_sqlpp`` / dead-letter replay clear the
 memo wholesale through the owning
 :class:`~repro.udf.registry.FunctionRegistry`.  External-enrichment
 entries carry the constant :data:`EXTERNAL_VERSION_KEY` guard (a remote's

@@ -13,7 +13,7 @@ walking the AST through ``Evaluator._DISPATCH``.
 What is deliberately *not* decided at plan time:
 
 * which physical index serves an access path — ``Dataset.index_on`` is
-  consulted per batch-cache miss, so dropping/creating an index flips the
+  consulted per access, so dropping/creating an index flips the
   chosen path without any plan invalidation;
 * per-batch visibility — the plan calls back into the evaluator's
   ``_scan_dataset`` / ``_hash_probe`` / ``_btree_probe`` / ``_rtree_probe``
@@ -902,10 +902,10 @@ class PlanCache:
     recycled by a later allocation (e.g. a re-registered function body).
     The cache therefore pins every keyed block with a strong reference, so
     an id stays unique for as long as it is used as a key, and hands out
-    monotonically increasing *tokens* for batch-cache keys.  Tokens are
-    never reused, even across :meth:`invalidate`, so a stale
-    ``("uncorrelated", token)`` batch-cache entry can never be served to a
-    different block.
+    monotonically increasing *tokens* for uncorrelated-result keys.  Tokens
+    are never reused, even across :meth:`invalidate`, so a stale
+    ``("uncorrelated", token)`` result can never be served to a different
+    block.
     """
 
     def __init__(self):
@@ -954,10 +954,10 @@ class PlanCache:
     def invalidate(self) -> None:
         """Drop every plan (function UPSERT / DDL change).
 
-        ``_next_token`` is deliberately NOT reset: batch caches may still
-        hold ``("uncorrelated", token)`` entries from the dropped plans
-        within the current generation, and a recycled token would let a
-        new block read another block's cached rows.
+        ``_next_token`` is deliberately NOT reset: the current generation's
+        ``SnapshotSet`` may still hold ``("uncorrelated", token)`` results
+        from the dropped plans, and a recycled token would let a new block
+        read another block's cached rows.
         """
         if self._plans or self._tokens:
             self.invalidations += 1

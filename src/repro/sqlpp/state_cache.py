@@ -17,7 +17,12 @@ This module implements that reuse as an LRU-by-bytes cache:
 * entries are keyed by the *identity* of the materialised state — e.g.
   ``("scan", dataset_name)``, ``("hash", dataset_name, field)``,
   ``("uncorrelated", plan_token)`` — and guarded by a **version key**:
-  the LSNs of the snapshot(s) the state was built from;
+  the sorted ``(name, lsns)`` pairs of the snapshots the state was built
+  from, as :meth:`~repro.sqlpp.evaluator.SnapshotSet.version` spells them;
+* a scan or hash entry *books* a build and holds no value: the state is
+  read from the generation's pinned snapshot, which derives it, on a hit
+  exactly as on a rebuild.  Only an uncorrelated-subquery result, which
+  no snapshot re-derives, is held as the entry's value;
 * :meth:`StateCache.get` returns the entry only when the stored version
   key equals the current one, so *any* committed write (insert, upsert,
   delete, dead-letter replay) between batches forces a rebuild at the
@@ -29,10 +34,9 @@ This module implements that reuse as an LRU-by-bytes cache:
   ``drop_index`` / ``CREATE OR REPLACE FUNCTION`` all start the next
   batch from a cold build;
 * eviction (LRU by estimated bytes, against a per-feed configured
-  budget) only drops the *cache's* reference — a batch that already
-  installed the table into its per-batch ``batch_cache`` keeps using it
-  safely, so eviction can never invalidate state a worker is mid-probe
-  on.
+  budget) only drops the *booking* — a batch that already read the
+  state keeps it in its generation's ``SnapshotSet``, so eviction can
+  never invalidate state a worker is mid-probe on.
 
 Semantics are therefore unchanged from per-batch rebuild: state is still
 stale-within-batch, and it refreshes at exactly the same batch
@@ -50,7 +54,7 @@ resume, so ``get``/``put`` never interleave mid-build.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 #: fixed per-entry overhead (key + version key + OrderedDict slot)
 ENTRY_OVERHEAD_BYTES = 512
@@ -259,18 +263,3 @@ class StateCache:
             "version_mismatches": self.version_mismatches,
         }
 
-
-def dataset_version_key(
-    catalog: Dict[str, object], names, version_of: Callable[[object], object]
-) -> Tuple:
-    """The version key for state derived from several datasets.
-
-    Sorted ``(name, version)`` pairs: equal iff every referenced dataset
-    is at the same committed version as when the state was built.
-    ``version_of`` is the evaluator's read of the LSNs its generation
-    *pinned* — never a live counter.
-    """
-    return tuple(
-        (name, version_of(catalog[name])) for name in sorted(names)
-        if name in catalog
-    )

@@ -5,11 +5,10 @@ records of one datatype with a primary key, hash-partitioned across the
 cluster's storage partitions.  Each partition is an LSM tree; secondary
 indexes are partitioned the same way (local indexes, as in AsterixDB).
 
-The dataset also tracks a monotonically increasing ``version`` — bumped on
-every committed write — which the ingestion framework uses to reason about
-which reference-data state a computing job observed (Section 5.1's
-record-level consistency discussion), and an update-activity flag feeding
-the Section 7.3 cost effects.
+Which reference-data state a computing job observed (Section 5.1's
+record-level consistency discussion) is a :class:`ReferenceSnapshot`, keyed
+by the partitions' WAL LSNs; an update-activity flag feeds the Section 7.3
+cost effects.
 """
 
 from __future__ import annotations
@@ -101,7 +100,6 @@ class Dataset:
         # index name -> per-partition SecondaryIndex list
         self.indexes: Dict[str, List[SecondaryIndex]] = {}
         self._index_fields: Dict[str, Tuple[str, IndexKind]] = {}
-        self.version = 0
         self._update_listeners: List[Callable[[str, object], None]] = []
         # the latest snapshot() call's result
         self._snapshot: Optional[ReferenceSnapshot] = None
@@ -163,7 +161,6 @@ class Dataset:
         return key, hashed % self.num_partitions
 
     def _commit(self, op: str, key) -> None:
-        self.version += 1
         for listener in self._update_listeners:
             listener(op, key)
 
@@ -188,7 +185,6 @@ class Dataset:
         if self.indexes:
             for per_partition in self.indexes.values():
                 per_partition[pid].on_upsert(old, record, key)
-        self.version += 1
         if self._update_listeners:
             for listener in self._update_listeners:
                 listener("upsert", key)

@@ -32,7 +32,7 @@ class SqlppUdf:
 class FunctionRegistry:
     """Holds every registered UDF; consulted by the evaluator on calls.
 
-    Java instances are cached in the evaluation context's batch cache, so
+    Java instances are kept in the evaluation context's ``SnapshotSet``, so
     their lifecycle follows the context generation: a dynamic computing job
     refreshes the context per batch (re-running ``initialize`` and hence
     re-reading resource files), while the static pipeline keeps one
@@ -180,20 +180,7 @@ class FunctionRegistry:
                 f"{descriptor.qualified_name} expects {descriptor.arity} "
                 f"argument(s), got {len(args)}"
             )
-        instance = self.java_instance(descriptor, ctx)
+        instance = ctx.snapshots.java_instance(descriptor, ctx.replicated_meter)
         # Expose the meter so expensive UDFs can count work units.
         instance.meter = ctx.meter
         return instance(*args)
-
-    def java_instance(self, descriptor, ctx):
-        """The context generation's instance of a Java UDF, created (and
-        its resource files read) on first use."""
-        key = ("java_instance", descriptor.qualified_name)
-        instance = ctx.batch_cache.get(key)
-        if instance is None:
-            instance = descriptor.instantiate()
-            ctx.batch_cache[key] = instance
-            # Resource files are node-local: every node re-reads the whole
-            # file when a new generation initializes the UDF.
-            ctx.replicated_meter.records_scanned += instance.resource_lines_loaded
-        return instance

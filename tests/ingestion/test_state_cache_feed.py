@@ -16,6 +16,8 @@ from repro.core.system import AsterixLite
 from repro.ingestion.adapter import GeneratorAdapter
 from repro.ingestion.policy import FeedPolicy
 from repro.ingestion.updates import ReferenceUpdateClient
+from repro.sqlpp import EvaluationContext, Evaluator
+from repro.sqlpp.state_cache import estimate_entry_bytes
 
 FEED = "CacheFeed"
 REF_RECORDS = 24
@@ -112,6 +114,34 @@ def test_cache_on_matches_cache_off_and_reports_counters():
     assert stats["state_cache_bytes"] > 0
     # Identical stored outputs; cost is the only thing that changed.
     assert output_digest(on) == output_digest(off)
+
+
+def test_scan_and_hash_entries_book_builds_and_hold_no_value():
+    """The pinned snapshot derives the scan and the hash table, so the
+    feed's cache books each build — version, records, bytes — and keeps no
+    copy of it; the bytes are the estimate for the snapshot's records or
+    table, as when the entry held them."""
+    system = build_system()
+    run_feed(system, raw_tweets(30), cache_policy())
+    ratings = system.catalog["SafetyRatings"]
+    snapshot = ratings.snapshot()
+    evaluator = Evaluator(EvaluationContext(system.catalog))
+    table = evaluator._hash_table(ratings, "county")
+    expected = {
+        ("scan", "SafetyRatings"): estimate_entry_bytes(snapshot.records),
+        ("hash", "SafetyRatings", "county"): estimate_entry_bytes(table),
+    }
+    booked = {
+        key: entry
+        for key, entry in feed_cache(system)._entries.items()
+        if key[0] in ("scan", "hash")
+    }
+    assert set(booked) == set(expected)
+    for key, entry in booked.items():
+        assert entry.value is None
+        assert entry.nbytes == expected[key]
+        assert entry.records == len(snapshot.records) == REF_RECORDS
+        assert entry.version_key == (("SafetyRatings", snapshot.lsns),)
 
 
 def test_cache_survives_across_runs_until_reference_changes():

@@ -20,6 +20,11 @@ def make_target():
     return Dataset("Tweets", TWEET_TYPE_FULL, "id", num_partitions=3)
 
 
+def wal_appends(dataset) -> int:
+    """Writes the dataset committed: its partitions' WAL LSNs summed."""
+    return sum(tree.lsn for tree in dataset.partitions)
+
+
 def typed_tweets(count):
     raws = TweetGenerator(seed=11).raw_json(count)
     return [parse_json(raw, TWEET_TYPE_FULL) for raw in raws]
@@ -61,7 +66,7 @@ class TestStoreBatchOncePerRecord:
         n = len(records)
         assert calls == {"key_hash": n, "locate": n}
         assert storage.records_stored == n
-        assert target.version == n
+        assert wal_appends(target) == n
         in_order = [r["id"] for part in outputs for r in part]
         assert events == [("upsert", key) for key in in_order]
         # node and partition are the same hash under two moduli
@@ -93,7 +98,7 @@ class TestStoreBatchOncePerRecord:
         target = make_target()
         assert target.upsert_many(typed_tweets(50)) == 50
         assert calls == {"key_hash": 50, "locate": 50}
-        assert target.version == 50
+        assert wal_appends(target) == 50
 
     def test_target_type_is_still_enforced_at_store(self):
         storage = _StorageLayer(Cluster(NODES), make_target())
@@ -109,7 +114,7 @@ class TestStoreBatchOncePerRecord:
 
 def test_plain_feed_storage_counters_match_the_parent_commit():
     """50k tweets through a typed plain feed: every LSM counter and the
-    dataset version as measured at the commit before the codec."""
+    WAL LSNs as measured at the commit before the codec."""
     system = AsterixLite(num_nodes=2, default_partitions=2)
     system.create_type("TweetType", dict(TWEET_TYPE_FULL.fields))
     system.create_dataset("Tweets", "TweetType", "id")
@@ -121,7 +126,7 @@ def test_plain_feed_storage_counters_match_the_parent_commit():
     )
     target = system.catalog["Tweets"]
     assert report.records_stored == 50_000
-    assert target.version == 50_000
+    assert wal_appends(target) == 50_000
     assert target.storage_stats() == {
         "inserts": 0,
         "upserts": 50_000,

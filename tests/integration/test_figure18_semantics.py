@@ -101,6 +101,6 @@ class TestTop10Refresh:
             evaluator.evaluate_query(expr, {"t": {"id": i, "country": "C05"}})
         # one cached uncorrelated-subquery entry; the group/sort work of
         # computing the ranking was charged once (shared), not 25 times
-        cached = [k for k in ctx.batch_cache if k[0] == "uncorrelated"]
+        cached = [k for k in ctx.snapshots.built if k[0] == "uncorrelated"]
         assert len(cached) == 1
         assert ctx.shared_meter.group_items == 78  # sum(1..12) keywords

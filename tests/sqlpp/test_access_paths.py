@@ -41,7 +41,7 @@ class TestHashAccess:
         ctx, ev = build({"SafetyRatings": ratings})
         expr = parse_expression(QUERY)
         assert ev.evaluate_query(expr, {"t": {"country": "US"}}) == ["3"]
-        assert ("hash", "SafetyRatings", "country_code") in ctx.batch_cache
+        assert ("hash", "SafetyRatings", "country_code") in ctx.snapshots.built
         assert ctx.shared_meter.hash_builds == 2
         assert ctx.meter.hash_probes == 1
 
@@ -64,10 +64,11 @@ class TestHashAccess:
         ctx, ev = build({"SafetyRatings": ratings})
         expr = parse_expression(QUERY)
         ev.evaluate_query(expr, {"t": {"country": "US"}})
+        stale = ctx.snapshots.pinned["SafetyRatings"]
         ratings.upsert({"country_code": "US", "safety_rating": "1"})
         ctx.refresh_batch()
         assert ev.evaluate_query(expr, {"t": {"country": "US"}}) == ["1"]
-        assert ctx.generation == 1
+        assert ctx.snapshots.pinned["SafetyRatings"] is not stale
 
     def test_equality_probe_on_missing_value_empty(self, ratings):
         ctx, ev = build({"SafetyRatings": ratings})
@@ -143,7 +144,7 @@ class TestSpatialAccess:
         )
         assert sorted(got) == ["m2", "m3", "m4"]
         assert ctx.meter.rtree_nodes_visited > 0
-        assert ("scan", "monumentList") not in ctx.batch_cache
+        assert ("scan", "monumentList") not in ctx.snapshots.built
 
     def test_rtree_sees_midbatch_inserts(self, monuments):
         ctx, ev = build({"monumentList": monuments})
@@ -163,7 +164,7 @@ class TestSpatialAccess:
         )
         assert sorted(got) == ["m2", "m3", "m4"]
         assert ctx.meter.rtree_nodes_visited == 0
-        assert ("scan", "monumentList") in ctx.batch_cache
+        assert ("scan", "monumentList") in ctx.snapshots.built
 
     def test_flipped_circle_pattern_probes_index(self, monuments):
         # spatial_intersect(create_point(outer), create_circle(m.field, R))
@@ -253,8 +254,8 @@ class TestJoinOrdering:
         got = ev.evaluate_query(parse_expression(query), {"t": {"x": 15.0, "y": 5.0}})
         assert sorted(got) == sorted(f"f{i}" for i in range(10, 21))
         # both accesses went through R-trees — no full scans cached
-        assert ("scan", "F") not in ctx.batch_cache
-        assert ("scan", "D") not in ctx.batch_cache
+        assert ("scan", "F") not in ctx.snapshots.built
+        assert ("scan", "D") not in ctx.snapshots.built
 
 
 class TestPaperUdfRegression:

@@ -33,7 +33,7 @@ class TestAllowIndex:
         )
         assert sorted(got) == ["m4", "m5", "m6"]
         assert ctx.meter.rtree_nodes_visited == 0
-        assert ("scan", "monumentList") in ctx.batch_cache
+        assert ("scan", "monumentList") in ctx.snapshots.built
 
     def test_allow_index_true_probes(self, monuments):
         ctx = EvaluationContext({"monumentList": monuments}, allow_index=True)
@@ -61,21 +61,21 @@ class TestAllowIndex:
 
 
 class TestGenerations:
-    def test_generation_counter(self, monuments):
+    def test_refresh_starts_a_new_snapshot_set(self, monuments):
         ctx = EvaluationContext({"monumentList": monuments})
-        assert ctx.generation == 0
+        first = ctx.snapshots
         ctx.refresh_batch()
-        ctx.refresh_batch()
-        assert ctx.generation == 2
+        assert ctx.snapshots is not first
+        assert ctx.snapshots.catalog is ctx.catalog
 
     def test_refresh_clears_all_cache_kinds(self, monuments):
         ctx = EvaluationContext({"monumentList": monuments}, allow_index=False)
         Evaluator(ctx).evaluate_query(
             parse_expression(QUERY), {"t": {"x": 1.0, "y": 0.0}}
         )
-        assert ctx.batch_cache
+        assert ctx.snapshots.pinned and ctx.snapshots.built
         ctx.refresh_batch()
-        assert not ctx.batch_cache
+        assert not ctx.snapshots.pinned and not ctx.snapshots.built
 
     def test_broadcast_uses_cluster_nodes(self, monuments):
         small = EvaluationContext({"monumentList": monuments})

@@ -19,7 +19,7 @@ from repro.errors import IndexError_
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
-from repro.sqlpp import EvaluationContext, Evaluator, parse_function
+from repro.sqlpp import EvaluationContext, parse_function
 from repro.sqlpp.plans import PlanCache
 from repro.storage import IndexKind
 from tests.udf import per_record_chain
@@ -74,9 +74,9 @@ def test_zero_per_record_analysis_after_warmup(
         _counting(plans_module.order_terms, counter, "order_terms"),
     )
     monkeypatch.setattr(
-        Evaluator,
-        "_order_terms",
-        _counting(Evaluator._order_terms, counter, "order_terms"),
+        evaluator_module,
+        "order_terms",
+        _counting(evaluator_module.order_terms, counter, "order_terms"),
     )
 
     for batch in range(3):
@@ -145,24 +145,24 @@ def test_dropped_and_recreated_index_flips_access_path(
         [AttachedFunction("enrichTweetQ1")], registry, RunCounters()
     )
 
-    def run_batch(ctx):
+    def run_batch(ctx, batch):
         ctx.refresh_batch()
-        invoker([dict(sample_tweet, id=ctx.generation)], ctx)
+        invoker([dict(sample_tweet, id=batch)], ctx)
         return ctx
 
     ctx = EvaluationContext(small_catalog, functions=registry)
-    run_batch(ctx)
+    run_batch(ctx, 1)
     assert ctx.meter.hash_probes > 0  # no index yet: batch hash join
     assert ctx.meter.btree_probes == 0
 
     dataset.create_index("sr_cc", "country_code", IndexKind.BTREE)
     before = ctx.meter.btree_probes
-    run_batch(ctx)
+    run_batch(ctx, 2)
     assert ctx.meter.btree_probes > before  # flipped to live B-tree probes
 
     dataset.drop_index("sr_cc")
     hash_before = ctx.meter.hash_probes
-    run_batch(ctx)
+    run_batch(ctx, 3)
     assert ctx.meter.hash_probes > hash_before  # back to the hash build
 
     # the flip needed no replanning: index choice is consulted at runtime

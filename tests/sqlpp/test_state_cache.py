@@ -9,14 +9,15 @@ from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator
+from repro.sqlpp.evaluator import SnapshotSet
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import (
     ENTRY_OVERHEAD_BYTES,
     StateCache,
-    dataset_version_key,
     estimate_payload_bytes,
 )
 from repro.storage import Dataset
+from repro.storage.dataset import ReferenceSnapshot
 from repro.udf import FunctionRegistry
 
 
@@ -87,8 +88,8 @@ class TestStateCacheUnit:
         assert cache.stats()["invalidations"] == 1
 
     def test_eviction_never_invalidates_a_pinned_value(self):
-        """A batch that installed the value into its batch cache keeps a
-        strong reference, so eviction only drops the cache's own ref."""
+        """A batch that read the value keeps it in its generation's
+        ``SnapshotSet``, so eviction only drops the cache's own ref."""
         table = {"k": ["v"]}
         cache = StateCache(budget_bytes=payload_entry_bytes(table))
         cache.put(("hash", "R", "f"), 1, table, records=10)
@@ -145,16 +146,23 @@ class TestStateCacheUnit:
         assert stats["hit_ratio"] == pytest.approx(1 / 3)
         assert cache.hit_ratio == pytest.approx(1 / 3)
 
-    def test_dataset_version_key_sorted_and_filtered(self):
+    def test_snapshot_set_version_sorted_filtered_pinned(self):
         class FakeDs:
-            def __init__(self, version):
-                self.version = version
+            def __init__(self, name, lsns):
+                self.name, self.lsns, self.snapshots = name, lsns, 0
 
-        catalog = {"B": FakeDs(7), "A": FakeDs(2)}
-        key = dataset_version_key(
-            catalog, {"B", "A", "Missing"}, lambda dataset: dataset.version
-        )
-        assert key == (("A", 2), ("B", 7))
+            def snapshot(self):
+                self.snapshots += 1
+                return ReferenceSnapshot((), self.lsns)
+
+        catalog = {"B": FakeDs("B", (7,)), "A": FakeDs("A", (2, 3))}
+        snapshots = SnapshotSet(catalog)
+        key = snapshots.version({"B", "A", "Missing"})
+        assert key == (("A", (2, 3)), ("B", (7,)))
+        catalog["A"].lsns = (2, 4)  # a write after the pin is not seen
+        assert snapshots.version(["A"]) == (("A", (2, 3)),)
+        assert snapshots.version(["B", "A"]) == key
+        assert [catalog[name].snapshots for name in "AB"] == [1, 1]
 
 
 @pytest.fixture
@@ -269,9 +277,9 @@ class TestEvaluatorIntegration:
     def test_partition_write_invalidates_like_a_dataset_write(
         self, small_catalog, registry, sample_tweet, path, with_memo
     ):
-        """A write straight to a partition moves the WAL LSN but not
-        ``Dataset.version``; the caches key on what the snapshot keys on,
-        so the next batch sees it — cache-on equals cache-off."""
+        """A write straight to a partition bypasses the ``Dataset`` but
+        moves the WAL LSN; the caches key on what the snapshot keys on, so
+        the next batch sees it — cache-on equals cache-off."""
         ratings = small_catalog["SafetyRatings"]
         attached = [AttachedFunction("enrichTweetQ1")]
 
@@ -291,11 +299,9 @@ class TestEvaluatorIntegration:
                 )
             ratings.upsert({"country_code": "US", "safety_rating": "3"})
             invoke()
-            version = ratings.version
             update = {"country_code": "US", "safety_rating": "8"}
             key, hashed = ratings.locate(update)
             ratings.partitions[hashed % ratings.num_partitions].upsert(key, update)
-            assert ratings.version == version
             ctx.refresh_batch()
             return invoke()[0]["safety_rating"], ctx
 

@@ -63,11 +63,11 @@ class TestWrites:
         with pytest.raises(AdmTypeError):
             ds.insert({"id": "nope"})
 
-    def test_version_bumps_on_writes(self, dataset):
-        v = dataset.version
+    def test_every_write_appends_to_the_wal(self, dataset):
+        before = sum(tree.lsn for tree in dataset.partitions)
         dataset.upsert({"id": 1, "value": 0})
         dataset.delete(2)
-        assert dataset.version == v + 2
+        assert sum(tree.lsn for tree in dataset.partitions) == before + 2
 
     def test_update_listener_fires(self, dataset):
         events = []

@@ -228,3 +228,55 @@ def test_a_feed_setting_is_one_a_workload_varies():
     for field in ("write_mode", "storage_queue_capacity"):
         with pytest.raises(TypeError):
             FeedDefinition("F", "T", **{field: 1})
+
+
+def test_reference_state_has_one_owner():
+    """What a batch reads of its reference data, and what it built from
+    that, has one owner: the generation's ``SnapshotSet``.  The batch
+    cache, its other spellings of the LSN proof, the interpreter's copies
+    of the plan analysis and the write and run counters nothing read do
+    not come back."""
+    import inspect
+    import re
+
+    from repro.adm import open_type
+    from repro.hyracks.executor import LocalJobRunner
+    from repro.runtime.kernel import Signal
+    from repro.sqlpp import EvaluationContext, Evaluator
+    from repro.storage import Dataset
+    from repro.udf.registry import FunctionRegistry
+
+    gone = re.compile(
+        r"\b(batch_cache|dataset_version_key|_pin|_pinned_version_key"
+        r"|_reuse_cached_state|_install_built_state|_install_snapshot_state"
+        r"|sim_started_at|sim_finished_at)\b"
+    )
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}: {match.group(0)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for match in gone.finditer(path.read_text())
+    ]
+    assert not offenders, offenders
+    ctx = EvaluationContext({})
+    assert not hasattr(ctx, "generation")
+    for name in ("_order_terms", "_has_top_level_aggregate", "_find_access_path"):
+        assert not hasattr(Evaluator, name), name
+    assert not hasattr(FunctionRegistry, "java_instance")
+    assert not hasattr(Dataset("D", open_type("T"), "id"), "version")
+    assert not hasattr(Signal(None, "s"), "notifications")
+    assert "clock" not in inspect.signature(LocalJobRunner).parameters
+
+    # a snapshot's LSNs are read in one place above storage: the proof
+    readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.parent.name == "storage":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                readers += [
+                    f"{path.relative_to(SRC).as_posix()}::{function.name}"
+                    for node in ast.walk(function)
+                    if isinstance(node, ast.Attribute) and node.attr == "lsns"
+                ]
+    assert readers == ["sqlpp/evaluator.py::version"], readers

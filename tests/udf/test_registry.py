@@ -124,7 +124,8 @@ class TestJavaLifecycle:
         descriptor = self.make_descriptor(["a", "b"])
         reg.register_java(descriptor)
         ctx = EvaluationContext({}, functions=reg)
-        instance = reg.java_instance(descriptor, ctx)  # a static feed's prewarm
+        # a static feed's prewarm
+        instance = ctx.snapshots.java_instance(descriptor, ctx.replicated_meter)
         assert ctx.replicated_meter.records_scanned == 2
         assert reg.invoke_java("lib", "counting", [None], ctx) == 2
         assert _CountingUdf.instances == 1
