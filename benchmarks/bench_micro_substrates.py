@@ -13,7 +13,14 @@ import pytest
 from repro.adm import DateTime, Point, open_type, parse_json
 from repro.cluster import Cluster
 from repro.ingestion.pipelines import _StorageLayer
-from repro.sqlpp import EvaluationContext, Evaluator, edit_distance, parse_expression
+from repro.sqlpp import (
+    EvaluationContext,
+    Evaluator,
+    edit_distance,
+    parse_expression,
+    parse_function,
+)
+from repro.sqlpp.columnar import compile_block_kernel
 from repro.storage import BPlusTree, Dataset, LSMTree, RTree
 from repro.udf.library import SQLPP_UDFS, RemoveSpecialUdf
 from repro.workloads import (
@@ -186,3 +193,31 @@ def test_micro_sqlpp_hash_enrichment(benchmark):
             evaluator.evaluate_query(expr, {"t": tweet})
 
     benchmark(enrich_all)
+
+
+def test_micro_sqlpp_probe_kernel(benchmark):
+    """Q3's BlockKernel over one 420-tweet batch against 200 countries x 25
+    religion rows, one generation per round: the snapshot, its hash table
+    and its shaped rows stay, as they do between a feed's batches.  The
+    per-record interpreter path is test_micro_sqlpp_hash_enrichment."""
+    workload = PaperWorkload(scale=WorkloadScale(reference_scale=0.01))
+    religions = Dataset(
+        "ReligiousPopulations", open_type("T"), "rid", num_partitions=4,
+        validate=False,
+    )
+    for record in workload.religious_populations():
+        religions.insert(record)
+    religions.flush_all()
+    catalog = {"ReligiousPopulations": religions}
+    ctx = EvaluationContext(catalog)
+    definition = parse_function(SQLPP_UDFS["largest_religions"])
+    params = tuple(definition.params)
+    plan = ctx.plan_cache.plan_for(definition.body, frozenset(params), catalog)
+    kernel = compile_block_kernel(plan, params, ctx)
+    tweets = [json.loads(raw) for raw in workload.tweet_generator.raw_json(420)]
+
+    def enrich_batch():
+        ctx.refresh_batch()
+        kernel.run(Evaluator(ctx), tweets)
+
+    benchmark(enrich_batch)

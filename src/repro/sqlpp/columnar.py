@@ -11,10 +11,12 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   cacheable block evaluated once per batch through
   ``Evaluator._cached_select`` and broadcast, or a single-term equality
   block run as **one hash-probe pass per batch** against the evaluator's
-  per-generation (and, cross-batch, StateCache-booked) build table, with the
+  per-generation (and, cross-batch, StateCache-booked) build table.  The
   inner block's shaping (SELECT VALUE / named projections / implicit
-  GROUP BY aggregates / single-key ORDER BY / LIMIT) applied per match
-  list;
+  GROUP BY aggregates / single-key ORDER BY / LIMIT) runs once per build
+  key and reference snapshot, not once per record: a key's shaped rows
+  are derived on the snapshot beside the table they are shaped from
+  (:func:`_shaped_rows`);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -36,7 +38,9 @@ subqueries go through the shared evaluator primitives (``_hash_table`` /
 charge one aggregated per-batch increment equal to the sum of the scalar
 per-record increments, which is why they are only hoisted from
 always-evaluated positions and why per-match shaping is restricted to
-charge-free expressions.
+charge-free expressions.  A record served rows an earlier batch shaped
+is charged its probe and its sort / group items exactly as if it had
+shaped them itself.
 
 Failure protocol: kernels never handle errors themselves.  A
 :class:`KernelFallback` runtime guard aborts one function's kernel: the
@@ -50,7 +54,7 @@ failed.  A build an aborted attempt charged is kept in the generation's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..adm.values import MISSING
 from ..storage.index import IndexKind
@@ -74,7 +78,7 @@ from .ast import (
     VarRef,
     walk,
 )
-from .evaluator import Env, _sort_key
+from .evaluator import Env, _sort_key, table_key
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
 from .plans import (
@@ -281,9 +285,10 @@ def compile_match_expr(expr: Expr, var: str, functions) -> Callable:
     Anything else raises :class:`Unsupported` and the enclosing column
     runs per record: outer references and nested selects need the
     per-record env; Java, registry and metered builtin calls can charge,
-    and shaping skips matches (LIMIT, memo hits) the scalar path
-    evaluates.  A registry function shadowing a builtin name is refused
-    like any other — the closure's registry-first lookup is the only one.
+    and shaping skips matches the scalar path evaluates (LIMIT, memo
+    hits, every key an earlier batch already shaped).  A registry
+    function shadowing a builtin name is refused like any other — the
+    closure's registry-first lookup is the only one.
     """
     for node in walk(expr):
         if not isinstance(node, _MATCH_NODES):
@@ -300,6 +305,11 @@ def compile_match_expr(expr: Expr, var: str, functions) -> Callable:
 
 
 # ------------------------------------------------------- probe subquery kernel
+#
+# A compiled *shaping* is ``(shape, counter)``: ``shape(ev, matches)``
+# returns the rows of one match list, and ``counter`` names the WorkMeter
+# field the scalar path adds each record's match count to (``sort_items``
+# under ORDER BY, ``group_items`` for an implicit group), or is None.
 
 
 def _compile_probe_kernel(
@@ -337,13 +347,12 @@ def _compile_probe_kernel(
     dataset_name = tp.dataset_name
     no_index = tp.no_index
 
-    # --- shaping: compiled per match list ---------------------------------
     if inner_plan.implicit_group:
         if inner_plan.order_items or block.limit is not None:
             raise Unsupported("ORDER/LIMIT over an implicit group")
-        shape = _compile_group_shape(block, var, ctx.functions)
+        shaping = _compile_group_shape(block, var, ctx.functions)
     else:
-        shape = _compile_row_shape(inner_plan, block, var, ctx.functions)
+        shaping = _compile_row_shape(inner_plan, block, var, ctx.functions)
 
     token = inner_plan.token
 
@@ -360,24 +369,7 @@ def _compile_probe_kernel(
             raise KernelFallback(f"B-tree on {dataset_name}.{field}")
         probe_col = probe_k(ev, cb)
         if ctx.memo is None:
-            table = ev._hash_table(dataset, field)
-            # one aggregated charge == n per-record `hash_probes += 1`
-            ctx.meter.hash_probes += cb.n
-            empty: List = []
-            get = table.get
-            out = []
-            append = out.append
-            for key in probe_col:
-                if key is MISSING or key is None:
-                    matches = empty
-                elif key != key:
-                    # NaN probe: dict lookup could identity-match the stored
-                    # key, but the scalar WHERE recheck (NaN = NaN) rejects it
-                    matches = empty
-                else:
-                    matches = get(key, empty)
-                append(matches)
-            return shape(ev, out)
+            return _shaped_rows(ev, dataset, field, shaping, probe_col)
         return run_memoized(ev, cb, dataset, probe_col)
 
     def run_memoized(ev, cb, dataset, probe_col):
@@ -388,12 +380,12 @@ def _compile_probe_kernel(
         memo) — reuses the shaped row list and is charged through the
         priced ``memo_hits`` / ``memo_reused_records`` counters; only the
         remaining misses acquire the hash table (an all-hit batch skips
-        even the build/StateCache lookup), pay their per-record
-        ``hash_probes``, and run the compiled shaping, so miss charges are
-        computed by exactly the unmemoized code.  With zero hits the
-        charges and output are identical to the plain path.  NULL/MISSING/
-        NaN probes never memoize (the scalar recheck semantics make them
-        per-record empties) and stay probe-charged misses.
+        even the build/StateCache lookup) and go through
+        :func:`_shaped_rows`, so miss charges are computed by exactly the
+        unmemoized code.  With zero hits the charges and output are
+        identical to the plain path.  NULL/MISSING/NaN probes never
+        memoize (the scalar recheck semantics make them per-record
+        empties) and stay probe-charged misses.
         """
         ctx = ev.ctx
         memo = ctx.memo
@@ -423,17 +415,7 @@ def _compile_probe_kernel(
             meter.memo_reused_records += len(rows)
             slots[i] = rows
         if miss_indices:
-            table = ev._hash_table(dataset, field)
-            meter.hash_probes += len(miss_indices)
-            empty: List = []
-            get = table.get
-            out = []
-            for key in miss_keys:
-                if key is MISSING or key is None or key != key:
-                    out.append(empty)
-                else:
-                    out.append(get(key, empty))
-            shaped = shape(ev, out)
+            shaped = _shaped_rows(ev, dataset, field, shaping, miss_keys)
             memo_put = memo.put
             for slot, key, rows in zip(miss_indices, miss_keys, shaped):
                 slots[slot] = rows
@@ -447,21 +429,73 @@ def _compile_probe_kernel(
     return run
 
 
-def _compile_group_shape(block: SelectBlock, var: str, functions) -> Callable:
-    """Implicit-group shaping: one aggregate row per record's match list."""
+def _new_store(_records) -> Dict:
+    return {}
+
+
+def _shaped_rows(ev, dataset, field: str, shaping: Tuple, keys: List) -> List:
+    """The shaped rows of each probe key in ``keys``, one probe each.
+
+    A key's rows are a pure function of its build-table match list and the
+    compiled shaping (:func:`compile_match_expr` admits nothing that
+    charges or reads past the match record), so they are derived once per
+    reference snapshot: the store is a ``derived`` value of the snapshot
+    the generation pinned — the one the ``("hash", name, field)`` table
+    is built from — keyed by the compiled shaping, never by a plan token
+    (tokens are per ``PlanCache``), and it is replaced with the snapshot
+    on any write.  A key is shaped the first time a batch probes it.  Keys
+    that match nothing (absent, NULL, MISSING, and NaN, which the scalar
+    WHERE recheck rejects) share the single entry of the empty match list,
+    filed under ``None``, which no table key equals, so the store never
+    holds more than the table's distinct keys + 1 entries.  Records share
+    row lists; nothing downstream mutates them in place.
+
+    Every charge stays per record: ``hash_probes`` +1 per key, and the
+    shaping's counter + each key's match count.
+    """
+    shape, counter = shaping
+    ctx = ev.ctx
+    table = ev._hash_table(dataset, field)
+    store = ctx.snapshots.pin(dataset).derived(
+        ("shaped", field, shape), _new_store
+    )
+    cached = store.get
+    matched = table.get
+    out = []
+    append = out.append
+    total = 0
+    for key in keys:
+        if key is MISSING or key is None or key != key:
+            key = None
+        else:
+            key = table_key(key)
+        entry = cached(key)
+        if entry is None:
+            matches = matched(key) if key is not None else None
+            if matches is None:
+                key, matches = None, []
+                entry = cached(None)
+            if entry is None:
+                # a KernelFallback raised by the shaping stores nothing
+                entry = store[key] = (len(matches), shape(ev, matches))
+        total += entry[0]
+        append(entry[1])
+    meter = ctx.meter
+    meter.hash_probes += len(keys)
+    if counter is not None:
+        setattr(meter, counter, getattr(meter, counter) + total)
+    return out
+
+
+def _compile_group_shape(block: SelectBlock, var: str, functions) -> Tuple:
+    """Implicit-group shaping: one aggregate row over a match list."""
     if block.select_value is not None:
         spec = _aggregate_spec(block.select_value, var, functions)
 
-        def shape_value(ev, match_lists):
-            total = 0
-            out = []
-            for matches in match_lists:
-                total += len(matches)
-                out.append([_run_aggregate(ev, spec, matches)])
-            ev.ctx.meter.group_items += total
-            return out
+        def shape_value(ev, matches):
+            return [_run_aggregate(ev, spec, matches)]
 
-        return shape_value
+        return shape_value, "group_items"
     specs = []
     for position, proj in enumerate(block.projections, start=1):
         if isinstance(proj.expr, Star):
@@ -469,21 +503,15 @@ def _compile_group_shape(block: SelectBlock, var: str, functions) -> Callable:
         name = proj.alias or default_alias(proj.expr, fallback=f"${position}")
         specs.append((name, _aggregate_spec(proj.expr, var, functions)))
 
-    def shape(ev, match_lists):
-        total = 0
-        out = []
-        for matches in match_lists:
-            total += len(matches)
-            row = {}
-            for name, spec in specs:
-                value = _run_aggregate(ev, spec, matches)
-                if value is not MISSING:
-                    row[name] = value
-            out.append([row])
-        ev.ctx.meter.group_items += total
-        return out
+    def shape(ev, matches):
+        row = {}
+        for name, spec in specs:
+            value = _run_aggregate(ev, spec, matches)
+            if value is not MISSING:
+                row[name] = value
+        return [row]
 
-    return shape
+    return shape, "group_items"
 
 
 def _aggregate_spec(expr: Expr, var: str, functions) -> Tuple:
@@ -516,7 +544,7 @@ def _run_aggregate(ev, spec: Tuple, matches: List):
 
 def _compile_row_shape(
     plan: SelectPlan, block: SelectBlock, var: str, functions
-) -> Callable:
+) -> Tuple:
     """Per-match projection + optional single-key ORDER BY + literal LIMIT."""
     if block.select_value is not None:
         project = compile_match_expr(block.select_value, var, functions)
@@ -551,7 +579,7 @@ def _compile_row_shape(
         order_fn = compile_match_expr(item.expr, var, functions)
         descending = item.descending
 
-    limit = None
+    limit: Optional[int] = None
     if block.limit is not None:
         if not (
             isinstance(block.limit, Literal)
@@ -563,39 +591,26 @@ def _compile_row_shape(
 
     if order_fn is None:
 
-        def shape_plain(ev, match_lists):
-            return [
-                [project(ev, m) for m in matches[:limit]]
-                for matches in match_lists
+        def shape_plain(ev, matches):
+            return [project(ev, m) for m in matches[:limit]]
+
+        return shape_plain, None
+
+    def shape(ev, matches):
+        rows = [project(ev, m) for m in matches]
+        if rows:
+            for row in rows:
+                if isinstance(row, dict):
+                    # _order_env would rebind row keys — scalar only
+                    raise KernelFallback("dict rows under ORDER BY")
+            pairs = [
+                (_sort_key(order_fn(ev, m)), row) for m, row in zip(matches, rows)
             ]
+            pairs.sort(key=_item0, reverse=descending)
+            rows = [row for _key, row in pairs]
+        return rows[:limit]
 
-        return shape_plain
-
-    def shape(ev, match_lists):
-        out = []
-        append = out.append
-        sort_total = 0
-        for matches in match_lists:
-            rows = [project(ev, m) for m in matches]
-            sort_total += len(rows)
-            if rows:
-                for row in rows:
-                    if isinstance(row, dict):
-                        # _order_env would rebind row keys — scalar only
-                        raise KernelFallback("dict rows under ORDER BY")
-                pairs = [
-                    (_sort_key(order_fn(ev, m)), row)
-                    for m, row in zip(matches, rows)
-                ]
-                pairs.sort(key=_item0, reverse=descending)
-                rows = [row for _key, row in pairs]
-            if limit is not None:
-                rows = rows[:limit]
-            append(rows)
-        ev.ctx.meter.sort_items += sort_total
-        return out
-
-    return shape
+    return shape, "sort_items"
 
 
 def _item0(pair):

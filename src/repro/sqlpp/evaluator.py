@@ -248,6 +248,18 @@ _ITEM0 = itemgetter(0)
 _MEMO_BYPASS = object()
 
 
+def table_key(value):
+    """``value`` as a key of a hash-join build table.
+
+    Arrays and objects are unhashable, so they key by
+    :func:`~repro.sqlpp.memo.canonical_probe_key`: equal ADM values share
+    one key, and no scalar equals one (``'US' = ['US']`` is false).
+    """
+    if isinstance(value, (list, dict)):
+        return canonical_probe_key(value)
+    return value
+
+
 def _hash_table_builder(field: str):
     """``records -> {field value: [records]}``, the hash-join build side."""
     get = field_getter(field)
@@ -257,7 +269,7 @@ def _hash_table_builder(field: str):
         for record in records:
             value = get(record)
             if value is not MISSING and value is not None:
-                table.setdefault(value, []).append(record)
+                table.setdefault(table_key(value), []).append(record)
         return table
 
     return build
@@ -814,7 +826,7 @@ class Evaluator:
         self.ctx.meter.hash_probes += 1
         if probe_value is MISSING or probe_value is None:
             return []
-        return table.get(probe_value, [])
+        return table.get(table_key(probe_value), [])
 
     def _hash_table(self, dataset, field: str) -> Dict:
         """The batch-cached build side of :meth:`_hash_probe`.

@@ -13,11 +13,13 @@ import json
 
 import pytest
 
+from repro.core import AsterixLite
 from repro.hyracks.cost import WorkMeter
 from repro.ingestion import FeedFabric, FeedLaunch, FeedPolicy, GeneratorAdapter
 from repro.ingestion.feed import AttachedFunction
 from repro.storage import ReferenceSnapshot
 from repro.udf import JavaUdf, JavaUdfDescriptor
+from repro.udf.library import SQLPP_UDFS
 
 from .test_fabric import build_fleet, elastic, raws
 from .test_state_cache_feed import BATCH, FEED, build_system, raw_tweets, run_feed
@@ -95,6 +97,74 @@ def test_ten_batches_scan_once_and_charge_ten_times(charges, policy):
     assert sum(1 for c in shared_charges if c[scanned]) == (
         1 if policy.state_cache_bytes else 10
     )
+    assert report.simulated_seconds == baseline.simulated_seconds
+    assert report.batch_stats == baseline.batch_stats
+    assert report.counters == baseline.counters
+    assert stored(shared) == stored(rescanning)
+
+
+def build_religions(function: str) -> AsterixLite:
+    """A small ReligiousPopulations and the paper's ``function`` on FEED."""
+    system = AsterixLite(num_nodes=2)
+    system.execute(
+        """
+        CREATE TYPE TweetType AS OPEN { id: int64, text: string };
+        CREATE DATASET EnrichedTweets(TweetType) PRIMARY KEY id;
+        CREATE TYPE ReligionType AS OPEN { rid: int64 };
+        CREATE DATASET ReligiousPopulations(ReligionType) PRIMARY KEY rid;
+        """
+    )
+    system.insert(
+        "ReligiousPopulations",
+        [
+            {
+                "rid": i,
+                "country_name": f"C{i % 4}",
+                "religion_name": f"rel{i % 7}",
+                "population": (37 * i) % 100,
+            }
+            for i in range(40)
+        ],
+    )
+    system.catalog["ReligiousPopulations"].flush_all()
+    system.execute(
+        SQLPP_UDFS[function]
+        + f""";
+        CREATE FEED {FEED} WITH {{ "type-name": "TweetType" }};
+        CONNECT FEED {FEED} TO DATASET EnrichedTweets
+            APPLY FUNCTION {UDF_NAMES[function]};
+        """
+    )
+    return system
+
+
+UDF_NAMES = {"religious_population": "enrichTweetQ2", "largest_religions": "enrichTweetQ3"}
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [FeedPolicy.basic(), FeedPolicy.basic(state_cache_bytes=8 << 20)],
+    ids=["default", "state-cache"],
+)
+@pytest.mark.parametrize("function", sorted(UDF_NAMES))
+def test_q2_and_q3_shaped_rows_are_physical_reuse_only(charges, policy, function):
+    """Q2's sums and Q3's sorted top 3 are shaped once per key from the
+    shared snapshot and afresh every batch from a defeated one: the same
+    charges, reports and stored bytes."""
+    shared, rescanning = build_religions(function), build_religions(function)
+    rescan_on_every_read(rescanning.catalog["ReligiousPopulations"])
+    tweets = [  # country C4 has no reference rows
+        json.dumps({"id": i, "text": f"t{i}", "country": f"C{i % 5}"})
+        for i in range(10 * BATCH)
+    ]
+
+    report = run_feed(shared, tweets, policy)
+    shared_charges = list(charges)
+    del charges[:]
+    baseline = run_feed(rescanning, tweets, policy)
+
+    assert report.num_computing_jobs == 10
+    assert shared_charges == list(charges)
     assert report.simulated_seconds == baseline.simulated_seconds
     assert report.batch_stats == baseline.batch_stats
     assert report.counters == baseline.counters
