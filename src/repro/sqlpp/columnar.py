@@ -14,9 +14,9 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   per-generation (and, cross-batch, StateCache-booked) build table.  The
   inner block's shaping (SELECT VALUE / named projections / implicit
   GROUP BY aggregates / single-key ORDER BY / LIMIT) runs once per build
-  key and reference snapshot, not once per record: a key's shaped rows
-  are derived on the snapshot beside the table they are shaped from
-  (:func:`_shaped_rows`);
+  key and reference snapshot, not once per record: the kernel keeps a
+  key's shaped rows until the generation pins another snapshot than the
+  one the table they are shaped from was built on (:func:`_shaped_rows`);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -54,7 +54,7 @@ failed.  A build an aborted attempt charged is kept in the generation's
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..adm.values import MISSING
 from ..storage.index import IndexKind
@@ -353,6 +353,8 @@ def _compile_probe_kernel(
         shaping = _compile_group_shape(block, var, ctx.functions)
     else:
         shaping = _compile_row_shape(inner_plan, block, var, ctx.functions)
+    # this kernel's (snapshot, shaped-row store): see _shaped_rows
+    held = [(None, None)]
 
     token = inner_plan.token
 
@@ -369,7 +371,7 @@ def _compile_probe_kernel(
             raise KernelFallback(f"B-tree on {dataset_name}.{field}")
         probe_col = probe_k(ev, cb)
         if ctx.memo is None:
-            return _shaped_rows(ev, dataset, field, shaping, probe_col)
+            return _shaped_rows(ev, dataset, field, shaping, held, probe_col)
         return run_memoized(ev, cb, dataset, probe_col)
 
     def run_memoized(ev, cb, dataset, probe_col):
@@ -415,7 +417,7 @@ def _compile_probe_kernel(
             meter.memo_reused_records += len(rows)
             slots[i] = rows
         if miss_indices:
-            shaped = _shaped_rows(ev, dataset, field, shaping, miss_keys)
+            shaped = _shaped_rows(ev, dataset, field, shaping, held, miss_keys)
             memo_put = memo.put
             for slot, key, rows in zip(miss_indices, miss_keys, shaped):
                 slots[slot] = rows
@@ -429,26 +431,27 @@ def _compile_probe_kernel(
     return run
 
 
-def _new_store(_records) -> Dict:
-    return {}
-
-
-def _shaped_rows(ev, dataset, field: str, shaping: Tuple, keys: List) -> List:
+def _shaped_rows(
+    ev, dataset, field: str, shaping: Tuple, held: List, keys: List
+) -> List:
     """The shaped rows of each probe key in ``keys``, one probe each.
 
     A key's rows are a pure function of its build-table match list and the
     compiled shaping (:func:`compile_match_expr` admits nothing that
     charges or reads past the match record), so they are derived once per
-    reference snapshot: the store is a ``derived`` value of the snapshot
-    the generation pinned — the one the ``("hash", name, field)`` table
-    is built from — keyed by the compiled shaping, never by a plan token
-    (tokens are per ``PlanCache``), and it is replaced with the snapshot
-    on any write.  A key is shaped the first time a batch probes it.  Keys
-    that match nothing (absent, NULL, MISSING, and NaN, which the scalar
-    WHERE recheck rejects) share the single entry of the empty match list,
-    filed under ``None``, which no table key equals, so the store never
-    holds more than the table's distinct keys + 1 entries.  Records share
-    row lists; nothing downstream mutates them in place.
+    reference snapshot and kernel: ``held[0]`` is the kernel's
+    ``(snapshot, store)`` pair, and the store is replaced whenever the
+    generation pins another snapshot than the one it was shaped from (the
+    one the ``("hash", name, field)`` table is built from), so any write
+    replaces it.  It lives and dies with the compiled kernel — never keyed
+    by a plan token (tokens are per ``PlanCache``), never left on the
+    snapshot by a kernel a registry recompiled.  A key is shaped the first
+    time a batch probes it.  Keys that match nothing (absent, NULL,
+    MISSING, and NaN, which the scalar WHERE recheck rejects) share the
+    single entry of the empty match list, filed under ``None``, which no
+    table key equals, so a store never holds more than the table's
+    distinct keys + 1 entries.  Records share row lists; nothing
+    downstream mutates them in place.
 
     Every charge stays per record: ``hash_probes`` +1 per key, and the
     shaping's counter + each key's match count.
@@ -456,9 +459,11 @@ def _shaped_rows(ev, dataset, field: str, shaping: Tuple, keys: List) -> List:
     shape, counter = shaping
     ctx = ev.ctx
     table = ev._hash_table(dataset, field)
-    store = ctx.snapshots.pin(dataset).derived(
-        ("shaped", field, shape), _new_store
-    )
+    snapshot = ctx.snapshots.pin(dataset)
+    shaped_from, store = held[0]
+    if shaped_from is not snapshot:
+        store = {}
+        held[0] = (snapshot, store)
     cached = store.get
     matched = table.get
     out = []
@@ -579,7 +584,7 @@ def _compile_row_shape(
         order_fn = compile_match_expr(item.expr, var, functions)
         descending = item.descending
 
-    limit: Optional[int] = None
+    limit = None
     if block.limit is not None:
         if not (
             isinstance(block.limit, Literal)

@@ -46,8 +46,7 @@ class ReferenceSnapshot:
     ``records`` is the scan's record sequence (partition order, key order
     within) and ``lsns`` the partitions' WAL LSNs it was taken at — the
     version proof for anything cached from it.  :meth:`derived` memoizes
-    what readers compute from it — a per-field hash table, the probe
-    kernels' shaped rows per build key, a per-field column, rendered
+    what readers compute from it — a per-field hash table, rendered
     resource lines, a size estimate — for as long as the snapshot itself
     is current.
     """

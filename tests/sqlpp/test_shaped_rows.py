@@ -1,8 +1,8 @@
 """Shaped probe rows are derived once per reference snapshot and build key.
 
 The columnar probe kernel shapes a key's match list once per
-``ReferenceSnapshot`` and compiled shaping and serves every later record
-probing that key from the snapshot's store.  These tests pin the store's
+``ReferenceSnapshot`` and compiled kernel and serves every later record
+probing that key from the kernel's store.  These tests pin the store's
 bound, its key and its lifetime, and hash-join keys that are arrays or
 objects on every path that probes a build table.
 """
@@ -20,6 +20,7 @@ from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_function
+from repro.sqlpp import columnar
 from repro.sqlpp.columnar import compile_block_kernel
 from repro.sqlpp.evaluator import Env
 from repro.storage import Dataset
@@ -62,22 +63,29 @@ def _kernel(catalog, source):
     return ctx, compile_block_kernel(plan, params, ctx), plan
 
 
-def _stores(dataset):
-    """The shaped-row stores derived on the dataset's current snapshot."""
-    return [
-        value
-        for key, value in dataset.snapshot()._derived.items()
-        if isinstance(key, tuple) and key[0] == "shaped"
-    ]
+@pytest.fixture
+def stores(monkeypatch):
+    """``stores()``: each kernel's current shaped-row store, one per kernel
+    that shaped, in the order they first did."""
+    helds = []
+    shaped_rows = columnar._shaped_rows
+
+    def spy(ev, dataset, field, shaping, held, keys):
+        if not any(seen is held for seen in helds):
+            helds.append(held)
+        return shaped_rows(ev, dataset, field, shaping, held, keys)
+
+    monkeypatch.setattr(columnar, "_shaped_rows", spy)
+    return lambda: [held[0][1] for held in helds]
 
 
-def test_keys_that_match_nothing_share_one_stored_entry():
+def test_keys_that_match_nothing_share_one_stored_entry(stores):
     catalog = _religions()
     ctx, kernel, _plan = _kernel(catalog, TOP % 3)
     tweets = [{"id": i, "country": f"absent{i}"} for i in range(500)]
     rows = kernel.run(Evaluator(ctx), tweets)
     assert all(row["religions"] == [] for row in rows)
-    (store,) = _stores(catalog["ReligiousPopulations"])
+    (store,) = stores()
     assert len(store) == 1
     assert ctx.meter.hash_probes == 500 and ctx.meter.sort_items == 0
 
@@ -93,7 +101,7 @@ def test_keys_that_match_nothing_share_one_stored_entry():
     assert ctx.meter.hash_probes == 505 and ctx.meter.sort_items == 8
 
 
-def test_two_registries_over_one_catalog_keep_their_own_rows():
+def test_two_registries_over_one_catalog_keep_their_own_rows(stores):
     """Plan tokens are per registry and both start at 1, so the store keys
     on the compiled shaping, never on the token."""
     catalog = _religions()
@@ -111,7 +119,32 @@ def test_two_registries_over_one_catalog_keep_their_own_rows():
     assert tokens[0] == tokens[1]
     assert [row["religions"] for row in three] == [["B", "C", "A"], ["A"]]
     assert [row["religions"] for row in one] == [["B"], ["A"]]
-    assert len(_stores(catalog["ReligiousPopulations"])) == 2
+    three_store, one_store = stores()
+    assert three_store is not one_store
+    assert (three_store["US"][1], one_store["US"][1]) == (["B", "C", "A"], ["B"])
+
+
+def test_a_recompiled_kernel_leaves_nothing_on_the_snapshot(stores):
+    """A new registration recompiles the kernel; its store goes with the
+    old kernel, and the static snapshot derives nothing more."""
+    catalog = _religions()
+    snapshot = catalog["ReligiousPopulations"].snapshot()
+    registry = FunctionRegistry(lambda: set(catalog))
+    registry.register_sqlpp(TOP % 3)
+    ctx = EvaluationContext(catalog, functions=registry)
+    invoke = make_invoker([AttachedFunction("top")], registry, RunCounters())
+    tweets = [{"id": 0, "country": "US"}, {"id": 1, "country": "XX"}]
+    invoke(tweets, ctx)
+    derived = dict(snapshot._derived)
+    for n in range(3):
+        registry.register_sqlpp(f"CREATE FUNCTION other{n}(t) {{ SELECT VALUE t }}")
+        ctx.refresh_batch()
+        rows = invoke(tweets, ctx)
+        assert [row["religions"] for row in rows] == [["B", "C", "A"], []]
+    assert catalog["ReligiousPopulations"].snapshot() is snapshot
+    assert snapshot._derived == derived
+    assert len(stores()) == 4  # one store per compiled kernel, each bounded
+    assert all(len(store) == 2 for store in stores())
 
 
 def test_an_upsert_reshapes_at_the_next_generation_only():
