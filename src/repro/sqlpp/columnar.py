@@ -78,7 +78,7 @@ from .ast import (
     VarRef,
     walk,
 )
-from .evaluator import Env, _sort_key, table_key
+from .evaluator import Env, _sort_key
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
 from .plans import (
@@ -470,13 +470,15 @@ def _shaped_rows(
     append = out.append
     total = 0
     for key in keys:
-        if key is MISSING or key is None or key != key:
-            key = None
-        else:
-            key = table_key(key)
-        entry = cached(key)
+        try:
+            entry = cached(key)
+        except TypeError:  # an array or object: see _hash_table_builder
+            key = canonical_probe_key(key)
+            entry = cached(key)
         if entry is None:
-            matches = matched(key) if key is not None else None
+            matches = None
+            if key is not MISSING and key is not None and key == key:
+                matches = matched(key)
             if matches is None:
                 key, matches = None, []
                 entry = cached(None)

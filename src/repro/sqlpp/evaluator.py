@@ -248,20 +248,14 @@ _ITEM0 = itemgetter(0)
 _MEMO_BYPASS = object()
 
 
-def table_key(value):
-    """``value`` as a key of a hash-join build table.
-
-    Arrays and objects are unhashable, so they key by
-    :func:`~repro.sqlpp.memo.canonical_probe_key`: equal ADM values share
-    one key, and no scalar equals one (``'US' = ['US']`` is false).
-    """
-    if isinstance(value, (list, dict)):
-        return canonical_probe_key(value)
-    return value
-
-
 def _hash_table_builder(field: str):
-    """``records -> {field value: [records]}``, the hash-join build side."""
+    """``records -> {field value: [records]}``, the hash-join build side.
+
+    An unhashable value (an array or object) keys by
+    :func:`~repro.sqlpp.memo.canonical_probe_key`, and so does every probe
+    that is one: equal ADM values share one key, and no scalar equals one
+    (``'US' = ['US']`` is false).
+    """
     get = field_getter(field)
 
     def build(records) -> Dict:
@@ -269,7 +263,11 @@ def _hash_table_builder(field: str):
         for record in records:
             value = get(record)
             if value is not MISSING and value is not None:
-                table.setdefault(table_key(value), []).append(record)
+                try:
+                    matches = table.setdefault(value, [])
+                except TypeError:
+                    matches = table.setdefault(canonical_probe_key(value), [])
+                matches.append(record)
         return table
 
     return build
@@ -826,7 +824,10 @@ class Evaluator:
         self.ctx.meter.hash_probes += 1
         if probe_value is MISSING or probe_value is None:
             return []
-        return table.get(table_key(probe_value), [])
+        try:
+            return table.get(probe_value, [])
+        except TypeError:  # an array or object: see _hash_table_builder
+            return table.get(canonical_probe_key(probe_value), [])
 
     def _hash_table(self, dataset, field: str) -> Dict:
         """The batch-cached build side of :meth:`_hash_probe`.
