@@ -16,7 +16,8 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   GROUP BY aggregates / single-key ORDER BY / LIMIT) runs once per build
   key and reference snapshot, not once per record: the kernel keeps a
   key's shaped rows until the generation pins another snapshot than the
-  one the table they are shaped from was built on (:func:`_shaped_rows`);
+  one the table they are shaped from was built on (:func:`_shaped_rows`,
+  the one probe pass; a memo only books those rows);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -54,6 +55,7 @@ failed.  A build an aborted attempt charged is kept in the generation's
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Callable, Dict, List, Tuple
 
 from ..adm.values import MISSING
@@ -78,7 +80,7 @@ from .ast import (
     VarRef,
     walk,
 )
-from .evaluator import Env, _sort_key
+from .evaluator import Env, _hash_table_builder, _sort_key
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
 from .plans import (
@@ -88,6 +90,7 @@ from .plans import (
     default_alias,
     truthy,
 )
+from .state_cache import estimate_entry_bytes
 
 
 class Unsupported(Exception):
@@ -355,86 +358,24 @@ def _compile_probe_kernel(
         shaping = _compile_row_shape(inner_plan, block, var, ctx.functions)
     # this kernel's (snapshot, shaped-row store): see _shaped_rows
     held = [(None, None)]
-
     token = inner_plan.token
 
     def run(ev, cb):
-        ctx = ev.ctx
-        dataset = ctx.catalog[dataset_name]
-        if (
-            not no_index
-            and ctx.allow_index
-            and dataset.index_on(field, IndexKind.BTREE) is not None
-        ):
+        dataset = ev.ctx.catalog[dataset_name]
+        if not no_index and dataset.index_on(field, IndexKind.BTREE) is not None:
             # The scalar path would probe the live B-tree per record,
             # with different charges — this batch cannot vectorize.
             raise KernelFallback(f"B-tree on {dataset_name}.{field}")
-        probe_col = probe_k(ev, cb)
-        if ctx.memo is None:
-            return _shaped_rows(ev, dataset, field, shaping, held, probe_col)
-        return run_memoized(ev, cb, dataset, probe_col)
-
-    def run_memoized(ev, cb, dataset, probe_col):
-        """The probe pass with the key-level memo in front of it.
-
-        Every record whose canonical key is already shaped — in this batch
-        (L1 dict) or in a prior batch under the same dataset version (L2
-        memo) — reuses the shaped row list and is charged through the
-        priced ``memo_hits`` / ``memo_reused_records`` counters; only the
-        remaining misses acquire the hash table (an all-hit batch skips
-        even the build/StateCache lookup) and go through
-        :func:`_shaped_rows`, so miss charges are computed by exactly the
-        unmemoized code.  With zero hits the charges and output are
-        identical to the plain path.  NULL/MISSING/NaN probes never
-        memoize (the scalar recheck semantics make them per-record
-        empties) and stay probe-charged misses.
-        """
-        ctx = ev.ctx
-        memo = ctx.memo
-        meter = ctx.meter
-        version_key = ctx.snapshots.version((dataset_name,))
-        l1: Dict = {}
-        l1_get = l1.get
-        slots: List = [None] * cb.n
-        miss_indices: List[int] = []
-        miss_keys: List = []
-        for i, key in enumerate(probe_col):
-            if key is MISSING or key is None or key != key:
-                miss_indices.append(i)
-                miss_keys.append(key)
-                continue
-            ck = canonical_probe_key(key)
-            rows = l1_get(ck)
-            if rows is None:
-                entry = memo.get(("probe", token, ck), version_key)
-                if entry is None:
-                    miss_indices.append(i)
-                    miss_keys.append(key)
-                    continue
-                rows = entry.value
-                l1[ck] = rows
-            meter.memo_hits += 1
-            meter.memo_reused_records += len(rows)
-            slots[i] = rows
-        if miss_indices:
-            shaped = _shaped_rows(ev, dataset, field, shaping, held, miss_keys)
-            memo_put = memo.put
-            for slot, key, rows in zip(miss_indices, miss_keys, shaped):
-                slots[slot] = rows
-                if key is MISSING or key is None or key != key:
-                    continue
-                ck = canonical_probe_key(key)
-                l1[ck] = rows
-                memo_put(("probe", token, ck), version_key, rows, len(rows))
-        return slots
+        keys = probe_k(ev, cb)
+        return _shaped_rows(ev, dataset, field, shaping, held, token, keys)
 
     return run
 
 
 def _shaped_rows(
-    ev, dataset, field: str, shaping: Tuple, held: List, keys: List
+    ev, dataset, field: str, shaping: Tuple, held: List, token, keys: List
 ) -> List:
-    """The shaped rows of each probe key in ``keys``, one probe each.
+    """The shaped rows of each probe key in ``keys``, in one probe pass.
 
     A key's rows are a pure function of its build-table match list and the
     compiled shaping (:func:`compile_match_expr` admits nothing that
@@ -453,13 +394,42 @@ def _shaped_rows(
     distinct keys + 1 entries.  Records share row lists; nothing
     downstream mutates them in place.
 
-    Every charge stays per record: ``hash_probes`` +1 per key, and the
-    shaping's counter + each key's match count.
+    Every charge stays per record.  An attached memo books each key's rows
+    (``("probe", token, canonical key)``, no value) and only decides the
+    charge: a booked key is ``memo_hits`` +1 and ``memo_reused_records``
+    + its row count, any other (NULL, MISSING and NaN always) is
+    ``hash_probes`` +1 and the shaping's counter + its match count.  A
+    booking implies the store holds the key: the same version pins the
+    same snapshot, and a registration, which recompiles kernels, clears
+    the memo.  The build is charged only when some key is not booked.
     """
     shape, counter = shaping
     ctx = ev.ctx
-    table = ev._hash_table(dataset, field)
+    memo = ctx.memo
+    booked = set()  # canonical keys the memo booked at this version
+    canonical = repeat(None)  # per record: its canonical key, or None
+    build = memo is None
+    if memo is not None:
+        version = ctx.snapshots.version((dataset.name,))
+        canonical = [
+            None
+            if key is MISSING or key is None or key != key
+            else canonical_probe_key(key)
+            for key in keys
+        ]
+        for ck in canonical:  # a key is asked until it hits
+            if ck in booked:
+                continue
+            if ck is not None and memo.get(("probe", token, ck), version) is not None:
+                booked.add(ck)
+            else:
+                build = True
+    if build:
+        ev._hash_table(dataset, field)
     snapshot = ctx.snapshots.pin(dataset)
+    table = snapshot.derived(
+        ("hash", dataset.name, field), _hash_table_builder(field)
+    )
     shaped_from, store = held[0]
     if shaped_from is not snapshot:
         store = {}
@@ -468,8 +438,8 @@ def _shaped_rows(
     matched = table.get
     out = []
     append = out.append
-    total = 0
-    for key in keys:
+    total = hits = reused = 0
+    for key, ck in zip(keys, canonical):
         try:
             entry = cached(key)
         except TypeError:  # an array or object: see _hash_table_builder
@@ -485,12 +455,24 @@ def _shaped_rows(
             if entry is None:
                 # a KernelFallback raised by the shaping stores nothing
                 entry = store[key] = (len(matches), shape(ev, matches))
-        total += entry[0]
-        append(entry[1])
+        rows = entry[1]
+        if ck in booked:
+            hits += 1
+            reused += len(rows)
+        else:
+            total += entry[0]
+        append(rows)
     meter = ctx.meter
-    meter.hash_probes += len(keys)
+    meter.hash_probes += len(keys) - hits
     if counter is not None:
         setattr(meter, counter, getattr(meter, counter) + total)
+    if memo is not None:
+        meter.memo_hits += hits
+        meter.memo_reused_records += reused
+        for ck, rows in zip(canonical, out):
+            if ck is not None and ck not in booked:
+                nbytes = estimate_entry_bytes(rows)
+                memo.put(("probe", token, ck), version, None, len(rows), nbytes)
     return out
 
 

@@ -138,7 +138,6 @@ class EvaluationContext:
         catalog: Dict[str, object],
         functions=None,
         meter: Optional[WorkMeter] = None,
-        allow_index: bool = True,
         reference_work_scale: float = 1.0,
         use_plans: bool = True,
         state_cache=None,
@@ -154,7 +153,6 @@ class EvaluationContext:
         # charged in full to each node, unlike shared_meter which is
         # partitioned work divided across the cluster.
         self.replicated_meter = WorkMeter(scale=reference_work_scale)
-        self.allow_index = allow_index
         self.snapshots = SnapshotSet(catalog)
         self.cluster_nodes = 1  # set by the ingestion pipelines
         # Compile-once plans (§5.2 analog): share the registry's cache when
@@ -677,14 +675,14 @@ class Evaluator:
                 index_name = (
                     dataset.index_on(field, IndexKind.BTREE) if not no_index else None
                 )
-                if index_name is not None and self.ctx.allow_index:
+                if index_name is not None:
                     return self._btree_probe(dataset, index_name, probe_value)
                 return self._hash_probe(dataset, field, probe_value)
             if kind == "spatial":
                 index_name = (
                     dataset.index_on(field, IndexKind.RTREE) if not no_index else None
                 )
-                if index_name is not None and self.ctx.allow_index:
+                if index_name is not None:
                     query = self.evaluate(probe_builder, env)
                     if query is MISSING or query is None:
                         return []
@@ -731,7 +729,7 @@ class Evaluator:
         catalog = ctx.catalog
         for name in plan.correlated_deps:
             dataset = catalog.get(name)
-            if dataset is None or (ctx.allow_index and dataset.indexes):
+            if dataset is None or dataset.indexes:
                 return _MEMO_BYPASS
         bindings = []
         for var in plan.correlated_vars:
@@ -1106,7 +1104,7 @@ class Evaluator:
                 if not tp.no_index
                 else None
             )
-            if index_name is not None and self.ctx.allow_index:
+            if index_name is not None:
                 return self._btree_probe(dataset, index_name, probe_value)
             return self._hash_probe(dataset, tp.access_field, probe_value)
         if tp.access_kind == "spatial":
@@ -1122,7 +1120,7 @@ class Evaluator:
     def _spatial_index(self, tp: TermPlan, dataset) -> Optional[str]:
         """The R-tree serving ``tp`` right now — asked per access, so an
         index created or dropped mid-run flips the path without a re-plan."""
-        if tp.no_index or not self.ctx.allow_index:
+        if tp.no_index:
             return None
         return dataset.index_on(tp.access_field, IndexKind.RTREE)
 

@@ -9,25 +9,26 @@ this redundancy: cowrieprocessor's ADR-007 measured 5–6× repeated
 enrichment calls for the same keys at 1.68M sessions.  This module
 memoizes the *result* of enriching one key, across batches:
 
-* **L1** is per-batch and free: within one batch the columnar probe
-  kernel resolves duplicate keys from a plain dict, and the external
-  coordinator's PR-8 key dedup already guarantees one remote hit per
-  distinct key per batch.
+* **L1** is free: the columnar probe kernel's store holds every key's
+  shaped rows per snapshot, and the external coordinator's per-batch key
+  dedup guarantees one remote hit per distinct key per batch.
 * **L2** is the :class:`EnrichmentMemo` below — a cross-batch
   LRU-by-bytes inventory (it reuses the StateCache machinery: same
   ``get``/``put``/``configure``/``clear`` contract, same payload-aware
   sizer) keyed on the **canonical probe key** and guarded by the same
   ``SnapshotSet.version`` proofs as the StateCache, so a hit is a proof
-  the recomputation would return an identical value.  It is attached to a
-  run only when ``FeedPolicy.enrichment_memo_bytes > 0`` (default 0 =
-  off, keeping every committed benchmark table byte-identical).
+  the recomputation would return an identical value.  A columnar probe
+  entry only *books* rows the kernel's store holds (no value) and decides
+  how a record is charged.  It is attached to a run only when
+  ``FeedPolicy.enrichment_memo_bytes > 0`` (default 0 = off, keeping
+  every committed benchmark table byte-identical).
 
 Invalidation mirrors the StateCache exactly: any committed write moves
 a partition's WAL LSN of the source dataset and makes entries guarded by
 it unreachable; DDL / ``replace_sqlpp`` / dead-letter replay clear the
 memo wholesale through the owning
-:class:`~repro.udf.registry.FunctionRegistry`.  External-enrichment
-entries carry the constant :data:`EXTERNAL_VERSION_KEY` guard (a remote's
+:class:`~repro.udf.registry.FunctionRegistry`, as does every function
+registration (it may shadow a builtin).  External-enrichment entries carry the constant :data:`EXTERNAL_VERSION_KEY` guard (a remote's
 answer is not derived from any local dataset) and only ``"ok"`` outcomes
 are ever memoized — PENDING/timeout/error outcomes must stay re-probable
 so ``backfill_pending`` semantics survive.
@@ -93,9 +94,9 @@ class EnrichmentMemo(StateCache):
 
     Identical mechanics to the StateCache — LRU by payload-estimated
     bytes, version-key-guarded lookups, wholesale ``clear`` on DDL — but
-    its entries are per-key *results* (one correlated-subquery answer,
-    one shaped probe-kernel row, one external enrichment value), not
-    build-side tables.  Subclassing keeps the two caches behaviourally
+    its entries are per-key: a held correlated-subquery answer or
+    external enrichment value, or a booking of a probe key's shaped rows,
+    not build-side tables.  Subclassing keeps the two caches behaviourally
     interchangeable while letting reports tell their counters apart —
     including under the multi-tenant memory governor, which resizes both
     kinds through the shared ``configure``/``mark_window`` surface.

@@ -22,16 +22,17 @@ This module implements that reuse as an LRU-by-bytes cache:
 * a scan or hash entry *books* a build and holds no value: the state is
   read from the generation's pinned snapshot, which derives it, on a hit
   exactly as on a rebuild.  Only an uncorrelated-subquery result, which
-  no snapshot re-derives, is held as the entry's value;
+  no snapshot re-derives, is held as the entry's value (the memo holds
+  correlated and external results, and books shaped probe rows);
 * :meth:`StateCache.get` returns the entry only when the stored version
   key equals the current one, so *any* committed write (insert, upsert,
   delete, dead-letter replay) between batches forces a rebuild at the
   next batch boundary — precisely where the per-batch-rebuild baseline
   would have picked the change up;
 * DDL and function changes clear the cache wholesale (the owning
-  :class:`~repro.udf.registry.FunctionRegistry` calls :meth:`clear` from
-  ``invalidate_plans``/``replace_sqlpp``), so ``create_index`` /
-  ``drop_index`` / ``CREATE OR REPLACE FUNCTION`` all start the next
+  :class:`~repro.udf.registry.FunctionRegistry` calls :meth:`clear` on
+  DDL and every function registration), so ``create_index`` /
+  ``drop_index`` / ``CREATE [OR REPLACE] FUNCTION`` all start the next
   batch from a cold build;
 * eviction (LRU by estimated bytes, against a per-feed configured
   budget) only drops the *booking* — a batch that already read the

@@ -49,8 +49,8 @@ class FunctionRegistry:
         self.plan_cache = PlanCache()
         # feed name -> that feed's cross-batch caches (:meth:`caches_for`)
         self._feed_caches: Dict[str, Tuple[StateCache, EnrichmentMemo]] = {}
-        # Bumped on every registration change; batch kernels cached on a
-        # plan recompile when it moves (§3.2 instant updates).
+        # Bumped on every registration change and DDL; batch kernels cached
+        # on a plan recompile when it moves (§3.2 instant updates).
         self.version = 0
 
     # ---------------------------------------------------------------- sql++
@@ -82,7 +82,7 @@ class FunctionRegistry:
         )
         udf = SqlppUdf(definition, stateful)
         self._sqlpp[definition.name] = udf
-        self.version += 1
+        self._invalidate()
         return udf
 
     def replace_sqlpp(self, definition_or_source) -> SqlppUdf:
@@ -94,22 +94,17 @@ class FunctionRegistry:
         self._sqlpp.pop(definition.name, None)
         udf = self.register_sqlpp(definition)
         # Old plans may close over the replaced body; drop them all so the
-        # next batch replans against the new definition.  Cached build
-        # state may have been produced by the old body's subqueries, so it
-        # goes too, as do memoized per-key results it produced.
+        # next batch replans against the new definition.
         self.plan_cache.invalidate()
-        self._clear_feed_caches()
         return udf
 
     def invalidate_plans(self) -> None:
         """Drop all cached plans (called on DDL: dataset/index changes)."""
         self.plan_cache.invalidate()
         # DDL can change access paths and even dataset identity without
-        # bumping any Dataset.version (create_index/drop_index), so the
-        # version-keyed state cache must start cold as well — and so must
-        # the per-key memo, whose entries are guarded by the same keys.
-        self._clear_feed_caches()
-        self.version += 1
+        # moving any partition LSN (create_index/drop_index), so the
+        # version-keyed caches must start cold as well.
+        self._invalidate()
 
     def caches_for(self, feed_name: str) -> Tuple[StateCache, EnrichmentMemo]:
         """The feed's own cross-batch state cache and key-level memo.
@@ -118,7 +113,8 @@ class FunctionRegistry:
         whose policy grants bytes — or the fabric's memory governor —
         sets the budget) and kept across that feed's runs, so a resumed
         run, a dead-letter replay or a backfill starts warm.  No other
-        feed reads or resizes them; DDL and ``replace_sqlpp`` clear them.
+        feed reads or resizes them; DDL and every function registration
+        clear them.
         """
         pair = self._feed_caches.get(feed_name)
         if pair is None:
@@ -128,10 +124,14 @@ class FunctionRegistry:
             )
         return pair
 
-    def _clear_feed_caches(self) -> None:
+    def _invalidate(self) -> None:
+        """Recompile kernels and start every feed's caches cold: a new
+        function may shadow a builtin a cached result called, and a
+        recompiled kernel's store holds nothing an old booking vouches for."""
         for pair in self._feed_caches.values():
             for cache in pair:
                 cache.clear()
+        self.version += 1
 
     # ----------------------------------------------------------------- java
 
@@ -140,7 +140,7 @@ class FunctionRegistry:
         if key in self._java:
             raise UdfRegistrationError(f"java function {key!r} already registered")
         self._java[key] = descriptor
-        self.version += 1
+        self._invalidate()
 
     # --------------------------------------------------------------- lookup
 

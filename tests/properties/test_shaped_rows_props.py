@@ -6,8 +6,12 @@ same snapshot — from that snapshot's store.  Over reference rows with few
 keys, batches that repeat keys and probe absent, NULL, MISSING, NaN and
 array values, and two or three generations with an optional reference
 upsert between them, the kernel's rows and all three ``WorkMeter`` totals
-must equal the tree-walking interpreter's, record by record.
+must equal the tree-walking interpreter's, record by record.  With an
+:class:`EnrichmentMemo` attached, the memo only books rows the kernel's
+store holds and decides how each record is charged.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,8 +20,11 @@ from repro.adm import open_type
 from repro.adm.values import MISSING
 from repro.hyracks.cost import WorkMeter
 from repro.sqlpp import EvaluationContext, Evaluator, parse_function
+from repro.sqlpp import columnar
 from repro.sqlpp.columnar import compile_block_kernel
 from repro.sqlpp.evaluator import Env
+from repro.sqlpp.memo import EnrichmentMemo
+from repro.sqlpp.state_cache import estimate_entry_bytes
 from repro.storage import Dataset
 
 SHAPES = [
@@ -85,3 +92,72 @@ def test_kernel_matches_the_interpreter_across_generations(shape, rows, generati
         if upsert is not None:
             ref.upsert(_record(*upsert))
     assert _counters(kernel_ctx) == _counters(oracle_ctx)
+
+
+def _spied_kernel(catalog, definition, ctx, spied):
+    """The compiled kernel, with ``spied`` collecting its ``(held, token)``
+    on every probe pass."""
+    shaped_rows = columnar._shaped_rows
+
+    def spy(ev, dataset, field, shaping, held, token, keys):
+        spied[:] = [(held, token)]
+        return shaped_rows(ev, dataset, field, shaping, held, token, keys)
+
+    plan = ctx.plan_cache.plan_for(definition.body, frozenset("t"), catalog)
+    kernel = compile_block_kernel(plan, ("t",), ctx)
+
+    def run(records):
+        with mock.patch.object(columnar, "_shaped_rows", spy):
+            return kernel.run(Evaluator(ctx), records)
+
+    return run
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(SHAPES),
+    st.lists(ROW, max_size=8),
+    st.lists(st.tuples(st.lists(PROBE, min_size=1, max_size=8), UPSERT), min_size=2, max_size=4),
+    st.sampled_from([1 << 20, 1500]),
+)
+def test_the_memo_books_the_rows_the_kernel_store_holds(shape, rows, generations, budget):
+    """With a memo attached the rows are the memo-off rows, each record is
+    charged either its probe or its booking, and every booking is a row
+    count and a size over rows the kernel's store holds, never a value."""
+    ref = Dataset("Ref", open_type("RefT"), "rid", num_partitions=2, validate=False)
+    for rid, row in enumerate(rows):
+        ref.insert(_record(rid, row))
+    ref.flush_all()
+    catalog = {"Ref": ref}
+    definition = parse_function(f"CREATE FUNCTION f(t) {{ LET x = ({shape}) SELECT t.*, x }}")
+    memo = EnrichmentMemo(budget)
+    off_ctx, on_ctx = EvaluationContext(catalog), EvaluationContext(catalog, memo=memo)
+    spied = []
+    off = _spied_kernel(catalog, definition, off_ctx, [])
+    on = _spied_kernel(catalog, definition, on_ctx, spied)
+    for generation, (probes, upsert) in enumerate(generations):
+        if generation:
+            off_ctx.refresh_batch()
+            on_ctx.refresh_batch()
+        records = [
+            {"id": i} if probe is MISSING else {"id": i, "country": probe}
+            for i, probe in enumerate(probes)
+        ]
+        probes_off, probes_on = off_ctx.meter.hash_probes, on_ctx.meter.hash_probes
+        hits = on_ctx.meter.memo_hits
+        assert repr(on(records)) == repr(off(records))
+        assert (on_ctx.meter.hash_probes - probes_on) + (
+            on_ctx.meter.memo_hits - hits
+        ) == off_ctx.meter.hash_probes - probes_off
+        ((held, token),) = spied
+        snapshot, store = held[0]
+        assert snapshot is on_ctx.snapshots.pin(ref)
+        version = on_ctx.snapshots.version(("Ref",))
+        for key, entry in memo._entries.items():
+            assert key[:2] == ("probe", token) and entry.value is None
+            if entry.version_key == version:
+                _count, shaped = store[key[2]] if key[2] in store else store[None]
+                assert entry.records == len(shaped)
+                assert entry.nbytes == estimate_entry_bytes(shaped)
+        if upsert is not None:
+            ref.upsert(_record(*upsert))

@@ -198,21 +198,17 @@ class TestSpatialAccess:
     ):
         # the flip is an identity only for a point: any other outer region
         # must be filtered exactly, never handed to create_circle as a center
-        query = parse_expression(
-            "SELECT VALUE m.monument_id FROM monumentList m "
-            f"WHERE spatial_intersect({region}, "
-            "create_circle(m.monument_location, 1.5))"
-        )
         bindings = {"t": {"where": Rectangle(6.0, 6.0, 6.5, 6.5)}}
         got = {}
-        for allow_index in (True, False):
-            ctx = EvaluationContext(
-                {"monumentList": monuments},
-                allow_index=allow_index,
-                use_plans=use_plans,
+        for source in ("monumentList m", "monumentList /*+ no-index */ m"):
+            query = parse_expression(
+                f"SELECT VALUE m.monument_id FROM {source} "
+                f"WHERE spatial_intersect({region}, "
+                "create_circle(m.monument_location, 1.5))"
             )
-            got[allow_index] = sorted(Evaluator(ctx).evaluate_query(query, bindings))
-        assert got[True] == got[False] == expected
+            ctx = EvaluationContext({"monumentList": monuments}, use_plans=use_plans)
+            got[source] = sorted(Evaluator(ctx).evaluate_query(query, bindings))
+        assert list(got.values()) == [expected, expected]
 
 
 class TestUncorrelatedCaching:

@@ -1,4 +1,4 @@
-"""EvaluationContext knobs: allow_index, generations, cluster_nodes."""
+"""Access-path choice (the ``no-index`` hint), generations, cluster_nodes."""
 
 import pytest
 
@@ -23,37 +23,22 @@ QUERY = (
     "WHERE spatial_intersect(m.monument_location, "
     "create_circle(create_point(t.x, t.y), 1.5))"
 )
+SCAN_QUERY = QUERY.replace("FROM monumentList m", "FROM monumentList /*+ no-index */ m")
 
 
-class TestAllowIndex:
-    def test_allow_index_false_forces_scan(self, monuments):
-        ctx = EvaluationContext({"monumentList": monuments}, allow_index=False)
-        got = Evaluator(ctx).evaluate_query(
-            parse_expression(QUERY), {"t": {"x": 5.0, "y": 0.0}}
-        )
-        assert sorted(got) == ["m4", "m5", "m6"]
-        assert ctx.meter.rtree_nodes_visited == 0
-        assert ("scan", "monumentList") in ctx.snapshots.built
-
-    def test_allow_index_true_probes(self, monuments):
-        ctx = EvaluationContext({"monumentList": monuments}, allow_index=True)
-        got = Evaluator(ctx).evaluate_query(
-            parse_expression(QUERY), {"t": {"x": 5.0, "y": 0.0}}
-        )
-        assert sorted(got) == ["m4", "m5", "m6"]
-        assert ctx.meter.rtree_nodes_visited > 0
+class TestNoIndexHint:
+    """The hint chooses a charged scan per query; ``test_access_paths``
+    pins its charges, this pins that both paths return the same rows."""
 
     def test_both_plans_agree_on_results(self, monuments):
         for x in (0.0, 3.3, 11.0, 50.0):
             results = []
-            for allow in (True, False):
-                ctx = EvaluationContext(
-                    {"monumentList": monuments}, allow_index=allow
-                )
+            for query in (QUERY, SCAN_QUERY):
+                ctx = EvaluationContext({"monumentList": monuments})
                 results.append(
                     sorted(
                         Evaluator(ctx).evaluate_query(
-                            parse_expression(QUERY), {"t": {"x": x, "y": 0.0}}
+                            parse_expression(query), {"t": {"x": x, "y": 0.0}}
                         )
                     )
                 )
@@ -69,9 +54,9 @@ class TestGenerations:
         assert ctx.snapshots.catalog is ctx.catalog
 
     def test_refresh_clears_all_cache_kinds(self, monuments):
-        ctx = EvaluationContext({"monumentList": monuments}, allow_index=False)
+        ctx = EvaluationContext({"monumentList": monuments})
         Evaluator(ctx).evaluate_query(
-            parse_expression(QUERY), {"t": {"x": 1.0, "y": 0.0}}
+            parse_expression(SCAN_QUERY), {"t": {"x": 1.0, "y": 0.0}}
         )
         assert ctx.snapshots.pinned and ctx.snapshots.built
         ctx.refresh_batch()

@@ -3,8 +3,9 @@
 The columnar probe kernel shapes a key's match list once per
 ``ReferenceSnapshot`` and compiled kernel and serves every later record
 probing that key from the kernel's store.  These tests pin the store's
-bound, its key and its lifetime, and hash-join keys that are arrays or
-objects on every path that probes a build table.
+bound, its key and its lifetime, the memo's bookings over it, and
+hash-join keys that are arrays or objects on every path that probes a
+build table.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from repro.sqlpp import EvaluationContext, Evaluator, parse_function
 from repro.sqlpp import columnar
 from repro.sqlpp.columnar import compile_block_kernel
 from repro.sqlpp.evaluator import Env
+from repro.sqlpp.memo import EnrichmentMemo
 from repro.storage import Dataset
 from repro.udf import FunctionRegistry
 
@@ -70,10 +72,10 @@ def stores(monkeypatch):
     helds = []
     shaped_rows = columnar._shaped_rows
 
-    def spy(ev, dataset, field, shaping, held, keys):
+    def spy(ev, dataset, field, shaping, held, token, keys):
         if not any(seen is held for seen in helds):
             helds.append(held)
-        return shaped_rows(ev, dataset, field, shaping, held, keys)
+        return shaped_rows(ev, dataset, field, shaping, held, token, keys)
 
     monkeypatch.setattr(columnar, "_shaped_rows", spy)
     return lambda: [held[0][1] for held in helds]
@@ -159,6 +161,44 @@ def test_an_upsert_reshapes_at_the_next_generation_only():
     assert kernel.run(Evaluator(ctx), [tweet])[0]["religions"] == ["B"]
     ctx.refresh_batch()
     assert kernel.run(Evaluator(ctx), [tweet])[0]["religions"] == ["A"]
+
+
+def test_the_memo_books_keys_and_an_all_booked_batch_builds_nothing(stores):
+    """Per batch, a key is asked of the memo on every record until it hits;
+    a record whose key is booked is charged the booking, not its probe or
+    its sort items, and only a batch with an unbooked key charges the
+    build."""
+    catalog = _religions()
+    memo = EnrichmentMemo(1 << 20)
+    ctx = EvaluationContext(catalog, memo=memo)
+    definition = parse_function(TOP % 3)
+    plan = ctx.plan_cache.plan_for(definition.body, frozenset("t"), catalog)
+    kernel = compile_block_kernel(plan, ("t",), ctx)
+    built = ("hash", "ReligiousPopulations", "country_name")
+
+    def batch(countries):
+        ctx.refresh_batch()
+        for meter in (ctx.meter, ctx.shared_meter):
+            meter.reset()
+        tweets = [{"id": i, "country": c} for i, c in enumerate(countries)]
+        return [row["religions"] for row in kernel.run(Evaluator(ctx), tweets)]
+
+    first = batch(["US", "US", "FR", "XX", None, "US"])
+    assert first == [["B", "C", "A"]] * 2 + [["A"], [], [], ["B", "C", "A"]]
+    assert (memo.hits, memo.misses, len(memo)) == (0, 5, 3)
+    assert all(entry.value is None for entry in memo._entries.values())
+    assert batch(["US", "US", "FR", "XX", None, "US"]) == first
+    assert (memo.hits, memo.misses) == (3, 5)
+    assert (ctx.meter.memo_hits, ctx.meter.hash_probes) == (5, 1)
+    assert built in ctx.snapshots.built  # the NULL key is never booked
+    assert batch(["US", "FR", "US"]) == [["B", "C", "A"], ["A"], ["B", "C", "A"]]
+    assert (memo.hits, memo.misses) == (5, 5)
+    assert ctx.meter.memo_reused_records == 7
+    assert ctx.meter.hash_probes == ctx.meter.sort_items == 0
+    assert built not in ctx.snapshots.built
+    assert ctx.shared_meter.hash_builds == ctx.shared_meter.records_scanned == 0
+    (store,) = stores()
+    assert len(store) == 3  # "US", "FR" and the empty entry
 
 
 # ------------------------------------------------- array and object join keys

@@ -280,3 +280,23 @@ def test_reference_state_has_one_owner():
                     if isinstance(node, ast.Attribute) and node.attr == "lsns"
                 ]
     assert readers == ["sqlpp/evaluator.py::version"], readers
+
+
+def test_shaped_probe_rows_have_one_holder():
+    """A key's shaped rows live in the probe kernel's store alone and
+    come out of one probe pass; the memo books them.  The memoized second
+    pass and the context's index switch (the ``no-index`` hint chooses
+    per query) do not come back."""
+    import inspect
+
+    from repro.sqlpp import EvaluationContext
+
+    columnar = (SRC / "sqlpp" / "columnar.py").read_text()
+    assert "run_memoized" not in columnar
+    assert "allow_index" not in inspect.signature(EvaluationContext).parameters
+    offenders = [
+        path.relative_to(SRC).as_posix()
+        for path in sorted(SRC.rglob("*.py"))
+        if "allow_index" in path.read_text()
+    ]
+    assert not offenders, offenders
