@@ -195,11 +195,10 @@ def test_micro_sqlpp_hash_enrichment(benchmark):
     benchmark(enrich_all)
 
 
-def test_micro_sqlpp_probe_kernel(benchmark):
-    """Q3's BlockKernel over one 420-tweet batch against 200 countries x 25
-    religion rows, one generation per round: the snapshot, its hash table
-    and its shaped rows stay, as they do between a feed's batches.  The
-    per-record interpreter path is test_micro_sqlpp_hash_enrichment."""
+def _religion_kernel(udf):
+    """``(ctx, kernel, religions, tweets)``: the paper UDF ``udf``'s
+    BlockKernel over 200 countries x 25 religion rows and one 420-tweet
+    batch."""
     workload = PaperWorkload(scale=WorkloadScale(reference_scale=0.01))
     religions = Dataset(
         "ReligiousPopulations", open_type("T"), "rid", num_partitions=4,
@@ -210,14 +209,40 @@ def test_micro_sqlpp_probe_kernel(benchmark):
     religions.flush_all()
     catalog = {"ReligiousPopulations": religions}
     ctx = EvaluationContext(catalog)
-    definition = parse_function(SQLPP_UDFS["largest_religions"])
+    definition = parse_function(SQLPP_UDFS[udf])
     params = tuple(definition.params)
     plan = ctx.plan_cache.plan_for(definition.body, frozenset(params), catalog)
     kernel = compile_block_kernel(plan, params, ctx)
     tweets = [json.loads(raw) for raw in workload.tweet_generator.raw_json(420)]
+    return ctx, kernel, religions, tweets
+
+
+def test_micro_sqlpp_probe_kernel(benchmark):
+    """Q3's BlockKernel over one 420-tweet batch against 200 countries x 25
+    religion rows, one generation per round: the snapshot, its hash table
+    and its shaped rows stay, as they do between a feed's batches.  The
+    per-record interpreter path is test_micro_sqlpp_hash_enrichment."""
+    ctx, kernel, _religions, tweets = _religion_kernel("largest_religions")
 
     def enrich_batch():
         ctx.refresh_batch()
         kernel.run(Evaluator(ctx), tweets)
 
     benchmark(enrich_batch)
+
+
+def test_micro_sqlpp_probe_kernel_reshaping(benchmark):
+    """Q2's BlockKernel as above, with one ReligiousPopulations upsert
+    before each round: the write replaces the snapshot, so every round
+    rebuilds the hash table and reshapes every key the batch probes."""
+    ctx, kernel, religions, tweets = _religion_kernel("religious_population")
+    record = dict(next(iter(religions.snapshot().records)))
+    populations = iter(range(1_000, 10**9))
+
+    def upsert_and_enrich_batch():
+        record["population"] = next(populations)
+        religions.upsert(dict(record))
+        ctx.refresh_batch()
+        kernel.run(Evaluator(ctx), tweets)
+
+    benchmark(upsert_and_enrich_batch)

@@ -12,12 +12,13 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   ``Evaluator._cached_select`` and broadcast, or a single-term equality
   block run as **one hash-probe pass per batch** against the evaluator's
   per-generation (and, cross-batch, StateCache-booked) build table.  The
-  inner block's shaping (SELECT VALUE / named projections / implicit
-  GROUP BY aggregates / single-key ORDER BY / LIMIT) runs once per build
-  key and reference snapshot, not once per record: the kernel keeps a
-  key's shaped rows until the generation pins another snapshot than the
-  one the table they are shaped from was built on (:func:`_shaped_rows`,
-  the one probe pass; a memo only books those rows);
+  inner block's shaping is the planned path's own output stage
+  (``Evaluator._planned_output``: group or project, ORDER BY, DISTINCT,
+  LIMIT) over a key's match list, run once per build key and reference
+  snapshot, not once per record: the kernel keeps a key's shaped rows
+  until the generation pins another snapshot than the one the table they
+  are shaped from was built on (:func:`_shaped_rows`, the one probe pass;
+  a memo only books those rows);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -38,15 +39,16 @@ subqueries go through the shared evaluator primitives (``_hash_table`` /
 ``_cached_select`` — builds are idempotent within a generation) or
 charge one aggregated per-batch increment equal to the sum of the scalar
 per-record increments, which is why they are only hoisted from
-always-evaluated positions and why per-match shaping is restricted to
+always-evaluated positions and why per-key shaping is restricted to
 charge-free expressions.  A record served rows an earlier batch shaped
-is charged its probe and its sort / group items exactly as if it had
-shaped them itself.
+is charged its probe and the sort / group items shaping them charged,
+exactly as if it had shaped them itself.
 
 Failure protocol: kernels never handle errors themselves.  A
-:class:`KernelFallback` runtime guard aborts one function's kernel: the
-feed's invoker discards what that kernel charged and runs the function
-once per record instead.  Any other exception propagates to the UDF
+:class:`KernelFallback` runtime guard — a live B-tree on the probed
+field, the one shape only known at run time — aborts one function's
+kernel: the feed's invoker discards what that kernel charged and runs
+the function once per record instead.  Any other exception propagates to the UDF
 operator, which discards the frame's charges and re-runs each record
 alone, as a batch of one, so the soft-error policy sees the record that
 failed.  A build an aborted attempt charged is kept in the generation's
@@ -59,6 +61,7 @@ from itertools import repeat
 from typing import Callable, Dict, List, Tuple
 
 from ..adm.values import MISSING
+from ..hyracks.cost import WorkMeter
 from ..storage.index import IndexKind
 from .analysis import split_conjuncts
 from .ast import (
@@ -70,8 +73,6 @@ from .ast import (
     Expr,
     FieldAccess,
     IndexAccess,
-    Literal,
-    MissingLiteral,
     ObjectConstructor,
     SelectBlock,
     Star,
@@ -80,16 +81,10 @@ from .ast import (
     VarRef,
     walk,
 )
-from .evaluator import Env, _hash_table_builder, _sort_key
+from .evaluator import Env, _hash_table_builder
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
-from .plans import (
-    SelectPlan,
-    aggregate_values,
-    compile_expr,
-    default_alias,
-    truthy,
-)
+from .plans import SelectPlan, compile_expr, truthy
 from .state_cache import estimate_entry_bytes
 
 
@@ -98,9 +93,9 @@ class Unsupported(Exception):
 
 
 class KernelFallback(Exception):
-    """Runtime: this batch cannot run vectorized (e.g. a B-tree index
-    appeared on the probe field); the caller discards the kernel's
-    charges and evaluates this function's batch record by record."""
+    """Runtime: this batch cannot run vectorized (a B-tree index appeared
+    on the probe field); the caller discards the kernel's charges and
+    evaluates this function's batch record by record."""
 
 
 #: cached on ``SelectPlan.batch_kernel`` when compilation found the block
@@ -261,58 +256,7 @@ def _vec_subquery(inner: SelectBlock, known: Tuple[str, ...], ctx) -> Callable:
     return _compile_probe_kernel(inner_plan, known, ctx)
 
 
-# ----------------------------------------------------- match-level expressions
-#
-# Inside a probe subquery, shaping expressions run once per *match*.  They
-# come from the same compiler as everything else, with the FROM-term
-# variable resolved directly to the match record (no Env per match).
-
-_MATCH_NODES = (
-    Literal,
-    MissingLiteral,
-    VarRef,
-    FieldAccess,
-    IndexAccess,
-    UnaryOp,
-    BinaryOp,
-    Call,
-    CaseExpr,
-    ObjectConstructor,
-    ArrayConstructor,
-)
-
-
-def compile_match_expr(expr: Expr, var: str, functions) -> Callable:
-    """``fn(ev, match)`` for a charge-free expression over ``var`` alone.
-
-    Anything else raises :class:`Unsupported` and the enclosing column
-    runs per record: outer references and nested selects need the
-    per-record env; Java, registry and metered builtin calls can charge,
-    and shaping skips matches the scalar path evaluates (LIMIT, memo
-    hits, every key an earlier batch already shaped).  A registry
-    function shadowing a builtin name is refused like any other — the
-    closure's registry-first lookup is the only one.
-    """
-    for node in walk(expr):
-        if not isinstance(node, _MATCH_NODES):
-            raise Unsupported(type(node).__name__)
-        if isinstance(node, VarRef) and node.name != var:
-            raise Unsupported(f"match expr references {node.name!r}")
-        if isinstance(node, Call) and (
-            node.library is not None
-            or node.name.lower() not in VECTORIZABLE_BUILTINS
-            or (functions is not None and functions.has(node.name))
-        ):
-            raise Unsupported(f"function {node.qualified_name}")
-    return compile_expr(expr, row_var=var)
-
-
 # ------------------------------------------------------- probe subquery kernel
-#
-# A compiled *shaping* is ``(shape, counter)``: ``shape(ev, matches)``
-# returns the rows of one match list, and ``counter`` names the WorkMeter
-# field the scalar path adds each record's match count to (``sort_items``
-# under ORDER BY, ``group_items`` for an implicit group), or is None.
 
 
 def _compile_probe_kernel(
@@ -320,12 +264,14 @@ def _compile_probe_kernel(
 ) -> Callable:
     """One hash-probe pass per batch over a single-term equality subquery.
 
-    Supported inner shape (anything else raises :class:`Unsupported`):
-    exactly one FROM term with an equality access path, the WHERE being
-    exactly the probe conjunct, no LETs, no DISTINCT; shaping limited to
-    SELECT VALUE / named projections over the term variable, implicit
-    GROUP BY with root-level aggregate projections, a single ORDER BY key
-    over the term variable (SELECT VALUE rows only), and a literal LIMIT.
+    Admitted (anything else raises :class:`Unsupported`): exactly one FROM
+    term, with an equality access path; a WHERE that is exactly the probe
+    conjunct; no LETs; and shaping — SELECT, GROUP BY, ORDER BY, LIMIT —
+    that reads no name bound outside the block but the term variable and
+    calls only charge-free builtins and aggregates no registered function
+    shadows.  A key's rows are then the planned path's own output stage
+    (``Evaluator._planned_output``) over one ``Env`` per match, a pure
+    function of the match list.
     """
     terms = inner_plan.terms
     if terms is None or len(terms) != 1:
@@ -335,13 +281,10 @@ def _compile_probe_kernel(
         raise Unsupported("no single-dataset equality access path")
     if inner_plan.let_fns or inner_plan.post_let_fns:
         raise Unsupported("inner LETs")
-    if inner_plan.distinct:
-        raise Unsupported("inner DISTINCT")
-    if inner_plan.group_keys:
-        raise Unsupported("explicit GROUP BY")
     block = inner_plan.block
     if len(split_conjuncts(block.where)) != 1:
         raise Unsupported("WHERE is more than the probe conjunct")
+    _check_shaping(block, known, ctx.functions)
     probe_k, per_record = _compile_column(tp.probe_expr, tp.probe_fn, known, ctx)
     if per_record:
         raise Unsupported("probe key runs a subquery per record")
@@ -349,13 +292,22 @@ def _compile_probe_kernel(
     field = tp.access_field
     dataset_name = tp.dataset_name
     no_index = tp.no_index
+    scope = Env()  # the block's scope: the shaping reads nothing outside it
+    scratch = WorkMeter()
 
-    if inner_plan.implicit_group:
-        if inner_plan.order_items or block.limit is not None:
-            raise Unsupported("ORDER/LIMIT over an implicit group")
-        shaping = _compile_group_shape(block, var, ctx.functions)
-    else:
-        shaping = _compile_row_shape(inner_plan, block, var, ctx.functions)
+    def shape(ev, matches) -> Tuple:
+        """``(rows, group_items, sort_items)`` for one match list."""
+        ctx = ev.ctx
+        meter, ctx.meter = ctx.meter, scratch
+        try:
+            rows = ev._planned_output(
+                inner_plan, scope, [Env({var: match}, scope) for match in matches]
+            )
+            return rows, scratch.group_items, scratch.sort_items
+        finally:
+            ctx.meter = meter
+            scratch.group_items = scratch.sort_items = 0
+
     # this kernel's (snapshot, shaped-row store): see _shaped_rows
     held = [(None, None)]
     token = inner_plan.token
@@ -367,30 +319,66 @@ def _compile_probe_kernel(
             # with different charges — this batch cannot vectorize.
             raise KernelFallback(f"B-tree on {dataset_name}.{field}")
         keys = probe_k(ev, cb)
-        return _shaped_rows(ev, dataset, field, shaping, held, token, keys)
+        return _shaped_rows(ev, dataset, field, shape, held, token, keys)
 
     return run
 
 
+#: what shaping may call: aggregates and the builtins that never charge
+_SHAPING_CALLS = VECTORIZABLE_BUILTINS | AGGREGATE_NAMES
+
+
+def _check_shaping(block: SelectBlock, known: Tuple[str, ...], functions) -> None:
+    """Raise :class:`Unsupported` unless ``block``'s shaping is charge-free
+    and reads nothing the record-at-a-time path binds outside the block.
+
+    Shaping runs once per key, not once per record, so it must charge
+    nothing (Java, registry and metered builtin calls can; a registered
+    function shadowing a builtin is refused like any other) and run no
+    nested select.  An outer name (``known``) would resolve per record;
+    every other name resolves inside the block, in the catalog, or nowhere,
+    on both paths alike.
+    """
+    exprs = [
+        block.select_value,
+        block.limit,
+        *(proj.expr for proj in block.projections),
+        *(key.expr for key in block.group_keys),
+        *(item.expr for item in block.order_items),
+    ]
+    for node in (node for expr in exprs for node in walk(expr)):
+        if isinstance(node, (SelectBlock, Subquery)):
+            raise Unsupported("nested select in the shaping")
+        if isinstance(node, VarRef) and node.name in known:
+            raise Unsupported(f"shaping reads outer {node.name!r}")
+        if isinstance(node, Call) and (
+            node.library is not None
+            or node.name.lower() not in _SHAPING_CALLS
+            or (functions is not None and functions.has(node.name))
+        ):
+            raise Unsupported(f"function {node.qualified_name}")
+
+
 def _shaped_rows(
-    ev, dataset, field: str, shaping: Tuple, held: List, token, keys: List
+    ev, dataset, field: str, shape: Callable, held: List, token, keys: List
 ) -> List:
     """The shaped rows of each probe key in ``keys``, in one probe pass.
 
-    A key's rows are a pure function of its build-table match list and the
-    compiled shaping (:func:`compile_match_expr` admits nothing that
-    charges or reads past the match record), so they are derived once per
-    reference snapshot and kernel: ``held[0]`` is the kernel's
-    ``(snapshot, store)`` pair, and the store is replaced whenever the
-    generation pins another snapshot than the one it was shaped from (the
-    one the ``("hash", name, field)`` table is built from), so any write
-    replaces it.  It lives and dies with the compiled kernel — never keyed
-    by a plan token (tokens are per ``PlanCache``), never left on the
-    snapshot by a kernel a registry recompiled.  A key is shaped the first
-    time a batch probes it.  Keys that match nothing (absent, NULL,
-    MISSING, and NaN, which the scalar WHERE recheck rejects) share the
-    single entry of the empty match list, filed under ``None``, which no
-    table key equals, so a store never holds more than the table's
+    A key's rows are a pure function of its build-table match list
+    (:func:`_compile_probe_kernel` admits no shaping that charges or reads
+    past the block), so they are derived once per reference snapshot and
+    kernel: ``held[0]`` is the kernel's ``(snapshot, store)`` pair, and the
+    store is replaced whenever the generation pins another snapshot than
+    the one it was shaped from (the one the ``("hash", name, field)`` table
+    is built from), so any write replaces it.  It lives and dies with the
+    compiled kernel — never keyed by a plan token (tokens are per
+    ``PlanCache``), never left on the snapshot by a kernel a registry
+    recompiled.  A key is shaped the first time a batch probes it, and its
+    entry is ``shape(ev, matches)``: the rows and the ``group_items`` and
+    ``sort_items`` shaping them charged.  Keys that match nothing (absent,
+    NULL, MISSING, and NaN, which the scalar WHERE recheck rejects) share
+    the single entry of the empty match list, filed under ``None``, which
+    no table key equals, so a store never holds more than the table's
     distinct keys + 1 entries.  Records share row lists; nothing
     downstream mutates them in place.
 
@@ -398,12 +386,11 @@ def _shaped_rows(
     (``("probe", token, canonical key)``, no value) and only decides the
     charge: a booked key is ``memo_hits`` +1 and ``memo_reused_records``
     + its row count, any other (NULL, MISSING and NaN always) is
-    ``hash_probes`` +1 and the shaping's counter + its match count.  A
-    booking implies the store holds the key: the same version pins the
-    same snapshot, and a registration, which recompiles kernels, clears
-    the memo.  The build is charged only when some key is not booked.
+    ``hash_probes`` +1 plus its entry's group and sort items.  A booking
+    implies the store holds the key: the same version pins the same
+    snapshot, and a registration, which recompiles kernels, clears the
+    memo.  The build is charged only when some key is not booked.
     """
-    shape, counter = shaping
     ctx = ev.ctx
     memo = ctx.memo
     booked = set()  # canonical keys the memo booked at this version
@@ -438,7 +425,7 @@ def _shaped_rows(
     matched = table.get
     out = []
     append = out.append
-    total = hits = reused = 0
+    grouped = sorted_ = hits = reused = 0
     for key, ck in zip(keys, canonical):
         try:
             entry = cached(key)
@@ -453,19 +440,19 @@ def _shaped_rows(
                 key, matches = None, []
                 entry = cached(None)
             if entry is None:
-                # a KernelFallback raised by the shaping stores nothing
-                entry = store[key] = (len(matches), shape(ev, matches))
-        rows = entry[1]
+                entry = store[key] = shape(ev, matches)  # a raise stores nothing
+        rows = entry[0]
         if ck in booked:
             hits += 1
             reused += len(rows)
         else:
-            total += entry[0]
+            grouped += entry[1]
+            sorted_ += entry[2]
         append(rows)
     meter = ctx.meter
     meter.hash_probes += len(keys) - hits
-    if counter is not None:
-        setattr(meter, counter, getattr(meter, counter) + total)
+    meter.group_items += grouped
+    meter.sort_items += sorted_
     if memo is not None:
         meter.memo_hits += hits
         meter.memo_reused_records += reused
@@ -474,136 +461,6 @@ def _shaped_rows(
                 nbytes = estimate_entry_bytes(rows)
                 memo.put(("probe", token, ck), version, None, len(rows), nbytes)
     return out
-
-
-def _compile_group_shape(block: SelectBlock, var: str, functions) -> Tuple:
-    """Implicit-group shaping: one aggregate row over a match list."""
-    if block.select_value is not None:
-        spec = _aggregate_spec(block.select_value, var, functions)
-
-        def shape_value(ev, matches):
-            return [_run_aggregate(ev, spec, matches)]
-
-        return shape_value, "group_items"
-    specs = []
-    for position, proj in enumerate(block.projections, start=1):
-        if isinstance(proj.expr, Star):
-            raise Unsupported("star projection in a group")
-        name = proj.alias or default_alias(proj.expr, fallback=f"${position}")
-        specs.append((name, _aggregate_spec(proj.expr, var, functions)))
-
-    def shape(ev, matches):
-        row = {}
-        for name, spec in specs:
-            value = _run_aggregate(ev, spec, matches)
-            if value is not MISSING:
-                row[name] = value
-        return [row]
-
-    return shape, "group_items"
-
-
-def _aggregate_spec(expr: Expr, var: str, functions) -> Tuple:
-    """(aggregate_name, arg_fn_or_None_for_count_star)."""
-    if not (
-        isinstance(expr, Call)
-        and expr.library is None
-        and expr.name.lower() in AGGREGATE_NAMES
-    ):
-        raise Unsupported("group projection is not a root-level aggregate")
-    lowered = expr.name.lower()
-    if expr.args and isinstance(expr.args[0], Star):
-        return (lowered, None)
-    if not expr.args:
-        raise Unsupported(f"aggregate {expr.name} without argument")
-    return (lowered, compile_match_expr(expr.args[0], var, functions))
-
-
-def _run_aggregate(ev, spec: Tuple, matches: List):
-    lowered, arg_fn = spec
-    if arg_fn is None:
-        return aggregate_values(lowered, [1] * len(matches))
-    values = []
-    for m in matches:
-        value = arg_fn(ev, m)
-        if value is not MISSING and value is not None:
-            values.append(value)
-    return aggregate_values(lowered, values)
-
-
-def _compile_row_shape(
-    plan: SelectPlan, block: SelectBlock, var: str, functions
-) -> Tuple:
-    """Per-match projection + optional single-key ORDER BY + literal LIMIT."""
-    if block.select_value is not None:
-        project = compile_match_expr(block.select_value, var, functions)
-    else:
-        if plan.order_items:
-            # dict rows can shadow ORDER BY names via _order_env; the
-            # scalar path must handle those
-            raise Unsupported("ORDER BY over named projections")
-        proj_fns = []
-        for position, proj in enumerate(block.projections, start=1):
-            if isinstance(proj.expr, Star):
-                raise Unsupported("star projection over a match")
-            name = proj.alias or default_alias(
-                proj.expr, fallback=f"${position}"
-            )
-            proj_fns.append((name, compile_match_expr(proj.expr, var, functions)))
-
-        def project(ev, m):
-            out = {}
-            for name, fn in proj_fns:
-                value = fn(ev, m)
-                if value is not MISSING:
-                    out[name] = value
-            return out
-
-    order_fn = None
-    descending = False
-    if plan.order_items:
-        if len(plan.order_items) != 1:
-            raise Unsupported("multi-key ORDER BY")
-        item = block.order_items[0]
-        order_fn = compile_match_expr(item.expr, var, functions)
-        descending = item.descending
-
-    limit = None
-    if block.limit is not None:
-        if not (
-            isinstance(block.limit, Literal)
-            and isinstance(block.limit.value, int)
-            and block.limit.value >= 0
-        ):
-            raise Unsupported("non-literal LIMIT")
-        limit = block.limit.value
-
-    if order_fn is None:
-
-        def shape_plain(ev, matches):
-            return [project(ev, m) for m in matches[:limit]]
-
-        return shape_plain, None
-
-    def shape(ev, matches):
-        rows = [project(ev, m) for m in matches]
-        if rows:
-            for row in rows:
-                if isinstance(row, dict):
-                    # _order_env would rebind row keys — scalar only
-                    raise KernelFallback("dict rows under ORDER BY")
-            pairs = [
-                (_sort_key(order_fn(ev, m)), row) for m, row in zip(matches, rows)
-            ]
-            pairs.sort(key=_item0, reverse=descending)
-            rows = [row for _key, row in pairs]
-        return rows[:limit]
-
-    return shape, "sort_items"
-
-
-def _item0(pair):
-    return pair[0]
 
 
 # -------------------------------------------------------------- block kernels

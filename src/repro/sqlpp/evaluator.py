@@ -58,7 +58,13 @@ from .ast import (
     UnaryOp,
     VarRef,
 )
-from .functions import AGGREGATE_NAMES, BUILTINS
+from .functions import (
+    AGGREGATE_NAMES,
+    BUILTINS,
+    distinct_values,
+    sort_key,
+    value_key,
+)
 from .plans import (
     SENTINEL,
     DatasetRef,
@@ -269,21 +275,6 @@ def _hash_table_builder(field: str):
         return table
 
     return build
-
-
-def _sort_key(value):
-    """Total order across mixed/unknown values: MISSING < NULL < typed."""
-    if value is MISSING:
-        return (0, 0)
-    if value is None:
-        return (1, 0)
-    if isinstance(value, bool):
-        return (2, value)
-    if isinstance(value, (int, float)):
-        return (3, value)
-    if isinstance(value, str):
-        return (4, value)
-    return (5, repr(value))
 
 
 class Evaluator:
@@ -580,7 +571,7 @@ class Evaluator:
             rows = self._ordered_projected(block, tuple_envs)
 
         if block.distinct:
-            rows = _distinct_rows(rows)
+            rows = distinct_values(rows)
         if block.limit is not None:
             limit = self.evaluate(block.limit, scope)
             if not isinstance(limit, int) or limit < 0:
@@ -892,7 +883,7 @@ class Evaluator:
     def _order_key_for(self, block: SelectBlock, env: Env, row) -> Tuple:
         oenv = self._order_env(env, row)
         return tuple(
-            _OrderKey(_sort_key(self.evaluate(item.expr, oenv)), item.descending)
+            _OrderKey(sort_key(self.evaluate(item.expr, oenv)), item.descending)
             for item in block.order_items
         )
 
@@ -916,30 +907,21 @@ class Evaluator:
         implicit: bool,
     ) -> List:
         self.ctx.meter.group_items += len(tuple_envs)
-        groups: Dict[Tuple, List[Env]] = {}
-        group_order: List[Tuple] = []
         if implicit:
-            key_values: List[Tuple] = [()] * len(tuple_envs)
+            # one group of every tuple: one row even over an empty input
+            grouped = [((), tuple_envs)]
         else:
-            key_values = [
-                tuple(self.evaluate(k.expr, env) for k in block.group_keys)
-                for env in tuple_envs
-            ]
-        for env, key in zip(tuple_envs, key_values):
-            hashable = tuple(_sort_key(v) for v in key)
-            if hashable not in groups:
-                groups[hashable] = []
-                group_order.append((hashable, key))
-            groups[hashable].append(env)
-        if implicit and not tuple_envs:
-            # SQL semantics: aggregates over an empty input yield one row.
-            group_order.append(((), ()))
-            groups[()] = []
-
+            grouped = _hash_groups(
+                tuple_envs,
+                [
+                    tuple(self.evaluate(k.expr, env) for k in block.group_keys)
+                    for env in tuple_envs
+                ],
+            )
         group_envs: List[Env] = []
-        for hashable, key in group_order:
+        for key, members in grouped:
             genv = scope.child()
-            genv.group = group = Group(groups[hashable], {})
+            genv.group = group = Group(members, {})
             for key_spec, value in zip(block.group_keys, key):
                 group.key_values[key_spec.expr] = value
                 if key_spec.alias:
@@ -1017,13 +999,20 @@ class Evaluator:
             else:
                 tuple_envs = [single]
 
+        return self._planned_output(plan, scope, tuple_envs)
+
+    def _planned_output(
+        self, plan: SelectPlan, scope: Env, tuple_envs: List[Env]
+    ) -> List:
+        """A block's rows from its tuple envs: group or project, ORDER BY,
+        DISTINCT, LIMIT.  The columnar probe kernel runs it once per build
+        key over that key's match list."""
         if plan.has_group:
             rows = self._planned_grouped(plan, scope, tuple_envs)
         else:
             rows = self._planned_ordered_projected(plan, tuple_envs)
-
         if plan.distinct:
-            rows = _distinct_rows(rows)
+            rows = distinct_values(rows)
         if plan.limit_fn is not None:
             limit = plan.limit_fn(self, scope)
             if not isinstance(limit, int) or limit < 0:
@@ -1203,9 +1192,9 @@ class Evaluator:
         items = plan.order_items
         if len(items) == 1:  # by far the common case; skip the genexpr
             fn, descending = items[0]
-            return (_OrderKey(_sort_key(fn(self, oenv)), descending),)
+            return (_OrderKey(sort_key(fn(self, oenv)), descending),)
         return tuple(
-            _OrderKey(_sort_key(fn(self, oenv)), descending)
+            _OrderKey(sort_key(fn(self, oenv)), descending)
             for fn, descending in items
         )
 
@@ -1216,11 +1205,11 @@ class Evaluator:
         items = plan.order_items
         if len(items) == 1:
             # Single key: skip the _OrderKey wrappers — a stable C-level
-            # sort on the raw _sort_key tuple with ``reverse`` for DESC is
+            # sort on the raw sort_key tuple with ``reverse`` for DESC is
             # order-identical (ties keep input order either way).
             fn, descending = items[0]
             pairs = [
-                (_sort_key(fn(self, self._order_env(env, row))), row)
+                (sort_key(fn(self, self._order_env(env, row))), row)
                 for env, row in zip(envs, rows)
             ]
             pairs.sort(key=_ITEM0, reverse=descending)
@@ -1245,31 +1234,23 @@ class Evaluator:
         self, plan: SelectPlan, scope: Env, tuple_envs: List[Env]
     ) -> List:
         self.ctx.meter.group_items += len(tuple_envs)
-        groups: Dict[Tuple, List[Env]] = {}
-        group_order: List[Tuple] = []
+        keys = plan.group_keys
         if plan.implicit_group:
-            key_values: List[Tuple] = [()] * len(tuple_envs)
+            # one group of every tuple: one row even over an empty input
+            grouped = [((), tuple_envs)]
         else:
-            key_values = [
-                tuple(fn(self, env) for _expr, _alias, _default, fn in plan.group_keys)
-                for env in tuple_envs
-            ]
-        for env, key in zip(tuple_envs, key_values):
-            hashable = tuple(_sort_key(v) for v in key)
-            if hashable not in groups:
-                groups[hashable] = []
-                group_order.append((hashable, key))
-            groups[hashable].append(env)
-        if plan.implicit_group and not tuple_envs:
-            # SQL semantics: aggregates over an empty input yield one row.
-            group_order.append(((), ()))
-            groups[()] = []
-
+            grouped = _hash_groups(
+                tuple_envs,
+                [
+                    tuple(fn(self, env) for _expr, _alias, _default, fn in keys)
+                    for env in tuple_envs
+                ],
+            )
         group_envs: List[Env] = []
-        for hashable, key in group_order:
+        for key, members in grouped:
             genv = scope.child()
-            genv.group = group = Group(groups[hashable], {})
-            for (expr, alias, default_name, _fn), value in zip(plan.group_keys, key):
+            genv.group = group = Group(members, {})
+            for (expr, alias, default_name, _fn), value in zip(keys, key):
                 group.key_values[expr] = value
                 if alias:
                     genv.vars[alias] = value
@@ -1301,6 +1282,19 @@ class Evaluator:
     _DISPATCH = {}
 
 
+def _hash_groups(envs: List[Env], keys: List[Tuple]) -> List[Tuple]:
+    """``(key, member envs)`` per GROUP BY key, in first-seen order; keys
+    are equal when their values are, under :func:`value_key`."""
+    groups: Dict[Tuple, Tuple] = {}
+    for env, key in zip(envs, keys):
+        identity = tuple(map(value_key, key))
+        group = groups.get(identity)
+        if group is None:
+            group = groups[identity] = (key, [])
+        group[1].append(env)
+    return list(groups.values())
+
+
 class _OrderKey:
     """Comparable wrapper honoring per-item DESC flags."""
 
@@ -1317,17 +1311,6 @@ class _OrderKey:
 
     def __eq__(self, other):
         return self.key == other.key
-
-
-def _distinct_rows(rows: List) -> List:
-    seen = set()
-    out = []
-    for row in rows:
-        key = repr(row)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
 
 
 # Bind the dispatch table now that all methods exist.

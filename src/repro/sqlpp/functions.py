@@ -242,7 +242,7 @@ class Builtins:
             _array_fn(lambda a: (sum(a) / len(a)) if a else None),
         )
         reg("array_contains", _array_fn(lambda a, v: v in a))
-        reg("array_distinct", _array_fn(_distinct))
+        reg("array_distinct", _array_fn(distinct_values))
         reg("array_flatten", _array_fn(_flatten))
         reg("len", _array_fn(len))
 
@@ -315,14 +315,43 @@ class Builtins:
         reg("get_year", _get_year)
 
 
-def _distinct(arr: list) -> list:
+def sort_key(value):
+    """Total order across mixed/unknown values: MISSING < NULL < typed."""
+    if value is MISSING:
+        return (0, 0)
+    if value is None:
+        return (1, 0)
+    if isinstance(value, bool):
+        return (2, value)
+    if isinstance(value, (int, float)):
+        return (3, value)
+    if isinstance(value, str):
+        return (4, value)
+    return (5, repr(value))
+
+
+def value_key(value):
+    """The one value identity of DISTINCT, ``array_distinct`` and GROUP BY.
+
+    Scalars compare by :func:`sort_key` (``1`` = ``1.0``, ``true`` != ``1``),
+    objects by their fields in name order, arrays element by element.
+    """
+    if isinstance(value, dict):
+        return (6, tuple((name, value_key(value[name])) for name in sorted(value)))
+    if isinstance(value, list):
+        return (7, tuple(map(value_key, value)))
+    return sort_key(value)
+
+
+def distinct_values(values: list) -> list:
+    """``values`` without repeats under :func:`value_key`, first kept."""
     seen = set()
     out = []
-    for item in arr:
-        key = repr(item)
+    for value in values:
+        key = value_key(value)
         if key not in seen:
             seen.add(key)
-            out.append(item)
+            out.append(value)
     return out
 
 

@@ -302,41 +302,33 @@ def order_terms(
 # -------------------------------------------------------- expression closures
 
 
-def compile_expr(expr: Expr, row_var: Optional[str] = None) -> Callable:
+def compile_expr(expr: Expr) -> Callable:
     """Compile ``expr`` to a closure ``fn(evaluator, env) -> value``.
 
     Each closure mirrors the corresponding ``Evaluator._eval_*`` method
     exactly (including error messages and GROUP BY key shadowing); the
     structural decisions — which node kind, which operator, which argument
-    sub-closures — are made here, once, instead of per record.
-
-    With ``row_var`` the closure is ``fn(evaluator, row)`` instead: that
-    one variable resolves to the second argument itself, so the columnar
-    probe kernels shape each match without building an ``Env`` for it.
-    The caller guarantees the expression needs no scope beyond the row —
-    no other variable, no aggregate, no nested select.
+    sub-closures — are made here, once, instead of per record.  It is the
+    one expression compiler: the columnar kernels map these closures over
+    a batch and shape probe matches with the plan's own output stage.
     """
     builder = _COMPILERS.get(type(expr))
     if builder is None:
         raise SqlppEvaluationError(f"cannot compile node {type(expr).__name__}")
-    return builder(expr, row_var)
+    return builder(expr)
 
 
-def _compile_literal(expr: Literal, row_var) -> Callable:
+def _compile_literal(expr: Literal) -> Callable:
     value = expr.value
     return lambda ev, env: value
 
 
-def _compile_missing(expr: MissingLiteral, row_var) -> Callable:
+def _compile_missing(expr: MissingLiteral) -> Callable:
     return lambda ev, env: MISSING
 
 
-def _compile_varref(expr: VarRef, row_var) -> Callable:
+def _compile_varref(expr: VarRef) -> Callable:
     name = expr.name
-    if row_var is not None:
-        if name != row_var:
-            raise SqlppAnalysisError(f"unresolved variable: {name}")
-        return lambda ev, row: row
 
     def run(ev, env):
         # group-key expression lookup first (GROUP BY aliases shadow);
@@ -356,18 +348,9 @@ def _compile_varref(expr: VarRef, row_var) -> Callable:
     return run
 
 
-def _compile_field(expr: FieldAccess, row_var) -> Callable:
-    base_fn = compile_expr(expr.base, row_var)
+def _compile_field(expr: FieldAccess) -> Callable:
+    base_fn = compile_expr(expr.base)
     field = expr.field
-    if row_var is not None:  # a bare row has no group scope to shadow it
-
-        def run_row(ev, row):
-            base = base_fn(ev, row)
-            if isinstance(base, dict):
-                return base.get(field, MISSING)
-            return MISSING
-
-        return run_row
 
     def run(ev, env):
         group = env.group
@@ -382,9 +365,9 @@ def _compile_field(expr: FieldAccess, row_var) -> Callable:
     return run
 
 
-def _compile_index(expr: IndexAccess, row_var) -> Callable:
-    base_fn = compile_expr(expr.base, row_var)
-    index_fn = compile_expr(expr.index, row_var)
+def _compile_index(expr: IndexAccess) -> Callable:
+    base_fn = compile_expr(expr.base)
+    index_fn = compile_expr(expr.index)
 
     def run(ev, env):
         base = base_fn(ev, env)
@@ -402,8 +385,8 @@ def _compile_index(expr: IndexAccess, row_var) -> Callable:
     return run
 
 
-def _compile_unary(expr: UnaryOp, row_var) -> Callable:
-    operand_fn = compile_expr(expr.operand, row_var)
+def _compile_unary(expr: UnaryOp) -> Callable:
+    operand_fn = compile_expr(expr.operand)
     if expr.op == "not":
 
         def run(ev, env):
@@ -425,10 +408,10 @@ def _compile_unary(expr: UnaryOp, row_var) -> Callable:
     raise SqlppEvaluationError(f"unknown unary operator {expr.op!r}")
 
 
-def _compile_binary(expr: BinaryOp, row_var) -> Callable:
+def _compile_binary(expr: BinaryOp) -> Callable:
     op = expr.op
-    left_fn = compile_expr(expr.left, row_var)
-    right_fn = compile_expr(expr.right, row_var)
+    left_fn = compile_expr(expr.left)
+    right_fn = compile_expr(expr.right)
     if op == "and":
 
         def run(ev, env):
@@ -512,13 +495,13 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
     return run
 
 
-def _compile_call(expr: Call, row_var) -> Callable:
+def _compile_call(expr: Call) -> Callable:
     name = expr.name
     lowered = name.lower()
     library = expr.library
     if library is None and lowered in AGGREGATE_NAMES:
         return _compile_aggregate(expr, lowered)
-    arg_fns = tuple(compile_expr(arg, row_var) for arg in expr.args)
+    arg_fns = tuple(compile_expr(arg) for arg in expr.args)
     if library is not None:
         qualified = expr.qualified_name
 
@@ -547,16 +530,16 @@ def _compile_call(expr: Call, row_var) -> Callable:
     return run
 
 
-def _compile_case(expr: CaseExpr, row_var) -> Callable:
+def _compile_case(expr: CaseExpr) -> Callable:
     operand_fn = (
-        compile_expr(expr.operand, row_var) if expr.operand is not None else None
+        compile_expr(expr.operand) if expr.operand is not None else None
     )
     when_fns = tuple(
-        (compile_expr(cond, row_var), compile_expr(value, row_var))
+        (compile_expr(cond), compile_expr(value))
         for cond, value in expr.whens
     )
     default_fn = (
-        compile_expr(expr.default, row_var) if expr.default is not None else None
+        compile_expr(expr.default) if expr.default is not None else None
     )
     if operand_fn is not None:
 
@@ -582,9 +565,9 @@ def _compile_case(expr: CaseExpr, row_var) -> Callable:
     return run
 
 
-def _compile_object(expr: ObjectConstructor, row_var) -> Callable:
+def _compile_object(expr: ObjectConstructor) -> Callable:
     field_fns = tuple(
-        (name, compile_expr(value, row_var)) for name, value in expr.fields
+        (name, compile_expr(value)) for name, value in expr.fields
     )
 
     def run(ev, env):
@@ -598,8 +581,8 @@ def _compile_object(expr: ObjectConstructor, row_var) -> Callable:
     return run
 
 
-def _compile_array(expr: ArrayConstructor, row_var) -> Callable:
-    item_fns = tuple(compile_expr(item, row_var) for item in expr.items)
+def _compile_array(expr: ArrayConstructor) -> Callable:
+    item_fns = tuple(compile_expr(item) for item in expr.items)
 
     def run(ev, env):
         return [fn(ev, env) for fn in item_fns]
@@ -607,8 +590,8 @@ def _compile_array(expr: ArrayConstructor, row_var) -> Callable:
     return run
 
 
-def _compile_exists(expr: Exists, row_var) -> Callable:
-    sub_fn = compile_expr(expr.subquery, row_var)
+def _compile_exists(expr: Exists) -> Callable:
+    sub_fn = compile_expr(expr.subquery)
 
     def run(ev, env):
         value = sub_fn(ev, env)
@@ -619,7 +602,7 @@ def _compile_exists(expr: Exists, row_var) -> Callable:
     return run
 
 
-def _compile_subquery(expr: Subquery, row_var) -> Callable:
+def _compile_subquery(expr: Subquery) -> Callable:
     select = expr.select
     # Child plans resolve through _cached_select at runtime: the child's
     # plan key depends on the *runtime* visible names (group aliases,
@@ -627,11 +610,11 @@ def _compile_subquery(expr: Subquery, row_var) -> Callable:
     return lambda ev, env: ev._cached_select(select, env)
 
 
-def _compile_select(expr: SelectBlock, row_var) -> Callable:
+def _compile_select(expr: SelectBlock) -> Callable:
     return lambda ev, env: ev._cached_select(expr, env)
 
 
-def _compile_star(expr: Star, row_var) -> Callable:
+def _compile_star(expr: Star) -> Callable:
     def run(ev, env):
         raise SqlppEvaluationError("'.*' is only valid in a SELECT clause")
 

@@ -34,6 +34,12 @@ SHAPES = [
     "SELECT VALUE max(r.n) FROM Ref r WHERE r.country = t.country",
     "SELECT VALUE r.name FROM Ref r WHERE r.country = t.country ORDER BY r.n DESC",
     "SELECT VALUE r.rid FROM Ref r WHERE r.country = t.country ORDER BY r.n LIMIT 2",
+    "SELECT DISTINCT VALUE r.n FROM Ref r WHERE r.country = t.country",
+    "SELECT r.name AS name, count(*) AS k FROM Ref r WHERE r.country = t.country"
+    " GROUP BY r.name ORDER BY k DESC, name",
+    "SELECT VALUE r.rid FROM Ref r WHERE r.country = t.country ORDER BY r.n DESC, r.name",
+    "SELECT r.name AS name FROM Ref r WHERE r.country = t.country ORDER BY r.n, name",
+    "SELECT r.* FROM Ref r WHERE r.country = t.country",
 ]
 COUNTRIES = ["US", "FR", "DE", None, ["US"]]
 ROW = st.tuples(
@@ -74,6 +80,7 @@ def test_kernel_matches_the_interpreter_across_generations(shape, rows, generati
     kernel_ctx = EvaluationContext(catalog)
     plan = kernel_ctx.plan_cache.plan_for(definition.body, frozenset("t"), catalog)
     kernel = compile_block_kernel(plan, ("t",), kernel_ctx)
+    assert kernel.fallback_lets == 0  # every shape runs batched
     for generation, (probes, upsert) in enumerate(generations):
         if generation:
             oracle_ctx.refresh_batch()
@@ -156,7 +163,7 @@ def test_the_memo_books_the_rows_the_kernel_store_holds(shape, rows, generations
         for key, entry in memo._entries.items():
             assert key[:2] == ("probe", token) and entry.value is None
             if entry.version_key == version:
-                _count, shaped = store[key[2]] if key[2] in store else store[None]
+                shaped = (store[key[2]] if key[2] in store else store[None])[0]
                 assert entry.records == len(shaped)
                 assert entry.nbytes == estimate_entry_bytes(shaped)
         if upsert is not None:

@@ -1,5 +1,6 @@
 """Property-based tests for SQL++ evaluation against Python models."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +16,26 @@ rows = st.lists(
 )
 
 
-def run(text, bindings):
-    return Evaluator(EvaluationContext({})).evaluate_query(
+# integers that may arrive as floats: ``1`` and ``1.0`` are one value
+mixed_rows = st.lists(
+    st.fixed_dictionaries(
+        {
+            "k": st.integers(0, 5),
+            "v": st.integers(-5, 5).flatmap(lambda i: st.sampled_from([i, float(i)])),
+        }
+    ),
+    max_size=40,
+)
+
+DISTINCT_QUERIES = [
+    "SELECT DISTINCT VALUE r.v FROM data r",
+    "array_distinct((SELECT VALUE r.v FROM data r))",
+    "SELECT VALUE v FROM data r GROUP BY r.v AS v",
+]
+
+
+def run(text, bindings, use_plans=True):
+    return Evaluator(EvaluationContext({}, use_plans=use_plans)).evaluate_query(
         parse_expression(text), bindings
     )
 
@@ -74,16 +93,32 @@ class TestSelectProperties:
         expected_sum = sum(r["v"] for r in data) if data else None
         assert got == [{"n": len(data), "s": expected_sum}]
 
-    @given(rows)
+    @given(st.one_of(rows, mixed_rows))
     @settings(max_examples=60)
     def test_distinct_model(self, data):
-        got = run("SELECT DISTINCT VALUE r.v FROM data r", {"data": data})
+        """DISTINCT, ``array_distinct`` and GROUP BY keep the first of
+        each value, and ``1`` is ``1.0``."""
         seen, expected = set(), []
         for r in data:
             if r["v"] not in seen:
                 seen.add(r["v"])
                 expected.append(r["v"])
-        assert got == expected
+        for use_plans in (True, False):
+            for query in DISTINCT_QUERIES:
+                got = run(query, {"data": data}, use_plans)
+                assert repr(got) == repr(expected), query
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    def test_distinct_objects_ignore_field_order(self, use_plans):
+        data = [
+            {"v": {"a": 1, "b": [2, {"c": 3}]}},
+            {"v": {"b": [2.0, {"c": 3}], "a": 1.0}},
+            {"v": {"a": True, "b": [2, {"c": 3}]}},
+            {"v": {"a": 1, "b": [{"c": 3}, 2]}},
+        ]
+        expected = [data[0]["v"], data[2]["v"], data[3]["v"]]
+        for query in DISTINCT_QUERIES:
+            assert repr(run(query, {"data": data}, use_plans)) == repr(expected), query
 
 
 words = st.text(alphabet="abcdef", max_size=12)

@@ -4,7 +4,8 @@ A shape with no batched form must either fail kernel compilation for the
 whole block (:class:`Unsupported`, surfaced as the ``UNSUPPORTED``
 sentinel through :func:`kernel_for`), run its subquery per record inside
 that one column (``fallback_lets``), or abort at run time
-(:class:`KernelFallback`) — never silently produce different results.
+(:class:`KernelFallback`, only for a live B-tree) — never silently
+produce different results.
 """
 
 from __future__ import annotations
@@ -151,27 +152,33 @@ COLUMN_CASES = [
         "inner_distinct",
         """LET x = (SELECT DISTINCT VALUE s.safety_rating
             FROM SafetyRatings s WHERE s.country_code = t.country)""",
-        1,
+        0,
     ),
     (
         "explicit_group_by",
         """LET x = (SELECT s.country_code AS c, count(*) AS n
             FROM SafetyRatings s WHERE s.country_code = t.country
             GROUP BY s.country_code)""",
-        1,
+        0,
     ),
     (
         "multi_key_order_by",
         """LET x = (SELECT VALUE s.population FROM ReligiousPopulations s
             WHERE s.country_name = t.country
             ORDER BY s.population DESC, s.religion_name)""",
-        1,
+        0,
     ),
     (
         "order_by_over_named_projections",
         """LET x = (SELECT s.safety_rating AS r FROM SafetyRatings s
             WHERE s.country_code = t.country ORDER BY s.safety_rating)""",
-        1,
+        0,
+    ),
+    (
+        "object_rows_under_order_by",
+        """LET x = (SELECT VALUE s FROM SafetyRatings s
+            WHERE s.country_code = t.country ORDER BY s.safety_rating)""",
+        0,
     ),
     (
         "non_literal_limit",
@@ -183,7 +190,7 @@ COLUMN_CASES = [
         "star_projection_over_match",
         """LET x = (SELECT s.* FROM SafetyRatings s
             WHERE s.country_code = t.country)""",
-        1,
+        0,
     ),
 ]
 
@@ -291,24 +298,6 @@ def test_registry_function_shadowing_a_builtin_is_honoured_per_match(
 
 
 # ------------------------------------------------------- runtime fallbacks
-
-
-def test_dict_rows_under_order_by_abort_at_runtime(
-    small_catalog, registry, sample_tweet
-):
-    ctx = _ctx(small_catalog, registry)
-    kernel, _plan = _compile(
-        ctx,
-        """CREATE FUNCTION f(t) {
-            LET x = (SELECT VALUE s FROM SafetyRatings s
-                     WHERE s.country_code = t.country
-                     ORDER BY s.safety_rating)
-            SELECT t.*, x
-        }""",
-    )
-    assert kernel.fallback_lets == 0  # compiles: rows might not be dicts
-    with pytest.raises(KernelFallback, match="dict rows under ORDER BY"):
-        kernel.run(Evaluator(ctx), [dict(sample_tweet)])
 
 
 def test_btree_index_created_after_compile_aborts_at_runtime(

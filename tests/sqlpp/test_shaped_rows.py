@@ -123,7 +123,7 @@ def test_two_registries_over_one_catalog_keep_their_own_rows(stores):
     assert [row["religions"] for row in one] == [["B"], ["A"]]
     three_store, one_store = stores()
     assert three_store is not one_store
-    assert (three_store["US"][1], one_store["US"][1]) == (["B", "C", "A"], ["B"])
+    assert (three_store["US"][0], one_store["US"][0]) == (["B", "C", "A"], ["B"])
 
 
 def test_a_recompiled_kernel_leaves_nothing_on_the_snapshot(stores):

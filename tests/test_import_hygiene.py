@@ -300,3 +300,21 @@ def test_shaped_probe_rows_have_one_holder():
         if "allow_index" in path.read_text()
     ]
     assert not offenders, offenders
+
+
+def test_probe_shaping_has_one_compiler():
+    """A probe key's rows come from the planned SELECT's own output stage:
+    the kernel's second, partial compiler of projections, groups and sorts
+    and the row-variable mode of ``compile_expr`` that fed it do not come
+    back."""
+    import re
+
+    gone = re.compile(
+        r"\b(row_var|compile_match_expr|_compile_row_shape|_compile_group_shape)\b"
+    )
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}: {match.group(0)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for match in gone.finditer(path.read_text())
+    ]
+    assert not offenders, offenders
