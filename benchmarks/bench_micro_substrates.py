@@ -21,6 +21,7 @@ from repro.sqlpp import (
     parse_function,
 )
 from repro.sqlpp.columnar import compile_block_kernel
+from repro.sqlpp.state_cache import StateCache
 from repro.storage import BPlusTree, Dataset, LSMTree, RTree
 from repro.udf.library import SQLPP_UDFS, RemoveSpecialUdf
 from repro.workloads import (
@@ -95,6 +96,31 @@ def test_micro_lsm_lookup(benchmark):
             tree.get(key)
 
     benchmark(lookup_all)
+
+
+def test_micro_storage_snapshot_forward(benchmark):
+    """One upsert into a 5,000-record, 2-partition reference dataset, then
+    the next generation's snapshot, its hash table and the state cache's
+    byte estimate of both: the held snapshot and what it derived move
+    forward by the upsert's WAL record."""
+    ratings = Dataset(
+        "SafetyRatings", open_type("T"), "sid", num_partitions=2, validate=False
+    )
+    for i in range(5000):
+        ratings.insert({"sid": i, "county": f"county{i % 500}", "rating": i % 10})
+    ratings.flush_all()
+    ctx = EvaluationContext(
+        {"SafetyRatings": ratings}, state_cache=StateCache(64 << 20)
+    )
+    updates = iter(range(10**9))
+
+    def upsert_and_read():
+        i = next(updates)
+        ratings.upsert({"sid": i % 5000, "county": f"county{i % 499}", "rating": i})
+        ctx.refresh_batch()
+        Evaluator(ctx)._hash_table(ratings, "county")
+
+    benchmark(upsert_and_read)
 
 
 def test_micro_btree_probe(benchmark):
@@ -233,8 +259,9 @@ def test_micro_sqlpp_probe_kernel(benchmark):
 
 def test_micro_sqlpp_probe_kernel_reshaping(benchmark):
     """Q2's BlockKernel as above, with one ReligiousPopulations upsert
-    before each round: the write replaces the snapshot, so every round
-    rebuilds the hash table and reshapes every key the batch probes."""
+    before each round: the write moves the snapshot and its hash table
+    forward by one record, and the round reshapes only the key whose
+    match list that record changed."""
     ctx, kernel, religions, tweets = _religion_kernel("religious_population")
     record = dict(next(iter(religions.snapshot().records)))
     populations = iter(range(1_000, 10**9))

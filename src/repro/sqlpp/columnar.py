@@ -14,11 +14,10 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   per-generation (and, cross-batch, StateCache-booked) build table.  The
   inner block's shaping is the planned path's own output stage
   (``Evaluator._planned_output``: group or project, ORDER BY, DISTINCT,
-  LIMIT) over a key's match list, run once per build key and reference
-  snapshot, not once per record: the kernel keeps a key's shaped rows
-  until the generation pins another snapshot than the one the table they
-  are shaped from was built on (:func:`_shaped_rows`, the one probe pass;
-  a memo only books those rows);
+  LIMIT) over a key's match list, run once per build key and match
+  list, not once per record: the kernel keeps a key's shaped rows until
+  a write changes that key's matches (:func:`_shaped_rows`, the one probe
+  pass; a memo only books those rows);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -81,7 +80,7 @@ from .ast import (
     VarRef,
     walk,
 )
-from .evaluator import Env, _hash_table_builder
+from .evaluator import Env, _BuildSide
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
 from .plans import SelectPlan, compile_expr, truthy
@@ -309,7 +308,7 @@ def _compile_probe_kernel(
             scratch.group_items = scratch.sort_items = 0
 
     # this kernel's (snapshot, shaped-row store): see _shaped_rows
-    held = [(None, None)]
+    held = [(None, {})]
     token = inner_plan.token
 
     def run(ev, cb):
@@ -366,21 +365,28 @@ def _shaped_rows(
 
     A key's rows are a pure function of its build-table match list
     (:func:`_compile_probe_kernel` admits no shaping that charges or reads
-    past the block), so they are derived once per reference snapshot and
-    kernel: ``held[0]`` is the kernel's ``(snapshot, store)`` pair, and the
-    store is replaced whenever the generation pins another snapshot than
-    the one it was shaped from (the one the ``("hash", name, field)`` table
-    is built from), so any write replaces it.  It lives and dies with the
-    compiled kernel — never keyed by a plan token (tokens are per
-    ``PlanCache``), never left on the snapshot by a kernel a registry
-    recompiled.  A key is shaped the first time a batch probes it, and its
-    entry is ``shape(ev, matches)``: the rows and the ``group_items`` and
-    ``sort_items`` shaping them charged.  Keys that match nothing (absent,
-    NULL, MISSING, and NaN, which the scalar WHERE recheck rejects) share
-    the single entry of the empty match list, filed under ``None``, which
-    no table key equals, so a store never holds more than the table's
-    distinct keys + 1 entries.  Records share row lists; nothing
-    downstream mutates them in place.
+    past the block), so they are derived once per match list and kernel:
+    ``held[0]`` is the kernel's ``(snapshot, store)`` pair.  When the
+    generation pins another snapshot than the store was last read against,
+    the store carries over to it, dropping each entry whose key's match
+    list in the new ``("hash", name, field)`` table is not the very list
+    it was shaped from.  A carried-forward table copies only the lists a
+    write touched (``evaluator._BuildSide.forward``) and a rebuilt one
+    holds all new lists, so a write reshapes exactly the keys whose
+    matches it changed.  The store lives and dies with the compiled kernel
+    — never keyed by a plan token (tokens are per ``PlanCache``), never
+    left on the snapshot by a kernel a registry recompiled.  A key is
+    shaped the first time a batch probes it, and its entry is ``(rows,
+    group_items, sort_items, nbytes, matches)``: what ``shape(ev,
+    matches)`` returned, the rows' byte estimate, sized once per entry
+    (``None`` when no memo was attached to book them), and the match
+    list.  Keys that match nothing (absent, NULL, MISSING, and NaN, which
+    the scalar WHERE recheck rejects) share the single entry of the empty
+    match list, filed under ``None`` with ``None`` for its match list: no
+    table key equals ``None``, so that entry survives every carry-over,
+    and a store never holds more than the table's distinct keys + 1
+    entries.  Records share row lists; nothing downstream mutates them in
+    place.
 
     Every charge stays per record.  An attached memo books each key's rows
     (``("probe", token, canonical key)``, no value) and only decides the
@@ -414,22 +420,21 @@ def _shaped_rows(
     if build:
         ev._hash_table(dataset, field)
     snapshot = ctx.snapshots.pin(dataset)
-    table = snapshot.derived(
-        ("hash", dataset.name, field), _hash_table_builder(field)
-    )
+    matched = _BuildSide(dataset.name, field).table(snapshot).get
     shaped_from, store = held[0]
     if shaped_from is not snapshot:
-        store = {}
+        # an entry stays while its key's matches are the list it was shaped from
+        for key in [k for k, entry in store.items() if matched(k) is not entry[4]]:
+            del store[key]
         held[0] = (snapshot, store)
     cached = store.get
-    matched = table.get
-    out = []
-    append = out.append
+    shaped = []
+    append = shaped.append
     grouped = sorted_ = hits = reused = 0
     for key, ck in zip(keys, canonical):
         try:
             entry = cached(key)
-        except TypeError:  # an array or object: see _hash_table_builder
+        except TypeError:  # an array or object: see _BuildSide
             key = canonical_probe_key(key)
             entry = cached(key)
         if entry is None:
@@ -437,18 +442,19 @@ def _shaped_rows(
             if key is not MISSING and key is not None and key == key:
                 matches = matched(key)
             if matches is None:
-                key, matches = None, []
+                key = None
                 entry = cached(None)
-            if entry is None:
-                entry = store[key] = shape(ev, matches)  # a raise stores nothing
-        rows = entry[0]
+            if entry is None:  # a raise stores nothing
+                rows, group_items, sort_items = shape(ev, matches or [])
+                nbytes = None if memo is None else estimate_entry_bytes(rows)
+                entry = store[key] = (rows, group_items, sort_items, nbytes, matches)
         if ck in booked:
             hits += 1
-            reused += len(rows)
+            reused += len(entry[0])
         else:
             grouped += entry[1]
             sorted_ += entry[2]
-        append(rows)
+        append(entry)
     meter = ctx.meter
     meter.hash_probes += len(keys) - hits
     meter.group_items += grouped
@@ -456,11 +462,12 @@ def _shaped_rows(
     if memo is not None:
         meter.memo_hits += hits
         meter.memo_reused_records += reused
-        for ck, rows in zip(canonical, out):
+        for ck, (rows, _g, _s, nbytes, _m) in zip(canonical, shaped):
             if ck is not None and ck not in booked:
-                nbytes = estimate_entry_bytes(rows)
+                if nbytes is None:  # shaped by a run with no memo attached
+                    nbytes = estimate_entry_bytes(rows)
                 memo.put(("probe", token, ck), version, None, len(rows), nbytes)
-    return out
+    return [entry[0] for entry in shaped]
 
 
 # -------------------------------------------------------------- block kernels

@@ -28,6 +28,7 @@ per-record probe work meters onto ``ctx.meter`` (per-partition).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -80,7 +81,7 @@ from .plans import (
     truthy,
 )
 from .memo import canonical_probe_key
-from .state_cache import estimate_entry_bytes
+from .state_cache import dict_slot_bytes, estimate_entry_bytes, seq_slot_bytes
 
 
 class SnapshotSet:
@@ -252,7 +253,15 @@ _ITEM0 = itemgetter(0)
 _MEMO_BYPASS = object()
 
 
-def _hash_table_builder(field: str):
+class _CarriedTable(dict):
+    """A build table carried forward from its predecessor snapshot's, with
+    ``positions``: per key, the ``(partition, primary key)`` of each of its
+    records, in the order the records are."""
+
+    __slots__ = ("positions",)
+
+
+class _BuildSide:
     """``records -> {field value: [records]}``, the hash-join build side.
 
     An unhashable value (an array or object) keys by
@@ -260,21 +269,107 @@ def _hash_table_builder(field: str):
     that is one: equal ADM values share one key, and no scalar equals one
     (``'US' = ['US']`` is false).
     """
-    get = field_getter(field)
 
-    def build(records) -> Dict:
+    __slots__ = ("key", "get")
+
+    def __init__(self, name: str, field: str):
+        self.key = ("hash", name, field)
+        self.get = field_getter(field)
+
+    def table(self, snapshot) -> Dict:
+        """``snapshot``'s table: carried forward from its predecessor's, or
+        built from its records."""
+        return snapshot.derived(self.key, self.build, self.forward)
+
+    def build(self, records) -> Dict:
+        key_of = self._key_of
         table: Dict = {}
         for record in records:
-            value = get(record)
-            if value is not MISSING and value is not None:
-                try:
-                    matches = table.setdefault(value, [])
-                except TypeError:
-                    matches = table.setdefault(canonical_probe_key(value), [])
-                matches.append(record)
+            key = key_of(record)
+            if key is not None:
+                table.setdefault(key, []).append(record)
         return table
 
-    return build
+    def _key_of(self, record):
+        """The table key ``record`` files under; ``None`` for none."""
+        value = self.get(record)
+        if value is MISSING or value is None:
+            return None
+        try:
+            hash(value)
+        except TypeError:
+            return canonical_probe_key(value)
+        return value
+
+    def forward(self, table: Dict, delta) -> Optional[Dict]:
+        """``table`` moved by ``delta``, copy on write: a key's list is
+        copied only when one of its records changes, so every other key
+        keeps its list, and a record goes in where the scan has it.
+        ``None`` when positions do not order (keys of several types in one
+        partition)."""
+        positions = getattr(table, "positions", None)
+        if positions is None:
+            positions = {}
+            for position, record in zip(delta.old.positions(), delta.old.records):
+                key = self._key_of(record)
+                if key is not None:
+                    positions.setdefault(key, []).append(position)
+        moved = _CarriedTable(table)
+        moved.positions = at = dict(positions)
+        copied = set()
+
+        def own(key):
+            if key not in copied:
+                copied.add(key)
+                moved[key] = list(moved.get(key, ()))
+                at[key] = list(at.get(key, ()))
+            return moved[key], at[key]
+
+        try:
+            for position, record in delta.removed:
+                key = self._key_of(record)
+                if key is not None:
+                    matches, spots = own(key)
+                    i = bisect_left(spots, position)
+                    del matches[i], spots[i]
+            for position, record in delta.added:
+                key = self._key_of(record)
+                if key is not None:
+                    matches, spots = own(key)
+                    i = bisect_left(spots, position)
+                    matches.insert(i, record)
+                    spots.insert(i, position)
+        except TypeError:
+            return None
+        for key in copied:
+            if not moved[key]:
+                del moved[key], at[key]
+        return moved
+
+    def forward_bytes(self, nbytes: int, delta) -> int:
+        """The table's byte estimate moved by ``delta``: the changed
+        records' slots, and a key's slot when it comes or goes."""
+        old, new = self.table(delta.old), self.table(delta.new)
+        keys = set()
+        for sign, changes in ((-1, delta.removed), (1, delta.added)):
+            for _position, record in changes:
+                key = self._key_of(record)
+                if key is not None:
+                    nbytes += sign * seq_slot_bytes(record)
+                    keys.add(key)
+        for key in keys:
+            if (key in old) != (key in new):
+                nbytes += (1 if key in new else -1) * dict_slot_bytes(key, ())
+        return nbytes
+
+
+def _forward_scan_bytes(nbytes: int, delta) -> int:
+    """The scan's byte estimate moved by ``delta``'s record slots."""
+    return (
+        nbytes
+        + sum(seq_slot_bytes(record) for _position, record in delta.added)
+        - sum(seq_slot_bytes(record) for _position, record in delta.removed)
+    )
 
 
 class Evaluator:
@@ -739,7 +834,9 @@ class Evaluator:
         ctx.memo.put(key, version, result, len(result))
         return result
 
-    def _charge_build(self, key, dataset, charge) -> ReferenceSnapshot:
+    def _charge_build(
+        self, key, dataset, charge, forward_bytes
+    ) -> ReferenceSnapshot:
         """Charge building ``key`` from ``dataset``'s pinned snapshot — or,
         when the StateCache booked that build at the snapshot's version,
         its reuse — and return the snapshot the state is read from.
@@ -750,7 +847,8 @@ class Evaluator:
         holds no value.  ``charge(snapshot)`` meters the build and returns
         what its bytes are estimated over; the estimate is memoized on the
         snapshot, so every cache that books this build (one per fleet
-        tenant) walks it once.
+        tenant) walks it once, and ``forward_bytes`` moves it to the next
+        snapshot by the records a write changed.
         """
         ctx = self.ctx
         snapshot = ctx.snapshots.pin(dataset)
@@ -766,7 +864,9 @@ class Evaluator:
             return snapshot
         payload = charge(snapshot)
         nbytes = snapshot.derived(
-            ("nbytes", key), lambda _records: estimate_entry_bytes(payload)
+            ("nbytes", key),
+            lambda _records: estimate_entry_bytes(payload),
+            forward_bytes,
         )
         cache.put(key, version, None, len(snapshot.records), nbytes)
         return snapshot
@@ -776,8 +876,8 @@ class Evaluator:
 
         Every batch is charged a full scan (or a StateCache reuse), as the
         modeled per-job rebuild demands; the records themselves come from
-        :meth:`Dataset.snapshot`, which rescans only when the dataset has
-        taken a write since its last snapshot.  A batch the memo serves
+        :meth:`Dataset.snapshot`, which moves its held snapshot forward by
+        the writes the dataset took since.  A batch the memo serves
         whole pins the snapshot but is charged neither.
         """
         key = ("scan", dataset.name)
@@ -792,7 +892,9 @@ class Evaluator:
                 meter.penalized_reads += self._penalty_units(dataset, scanned)
                 return snapshot.records
 
-            snapshot = built[key] = self._charge_build(key, dataset, charge)
+            snapshot = built[key] = self._charge_build(
+                key, dataset, charge, _forward_scan_bytes
+            )
         return snapshot
 
     def _scan_dataset(self, dataset) -> Tuple[dict, ...]:
@@ -815,7 +917,7 @@ class Evaluator:
             return []
         try:
             return table.get(probe_value, [])
-        except TypeError:  # an array or object: see _hash_table_builder
+        except TypeError:  # an array or object: see _BuildSide
             return table.get(canonical_probe_key(probe_value), [])
 
     def _hash_table(self, dataset, field: str) -> Dict:
@@ -830,15 +932,15 @@ class Evaluator:
         built = self.ctx.snapshots.built
         table = built.get(key)
         if table is None:
-            build = _hash_table_builder(field)
+            side = _BuildSide(dataset.name, field)
 
             def charge(snapshot):
                 self._charged_scan(dataset)
                 self.ctx.shared_meter.hash_builds += len(snapshot.records)
-                return snapshot.derived(key, build)
+                return side.table(snapshot)
 
-            snapshot = self._charge_build(key, dataset, charge)
-            table = built[key] = snapshot.derived(key, build)
+            snapshot = self._charge_build(key, dataset, charge, side.forward_bytes)
+            table = built[key] = side.table(snapshot)
         return table
 
     def _btree_probe(self, dataset, index_name: str, probe_value) -> List[dict]:

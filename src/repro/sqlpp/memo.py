@@ -10,8 +10,9 @@ enrichment calls for the same keys at 1.68M sessions.  This module
 memoizes the *result* of enriching one key, across batches:
 
 * **L1** is free: the columnar probe kernel's store holds every key's
-  shaped rows per snapshot, and the external coordinator's per-batch key
-  dedup guarantees one remote hit per distinct key per batch.
+  shaped rows until a write changes the key's matches, and the external
+  coordinator's per-batch key dedup guarantees one remote hit per
+  distinct key per batch.
 * **L2** is the :class:`EnrichmentMemo` below — a cross-batch
   LRU-by-bytes inventory (it reuses the StateCache machinery: same
   ``get``/``put``/``configure``/``clear`` contract, same payload-aware

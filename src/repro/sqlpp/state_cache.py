@@ -108,6 +108,18 @@ def estimate_payload_bytes(value) -> int:
     return _OPAQUE_BYTES  # datetimes, spatial values, other leaf objects
 
 
+def seq_slot_bytes(item) -> int:
+    """What ``item`` adds to :func:`estimate_payload_bytes` of a list or
+    tuple holding it: the estimate is a plain sum, so a container that
+    gains or loses items moves by exactly their slots."""
+    return _SEQ_SLOT_BYTES + estimate_payload_bytes(item)
+
+
+def dict_slot_bytes(key, item) -> int:
+    """What ``key: item`` adds to :func:`estimate_payload_bytes` of a dict."""
+    return _DICT_SLOT_BYTES + estimate_payload_bytes(key) + estimate_payload_bytes(item)
+
+
 def estimate_entry_bytes(value) -> int:
     """What :meth:`StateCache.put` books for an entry holding ``value``."""
     return ENTRY_OVERHEAD_BYTES + estimate_payload_bytes(value)

@@ -13,13 +13,16 @@ cost effects.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from bisect import bisect_left
+from itertools import chain
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..adm.schema import primary_key_of, split_path
 from ..adm.types import Datatype
 from ..errors import IndexError_, KeyNotFoundError
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMTree
+from .memtable import TOMBSTONE
 
 
 def key_hash(key) -> int:
@@ -48,27 +51,84 @@ class ReferenceSnapshot:
     version proof for anything cached from it.  :meth:`derived` memoizes
     what readers compute from it — a per-field hash table, rendered
     resource lines, a size estimate — for as long as the snapshot itself
-    is current.
+    is current.  When a write moves the dataset on, its next snapshot is
+    this one plus the write's WAL delta (:meth:`Dataset.snapshot`), and a
+    derived value registered with a ``forward`` moves with it; this
+    snapshot and what it derived are left as they are.
     """
 
-    __slots__ = ("records", "lsns", "_derived")
+    __slots__ = ("records", "lsns", "_keys", "_derived", "_forwards")
 
-    def __init__(self, records: Tuple[dict, ...], lsns: Tuple[int, ...]):
+    def __init__(
+        self,
+        records: Tuple[dict, ...],
+        lsns: Tuple[int, ...],
+        keys: Optional[Tuple[List, ...]] = None,
+    ):
         self.records = records
         self.lsns = lsns
+        # per partition, its primary keys in scan order: what a forward
+        # places written keys against
+        self._keys = keys
         self._derived: Dict[object, object] = {}
+        self._forwards: Dict[object, Callable] = {}
 
-    def derived(self, key, build: Callable[[Tuple[dict, ...]], object]):
+    def derived(
+        self,
+        key,
+        build: Callable[[Tuple[dict, ...]], object],
+        forward: Optional[Callable[[object, "SnapshotDelta"], object]] = None,
+    ):
         """``build(records)``, computed once per snapshot and ``key``.
 
         The result is shared by every reader of this snapshot, so readers
-        must treat it as read-only.
+        must treat it as read-only.  With ``forward``, the successor
+        snapshot starts with ``forward(value, delta)`` under ``key``
+        instead of building it afresh; ``forward`` returns ``None`` when it
+        cannot, and the successor builds the value when first asked.
         """
         try:
             return self._derived[key]
         except KeyError:
             value = self._derived[key] = build(self.records)
+            if forward is not None:
+                self._forwards[key] = forward
             return value
+
+    def positions(self) -> Iterator[Tuple[int, object]]:
+        """``(partition, primary key)`` of each record, in scan order."""
+        for pid, keys in enumerate(self._keys):
+            for key in keys:
+                yield pid, key
+
+    def _successor(self, records, lsns, keys, removed, added) -> "ReferenceSnapshot":
+        moved = ReferenceSnapshot(records, lsns, keys)
+        delta = SnapshotDelta(self, moved, removed, added)
+        # in registration order: a value may read what an earlier one
+        # forwarded to (a table's byte estimate reads the table)
+        for key, forward in list(self._forwards.items()):
+            value = forward(self._derived[key], delta)
+            if value is not None:
+                moved._derived[key] = value
+                moved._forwards[key] = forward
+        return moved
+
+
+class SnapshotDelta:
+    """What one write sequence changed between two snapshots of a dataset.
+
+    ``removed`` and ``added`` hold ``((partition, primary key), record)``
+    pairs in scan order: a deleted record is only in ``removed``, a new key
+    only in ``added``, and a replaced record is in both at one position.
+    """
+
+    __slots__ = ("old", "new", "removed", "added")
+
+    def __init__(self, old, new, removed, added):
+        self.old = old
+        self.new = new
+        self.removed = removed
+        self.added = added
 
 
 class Dataset:
@@ -238,14 +298,69 @@ class Dataset:
         write, a rescan would return the same record objects in the same
         order, so the held snapshot — and everything derived from it — *is*
         that rescan.  Any write, through the dataset or straight to a
-        partition, moves an LSN and the next call scans afresh.  One
-        snapshot is held per dataset; a newer one replaces it.
+        partition, moves an LSN.  The next call then moves the held
+        snapshot forward by each partition's logged writes between the two
+        LSNs (flushes and merges log none), so its ``records`` are what a
+        rescan would return; it scans afresh only when nothing is held or a
+        written key cannot be ordered against the held ones.  One snapshot
+        is held per dataset; a newer one replaces it.
         """
         lsns = tuple(tree.lsn for tree in self.partitions)
         held = self._snapshot
         if held is None or held.lsns != lsns:
-            held = self._snapshot = ReferenceSnapshot(tuple(self.scan()), lsns)
+            moved = None if held is None else self._forward(held, lsns)
+            held = self._snapshot = moved or self._rescan(lsns)
         return held
+
+    def _rescan(self, lsns) -> ReferenceSnapshot:
+        records = tuple(self.scan())
+        keys = tuple([key for key, _ in tree.scan()] for tree in self.partitions)
+        return ReferenceSnapshot(records, lsns, keys)
+
+    def _forward(self, held, lsns) -> Optional[ReferenceSnapshot]:
+        """``held`` moved to ``lsns`` by each partition's logged writes, or
+        ``None`` when written keys do not order against the held ones (keys
+        of several types raise ``TypeError``)."""
+        old = held.records
+        parts: List[Sequence] = []
+        keys: List[List] = []
+        removed: List[Tuple] = []
+        added: List[Tuple] = []
+        base = 0
+        for pid, (tree, start, stop, held_keys) in enumerate(
+            zip(self.partitions, held.lsns, lsns, held._keys)
+        ):
+            end = base + len(held_keys)
+            if start == stop:
+                parts.append(old[base:end])
+                keys.append(held_keys)
+                base = end
+                continue
+            writes = dict(tree.logged_writes(start, stop))  # the last one wins
+            moved_keys: List = []
+            done = 0  # held_keys[:done] are placed
+            try:
+                for key in sorted(writes):
+                    at = bisect_left(held_keys, key)
+                    moved_keys += held_keys[done:at]
+                    parts.append(old[base + done : base + at])
+                    done = at
+                    if at < len(held_keys) and held_keys[at] == key:
+                        removed.append(((pid, held_keys[at]), old[base + at]))
+                        done = at + 1
+                    record = writes[key]
+                    if record is not TOMBSTONE:
+                        moved_keys.append(key)
+                        parts.append((record,))
+                        added.append(((pid, key), record))
+            except TypeError:
+                return None
+            moved_keys += held_keys[done:]
+            parts.append(old[base + done : end])
+            keys.append(moved_keys)
+            base = end
+        records = tuple(chain.from_iterable(parts))
+        return held._successor(records, lsns, tuple(keys), removed, added)
 
     # -------------------------------------------------------------- index API
 

@@ -214,6 +214,18 @@ class LSMTree:
         """
         return self._next_lsn
 
+    def logged_writes(self, start: int, stop: int) -> Iterator[Tuple[object, object]]:
+        """The writes with LSNs in ``[start, stop)``, oldest first, as
+        ``(key, record)`` pairs — :data:`TOMBSTONE` for a delete.
+
+        Replaying them over a scan taken at LSN ``start`` gives the scan at
+        ``stop``, whatever flushes and merges ran between.  The WAL is
+        never truncated and every write takes the next LSN, so a record's
+        position in it is its LSN.
+        """
+        for entry in self._wal[start:stop]:
+            yield entry.key, TOMBSTONE if entry.op == "delete" else entry.record
+
     def recover_from_wal(self) -> "LSMTree":
         """Rebuild an equivalent tree by replaying the write-ahead log.
 

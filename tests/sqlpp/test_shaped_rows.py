@@ -1,9 +1,10 @@
-"""Shaped probe rows are derived once per reference snapshot and build key.
+"""Shaped probe rows are derived once per build key and match list.
 
-The columnar probe kernel shapes a key's match list once per
-``ReferenceSnapshot`` and compiled kernel and serves every later record
-probing that key from the kernel's store.  These tests pin the store's
-bound, its key and its lifetime, the memo's bookings over it, and
+The columnar probe kernel shapes a key's match list once per compiled
+kernel and serves every later record probing that key from the kernel's
+store, which a write to the reference dataset carries forward minus the
+keys whose matches it changed.  These tests pin the store's bound, its
+key and its lifetime, the memo's bookings over it, and
 hash-join keys that are arrays or objects on every path that probes a
 build table.
 """
@@ -25,6 +26,7 @@ from repro.sqlpp import columnar
 from repro.sqlpp.columnar import compile_block_kernel
 from repro.sqlpp.evaluator import Env
 from repro.sqlpp.memo import EnrichmentMemo
+from repro.sqlpp.state_cache import estimate_entry_bytes
 from repro.storage import Dataset
 from repro.udf import FunctionRegistry
 
@@ -79,6 +81,36 @@ def stores(monkeypatch):
 
     monkeypatch.setattr(columnar, "_shaped_rows", spy)
     return lambda: [held[0][1] for held in helds]
+
+
+@pytest.fixture
+def shaped(monkeypatch):
+    """The keys every kernel shaped rows for, in order: a match list's
+    country, ``None`` for the empty one."""
+    calls = []
+    shaped_rows = columnar._shaped_rows
+
+    def spy(ev, dataset, field, shape, held, token, keys):
+        def counting_shape(ev, matches):
+            calls.append(matches[0]["country_name"] if matches else None)
+            return shape(ev, matches)
+
+        return shaped_rows(ev, dataset, field, counting_shape, held, token, keys)
+
+    monkeypatch.setattr(columnar, "_shaped_rows", spy)
+    return calls
+
+
+def _batches(ctx, kernel, countries):
+    """``batch()``: a new generation's kernel run over one tweet per
+    country, as each tweet's religions."""
+    tweets = [{"id": i, "country": c} for i, c in enumerate(countries)]
+
+    def batch():
+        ctx.refresh_batch()
+        return [row["religions"] for row in kernel.run(Evaluator(ctx), tweets)]
+
+    return batch
 
 
 def test_keys_that_match_nothing_share_one_stored_entry(stores):
@@ -161,6 +193,63 @@ def test_an_upsert_reshapes_at_the_next_generation_only():
     assert kernel.run(Evaluator(ctx), [tweet])[0]["religions"] == ["B"]
     ctx.refresh_batch()
     assert kernel.run(Evaluator(ctx), [tweet])[0]["religions"] == ["A"]
+
+
+def test_a_write_reshapes_only_the_keys_whose_matches_it_changed(stores, shaped):
+    catalog = _religions()
+    ctx, kernel, _plan = _kernel(catalog, TOP % 3)
+    batch = _batches(ctx, kernel, ["US", "FR", "XX", None, "US"])
+    assert batch() == [["B", "C", "A"], ["A"], [], [], ["B", "C", "A"]]
+    assert shaped == ["US", "FR", None]
+    (store,) = stores()
+    before = dict(store)
+
+    catalog["ReligiousPopulations"].upsert(
+        {"rid": 0, "country_name": "US", "religion_name": "A", "population": 99}
+    )
+    del shaped[:]
+    assert batch() == [["A", "B", "C"], ["A"], [], [], ["A", "B", "C"]]
+    assert shaped == ["US"]
+    assert store["US"] is not before["US"]
+    # carried forward: the untouched key and the shared empty entry
+    assert store["FR"] is before["FR"] and store[None] is before[None]
+    assert len(store) == 3
+
+
+def test_a_key_that_appears_or_loses_its_last_match_reshapes(stores, shaped):
+    catalog = _religions()
+    religions = catalog["ReligiousPopulations"]
+    ctx, kernel, _plan = _kernel(catalog, TOP % 3)
+    batch = _batches(ctx, kernel, ["US", "FR", "DE"])
+    assert batch() == [["B", "C", "A"], ["A"], []]
+    religions.upsert(
+        {"rid": 9, "country_name": "DE", "religion_name": "E", "population": 1}
+    )
+    religions.delete(4)  # FR's one row
+    del shaped[:]
+    rows = batch()
+    assert rows == [["B", "C", "A"], [], ["E"]]
+    assert shaped == ["DE"]  # FR now takes the shared empty entry
+    (store,) = stores()
+    assert set(store) == {"US", "DE", None}
+    ctx, fresh, _plan = _kernel(catalog, TOP % 3)
+    assert _batches(ctx, fresh, ["US", "FR", "DE"])() == rows
+
+
+def test_the_memo_books_a_key_at_its_entry_size(stores):
+    """A key's rows are sized once, in its store entry, and every record
+    the memo books them for books that size."""
+    catalog = _religions()
+    memo = EnrichmentMemo(1 << 20)
+    ctx = EvaluationContext(catalog, memo=memo)
+    definition = parse_function(TOP % 3)
+    plan = ctx.plan_cache.plan_for(definition.body, frozenset("t"), catalog)
+    kernel = compile_block_kernel(plan, ("t",), ctx)
+    _batches(ctx, kernel, ["US", "US", "FR"])()
+    (store,) = stores()
+    assert len(memo) == 2
+    for (_probe, _token, key), entry in memo._entries.items():
+        assert entry.nbytes == store[key][3] == estimate_entry_bytes(store[key][0])
 
 
 def test_the_memo_books_keys_and_an_all_booked_batch_builds_nothing(stores):
