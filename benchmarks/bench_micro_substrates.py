@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.adm import DateTime, Point, open_type, parse_json
+from repro.adm import Circle, DateTime, Point, open_type, parse_json
 from repro.cluster import Cluster
 from repro.ingestion.pipelines import _StorageLayer
 from repro.sqlpp import (
@@ -23,6 +23,7 @@ from repro.sqlpp import (
 from repro.sqlpp.columnar import compile_block_kernel
 from repro.sqlpp.state_cache import StateCache
 from repro.storage import BPlusTree, Dataset, LSMTree, RTree
+from repro.udf import FunctionRegistry, register_paper_udfs
 from repro.udf.library import SQLPP_UDFS, RemoveSpecialUdf
 from repro.workloads import (
     TWEET_TYPE_FULL,
@@ -154,8 +155,6 @@ def test_micro_rtree_probe(benchmark):
     tree = RTree(max_entries=16)
     for i in range(5000):
         tree.insert(Point(rnd.uniform(0, 100), rnd.uniform(0, 100)), i)
-    from repro.adm import Circle
-
     queries = [
         Circle(Point(rnd.uniform(0, 100), rnd.uniform(0, 100)), 1.5)
         for _ in range(200)
@@ -273,3 +272,70 @@ def test_micro_sqlpp_probe_kernel_reshaping(benchmark):
         kernel.run(Evaluator(ctx), tweets)
 
     benchmark(upsert_and_enrich_batch)
+
+
+def _complex_world(datasets):
+    """The e2e benchmark's reference data for ``datasets`` (scale 0.01, two
+    partitions, with its R-trees) and the paper UDFs registered over it."""
+    workload = PaperWorkload(
+        scale=WorkloadScale(reference_scale=0.01, seed=7), num_partitions=2
+    )
+    catalog = workload.build_catalog(datasets)
+    registry = FunctionRegistry(lambda: set(catalog))
+    register_paper_udfs(registry)
+    return workload, catalog, registry
+
+
+def _tweet_circles(workload, count):
+    return [
+        Circle(Point(tweet["latitude"], tweet["longitude"]), 1.5)
+        for tweet in workload.tweet_generator.records(count)
+    ]
+
+
+def test_micro_rtree_monument_probes(benchmark):
+    """Q5's R-tree searches: one 420-tweet batch of 1.5-radius circles
+    against one partition of the e2e monumentList (about 2,500 monuments)."""
+    workload, catalog, _registry = _complex_world(["monumentList"])
+    (index, *_rest) = catalog["monumentList"].indexes["monumentList_spatial"]
+    circles = _tweet_circles(workload, 420)
+
+    def probe_batch():
+        for circle in circles:
+            index.probe_spatial(circle)
+
+    benchmark(probe_batch)
+
+
+def test_micro_sqlpp_q4_block(benchmark):
+    """Q4 record by record: the similarity join of 50 screen names against
+    the 50 SensitiveNamesDataset rows, ``removeSpecial`` once per tweet."""
+    workload, catalog, registry = _complex_world(["SensitiveNamesDataset"])
+    ctx = EvaluationContext(catalog, functions=registry)
+    evaluator = Evaluator(ctx)
+    expr = parse_expression("annotateTweetQ4(t)")
+    tweets = list(workload.tweet_generator.records(50))
+
+    def enrich_all():
+        ctx.refresh_batch()
+        for tweet in tweets:
+            evaluator.evaluate_query(expr, {"t": tweet})
+
+    benchmark(enrich_all)
+
+
+def test_micro_sqlpp_no_index_spatial_filter(benchmark):
+    """Q5Naive's no-index filter: 20 tweets' circles against the 5,000
+    monuments of one snapshot, bisected by x."""
+    workload, catalog, registry = _complex_world(["monumentList"])
+    ctx = EvaluationContext(catalog, functions=registry)
+    evaluator = Evaluator(ctx)
+    expr = parse_expression("enrichTweetQ5Naive(t)")
+    tweets = list(workload.tweet_generator.records(20))
+
+    def enrich_all():
+        ctx.refresh_batch()
+        for tweet in tweets:
+            evaluator.evaluate_query(expr, {"t": tweet})
+
+    benchmark(enrich_all)

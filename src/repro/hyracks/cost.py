@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 
 @dataclass
@@ -186,6 +187,20 @@ class WorkMeter:
     def reset(self) -> None:
         for name in self._COUNTERS:
             setattr(self, name, 0)
+
+    def counts(self) -> Tuple[Tuple[str, int], ...]:
+        """The nonzero counters as ``(name, count)`` pairs: a charge that
+        :meth:`add` replays."""
+        return tuple(
+            (name, getattr(self, name))
+            for name in self._COUNTERS
+            if getattr(self, name)
+        )
+
+    def add(self, counts) -> None:
+        """Charge ``counts`` (as :meth:`counts` returns them) again."""
+        for name, count in counts:
+            setattr(self, name, getattr(self, name) + count)
 
     def absorb(self, other: "WorkMeter") -> None:
         """Add ``other``'s counts into this meter.

@@ -28,17 +28,19 @@ per-record probe work meters onto ``ctx.meter`` (per-partition).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from math import isfinite
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..adm.schema import field_getter
-from ..adm.values import MISSING, Point
+from ..adm.values import MISSING, Circle, Point, Rectangle
 from ..adm.values import spatial_intersect as _geo_intersect
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
 from ..storage.dataset import ReferenceSnapshot
 from ..storage.index import IndexKind
+from ..storage.rtree import BOUNDABLE
 from .analysis import free_vars, split_conjuncts
 from .ast import (
     ArrayConstructor,
@@ -377,6 +379,8 @@ class Evaluator:
 
     def __init__(self, ctx: EvaluationContext):
         self.ctx = ctx
+        # the running block evaluation's hoisted values (plans.Hoisting)
+        self.hoisted: Optional[List] = None
 
     # ----------------------------------------------------------------- entry
 
@@ -955,12 +959,18 @@ class Evaluator:
         self.ctx.meter.index_fetches += len(matches)
         return matches
 
-    def _rtree_probe(self, dataset, index_name: str, query) -> List[dict]:
-        """Live R-tree index probe — sees mid-batch updates."""
-        before = sum(idx.nodes_visited for idx in dataset.indexes[index_name])
-        matches = list(dataset.index_probe_spatial(index_name, query))
-        after = sum(idx.nodes_visited for idx in dataset.indexes[index_name])
-        self.ctx.meter.rtree_nodes_visited += max(after - before, 1)
+    def _rtree_probe(self, dataset, index_name: str, query) -> Sequence[dict]:
+        """Live R-tree index probe — sees mid-batch updates.
+
+        A region the R-tree cannot bound (a string, a number) reads the
+        charged scan instead, so the exact test raises its error, or a scan
+        of nothing returns nothing, exactly as without the index.
+        """
+        if not isinstance(query, BOUNDABLE):
+            return self._scan_dataset(dataset)
+        visits: List[int] = []
+        matches = list(dataset.index_probe_spatial(index_name, query, visits))
+        self.ctx.meter.rtree_nodes_visited += max(sum(visits), 1)
         # The probe record is broadcast to every index partition (§7.4.2);
         # this work is per record x per node, so it does not shrink as the
         # cluster grows — the reason Nearby Monuments speeds up poorly.
@@ -1132,6 +1142,21 @@ class Evaluator:
                 return tuples
         post_let_fns = plan.post_let_fns
         where_fn = plan.where_fn
+        probe_fns = [tp.probe_fn for tp in terms]
+        resets = ((),) * total
+        cache = None
+        hoisting = plan.hoisting
+        if hoisting is not None and (
+            # an outer GROUP BY key may shadow a hoisted expression
+            scope.group is not None or not hoisting.applies(ctx.functions)
+        ):
+            hoisting = None
+        if hoisting is not None:
+            where_fn, probe_fns, resets = (
+                hoisting.where_fn, hoisting.probe_fns, hoisting.resets
+            )
+            saved = self.hoisted
+            self.hoisted = cache = [None] * len(hoisting.slots)
         tuples: List[Env] = []
 
         def recurse(idx: int, env_cur: Env, dataset_depth: int):
@@ -1149,7 +1174,7 @@ class Evaluator:
                 tuples.append(final)
                 return
             tp = terms[idx]
-            candidates = self._planned_access(tp, env_cur)
+            candidates = self._planned_access(tp, env_cur, probe_fns[idx])
             if tp.is_dataset and dataset_depth >= 1:
                 # Reference-to-reference join pairs: the outer side's
                 # candidate count is itself scaled down, so the pair work
@@ -1162,7 +1187,10 @@ class Evaluator:
                 )
             next_depth = dataset_depth + (1 if tp.is_dataset else 0)
             var = tp.var
+            reset = resets[idx]
             for record in candidates:
+                for slot in reset:  # what read the previous candidate
+                    cache[slot] = None
                 recurse(idx + 1, Env({var: record}, env_cur), next_depth)
 
         try:
@@ -1172,9 +1200,11 @@ class Evaluator:
             # the cell lets the closure, ``tuples`` and the env chain die
             # by refcount instead of waiting for the cyclic collector
             del recurse
+            if hoisting is not None:
+                self.hoisted = saved
         return tuples
 
-    def _planned_access(self, tp: TermPlan, env: Env) -> Iterable:
+    def _planned_access(self, tp: TermPlan, env: Env, probe_fn) -> Iterable:
         # Non-dataset sources: evaluate and iterate.
         if not tp.is_dataset:
             value = tp.source_fn(self, env)
@@ -1189,7 +1219,7 @@ class Evaluator:
             )
         dataset = self.ctx.catalog[tp.dataset_name]
         if tp.access_kind == "equality":
-            probe_value = tp.probe_fn(self, env)
+            probe_value = probe_fn(self, env)
             index_name = (
                 dataset.index_on(tp.access_field, IndexKind.BTREE)
                 if not tp.no_index
@@ -1201,7 +1231,7 @@ class Evaluator:
         if tp.access_kind == "spatial":
             index_name = self._spatial_index(tp, dataset)
             if index_name is not None:
-                query = tp.probe_fn(self, env)
+                query = probe_fn(self, env)
                 if query is MISSING or query is None:
                     return []
                 return self._rtree_probe(dataset, index_name, query)
@@ -1259,6 +1289,17 @@ class Evaluator:
             contains = getattr(region, "contains_point", None)  # circle, rectangle
         var, residual_fn = tp.var, kernel.residual_fn
         tuples: List[Env] = []
+        window = None
+        if index_name is None and contains is not None:
+            window = _x_window(region)
+        if window is not None:
+            by_x = snapshot.derived(
+                ("points by x", tp.access_field), lambda _records: _points_by_x(values)
+            )
+            if by_x is not None:
+                return self._window_filter(
+                    tp, scope, records, values, contains, by_x, window
+                )
         tests = 0
         try:
             for record, value in zip(records, values):
@@ -1287,6 +1328,39 @@ class Evaluator:
                         tuples.append(env)
         finally:
             ctx.meter.spatial_tests += tests
+        return tuples
+
+    def _window_filter(
+        self, tp: TermPlan, scope: Env, records, values, contains, by_x, window
+    ) -> List[Env]:
+        """:meth:`_spatial_filter_join`'s scan when every value is a point:
+        only the points whose x lies in ``window`` can pass ``contains``,
+        so only they are tested, found by bisecting the snapshot's points
+        sorted by x (``by_x``), and kept in record order.  Every value is
+        still charged as tested, up to and including the one whose
+        residual raises."""
+        kernel = tp.filter_join
+        xs, order = by_x
+        lo, hi = window
+        var, residual_fn = tp.var, kernel.residual_fn
+        tuples: List[Env] = []
+        tests = len(records)
+        at = -1
+        try:
+            for at in sorted(order[bisect_left(xs, lo) : bisect_right(xs, hi)]):
+                try:
+                    hit = contains(values[at])
+                except (TypeError, ValueError, AttributeError) as exc:
+                    raise SqlppEvaluationError(f"{kernel.call_name}: {exc}") from exc
+                if hit:
+                    env = Env({var: records[at]}, scope)
+                    if residual_fn is None or _truthy(residual_fn(self, env)):
+                        tuples.append(env)
+        except BaseException:
+            tests = at + 1
+            raise
+        finally:
+            self.ctx.meter.spatial_tests += tests
         return tuples
 
     def _planned_order_key(self, plan: SelectPlan, env: Env, row) -> Tuple:
@@ -1382,6 +1456,38 @@ class Evaluator:
         return out
 
     _DISPATCH = {}
+
+
+def _x_window(region) -> Optional[Tuple[float, float]]:
+    """An x range outside which no point is in ``region`` (a circle or a
+    rectangle), or None unless its coordinates are finite floats.  A
+    circle's range is widened far past any rounding of its distance test,
+    so the window is conservative and the exact test decides."""
+    if type(region) is Rectangle:
+        bounds = region.x1, region.x2
+    elif type(region) is Circle and type(region.center) is Point:
+        bounds = region.center.x, region.radius
+    else:
+        return None
+    if not all(type(c) is float and isfinite(c) for c in bounds):
+        return None
+    if type(region) is Rectangle:
+        return bounds
+    x, radius = bounds
+    margin = 1e-9 * (1.0 + abs(x) + abs(radius))
+    return x - radius - margin, x + radius + margin
+
+
+def _points_by_x(values) -> Optional[Tuple[List, List[int]]]:
+    """``(xs, order)``: the positions of ``values`` sorted by x, and their
+    x values in that order; None unless every value is a point whose x is
+    a finite float."""
+    if not all(
+        type(v) is Point and type(v.x) is float and isfinite(v.x) for v in values
+    ):
+        return None
+    order = sorted(range(len(values)), key=lambda at: values[at].x)
+    return [values[at].x for at in order], order
 
 
 def _hash_groups(envs: List[Env], keys: List[Tuple]) -> List[Tuple]:

@@ -28,12 +28,14 @@ acyclic.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from functools import reduce
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..adm.schema import field_getter
 from ..adm.values import MISSING, DateTime, Duration
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
+from ..hyracks.cost import WorkMeter
 from .analysis import (
     contains_aggregate,
     field_path_of,
@@ -640,6 +642,68 @@ _COMPILERS = {
 }
 
 
+# ---------------------------------------------------------------- hoisting
+
+
+@dataclass(frozen=True, slots=True)
+class Hoisted(Expr):
+    """``expr``, evaluated at most once per binding of the names it reads:
+    into the evaluation's slot ``slot``, or once per plan when ``slot`` is
+    None (a constant).  Only :class:`Hoisting` builds one."""
+
+    expr: Expr
+    slot: Optional[int]
+
+
+def _charged_value(ev, fn: Callable, env) -> Tuple:
+    """``(fn(ev, env), counts)``: the value and the WorkMeter counts its
+    evaluation charged, taken on a scratch meter so that every use can
+    replay them.  What an evaluation that raises charged stays charged."""
+    ctx = ev.ctx
+    meter = ctx.meter
+    ctx.meter = scratch = WorkMeter()
+    try:
+        value = fn(ev, env)
+    except BaseException:
+        meter.absorb(scratch)
+        raise
+    finally:
+        ctx.meter = meter
+    return value, scratch.counts()
+
+
+def _compile_hoisted(node: Hoisted) -> Callable:
+    fn = compile_expr(node.expr)
+    slot = node.slot
+    if slot is None:
+        held: List[Tuple] = []  # the plan's one (value, counts)
+
+        def run(ev, env):
+            if not held:
+                held.append(_charged_value(ev, fn, env))
+            value, counts = held[0]
+            if counts:
+                ev.ctx.meter.add(counts)
+            return value
+
+        return run
+
+    def run(ev, env):
+        cache = ev.hoisted
+        held = cache[slot]
+        if held is None:
+            held = cache[slot] = _charged_value(ev, fn, env)
+        value, counts = held
+        if counts:
+            ev.ctx.meter.add(counts)
+        return value
+
+    return run
+
+
+_COMPILERS[Hoisted] = _compile_hoisted
+
+
 # -------------------------------------------------------------- select plans
 
 
@@ -722,6 +786,159 @@ def _charge_free_calls(exprs) -> Optional[FrozenSet[str]]:
     return frozenset(names)
 
 
+#: builtins that charge a WorkMeter and do nothing else a hoisted
+#: evaluation could observe: the charge is recorded once and replayed
+METERED_BUILTINS = frozenset({"spatial_intersect", "edit_distance"})
+
+
+def _charge_safe(expr: Expr) -> Optional[Tuple[FrozenSet[str], FrozenSet]]:
+    """``(builtins as written, (library, name) of Java calls)`` when
+    ``expr`` calls only charge-free or metered builtins and Java UDFs (the
+    caller checks those are pure) and holds no subquery, aggregate or
+    ``.*``; None otherwise."""
+    calls = set()
+    java = set()
+    for node in walk(expr):
+        if isinstance(node, (SelectBlock, Subquery, Exists, Star)):
+            return None
+        if isinstance(node, Call):
+            if node.library is not None:
+                java.add((node.library, node.name))
+                continue
+            lowered = node.name.lower()
+            if not (lowered in VECTORIZABLE_BUILTINS or lowered in METERED_BUILTINS):
+                return None
+            calls.add(node.name)
+    return frozenset(calls), frozenset(java)
+
+
+def _with_children(expr: Expr, sub: Callable[[Expr], Expr]) -> Expr:
+    """``expr`` with ``sub`` applied to each child expression, or ``expr``
+    itself when none changed; a select block, and what holds one, is a
+    leaf."""
+    if isinstance(expr, (SelectBlock, Subquery, Exists)):
+        return expr
+
+    def rebuilt(value):
+        if isinstance(value, Expr):
+            return sub(value)
+        if isinstance(value, tuple):  # call arguments, CASE arms, object fields
+            return tuple(map(rebuilt, value))
+        return value
+
+    old = [getattr(expr, field.name) for field in fields(expr)]
+    new = list(map(rebuilt, old))
+    return expr if new == old else type(expr)(*new)
+
+
+class Hoisting:
+    """A FROM block's WHERE and probe closures with each maximal
+    charge-safe subexpression evaluated at most once per binding of the
+    names it reads.
+
+    A subexpression's *depth* is where the names it reads are bound: 0
+    for none (a constant, kept by the plan), 1 for names bound outside the
+    FROM terms (one block evaluation), ``k + 2`` for FROM term ``k``'s
+    variable (one candidate of that term), and past the last term for a
+    post-FROM LET.  The WHERE runs at the last term's depth and term
+    ``k``'s probe at term ``k - 1``'s, so what reads only shallower names
+    is evaluated lazily, at its first use under the current bindings, and
+    reused until a shallower term binds its next candidate
+    (``resets[k]`` lists the slots term ``k``'s candidates empty).  The
+    evaluation's WorkMeter counts are recorded on a scratch meter and
+    replayed at every use, so every use charges what evaluating it would
+    have, and an unreached subexpression is never evaluated: errors and
+    charges come exactly where they did.
+
+    Charge-safe means calling only :data:`VECTORIZABLE_BUILTINS`,
+    :data:`METERED_BUILTINS` and Java UDFs whose class declares
+    ``pure``, with no subquery and no aggregate.  :meth:`applies` checks
+    what the plan cannot know: no registered function may shadow a
+    hoisted builtin, and every hoisted Java UDF must be pure.  Values are
+    held in ``Evaluator.hoisted``, never in an ``Env``, so nested
+    plan-cache keys see the same bound names as without hoisting.
+    """
+
+    __slots__ = ("where_fn", "probe_fns", "slots", "resets", "calls", "java",
+                 "_verdict")
+
+    def __init__(self):
+        self.slots: List[int] = []  # per evaluation slot: its depth
+        self.calls = set()
+        self.java = set()
+        self._verdict = None
+
+    def hoist(self, expr: Expr, depth: Dict[str, int], context: int) -> Expr:
+        """``expr`` with each maximal charge-safe subexpression that calls
+        something and reads only names bound above ``context`` (per
+        ``depth``; 1 for a name it lacks) replaced by a :class:`Hoisted`."""
+        safe = _charge_safe(expr)
+        if safe is not None and (safe[0] or safe[1]):
+            calls, java = safe
+            level = max((depth.get(name, 1) for name in free_vars(expr)), default=0)
+            if java and level == 0:
+                # a Java instance, and the charge of loading it, is per generation
+                level = 1
+            if level < context:
+                self.calls |= calls
+                self.java |= java
+                if level == 0:
+                    return Hoisted(expr, None)
+                self.slots.append(level)
+                return Hoisted(expr, len(self.slots) - 1)
+        return _with_children(expr, lambda child: self.hoist(child, depth, context))
+
+    def applies(self, functions) -> bool:
+        """Whether the hoisted closures mean what the plan's own do, for
+        this registry at its current version."""
+        version = getattr(functions, "version", None)
+        verdict = self._verdict
+        if verdict is not None and verdict[0] is functions and verdict[1] == version:
+            return verdict[2]
+        if functions is None:
+            ok = not self.java
+        else:
+            ok = not any(map(functions.has, self.calls)) and all(
+                functions.is_pure_java(library, name) for library, name in self.java
+            )
+        if version is not None:
+            self._verdict = (functions, version, ok)
+        return ok
+
+
+def _plan_hoisting(block: SelectBlock, plan: "SelectPlan") -> Optional[Hoisting]:
+    """``plan``'s :class:`Hoisting`, or None when it hoists nothing."""
+    hoisting = Hoisting()
+    depth: Dict[str, int] = {}
+    probe_fns = []
+    for k, tp in enumerate(plan.terms):
+        fn = tp.probe_fn
+        if tp.probe_expr is not None:
+            probe = hoisting.hoist(tp.probe_expr, depth, k + 1)
+            if probe is not tp.probe_expr:
+                fn = compile_expr(probe)
+        probe_fns.append(fn)
+        depth[tp.var] = k + 2
+    total = len(plan.terms)
+    for let in block.post_lets:
+        depth[let.var] = total + 2
+    hoisting.where_fn = plan.where_fn
+    if block.where is not None:
+        where = hoisting.hoist(block.where, depth, total + 1)
+        if where is not block.where:
+            hoisting.where_fn = compile_expr(where)
+    if not (hoisting.calls or hoisting.java):  # what it hoists calls something
+        return None
+    hoisting.probe_fns = tuple(probe_fns)
+    hoisting.resets = tuple(
+        tuple(slot for slot, level in enumerate(hoisting.slots) if level == k + 2)
+        for k in range(total)
+    )
+    hoisting.calls = frozenset(hoisting.calls)
+    hoisting.java = frozenset(hoisting.java)
+    return hoisting
+
+
 class SelectPlan:
     """Everything per-record evaluation needs, analyzed exactly once."""
 
@@ -737,6 +954,7 @@ class SelectPlan:
         "post_let_fns",
         "where_fn",
         "terms",  # tuple of TermPlan in join order, or None (no FROM)
+        "hoisting",  # Hoisting of the WHERE and probes, or None
         "has_group",
         "implicit_group",
         "group_keys",  # tuple of (expr, alias, default_name, fn)
@@ -782,6 +1000,7 @@ def build_select_plan(
         if block.from_terms
         else None
     )
+    plan.hoisting = _plan_hoisting(block, plan) if plan.terms else None
     implicit = (
         not block.group_keys
         and bool(block.from_terms)

@@ -372,11 +372,18 @@ class Dataset:
                 if record is not None:
                     yield record
 
-    def index_probe_spatial(self, index_name: str, query) -> Iterator[dict]:
-        """Spatial MBR probe through an R-tree index, fetching the records."""
-        for pid, index in enumerate(self.indexes[index_name]):
-            for _value, pk in index.probe_spatial(query):
-                record = self.partitions[pid].get(pk)
+    def index_probe_spatial(
+        self, index_name: str, query, visits: Optional[list] = None
+    ) -> Iterator[dict]:
+        """Spatial MBR probe through an R-tree index, fetching the records.
+
+        Each partition's search appends the nodes it read to ``visits``
+        when one is given.
+        """
+        for index, tree in zip(self.indexes[index_name], self.partitions):
+            get = tree.get
+            for _value, pk in index.probe_spatial(query, visits):
+                record = get(pk)
                 if record is not None:
                     yield record
 

@@ -9,7 +9,7 @@ primary data and indexes can never diverge.
 from __future__ import annotations
 
 import enum
-from typing import Iterator, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..adm.schema import field_path
 from ..adm.values import MISSING
@@ -79,15 +79,11 @@ class SecondaryIndex:
             raise IndexError_(f"index {self.name} is not a B-tree")
         return self._btree.search(value)
 
-    def probe_spatial(self, query) -> Iterator[Tuple[object, object]]:
-        """Yield (spatial_value, primary_key) with MBRs intersecting query."""
+    def probe_spatial(
+        self, query, visits: Optional[list] = None
+    ) -> List[Tuple[object, object]]:
+        """(spatial_value, primary_key) with MBRs intersecting query; the
+        search's node count goes on ``visits`` (see :meth:`RTree.search`)."""
         if self._rtree is None:
             raise IndexError_(f"index {self.name} is not an R-tree")
-        return self._rtree.search(query)
-
-    @property
-    def nodes_visited(self) -> int:
-        """Cumulative R-tree nodes touched by searches (cost accounting)."""
-        if self._rtree is not None:
-            return self._rtree.nodes_visited
-        return 0
+        return self._rtree.search(query, visits)

@@ -34,6 +34,14 @@ class JavaUdf:
 
     #: subclasses list the resource names they require
     required_resources: tuple = ()
+    #: a subclass sets this when what ``evaluate`` returns depends only on
+    #: its arguments and what ``initialize`` loaded, and its one side
+    #: effect is what it charges to ``self.meter``: no state kept between
+    #: calls, no argument mutated.  The planned engine may then evaluate a
+    #: call once per binding of the names its arguments read instead of
+    #: once per candidate, replaying its charge at every use
+    #: (``sqlpp.plans.Hoisting``).
+    pure: bool = False
 
     def __init__(self, resources: Optional[Dict[str, ResourceProvider]] = None):
         self.resources = resources or {}
@@ -85,6 +93,12 @@ class JavaUdfDescriptor:
     @property
     def qualified_name(self) -> str:
         return f"{self.library}#{self.name}"
+
+    @property
+    def pure(self) -> bool:
+        """Whether the factory is a :class:`JavaUdf` class declaring
+        ``pure``; any other factory is taken to be impure."""
+        return getattr(self.factory, "pure", False) is True
 
     def instantiate(self, node_info: str = "nc0") -> JavaUdf:
         instance = self.factory()

@@ -228,6 +228,7 @@ class RemoveSpecialUdf(JavaUdf):
     """Figure 35: strip non-alphabetic characters, lowercase the rest."""
 
     _pattern = re.compile(r"[^a-zA-Z]+")
+    pure = True
 
     def evaluate(self, name):
         if not isinstance(name, str):

@@ -152,6 +152,11 @@ class FunctionRegistry:
             raise UdfError(f"unknown function: {name}")
         return self._sqlpp[name]
 
+    def is_pure_java(self, library: str, name: str) -> bool:
+        """Whether ``library#name`` is registered and declared pure."""
+        descriptor = self._java.get(f"{library}#{name}")
+        return descriptor is not None and descriptor.pure
+
     def get_java(self, library: str, name: str):
         key = f"{library}#{name}"
         if key not in self._java:

@@ -1,10 +1,13 @@
 """Property-based tests for the secondary index structures."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adm import Circle, Point, Rectangle
 from repro.storage import BPlusTree, RTree
+
+from .reference_rtree import ReferenceRTree
 
 postings = st.lists(
     st.tuples(st.integers(min_value=0, max_value=200), st.integers(0, 20)),
@@ -72,15 +75,15 @@ def assert_entries_are_tight(node):
     """
     if node.is_leaf:
         return
-    for entry in node.entries:
-        mbrs = [child_entry.mbr for child_entry in entry.child.entries]
-        assert entry.mbr == Rectangle(
-            min(m.x1 for m in mbrs),
-            min(m.y1 for m in mbrs),
-            max(m.x2 for m in mbrs),
-            max(m.y2 for m in mbrs),
+    for x1, y1, x2, y2, child in node.entries:  # flat (x1, y1, x2, y2, ref)
+        mbrs = child.entries
+        assert (x1, y1, x2, y2) == (
+            min(m[0] for m in mbrs),
+            min(m[1] for m in mbrs),
+            max(m[2] for m in mbrs),
+            max(m[3] for m in mbrs),
         )
-        assert_entries_are_tight(entry.child)
+        assert_entries_are_tight(child)
 
 
 class TestRTreeProperties:
@@ -150,3 +153,77 @@ class TestRTreeProperties:
             assert_entries_are_tight(tree._root)
         tree.check_invariants()
         assert len(tree) == len(live)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from("iiud"), st.sampled_from("prc"), points),
+            max_size=150,
+        ),
+        st.lists(st.tuples(st.sampled_from("prc"), points), min_size=1, max_size=8),
+        st.sampled_from([4, 8, 16]),
+    )
+    @settings(max_examples=60)
+    def test_flat_search_matches_reference_order_and_nodes(
+        self, ops, queries, max_entries
+    ):
+        """Random inserts, upserts (delete the old value, insert the new,
+        as ``SecondaryIndex.on_upsert`` does) and deletes into the flat
+        R-tree and the object-entry reference: after every write, every
+        query returns the same payloads in the same order and reads the
+        same number of nodes."""
+
+        def shape(kind, x, y):
+            return {
+                "p": Point(x, y),
+                "r": Rectangle(x, y, x + 3.0, y + 1.0),
+                "c": Circle(Point(x, y), 2.0),
+            }[kind]
+
+        tree = RTree(max_entries=max_entries)
+        reference = ReferenceRTree(max_entries=max_entries)
+        live = {}
+        for step, (op, kind, (x, y)) in enumerate(ops):
+            value = shape(kind, x, y)
+            if op == "i" or not live:
+                for index in (tree, reference):
+                    index.insert(value, step)
+                live[step] = value
+            else:
+                pk = sorted(live)[step % len(live)]
+                for index in (tree, reference):
+                    assert index.delete(live[pk], pk)
+                del live[pk]
+                if op == "u":
+                    for index in (tree, reference):
+                        index.insert(value, pk)
+                    live[pk] = value
+            for kind, (qx, qy) in queries:
+                query = shape(kind, qx, qy)
+                visits = []
+                got = tree.search(query, visits)
+                assert (got, visits[0]) == reference.search(query)
+        tree.check_invariants()
+        assert len(tree) == len(reference) == len(live)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            Circle(Point(float("nan"), 50.0), 5.0),
+            Circle(Point(50.0, 50.0), float("nan")),
+            Rectangle(10.0, float("nan"), 20.0, 30.0),
+            Point(50.0, float("nan")),
+        ],
+    )
+    def test_nan_region_walks_as_the_reference(self, query):
+        """Every comparison with NaN is false, so the inverted overlap
+        test lets a NaN corner through on its axis; the flat search keeps
+        that walk (the exact test after it decides the rows), with the
+        reference's payloads, order and node count."""
+        tree = RTree(max_entries=4)
+        reference = ReferenceRTree(max_entries=4)
+        for i in range(200):
+            value = Point(float(i % 20) * 5.0, float(i // 20) * 10.0)
+            for index in (tree, reference):
+                index.insert(value, i)
+        visits = []
+        assert (tree.search(query, visits), visits[0]) == reference.search(query)

@@ -7,7 +7,7 @@ probes see mid-batch updates; uncorrelated subqueries cache per batch.
 
 import pytest
 
-from repro.adm import Point, Rectangle, open_type
+from repro.adm import Circle, Point, Rectangle, open_type
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.storage import Dataset, IndexKind
 from repro.udf import FunctionRegistry, register_paper_udfs
@@ -209,6 +209,185 @@ class TestSpatialAccess:
             ctx = EvaluationContext({"monumentList": monuments}, use_plans=use_plans)
             got[source] = sorted(Evaluator(ctx).evaluate_query(query, bindings))
         assert list(got.values()) == [expected, expected]
+
+
+def _marks(records, indexed):
+    ds = Dataset("Marks", open_type("T"), "id", num_partitions=2, validate=False)
+    for record in records:
+        ds.insert(record)
+    ds.flush_all()
+    if indexed:
+        ds.create_index("marks_loc", "loc", IndexKind.RTREE)
+    return ds
+
+
+def _outcome(expr, catalog, bindings, use_plans):
+    ctx = EvaluationContext(catalog, use_plans=use_plans)
+    try:
+        return Evaluator(ctx).evaluate_query(expr, bindings)
+    except Exception as exc:  # compared across index on / off
+        return type(exc).__name__, str(exc)
+
+
+class TestNonSpatialRegion:
+    """An R-tree cannot bound a string or a number: the indexed path reads
+    the charged scan instead, so the exact test raises what it raises
+    without the index, and a scan of nothing returns nothing."""
+
+    ONE_TERM = (
+        "SELECT VALUE m.id FROM Marks m WHERE spatial_intersect(m.loc, t.region)"
+    )
+    TWO_TERM = (
+        "SELECT VALUE [n.id, m.id] FROM Marks n, Marks m "
+        "WHERE n.id = 0 AND spatial_intersect(m.loc, t.region)"
+    )
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("query", [ONE_TERM, TWO_TERM])
+    @pytest.mark.parametrize("region", ["oops", 7])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_index_on_equals_index_off(self, use_plans, query, region, empty):
+        records = [] if empty else [
+            {"id": i, "loc": Point(float(i), float(i))} for i in range(4)
+        ]
+        expr = parse_expression(query)
+        got = {
+            indexed: _outcome(
+                expr, {"Marks": _marks(records, indexed)},
+                {"t": {"region": region}}, use_plans,
+            )
+            for indexed in (False, True)
+        }
+        assert got[True] == got[False]
+        if empty:
+            assert got[True] == []
+        else:
+            kind = type(region).__name__
+            assert got[True] == (
+                "AdmParseError",
+                f"spatial_intersect: unsupported operand types ({kind}, Point)",
+            )
+
+    def test_scan_is_charged_instead_of_a_probe(self):
+        ds = _marks([{"id": 1, "loc": Point(1.0, 1.0)}], indexed=True)
+        ctx, ev = build({"Marks": ds})
+        with pytest.raises(Exception):
+            ev.evaluate_query(
+                parse_expression(self.ONE_TERM), {"t": {"region": "oops"}}
+            )
+        assert ctx.meter.rtree_nodes_visited == 0
+        assert ctx.shared_meter.records_scanned == 1
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+class TestNanRegion:
+    """Every comparison with NaN is false, yet a region with a NaN corner
+    can pass the exact test: a rectangle's inverted overlap test skips the
+    NaN, a circle's clamp drops it, and an infinite distance still fits
+    an infinite radius.  The R-tree walks such a region like any other
+    and the exact test decides, so index on equals index off."""
+
+    MARKS = [
+        {"id": 0, "loc": Rectangle(12.0, 5.0, 15.0, 8.0)},
+        {"id": 1, "loc": Circle(Point(14.0, 20.0), 3.0)},
+        {"id": 2, "loc": Point(16.0, 25.0)},
+        {"id": 3, "loc": Point(5.0, _INF)},
+    ] + [{"id": i, "loc": Point(float(i), float(i % 7))} for i in range(4, 40)]
+    REGIONS = [
+        Rectangle(10.0, _NAN, 20.0, 30.0),
+        Rectangle(_NAN, 5.0, 13.0, 6.0),
+        Circle(Point(_NAN, 6.0), 4.0),
+        Circle(Point(14.0, 6.0), _NAN),
+        Circle(Point(_INF, 0.0), _INF),  # its MBR's x1 is inf - inf
+        Point(_NAN, 6.0),
+        Point(12.0, 6.0),
+    ]
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    @pytest.mark.parametrize("points_only", [True, False])
+    @pytest.mark.parametrize("region", REGIONS, ids=repr)
+    def test_index_on_equals_index_off(self, use_plans, points_only, region):
+        records = [
+            r for r in self.MARKS if not points_only or isinstance(r["loc"], Point)
+        ]
+        expr = parse_expression(
+            "SELECT VALUE m.id FROM Marks m WHERE spatial_intersect(m.loc, t.region)"
+        )
+        got = {  # an index returns rows in R-tree order
+            indexed: sorted(_outcome(
+                expr, {"Marks": _marks(records, indexed)},
+                {"t": {"region": region}}, use_plans,
+            ))
+            for indexed in (False, True)
+        }
+        assert got[True] == got[False]
+
+    @pytest.mark.parametrize("use_plans", [True, False])
+    def test_nan_rectangle_corner_still_matches(self, use_plans):
+        expr = parse_expression(
+            "SELECT VALUE m.id FROM Marks m WHERE spatial_intersect(m.loc, "
+            "create_rectangle(create_point(10.0, t.y), create_point(20.0, 30.0)))"
+        )
+        got = {  # an index returns rows in R-tree order
+            indexed: sorted(_outcome(
+                expr, {"Marks": _marks(self.MARKS, indexed)},
+                {"t": {"y": _NAN}}, use_plans,
+            ))
+            for indexed in (False, True)
+        }
+        assert got[True] == got[False]
+        assert 0 in got[True] and 1 in got[True]
+
+
+class TestNoIndexPointWindow:
+    """Without an index, a column of points is filtered through the
+    snapshot's points sorted by x; rows, their order, the three meters and
+    errors are the interpreter's, including a residual that raises."""
+
+    QUERIES = [
+        # circle around the tweet; flipped circle around each point
+        "SELECT VALUE m.id FROM Marks /*+ no-index */ m WHERE spatial_intersect("
+        "m.loc, create_circle(create_point(t.x, t.y), 1.5)) AND {residual}",
+        "SELECT VALUE m.id FROM Marks /*+ no-index */ m WHERE spatial_intersect("
+        "create_point(t.x, t.y), create_circle(m.loc, 1.5)) AND {residual}",
+        "SELECT VALUE m.id FROM Marks /*+ no-index */ m WHERE spatial_intersect("
+        "m.loc, create_rectangle(create_point(t.x, t.y), "
+        "create_point(t.x + 2.0, t.y + 1.0))) AND {residual}",
+    ]
+    RESIDUALS = ["m.id >= 0", "m.id < t.bad + 100"]
+
+    @pytest.mark.parametrize("query", QUERIES)
+    @pytest.mark.parametrize("residual", RESIDUALS)
+    def test_window_matches_the_interpreter(self, query, residual):
+        records = [
+            {"id": i, "loc": Point(float((i * 7) % 11), float((i * 3) % 5))}
+            for i in range(40)
+        ]
+        ds = _marks(records, indexed=False)
+        expr = parse_expression(query.format(residual=residual))
+        got = {}
+        for use_plans in (True, False):
+            ctx = EvaluationContext({"Marks": ds}, use_plans=use_plans)
+            evaluator = Evaluator(ctx)
+            outcomes = []
+            for x, y, bad in ((4.0, 2.0, 0), (9.5, 1.0, 0), (4.0, 2.0, "b")):
+                try:
+                    outcomes.append(
+                        evaluator.evaluate_query(
+                            expr, {"t": {"x": x, "y": y, "bad": bad}}
+                        )
+                    )
+                except Exception as exc:  # compared across the two paths
+                    outcomes.append((type(exc).__name__, str(exc)))
+            meters = [
+                vars(meter).copy()
+                for meter in (ctx.meter, ctx.shared_meter, ctx.replicated_meter)
+            ]
+            got[use_plans] = outcomes, meters
+        assert got[True] == got[False]
+        assert got[True][0][0]  # the first tweet finds points
 
 
 class TestUncorrelatedCaching:

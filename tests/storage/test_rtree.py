@@ -47,10 +47,11 @@ class TestSearch:
         assert list(loaded.search(Rectangle(200, 200, 300, 300))) == []
 
     def test_search_counts_probes_and_nodes(self, loaded):
-        before_probes, before_nodes = loaded.probes, loaded.nodes_visited
-        list(loaded.search(Rectangle(0, 0, 100, 100)))
-        assert loaded.probes == before_probes + 1
-        assert loaded.nodes_visited > before_nodes
+        visits = []
+        loaded.search(Rectangle(0, 0, 100, 100), visits)
+        loaded.search(Rectangle(200, 200, 300, 300), visits)
+        assert len(visits) == 2  # one count per search
+        assert visits[0] > visits[1] >= 1  # a wide query reads more nodes
 
 
 class TestStructure:

@@ -318,3 +318,49 @@ def test_probe_shaping_has_one_compiler():
         for match in gone.finditer(path.read_text())
     ]
     assert not offenders, offenders
+
+
+def test_one_rtree_search():
+    """R-tree entries are flat ``(x1, y1, x2, y2, ref)`` tuples the writes
+    keep current, and one walk reads them for a query: no second search
+    over a rebuilt copy, and no cumulative node counter: a search reports
+    its own count through ``visits``.  The
+    other function that tests entries for overlap is delete's lookup of
+    the posting it removes."""
+
+    def overlap_test(node):  # ``a > b or c < d or e > f or g < h``
+        return (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and [
+                type(value.ops[0]) if isinstance(value, ast.Compare) else None
+                for value in node.values
+            ]
+            == [ast.Gt, ast.Lt, ast.Gt, ast.Lt]
+        )
+
+    walks = []
+    counter_readers = []
+    for path in sorted(SRC.rglob("*.py")):
+        where = path.relative_to(SRC).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            nodes = list(ast.walk(function))
+            if any(map(overlap_test, nodes)) and any(
+                isinstance(n, ast.Attribute) and n.attr == "entries" for n in nodes
+            ):
+                walks.append(f"{where}::{function.name}")
+        counter_readers += [
+            f"{where}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr == "nodes_visited"
+        ]
+    assert walks == ["storage/rtree.py::_find_leaf_entry", "storage/rtree.py::search"]
+    assert not counter_readers
+    index = importlib.import_module("repro.storage.index")
+    assert not hasattr(index.SecondaryIndex, "nodes_visited")
+    rtree = importlib.import_module("repro.storage.rtree").RTree()
+    assert not hasattr(rtree, "nodes_visited") and not hasattr(rtree, "probes")
