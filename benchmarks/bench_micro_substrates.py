@@ -162,7 +162,7 @@ def test_micro_rtree_probe(benchmark):
 
     def probe_all():
         for query in queries:
-            list(tree.search(query))
+            list(tree.search(query, []))
 
     benchmark(probe_all)
 
@@ -302,7 +302,7 @@ def test_micro_rtree_monument_probes(benchmark):
 
     def probe_batch():
         for circle in circles:
-            index.probe_spatial(circle)
+            index.probe_spatial(circle, [])
 
     benchmark(probe_batch)
 

@@ -73,6 +73,7 @@ from .plans import (
     DatasetRef,
     PlanCache,
     SelectPlan,
+    SpatialFilter,
     TermPlan,
     aggregate_values,
     apply_binary,
@@ -1133,76 +1134,73 @@ class Evaluator:
         return rows
 
     def _planned_tuples(self, plan: SelectPlan, scope: Env) -> List[Env]:
-        ctx = self.ctx
         terms = plan.terms
-        total = len(terms)
-        if terms[0].filter_join is not None:
-            tuples = self._spatial_filter_join(terms[0], scope)
-            if tuples is not None:
-                return tuples
-        post_let_fns = plan.post_let_fns
-        where_fn = plan.where_fn
-        probe_fns = [tp.probe_fn for tp in terms]
-        resets = ((),) * total
-        cache = None
+        tuples: List[Env] = []
         hoisting = plan.hoisting
         if hoisting is not None and (
             # an outer GROUP BY key may shadow a hoisted expression
-            scope.group is not None or not hoisting.applies(ctx.functions)
+            scope.group is not None or not hoisting.applies(self.ctx.functions)
         ):
             hoisting = None
-        if hoisting is not None:
-            where_fn, probe_fns, resets = (
-                hoisting.where_fn, hoisting.probe_fns, hoisting.resets
-            )
-            saved = self.hoisted
-            self.hoisted = cache = [None] * len(hoisting.slots)
-        tuples: List[Env] = []
+        if hoisting is None:
+            probe_fns = [tp.probe_fn for tp in terms]
+            loop = (plan, plan.where_fn, probe_fns, ((),) * len(terms), tuples)
+            self._bind_term(loop, 0, scope, 0, None)
+            return tuples
+        saved = self.hoisted
+        self.hoisted = [None] * len(hoisting.slots)
+        try:
+            where_fn, survivors = hoisting.where_fn, None
+            if hoisting.filter is not None:
+                survivors = self._filtered_access(terms[0], scope, hoisting.filter)
+                if survivors is not None:
+                    where_fn = hoisting.residual_fn
+            loop = (plan, where_fn, hoisting.probe_fns, hoisting.resets, tuples)
+            self._bind_term(loop, 0, scope, 0, survivors)
+        finally:
+            self.hoisted = saved
+        return tuples
 
-        def recurse(idx: int, env_cur: Env, dataset_depth: int):
-            if idx == total:
-                if post_let_fns:
-                    final = env_cur.child()
-                    for var, fn in post_let_fns:
-                        final.vars[var] = fn(self, final)
-                else:
-                    # no post-FROM LETs: the last term's binding env IS the
-                    # tuple env (fresh per candidate, so safe to keep)
-                    final = env_cur
-                if where_fn is not None and not _truthy(where_fn(self, final)):
-                    return
-                tuples.append(final)
-                return
-            tp = terms[idx]
+    def _bind_term(self, loop, idx: int, env_cur: Env, dataset_depth: int, candidates):
+        """Bind FROM term ``idx`` to each of its candidates under ``env_cur``
+        (``candidates`` when the access step chose them already), then bind
+        the next term, or keep the tuple env when the WHERE passes it.
+        ``loop`` is ``(plan, where_fn, probe_fns, resets, tuples)``."""
+        plan, where_fn, probe_fns, resets, tuples = loop
+        terms = plan.terms
+        tp = terms[idx]
+        if candidates is None:
             candidates = self._planned_access(tp, env_cur, probe_fns[idx])
-            if tp.is_dataset and dataset_depth >= 1:
-                # Reference-to-reference join pairs: the outer side's
-                # candidate count is itself scaled down, so the pair work
-                # carries one extra reference-work-scale factor (pair counts
-                # are quadratic in dataset cardinality; the meter applies
-                # the other factor).
-                candidates = list(candidates)
-                ctx.meter.nlj_pairs += int(
-                    len(candidates) * ctx.reference_work_scale
-                )
+        if tp.is_dataset and dataset_depth >= 1:
+            # Reference-to-reference join pairs: the outer side's
+            # candidate count is itself scaled down, so the pair work
+            # carries one extra reference-work-scale factor (pair counts
+            # are quadratic in dataset cardinality; the meter applies
+            # the other factor).
+            candidates = list(candidates)
+            ctx = self.ctx
+            ctx.meter.nlj_pairs += int(len(candidates) * ctx.reference_work_scale)
+        var = tp.var
+        if idx + 1 < len(terms):
             next_depth = dataset_depth + (1 if tp.is_dataset else 0)
-            var = tp.var
-            reset = resets[idx]
+            reset, cache = resets[idx], self.hoisted
             for record in candidates:
                 for slot in reset:  # what read the previous candidate
                     cache[slot] = None
-                recurse(idx + 1, Env({var: record}, env_cur), next_depth)
-
-        try:
-            recurse(0, scope, 0)
-        finally:
-            # ``recurse`` reaches itself through its closure cell; emptying
-            # the cell lets the closure, ``tuples`` and the env chain die
-            # by refcount instead of waiting for the cyclic collector
-            del recurse
-            if hoisting is not None:
-                self.hoisted = saved
-        return tuples
+                env = Env({var: record}, env_cur)
+                self._bind_term(loop, idx + 1, env, next_depth, None)
+            return
+        # The last term: the WHERE runs at its depth, so no hoisted slot
+        # reads its variable and nothing is reset per candidate.
+        post_let_fns = plan.post_let_fns
+        for record in candidates:
+            final = Env({var: record}, env_cur)  # fresh, so safe to keep
+            if post_let_fns:
+                final = final.child()
+                for name, fn in post_let_fns:
+                    final.vars[name] = fn(self, final)
+            if where_fn is None or _truthy(where_fn(self, final)):
+                tuples.append(final)
 
     def _planned_access(self, tp: TermPlan, env: Env, probe_fn) -> Iterable:
         # Non-dataset sources: evaluate and iterate.
@@ -1245,32 +1243,25 @@ class Evaluator:
             return None
         return dataset.index_on(tp.access_field, IndexKind.RTREE)
 
-    def _spatial_filter_join(self, tp: TermPlan, scope: Env) -> Optional[List[Env]]:
-        """The tuple envs of a :class:`~repro.sqlpp.plans.SpatialFilterJoin`
-        block, or None when this binding must run the scalar loop.
-
-        Candidates come from the same R-tree probe or charged scan as
-        :meth:`_planned_access`; each one's field value is tested against
-        the probe region directly, and only the survivors get an ``Env``
-        and the residual WHERE.  ``spatial_tests`` is charged for exactly
-        the candidates the builtin would have charged: those whose field
-        is neither MISSING nor NULL, up to and including one that raises.
+    def _filtered_access(
+        self, tp: TermPlan, scope: Env, spatial: SpatialFilter
+    ) -> Optional[Iterable]:
+        """Term ``tp``'s candidates from :meth:`_planned_access`'s R-tree
+        probe or charged scan that pass ``Hoisting.filter``, tested against
+        the region evaluated once; or None when this binding must test it
+        in the WHERE.  ``spatial_tests`` counts what the builtin would:
+        the candidates whose field is neither MISSING nor NULL, charged up
+        to each survivor before it is yielded and before an error is
+        raised, so a residual that raises leaves the scalar loop's count.
         """
-        kernel = tp.filter_join
-        ctx = self.ctx
-        functions = ctx.functions
-        if scope.group is not None or (
-            functions is not None and any(map(functions.has, kernel.calls))
-        ):
-            return None  # an outer GROUP BY key or a UDF may shadow the conjunct
-        dataset = ctx.catalog[tp.dataset_name]
+        dataset = self.ctx.catalog[tp.dataset_name]
         index_name = self._spatial_index(tp, dataset)
         if index_name is not None:
             region = tp.probe_fn(self, scope)
             if region is MISSING or region is None:
-                return []
+                return ()
             records = self._rtree_probe(dataset, index_name, region)
-            values = kernel.column_of(records)
+            values = spatial.column_of(records)
         else:
             snapshot = self._charged_scan(dataset)
             records = snapshot.records
@@ -1280,15 +1271,13 @@ class Evaluator:
                 return None  # the scalar loop raises it where, and if, it would
             if region is MISSING or region is None:
                 # flipped, create_circle still type-checks every center
-                return None if kernel.flipped else []
-            values = snapshot.derived(("column", tp.access_field), kernel.column_of)
-        if kernel.flipped:  # as written: the circle is around the candidate
+                return None if spatial.flipped else ()
+            values = snapshot.derived(("column", tp.access_field), spatial.column_of)
+        if spatial.flipped:  # as written: the circle is around the candidate
             center, radius = region.center, region.radius
             contains = lambda point: point.distance_to(center) <= radius
         else:
             contains = getattr(region, "contains_point", None)  # circle, rectangle
-        var, residual_fn = tp.var, kernel.residual_fn
-        tuples: List[Env] = []
         window = None
         if index_name is None and contains is not None:
             window = _x_window(region)
@@ -1297,82 +1286,67 @@ class Evaluator:
                 ("points by x", tp.access_field), lambda _records: _points_by_x(values)
             )
             if by_x is not None:
-                return self._window_filter(
-                    tp, scope, records, values, contains, by_x, window
+                return self._window_survivors(
+                    spatial, records, values, contains, by_x, window
                 )
-        tests = 0
-        try:
-            for record, value in zip(records, values):
-                if value is MISSING or value is None:
-                    continue
-                try:
-                    if contains is not None and isinstance(value, Point):
-                        tests += 1
-                        hit = contains(value)
-                    elif kernel.flipped:
-                        raise SqlppEvaluationError(
-                            "create_circle: center must be a point"
-                        )
-                    else:
-                        tests += 1
-                        hit = (
-                            _geo_intersect(value, region)
-                            if kernel.field_first
-                            else _geo_intersect(region, value)
-                        )
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise SqlppEvaluationError(f"{kernel.call_name}: {exc}") from exc
-                if hit:
-                    env = Env({var: record}, scope)
-                    if residual_fn is None or _truthy(residual_fn(self, env)):
-                        tuples.append(env)
-        finally:
-            ctx.meter.spatial_tests += tests
-        return tuples
+        return self._survivors(spatial, records, values, contains, region)
 
-    def _window_filter(
-        self, tp: TermPlan, scope: Env, records, values, contains, by_x, window
-    ) -> List[Env]:
-        """:meth:`_spatial_filter_join`'s scan when every value is a point:
-        only the points whose x lies in ``window`` can pass ``contains``,
-        so only they are tested, found by bisecting the snapshot's points
-        sorted by x (``by_x``), and kept in record order.  Every value is
-        still charged as tested, up to and including the one whose
-        residual raises."""
-        kernel = tp.filter_join
+    def _survivors(self, spatial: SpatialFilter, records, values, contains, region):
+        """:meth:`_filtered_access`'s survivors, tested as the builtin does:
+        ``contains`` a point, the flip's create_circle check, or the
+        geometry in written order."""
+        meter = self.ctx.meter
+        flipped, field_first = spatial.flipped, spatial.field_first
+        tests = 0
+        for record, value in zip(records, values):
+            if value is MISSING or value is None:
+                continue
+            try:
+                if contains is not None and isinstance(value, Point):
+                    tests += 1
+                    hit = contains(value)
+                elif flipped:  # not counted: create_circle raises first
+                    raise SqlppEvaluationError("create_circle: center must be a point")
+                else:
+                    tests += 1
+                    pair = (value, region) if field_first else (region, value)
+                    hit = _geo_intersect(*pair)
+            except BaseException as exc:
+                meter.spatial_tests += tests
+                if isinstance(exc, (TypeError, ValueError, AttributeError)):
+                    raise SqlppEvaluationError(f"{spatial.call_name}: {exc}") from exc
+                raise
+            if hit:
+                meter.spatial_tests += tests
+                tests = 0
+                yield record
+        meter.spatial_tests += tests
+
+    def _window_survivors(
+        self, spatial: SpatialFilter, records, values, contains, by_x, window
+    ):
+        """:meth:`_filtered_access`'s survivors when every value is a
+        point: only the points whose x lies in ``window``, found by
+        bisecting the snapshot's points sorted by x (``by_x``), are tested,
+        in record order; every point is charged, as the scalar loop tests
+        them all."""
+        meter = self.ctx.meter
         xs, order = by_x
         lo, hi = window
-        var, residual_fn = tp.var, kernel.residual_fn
-        tuples: List[Env] = []
-        tests = len(records)
-        at = -1
-        try:
-            for at in sorted(order[bisect_left(xs, lo) : bisect_right(xs, hi)]):
-                try:
-                    hit = contains(values[at])
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise SqlppEvaluationError(f"{kernel.call_name}: {exc}") from exc
-                if hit:
-                    env = Env({var: records[at]}, scope)
-                    if residual_fn is None or _truthy(residual_fn(self, env)):
-                        tuples.append(env)
-        except BaseException:
-            tests = at + 1
-            raise
-        finally:
-            self.ctx.meter.spatial_tests += tests
-        return tuples
-
-    def _planned_order_key(self, plan: SelectPlan, env: Env, row) -> Tuple:
-        oenv = self._order_env(env, row)
-        items = plan.order_items
-        if len(items) == 1:  # by far the common case; skip the genexpr
-            fn, descending = items[0]
-            return (_OrderKey(sort_key(fn(self, oenv)), descending),)
-        return tuple(
-            _OrderKey(sort_key(fn(self, oenv)), descending)
-            for fn, descending in items
-        )
+        charged = 0
+        for at in sorted(order[bisect_left(xs, lo) : bisect_right(xs, hi)]):
+            try:
+                hit = contains(values[at])
+            except BaseException as exc:
+                meter.spatial_tests += at + 1 - charged
+                if isinstance(exc, (TypeError, ValueError, AttributeError)):
+                    raise SqlppEvaluationError(f"{spatial.call_name}: {exc}") from exc
+                raise
+            if hit:
+                meter.spatial_tests += at + 1 - charged
+                charged = at + 1
+                yield records[at]
+        meter.spatial_tests += len(records) - charged
 
     def _planned_sorted_rows(
         self, plan: SelectPlan, envs: List[Env], rows: List
@@ -1390,10 +1364,14 @@ class Evaluator:
             ]
             pairs.sort(key=_ITEM0, reverse=descending)
             return [row for _key, row in pairs]
-        decorated = [
-            (self._planned_order_key(plan, env, row), index, row)
-            for index, (env, row) in enumerate(zip(envs, rows))
-        ]
+        decorated = []
+        for index, (env, row) in enumerate(zip(envs, rows)):
+            oenv = self._order_env(env, row)
+            key = tuple(
+                _OrderKey(sort_key(fn(self, oenv)), descending)
+                for fn, descending in items
+            )
+            decorated.append((key, index, row))
         # The unique index breaks ties, so rows are never compared.
         decorated.sort()
         return [row for _key, _index, row in decorated]

@@ -721,7 +721,6 @@ class TermPlan:
         "probe_expr",
         "probe_fn",
         "source_fn",  # compiled source for non-dataset terms
-        "filter_join",  # SpatialFilterJoin when the kernel may run this term
     )
 
     def __init__(self):
@@ -735,55 +734,21 @@ class TermPlan:
         self.probe_expr = None
         self.probe_fn = None
         self.source_fn = None
-        self.filter_join = None
 
 
-class SpatialFilterJoin:
-    """What ``Evaluator._spatial_filter_join`` needs to test a term's
-    candidates against its probe region without an ``Env`` apiece.
+class SpatialFilter:
+    """How a term's leading spatial conjunct is written, and its field
+    column: what ``Evaluator._filtered_access`` tests candidates with."""
 
-    The kernel evaluates the region once per outer binding and the access
-    conjunct once per candidate.  The scalar loop does the same only when
-    that conjunct is the first thing the WHERE evaluates for every
-    candidate — it leads the WHERE and the term is the block's only one —
-    and evaluating the region is charge-free and repeatable: no subquery,
-    no Java, metered or aggregate call, and (checked on every run, against
-    ``calls``) no registered function under a builtin's name.
-    """
+    __slots__ = ("call_name", "field_first", "flipped", "column_of")
 
-    __slots__ = ("call_name", "calls", "field_first", "flipped", "column_of",
-                 "residual_fn")
-
-    def __init__(self, tp: TermPlan, conjuncts: List[Expr], calls: FrozenSet[str]):
-        lead = conjuncts[0]
+    def __init__(self, tp: TermPlan, lead: Call):
         self.call_name = lead.name  # as written: it prefixes wrapped errors
-        self.calls = calls | {lead.name}
         first, second = (field_path_of(arg, tp.var) is not None for arg in lead.args)
         self.field_first = first
         self.flipped = not (first or second)  # create_circle(var.f, R) instead
         get = field_getter(tp.access_field)
         self.column_of = lambda records: tuple(map(get, records))
-        self.residual_fn = (
-            compile_expr(reduce(lambda l, r: BinaryOp("and", l, r), conjuncts[1:]))
-            if len(conjuncts) > 1
-            else None
-        )
-
-
-def _charge_free_calls(exprs) -> Optional[FrozenSet[str]]:
-    """The function names ``exprs`` call, as written — or None when
-    evaluating them can charge a meter or differ from one time to the next."""
-    names = set()
-    for node in (node for expr in exprs for node in walk(expr)):
-        if isinstance(node, (SelectBlock, Subquery, Star)):
-            return None
-        if isinstance(node, Call):
-            if node.library is not None:
-                return None
-            if node.name.lower() not in VECTORIZABLE_BUILTINS:
-                return None
-            names.add(node.name)
-    return frozenset(names)
 
 
 #: builtins that charge a WorkMeter and do nothing else a hoisted
@@ -791,14 +756,14 @@ def _charge_free_calls(exprs) -> Optional[FrozenSet[str]]:
 METERED_BUILTINS = frozenset({"spatial_intersect", "edit_distance"})
 
 
-def _charge_safe(expr: Expr) -> Optional[Tuple[FrozenSet[str], FrozenSet]]:
+def _charge_safe(*exprs: Expr) -> Optional[Tuple[FrozenSet[str], FrozenSet]]:
     """``(builtins as written, (library, name) of Java calls)`` when
-    ``expr`` calls only charge-free or metered builtins and Java UDFs (the
-    caller checks those are pure) and holds no subquery, aggregate or
+    ``exprs`` call only charge-free or metered builtins and Java UDFs (the
+    caller checks those are pure) and hold no subquery, aggregate or
     ``.*``; None otherwise."""
     calls = set()
     java = set()
-    for node in walk(expr):
+    for node in (node for expr in exprs for node in walk(expr)):
         if isinstance(node, (SelectBlock, Subquery, Exists, Star)):
             return None
         if isinstance(node, Call):
@@ -857,15 +822,22 @@ class Hoisting:
     hoisted builtin, and every hoisted Java UDF must be pure.  Values are
     held in ``Evaluator.hoisted``, never in an ``Env``, so nested
     plan-cache keys see the same bound names as without hoisting.
+
+    ``filter`` is what the only FROM term's access step tests (see
+    :func:`_filter_calls`); its calls are in ``calls``, so :meth:`applies`
+    is the one bail-out rule for both.  The filter's survivors run
+    ``residual_fn``, the WHERE after its leading conjunct, and a binding
+    the access step declines runs ``where_fn``, all of it.
     """
 
-    __slots__ = ("where_fn", "probe_fns", "slots", "resets", "calls", "java",
-                 "_verdict")
+    __slots__ = ("where_fn", "residual_fn", "probe_fns", "slots", "resets",
+                 "calls", "java", "filter", "_verdict")
 
     def __init__(self):
         self.slots: List[int] = []  # per evaluation slot: its depth
         self.calls = set()
         self.java = set()
+        self.filter = None
         self._verdict = None
 
     def hoist(self, expr: Expr, depth: Dict[str, int], context: int) -> Expr:
@@ -906,8 +878,11 @@ class Hoisting:
         return ok
 
 
-def _plan_hoisting(block: SelectBlock, plan: "SelectPlan") -> Optional[Hoisting]:
-    """``plan``'s :class:`Hoisting`, or None when it hoists nothing."""
+def _plan_hoisting(
+    block: SelectBlock, plan: "SelectPlan", bound_names: FrozenSet[str]
+) -> Optional[Hoisting]:
+    """``plan``'s :class:`Hoisting`, or None when it hoists nothing and
+    tests no filter."""
     hoisting = Hoisting()
     depth: Dict[str, int] = {}
     probe_fns = []
@@ -922,12 +897,17 @@ def _plan_hoisting(block: SelectBlock, plan: "SelectPlan") -> Optional[Hoisting]
     total = len(plan.terms)
     for let in block.post_lets:
         depth[let.var] = total + 2
-    hoisting.where_fn = plan.where_fn
-    if block.where is not None:
-        where = hoisting.hoist(block.where, depth, total + 1)
-        if where is not block.where:
-            hoisting.where_fn = compile_expr(where)
-    if not (hoisting.calls or hoisting.java):  # what it hoists calls something
+    conjuncts = split_conjuncts(block.where)
+    allowed = bound_names | plan.catalog_names | {let.var for let in block.lets}
+    calls = _filter_calls(block, plan.terms, conjuncts, allowed)
+    if calls is not None:
+        hoisting.filter = SpatialFilter(plan.terms[0], conjuncts[0])
+        hoisting.calls |= calls
+    hoisted = [hoisting.hoist(conjunct, depth, total + 1) for conjunct in conjuncts]
+    hoisting.where_fn = _conjoined(hoisted)
+    hoisting.residual_fn = _conjoined(hoisted[1:])
+    # a filter calls its conjunct's builtin, so it is never hoisting nothing
+    if not (hoisting.calls or hoisting.java):
         return None
     hoisting.probe_fns = tuple(probe_fns)
     hoisting.resets = tuple(
@@ -937,6 +917,40 @@ def _plan_hoisting(block: SelectBlock, plan: "SelectPlan") -> Optional[Hoisting]
     hoisting.calls = frozenset(hoisting.calls)
     hoisting.java = frozenset(hoisting.java)
     return hoisting
+
+
+def _conjoined(conjuncts: List[Expr]) -> Optional[Callable]:
+    """The compiled AND of ``conjuncts``, or None for none."""
+    if not conjuncts:
+        return None
+    return compile_expr(reduce(lambda l, r: BinaryOp("and", l, r), conjuncts))
+
+
+def _filter_calls(
+    block: SelectBlock,
+    terms: Tuple[TermPlan, ...],
+    conjuncts: List[Expr],
+    allowed: FrozenSet[str],
+) -> Optional[FrozenSet[str]]:
+    """The names the leading conjunct calls, as written, when the access
+    step may test it, else None: the scalar loop evaluates it once per
+    candidate, first (it is the only FROM term's spatial access conjunct,
+    with no post-FROM LET), and its region is charge-free."""
+    tp = terms[0]
+    if len(terms) > 1 or tp.access_kind != "spatial" or block.post_lets:
+        return None
+    lead = conjuncts[0]
+    # find_access_path takes the first conjunct that matches, so if the
+    # leading one does it is the term's access conjunct
+    if not match_spatial(lead, tp.var, allowed):
+        return None
+    safe = _charge_safe(*lead.args, tp.probe_expr)
+    if safe is None or safe[1]:
+        return None
+    calls, _java = safe
+    if any(name.lower() in METERED_BUILTINS for name in calls):
+        return None
+    return calls | {lead.name}
 
 
 class SelectPlan:
@@ -1000,7 +1014,7 @@ def build_select_plan(
         if block.from_terms
         else None
     )
-    plan.hoisting = _plan_hoisting(block, plan) if plan.terms else None
+    plan.hoisting = _plan_hoisting(block, plan, bound_names) if plan.terms else None
     implicit = (
         not block.group_keys
         and bool(block.from_terms)
@@ -1079,18 +1093,6 @@ def _plan_from_terms(
         plans.append(tp)
         bound.add(term.var)
         visible.add(term.var)
-    tp = plans[0]
-    if (
-        len(plans) == 1
-        and tp.access_kind == "spatial"
-        and not block.post_lets
-        # find_access_path takes the first conjunct that matches, so if the
-        # leading one does it is the term's access conjunct
-        and match_spatial(conjuncts[0], tp.var, outer_bound | catalog_names)
-    ):
-        calls = _charge_free_calls((*conjuncts[0].args, tp.probe_expr))
-        if calls is not None:
-            tp.filter_join = SpatialFilterJoin(tp, conjuncts, calls)
     return tuple(plans)
 
 

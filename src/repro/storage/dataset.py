@@ -373,12 +373,11 @@ class Dataset:
                     yield record
 
     def index_probe_spatial(
-        self, index_name: str, query, visits: Optional[list] = None
+        self, index_name: str, query, visits: list
     ) -> Iterator[dict]:
         """Spatial MBR probe through an R-tree index, fetching the records.
 
-        Each partition's search appends the nodes it read to ``visits``
-        when one is given.
+        Each partition's search appends the nodes it read to ``visits``.
         """
         for index, tree in zip(self.indexes[index_name], self.partitions):
             get = tree.get

@@ -79,9 +79,7 @@ class SecondaryIndex:
             raise IndexError_(f"index {self.name} is not a B-tree")
         return self._btree.search(value)
 
-    def probe_spatial(
-        self, query, visits: Optional[list] = None
-    ) -> List[Tuple[object, object]]:
+    def probe_spatial(self, query, visits: list) -> List[Tuple[object, object]]:
         """(spatial_value, primary_key) with MBRs intersecting query; the
         search's node count goes on ``visits`` (see :meth:`RTree.search`)."""
         if self._rtree is None:

@@ -249,15 +249,13 @@ class RTree:
 
     # ----------------------------------------------------------------- search
 
-    def search(
-        self, query, visits: Optional[list] = None
-    ) -> List[Tuple[object, object]]:
+    def search(self, query, visits: list) -> List[Tuple[object, object]]:
         """The (spatial_value, primary_key) whose MBR intersects ``query``.
 
         ``query`` may be a Point/Rectangle/Circle; circles are searched by
         their MBR (callers apply the exact predicate afterwards, as the
         optimizer does for index-NLJ plans).  The number of nodes read is
-        appended to ``visits`` when one is given.
+        appended to ``visits``.
         """
         qx1, qy1, qx2, qy2 = _corners(query)
         found: List[Tuple[object, object]] = []
@@ -270,8 +268,7 @@ class RTree:
             for x1, y1, x2, y2, ref in node.entries:
                 if not (qx1 > x2 or qx2 < x1 or qy1 > y2 or qy2 < y1):
                     out.append(ref)
-        if visits is not None:
-            visits.append(visited)
+        visits.append(visited)
         return found
 
     def check_invariants(self) -> None:

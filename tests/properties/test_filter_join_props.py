@@ -1,19 +1,23 @@
-"""Differential test: the spatial filter-join kernel vs. the interpreter.
+"""Differential test: the spatial filter in a term's access step vs. the
+interpreter.
 
-``Evaluator._spatial_filter_join`` tests a single-term block's candidates
-against the probe region itself instead of binding an ``Env`` and walking
-the WHERE closure for each.  It has to be invisible: for *any* such block
-the planned path must return the rows, charge the three ``WorkMeter``s and
-raise exactly as ``use_plans=False`` (the tree-walking oracle of
-``benchmarks/e2e/verify.py``) does — whether the kernel ran, declined at
-plan time (the spatial conjunct does not lead, the region is not
-charge-free) or declined for one binding (unknown region under the circle
-flip, a registered function or an outer GROUP BY key shadowing the
+For a single-term block whose WHERE leads with the term's spatial access
+conjunct, ``Evaluator._filtered_access`` tests the candidates against the
+probe region itself, and only the survivors get an ``Env`` and the
+residual WHERE in ``_planned_tuples``' loop.  It has to be invisible: for
+*any* such block the planned path must return the rows, charge the three
+``WorkMeter``s and raise exactly as ``use_plans=False`` (the tree-walking
+oracle of ``benchmarks/e2e/verify.py``) does — whether the filter ran,
+declined at plan time (the spatial conjunct does not lead, the region is
+not charge-free) or declined for one binding (unknown region under the
+circle flip, a region that raises on the scan path, or ``Hoisting``'s
+bail-out: a registered function or an outer GROUP BY key shadowing the
 conjunct).  Blocks are generated over point / rectangle / circle / absent /
 NULL / non-spatial field values, plain and flipped argument order, point
-and non-point outer regions, an extra conjunct on either side, with and
-without the R-tree and the ``no-index`` hint, three shapings and a
-reference insert in the middle of the generation.
+and non-point outer regions, an extra conjunct on either side (one of them
+outer-only and metered, so the residual is hoisted), with and without the
+R-tree and the ``no-index`` hint, three shapings and a reference insert in
+the middle of the generation.
 """
 
 import pytest
@@ -72,7 +76,13 @@ FLIP_OUTERS = [
     "t.region",
     f"create_circle({OUTER_POINT}, 1.0)",
 ]
-EXTRAS = ['p.kind = "a"', 'edit_distance(p.name, "abd") < 2', "p.id < t.cut"]
+EXTRAS = [
+    'p.kind = "a"',
+    'edit_distance(p.name, "abd") < 2',
+    "p.id < t.cut",
+    # outer-only and metered: hoisted, its charge replayed per survivor
+    'edit_distance(t.word, "abc") < 1',
+]
 SHAPINGS = [
     ("SELECT VALUE p.id", ""),
     ("SELECT p.kind AS kind, count(*) AS n", " GROUP BY p.kind"),

@@ -98,7 +98,7 @@ class TestRTreeProperties:
             entries.append((p, i))
         tree.check_invariants()
         query = Rectangle(corner_a[0], corner_a[1], corner_b[0], corner_b[1])
-        got = sorted(pk for _v, pk in tree.search(query))
+        got = sorted(pk for _v, pk in tree.search(query, []))
         expected = sorted(pk for p, pk in entries if query.contains_point(p))
         assert got == expected
 
@@ -120,7 +120,7 @@ class TestRTreeProperties:
         remaining = [e for e in entries if e not in to_delete]
         assert len(tree) == len(remaining)
         world = Rectangle(0, 0, 100, 100)
-        got = sorted(pk for _v, pk in tree.search(world))
+        got = sorted(pk for _v, pk in tree.search(world, []))
         assert got == sorted(pk for _p, pk in remaining)
 
     @given(

@@ -8,6 +8,7 @@ probes see mid-batch updates; uncorrelated subqueries cache per batch.
 import pytest
 
 from repro.adm import Circle, Point, Rectangle, open_type
+from repro.errors import SqlppEvaluationError
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.storage import Dataset, IndexKind
 from repro.udf import FunctionRegistry, register_paper_udfs
@@ -388,6 +389,58 @@ class TestNoIndexPointWindow:
             got[use_plans] = outcomes, meters
         assert got[True] == got[False]
         assert got[True][0][0]  # the first tweet finds points
+
+
+class TestEagerSpatialCharges:
+    """The access step charges ``spatial_tests`` before it yields a
+    survivor, so a residual that raises at the k-th survivor leaves the
+    interpreter's count on every path: the plain scan (a NULL in the
+    column), the x-window scan and the R-tree probe."""
+
+    QUERY = parse_expression(
+        "SELECT VALUE m.id FROM Marks m WHERE spatial_intersect("
+        "m.loc, create_circle(create_point(t.x, 0.0), 3.0)) AND length(m.tag) > 0"
+    )
+
+    @pytest.mark.parametrize(
+        "path, indexed, with_null",
+        [
+            ("_survivors", False, True),
+            ("_window_survivors", False, False),
+            ("_survivors", True, False),
+        ],
+    )
+    def test_a_raising_residual_leaves_the_interpreters_count(
+        self, monkeypatch, path, indexed, with_null
+    ):
+        taken = []
+        generator = getattr(Evaluator, path)
+
+        def spy(self, *args):
+            taken.append(path)
+            return generator(self, *args)
+
+        monkeypatch.setattr(Evaluator, path, spy)
+        counts = set()
+        for bad in range(2, 8):  # the survivors: x within 3.0 of 4.5
+            records = [
+                {"id": i, "loc": Point(float(i), 0.0), "tag": 7 if i == bad else "x"}
+                for i in range(10)
+            ] + ([{"id": 10, "loc": None, "tag": "x"}] if with_null else [])
+            catalog = {"Marks": _marks(records, indexed)}
+            got = {}
+            for use_plans in (True, False):
+                ctx = EvaluationContext(catalog, use_plans=use_plans)
+                with pytest.raises(SqlppEvaluationError, match="length"):
+                    Evaluator(ctx).evaluate_query(self.QUERY, {"t": {"x": 4.5}})
+                got[use_plans] = [
+                    vars(meter).copy()
+                    for meter in (ctx.meter, ctx.shared_meter, ctx.replicated_meter)
+                ]
+            assert got[True] == got[False]
+            counts.add(got[True][0]["spatial_tests"])
+        assert len(taken) == 6
+        assert len(counts) > 1  # where the residual raises moves the count
 
 
 class TestUncorrelatedCaching:

@@ -93,7 +93,8 @@ class TestSecondaryIndexes:
 
     def test_rtree_index_probe(self, dataset):
         dataset.create_index("by_loc", "loc", IndexKind.RTREE)
-        got = {r["id"] for r in dataset.index_probe_spatial("by_loc", Point(3.0, 0.0))}
+        found = dataset.index_probe_spatial("by_loc", Point(3.0, 0.0), [])
+        got = {r["id"] for r in found}
         assert got == {i for i in range(100) if i % 10 == 3}
 
     def test_duplicate_index_name_rejected(self, dataset):

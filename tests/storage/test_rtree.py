@@ -30,21 +30,21 @@ def brute_force(points, query_mbr):
 class TestSearch:
     def test_matches_brute_force_rectangle(self, loaded, points):
         query = Rectangle(20, 20, 40, 40)
-        got = sorted(pk for _v, pk in loaded.search(query))
+        got = sorted(pk for _v, pk in loaded.search(query, []))
         assert got == brute_force(points, query)
 
     def test_circle_query_uses_mbr(self, loaded, points):
         query = Circle(Point(50, 50), 10)
-        got = sorted(pk for _v, pk in loaded.search(query))
+        got = sorted(pk for _v, pk in loaded.search(query, []))
         assert got == brute_force(points, query.mbr)
 
     def test_point_query(self, loaded, points):
         target, pk = points[7]
-        got = [p for _v, p in loaded.search(target)]
+        got = [p for _v, p in loaded.search(target, [])]
         assert pk in got
 
     def test_empty_region(self, loaded):
-        assert list(loaded.search(Rectangle(200, 200, 300, 300))) == []
+        assert list(loaded.search(Rectangle(200, 200, 300, 300), [])) == []
 
     def test_search_counts_probes_and_nodes(self, loaded):
         visits = []
@@ -71,7 +71,7 @@ class TestStructure:
         rects = [Rectangle(i, i, i + 2, i + 2) for i in range(20)]
         for i, r in enumerate(rects):
             tree.insert(r, i)
-        got = sorted(pk for _v, pk in tree.search(Rectangle(5, 5, 6, 6)))
+        got = sorted(pk for _v, pk in tree.search(Rectangle(5, 5, 6, 6), []))
         expected = sorted(
             i for i, r in enumerate(rects) if r.intersects(Rectangle(5, 5, 6, 6))
         )
@@ -86,7 +86,7 @@ class TestDelete:
     def test_delete_removes_entry(self, loaded, points):
         p, pk = points[0]
         assert loaded.delete(p, pk)
-        assert pk not in [x for _v, x in loaded.search(p)]
+        assert pk not in [x for _v, x in loaded.search(p, [])]
         loaded.check_invariants()
 
     def test_delete_absent_returns_false(self, loaded):
@@ -98,14 +98,14 @@ class TestDelete:
         loaded.check_invariants()
         assert len(loaded) == 200
         query = Rectangle(0, 0, 100, 100)
-        got = sorted(pk for _v, pk in loaded.search(query))
+        got = sorted(pk for _v, pk in loaded.search(query, []))
         assert got == brute_force(points[200:], query)
 
     def test_delete_then_reinsert(self, loaded, points):
         p, pk = points[3]
         loaded.delete(p, pk)
         loaded.insert(p, pk)
-        assert pk in [x for _v, x in loaded.search(p)]
+        assert pk in [x for _v, x in loaded.search(p, [])]
         loaded.check_invariants()
 
 

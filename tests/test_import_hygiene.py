@@ -364,3 +364,18 @@ def test_one_rtree_search():
     assert not hasattr(index.SecondaryIndex, "nodes_visited")
     rtree = importlib.import_module("repro.storage.rtree").RTree()
     assert not hasattr(rtree, "nodes_visited") and not hasattr(rtree, "probes")
+
+
+def test_one_planned_tuple_loop():
+    """The planned engine binds FROM-term candidates in one loop,
+    ``Evaluator._planned_tuples``: a single-term spatial block's leading
+    conjunct is tested in the term's access step, under ``Hoisting``'s
+    bail-out rule, so no second tuple generator, no per-term kernel slot
+    and no second charge-safety walker come back."""
+    evaluator = importlib.import_module("repro.sqlpp.evaluator")
+    plans = importlib.import_module("repro.sqlpp.plans")
+    for gone in ("_spatial_filter_join", "_window_filter"):
+        assert not hasattr(evaluator.Evaluator, gone), gone
+    assert "filter_join" not in plans.TermPlan.__slots__
+    for gone in ("_charge_free_calls", "SpatialFilterJoin"):
+        assert not hasattr(plans, gone), gone
