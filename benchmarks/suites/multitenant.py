@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.bench.reporting import fleet_utilization_table
 from repro.core.system import AsterixLite
 from repro.ingestion.adapter import GeneratorAdapter
-from repro.ingestion.fabric import FeedFabric, FeedLaunch
+from repro.ingestion.fabric import LEASE_KINDS, FeedFabric, FeedLaunch
 from repro.ingestion.policy import FeedPolicy
 
 from .common import heavy_check_system, ratio, raw_records, sha256_json
@@ -229,8 +229,9 @@ def _scenario(
                 for i, count in enumerate(per_feed_records)
             ),
             "budget_never_exceeded": all(
-                total_held <= total_workers
-                for _, _, _, _, total_held in fabric.lease_events
+                event.detail["total"] <= total_workers
+                for event in fabric.events
+                if event.kind in LEASE_KINDS
             ),
         },
         "digests": fab_digests,
@@ -282,7 +283,9 @@ def run(smoke: bool) -> Dict:
         "per_feed": _per_feed_summary(gov_reports),
         "governor": gov_fabric.governor.summary(),
         "governor_grants": sum(
-            len(report.governor_grants) for report in gov_reports.values()
+            event.kind == "governor"
+            for report in gov_reports.values()
+            for event in report.runtime.fabric_events
         ),
     }
 
@@ -304,7 +307,7 @@ def run(smoke: bool) -> Dict:
         "governed_outputs_match": gov_digests == results["skewed"]["digests"],
         "governor_rebalanced": (
             gov_fabric.governor.rebalances > 1
-            and len(gov_fabric.governor.grants) > 0
+            and gov_fabric.governor.summary()["grants"] > 0
         ),
     }
     for scenario_name in ("skewed", "uniform"):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
+from ..ingestion.fabric import LEASE_STEPS
+
 
 def layer_utilization_table(
     metrics, per_process: bool = False, label: Optional[str] = None
@@ -79,11 +81,12 @@ def layer_utilization_table(
             f"({metrics.memo_hits / memo_total:.0%} hit ratio), "
             f"{metrics.memo_evictions} eviction(s)"
         )
-    if metrics.lease_timeline or metrics.governor_grants:
+    kinds = [event.kind for event in metrics.fabric_events]
+    if kinds:  # a fabric tenant: its floor is its first lease step
         lines.append(
             f"fabric: +{metrics.borrowed_workers} borrowed worker(s) at "
-            f"peak, {len(metrics.lease_timeline)} lease step(s), "
-            f"{len(metrics.governor_grants)} governor grant(s)"
+            f"peak, {sum(kind in LEASE_STEPS for kind in kinds)} lease "
+            f"step(s), {kinds.count('governor')} governor grant(s)"
         )
     lines.append(
         f"makespan {metrics.makespan_seconds:.4f}s, "

@@ -44,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ExternalEnrichmentError, IngestionError
 from ..runtime.faults import FaultPlan
-from ..runtime.metrics import ExternalMetrics
+from ..runtime.metrics import Event, ExternalMetrics
 from ..sqlpp.memo import EXTERNAL_VERSION_KEY, canonical_probe_key
 from .policy import (
     DEFAULT_POLICY,
@@ -218,6 +218,7 @@ class EnrichmentCoordinator:
         feed_name: str = "",
         primary_key: str = "id",
         memo=None,
+        events: Optional[List[Event]] = None,
     ):
         self.bindings = list(bindings)
         self.policy = policy
@@ -236,6 +237,8 @@ class EnrichmentCoordinator:
         #: primary key so at-least-once batch replays after a crash update
         #: the outcome instead of double-counting the record.
         self._outcomes: Dict[object, str] = {}
+        #: the feed run's stream, which the breakers append to
+        self.events = events if events is not None else []
         #: one breaker per enricher: closed → open at
         #: ``external_breaker_failures``, half-open after the cool-off
         self._breakers: Dict[str, CircuitBreaker] = {}
@@ -246,14 +249,9 @@ class EnrichmentCoordinator:
                     policy.external_breaker_failures,
                     policy.external_breaker_reset_seconds,
                     BREAKER_HALF_OPEN_PROBES,
+                    name=name,
+                    events=self.events,
                 )
-
-    @property
-    def breaker_transitions(self) -> Dict[str, List[Tuple[float, str]]]:
-        return {
-            name: list(breaker.transitions)
-            for name, breaker in self._breakers.items()
-        }
 
     # ------------------------------------------------------------- fan-out
 
@@ -499,8 +497,8 @@ class EnrichmentCoordinator:
         return enriched / total
 
     def finalize(self) -> ExternalMetrics:
-        """Fold per-record outcomes and the breakers' transitions into the
-        metrics; returns them."""
+        """Fold per-record outcomes and the breaker events of the stream
+        into the metrics; returns them."""
         counts = {"enriched": 0, "pending": 0, "dead_lettered": 0}
         for outcome in self._outcomes.values():
             counts[outcome] += 1
@@ -508,11 +506,7 @@ class EnrichmentCoordinator:
         metrics.records_enriched = counts["enriched"]
         metrics.records_pending = counts["pending"]
         metrics.records_dead_lettered = counts["dead_lettered"]
-        states = [
-            state
-            for breaker in self._breakers.values()
-            for _at, state in breaker.transitions[1:]
-        ]
+        states = [e.detail["state"] for e in self.events if e.kind == "breaker"]
         metrics.breaker_opens = states.count(CircuitBreaker.OPEN)
         metrics.breaker_half_opens = states.count(CircuitBreaker.HALF_OPEN)
         metrics.breaker_closes = states.count(CircuitBreaker.CLOSED)

@@ -34,9 +34,9 @@ Determinism: the fabric is driven *only* from inside runtime processes
 (controller ticks, worker exits) on the shared discrete-event clock, its
 tie-breaks are total orders (priority, arrival sequence, tenant name),
 and it allocates no randomness — so two runs of the same fleet produce
-byte-identical lease ledgers, grants, and stored outputs.  Per-feed
-stored output is byte-identical fabric-on vs fabric-off because the
-fabric changes only *pool size over time*, and the sequencer already
+equal event streams and byte-identical stored outputs.  Per-feed stored
+output is byte-identical fabric-on vs fabric-off because the fabric
+changes only *pool size over time*, and the sequencer already
 guarantees order-preserving release at any pool size.
 """
 
@@ -47,6 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import IngestionError
 from ..runtime.faults import FaultPlan
+from ..runtime.metrics import Event
 
 #: governor grants are quantized so tiny hit-ratio jitter doesn't churn
 #: ``configure`` calls (and grant-log noise) every rebalance
@@ -59,6 +60,11 @@ COLD_TENANT_WEIGHT = 0.25
 #: every tenant's relative claim on the governed cache budget: uniform,
 #: so only priority and observed hit ratio move bytes between tenants
 FAIR_SHARE = 1.0
+
+#: the lease events that move a tenant's held count; a ``"recall"`` only
+#: asks the victim to retire a worker, whose ``"release"`` follows
+LEASE_STEPS = ("floor", "acquire", "grant", "release", "deregister")
+LEASE_KINDS = LEASE_STEPS + ("recall",)
 
 
 @dataclass(frozen=True)
@@ -124,15 +130,10 @@ class _WorkerTenant:
         "grow",
         "recall",
         "held",
-        "peak_held",
         "recalls_outstanding",
         "pending_seq",
         "signals",
         "active",
-        "leases_acquired",
-        "leases_returned",
-        "recalls_received",
-        "timeline",
     )
 
     def __init__(self, name, policy, grow, recall):
@@ -143,15 +144,10 @@ class _WorkerTenant:
         self.grow = grow  # () -> None: spawn one worker now (a grant)
         self.recall = recall  # () -> bool: issue a retire token if safe
         self.held = 0
-        self.peak_held = 0
         self.recalls_outstanding = 0
         self.pending_seq: Optional[int] = None  # arrival seq of queued bid
         self.signals: Optional[FeedSignals] = None
         self.active = True
-        self.leases_acquired = 0
-        self.leases_returned = 0
-        self.recalls_received = 0
-        self.timeline: List[Tuple[float, int]] = []  # (sim_s, held)
 
 
 class _CacheTenant:
@@ -178,17 +174,18 @@ class MemoryGovernor:
     tie-break by ``(feed, kind)``).  A shrink takes effect immediately —
     ``StateCache.configure`` evicts LRU-first down to the new grant —
     which is exactly "eviction pressure flows to the lowest-value
-    tenant".
+    tenant".  Every budget move is a ``"governor"`` event (subject the
+    feed, detail the cache kind and bytes) on ``events``: the fabric's
+    stream, or the governor's own.
     """
 
-    def __init__(self, total_bytes: int):
+    def __init__(self, total_bytes: int, events: Optional[List[Event]] = None):
         if total_bytes <= 0:
             raise ValueError("MemoryGovernor needs a positive byte budget")
         self.total_bytes = int(total_bytes)
         self._tenants: List[_CacheTenant] = []
         self.rebalances = 0
-        #: grant ledger: (sim_seconds, feed, cache_kind, granted_bytes)
-        self.grants: List[Tuple[float, str, str, int]] = []
+        self.events = events if events is not None else []
 
     def register(self, feed, kind, cache, priority, now=0.0):
         entry = _CacheTenant(feed, kind, cache, priority)
@@ -251,19 +248,16 @@ class MemoryGovernor:
             if budget != entry.budget:
                 entry.budget = budget
                 entry.cache.configure(budget)
-                self.grants.append((now, entry.feed, entry.kind, budget))
+                detail = {"cache": entry.kind, "bytes": budget}
+                self.events.append(Event(now, "governor", entry.feed, detail))
 
     # ----------------------------------------------------------- reporting
-
-    def grants_for(self, feed: str) -> List[Tuple[float, str, int]]:
-        """The feed's grant history: ``(sim_seconds, kind, bytes)``."""
-        return [(t, kind, b) for t, f, kind, b in self.grants if f == feed]
 
     def summary(self) -> Dict[str, object]:
         return {
             "total_bytes": self.total_bytes,
             "rebalances": self.rebalances,
-            "grants": len(self.grants),
+            "grants": sum(event.kind == "governor" for event in self.events),
             "tenants": {
                 f"{e.feed}/{e.kind}": {
                     "budget_bytes": e.budget,
@@ -289,18 +283,21 @@ class FeedFabric:
     governed feed (the governor, not the policy's byte count, sets the
     budget of each cache the feed's policy enables).
 
-    A fabric arbitrates exactly one ``start_feeds`` run: its lease
-    ledger, timelines, and governor grants are run artifacts, inspected
-    after the run via :meth:`summary`/:meth:`tenant_report`.  Build a
-    fresh fabric per run.
+    A fabric arbitrates exactly one ``start_feeds`` run: its event
+    stream is the run's artifact, read after the run through its views
+    (:attr:`lease_events`, :meth:`summary`, :meth:`tenant_report`).
+    Build a fresh fabric per run.
     """
 
     def __init__(self, total_workers: int, memory_bytes: int = 0):
         if total_workers < 1:
             raise ValueError("total_workers must be >= 1")
         self.total_workers = int(total_workers)
+        #: lease events (subject the feed; its ``held`` and the fleet's
+        #: ``total`` after; a recall names the ``bids`` it serves), grants
+        self.events: List[Event] = []
         self.governor = (
-            MemoryGovernor(memory_bytes) if memory_bytes > 0 else None
+            MemoryGovernor(memory_bytes, self.events) if memory_bytes > 0 else None
         )
         self._tenants: Dict[str, _WorkerTenant] = {}
         #: queued borrow requests as (-priority, arrival_seq, tenant name)
@@ -308,12 +305,6 @@ class FeedFabric:
         self._seq = 0
         self._runtime = None
         self.used = False
-        #: lease ledger: (sim_s, feed, event, feed_held, total_held) where
-        #: event is floor|acquire|grant|recall|release|deregister
-        self.lease_events: List[Tuple[float, str, str, int, int]] = []
-        self.leases_granted = 0
-        self.recalls_issued = 0
-        self.peak_total_held = 0
 
     # ------------------------------------------------------------ lifecycle
 
@@ -417,8 +408,6 @@ class FeedFabric:
             return False
         if self.spare > 0:
             tenant.held += 1
-            tenant.leases_acquired += 1
-            self.leases_granted += 1
             self._record(tenant, "acquire")
             return True
         if tenant.pending_seq is None:
@@ -435,7 +424,6 @@ class FeedFabric:
         if tenant.held <= 0:
             return
         tenant.held -= 1
-        tenant.leases_returned += 1
         if tenant.recalls_outstanding > 0:
             tenant.recalls_outstanding -= 1
         self._record(tenant, "release")
@@ -464,17 +452,15 @@ class FeedFabric:
         return self.total_workers - self.total_held
 
     def _now(self) -> float:
-        if self._runtime is None:
-            return 0.0
-        return self._runtime.clock.now - self._runtime.epoch
+        """The shared simulated clock (0.0 before :meth:`bind`)."""
+        return self._runtime.clock.now if self._runtime is not None else 0.0
 
-    def _record(self, tenant: _WorkerTenant, event: str) -> None:
-        tenant.peak_held = max(tenant.peak_held, tenant.held)
-        total = self.total_held
-        self.peak_total_held = max(self.peak_total_held, total)
-        now = self._now()
-        tenant.timeline.append((now, tenant.held))
-        self.lease_events.append((now, tenant.name, event, tenant.held, total))
+    def _epoch(self) -> float:
+        return self._runtime.epoch if self._runtime is not None else 0.0
+
+    def _record(self, tenant: _WorkerTenant, kind: str, **extra) -> None:
+        detail = {"held": tenant.held, "total": self.total_held, **extra}
+        self.events.append(Event(self._now(), kind, tenant.name, detail))
 
     def _outstanding_recalls(self) -> int:
         return sum(t.recalls_outstanding for t in self._tenants.values())
@@ -509,17 +495,9 @@ class FeedFabric:
         for tenant in candidates:
             if tenant.recall():
                 tenant.recalls_outstanding += 1
-                tenant.recalls_received += 1
-                self.recalls_issued += 1
-                self.lease_events.append(
-                    (
-                        self._now(),
-                        tenant.name,
-                        "recall",
-                        tenant.held,
-                        self.total_held,
-                    )
-                )
+                bids = [b for _p, seq, b in sorted(self._queue)
+                        if self._tenants[b].pending_seq == seq]
+                self._record(tenant, "recall", bids=tuple(bids))
                 return True
         return False
 
@@ -541,40 +519,50 @@ class FeedFabric:
             if tenant.signals is not None and not tenant.signals.congested:
                 continue  # congestion cleared while queued
             tenant.held += 1
-            tenant.leases_acquired += 1
-            self.leases_granted += 1
             self._record(tenant, "grant")
             if tenant.grow is not None:
                 tenant.grow()
 
-    # ------------------------------------------------------------ reporting
+    # ------------------------------------------------- reporting (views)
+
+    @property
+    def lease_events(self) -> List[Tuple[float, str, str, int, int]]:
+        """The lease ledger: ``(sim_s, feed, kind, feed_held, total_held)``
+        per lease event, at run-relative seconds."""
+        epoch = self._epoch()
+        return [
+            (e.at - epoch, e.subject, e.kind, e.detail["held"], e.detail["total"])
+            for e in self.events
+            if e.kind in LEASE_KINDS
+        ]
 
     def tenant_report(self, name: str) -> Dict[str, object]:
-        tenant = self._tenants[name]
+        tenant, epoch = self._tenants[name], self._epoch()
+        mine = [e for e in self.events if e.subject == name]
+        kinds = [e.kind for e in mine]
+        steps = [e for e in mine if e.kind in LEASE_STEPS]
+        peak_held = max((e.detail["held"] for e in steps), default=0)
         return {
             "floor": tenant.floor,
             "cap": tenant.cap,
             "priority": tenant.priority,
             "fair_share": FAIR_SHARE,
-            "peak_held": tenant.peak_held,
-            "borrowed_workers": max(0, tenant.peak_held - tenant.floor),
-            "leases_acquired": tenant.leases_acquired,
-            "leases_returned": tenant.leases_returned,
-            "recalls_received": tenant.recalls_received,
-            "lease_timeline": list(tenant.timeline),
+            "peak_held": peak_held,
+            "borrowed_workers": max(0, peak_held - tenant.floor),
+            "leases_acquired": kinds.count("acquire") + kinds.count("grant"),
+            "leases_returned": kinds.count("release"),
+            "recalls_received": kinds.count("recall"),
+            "lease_timeline": [(e.at - epoch, e.detail["held"]) for e in steps],
         }
 
-    def governor_grants_for(self, name: str) -> List[Tuple[float, str, int]]:
-        if self.governor is None:
-            return []
-        return self.governor.grants_for(name)
-
     def summary(self) -> Dict[str, object]:
+        kinds = [e.kind for e in self.events]
+        totals = [e.detail["total"] for e in self.events if e.kind in LEASE_STEPS]
         return {
             "total_workers": self.total_workers,
-            "peak_total_held": self.peak_total_held,
-            "leases_granted": self.leases_granted,
-            "recalls_issued": self.recalls_issued,
+            "peak_total_held": max(totals, default=0),
+            "leases_granted": kinds.count("acquire") + kinds.count("grant"),
+            "recalls_issued": kinds.count("recall"),
             "governor": (
                 self.governor.summary() if self.governor is not None else None
             ),

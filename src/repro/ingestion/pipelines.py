@@ -51,6 +51,7 @@ from ..runtime import (
     Advance,
     CANCELLED,
     Channel,
+    Event,
     FaultMetrics,
     IDLE,
     IntakeBuffer,
@@ -881,6 +882,9 @@ class FeedRun:
                     self.resume_cursors[p] = cursor.resume
         self.faults = FaultMetrics()
         self.counters = RunCounters(intake_partitions=num_partitions)
+        #: worker spawns and retires, batches, breaker transitions: the
+        #: report's pool, batch and computing figures are views of it
+        self.events: List[Event] = []
         dead_letters = None
         if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
             feed.external_enrichers
@@ -918,6 +922,7 @@ class FeedRun:
                 feed_name=feed.name,
                 primary_key=dataset.primary_key,
                 memo=self.memo,
+                events=self.events,
             )
 
         self.intake = _IntakeLayer(
@@ -965,16 +970,10 @@ class FeedRun:
         self.memo_before = self.memo.stats() if self.memo is not None else None
 
         # ------------------------------------------------ computing worker pool
-        self.computing_total = 0.0  # aggregate busy across all workers
-        self.batch_latencies: List[float] = []
         self.next_batch_index = 0  # next batch index to hand to a worker
         self.workers_spawned = 0  # workers ever created (names stay unique)
         self.workers_running = 0
         self.shrink_tokens = 0  # outstanding scale-down tokens
-        self.pool_timeline: List[tuple] = []  # (sim_seconds, pool size) steps
-        self.worker_busy: Dict[str, float] = {}  # per-worker aggregate busy
-        self.first_busy: Optional[float] = None  # clock at the first invoke
-        self.last_busy = 0.0  # clock after the last batch's work
         self.pool_ended = False
         self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
 
@@ -1030,7 +1029,7 @@ class FeedRun:
             fabric.register_feed(
                 run_name,
                 policy,
-                grow=self._grow_pool if elastic else None,
+                grow=(lambda: self._spawn_worker("grant")) if elastic else None,
                 recall=self._fabric_recall if elastic else None,
             )
         # one intake actor per partition, individually supervised: fault
@@ -1050,7 +1049,7 @@ class FeedRun:
                 layer="intake",
             )
         for _ in range(policy.min_computing_workers):
-            self._spawn_worker()
+            self._spawn_worker("floor")
         if fabric is not None:
             fabric.note_initial(run_name, policy.min_computing_workers)
         if self.decoupled:
@@ -1189,6 +1188,9 @@ class FeedRun:
 
     # ------------------------------------------------------- worker pool
 
+    def _note(self, kind: str, subject: str, **detail) -> None:
+        self.events.append(Event(self.runtime.clock.now, kind, subject, detail))
+
     def _claim_subbatch(self):
         if self.subqueue:
             return self.subqueue.popleft()
@@ -1215,7 +1217,7 @@ class FeedRun:
         """
         feed, fabric, run_name = self.feed, self.fabric, self.run_name
         cluster, runtime, buffer = self.cluster, self.runtime, self.buffer
-        eval_ctx, coordinator, report = self.eval_ctx, self.coordinator, self.report
+        eval_ctx, coordinator = self.eval_ctx, self.coordinator
         n = cluster.num_nodes
         cost = cluster.cost_model
         track = self.checkpoint is not None
@@ -1223,6 +1225,7 @@ class FeedRun:
         split_enabled = max_sub > 0
         claim_shrink = self._claim_shrink if self.policy.elastic_enabled else None
         steal = self._claim_subbatch if split_enabled else None
+        cause = "eof"
 
         while True:
             if inflight.claim is not None:
@@ -1233,7 +1236,7 @@ class FeedRun:
                     self.batch_size, cancel=claim_shrink, steal=steal
                 )
                 if got is CANCELLED:
-                    self.counters.scale_downs += 1
+                    cause = "shrink"
                     break  # retired by the elastic controller
                 if got is None:
                     break  # EOF and drained
@@ -1293,8 +1296,6 @@ class FeedRun:
                     outputs, runtime.clock.now + makespan
                 )
             batch_started = runtime.clock.now
-            if self.first_busy is None:
-                self.first_busy = batch_started
             yield Advance(makespan)
             # Sequenced hand-off: the real writes (and storage-channel
             # items) for this index — plus any later indices it
@@ -1320,26 +1321,17 @@ class FeedRun:
                         yield Advance(rel_seconds)
                     if rel_index == index:
                         makespan += rel_seconds
-            self.computing_total += makespan
-            self.worker_busy[worker_name] += makespan
-            self.last_busy = max(self.last_busy, runtime.clock.now)
-            report.num_computing_jobs += 1
-            self.batch_latencies.append(runtime.clock.now - batch_started)
-            report.batch_stats.append(
-                BatchStats(
-                    batch_index=index,
-                    records=total,
-                    makespan_seconds=makespan,
-                    startup_seconds=result.startup_seconds,
-                    shared_state_seconds=shared_seconds,
-                    sub_index=sub,
-                )
+            self._note(
+                "batch", worker_name, index=index, sub=sub, records=total,
+                makespan=makespan, startup=result.startup_seconds,
+                shared=shared_seconds, started=batch_started,
+                latency=runtime.clock.now - batch_started,
             )
             if self.update_client is not None:
                 self.update_client.advance(makespan)
             inflight.claim = None  # acked: the sequencer released it
         self.workers_running -= 1
-        self.pool_timeline.append((runtime.clock.now - runtime.epoch, self.workers_running))
+        self._note("retire", worker_name, cause=cause)
         if fabric is not None:
             # EOF drain or a recalled retire: either way this worker's
             # lease returns to the fabric, which may immediately fund
@@ -1350,7 +1342,7 @@ class FeedRun:
             if self.storage_channel is not None:
                 self.storage_channel.end()
 
-    def _spawn_worker(self) -> None:
+    def _spawn_worker(self, cause: str) -> None:
         wid = self.workers_spawned
         self.workers_spawned += 1
         # worker 0 keeps the historical single-actor name; extra
@@ -1361,14 +1353,8 @@ class FeedRun:
             if wid == 0
             else f"{self.run_name}.computing.w{wid}"
         )
-        self.worker_busy[name] = 0.0
         self.workers_running += 1
-        counters = self.counters
-        counters.peak_computing_workers = max(
-            counters.peak_computing_workers, self.workers_running
-        )
-        runtime = self.runtime
-        self.pool_timeline.append((runtime.clock.now - runtime.epoch, self.workers_running))
+        self._note("spawn", name, cause=cause)
         inflight = _Inflight()
         self.supervisor.spawn(
             name, lambda: self._worker_loop(name, inflight), layer="computing"
@@ -1447,7 +1433,7 @@ class FeedRun:
                     # global budget; an unfunded bid queues inside the
                     # fabric, which grows this pool itself (via the
                     # registered grow hook) once a worker frees up
-                    self._grow_pool()
+                    self._spawn_worker("grow")
                 up_streak = 0
             elif (
                 down_streak >= ELASTIC_SUSTAINED_SAMPLES
@@ -1456,12 +1442,6 @@ class FeedRun:
                 self.shrink_tokens += 1
                 buffer.kick()  # wake an idle worker to claim the token
                 down_streak = 0
-
-    def _grow_pool(self) -> None:
-        # a funded grow (the controller's own, or a queued borrow bid the
-        # fabric just funded): one more worker, now
-        self.counters.scale_ups += 1
-        self._spawn_worker()
 
     def _fabric_recall(self) -> bool:
         # Recall safety: re-check the live pool so a fabric recall
@@ -1512,18 +1492,36 @@ class FeedRun:
         setattr(self.counters, f"{prefix}_bytes", after["bytes"])
 
     def _assemble_report(self, elapsed: float) -> FeedRunReport:
-        report, counters = self.report, self.counters
+        report, counters, events = self.report, self.counters, self.events
         intake, storage, cluster = self.intake, self.storage, self.cluster
         n = cluster.num_nodes
+        batches = [event for event in events if event.kind == "batch"]
+        running, pool = 0, []  # the pool's size after each spawn and retire
+        for event in events:
+            if event.kind in ("spawn", "retire"):
+                running += 1 if event.kind == "spawn" else -1
+                pool.append((event.at - self.runtime.epoch, running))
+        counters.peak_computing_workers = max(size for _at, size in pool)
+        # Busy seconds are summed in completion order, per worker and
+        # over the pool; every worker ever spawned has an entry.
+        busy = {e.subject: 0.0 for e in events if e.kind == "spawn"}
+        computing = 0.0
+        for event in batches:
+            computing += event.detail["makespan"]
+            busy[event.subject] += event.detail["makespan"]
         # With overlapping workers the layer's aggregate busy exceeds
         # any wall-clock interval; the *bottleneck* contribution is the
         # slowest single worker (identical to the aggregate when the
         # pool size is 1).
-        computing_bottleneck = (
-            max(self.worker_busy.values()) if self.worker_busy else 0.0
-        )
-        report.batch_stats.sort(
-            key=lambda stats: (stats.batch_index, stats.sub_index)
+        computing_bottleneck = max(busy.values(), default=0.0)
+        report.num_computing_jobs = len(batches)
+        report.batch_stats = sorted(
+            (
+                BatchStats(d["index"], d["records"], d["makespan"],
+                           d["startup"], d["shared"], d["sub"])
+                for d in (event.detail for event in batches)
+            ),
+            key=lambda stats: (stats.batch_index, stats.sub_index),
         )
         # With one intake actor the layer's bottleneck is the busiest
         # intake node; partitioned actors overlap, so it is the slowest
@@ -1540,11 +1538,13 @@ class FeedRun:
             report.intake_partition_busy = dict(intake.partition_busy)
         report.acked_batches = self.sequencer.next_index
         report.resumed_from_checkpoint = self.base_checkpoint is not None
-        report.computing_seconds = self.computing_total
-        report.computing_worker_busy = dict(self.worker_busy)
+        report.computing_seconds = computing
+        report.computing_worker_busy = busy
+        # first completed batch's invoke -> last batch's completion
         report.computing_wall_seconds = (
-            self.last_busy - self.first_busy
-            if self.first_busy is not None
+            max(event.at for event in batches)
+            - min(event.detail["started"] for event in batches)
+            if batches
             else 0.0
         )
         report.storage_seconds = storage.max_busy
@@ -1568,6 +1568,9 @@ class FeedRun:
         report.stalls = self.buffer.stalls
         counters.reordered_batches = self.sequencer.reordered
         counters.subbatch_merges = self.sequencer.subbatch_merges
+        causes = [event.detail.get("cause") for event in events]
+        counters.scale_ups = causes.count("grow") + causes.count("grant")
+        counters.scale_downs = causes.count("shrink")
         self._fill_cache_counters(
             "state_cache", self.eval_ctx.state_cache, self.state_cache_before
         )
@@ -1575,26 +1578,26 @@ class FeedRun:
         if self.coordinator is not None:
             counters.external = self.coordinator.finalize()
             counters.enrichment_completeness = self.coordinator.completeness
-        if self.fabric is not None:
-            tenant = self.fabric.tenant_report(self.run_name)
-            counters.borrowed_workers = tenant["borrowed_workers"]
-            counters.lease_timeline = tenant["lease_timeline"]
-            counters.governor_grants = self.fabric.governor_grants_for(
-                self.run_name
-            )
         storage_channel = self.storage_channel
-        report.runtime = RuntimeMetrics.from_runtime(
+        report.runtime = metrics = RuntimeMetrics.from_runtime(
             self.runtime,
             holders=intake.holders,
             stall_count=self.buffer.stalls
             + (storage_channel.stalls if storage_channel is not None else 0),
-            batch_latencies=self.batch_latencies,
+            batch_latencies=[event.detail["latency"] for event in batches],
             steady_state_seconds=steady,
             faults=self.faults,
-            worker_pool_timeline=self.pool_timeline,
+            worker_pool_timeline=pool,
             process_prefix=f"{self.run_name}.",
             counters=counters,
         )
+        metrics.events = events
+        if self.fabric is not None:
+            tenant = self.fabric.tenant_report(self.run_name)
+            counters.borrowed_workers = tenant["borrowed_workers"]
+            metrics.fabric_events = [
+                e for e in self.fabric.events if e.subject == self.run_name
+            ]
         return report
 
     def cleanup(self) -> None:

@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..adm.parser import serialize
 from ..adm.schema import open_type
 from ..errors import CircuitBreakerError
-from ..runtime.metrics import FaultMetrics
+from ..runtime.metrics import Event, FaultMetrics
 from ..runtime.supervisor import RestartPolicy
 from ..storage.dataset import Dataset
 
@@ -317,8 +317,8 @@ class CircuitBreaker:
     ``half_open_probes`` probes: a probe success closes it, a probe
     failure re-opens it for another cool-off.  With the default infinite
     reset it never half-opens.  ``failures`` is the current streak.  The
-    breaker counts nothing itself: each caller keeps its own counters,
-    from the ``(time, state)`` :attr:`transitions` or from :attr:`state`.
+    breaker counts nothing itself: each transition is a ``"breaker"``
+    event (subject ``name``) on ``events``, its owner's stream.
     """
 
     CLOSED = "closed"
@@ -330,6 +330,8 @@ class CircuitBreaker:
         threshold: int,
         reset_seconds: float = float("inf"),
         half_open_probes: int = 1,
+        name: str = "",
+        events: Optional[List[Event]] = None,
     ):
         self.threshold = threshold
         self.reset_seconds = reset_seconds
@@ -338,13 +340,12 @@ class CircuitBreaker:
         self.failures = 0
         self.open_until = 0.0
         self.probes_left = 0
-        #: ``(time, state)`` per transition — byte-identical across
-        #: identical runs
-        self.transitions: List[Tuple[float, str]] = [(0.0, self.CLOSED)]
+        self.name = name
+        self.events = events if events is not None else []
 
     def _transition(self, now: float, state: str) -> None:
         self.state = state
-        self.transitions.append((now, state))
+        self.events.append(Event(now, "breaker", self.name, {"state": state}))
 
     def allow(self, now: float = 0.0) -> bool:
         """May a call start at ``now``?  Moves open → half-open when due."""

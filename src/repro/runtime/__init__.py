@@ -16,7 +16,7 @@ closed-form arithmetic:
   holders) with *real* blocking backpressure;
 * :class:`RuntimeMetrics` — the observability snapshot: per-layer
   busy/idle/blocked timelines, holder high-water marks, stall counts,
-  and batch-latency histograms;
+  and the run's :class:`Event` stream;
 * :class:`FaultPlan` — a deterministic schedule of injected faults
   (actor crashes, slow-consumer stalls, transient channel-send failures,
   partition-holder disconnects) consulted by the kernel on the simulated
@@ -57,6 +57,7 @@ from .kernel import (
     Wait,
 )
 from .metrics import (
+    Event,
     ExternalMetrics,
     FaultMetrics,
     HolderStats,
@@ -82,6 +83,7 @@ __all__ = [
     "EnricherFlaky",
     "EnricherOutage",
     "EnricherSlowdown",
+    "Event",
     "ExternalMetrics",
     "FaultMetrics",
     "FaultPlan",

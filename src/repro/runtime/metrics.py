@@ -13,9 +13,20 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .kernel import BLOCKED, BUSY, IDLE, Runtime
+
+
+class Event(NamedTuple):
+    """One fact of a run, appended to its stream where it happens.  ``at``
+    is the shared simulated clock (views subtract the runtime's epoch);
+    ``detail`` holds plain values, so identical runs give equal streams."""
+
+    at: float
+    kind: str
+    subject: str
+    detail: Dict[str, object]
 
 
 @dataclass
@@ -171,14 +182,9 @@ class RunCounters:
     #: fraction of enrichment-requiring stored records fully enriched by
     #: run end (1.0 when nothing degraded, or nothing was required)
     enrichment_completeness: float = 1.0
-    #: multi-tenant fabric attribution (zeros/empty when the run had no
-    #: :class:`~repro.ingestion.fabric.FeedFabric` — default-off parity):
-    #: peak workers this feed held beyond its policy floor, the feed's
-    #: ``(sim_seconds, held_workers)`` lease steps, and the memory
-    #: governor's ``(sim_seconds, cache_kind, granted_bytes)`` grants
+    #: peak workers this feed held beyond its policy floor under a
+    #: :class:`~repro.ingestion.fabric.FeedFabric` (0 without one)
     borrowed_workers: int = 0
-    lease_timeline: List[Tuple[float, int]] = field(default_factory=list)
-    governor_grants: List[Tuple[float, str, int]] = field(default_factory=list)
 
 
 #: the counters a feed's ``plan_cache_stats(feed=...)`` row lists
@@ -226,6 +232,11 @@ class RuntimeMetrics:
     #: the run's shared counters (also readable as attributes of this
     #: snapshot: ``metrics.memo_hits`` is ``metrics.counters.memo_hits``)
     counters: RunCounters = field(default_factory=RunCounters)
+    #: the run's event stream (empty for static pipelines; the latencies
+    #: and the pool timeline are its views), and the events of its
+    #: fabric's stream whose subject is this feed
+    events: List[Event] = field(default_factory=list)
+    fabric_events: List[Event] = field(default_factory=list)
 
     # ------------------------------------------------------------- assembly
 

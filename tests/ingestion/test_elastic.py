@@ -170,7 +170,7 @@ class TestElasticController:
         assert stored_a == stored_b
         assert a.runtime.makespan_seconds == b.runtime.makespan_seconds
         assert a.scale_ups == b.scale_ups
-        assert a.runtime.worker_pool_timeline == b.runtime.worker_pool_timeline
+        assert a.runtime.events == b.runtime.events
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):

@@ -133,7 +133,7 @@ class TestExternalEnricher:
 
 
 def entered(breaker, state):
-    return [s for _t, s in breaker.transitions[1:]].count(state)
+    return [event.detail["state"] for event in breaker.events].count(state)
 
 
 class TestCircuitBreaker:
@@ -189,11 +189,10 @@ class TestCircuitBreaker:
         breaker.on_failure(0.5)
         breaker.allow(2.0)
         breaker.on_success(2.1)
-        assert [state for _t, state in breaker.transitions] == [
-            "closed",
-            "open",
-            "half_open",
-            "closed",
+        assert [(event.at, event.detail["state"]) for event in breaker.events] == [
+            (0.5, "open"),
+            (2.0, "half_open"),
+            (2.1, "closed"),
         ]
 
     def test_without_a_reset_it_never_half_opens(self):

@@ -109,7 +109,7 @@ class TestCoordinatorDeterminism:
             )
         return {
             "call_log": enricher.call_log,
-            "transitions": coordinator.breaker_transitions,
+            "events": coordinator.events,
             "metrics": coordinator.finalize().as_dict(),
             "elapsed": elapsed,
             "completeness": coordinator.completeness,
@@ -123,7 +123,9 @@ class TestCoordinatorDeterminism:
         # the run actually exercised the stack it claims to replay
         assert a["metrics"]["retries"] > 0
         assert a["metrics"]["breaker_opens"] >= 1
-        assert {s for _t, s in a["transitions"]["geo"]} >= {"closed", "open"}
+        assert {e.detail["state"] for e in a["events"] if e.subject == "geo"} >= {
+            "open", "half_open",
+        }
 
     def test_enricher_seed_perturbs_the_schedule(self):
         def with_seed(seed):

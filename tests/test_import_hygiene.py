@@ -379,3 +379,44 @@ def test_one_planned_tuple_loop():
     assert "filter_join" not in plans.TermPlan.__slots__
     for gone in ("_charge_free_calls", "SpatialFilterJoin"):
         assert not hasattr(plans, gone), gone
+
+
+def test_a_run_records_its_facts_once():
+    """A run's and a fleet's facts each land once, as events in their
+    stream; the time series and counters that were kept by hand beside
+    them are views of it now, and do not come back."""
+    import re
+    from dataclasses import fields
+
+    from repro.ingestion import (
+        CircuitBreaker,
+        EnrichmentCoordinator,
+        FeedFabric,
+        FeedPolicy,
+        MemoryGovernor,
+    )
+    from repro.ingestion.fabric import _WorkerTenant
+    from repro.runtime import RunCounters
+
+    pipelines = (SRC / "ingestion" / "pipelines.py").read_text()
+    kept = re.compile(
+        r"self\.(batch_latencies|pool_timeline|computing_total|worker_busy"
+        r"|first_busy|last_busy)\b|num_computing_jobs \+=|batch_stats\.append"
+        r"|scale_(ups|downs) \+=|peak_computing_workers = max\(\s*counters"
+    )
+    assert not kept.findall(pipelines)
+    counters = {counter.name for counter in fields(RunCounters)}
+    assert not counters & {"lease_timeline", "governor_grants"}
+    assert not set(_WorkerTenant.__slots__) & {
+        "timeline", "peak_held", "leases_acquired", "leases_returned",
+        "recalls_received",
+    }
+    fabric = FeedFabric(total_workers=1, memory_bytes=4096)
+    for name in ("leases_granted", "recalls_issued", "peak_total_held",
+                 "governor_grants_for"):
+        assert not hasattr(fabric, name), name
+    for name in ("grants", "grants_for"):
+        assert not hasattr(MemoryGovernor(1), name), name
+    assert not hasattr(CircuitBreaker(1), "transitions")
+    coordinator = EnrichmentCoordinator([], FeedPolicy.spill())
+    assert not hasattr(coordinator, "breaker_transitions")
