@@ -48,10 +48,17 @@ FULL = (2400, 80, 200)  # (heavy_records, batch_size, words)
 SMOKE = (800, 40, 120)
 GATED_RATIOS = ("skewed_speedup",)
 SKEWED_SPEEDUP_FLOOR = 1.5  # acceptance: fabric vs equal split, skewed fleet
-UNIFORM_PARITY_FLOOR = 0.75  # fabric must not tank a fleet with no skew
-# (the uniform fleet pays the elastic ramp-up lag — floors of 1 growing
-# toward the fair share — with no skew to win it back, so parity here
-# means "close", not "equal")
+UNIFORM_PARITY_FLOOR = 0.80  # fabric must not tank a fleet with no skew
+# What the uniform fleet's event streams show (full size, 0.8364x): every
+# tenant retires a worker at t = 0.5877 on its own starvation verdict
+# while its 60-record final batch is still queued — a batch under one
+# batch size reads as backlog < 1, and ``IntakeBuffer.collect`` honours a
+# retire token before it hands out a batch — so all eight finish at
+# 0.8231 where equal split finishes at 0.6898.  No recall fires: a tick
+# that drops a bid does not recall for the bids still queued.  Checking
+# for a batch first reaches 0.9505x uniform but drops skewed from 2.812x
+# to 2.666x, a model change of its own, so parity here still means
+# "close", not "equal".
 NUM_FEEDS = 8
 NUM_HEAVY = 2
 TOTAL_WORKERS = 16

@@ -386,15 +386,6 @@ class FeedFabric:
             # congestion cleared (or the cap closed) while queued
             tenant.pending_seq = None
             self._queue = [q for q in self._queue if q[2] != name]
-        # Self-healing: a victim's own controller may cancel a pending
-        # retire (eating the recall token).  When bids outnumber live
-        # recalls and nothing is spare, issue another.
-        if (
-            self._queue
-            and self.spare == 0
-            and self._outstanding_recalls() < len(self._queue)
-        ):
-            self._issue_recall()
 
     def acquire(self, name: str) -> bool:
         """A congested feed's grow request: fund it now or queue the bid.
@@ -402,6 +393,9 @@ class FeedFabric:
         Returns True when the grow is funded immediately (the caller
         spawns the worker); False when the bid is queued — the fabric
         calls the feed's ``grow`` hook itself once a worker frees up.
+        A queued bid that stays congested comes back here every
+        ``ELASTIC_SUSTAINED_SAMPLES`` ticks, so a recall that went
+        missing (its victim cancelled the retire) is re-issued then.
         """
         tenant = self._tenants[name]
         if tenant.held >= tenant.cap:
@@ -465,7 +459,7 @@ class FeedFabric:
     def _outstanding_recalls(self) -> int:
         return sum(t.recalls_outstanding for t in self._tenants.values())
 
-    def _issue_recall(self, exclude: Optional[str] = None) -> bool:
+    def _issue_recall(self, exclude: str) -> None:
         """Ask the best victim to retire one worker at its next batch
         boundary.  The victim's ``recall`` hook re-checks its live pool
         (running minus already-pending retires vs its floor) and refuses
@@ -498,8 +492,7 @@ class FeedFabric:
                 bids = [b for _p, seq, b in sorted(self._queue)
                         if self._tenants[b].pending_seq == seq]
                 self._record(tenant, "recall", bids=tuple(bids))
-                return True
-        return False
+                return
 
     def _grant_pending(self) -> None:
         """Fund queued bids from spare capacity, best bid first."""

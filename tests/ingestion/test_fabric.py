@@ -144,6 +144,43 @@ class TestFabricArbiter:
         assert pool_a.recalled == 0
         assert fabric.summary()["recalls_issued"] == 0
 
+    def test_bids_dropped_tick_by_tick_recall_nobody(self):
+        # C borrows the spare worker while A and B queue behind it; then
+        # congestion clears everywhere and each tenant's tick drops its
+        # own bid.  C goes quiet first, while A's and B's bids still
+        # stand: a tick is not a grow request, so it recalls nothing.
+        fabric = FeedFabric(total_workers=4)
+        pools = {name: enroll(fabric, name, elastic(cap=4)) for name in "ABC"}
+        fabric.tick("C", CONGESTED)
+        assert fabric.acquire("C") is True
+        for name in "AB":
+            fabric.tick(name, CONGESTED)
+            assert fabric.acquire(name) is False  # C congested: no victim
+        for name in "CAB":
+            fabric.tick(name, QUIET)
+        assert pools["C"].recalled == 0
+        assert not [e for e in fabric.events if e.kind == "recall"]
+
+    def test_cancelled_retire_is_recalled_again_on_the_next_acquire(self):
+        fabric = FeedFabric(total_workers=3)
+        pool_a = enroll(fabric, "A", elastic(cap=3))
+        enroll(fabric, "B", elastic(cap=3))
+        fabric.tick("A", CONGESTED)
+        assert fabric.acquire("A") is True
+        fabric.tick("A", QUIET)
+        fabric.tick("B", CONGESTED)
+        assert fabric.acquire("B") is False
+        assert pool_a.recalled == 1
+        # A's own controller eats the recall's shrink token...
+        fabric.note_shrink_cancelled("A")
+        # ...and B's bid, still congested, re-issues the recall
+        assert fabric.acquire("B") is False
+        assert pool_a.recalled == 2
+        recalls = [e for e in fabric.events if e.kind == "recall"]
+        assert [(e.subject, e.detail["bids"]) for e in recalls] == [
+            ("A", ("B",)), ("A", ("B",)),
+        ]
+
     def test_deregister_returns_all_held_leases(self):
         fabric = FeedFabric(total_workers=3)
         enroll(fabric, "A", elastic(cap=3))

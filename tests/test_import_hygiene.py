@@ -420,3 +420,11 @@ def test_a_run_records_its_facts_once():
     assert not hasattr(CircuitBreaker(1), "transitions")
     coordinator = EnrichmentCoordinator([], FeedPolicy.spill())
     assert not hasattr(coordinator, "breaker_transitions")
+    # a tick refreshes the feed's bid; only a grow request recalls
+    fabric_source = (SRC / "ingestion" / "fabric.py").read_text()
+    tick = next(
+        node
+        for node in ast.walk(ast.parse(fabric_source))
+        if isinstance(node, ast.FunctionDef) and node.name == "tick"
+    )
+    assert "_issue_recall" not in ast.unparse(tick)
