@@ -27,7 +27,9 @@ def fleet_policies(**overrides):
 
 def solo_elastic_with_crash():
     plan = FaultPlan(crashes=(CrashAt(at=0.05, target="computing"),))
-    report, _ = test_elastic.run_feed(FeedPolicy.elastic(), fault_plan=plan)
+    report, _ = test_elastic.run_feed(
+        FeedPolicy.elastic(), records=240, fault_plan=plan
+    )
     assert report.faults.crashes >= 1
     assert {"spawn", "batch", "retire"} <= {e.kind for e in report.runtime.events}
     return report.runtime.events
