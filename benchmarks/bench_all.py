@@ -3,9 +3,9 @@
 Runs the selected ``benchmarks/suites`` modules (updates, elastic, chaos,
 scale-out, external, memo, multitenant) in this process, writes each
 result to ``BENCH_<suite>.json``, prints its trajectory summary and its
-named checks, and appends a per-PR row to ``BENCH_TRAJECTORY.json`` at
-the repo root — one row per git head, so the file reads as the repo's
-performance history.  Wall-clock throughput is not measured here: that is
+named checks, and appends a per-PR row to ``BENCH_TRAJECTORY.json`` — one
+row per git head, so the file reads as the repo's performance history.
+Wall-clock throughput is not measured here: that is
 ``benchmarks/e2e`` (``BENCHMARK.json``).  Rows recorded before the
 ``wallclock`` suite was retired keep its numbers; nothing reads them.
 
@@ -16,8 +16,10 @@ Usage::
     python benchmarks/bench_all.py --suites memo,updates
     python benchmarks/bench_all.py --smoke --baseline BENCH_TRAJECTORY.json
 
-A full run writes the committed ``BENCH_<suite>.json`` files at the repo
-root; a ``--smoke`` run writes under the ignored ``benchmarks/out/``.
+A full run writes the committed ``BENCH_<suite>.json`` files and
+``BENCH_TRAJECTORY.json`` at the repo root; a ``--smoke`` run writes
+both under the ignored ``benchmarks/out/``.  ``--output`` names another
+trajectory file; ``--baseline`` reads the one it is given.
 
 Exit is non-zero if any suite fails one of its checks, or — with
 ``--baseline`` — if a gated simulated speedup ratio (the memo's rate-0
@@ -88,7 +90,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--output",
         type=Path,
-        default=REPO_ROOT / "BENCH_TRAJECTORY.json",
+        default=None,
+        help="trajectory file to append this run's row to (default: "
+        "BENCH_TRAJECTORY.json beside the run's BENCH_<suite>.json files)",
     )
     parser.add_argument(
         "--baseline",
@@ -126,6 +130,8 @@ def main(argv=None) -> int:
 
     out_dir = SMOKE_DIR if args.smoke else REPO_ROOT
     out_dir.mkdir(parents=True, exist_ok=True)
+    if args.output is None:
+        args.output = out_dir / "BENCH_TRAJECTORY.json"
     suites: dict = {}
     for name in selected:
         print(f"=== {name} ({mode})")

@@ -57,9 +57,8 @@ EXAMPLES = sorted(str(p.relative_to(REPO)) for p in (REPO / "examples").glob("*.
 PY = sys.executable
 TRAFFIC: List[List[str]] = [
     [PY, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--benchmark-disable", *FIGURES],
-    # its trajectory row goes beside the smoke results, not into the committed file
-    [PY, "benchmarks/bench_all.py", "--smoke",
-     "--output", "benchmarks/out/BENCH_TRAJECTORY.json"],
+    # writes under benchmarks/out/, its trajectory row included
+    [PY, "benchmarks/bench_all.py", "--smoke"],
     [PY, "benchmarks/e2e/run.py", "--smoke"],
     [PY, "benchmarks/e2e/run.py", "--seconds", "0", "--trace", "1"],
     *([PY, example] for example in EXAMPLES),

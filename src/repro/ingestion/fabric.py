@@ -71,9 +71,6 @@ LEASE_KINDS = LEASE_STEPS + ("recall",)
 class FeedSignals:
     """One elastic-controller sample tick's congestion bid."""
 
-    occupancy: float = 0.0  # intake-buffer holder occupancy [0, 1]
-    backlog_batches: float = 0.0  # ready records / batch size
-    producer_blocked: bool = False  # intake currently backpressured
     congested: bool = False  # the controller's own congestion verdict
     starved: bool = False  # the controller's own starvation verdict
 

@@ -1288,12 +1288,13 @@ class FeedRun:
             if coordinator is not None:
                 # External fan-out happens after the local computing
                 # job finishes, so its fault windows are evaluated at
-                # the batch's completion time and its elapsed time
-                # lands on the batch makespan (mutates ``outputs``:
-                # enrichments stored, pending markers added,
-                # dead-lettered records removed before storage).
+                # the batch's completion time, run-relative like a
+                # ``CrashAt``, and its elapsed time lands on the batch
+                # makespan (mutates ``outputs``: enrichments stored,
+                # pending markers added, dead-lettered records removed
+                # before storage).
                 makespan += coordinator.enrich_batch(
-                    outputs, runtime.clock.now + makespan
+                    outputs, runtime.clock.now - runtime.epoch + makespan
                 )
             batch_started = runtime.clock.now
             yield Advance(makespan)
@@ -1400,13 +1401,7 @@ class FeedRun:
                 # congestion signals, whether or not a grow follows
                 fabric.tick(
                     run_name,
-                    FeedSignals(
-                        occupancy=occupancy,
-                        backlog_batches=backlog,
-                        producer_blocked=buffer.producer_blocked,
-                        congested=congested,
-                        starved=starved,
-                    ),
+                    FeedSignals(congested=congested, starved=starved),
                 )
             if congested:
                 up_streak += 1

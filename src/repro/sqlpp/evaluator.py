@@ -971,17 +971,18 @@ class Evaluator:
             return self._scan_dataset(dataset)
         visits: List[int] = []
         matches = list(dataset.index_probe_spatial(index_name, query, visits))
-        self.ctx.meter.rtree_nodes_visited += max(sum(visits), 1)
+        ctx = self.ctx
+        meter = ctx.meter
+        meter.rtree_nodes_visited += max(sum(visits), 1)
         # The probe record is broadcast to every index partition (§7.4.2);
         # this work is per record x per node, so it does not shrink as the
         # cluster grows — the reason Nearby Monuments speeds up poorly.
-        self.ctx.meter.broadcast_records += max(
-            dataset.num_partitions, self.ctx.cluster_nodes
-        )
-        self.ctx.meter.index_fetches += len(matches)  # random record fetches
-        self.ctx.meter.penalized_reads += self._penalty_units(
-            dataset, 1 + len(matches), index_probe=True
-        )
+        meter.broadcast_records += max(dataset.num_partitions, ctx.cluster_nodes)
+        meter.index_fetches += len(matches)  # random record fetches
+        if dataset.update_activity:
+            meter.penalized_reads += self._penalty_units(
+                dataset, 1 + len(matches), index_probe=True
+            )
         return matches
 
     # --------------------------------------------------------------- shaping

@@ -132,7 +132,10 @@ def edit_distance(a: str, b: str, meter=None) -> int:
 
 
 def _propagate_missing(*args) -> bool:
-    return any(a is MISSING for a in args)
+    for a in args:
+        if a is MISSING:
+            return True
+    return False
 
 
 class Builtins:

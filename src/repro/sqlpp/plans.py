@@ -351,6 +351,8 @@ def _compile_varref(expr: VarRef) -> Callable:
 
 
 def _compile_field(expr: FieldAccess) -> Callable:
+    if type(expr.base) is VarRef:
+        return _compile_var_field(expr)
     base_fn = compile_expr(expr.base)
     field = expr.field
 
@@ -360,6 +362,35 @@ def _compile_field(expr: FieldAccess) -> Callable:
             if expr in group.key_values:
                 return group.key_values[expr]
         base = base_fn(ev, env)
+        if isinstance(base, dict):
+            return base.get(field, MISSING)
+        return MISSING
+
+    return run
+
+
+def _compile_var_field(expr: FieldAccess) -> Callable:
+    """``var.field`` as one closure: :func:`_compile_field` over
+    :func:`_compile_varref`, with the same group-key shadowing order (the
+    field expression, then the variable) and the same results."""
+    var = expr.base
+    name = var.name
+    field = expr.field
+
+    def run(ev, env):
+        group = env.group
+        if group is not None and group.key_values:
+            key_values = group.key_values
+            if expr in key_values:
+                return key_values[expr]
+            if var in key_values:
+                base = key_values[var]
+                return base.get(field, MISSING) if isinstance(base, dict) else MISSING
+        base = env.lookup(name)
+        if base is SENTINEL:
+            if ev.ctx.dataset(name) is not None:
+                return MISSING  # a DatasetRef has no fields
+            raise SqlppAnalysisError(f"unresolved variable: {name}")
         if isinstance(base, dict):
             return base.get(field, MISSING)
         return MISSING
@@ -516,12 +547,15 @@ def _compile_call(expr: Call) -> Callable:
 
         return run
 
+    # BUILTINS is fixed at import; a SQL++ UDF of the same name, which may
+    # be registered after this compiles, still shadows it on every call
+    builtin = BUILTINS.lookup(lowered)
+
     def run(ev, env):
         args = [fn(ev, env) for fn in arg_fns]
         functions = ev.ctx.functions
         if functions is not None and functions.has(name):
             return functions.invoke(name, args, ev.ctx)
-        builtin = BUILTINS.lookup(lowered)
         if builtin is None:
             raise SqlppAnalysisError(f"unknown function: {name}")
         try:

@@ -23,6 +23,7 @@ from ..errors import IndexError_, KeyNotFoundError
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMTree
 from .memtable import TOMBSTONE
+from .rtree import corners
 
 
 def key_hash(key) -> int:
@@ -377,11 +378,13 @@ class Dataset:
     ) -> Iterator[dict]:
         """Spatial MBR probe through an R-tree index, fetching the records.
 
-        Each partition's search appends the nodes it read to ``visits``.
+        The query's MBR corners are worked out once for every partition's
+        search, which appends the nodes it read to ``visits``.
         """
+        query_corners = corners(query)
         for index, tree in zip(self.indexes[index_name], self.partitions):
             get = tree.get
-            for _value, pk in index.probe_spatial(query, visits):
+            for _value, pk in index.probe_spatial(query_corners, visits):
                 record = get(pk)
                 if record is not None:
                     yield record
@@ -391,7 +394,10 @@ class Dataset:
     @property
     def update_activity(self) -> bool:
         """True when any partition has an active in-memory component."""
-        return any(tree.in_memory_component_active for tree in self.partitions)
+        for tree in self.partitions:
+            if tree.in_memory_component_active:
+                return True
+        return False
 
     @property
     def update_pressure(self) -> float:

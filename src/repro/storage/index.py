@@ -80,8 +80,9 @@ class SecondaryIndex:
         return self._btree.search(value)
 
     def probe_spatial(self, query, visits: list) -> List[Tuple[object, object]]:
-        """(spatial_value, primary_key) with MBRs intersecting query; the
-        search's node count goes on ``visits`` (see :meth:`RTree.search`)."""
+        """(spatial_value, primary_key) with MBRs intersecting query (a
+        spatial value or its corners); the search's node count goes on
+        ``visits`` (see :meth:`RTree.search`)."""
         if self._rtree is None:
             raise IndexError_(f"index {self.name} is not an R-tree")
         return self._rtree.search(query, visits)

@@ -35,12 +35,20 @@ def mbr_of(value) -> Rectangle:
     return value
 
 
-def _corners(value) -> Tuple[float, float, float, float]:
-    """``mbr_of(value)``'s corners; a point, the shape most probes are,
-    needs no rectangle built."""
+def corners(value) -> Tuple[float, float, float, float]:
+    """``mbr_of(value)``'s corners.  A point, the shape most probes are,
+    and a circle with a float center and a non-negative float radius need
+    no rectangle built: ``cx - r <= cx + r`` then holds, so the rectangle
+    would not reorder them.  Every other value goes through :func:`mbr_of`.
+    """
     if isinstance(value, Point):
         x, y = value.x, value.y
         return x, y, x, y
+    if type(value) is Circle:
+        center, r = value.center, value.radius
+        cx, cy = center.x, center.y
+        if type(r) is float and r >= 0.0 and type(cx) is float and type(cy) is float:
+            return cx - r, cy - r, cx + r, cy + r
     m = mbr_of(value)
     return m.x1, m.y1, m.x2, m.y2
 
@@ -98,7 +106,7 @@ class RTree:
     # ----------------------------------------------------------------- insert
 
     def insert(self, spatial_value, primary_key) -> None:
-        mbr = _corners(spatial_value)
+        mbr = corners(spatial_value)
         leaf = self._choose_leaf(self._root, mbr)
         leaf.entries.append((*mbr, (spatial_value, primary_key)))
         self._size += 1
@@ -197,7 +205,7 @@ class RTree:
 
     def delete(self, spatial_value, primary_key) -> bool:
         """Remove one (value, pk) posting; returns False if absent."""
-        mbr = _corners(spatial_value)
+        mbr = corners(spatial_value)
         found = self._find_leaf_entry(self._root, mbr, (spatial_value, primary_key))
         if found is None:
             return False
@@ -252,12 +260,13 @@ class RTree:
     def search(self, query, visits: list) -> List[Tuple[object, object]]:
         """The (spatial_value, primary_key) whose MBR intersects ``query``.
 
-        ``query`` may be a Point/Rectangle/Circle; circles are searched by
-        their MBR (callers apply the exact predicate afterwards, as the
-        optimizer does for index-NLJ plans).  The number of nodes read is
-        appended to ``visits``.
+        ``query`` may be a Point/Rectangle/Circle, or its :func:`corners`
+        tuple (a probe over several partitions works them out once);
+        circles are searched by their MBR (callers apply the exact
+        predicate afterwards, as the optimizer does for index-NLJ plans).
+        The number of nodes read is appended to ``visits``.
         """
-        qx1, qy1, qx2, qy2 = _corners(query)
+        qx1, qy1, qx2, qy2 = query if type(query) is tuple else corners(query)
         found: List[Tuple[object, object]] = []
         visited = 0
         stack = [self._root]

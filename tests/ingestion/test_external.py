@@ -457,6 +457,32 @@ class TestFeedIntegration:
         backfill = system.backfill_pending("TweetFeed")
         assert backfill.completeness == 1.0
 
+    def test_fault_windows_are_run_relative(self):
+        """An enricher outage at ``at=0.0`` starts with each run, as a
+        ``CrashAt`` does: a second run of the feed on the same system (its
+        shared clock already past the window) sees the outage again."""
+        policy = FeedPolicy.spill(
+            external_breaker_failures=2,
+            external_breaker_reset_seconds=0.01,
+            external_max_attempts=1,
+        )
+        system, _e, _b = make_system(policy=policy)
+        runs = []
+        for _ in range(2):
+            report = system.start_feed(
+                "TweetFeed",
+                GeneratorAdapter(raws(400)),
+                batch_size=25,
+                fault_plan=FaultPlan(
+                    enricher_faults=[EnricherOutage("geo", at=0.0, duration=0.02)]
+                ),
+            )
+            runs.append(
+                (report.external.breaker_opens, report.enrichment_completeness)
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][0] >= 1 and runs[0][1] < 1.0
+
     def test_static_framework_rejects_external_enrichers(self):
         system, _e, _b = make_system()
         with pytest.raises(IngestionError):

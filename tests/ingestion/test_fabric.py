@@ -17,14 +17,8 @@ from repro.ingestion import (
 from repro.runtime import CrashAt, FaultPlan, StallAt
 from repro.sqlpp.state_cache import StateCache
 
-CONGESTED = FeedSignals(
-    occupancy=1.0, backlog_batches=4, producer_blocked=True,
-    congested=True, starved=False,
-)
-QUIET = FeedSignals(
-    occupancy=0.0, backlog_batches=0, producer_blocked=False,
-    congested=False, starved=True,
-)
+CONGESTED = FeedSignals(congested=True, starved=False)
+QUIET = FeedSignals(congested=False, starved=True)
 
 
 def elastic(floor=1, cap=4, priority=1, **overrides):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.adm import Circle, Point, Rectangle
 from repro.storage import BPlusTree, RTree
+from repro.storage.rtree import corners, mbr_of
 
 from .reference_rtree import ReferenceRTree
 
@@ -227,3 +228,61 @@ class TestRTreeProperties:
                 index.insert(value, i)
         visits = []
         assert (tree.search(query, visits), visits[0]) == reference.search(query)
+
+
+#: coordinates and radii the probe's corners must bound as ``mbr_of`` does:
+#: ints, floats, and negative, zero, NaN and infinite values
+numbers = st.one_of(
+    st.integers(-1000, 1000),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0, 0.0, -0.0, -1.5, float("nan"), float("inf"), float("-inf")]),
+)
+spatial_values = st.one_of(
+    st.builds(Point, numbers, numbers),
+    st.builds(Rectangle, numbers, numbers, numbers, numbers),
+    st.builds(Circle, st.builds(Point, numbers, numbers), numbers),
+)
+
+
+def typed(values):
+    """Values compared by type and value, with NaN equal to NaN."""
+    return [(type(v), "nan" if v != v else v) for v in values]
+
+
+class TestProbeCorners:
+    @given(spatial_values)
+    @settings(max_examples=300)
+    def test_corners_equal_mbr_of(self, value):
+        """A probe's corners, worked out without a rectangle for a point
+        or a float circle, are ``mbr_of``'s corners to the bit and type."""
+        m = mbr_of(value)
+        assert typed(corners(value)) == typed((m.x1, m.y1, m.x2, m.y2))
+
+    @given(
+        st.lists(st.tuples(st.sampled_from("prc"), points), max_size=120),
+        st.lists(spatial_values, min_size=1, max_size=8),
+        st.sampled_from([4, 8]),
+    )
+    @settings(max_examples=60)
+    def test_search_by_corners_equals_search_by_value(
+        self, stored, queries, max_entries
+    ):
+        """``RTree.search`` given a query's corners returns the entries a
+        search given the value does, in the same order, after reading the
+        same number of nodes."""
+        tree = RTree(max_entries=max_entries)
+        for pk, (kind, (x, y)) in enumerate(stored):
+            tree.insert(
+                {
+                    "p": Point(x, y),
+                    "r": Rectangle(x, y, x + 3.0, y + 1.0),
+                    "c": Circle(Point(x, y), 2.0),
+                }[kind],
+                pk,
+            )
+        for query in queries:
+            by_value, by_corners = [], []
+            assert tree.search(query, by_value) == tree.search(
+                corners(query), by_corners
+            )
+            assert by_value == by_corners

@@ -14,14 +14,18 @@ import pytest
 
 import repro.sqlpp.evaluator as evaluator_module
 import repro.sqlpp.plans as plans_module
+from repro.adm.values import MISSING
 from repro.core.system import AsterixLite
-from repro.errors import IndexError_
+from repro.errors import IndexError_, SqlppAnalysisError
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
-from repro.sqlpp import EvaluationContext, parse_function
+from repro.sqlpp import EvaluationContext, Evaluator, parse_expression, parse_function
+from repro.sqlpp.ast import FieldAccess, VarRef
+from repro.sqlpp.evaluator import Env, Group
 from repro.sqlpp.plans import PlanCache
-from repro.storage import IndexKind
+from repro.storage import Dataset, IndexKind
+from repro.udf import FunctionRegistry
 from tests.udf import per_record_chain
 
 
@@ -234,3 +238,55 @@ def test_system_ddl_invalidates_and_exposes_stats(sample_tweet):
     assert system.plan_cache_stats()["invalidations"] > invalidations
     system.drop_index("Ratings", "r_cc")
     assert system.plan_cache_stats()["plans"] == 0  # dropped, will replan
+
+
+# ------------------------------------------- closures bound at compile time
+
+T_F = FieldAccess(VarRef("t"), "f")
+
+
+def _grouped(key_values):
+    """A scope inside one group whose keys are ``key_values``, over a
+    tuple that binds ``t`` to ``{"f": "row"}``."""
+    env = Env({"t": {"f": "row"}})
+    env.group = Group([], key_values)
+    return env.child({})
+
+
+@pytest.mark.parametrize(
+    "env, catalog, expected",
+    [
+        (_grouped({T_F: "key"}), {}, "key"),  # GROUP BY t.f
+        (_grouped({VarRef("t"): {"f": "group"}}), {}, "group"),  # GROUP BY t AS t
+        (_grouped({VarRef("t"): 7}), {}, MISSING),  # a group key that is no record
+        (Env({}), {"t": Dataset("t", None, "id")}, MISSING),  # a dataset's name
+    ],
+    ids=["group-by-field", "group-by-var", "group-by-var-scalar", "dataset-name"],
+)
+def test_fused_var_field_equals_field_over_varref(env, catalog, expected):
+    """``var.field`` compiles to one closure; it returns what the field
+    over the variable returns (the tree-walking evaluation), with the
+    field expression's group key checked before the variable's."""
+    evaluator = Evaluator(EvaluationContext(catalog))
+    assert evaluator.evaluate(T_F, env) == expected
+    assert plans_module.compile_expr(T_F)(evaluator, env) == expected
+
+
+def test_fused_var_field_raises_on_an_unresolved_name():
+    evaluator = Evaluator(EvaluationContext({}))
+    with pytest.raises(SqlppAnalysisError) as tree_walk:
+        evaluator.evaluate(T_F, Env({}))
+    with pytest.raises(SqlppAnalysisError) as compiled:
+        plans_module.compile_expr(T_F)(evaluator, Env({}))
+    assert str(compiled.value) == str(tree_walk.value) == "unresolved variable: t"
+
+
+def test_udf_registered_after_compile_shadows_the_builtin():
+    """A call's builtin is bound when it compiles; a SQL++ function of the
+    same name registered later still wins on the next call."""
+    registry = FunctionRegistry()
+    evaluator = Evaluator(EvaluationContext({}, functions=registry))
+    call = plans_module.compile_expr(parse_expression('upper("ab")'))
+    assert call(evaluator, Env({})) == "AB"
+    registry.register_sqlpp('CREATE FUNCTION upper(s) { "shadowed" };')
+    assert call(evaluator, Env({})) == "shadowed"

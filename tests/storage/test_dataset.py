@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.adm import Point, open_type
+from repro.adm import Circle, Point, open_type
 from repro.errors import DuplicateKeyError, IndexError_, KeyNotFoundError
 from repro.storage import Dataset, IndexKind
 from repro.storage.dataset import hash_partition
@@ -96,6 +96,29 @@ class TestSecondaryIndexes:
         found = dataset.index_probe_spatial("by_loc", Point(3.0, 0.0), [])
         got = {r["id"] for r in found}
         assert got == {i for i in range(100) if i % 10 == 3}
+
+    def test_rtree_probe_reads_every_partition_with_one_query(self, dataset):
+        """A probe's corners, worked out once, give every partition's search
+        what the spatial value gives it: the same records, in partition
+        order, and one node count per partition."""
+        dataset.create_index("by_loc", "loc", IndexKind.RTREE)
+        query = Circle(Point(3.0, 0.0), 1.0)
+        visits = []
+        got = list(dataset.index_probe_spatial("by_loc", query, visits))
+        expected, expected_visits = [], []
+        for index, tree in zip(dataset.indexes["by_loc"], dataset.partitions):
+            for _value, pk in index.probe_spatial(query, expected_visits):
+                expected.append(tree.get(pk))
+        assert got == expected
+        assert visits == expected_visits and len(visits) == 4
+        assert {r["id"] for r in got} == {
+            i for i in range(100) if i % 10 in (2, 3, 4)
+        }
+
+    def test_spatial_probe_of_a_btree_index_raises(self, dataset):
+        dataset.create_index("by_value", "value", IndexKind.BTREE)
+        with pytest.raises(IndexError_):
+            list(dataset.index_probe_spatial("by_value", Point(1.0, 0.0), []))
 
     def test_duplicate_index_name_rejected(self, dataset):
         dataset.create_index("i1", "value", IndexKind.BTREE)

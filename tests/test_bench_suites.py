@@ -68,3 +68,24 @@ def test_smoke_run_writes_results_and_a_trajectory_row(
     assert "[PASS] breaker_recovered_in_run" in printed
     assert "[FAIL]" not in printed
 
+
+
+def test_smoke_run_without_output_leaves_the_baseline_alone(
+    bench_all, monkeypatch, tmp_path
+):
+    """A smoke run's trajectory row goes beside its suites under the smoke
+    directory; the committed trajectory it gates against is only read."""
+    monkeypatch.setattr(bench_all, "SMOKE_DIR", tmp_path / "out")
+    baseline = tmp_path / "BENCH_TRAJECTORY.json"
+    baseline.write_text(json.dumps({"rows": []}))
+
+    code = bench_all.main(
+        ["--smoke", "--suites", "chaos", "--baseline", str(baseline)]
+    )
+
+    assert code == 0
+    assert json.loads(baseline.read_text()) == {"rows": []}
+    written = tmp_path / "out" / "BENCH_TRAJECTORY.json"
+    assert [row["mode"] for row in json.loads(written.read_text())["rows"]] == [
+        "smoke"
+    ]
