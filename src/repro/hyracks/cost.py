@@ -23,7 +23,7 @@ as the paper's testbed (dual-core Opteron 2212, GbE):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 
@@ -148,26 +148,6 @@ class WorkMeter:
     memo_reused_records: int = 0  # records inside reused memo results
     scale: float = 1.0  # reference work scale (not a counter)
 
-    _COUNTERS = (
-        "records_scanned",
-        "hash_builds",
-        "hash_probes",
-        "btree_probes",
-        "rtree_nodes_visited",
-        "nlj_pairs",
-        "edit_distance_cells",
-        "spatial_tests",
-        "sort_items",
-        "group_items",
-        "penalized_reads",
-        "java_ops",
-        "index_fetches",
-        "broadcast_records",
-        "state_cache_hits",
-        "state_cache_reused_records",
-        "memo_hits",
-        "memo_reused_records",
-    )
     #: counters proportional to reference-data cardinality
     _SCALED = frozenset(
         {
@@ -250,3 +230,9 @@ class WorkMeter:
             * cost.lsm_component_read
             * (cost.lsm_active_penalty - 1.0)
         )
+
+
+#: the counters, in field order: every field but ``scale``
+WorkMeter._COUNTERS = tuple(
+    counter.name for counter in fields(WorkMeter) if counter.name != "scale"
+)

@@ -13,7 +13,7 @@ discrete-event clock, deterministically:
   :class:`~repro.runtime.faults.EnricherSlowdown` /
   :class:`~repro.runtime.faults.EnricherFlaky` entries on the feed's
   :class:`~repro.runtime.faults.FaultPlan`, so two runs with the same plan
-  produce byte-identical call logs and counters.
+  produce equal event streams and counters.
 
 * :class:`EnrichmentCoordinator` — what the feed's computing stage routes
   external probe keys through, per batch: dedupe keys (an API hit per
@@ -39,6 +39,7 @@ their markers, driving ``enrichment_completeness`` back to 1.0.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -125,10 +126,8 @@ class ExternalEnricher:
         self.latency_jitter = latency_jitter
         self.error_latency_seconds = error_latency_seconds
         self.seed = seed
+        #: calls issued so far: the index that seeds each call's jitter
         self.calls = 0
-        #: ``(start_time, outcome, latency)`` per call, in call order —
-        #: the determinism tests compare whole logs across runs
-        self.call_log: List[Tuple[float, str, float]] = []
 
     def _u(self, index: int, salt: str) -> float:
         return _fraction(self.name, self.seed, index, salt)
@@ -176,7 +175,6 @@ class ExternalEnricher:
                 result = CallResult(
                     "ok", latency, results={key: self.lookup(key) for key in keys}
                 )
-        self.call_log.append((now, result.outcome, result.latency))
         return result
 
 
@@ -207,6 +205,10 @@ class EnrichmentCoordinator:
     a batch's output records and the batch's start time, mutates the
     records in place, and returns the simulated seconds the external
     fan-out added to the batch's makespan.
+
+    Its times are run-relative, like the fault windows; every call,
+    refused chunk and breaker transition is one event on ``events`` at
+    ``epoch +`` its time, and :meth:`finalize` is a view of them.
     """
 
     def __init__(
@@ -219,6 +221,7 @@ class EnrichmentCoordinator:
         primary_key: str = "id",
         memo=None,
         events: Optional[List[Event]] = None,
+        epoch: float = 0.0,
     ):
         self.bindings = list(bindings)
         self.policy = policy
@@ -226,7 +229,7 @@ class EnrichmentCoordinator:
         self.dead_letters = dead_letters
         self.feed_name = feed_name
         self.primary_key = primary_key
-        self.metrics = ExternalMetrics()
+        self.epoch = epoch
         #: optional cross-batch EnrichmentMemo: an L2 hit on a canonical
         #: probe key skips the remote call entirely — no lane time, no
         #: breaker budget.  Only ``"ok"`` outcomes are ever memoized, so
@@ -237,21 +240,21 @@ class EnrichmentCoordinator:
         #: primary key so at-least-once batch replays after a crash update
         #: the outcome instead of double-counting the record.
         self._outcomes: Dict[object, str] = {}
-        #: the feed run's stream, which the breakers append to
+        #: the feed run's stream
         self.events = events if events is not None else []
         #: one breaker per enricher: closed → open at
         #: ``external_breaker_failures``, half-open after the cool-off
-        self._breakers: Dict[str, CircuitBreaker] = {}
-        for binding in self.bindings:
-            name = binding.enricher.name
-            if name not in self._breakers:
-                self._breakers[name] = CircuitBreaker(
-                    policy.external_breaker_failures,
-                    policy.external_breaker_reset_seconds,
-                    BREAKER_HALF_OPEN_PROBES,
-                    name=name,
-                    events=self.events,
-                )
+        self._breakers: Dict[str, CircuitBreaker] = {
+            name: CircuitBreaker(
+                policy.external_breaker_failures,
+                policy.external_breaker_reset_seconds,
+                BREAKER_HALF_OPEN_PROBES,
+                name=name,
+                events=self.events,
+                epoch=epoch,
+            )
+            for name in dict.fromkeys(b.enricher.name for b in self.bindings)
+        }
 
     # ------------------------------------------------------------- fan-out
 
@@ -363,41 +366,36 @@ class EnrichmentCoordinator:
 
     def _call_with_retries(self, enricher, breaker, chunk, t):
         """One chunk through deadline + retry/backoff + breaker."""
-        policy = self.policy
-        metrics = self.metrics
+        max_attempts = self.policy.external_max_attempts
+        events, name = self.events, enricher.name
         attempt = 0
         while True:
             if not breaker.allow(t):
-                metrics.fail_fast += 1
+                detail = {"keys": len(chunk)}
+                events.append(Event(self.epoch + t, "fail_fast", name, detail))
                 return "breaker_open", None, t
             result = enricher.call(chunk, t, CALL_DEADLINE_SECONDS, self.fault_plan)
-            metrics.calls += 1
-            metrics.keys_requested += len(chunk)
-            metrics.call_seconds += result.latency
+            attempt += 1
+            backoff = None  # the wait before a retry, when one follows
+            if result.outcome != "ok" and attempt < max_attempts:
+                backoff = min(
+                    BACKOFF_MAX_SECONDS,
+                    BACKOFF_INITIAL_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1),
+                )
+                backoff *= 1.0 + BACKOFF_JITTER * _fraction(
+                    name, enricher.seed, enricher.calls, "backoff"
+                )
+                backoff = max(backoff, result.retry_after)
+            detail = {"keys": len(chunk), "latency": result.latency,
+                      "outcome": result.outcome, "backoff": backoff}
+            events.append(Event(self.epoch + t, "call", name, detail))
             t += result.latency
             if result.outcome == "ok":
                 breaker.on_success(t)
                 return "ok", result.results, t
-            if result.outcome == "timeout":
-                metrics.timeouts += 1
-            elif result.outcome == "rate_limited":
-                metrics.rate_limited += 1
-            else:
-                metrics.errors += 1
             breaker.on_failure(t)
-            attempt += 1
-            if attempt >= policy.external_max_attempts:
+            if backoff is None:
                 return result.outcome, None, t
-            backoff = min(
-                BACKOFF_MAX_SECONDS,
-                BACKOFF_INITIAL_SECONDS * BACKOFF_MULTIPLIER ** (attempt - 1),
-            )
-            backoff *= 1.0 + BACKOFF_JITTER * _fraction(
-                enricher.name, enricher.seed, enricher.calls, "backoff"
-            )
-            backoff = max(backoff, result.retry_after)
-            metrics.retries += 1
-            metrics.backoff_seconds += backoff
             t += backoff
 
     # -------------------------------------------------- progressive fallback
@@ -497,20 +495,31 @@ class EnrichmentCoordinator:
         return enriched / total
 
     def finalize(self) -> ExternalMetrics:
-        """Fold per-record outcomes and the breaker events of the stream
-        into the metrics; returns them."""
-        counts = {"enriched": 0, "pending": 0, "dead_lettered": 0}
-        for outcome in self._outcomes.values():
-            counts[outcome] += 1
-        metrics = self.metrics
-        metrics.records_enriched = counts["enriched"]
-        metrics.records_pending = counts["pending"]
-        metrics.records_dead_lettered = counts["dead_lettered"]
-        states = [e.detail["state"] for e in self.events if e.kind == "breaker"]
-        metrics.breaker_opens = states.count(CircuitBreaker.OPEN)
-        metrics.breaker_half_opens = states.count(CircuitBreaker.HALF_OPEN)
-        metrics.breaker_closes = states.count(CircuitBreaker.CLOSED)
-        return metrics
+        """Per-record outcomes, and views of the events the enrichers put
+        on the stream (call and backoff seconds summed in call order)."""
+        counts = Counter(self._outcomes.values())
+        mine = [e for e in self.events if e.subject in self._breakers]
+        calls = [e.detail for e in mine if e.kind == "call"]
+        outcomes = [call["outcome"] for call in calls]
+        backoffs = [c["backoff"] for c in calls if c["backoff"] is not None]
+        states = [e.detail["state"] for e in mine if e.kind == "breaker"]
+        return ExternalMetrics(
+            calls=len(calls),
+            keys_requested=sum(call["keys"] for call in calls),
+            retries=len(backoffs),
+            errors=outcomes.count("error"),
+            timeouts=outcomes.count("timeout"),
+            rate_limited=outcomes.count("rate_limited"),
+            fail_fast=sum(e.kind == "fail_fast" for e in mine),
+            breaker_opens=states.count(CircuitBreaker.OPEN),
+            breaker_half_opens=states.count(CircuitBreaker.HALF_OPEN),
+            breaker_closes=states.count(CircuitBreaker.CLOSED),
+            call_seconds=sum((call["latency"] for call in calls), 0.0),
+            backoff_seconds=sum(backoffs, 0.0),
+            records_enriched=counts["enriched"],
+            records_pending=counts["pending"],
+            records_dead_lettered=counts["dead_lettered"],
+        )
 
 
 # ---------------------------------------------------------------- backfill
@@ -598,7 +607,6 @@ def backfill_pending(
         dataset.upsert(row)
         if not row.get(PENDING_FIELD):
             backfilled += 1
-    coordinator.finalize()
     return BackfillReport(
         feed_name=feed_name,
         dataset=dataset.name,
@@ -607,5 +615,5 @@ def backfill_pending(
         still_pending=len(pending_rows) - backfilled,
         simulated_seconds=elapsed,
         completeness=enrichment_completeness(dataset, resolved_bindings),
-        metrics=coordinator.metrics,
+        metrics=coordinator.finalize(),
     )

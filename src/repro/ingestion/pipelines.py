@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import gc
 from collections import deque
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..adm.schema import primary_key_of
@@ -375,7 +376,8 @@ class _IntakeLane:
     log the checkpoint commits consume).  ``resume_from`` re-opens a fresh
     adapter at a durable cursor (``resume_run``) — distinct from the
     in-process re-open after an adapter death, which resumes from the live
-    ``resume_position()``.
+    ``resume_position()``.  Adapter deaths, re-opens and idle timeouts
+    go to the run's stream through ``note`` (:meth:`FeedRun._note`).
     """
 
     def __init__(
@@ -384,7 +386,7 @@ class _IntakeLane:
         adapter: FeedAdapter,
         buffer: IntakeBuffer,
         chunk_size: int,
-        faults: FaultMetrics,
+        note,
         partition: int = 0,
         resume_from=None,
     ):
@@ -392,7 +394,7 @@ class _IntakeLane:
         self.adapter = adapter
         self.buffer = buffer
         self.chunk_size = chunk_size
-        self.faults = faults
+        self.note = note
         self.partition = partition
         self.plan = buffer.runtime.fault_plan
         # only pass resume_from when actually resuming: adapter
@@ -418,10 +420,7 @@ class _IntakeLane:
                 continue
             if fault.partition is not None and fault.partition != self.partition:
                 continue
-            if (
-                getattr(fault, "feed", None) is not None
-                and fault.feed != self.layer.feed.name
-            ):
+            if fault.feed not in (None, self.layer.feed.name):
                 continue
             if self.drawn >= fault.after_records:
                 consumed.add(index)
@@ -430,13 +429,13 @@ class _IntakeLane:
 
     def run(self):
         layer, adapter, buffer = self.layer, self.adapter, self.buffer
-        faults, partition, plan = self.faults, self.partition, self.plan
+        note, partition, plan = self.note, self.partition, self.plan
         chunk_size = self.chunk_size
         cursor_log = layer.cursor_log
         if self.source is None:
             # restarted after an adapter death: re-open from the cursor
             self.source = adapter.envelopes(resume_from=adapter.resume_position())
-            faults.adapter_reopens += 1
+            note("adapter_reopen", drawn=self.drawn)
         source = self.source
         while True:
             if self.pending is None:
@@ -453,7 +452,7 @@ class _IntakeLane:
                         # the supervisor restarts it and the re-opened
                         # source resumes from the cursor
                         self.source = None
-                        faults.adapter_crashes += 1
+                        note("adapter_death", drawn=self.drawn)
                         adapter.close()
                         raise InjectedCrash(fault)
                     try:
@@ -465,7 +464,7 @@ class _IntakeLane:
                         if chunk:
                             break  # deliver what we have before idling
                         if self.idle >= ADAPTER_IDLE_TIMEOUT_SECONDS:
-                            faults.idle_timeouts += 1
+                            note("idle_timeout", idle=self.idle)
                             self.exhausted = True
                             break
                         self.idle += ADAPTER_IDLE_POLL_SECONDS
@@ -882,19 +881,20 @@ class FeedRun:
                     self.resume_cursors[p] = cursor.resume
         self.faults = FaultMetrics()
         self.counters = RunCounters(intake_partitions=num_partitions)
-        #: worker spawns and retires, batches, breaker transitions: the
-        #: report's pool, batch and computing figures are views of it
+        #: the run's control facts, one event each (DESIGN.md §6): the
+        #: report's pool, batch, recovery and external figures are views
         self.events: List[Event] = []
-        dead_letters = None
+        self.dead_letters = dead_letters = None
         if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
             feed.external_enrichers
             and policy.external_on_failure is ExternalFailureAction.DEAD_LETTER
         ):
-            dead_letters = ensure_dead_letter_dataset(
+            self.dead_letters = dead_letters = ensure_dead_letter_dataset(
                 pipeline.catalog, feed.name, policy, num_partitions=n
             )
         self.soft_errors = SoftErrorHandler(
-            feed.name, policy, self.faults, dead_letters
+            feed.name, policy, self.faults, dead_letters,
+            events=self.events, clock=cluster.clock,
         )
         # Opt-in cross-batch reuse: the feed's own state cache (build-side
         # state) and memo (key-level results; handed to the local probe
@@ -910,21 +910,6 @@ class FeedRun:
             if policy.state_cache_bytes > 0:
                 state_cache = own_state_cache
                 self._set_budget(state_cache, policy.state_cache_bytes)
-        self.coordinator = None
-        if feed.external_enrichers:
-            # One coordinator per run: breakers carry state across
-            # batches (and across worker-crash replays).
-            self.coordinator = EnrichmentCoordinator(
-                feed.external_enrichers,
-                policy,
-                fault_plan=feed.fault_plan,
-                dead_letters=dead_letters,
-                feed_name=feed.name,
-                primary_key=dataset.primary_key,
-                memo=self.memo,
-                events=self.events,
-            )
-
         self.intake = _IntakeLayer(
             cluster, feed, num_partitions, track_cursors=checkpoint is not None
         )
@@ -950,17 +935,6 @@ class FeedRun:
 
         self.job_id = cluster.controller.deploy(run_name, self._computing_spec)
 
-        self.report = FeedRunReport(
-            feed_name=feed.name,
-            framework=Framework.DYNAMIC.value,
-            records_ingested=0,
-            records_stored=0,
-            simulated_seconds=0.0,
-            intake_seconds=0.0,
-            computing_seconds=0.0,
-            storage_seconds=0.0,
-            counters=self.counters,
-        )
         # The feed's caches outlive a run, so a run reports the deltas of
         # their cumulative counters since launch (the memo covers all
         # three probe paths — scalar, columnar, external — in one instance).
@@ -971,7 +945,6 @@ class FeedRun:
 
         # ------------------------------------------------ computing worker pool
         self.next_batch_index = 0  # next batch index to hand to a worker
-        self.workers_spawned = 0  # workers ever created (names stay unique)
         self.workers_running = 0
         self.shrink_tokens = 0  # outstanding scale-down tokens
         self.pool_ended = False
@@ -1002,6 +975,19 @@ class FeedRun:
             runtime = self.cluster.new_runtime(run_name)
             runtime.install_fault_plan(feed.fault_plan)
         self.runtime = runtime
+        # One coordinator per run, on its epoch: breakers carry state
+        # across batches (and across worker-crash replays).
+        self.coordinator = EnrichmentCoordinator(
+            feed.external_enrichers,
+            policy,
+            fault_plan=feed.fault_plan,
+            dead_letters=self.dead_letters,
+            feed_name=feed.name,
+            primary_key=self.storage.dataset.primary_key,
+            memo=self.memo,
+            events=self.events,
+            epoch=runtime.epoch,
+        ) if feed.external_enrichers else None
         self.buffer = buffer = IntakeBuffer(
             runtime,
             self.intake.holders,
@@ -1023,7 +1009,9 @@ class FeedRun:
             self.storage_channel,
             merge=self._merge_subbatch,
         )
-        self.supervisor = supervisor = Supervisor(runtime, policy.restart_policy())
+        self.supervisor = supervisor = Supervisor(
+            runtime, policy.restart_policy(), self.events
+        )
         elastic = policy.elastic_enabled
         if fabric is not None:
             fabric.register_feed(
@@ -1035,14 +1023,14 @@ class FeedRun:
         # one intake actor per partition, individually supervised: fault
         # targets can name one ('intake.p1') or the whole layer; the
         # single actor keeps the historical unsuffixed name
+        partitioned = self.num_partitions > 1
         for p, part_adapter in enumerate(self.adapters):
+            name = f"{run_name}.intake" + (f".p{p}" if partitioned else "")
             supervisor.spawn(
-                f"{run_name}.intake"
-                if self.num_partitions == 1
-                else f"{run_name}.intake.p{p}",
+                name,
                 _IntakeLane(
                     self.intake, part_adapter, buffer, self.batch_size,
-                    self.faults,
+                    partial(self._note, subject=name),
                     partition=p,
                     resume_from=self.resume_cursors.get(p),
                 ).run,
@@ -1184,7 +1172,7 @@ class FeedRun:
                 complete=complete,
             )
         )
-        self.counters.checkpoint_commits += 1
+        self._note("checkpoint", self.run_name, watermark=watermark)
 
     # ------------------------------------------------------- worker pool
 
@@ -1230,7 +1218,8 @@ class FeedRun:
         while True:
             if inflight.claim is not None:
                 index, batch, sub, of = inflight.claim
-                self.faults.records_replayed += sum(len(p) for p in batch)
+                records = sum(len(p) for p in batch)
+                self._note("replay", worker_name, index=index, records=records)
             else:
                 got = yield from buffer.collect(
                     self.batch_size, cancel=claim_shrink, steal=steal
@@ -1344,16 +1333,11 @@ class FeedRun:
                 self.storage_channel.end()
 
     def _spawn_worker(self, cause: str) -> None:
-        wid = self.workers_spawned
-        self.workers_spawned += 1
+        wid = sum(event.kind == "spawn" for event in self.events)
         # worker 0 keeps the historical single-actor name; extra
         # workers get a .wN suffix (fault targets matching the
         # 'computing' layer hit them all)
-        name = (
-            f"{self.run_name}.computing"
-            if wid == 0
-            else f"{self.run_name}.computing.w{wid}"
-        )
+        name = f"{self.run_name}.computing" + (f".w{wid}" if wid else "")
         self.workers_running += 1
         self._note("spawn", name, cause=cause)
         inflight = _Inflight()
@@ -1384,10 +1368,11 @@ class FeedRun:
                 break
             occupancy = buffer.occupancy
             backlog = buffer.queued_records / self.batch_size
+            new_stalls, last_stalls = buffer.stalls - last_stalls, buffer.stalls
             congested = (
                 occupancy >= ELASTIC_SCALE_UP_OCCUPANCY
                 or buffer.producer_blocked
-                or buffer.stalls > last_stalls
+                or new_stalls > 0
                 or backlog >= ELASTIC_BACKLOG_BATCHES
             )
             starved = (
@@ -1395,7 +1380,6 @@ class FeedRun:
                 and backlog < 1.0
                 and not buffer.producer_blocked
             )
-            last_stalls = buffer.stalls
             if fabric is not None:
                 # the feed's standing bid: every sample tick's
                 # congestion signals, whether or not a grow follows
@@ -1420,6 +1404,7 @@ class FeedRun:
             ):
                 if self.shrink_tokens > 0:
                     self.shrink_tokens -= 1  # cancel a pending retire instead
+                    decision = "cancel_retire"
                     if fabric is not None:
                         # a fabric recall may have been riding that token
                         fabric.note_shrink_cancelled(run_name)
@@ -1428,15 +1413,26 @@ class FeedRun:
                     # global budget; an unfunded bid queues inside the
                     # fabric, which grows this pool itself (via the
                     # registered grow hook) once a worker frees up
+                    decision = "grow"
                     self._spawn_worker("grow")
+                else:
+                    decision = "bid"
                 up_streak = 0
             elif (
                 down_streak >= ELASTIC_SUSTAINED_SAMPLES
                 and effective > workers_min
             ):
+                decision = "shrink"
                 self.shrink_tokens += 1
                 buffer.kick()  # wake an idle worker to claim the token
                 down_streak = 0
+            else:
+                continue
+            self._note(  # the decision and the signals it was taken on
+                "scale", f"{run_name}.elastic", decision=decision,
+                occupancy=occupancy, backlog=backlog, new_stalls=new_stalls,
+                producer_blocked=buffer.producer_blocked,
+            )
 
     def _fabric_recall(self) -> bool:
         # Recall safety: re-check the live pool so a fabric recall
@@ -1450,31 +1446,30 @@ class FeedRun:
 
     # --------------------------------------------------------- reporting
 
-    def collect_faults(self) -> None:
-        """Fold this feed's share of the runtime's injected faults into
-        :attr:`faults`: crashes and stall time are summed over the feed's
-        own processes, so tenants of a shared runtime stay disjoint (on a
-        private runtime every process is this feed's)."""
-        faults, supervisor = self.faults, self.supervisor
-        own = [
-            process
-            for process in self.runtime.processes
-            if process.name.startswith(f"{self.run_name}.")
-        ]
-        faults.crashes = sum(process.crashes_received for process in own)
-        faults.restarts = supervisor.total_restarts
-        faults.backoff_seconds = supervisor.total_backoff_seconds
-        faults.stall_seconds = sum(process.stall_seconds for process in own)
+    def _fold_faults(self, processes) -> None:
+        """Fold the views of the run's stream into :attr:`faults` (the
+        metrics snapshot folds the kernel's crashes and stalls); backoff
+        seconds are summed per actor in ``processes`` (spawn) order, then
+        across actors."""
+        faults, events = self.faults, self.events
+        backoff = dict.fromkeys(processes, 0.0)
+        for event in events:
+            if event.kind == "restart":
+                backoff[event.subject] += event.detail["backoff"]
+        faults.backoff_seconds = sum(backoff.values(), 0.0)
+        kinds = [event.kind for event in events]
+        faults.restarts = kinds.count("restart")
+        faults.adapter_crashes = kinds.count("adapter_death")
+        faults.adapter_reopens = kinds.count("adapter_reopen")
+        faults.idle_timeouts = kinds.count("idle_timeout")
+        faults.records_replayed = sum(
+            e.detail["records"] for e in events if e.kind == "replay"
+        )
+        # the soft-error breaker's one transition is its trip to open
+        tripped = self.soft_errors.breaker.name
+        faults.circuit_breaker_trips = sum(e.subject == tripped for e in events)
         if self.storage_channel is not None:
             faults.channel_send_failures = self.storage_channel.send_failures
-
-    def finalize(self, elapsed: float) -> FeedRunReport:
-        """Assemble the run report; ``elapsed`` is the runtime's makespan."""
-        if self.checkpoint is not None:
-            # the run drained cleanly: seal the checkpoint so a later
-            # resume knows there is nothing left to replay
-            self._commit_checkpoint(complete=True)
-        return self._assemble_report(elapsed)
 
     def _fill_cache_counters(self, prefix: str, cache, before) -> None:
         """This run's share of the feed's cache's cumulative counters:
@@ -1486,8 +1481,13 @@ class FeedRun:
             setattr(self.counters, f"{prefix}_{key}", after[key] - before[key])
         setattr(self.counters, f"{prefix}_bytes", after["bytes"])
 
-    def _assemble_report(self, elapsed: float) -> FeedRunReport:
-        report, counters, events = self.report, self.counters, self.events
+    def finalize(self, elapsed: float) -> FeedRunReport:
+        """Assemble the run report; ``elapsed`` is the runtime's makespan."""
+        if self.checkpoint is not None:
+            # the run drained cleanly: seal the checkpoint so a later
+            # resume knows there is nothing left to replay
+            self._commit_checkpoint(complete=True)
+        counters, events = self.counters, self.events
         intake, storage, cluster = self.intake, self.storage, self.cluster
         n = cluster.num_nodes
         batches = [event for event in events if event.kind == "batch"]
@@ -1509,15 +1509,6 @@ class FeedRun:
         # slowest single worker (identical to the aggregate when the
         # pool size is 1).
         computing_bottleneck = max(busy.values(), default=0.0)
-        report.num_computing_jobs = len(batches)
-        report.batch_stats = sorted(
-            (
-                BatchStats(d["index"], d["records"], d["makespan"],
-                           d["startup"], d["shared"], d["sub"])
-                for d in (event.detail for event in batches)
-            ),
-            key=lambda stats: (stats.batch_index, stats.sub_index),
-        )
         # With one intake actor the layer's bottleneck is the busiest
         # intake node; partitioned actors overlap, so it is the slowest
         # single partition (analogous to the worker pool above).
@@ -1526,23 +1517,6 @@ class FeedRun:
             if self.num_partitions == 1
             else max(intake.partition_busy.values())
         )
-        report.records_ingested = intake.records_received
-        report.records_stored = storage.records_stored
-        report.intake_seconds = intake_bottleneck
-        if self.num_partitions > 1:
-            report.intake_partition_busy = dict(intake.partition_busy)
-        report.acked_batches = self.sequencer.next_index
-        report.resumed_from_checkpoint = self.base_checkpoint is not None
-        report.computing_seconds = computing
-        report.computing_worker_busy = busy
-        # first completed batch's invoke -> last batch's completion
-        report.computing_wall_seconds = (
-            max(event.at for event in batches)
-            - min(event.detail["started"] for event in batches)
-            if batches
-            else 0.0
-        )
-        report.storage_seconds = storage.max_busy
         if self.decoupled:
             steady = max(intake_bottleneck, computing_bottleneck, storage.max_busy)
         else:
@@ -1558,14 +1532,48 @@ class FeedRun:
         # the *fleet's* makespan, so every report of the run carries the
         # same simulated_seconds — the aggregate figure multi-tenant
         # benchmarks compare.
-        report.simulated_seconds = start_overhead + elapsed
-        report.fixed_start_seconds = report.simulated_seconds - steady
-        report.stalls = self.buffer.stalls
+        simulated = start_overhead + elapsed
+        report = FeedRunReport(
+            feed_name=self.feed_name,
+            framework=Framework.DYNAMIC.value,
+            records_ingested=intake.records_received,
+            records_stored=storage.records_stored,
+            simulated_seconds=simulated,
+            intake_seconds=intake_bottleneck,
+            computing_seconds=computing,
+            storage_seconds=storage.max_busy,
+            num_computing_jobs=len(batches),
+            batch_stats=sorted(
+                (
+                    BatchStats(d["index"], d["records"], d["makespan"],
+                               d["startup"], d["shared"], d["sub"])
+                    for d in (event.detail for event in batches)
+                ),
+                key=lambda stats: (stats.batch_index, stats.sub_index),
+            ),
+            stalls=self.buffer.stalls,
+            fixed_start_seconds=simulated - steady,
+            # first completed batch's invoke -> last batch's completion
+            computing_wall_seconds=(
+                max(event.at for event in batches)
+                - min(event.detail["started"] for event in batches)
+                if batches
+                else 0.0
+            ),
+            computing_worker_busy=busy,
+            intake_partition_busy=(
+                dict(intake.partition_busy) if self.num_partitions > 1 else {}
+            ),
+            acked_batches=self.sequencer.next_index,
+            resumed_from_checkpoint=self.base_checkpoint is not None,
+            counters=counters,
+        )
         counters.reordered_batches = self.sequencer.reordered
         counters.subbatch_merges = self.sequencer.subbatch_merges
         causes = [event.detail.get("cause") for event in events]
         counters.scale_ups = causes.count("grow") + causes.count("grant")
         counters.scale_downs = causes.count("shrink")
+        counters.checkpoint_commits = sum(e.kind == "checkpoint" for e in events)
         self._fill_cache_counters(
             "state_cache", self.eval_ctx.state_cache, self.state_cache_before
         )
@@ -1587,6 +1595,7 @@ class FeedRun:
             counters=counters,
         )
         metrics.events = events
+        self._fold_faults(metrics.processes)
         if self.fabric is not None:
             tenant = self.fabric.tenant_report(self.run_name)
             counters.borrowed_workers = tenant["borrowed_workers"]
@@ -1613,8 +1622,7 @@ class FeedRun:
 def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
     """Drive launched runs — one feed or a fleet — to completion on ``runtime``.
 
-    The driving protocol, once: ``runtime.run()``, each run's faults
-    folded in whether or not the clock stopped cleanly, one report per run
+    The driving protocol, once: ``runtime.run()``, one report per run
     carrying the runtime's makespan, and every run cleaned up on every way
     out.
 
@@ -1624,11 +1632,7 @@ def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
     raises — including anything a caller had frozen before the drive.
     """
     try:
-        try:
-            elapsed = runtime.run()
-        finally:
-            for run in runs:
-                run.collect_faults()
+        elapsed = runtime.run()
         return [run.finalize(elapsed) for run in runs]
     finally:
         gc.unfreeze()

@@ -33,6 +33,7 @@ from typing import Dict, List, Optional
 from ..adm.parser import serialize
 from ..adm.schema import open_type
 from ..errors import CircuitBreakerError
+from ..runtime.clock import Clock
 from ..runtime.metrics import Event, FaultMetrics
 from ..runtime.supervisor import RestartPolicy
 from ..storage.dataset import Dataset
@@ -318,7 +319,8 @@ class CircuitBreaker:
     failure re-opens it for another cool-off.  With the default infinite
     reset it never half-opens.  ``failures`` is the current streak.  The
     breaker counts nothing itself: each transition is a ``"breaker"``
-    event (subject ``name``) on ``events``, its owner's stream.
+    event (subject ``name``) on ``events``, its owner's stream, at
+    ``epoch + now`` (``now`` is on the caller's clock).
     """
 
     CLOSED = "closed"
@@ -332,6 +334,7 @@ class CircuitBreaker:
         half_open_probes: int = 1,
         name: str = "",
         events: Optional[List[Event]] = None,
+        epoch: float = 0.0,
     ):
         self.threshold = threshold
         self.reset_seconds = reset_seconds
@@ -342,10 +345,12 @@ class CircuitBreaker:
         self.probes_left = 0
         self.name = name
         self.events = events if events is not None else []
+        self.epoch = epoch
 
     def _transition(self, now: float, state: str) -> None:
         self.state = state
-        self.events.append(Event(now, "breaker", self.name, {"state": state}))
+        event = Event(self.epoch + now, "breaker", self.name, {"state": state})
+        self.events.append(event)
 
     def allow(self, now: float = 0.0) -> bool:
         """May a call start at ``now``?  Moves open → half-open when due."""
@@ -385,7 +390,8 @@ class SoftErrorHandler:
     """Per-run soft-error enforcement shared by the parse and UDF stages.
 
     Thread the same instance through every stage of one feed run so the
-    circuit breaker sees the global consecutive-failure streak.
+    circuit breaker sees the global consecutive-failure streak; its
+    transitions go to ``events`` at ``clock``'s time.
     """
 
     def __init__(
@@ -394,16 +400,23 @@ class SoftErrorHandler:
         policy: FeedPolicy,
         faults: FaultMetrics,
         dead_letter_dataset=None,
+        events: Optional[List[Event]] = None,
+        clock: Optional[Clock] = None,
     ):
         self.feed_name = feed_name
         self.policy = policy
         self.faults = faults
         self.dead_letters = dead_letter_dataset
+        self.clock = clock or Clock()
         limit = policy.max_consecutive_soft_errors
         #: opens on failure ``limit + 1`` and never half-opens: a tripped
         #: breaker fails the run
-        self.breaker = CircuitBreaker(limit + 1 if limit else 0)
-        #: a record made it through: the breaker streak resets
+        self.breaker = CircuitBreaker(
+            limit + 1 if limit else 0, name=f"{feed_name}.soft_errors",
+            events=events,
+        )
+        #: a record made it through: the breaker streak resets (a success
+        #: never moves a breaker that cannot half-open: no time needed)
         self.note_success = self.breaker.on_success
 
     def handle(self, stage: str, record, error: Exception, seq=None) -> None:
@@ -418,9 +431,8 @@ class SoftErrorHandler:
         if action is SoftErrorAction.FAIL:
             raise error
         breaker = self.breaker
-        breaker.on_failure()
+        breaker.on_failure(self.clock.now)
         if breaker.state == breaker.OPEN:
-            self.faults.circuit_breaker_trips += 1
             raise CircuitBreakerError(
                 self.feed_name,
                 breaker.failures,

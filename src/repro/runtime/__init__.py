@@ -65,7 +65,7 @@ from .metrics import (
     RunCounters,
     RuntimeMetrics,
 )
-from .supervisor import RestartPolicy, SupervisedStats, Supervisor
+from .supervisor import RestartPolicy, Supervisor
 
 __all__ = [
     "AdapterFailAt",
@@ -100,7 +100,6 @@ __all__ = [
     "Sequencer",
     "Signal",
     "StallAt",
-    "SupervisedStats",
     "Supervisor",
     "Wait",
 ]

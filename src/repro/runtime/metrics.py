@@ -280,6 +280,9 @@ class RuntimeMetrics:
             metrics.process_layers[process.name] = process.layer
             layer = metrics.layers.setdefault(process.layer, LayerTimes())
             layer.add(process.totals)
+            if faults is not None:  # the kernel's own fault counts
+                faults.crashes += process.crashes_received
+                faults.stall_seconds += process.stall_seconds
         for holder in holders or []:
             metrics.holders.append(_holder_stats(holder))
         return metrics

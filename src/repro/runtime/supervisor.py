@@ -17,26 +17,12 @@ by primary-key upsert downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Generator, Optional
+from dataclasses import dataclass
+from typing import Callable, Generator, List, Optional
 
 from ..errors import FeedFailedError, InjectedCrash
 from .kernel import Advance, BLOCKED, Process, Runtime
-
-
-@dataclass
-class SupervisedStats:
-    """Per-actor crash/restart bookkeeping."""
-
-    crashes: int = 0
-    restarts: int = 0
-    #: restart-budget attempts consumed — tracked here, per actor name,
-    #: so one flapping actor (an intake partition) can never exhaust the
-    #: budget of its healthy peers, and a re-spawn under the same name
-    #: keeps that actor's own budget rather than getting a fresh one
-    attempts: int = 0
-    backoff_seconds: float = 0.0
-    gave_up: bool = False
+from .metrics import Event
 
 
 @dataclass
@@ -57,24 +43,21 @@ class RestartPolicy:
 
 
 class Supervisor:
-    """Monitors layer actors; restarts crashed ones with bounded retries."""
+    """Monitors layer actors; restarts crashed ones with bounded retries.
 
-    def __init__(self, runtime: Runtime, restart_policy: Optional[RestartPolicy] = None):
+    Each crash, restart (with its backoff) and give-up is one event on
+    ``events``, its owner's stream, subject the actor; nothing else.
+    """
+
+    def __init__(
+        self,
+        runtime: Runtime,
+        restart_policy: Optional[RestartPolicy] = None,
+        events: Optional[List[Event]] = None,
+    ):
         self.runtime = runtime
         self.restart_policy = restart_policy or RestartPolicy()
-        self.stats: Dict[str, SupervisedStats] = {}
-
-    @property
-    def total_crashes(self) -> int:
-        return sum(s.crashes for s in self.stats.values())
-
-    @property
-    def total_restarts(self) -> int:
-        return sum(s.restarts for s in self.stats.values())
-
-    @property
-    def total_backoff_seconds(self) -> float:
-        return sum(s.backoff_seconds for s in self.stats.values())
+        self.events = events if events is not None else []
 
     def spawn(
         self,
@@ -91,40 +74,44 @@ class Supervisor:
         :class:`~repro.errors.FeedFailedError`.
         """
         policy = restart_policy or self.restart_policy
-        stats = self.stats.setdefault(name, SupervisedStats())
         return self.runtime.spawn(
-            name, self._supervise(name, body_factory, policy, stats), layer=layer
+            name, self._supervise(name, body_factory, policy), layer=layer
         )
+
+    def _note(self, kind: str, name: str, **detail) -> None:
+        self.events.append(Event(self.runtime.clock.now, kind, name, detail))
 
     def _supervise(
         self,
         name: str,
         body_factory: Callable[[], Generator],
         policy: RestartPolicy,
-        stats: SupervisedStats,
     ) -> Generator:
-        restarting = False
+        attempt = 0  # the loop only comes round again after a crash
         while True:
             try:
-                if restarting:
+                if attempt:
                     # Backoff happens inside the try: a crash injected while
                     # the actor is down is absorbed as another attempt
                     # instead of escaping unsupervised.
-                    restarting = False
-                    backoff = policy.backoff_at(stats.attempts)
-                    stats.restarts += 1
-                    stats.backoff_seconds += backoff
+                    backoff = policy.backoff_at(attempt)
+                    self._note("restart", name, attempt=attempt, backoff=backoff)
                     if backoff > 0:
                         yield Advance(backoff, state=BLOCKED)
                 yield from body_factory()
                 return
             except InjectedCrash as crash:
-                stats.crashes += 1
-                stats.attempts += 1
-                if stats.attempts > policy.max_restarts:
-                    stats.gave_up = True
+                # The budget is the actor's own crashes on the stream: a
+                # flapping actor (an intake partition) never spends its
+                # peers' budget, and a re-spawn under its name keeps it.
+                attempt = 1 + sum(
+                    event.kind == "crash" and event.subject == name
+                    for event in self.events
+                )
+                self._note("crash", name, attempt=attempt)
+                if attempt > policy.max_restarts:
+                    self._note("give_up", name)
                     raise FeedFailedError(
-                        f"actor {name!r} crashed {stats.crashes} time(s); "
+                        f"actor {name!r} crashed {attempt} time(s); "
                         f"restart budget ({policy.max_restarts}) exhausted"
                     ) from crash
-                restarting = True

@@ -65,17 +65,13 @@ class TestExternalEnricher:
         assert 0.0 < result.latency < 1.0
 
     def test_latency_is_deterministic_per_call_index(self):
-        a = ExternalEnricher("geo", seed=7)
-        b = ExternalEnricher("geo", seed=7)
-        for _ in range(5):
-            a.call(["k"], now=0.0, deadline=1.0)
-            b.call(["k"], now=0.0, deadline=1.0)
-        assert a.call_log == b.call_log
+        def five_calls(seed):
+            enricher = ExternalEnricher("geo", seed=seed)
+            return [enricher.call(["k"], now=0.0, deadline=1.0) for _ in range(5)]
+
+        assert five_calls(7) == five_calls(7)
         # a different seed perturbs the jitter stream
-        c = ExternalEnricher("geo", seed=8)
-        for _ in range(5):
-            c.call(["k"], now=0.0, deadline=1.0)
-        assert c.call_log != a.call_log
+        assert five_calls(8) != five_calls(7)
 
     def test_deadline_turns_slow_call_into_timeout(self):
         enricher = ExternalEnricher("geo", base_latency_seconds=0.5)
@@ -220,12 +216,20 @@ class TestCoordinator:
     def _records(self, n, cardinality):
         return [{"id": i, "user": f"u{i % cardinality}"} for i in range(n)]
 
+    def _calls(self, coordinator):
+        """``(start, outcome, latency)`` of each call event, in call order."""
+        return [
+            (e.at, e.detail["outcome"], e.detail["latency"])
+            for e in coordinator.events
+            if e.kind == "call"
+        ]
+
     def test_keys_are_deduped_per_batch(self):
         coordinator, enricher = self._coordinator()
         records = self._records(60, cardinality=5)
         coordinator.enrich_batch([records], now=0.0)
         assert enricher.calls == 1  # 5 distinct keys -> one chunk
-        assert coordinator.metrics.keys_requested == 5
+        assert coordinator.finalize().keys_requested == 5
         assert all(r["user_geo"]["user"] == r["user"] for r in records)
 
     def test_chunking_splits_large_key_sets(self):
@@ -235,7 +239,7 @@ class TestCoordinator:
             [self._records(2 * keys, cardinality=keys)], now=0.0
         )
         assert enricher.calls == 3  # ceil(keys / CHUNK_SIZE)
-        assert coordinator.metrics.keys_requested == keys
+        assert coordinator.finalize().keys_requested == keys
 
     def test_bounded_concurrency_shortens_fanout(self):
         # one chunk per lane: the fan-out takes about one call, not the sum
@@ -245,17 +249,18 @@ class TestCoordinator:
             [self._records(keys, cardinality=keys)], now=0.0
         )
         assert enricher.calls == CONCURRENT_CALLS
-        starts = {start for start, _o, _l in enricher.call_log}
-        assert starts == {0.0}  # every lane starts at once
-        assert elapsed == max(latency for _s, _o, latency in enricher.call_log)
-        assert coordinator.metrics.call_seconds / elapsed > 2.0
+        calls = self._calls(coordinator)
+        assert {start for start, _o, _l in calls} == {0.0}  # lanes start at once
+        assert elapsed == max(latency for _s, _o, latency in calls)
+        assert coordinator.finalize().call_seconds / elapsed > 2.0
         # one chunk more than lanes waits for the earliest-free lane
         coordinator, enricher = self._coordinator()
         coordinator.enrich_batch(
             [self._records(keys + 1, cardinality=keys + 1)], now=0.0
         )
-        first = min(latency for _s, _o, latency in enricher.call_log[:-1])
-        assert enricher.call_log[-1][0] == pytest.approx(first)
+        calls = self._calls(coordinator)
+        first = min(latency for _s, _o, latency in calls[:-1])
+        assert calls[-1][0] == pytest.approx(first)
 
     def test_retries_back_off_then_succeed(self):
         # one flaky window long enough that some chunks need a retry
@@ -268,7 +273,7 @@ class TestCoordinator:
         )
         records = self._records(10 * CHUNK_SIZE, cardinality=10 * CHUNK_SIZE)
         coordinator.enrich_batch([records], now=0.0)
-        m = coordinator.metrics
+        m = coordinator.finalize()
         assert m.errors > 0
         assert m.retries > 0
         assert m.backoff_seconds > 0

@@ -6,7 +6,7 @@ change what an enrichment should observe — update-client upserts mid-run,
 must displace memo entries at the next batch boundary, and enabling the
 memo must never change stored outputs (including under a 4-worker
 pool).  The external half proves an L2 hit genuinely skips the remote
-call (``call_log`` shrinks) while PENDING outcomes are never memoized.
+call (fewer ``call`` events) while PENDING outcomes are never memoized.
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ def run_feed(system, tweets, policy, update_client=None):
 def feed_memo(system, feed=FEED):
     """The feed's own memo (``FunctionRegistry.caches_for``)."""
     return system.registry.caches_for(feed)[1]
+
+
+def call_events(report):
+    """The run's external calls, one stream event each."""
+    return [e for e in report.runtime.events if e.kind == "call"]
 
 
 def output_digest(system, dataset="EnrichedTweets") -> str:
@@ -314,14 +319,14 @@ class TestExternalMemo:
 
     def test_l2_hit_skips_the_remote_call_entirely(self):
         on_policy = FeedPolicy.spill(enrichment_memo_bytes=MEMO_BYTES)
-        sys_on, enricher_on, report_on = self._run(on_policy)
-        sys_off, enricher_off, report_off = self._run(FeedPolicy.spill())
+        sys_on, _, report_on = self._run(on_policy)
+        sys_off, _, report_off = self._run(FeedPolicy.spill())
 
         # Without the memo every batch re-requests its distinct keys
         # (4 batches x 10 keys); with it only the cold first batch does.
         assert report_off.external.keys_requested == 40
         assert report_on.external.keys_requested == 10
-        assert len(enricher_on.call_log) < len(enricher_off.call_log)
+        assert len(call_events(report_on)) < len(call_events(report_off))
         assert report_on.memo_hits == 30  # 10 keys x 3 warm batches
         # Skipped calls consume no simulated external time either.
         assert report_on.simulated_seconds < report_off.simulated_seconds
@@ -334,7 +339,7 @@ class TestExternalMemo:
         first = self._run(policy)
         second = self._run(policy)
         assert external_digest(first[0]) == external_digest(second[0])
-        assert first[1].call_log == second[1].call_log
+        assert call_events(first[2]) == call_events(second[2])
         assert (
             first[2].external.as_dict() == second[2].external.as_dict()
         )

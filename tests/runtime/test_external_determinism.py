@@ -108,7 +108,6 @@ class TestCoordinatorDeterminism:
                 coordinator.enrich_batch([records], now=batch * 0.012)
             )
         return {
-            "call_log": enricher.call_log,
             "events": coordinator.events,
             "metrics": coordinator.finalize().as_dict(),
             "elapsed": elapsed,
@@ -123,9 +122,11 @@ class TestCoordinatorDeterminism:
         # the run actually exercised the stack it claims to replay
         assert a["metrics"]["retries"] > 0
         assert a["metrics"]["breaker_opens"] >= 1
-        assert {e.detail["state"] for e in a["events"] if e.subject == "geo"} >= {
-            "open", "half_open",
-        }
+        assert {
+            e.detail["state"]
+            for e in a["events"]
+            if e.kind == "breaker" and e.subject == "geo"
+        } >= {"open", "half_open"}
 
     def test_enricher_seed_perturbs_the_schedule(self):
         def with_seed(seed):
@@ -139,7 +140,7 @@ class TestCoordinatorDeterminism:
             )
             records = [{"id": i, "user": f"u{i}"} for i in range(20)]
             coordinator.enrich_batch([records], now=0.0)
-            return enricher.call_log
+            return [e for e in coordinator.events if e.kind == "call"]
 
         assert with_seed(1) == with_seed(1)
         assert with_seed(1) != with_seed(2)
@@ -185,7 +186,7 @@ class TestFeedDeterminism:
             "simulated_seconds": report.simulated_seconds,
             "completeness": report.enrichment_completeness,
             "stored": rows,
-            "call_log": enricher.call_log,
+            "calls": [e for e in report.runtime.events if e.kind == "call"],
         }
 
     def test_feed_runs_with_identical_plans_are_byte_identical(self):

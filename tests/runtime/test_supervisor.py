@@ -1,5 +1,7 @@
 """Supervised recovery: restarts, backoff, budgets, replayed state."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.errors import FeedFailedError
@@ -12,6 +14,19 @@ from repro.runtime import (
     Runtime,
     Supervisor,
 )
+
+
+def tally(supervisor, name):
+    """One actor's crashes, restarts, backoff seconds and give-up, read
+    off the supervisor's event stream."""
+    mine = [e for e in supervisor.events if e.subject == name]
+    kinds = [e.kind for e in mine]
+    return SimpleNamespace(
+        crashes=kinds.count("crash"),
+        restarts=kinds.count("restart"),
+        backoff_seconds=sum(e.detail["backoff"] for e in mine if e.kind == "restart"),
+        gave_up="give_up" in kinds,
+    )
 
 
 class TestRestartPolicy:
@@ -47,7 +62,7 @@ class TestSupervisor:
         process = supervisor.spawn("worker", body_factory)
         runtime.run()
         assert state["next_step"] == 5
-        stats = supervisor.stats["worker"]
+        stats = tally(supervisor, "worker")
         assert stats.crashes == 1 and stats.restarts == 1
         assert stats.backoff_seconds == pytest.approx(0.25)
         assert not stats.gave_up
@@ -78,8 +93,8 @@ class TestSupervisor:
         supervisor.spawn("worker", body_factory)
         with pytest.raises(FeedFailedError, match="restart budget"):
             runtime.run()
-        assert supervisor.stats["worker"].gave_up
-        assert supervisor.stats["worker"].crashes == 2
+        assert tally(supervisor, "worker").gave_up
+        assert tally(supervisor, "worker").crashes == 2
 
     def test_crash_during_backoff_absorbed_as_another_attempt(self):
         # Second crash lands at t=0.3, while the actor is still waiting out
@@ -104,8 +119,8 @@ class TestSupervisor:
         supervisor.spawn("worker", body_factory)
         runtime.run()
         assert done == [True]
-        assert supervisor.stats["worker"].crashes == 2
-        assert supervisor.stats["worker"].restarts == 2
+        assert tally(supervisor, "worker").crashes == 2
+        assert tally(supervisor, "worker").restarts == 2
 
     def test_per_actor_policy_override(self):
         plan = FaultPlan(crashes=(CrashAt(at=0.05, target="fragile"),))
@@ -143,9 +158,10 @@ class TestSupervisor:
         supervisor.spawn("a", make_body("a"))
         supervisor.spawn("b", make_body("b"))
         runtime.run()
-        assert supervisor.total_crashes == 2
-        assert supervisor.total_restarts == 2
-        assert supervisor.total_backoff_seconds == pytest.approx(0.2)
+        a, b = tally(supervisor, "a"), tally(supervisor, "b")
+        assert a.crashes + b.crashes == 2
+        assert a.restarts + b.restarts == 2
+        assert a.backoff_seconds + b.backoff_seconds == pytest.approx(0.2)
 
 
 class TestReplayDeterminism:
@@ -168,7 +184,7 @@ class TestReplayDeterminism:
 
             supervisor.spawn("worker", body_factory)
             elapsed = runtime.run()
-            stats = supervisor.stats["worker"]
+            stats = tally(supervisor, "worker")
             return state["trace"], elapsed, stats.crashes, stats.restarts
 
         assert run_once() == run_once()
@@ -208,7 +224,7 @@ class TestPerActorRestartBudgets:
         runtime.run()
         assert progress == {"a": 8, "b": 8}
         for name in ("a", "b"):
-            stats = supervisor.stats[name]
+            stats = tally(supervisor, name)
             assert stats.crashes == 2
             assert stats.restarts == 2
             assert not stats.gave_up
@@ -237,8 +253,8 @@ class TestPerActorRestartBudgets:
         supervisor.spawn("b", body_factory)
         with pytest.raises(FeedFailedError, match="restart budget"):
             runtime.run()
-        assert supervisor.stats["a"].gave_up
-        assert supervisor.stats["a"].crashes == 3
-        assert not supervisor.stats["b"].gave_up
-        assert supervisor.stats["b"].crashes == 1
-        assert supervisor.stats["b"].restarts == 1
+        assert tally(supervisor, "a").gave_up
+        assert tally(supervisor, "a").crashes == 3
+        assert not tally(supervisor, "b").gave_up
+        assert tally(supervisor, "b").crashes == 1
+        assert tally(supervisor, "b").restarts == 1

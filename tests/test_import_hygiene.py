@@ -388,15 +388,17 @@ def test_a_run_records_its_facts_once():
     import re
     from dataclasses import fields
 
+    import repro.runtime
     from repro.ingestion import (
         CircuitBreaker,
         EnrichmentCoordinator,
+        ExternalEnricher,
         FeedFabric,
         FeedPolicy,
         MemoryGovernor,
     )
     from repro.ingestion.fabric import _WorkerTenant
-    from repro.runtime import RunCounters
+    from repro.runtime import ExternalMetrics, RunCounters, Runtime, Supervisor
 
     pipelines = (SRC / "ingestion" / "pipelines.py").read_text()
     kept = re.compile(
@@ -428,3 +430,36 @@ def test_a_run_records_its_facts_once():
         if isinstance(node, ast.FunctionDef) and node.name == "tick"
     )
     assert "_issue_recall" not in ast.unparse(tick)
+    # a crash, a restart and an external call are one event each: the
+    # supervisor's, the enricher's and the coordinator's own tallies are
+    # gone, and the counters that became views are never added to in place
+    assert not hasattr(repro.runtime, "SupervisedStats")
+    supervisor = Supervisor(Runtime())
+    for name in ("stats", "total_crashes", "total_restarts",
+                 "total_backoff_seconds"):
+        assert not hasattr(supervisor, name), name
+    assert not hasattr(ExternalEnricher("geo"), "call_log")
+    assert not hasattr(coordinator, "metrics")
+    views = {
+        "restarts", "backoff_seconds", "adapter_crashes", "adapter_reopens",
+        "idle_timeouts", "records_replayed", "circuit_breaker_trips",
+        "checkpoint_commits",
+        # every external counter but the per-record outcomes
+        *(name for name in ExternalMetrics().as_dict()
+          if not name.startswith("records_")),
+    }
+    added = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in SRC.rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.AugAssign)
+        and isinstance(node.op, ast.Add)
+        and isinstance(node.target, ast.Attribute)
+        and node.target.attr in views
+        # an object counting itself (the enricher's call index) is state
+        and not (
+            isinstance(node.target.value, ast.Name)
+            and node.target.value.id == "self"
+        )
+    ]
+    assert not added, added
