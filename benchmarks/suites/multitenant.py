@@ -313,7 +313,7 @@ def run(smoke: bool) -> Dict:
         ),
         "governed_outputs_match": gov_digests == results["skewed"]["digests"],
         "governor_rebalanced": (
-            gov_fabric.governor.rebalances > 1
+            gov_fabric.governor.summary()["rebalances"] > 1
             and gov_fabric.governor.summary()["grants"] > 0
         ),
     }

@@ -171,9 +171,9 @@ class MemoryGovernor:
     tie-break by ``(feed, kind)``).  A shrink takes effect immediately —
     ``StateCache.configure`` evicts LRU-first down to the new grant —
     which is exactly "eviction pressure flows to the lowest-value
-    tenant".  Every budget move is a ``"governor"`` event (subject the
-    feed, detail the cache kind and bytes) on ``events``: the fabric's
-    stream, or the governor's own.
+    tenant".  Every rebalance is a ``"rebalance"`` event and every budget
+    move a ``"governor"`` event (subject the feed, detail the cache kind
+    and bytes) on ``events``: the fabric's stream, or the governor's own.
     """
 
     def __init__(self, total_bytes: int, events: Optional[List[Event]] = None):
@@ -181,7 +181,6 @@ class MemoryGovernor:
             raise ValueError("MemoryGovernor needs a positive byte budget")
         self.total_bytes = int(total_bytes)
         self._tenants: List[_CacheTenant] = []
-        self.rebalances = 0
         self.events = events if events is not None else []
 
     def register(self, feed, kind, cache, priority, now=0.0):
@@ -208,7 +207,7 @@ class MemoryGovernor:
         """Re-split the global budget by current tenant utility."""
         if not self._tenants:
             return
-        self.rebalances += 1
+        self.events.append(Event(now, "rebalance", "governor", {}))
         # Fold the just-ended observation window into each tenant's EWMA
         # before weighing — mid-run hit-ratio shifts move bytes within a
         # few batch boundaries instead of being damped by all of history.
@@ -253,7 +252,7 @@ class MemoryGovernor:
     def summary(self) -> Dict[str, object]:
         return {
             "total_bytes": self.total_bytes,
-            "rebalances": self.rebalances,
+            "rebalances": sum(event.kind == "rebalance" for event in self.events),
             "grants": sum(event.kind == "governor" for event in self.events),
             "tenants": {
                 f"{e.feed}/{e.kind}": {

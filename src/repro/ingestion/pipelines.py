@@ -1245,7 +1245,7 @@ class FeedRun:
                         # keep the first slice; queue the rest and wake
                         # idle peers to steal them
                         of = len(subs)
-                        self.counters.subbatches += of
+                        self._note("split", worker_name, index=index, of=of)
                         for s in range(1, of):
                             self.subqueue.append(_SubBatch(index, s, of, subs[s]))
                         buffer.kick()
@@ -1574,6 +1574,7 @@ class FeedRun:
         counters.scale_ups = causes.count("grow") + causes.count("grant")
         counters.scale_downs = causes.count("shrink")
         counters.checkpoint_commits = sum(e.kind == "checkpoint" for e in events)
+        counters.subbatches = sum(e.detail["of"] for e in events if e.kind == "split")
         self._fill_cache_counters(
             "state_cache", self.eval_ctx.state_cache, self.state_cache_before
         )

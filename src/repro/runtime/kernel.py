@@ -172,8 +172,6 @@ class Runtime:
         self._finished = False
         self.fault_plan = fault_plan
         self._consumed_stalls: set = set()
-        self.injected_crashes = 0
-        self.injected_stall_seconds = 0.0
 
     # ---------------------------------------------------------------- wiring
 
@@ -242,7 +240,6 @@ class Runtime:
                     process._account(self.clock.now)
                     process._suspend(self.clock.now, BLOCKED)
                     process.stall_seconds += stall.duration
-                    self.injected_stall_seconds += stall.duration
                     self._schedule(self.clock.now + stall.duration, process)
                     continue
             process._account(self.clock.now)
@@ -252,7 +249,6 @@ class Runtime:
                     # throw into the generator at its suspension point.
                     process._token += 1
                     process.crashes_received += 1
-                    self.injected_crashes += 1
                     effect = process._gen.throw(exc)
                 else:
                     effect = next(process._gen)

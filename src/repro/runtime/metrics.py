@@ -149,7 +149,8 @@ class RunCounters:
     checkpoint_commits: int = 0  # durable checkpoint commits written
     #: the computing pool: its largest concurrent size (1 for the static
     #: pipeline's one job), sub-batch slices dispatched (counting each
-    #: split batch's first slice), batch indices the sequencer reassembled
+    #: split batch's first slice; the ``of`` of its ``split`` events),
+    #: batch indices the sequencer reassembled
     #: from sub-results, and batches it held for an earlier index
     peak_computing_workers: int = 1
     subbatches: int = 0

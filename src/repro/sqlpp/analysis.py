@@ -8,7 +8,7 @@ state whose freshness the ingestion framework must manage.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import FrozenSet, List, Optional, Set
 
 from .ast import (
     ArrayConstructor,
@@ -28,6 +28,7 @@ from .ast import (
     Subquery,
     UnaryOp,
     VarRef,
+    walk,
 )
 from .functions import AGGREGATE_NAMES, BUILTINS
 
@@ -122,6 +123,39 @@ def is_stateful(
     """Stateful = the body reads anything beyond its parameters (§4.3.1)."""
     outside = free_vars(definition.body, set(definition.params))
     return bool(outside & catalog_names)
+
+
+def call_dependencies(
+    expr: Optional[Expr], functions, catalog_names
+) -> Optional[FrozenSet[str]]:
+    """The catalog datasets the registered SQL++ functions ``expr`` calls
+    read, directly or through each other; None when it calls a Java UDF
+    that ``functions`` does not register as pure, directly or through such
+    a function.  What ``expr`` returns depends on those datasets too, and
+    on an impure UDF's earlier calls."""
+    deps: Set[str] = set()
+    seen: Set[str] = set()
+    pending = [expr]
+    while pending:
+        for node in walk(pending.pop()):
+            if not isinstance(node, Call):
+                continue
+            if node.library is not None:
+                if functions is None or not functions.is_pure_java(
+                    node.library, node.name
+                ):
+                    return None
+            elif (
+                functions is not None
+                and functions.has(node.name)
+                and node.name not in seen
+            ):
+                seen.add(node.name)
+                definition = functions.get(node.name).definition
+                body = definition.body
+                deps |= free_vars(body, set(definition.params)) & catalog_names
+                pending.append(body)
+    return frozenset(deps)
 
 
 def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:

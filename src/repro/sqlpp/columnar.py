@@ -62,7 +62,7 @@ from typing import Callable, Dict, List, Tuple
 from ..adm.values import MISSING
 from ..hyracks.cost import WorkMeter
 from ..storage.index import IndexKind
-from .analysis import split_conjuncts
+from .analysis import call_dependencies, split_conjuncts
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -538,10 +538,13 @@ def compile_block_kernel(
 
     Raises :class:`Unsupported` when the block has FROM terms, grouping,
     ordering, LIMIT, or DISTINCT at the top level — those shapes keep the
-    scalar path.
+    scalar path — and when it calls an impure Java UDF: column by column,
+    its calls would come in another order than record by record.
     """
     if len(params) != 1:
         raise Unsupported("kernels require unary functions")
+    if call_dependencies(plan.block, ctx.functions, plan.catalog_names) is None:
+        raise Unsupported("calls an impure Java UDF")
     if plan.terms is not None:
         raise Unsupported("top-level FROM")
     if plan.has_group or plan.order_items or plan.distinct:

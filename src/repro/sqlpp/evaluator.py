@@ -41,7 +41,7 @@ from ..hyracks.cost import WorkMeter
 from ..storage.dataset import ReferenceSnapshot
 from ..storage.index import IndexKind
 from ..storage.rtree import BOUNDABLE
-from .analysis import free_vars, split_conjuncts
+from .analysis import call_dependencies, free_vars, split_conjuncts
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -616,6 +616,10 @@ class Evaluator:
             return result
         cache = ctx.state_cache
         if cache is not None:
+            deps = self._guard(subject, deps)
+            if deps is None:
+                cache = None
+        if cache is not None:
             version = ctx.snapshots.version(deps)
             entry = cache.get(key, version)
             if entry is not None:
@@ -627,6 +631,29 @@ class Evaluator:
         if cache is not None:
             cache.put(key, version, result, len(result))
         return result
+
+    def _guard(self, subject, deps):
+        """The datasets a cross-batch cache entry (the state cache's, the
+        memo's) for the block of ``subject``, a plan or the interpreter's
+        block, is filed under: its own ``deps`` and those its registered
+        functions read.  None when no such cache may serve it: it calls an
+        impure Java UDF, whose value depends on the calls before it
+        (:func:`call_dependencies`).  A plan keeps the verdict per registry
+        version."""
+        functions = self.ctx.functions
+        if not isinstance(subject, SelectPlan):
+            called = call_dependencies(subject, functions, self.ctx.catalog.keys())
+        else:
+            version = getattr(functions, "version", None)
+            verdict = subject.called_deps
+            if verdict is None or verdict[0] is not functions or verdict[1] != version:
+                verdict = subject.called_deps = (
+                    functions,
+                    version,
+                    call_dependencies(subject.block, functions, subject.catalog_names),
+                )
+            called = verdict[2]
+        return None if called is None else deps | called
 
     def evaluate_select(
         self, block: SelectBlock, env: Env, meter: Optional[WorkMeter] = None
@@ -809,16 +836,22 @@ class Evaluator:
         free outer variables and (b) the contents of the catalog datasets
         it reads — so an entry keyed on the canonical outer bindings and
         guarded by the datasets' :meth:`SnapshotSet.version` is a proof the
-        recomputation would be identical.  Bypasses (returns
-        :data:`_MEMO_BYPASS`) whenever the proof does not hold: an outer
-        variable is unbound here, a dep dataset is missing from the
-        catalog, or a dep dataset carries a secondary index the planner
-        may probe *live* (live index probes see mid-batch updates, which
-        a cross-batch memo must never mask).
+        recomputation would be identical — the datasets the functions it
+        calls read among them (:meth:`_guard`).  Bypasses (returns
+        :data:`_MEMO_BYPASS`) whenever the proof does not hold: the block
+        calls an impure Java UDF, an outer GROUP BY key may shadow one of
+        its expressions (the key is no binding the entry is filed under),
+        an outer variable is unbound here, a dep dataset is missing from
+        the catalog, or a dep dataset carries a secondary index the
+        planner may probe *live* (live index probes see mid-batch updates,
+        which a cross-batch memo must never mask).
         """
         ctx = self.ctx
         catalog = ctx.catalog
-        for name in plan.correlated_deps:
+        deps = self._guard(plan, plan.correlated_deps)
+        if deps is None or env.group is not None:
+            return _MEMO_BYPASS
+        for name in deps:
             dataset = catalog.get(name)
             if dataset is None or dataset.indexes:
                 return _MEMO_BYPASS
@@ -829,7 +862,7 @@ class Evaluator:
                 return _MEMO_BYPASS
             bindings.append(canonical_probe_key(value))
         key = ("correlated", plan.token, tuple(bindings))
-        version = ctx.snapshots.version(plan.correlated_deps)
+        version = ctx.snapshots.version(deps)
         entry = ctx.memo.get(key, version)
         if entry is not None:
             ctx.meter.memo_hits += 1

@@ -319,7 +319,10 @@ class Builtins:
 
 
 def sort_key(value):
-    """Total order across mixed/unknown values: MISSING < NULL < typed."""
+    """Total order across mixed/unknown values: MISSING < NULL < typed.
+    NaN equals itself and follows every other number, as Java's
+    ``Double.compare`` orders it: compared raw, it is neither below nor
+    above anything, and a sort's result would depend on its input order."""
     if value is MISSING:
         return (0, 0)
     if value is None:
@@ -327,7 +330,7 @@ def sort_key(value):
     if isinstance(value, bool):
         return (2, value)
     if isinstance(value, (int, float)):
-        return (3, value)
+        return (3, value) if value == value else (3.5, 0)
     if isinstance(value, str):
         return (4, value)
     return (5, repr(value))

@@ -1012,6 +1012,7 @@ class SelectPlan:
         "limit_fn",
         "distinct",
         "batch_kernel",  # (registry_version, BlockKernel|UNSUPPORTED) or None
+        "called_deps",  # (registry, version, call_dependencies) or None
     )
 
 
@@ -1082,6 +1083,7 @@ def build_select_plan(
     plan.limit_fn = compile_expr(block.limit) if block.limit is not None else None
     plan.distinct = block.distinct
     plan.batch_kernel = None  # lazily compiled by columnar.kernel_for
+    plan.called_deps = None  # lazily derived by Evaluator._guard
     return plan
 
 

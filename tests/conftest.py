@@ -12,15 +12,17 @@ from repro.storage import Dataset, IndexKind
 from repro.sqlpp import EvaluationContext, Evaluator
 from repro.udf import FunctionRegistry, register_paper_udfs
 
-# Example budgets for the nine property tests that set no ``max_examples``:
-# the four codec differentials, the filter-join differential and the
-# facade-query differential (400-600 examples as literals before), the
-# record path's two fast-arm differentials (``DateTime.parse`` vs its regex
-# arm, ``parse_json`` vs ``json.loads`` on arbitrary text), and the UDF
-# operator's frame path vs per-record calls.  Every
-# other property test pins its own count and ignores the profile.  ``tier1``
+# Example budgets for the heavy property tests that set no ``max_examples``:
+# the four codec differentials, the record path's two fast-arm
+# differentials (``DateTime.parse`` vs its regex arm, ``parse_json`` vs
+# ``json.loads`` on arbitrary text), the UDF operator's frame path vs
+# per-record calls, and the memo's bookings over the probe kernel's store
+# (``tests/sqlpp/test_shaped_rows.py``).  The SQL++ path harness
+# (``tests/properties/test_sqlpp_paths.py``) draws 550 examples under
+# ``tier1`` and five times the profile's count under ``deep``.  ``tier1``
 # is what ``pytest -x -q`` runs; CI's ``properties-deep`` job runs
-# ``tests/properties`` with ``--hypothesis-profile=deep``, the old literals.
+# ``tests/properties`` and the memo bookings with
+# ``--hypothesis-profile=deep``.
 settings.register_profile("tier1", max_examples=50)
 settings.register_profile("deep", max_examples=400)
 settings.load_profile("tier1")

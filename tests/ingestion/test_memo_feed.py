@@ -25,6 +25,7 @@ from repro.ingestion import (
 )
 from repro.ingestion.updates import ReferenceUpdateClient
 from repro.runtime import EnricherOutage, FaultPlan
+from repro.udf.java import JavaUdf, JavaUdfDescriptor
 
 FEED = "MemoFeed"
 REF_RECORDS = 24
@@ -132,6 +133,56 @@ def test_memo_on_matches_memo_off_and_reports_counters():
     # Identical stored outputs; cost is the only thing that changed.
     assert output_digest(on) == output_digest(off)
     assert report_on.simulated_seconds < report_off.simulated_seconds
+
+
+class _Tally(JavaUdf):
+    """Not declared pure, and rightly: its value counts the calls."""
+
+    def initialize(self, node_info):
+        super().initialize(node_info)
+        self.calls = 0
+
+    def evaluate(self, name):
+        self.calls += 1
+        return f"{name}#{self.calls}"
+
+
+def test_the_memo_never_serves_a_block_that_calls_an_impure_java_udf():
+    stored = []
+    for policy in (memo_policy(), FeedPolicy.basic()):
+        system = AsterixLite(num_nodes=1)
+        system.execute(
+            """
+            CREATE TYPE T AS OPEN { id: int64 };
+            CREATE DATASET Ref(T) PRIMARY KEY id;
+            CREATE DATASET Tagged(T) PRIMARY KEY id;
+            """
+        )
+        system.insert("Ref", [{"id": i, "k": k, "name": k} for i, k in enumerate("ab")])
+        system.registry.register_java(
+            JavaUdfDescriptor("testlib", "tally", _Tally, 1, False)
+        )
+        system.execute(
+            """
+            CREATE FUNCTION tag(t) {
+                LET c = t.k,
+                    x = (SELECT VALUE testlib#tally(r.name) FROM Ref r WHERE r.k = c)
+                SELECT t.*, x
+            };
+            CREATE FEED TagFeed WITH { "type-name": "T" };
+            CONNECT FEED TagFeed TO DATASET Tagged APPLY FUNCTION tag;
+            """
+        )
+        raws = [json.dumps({"id": i, "k": k}) for i, k in enumerate("aaba")]
+        report = system.start_feed(
+            "TagFeed", adapter=GeneratorAdapter(raws), batch_size=4, policy=policy
+        )
+        assert report.memo_hits == 0
+        tagged = system.catalog["Tagged"].scan()
+        stored.append(sorted((r["id"], r["x"]) for r in tagged))
+    assert stored[0] == stored[1] == [
+        (0, ["a#1"]), (1, ["a#2"]), (2, ["b#3"]), (3, ["a#4"])
+    ]
 
 
 def test_memo_survives_across_runs_until_reference_changes():

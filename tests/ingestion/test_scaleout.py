@@ -252,6 +252,9 @@ class TestSubBatchParallelism:
         # 240 records / 40-record batches, each split into ceil(40/10)=4
         assert report.subbatches == 24
         assert report.runtime.subbatch_merges == 6
+        # one ``split`` event per cut batch, naming its index and slices
+        splits = [e.detail for e in report.runtime.events if e.kind == "split"]
+        assert splits == [{"index": index, "of": 4} for index in range(6)]
         assert stored_bytes(system) == expected
 
     def test_partitions_and_subbatches_compose(self, tmp_path):

@@ -34,6 +34,22 @@ class TestOrderByOutputAliases:
         got = run(f"SELECT r.c AS name FROM {self.ROWS} r ORDER BY r.v DESC")
         assert [g["name"] for g in got] == ["x", "z", "y"]
 
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_nan_sorts_after_every_number_on_both_engines(self, direction):
+        nan = float("nan")
+        rows = [{"i": i, "n": n} for i, n in enumerate([1, nan, 0, 2, nan, 0])]
+        query = parse_expression(
+            f"SELECT VALUE r.i FROM data r ORDER BY r.n {direction}"
+        )
+        got = [
+            Evaluator(EvaluationContext({}, use_plans=use_plans)).evaluate_query(
+                query, {"data": rows}
+            )
+            for use_plans in (True, False)
+        ]
+        ascending = [2, 5, 0, 3, 1, 4]
+        assert got == [ascending if direction == "ASC" else [1, 4, 3, 0, 2, 5]] * 2
+
     def test_sort_stability_on_ties(self):
         rows = "[{'k': 1, 'i': 0}, {'k': 1, 'i': 1}, {'k': 1, 'i': 2}]"
         got = run(f"SELECT VALUE r.i FROM {rows} r ORDER BY r.k")

@@ -10,6 +10,7 @@ from repro.sqlpp.memo import (
     EnrichmentMemo,
     canonical_probe_key,
 )
+from repro.sqlpp.state_cache import StateCache
 from repro.storage import IndexKind
 
 
@@ -181,3 +182,49 @@ class TestScalarEvaluatorMemo:
             "CREATE FUNCTION enrichTweetQ1(t) { SELECT t.* }"
         )
         assert len(memo) == 0
+
+    def test_a_called_functions_datasets_guard_the_entry(
+        self, small_catalog, registry, sample_tweet
+    ):
+        """A block's result depends on what the functions it calls read:
+        a write to that dataset displaces the entry, for the memo and the
+        state cache alike."""
+        registry.register_sqlpp(
+            "CREATE FUNCTION ratingOf(c) { SELECT VALUE s.safety_rating"
+            " FROM SafetyRatings s WHERE s.country_code = c }"
+        )
+        registry.register_sqlpp(
+            "CREATE FUNCTION rated(t) { SELECT VALUE [ratingOf(t.country),"
+            " (SELECT VALUE ratingOf(w.country) FROM SensitiveWords w LIMIT 1)] }"
+        )
+        ratings = small_catalog["SafetyRatings"]
+
+        def context(**cache):
+            return EvaluationContext(small_catalog, functions=registry, **cache)
+
+        for ctx in (
+            context(memo=EnrichmentMemo(8 << 20)),
+            context(state_cache=StateCache(8 << 20)),
+        ):
+            assert registry.invoke("rated", [sample_tweet], ctx) == [[["3"], [["3"]]]]
+            ratings.upsert({"country_code": "US", "safety_rating": "1"})
+            ctx.refresh_batch()
+            assert registry.invoke("rated", [sample_tweet], ctx) == [[["1"], [["1"]]]]
+            ratings.upsert({"country_code": "US", "safety_rating": "3"})
+
+    def test_an_outer_group_key_bypasses_the_memo(
+        self, memo_ctx, registry, sample_tweet
+    ):
+        """Inside a GROUP BY group, the key shadows ``r.religion_name`` in
+        the inner block, so its rows differ per group for one binding."""
+        registry.register_sqlpp(
+            """CREATE FUNCTION perReligion(t) {
+                SELECT VALUE (SELECT VALUE r.population
+                              FROM ReligiousPopulations r WHERE r.country_name
+                              = t.country AND r.religion_name = "A")
+                FROM ReligiousPopulations r GROUP BY r.religion_name
+            }"""
+        )
+        rows = registry.invoke("perReligion", [sample_tweet], memo_ctx)
+        assert rows == [[10, 20, 30, 5], [], [], []]
+        assert memo_ctx.meter.memo_hits == 0

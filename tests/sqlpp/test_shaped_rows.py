@@ -4,18 +4,22 @@ The columnar probe kernel shapes a key's match list once per compiled
 kernel and serves every later record probing that key from the kernel's
 store, which a write to the reference dataset carries forward minus the
 keys whose matches it changed.  These tests pin the store's bound, its
-key and its lifetime, the memo's bookings over it, and
-hash-join keys that are arrays or objects on every path that probes a
-build table.
+key and its lifetime, the memo's bookings over it (generated, over two
+to four generations), and hash-join keys that are arrays or objects on
+every path that probes a build table.
 """
 
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adm import open_type
+from repro.adm.values import MISSING
 from repro.core import AsterixLite
 from repro.ingestion import GeneratorAdapter
 from repro.ingestion.feed import AttachedFunction
@@ -29,6 +33,7 @@ from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import estimate_entry_bytes
 from repro.storage import Dataset
 from repro.udf import FunctionRegistry
+from tests.properties.sqlpp_blocks import CHARGE_FREE, SHAPINGS, fill
 
 
 def _catalog(name, key, records):
@@ -59,8 +64,8 @@ TOP = """CREATE FUNCTION top(t) {
 }"""
 
 
-def _kernel(catalog, source):
-    ctx = EvaluationContext(catalog)
+def _kernel(catalog, source, memo=None):
+    ctx = EvaluationContext(catalog, memo=memo)
     definition = parse_function(source)
     params = tuple(definition.params)
     plan = ctx.plan_cache.plan_for(definition.body, frozenset(params), catalog)
@@ -289,6 +294,85 @@ def test_the_memo_books_keys_and_an_all_booked_batch_builds_nothing(stores):
     (store,) = stores()
     assert len(store) == 3  # "US", "FR" and the empty entry
 
+
+
+ROW = st.tuples(
+    st.sampled_from(["US", "FR", "DE", None, ["US"]]),
+    st.sampled_from(["A", "B", "C"]),
+    st.sampled_from([1, 2, 3, None]),
+)
+PROBE = st.sampled_from(["US", "FR", "DE", "XX", None, MISSING, float("nan"), ["US"]])
+
+
+def _ref(rid, row):
+    k, name, n = row
+    return {"id": rid, "k": k, "name": name, "n": n}
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(SHAPINGS[:CHARGE_FREE]),
+    st.lists(ROW, max_size=8),
+    st.lists(
+        st.tuples(
+            st.lists(PROBE, min_size=1, max_size=8),
+            st.one_of(st.none(), st.tuples(st.integers(0, 8), ROW)),
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+    st.sampled_from([1 << 20, 1500]),
+)
+def test_the_memo_books_the_rows_the_kernel_store_holds(
+    shaping, rows, generations, budget
+):
+    """With a memo attached the rows are the memo-off rows, each record is
+    charged either its probe or its booking, and every booking is a row
+    count and a size over rows the kernel's store holds, never a value."""
+    catalog = _catalog("Ref", "id", [_ref(rid, row) for rid, row in enumerate(rows)])
+    ref = catalog["Ref"]
+    head, tail = (fill(part, "r") for part in shaping)
+    block = f"{head} FROM Ref r WHERE r.k = t.k{tail}"
+    source = f"CREATE FUNCTION f(t) {{ LET x = ({block}) SELECT t.*, x }}"
+    memo = EnrichmentMemo(budget)
+    off_ctx, off, _ = _kernel(catalog, source)
+    on_ctx, on, _ = _kernel(catalog, source, memo)
+    spied = []
+    shaped_rows = columnar._shaped_rows
+
+    def spy(ev, dataset, field, shape, held, token, keys):
+        if ev.ctx is on_ctx:
+            spied[:] = [(held, token)]
+        return shaped_rows(ev, dataset, field, shape, held, token, keys)
+
+    for generation, (probes, upsert) in enumerate(generations):
+        if generation:
+            off_ctx.refresh_batch()
+            on_ctx.refresh_batch()
+        records = [
+            {"id": i} if probe is MISSING else {"id": i, "k": probe}
+            for i, probe in enumerate(probes)
+        ]
+        probes_off, probes_on = off_ctx.meter.hash_probes, on_ctx.meter.hash_probes
+        hits = on_ctx.meter.memo_hits
+        with mock.patch.object(columnar, "_shaped_rows", spy):
+            rows_on = on.run(Evaluator(on_ctx), records)
+            assert repr(rows_on) == repr(off.run(Evaluator(off_ctx), records))
+        assert (on_ctx.meter.hash_probes - probes_on) + (
+            on_ctx.meter.memo_hits - hits
+        ) == off_ctx.meter.hash_probes - probes_off
+        ((held, token),) = spied
+        snapshot, store = held[0]
+        assert snapshot is on_ctx.snapshots.pin(ref)
+        version = on_ctx.snapshots.version(("Ref",))
+        for key, entry in memo._entries.items():
+            assert key[:2] == ("probe", token) and entry.value is None
+            if entry.version_key == version:
+                shaped = (store[key[2]] if key[2] in store else store[None])[0]
+                assert entry.records == len(shaped)
+                assert entry.nbytes == estimate_entry_bytes(shaped)
+        if upsert is not None:
+            ref.upsert(_ref(*upsert))
 
 # ------------------------------------------------- array and object join keys
 

@@ -440,10 +440,15 @@ def test_a_run_records_its_facts_once():
         assert not hasattr(supervisor, name), name
     assert not hasattr(ExternalEnricher("geo"), "call_log")
     assert not hasattr(coordinator, "metrics")
+    # a split and a rebalance are events too; the kernel keeps no fault
+    # tally beside its processes' own
+    assert not hasattr(MemoryGovernor(1), "rebalances")
+    for name in ("injected_crashes", "injected_stall_seconds"):
+        assert not hasattr(Runtime(), name), name
     views = {
         "restarts", "backoff_seconds", "adapter_crashes", "adapter_reopens",
         "idle_timeouts", "records_replayed", "circuit_breaker_trips",
-        "checkpoint_commits",
+        "checkpoint_commits", "subbatches",
         # every external counter but the per-record outcomes
         *(name for name in ExternalMetrics().as_dict()
           if not name.startswith("records_")),
@@ -463,3 +468,47 @@ def test_a_run_records_its_facts_once():
         )
     ]
     assert not added, added
+
+
+TESTS = SRC.parents[1] / "tests"
+#: the per-optimisation parity suites ``tests/properties/test_sqlpp_paths``
+#: replaced with one generated differential
+REPLACED = [
+    "properties/test_hoisting_props.py",
+    "properties/test_filter_join_props.py",
+    "properties/test_columnar_props.py",
+    "properties/test_shaped_rows_props.py",
+    "properties/test_facade_query_props.py",
+    "sqlpp/test_plan_parity.py",
+    "sqlpp/test_columnar_parity.py",
+]
+#: unit tests that build the interpreter oracle themselves, beside the harness
+ORACLE_BUILDERS = {
+    "properties/test_sqlpp_paths.py",
+    "sqlpp/test_columnar.py",
+    "sqlpp/test_facade_queries.py",
+    "sqlpp/test_state_cache.py",
+}
+
+
+def test_one_harness_checks_every_sqlpp_path():
+    """Every SELECT path is checked against the interpreter in one place:
+    the replaced suites do not come back, and a new unit test that builds
+    ``EvaluationContext(..., use_plans=False)`` joins the allow-list."""
+    assert not [name for name in REPLACED if (TESTS / name).exists()]
+    builders = set()
+    for path in TESTS.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                == "EvaluationContext"
+                and any(
+                    keyword.arg == "use_plans"
+                    and isinstance(keyword.value, ast.Constant)
+                    and keyword.value.value is False
+                    for keyword in node.keywords
+                )
+            ):
+                builders.add(path.relative_to(TESTS).as_posix())
+    assert builders == ORACLE_BUILDERS
