@@ -1,8 +1,9 @@
 """One generator for the SQL++ differential: worlds, SELECT blocks, bodies.
 
-A :class:`World` is one example of ``test_sqlpp_paths``: the rows of an
-equality-keyed reference dataset (``Ref``, probed on ``k``) and a spatial
-one (``Places``, with or without an R-tree on ``loc``), which registered
+A :class:`World` is one example of the SQL++ path harness
+(``test_sqlpp_paths``): the rows of an equality-keyed reference dataset
+(``Ref``, probed on ``k``) and a spatial one (``Places``, with or
+without an R-tree on ``loc``), which registered
 function shadows a builtin, a UDF body ``f(t)`` whose ``x`` is a drawn
 SELECT block, one to three generations of bindings with an optional
 reference write after each, the cross-batch caches the fast paths attach
@@ -15,7 +16,8 @@ circles, NULL, MISSING, NaN, arrays and objects.
 A world is one draw: :class:`Picks` reads every choice from one byte
 string, so generating it costs one draw rather than hundreds, and
 shrinking the bytes toward zero shrinks every choice toward its first
-option.
+option.  A *focus* (:data:`FOCUSES`) narrows the draw to the worlds that
+reach one optimisation; each has an entry point of the harness.
 """
 
 from typing import List, NamedTuple, Optional, Tuple
@@ -191,9 +193,12 @@ def fill(template: str, x: str, y: str = "", ids: str = "") -> str:
     return template.replace("{x}", x).replace("{y}", y).replace("{ids}", ids)
 
 
-def select_block(pick, closed: bool) -> str:
+def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
     head, tail = pick(*SHAPINGS, *(() if closed else OUTER_SHAPINGS))
     mode = pick("filter", "any", "any", *(() if closed else ("probe",)))
+    mode = {"hoisting": "any", "filter": "filter", "generations": "probe"}.get(
+        focus, mode
+    )
     if mode == "probe":  # the probe kernel's: one term, WHERE exactly its probe
         return fill(f"{head} FROM Ref r WHERE {pick(*EQUALITY)}{tail}", "r", ids="r.id")
     if mode == "filter":  # the filter step's: one spatial term, its access leads
@@ -213,7 +218,8 @@ def select_block(pick, closed: bool) -> str:
         "equality": [conjunct(CLOSED_EQUALITY, EQUALITY)],
         "spatial": [conjunct(CLOSED_SPATIAL, SPATIAL)],
     }[lead]
-    for _ in range(pick(0, 0, 1, 2)):  # on either side of the access conjunct
+    extras = pick(1, 2) if focus == "hoisting" else pick(0, 0, 1, 2)
+    for _ in range(extras):  # on either side of the access conjunct
         conjuncts.insert(pick(0, len(conjuncts)), conjunct(CLOSED_EXTRAS, EXTRAS))
     let = ""
     if pick(False, False, True):  # charged per candidate, before the WHERE
@@ -352,13 +358,20 @@ class World(NamedTuple):
 
 
 SIZES = (0, 1, 3, 6)  # reference rows
+#: what a focused draw keeps: residual conjuncts beside the access one
+#: (hoisting), a leading spatial access over one term (the filter step),
+#: the probe kernel over two or three generations, a closed block (the
+#: facade); ``None`` draws every world
+FOCUSES = (None, "hoisting", "filter", "generations", "facade")
 
 
-def world(pick) -> World:
+def world(pick, focus: Optional[str] = None) -> World:
     indexed, closed = pick(False, True), pick(True, False, False, False)
-    block = select_block(pick, closed)
+    closed = {"facade": True, "generations": False}.get(focus, closed)
+    block = select_block(pick, closed, focus)
     generations = []
-    for _generation in range(pick(1, 2, 3)):
+    count = pick(2, 3) if focus == "generations" else pick(1, 2, 3)
+    for _generation in range(count):
         tweets = [tweet(pick, key) for key in range(pick(1, 2, 3))]
         if generations and pick(True, False):  # the last batch's bindings again
             tweets = generations[-1][0]
@@ -381,6 +394,9 @@ def world(pick) -> World:
     )
 
 
-def worlds(size: int = 400):
+def worlds(focus: Optional[str] = None, size: int = 400):
     """Worlds, each read from one drawn byte string."""
-    return st.binary(min_size=size, max_size=size).map(lambda data: world(Picks(data)))
+    assert focus in FOCUSES, focus
+    return st.binary(min_size=size, max_size=size).map(
+        lambda data: world(Picks(data), focus)
+    )

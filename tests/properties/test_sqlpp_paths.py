@@ -14,15 +14,23 @@ The kernel only has to raise when the oracle raises: which record fails
 first depends on evaluation order.  With no cache attached, the three
 ``WorkMeter``s equal the oracle's.  With the memo attached, a kernel with
 no per-record fallback is charged a hash probe or a memo hit where the
-oracle is charged a probe.  The nine paper UDFs and four filter-step
-corners that generation rarely reaches are fixed examples of one check.
+oracle is charged a probe.
+
+The generated entry points each draw the worlds of one focus of
+``sqlpp_blocks`` and run them through every path:
+``test_hoisting_props``, ``test_filter_join_props``,
+``test_columnar_props`` (every world), ``test_shaped_rows_props`` and
+``test_facade_query_props``.  ``tests/sqlpp/test_plan_parity`` and
+``test_columnar_parity`` run the nine paper UDFs over
+:func:`paper_generations`; the filter-step corners that generation
+rarely reaches are fixed examples here.
 """
 
 from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, note, settings
+from hypothesis import event, settings
 from hypothesis.control import currently_in_test_context
 
 from repro import AsterixLite
@@ -35,7 +43,7 @@ from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import StateCache
 from repro.udf import FunctionRegistry
-from tests.properties.sqlpp_blocks import World, worlds
+from tests.properties.sqlpp_blocks import World
 
 
 class Raised(NamedTuple):
@@ -64,11 +72,17 @@ def _event(text):
 
 
 def differential(
-    catalog, registry, fn, generations, caches=(None, None), between=None
+    catalog,
+    registry,
+    fn,
+    generations,
+    caches=(None, None),
+    between=None,
+    paths=("planned", "kernel"),
 ):
-    """Run ``fn`` over each generation's bindings on the oracle, the planned
-    path and the kernel, asserting the contract; ``between(write)`` runs
-    after each generation.  Returns the kernel's counters."""
+    """Run ``fn`` over each generation's bindings on the oracle and on
+    ``paths``, asserting the contract; ``between(write)`` runs after each
+    generation.  Returns the kernel's counters."""
     memo_bytes, state_bytes = caches
 
     def fast():
@@ -93,9 +107,10 @@ def differential(
             return [_outcome(lambda: registry.invoke(fn, [r], ctx)) for r in records]
 
         expected = per_record(oracle)
-        # repr: 1, 1.0 and True differ, and NaN equals itself
-        assert repr(per_record(planned)) == repr(expected)
-        if not kernel_raised:
+        if "planned" in paths:
+            # repr: 1, 1.0 and True differ, and NaN equals itself
+            assert repr(per_record(planned)) == repr(expected)
+        if "kernel" in paths and not kernel_raised:
             rows = _outcome(lambda: invoke(records, batched))
             if any(isinstance(outcome, Raised) for outcome in expected):
                 assert isinstance(rows, Raised)
@@ -104,11 +119,13 @@ def differential(
                 assert repr(rows) == repr([row for out in expected for row in out])
         if between is not None:
             between(write)
+    kernel_ran = "kernel" in paths and not kernel_raised
     if caches == (None, None):
-        assert _meters(planned) == _meters(oracle)
-        if not kernel_raised:
+        if "planned" in paths:
+            assert _meters(planned) == _meters(oracle)
+        if kernel_ran:
             assert _meters(batched) == _meters(oracle)
-    elif memo_bytes and not kernel_raised and not counters.scalar_fallbacks:
+    elif memo_bytes and kernel_ran and not counters.scalar_fallbacks:
         meter = batched.meter
         assert meter.hash_probes + meter.memo_hits == oracle.meter.hash_probes
     _event(f"kernel: {'vectorized' if counters.vectorized_batches else 'declined'}")
@@ -182,29 +199,24 @@ def check(world: World) -> None:
         differential(catalog, registry, "f", world.generations, caches, between)
 
 
-@settings(deadline=None, max_examples=max(550, 5 * settings.default.max_examples))
-@given(worlds())
-def test_every_path_matches_the_interpreter(world):
-    note(world)  # the example itself prints as the bytes it was read from
-    check(world)
+#: examples per generated entry point: 550 over the five under ``tier1``,
+#: the profile's count each (2,000 over the five) under ``deep``
+EXAMPLES = max(110, settings.default.max_examples)
 
 
 # ------------------------------------------------------------ fixed examples
 
-#: fn -> LET columns expected to fall back per batch (everything else
-#: vectorizes).  Q4: edit_distance; Q5/Q5Naive: spatial_intersect; Q6/Q7:
-#: spatial LETs; Q8: spatial probe.
-EXPECTED_FALLBACK_LETS = {
-    "enrichTweetQ1": 0,
-    "enrichTweetQ2": 0,
-    "enrichTweetQ3": 0,
-    "annotateTweetQ4": 1,
-    "enrichTweetQ5": 1,
-    "enrichTweetQ5Naive": 1,
-    "enrichTweetQ6": 2,
-    "enrichTweetQ7": 3,
-    "enrichTweetQ8": 1,
-}
+PAPER_UDFS = [
+    "enrichTweetQ1",
+    "enrichTweetQ2",
+    "enrichTweetQ3",
+    "annotateTweetQ4",
+    "enrichTweetQ5",
+    "enrichTweetQ5Naive",
+    "enrichTweetQ6",
+    "enrichTweetQ7",
+    "enrichTweetQ8",
+]
 #: hits, misses and absent fields, over a batch of 3 and one of 2
 VARIANTS = [
     {},
@@ -215,15 +227,10 @@ VARIANTS = [
 ]
 
 
-@pytest.mark.parametrize("fn", sorted(EXPECTED_FALLBACK_LETS))
-def test_paper_udfs_match_the_interpreter(small_catalog, registry, sample_tweet, fn):
+def paper_generations(sample_tweet):
+    """Five variants of ``sample_tweet`` as a generation of 3 and one of 2."""
     tweets = [dict(sample_tweet, id=i, **over) for i, over in enumerate(VARIANTS)]
-    generations = [(tweets[:3], None), (tweets[3:], None)]
-    counters = differential(small_catalog, registry, fn, generations)
-    assert counters.vectorized_batches == 2
-    assert counters.vectorized_records == len(tweets)
-    # one fallback per fallen-back column per batch
-    assert counters.scalar_fallbacks == 2 * EXPECTED_FALLBACK_LETS[fn]
+    return [(tweets[:3], None), (tweets[3:], None)]
 
 
 FLIPPED = (

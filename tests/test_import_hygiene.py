@@ -471,9 +471,9 @@ def test_a_run_records_its_facts_once():
 
 
 TESTS = SRC.parents[1] / "tests"
-#: the per-optimisation parity suites ``tests/properties/test_sqlpp_paths``
-#: replaced with one generated differential
-REPLACED = [
+#: the per-optimisation parity suites: entry points of the one generated
+#: differential in ``tests/properties/test_sqlpp_paths``
+ENTRY_POINTS = [
     "properties/test_hoisting_props.py",
     "properties/test_filter_join_props.py",
     "properties/test_columnar_props.py",
@@ -493,9 +493,12 @@ ORACLE_BUILDERS = {
 
 def test_one_harness_checks_every_sqlpp_path():
     """Every SELECT path is checked against the interpreter in one place:
-    the replaced suites do not come back, and a new unit test that builds
-    ``EvaluationContext(..., use_plans=False)`` joins the allow-list."""
-    assert not [name for name in REPLACED if (TESTS / name).exists()]
+    the per-optimisation suites run the harness's differential, and a new
+    unit test that builds ``EvaluationContext(..., use_plans=False)`` joins
+    the allow-list."""
+    harness = "from tests.properties.test_sqlpp_paths import"
+    strays = [name for name in ENTRY_POINTS if harness not in (TESTS / name).read_text()]
+    assert strays == []
     builders = set()
     for path in TESTS.rglob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
