@@ -2,16 +2,16 @@
 
 A :class:`World` is one example of the SQL++ path harness
 (``test_sqlpp_paths``): the rows of an equality-keyed reference dataset
-(``Ref``, probed on ``k``) and a spatial one (``Places``, with or
-without an R-tree on ``loc``), which registered
-function shadows a builtin, a UDF body ``f(t)`` whose ``x`` is a drawn
-SELECT block, one to three generations of bindings with an optional
-reference write after each, the cross-batch caches the fast paths attach
-and the facade's node count.  What the block draws decides the physical
-choices: a hash probe or the probe kernel, an R-tree probe or a scan, the
-filter access step or the WHERE, hoisting or its bail-out, a batched
-column or a per-record fallback.  Field values mix points, rectangles,
-circles, NULL, MISSING, NaN, arrays and objects.
+(``Ref``, probed on ``k``) and a spatial one (``Places``, with or without
+an R-tree on ``loc``), which registered function shadows a builtin, a UDF
+body ``f(t)`` whose ``x`` is a drawn SELECT block, one to three
+generations of bindings with an optional reference write in each (before
+one of its bindings, or after the last), the cross-batch caches the fast
+paths attach and the facade's node count.  What the block draws decides
+the physical choices: a hash probe or the probe kernel, an R-tree probe
+or a scan, the filter access step or the WHERE, hoisting or its
+bail-out, a batched column or a per-record fallback.  Field values mix
+points, rectangles, circles, NULL, MISSING, NaN, arrays and objects.
 
 A world is one draw: :class:`Picks` reads every choice from one byte
 string, so generating it costs one draw rather than hundreds, and
@@ -219,10 +219,13 @@ def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
         "spatial": [conjunct(CLOSED_SPATIAL, SPATIAL)],
     }[lead]
     extras = pick(1, 2) if focus == "hoisting" else pick(0, 0, 1, 2)
+    # the filter focus keeps its access conjunct leading and draws no LET
+    leading = focus == "filter"
     for _ in range(extras):  # on either side of the access conjunct
-        conjuncts.insert(pick(0, len(conjuncts)), conjunct(CLOSED_EXTRAS, EXTRAS))
+        at = len(conjuncts) if leading else pick(0, len(conjuncts))
+        conjuncts.insert(at, conjunct(CLOSED_EXTRAS, EXTRAS))
     let = ""
-    if pick(False, False, True):  # charged per candidate, before the WHERE
+    if not leading and pick(False, False, True):  # charged per candidate
         let = f' LET d = edit_distance({names[-1]}.name, "abd")'
         conjuncts.append("d < 3")
     hint = pick("", "/*+ no-index */ ")
@@ -320,8 +323,10 @@ class World(NamedTuple):
     refs: List[dict]
     places: List[dict]
     block: str
-    #: one entry per generation: its bindings and the write after it
-    generations: List[Tuple[List[dict], Optional[Tuple[str, dict]]]]
+    #: one entry per generation: its bindings and its write, if any, as
+    #: ``(at, dataset, record)``: an upsert landing before binding ``at``
+    #: (``len(bindings)``: after the last)
+    generations: List[Tuple[List[dict], Optional[Tuple[int, str, dict]]]]
     body: Optional[str] = None  # None: ``LET c = t.k, x = (block) SELECT t.*, x``
     indexed: bool = False  # an R-tree on Places.loc
     shadow: Optional[str] = None
@@ -359,9 +364,10 @@ class World(NamedTuple):
 
 SIZES = (0, 1, 3, 6)  # reference rows
 #: what a focused draw keeps: residual conjuncts beside the access one
-#: (hoisting), a leading spatial access over one term (the filter step),
-#: the probe kernel over two or three generations, a closed block (the
-#: facade); ``None`` draws every world
+#: (hoisting), a leading spatial access over one term and a write to
+#: Places in every generation (the filter step, where the live R-tree and
+#: the pinned scan part), the probe kernel over two or three generations,
+#: a closed block (the facade); ``None`` draws every world
 FOCUSES = (None, "hoisting", "filter", "generations", "facade")
 
 
@@ -371,14 +377,17 @@ def world(pick, focus: Optional[str] = None) -> World:
     block = select_block(pick, closed, focus)
     generations = []
     count = pick(2, 3) if focus == "generations" else pick(1, 2, 3)
-    for _generation in range(count):
+    for generation in range(count):
         tweets = [tweet(pick, key) for key in range(pick(1, 2, 3))]
         if generations and pick(True, False):  # the last batch's bindings again
             tweets = generations[-1][0]
-        dataset = pick(None, None, "Ref", "Places")
-        write = dataset and (dataset, record(pick, pick(*range(8)), dataset, indexed))
-        generations.append((tweets, write))
-    generations[-1] = (generations[-1][0], None)
+        # inside the generation the live R-tree sees the write at once and
+        # the pinned snapshots do not; after the last generation, nothing
+        last = len(tweets) - (generation == count - 1)
+        at = pick(*range(last + 1))
+        dataset = "Places" if focus == "filter" else pick(None, None, "Ref", "Places")
+        row = dataset and record(pick, pick(*range(8)), dataset, indexed)
+        generations.append((tweets, dataset and (at, dataset, row)))
     return World(
         refs=[record(pick, key, "Ref", False) for key in range(pick(*SIZES))],
         places=[record(pick, key, "Places", indexed) for key in range(pick(*SIZES))],

@@ -7,12 +7,17 @@ a UDF or a query runs, never what it returns.  For any world
 where it raises:
 
 * the planned path, one ``FunctionRegistry.invoke`` per record;
-* the batch kernel, one ``make_invoker`` call per generation;
+* the batch kernel, one ``make_invoker`` call per generation (two when
+  a write lands inside it);
 * the facade, ``AsterixLite.query`` on 1–4 nodes, for a closed block.
 
-The kernel only has to raise when the oracle raises: which record fails
-first depends on evaluation order.  With no cache attached, the three
-``WorkMeter``s equal the oracle's.  With the memo attached, a kernel with
+Each path reads its own catalog.  A generation's reference write lands
+on each before the same binding, so within the generation the live R-tree
+sees it and the pinned snapshots do not; the kernel's two calls are the
+bindings before the write and those after it.  The kernel only has to
+raise when the oracle raises: which record fails first depends on
+evaluation order.  With no cache attached, the three ``WorkMeter``s
+equal the oracle's.  With the memo attached, a kernel with
 no per-record fallback is charged a hash probe or a memo hit where the
 oracle is charged a probe.
 
@@ -71,29 +76,36 @@ def _event(text):
         event(text)
 
 
-def differential(
-    catalog,
-    registry,
-    fn,
-    generations,
-    caches=(None, None),
-    between=None,
-    paths=("planned", "kernel"),
-):
-    """Run ``fn`` over each generation's bindings on the oracle and on
-    ``paths``, asserting the contract; ``between(write)`` runs after each
-    generation.  Returns the kernel's counters."""
+def _split(records, write):
+    """The bindings before ``write`` lands and those after it."""
+    at = len(records) if write is None else write[0]
+    return records[:at], records[at:]
+
+
+def _land(catalog, write):
+    if write is not None:
+        _at, name, record = write
+        catalog[name].upsert(record)
+
+
+def differential(catalog, registry, fn, generations, caches=(None, None), between=None):
+    """Run ``fn`` over each generation's bindings on the oracle, the
+    planned path and the kernel, each over its own ``catalog()``, asserting
+    the contract.  A generation's write lands on every catalog before the
+    same binding: the kernel is called on the bindings before it and again
+    on those after, as on a batch split there.  ``between(write)`` runs
+    after each generation.  Returns the kernel's counters."""
     memo_bytes, state_bytes = caches
 
     def fast():
         return EvaluationContext(
-            catalog,
+            catalog(),
             functions=registry,
             memo=EnrichmentMemo(memo_bytes) if memo_bytes else None,
             state_cache=StateCache(state_bytes) if state_bytes else None,
         )
 
-    oracle = EvaluationContext(catalog, functions=registry, use_plans=False)
+    oracle = EvaluationContext(catalog(), functions=registry, use_plans=False)
     planned, batched = fast(), fast()
     counters = RunCounters()
     invoke = make_invoker([AttachedFunction(fn)], registry, counters)
@@ -102,16 +114,28 @@ def differential(
         if generation:
             for ctx in (oracle, planned, batched):
                 ctx.refresh_batch()
+        before, after = _split(records, write)
+        if before and after:
+            _event("write: inside a generation")
 
         def per_record(ctx):
-            return [_outcome(lambda: registry.invoke(fn, [r], ctx)) for r in records]
+            def outcomes(part):
+                return [_outcome(lambda: registry.invoke(fn, [r], ctx)) for r in part]
+
+            head = outcomes(before)
+            _land(ctx.catalog, write)
+            return head + outcomes(after)
+
+        def kernel():
+            rows = invoke(before, batched) if before else []
+            _land(batched.catalog, write)
+            return rows + (invoke(after, batched) if after else [])
 
         expected = per_record(oracle)
-        if "planned" in paths:
-            # repr: 1, 1.0 and True differ, and NaN equals itself
-            assert repr(per_record(planned)) == repr(expected)
-        if "kernel" in paths and not kernel_raised:
-            rows = _outcome(lambda: invoke(records, batched))
+        # repr: 1, 1.0 and True differ, and NaN equals itself
+        assert repr(per_record(planned)) == repr(expected)
+        if not kernel_raised:
+            rows = _outcome(kernel)
             if any(isinstance(outcome, Raised) for outcome in expected):
                 assert isinstance(rows, Raised)
                 kernel_raised = True
@@ -119,13 +143,11 @@ def differential(
                 assert repr(rows) == repr([row for out in expected for row in out])
         if between is not None:
             between(write)
-    kernel_ran = "kernel" in paths and not kernel_raised
     if caches == (None, None):
-        if "planned" in paths:
-            assert _meters(planned) == _meters(oracle)
-        if kernel_ran:
+        assert _meters(planned) == _meters(oracle)
+        if not kernel_raised:
             assert _meters(batched) == _meters(oracle)
-    elif memo_bytes and kernel_ran and not counters.scalar_fallbacks:
+    elif memo_bytes and not kernel_raised and not counters.scalar_fallbacks:
         meter = batched.meter
         assert meter.hash_probes + meter.memo_hits == oracle.meter.hash_probes
     _event(f"kernel: {'vectorized' if counters.vectorized_batches else 'declined'}")
@@ -170,33 +192,28 @@ def _query_rows(run, ordered):
 
 
 def check(world: World) -> None:
-    catalog = world.catalog()
     system = _facade(world) if world.closed else None
-    registry = FunctionRegistry(lambda: set(catalog))
+    registry = FunctionRegistry(lambda: {"Ref", "Places"})
     world.register(registry, *([system.registry] if system else []))
 
-    def between(write):
-        if system is not None:
-            _event("facade")
-            query, ordered = parse_expression(world.block), "ORDER BY" in world.block
-            oracle = EvaluationContext(
-                system.catalog, functions=system.registry, use_plans=False
-            )
-            expected = _query_rows(
-                lambda: Evaluator(oracle).evaluate_query(query), ordered
-            )
-            for _execution in range(2):  # and again, on the same system
-                got = _query_rows(lambda: system.query(world.block), ordered)
-                assert got == expected
+    def facade(write):
+        _event("facade")
+        query, ordered = parse_expression(world.block), "ORDER BY" in world.block
+        oracle = EvaluationContext(
+            system.catalog, functions=system.registry, use_plans=False
+        )
+        expected = _query_rows(lambda: Evaluator(oracle).evaluate_query(query), ordered)
+        for _execution in range(2):  # and again, on the same system
+            got = _query_rows(lambda: system.query(world.block), ordered)
+            assert got == expected
         if write is not None:
-            name, record = write
-            catalog[name].upsert(record)
-            if system is not None:
-                system.upsert(name, [record])
+            _at, name, record = write
+            system.upsert(name, [record])
 
     caches = (world.memo_bytes, world.state_bytes)
+    between = facade if system is not None else None
     with mock.patch.object(Evaluator, "_filtered_access", _spied_filter):
-        differential(catalog, registry, "f", world.generations, caches, between)
+        differential(world.catalog, registry, "f", world.generations, caches, between)
 
 
 #: examples per generated entry point: 550 over the five under ``tier1``,
@@ -286,7 +303,7 @@ def test_a_write_to_what_a_called_function_reads_displaces_the_memo():
     """The block names only Places, but ``nameOf`` reads Ref: the write to
     Ref between the two generations must reach the second one's rows."""
     tweets = [{"id": 0, "k": "US"}]
-    write = ("Ref", {"id": 0, "k": "US", "name": "abc"})
+    write = (1, "Ref", {"id": 0, "k": "US", "name": "abc"})
     block = "SELECT VALUE p.id FROM Places p"
     body = f"LET c = t.k, x = ({block}) SELECT VALUE nameOf(c)"
     generations = [(tweets, write), (tweets, None)]

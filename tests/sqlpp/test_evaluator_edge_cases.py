@@ -34,26 +34,52 @@ class TestOrderByOutputAliases:
         got = run(f"SELECT r.c AS name FROM {self.ROWS} r ORDER BY r.v DESC")
         assert [g["name"] for g in got] == ["x", "z", "y"]
 
-    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
-    def test_nan_sorts_after_every_number_on_both_engines(self, direction):
-        nan = float("nan")
-        rows = [{"i": i, "n": n} for i, n in enumerate([1, nan, 0, 2, nan, 0])]
-        query = parse_expression(
-            f"SELECT VALUE r.i FROM data r ORDER BY r.n {direction}"
-        )
-        got = [
-            Evaluator(EvaluationContext({}, use_plans=use_plans)).evaluate_query(
-                query, {"data": rows}
-            )
-            for use_plans in (True, False)
-        ]
-        ascending = [2, 5, 0, 3, 1, 4]
-        assert got == [ascending if direction == "ASC" else [1, 4, 3, 0, 2, 5]] * 2
-
     def test_sort_stability_on_ties(self):
         rows = "[{'k': 1, 'i': 0}, {'k': 1, 'i': 1}, {'k': 1, 'i': 2}]"
         got = run(f"SELECT VALUE r.i FROM {rows} r ORDER BY r.k")
         assert got == [0, 1, 2]  # input order preserved for equal keys
+
+
+class TestNaN:
+    """NaN equals itself and sorts after every number, on both engines."""
+
+    NAN = float("nan")
+    NANS = [{"i": i, "n": n} for i, n in enumerate([1, NAN, 0, 2, NAN, 0])]
+
+    @staticmethod
+    def on_both_engines(text, rows):
+        """``repr`` of ``text``'s rows, planned and interpreted (two NaNs
+        compare unequal, their reprs do not)."""
+        query, got = parse_expression(text), []
+        for use_plans in (True, False):
+            ctx = EvaluationContext({}, use_plans=use_plans)
+            got.append(repr(Evaluator(ctx).evaluate_query(query, {"data": rows})))
+        return got
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    def test_nan_sorts_after_every_number_on_both_engines(self, direction):
+        got = self.on_both_engines(
+            f"SELECT VALUE r.i FROM data r ORDER BY r.n {direction}", self.NANS
+        )
+        expected = [2, 5, 0, 3, 1, 4] if direction == "ASC" else [1, 4, 3, 0, 2, 5]
+        assert got == [repr(expected)] * 2
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("SELECT DISTINCT VALUE r.n FROM data r", "[1, nan, 0, 2]"),
+            (
+                "SELECT k, count(*) AS c FROM data r GROUP BY r.n AS k",
+                "[{'k': 1, 'c': 1}, {'k': nan, 'c': 2},"
+                " {'k': 0, 'c': 2}, {'k': 2, 'c': 1}]",
+            ),
+            ("array_distinct((SELECT VALUE r.n FROM data r))", "[1, nan, 0, 2]"),
+        ],
+    )
+    def test_nans_are_one_value_to_distinct_and_group_by_on_both_engines(
+        self, text, expected
+    ):
+        assert self.on_both_engines(text, self.NANS) == [expected] * 2
 
 
 class TestMixedTypeOrdering:

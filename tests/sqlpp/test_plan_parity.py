@@ -1,71 +1,22 @@
-"""Planned vs. interpreted parity over the eight paper UDFs.
+"""Planned vs. interpreted parity over the nine paper UDFs.
 
 The plan layer is a pure wall-clock optimization: for every UDF, every
 enriched record AND every WorkMeter counter (on all three meters) must be
-identical between ``use_plans=True`` and ``use_plans=False``.
+identical between ``use_plans=True`` and ``use_plans=False``, record by
+record and through the batch kernel, across a batch boundary
+(``test_sqlpp_paths.differential``).
 """
-
-from __future__ import annotations
 
 import pytest
 
-from repro.hyracks.cost import WorkMeter
-from repro.sqlpp import EvaluationContext
-
-PAPER_UDFS = [
-    "enrichTweetQ1",
-    "enrichTweetQ2",
-    "enrichTweetQ3",
-    "annotateTweetQ4",
-    "enrichTweetQ5",
-    "enrichTweetQ5Naive",
-    "enrichTweetQ6",
-    "enrichTweetQ7",
-    "enrichTweetQ8",
-]
-
-
-def _tweet_sample(sample_tweet):
-    """A fixed mini-stream exercising hits, misses, and absent fields."""
-    variants = [
-        {},
-        {"country": "FR", "latitude": 8.4, "longitude": 8.9},
-        {"country": "DE", "user": {"screen_name": "jon_smyth", "name": "name3"}},
-        {"country": "Atlantis", "latitude": 55.0, "longitude": 55.0},
-        {"latitude": 0.2, "longitude": 9.7, "user": {"screen_name": "x", "name": "y"}},
-    ]
-    return [
-        dict(sample_tweet, id=index, **overrides)
-        for index, overrides in enumerate(variants)
-    ]
-
-
-def _run(catalog, registry, fn_name, tweets, use_plans):
-    ctx = EvaluationContext(catalog, functions=registry, use_plans=use_plans)
-    outputs = []
-    for position, tweet in enumerate(tweets):
-        if position == 3:  # cross a batch boundary mid-stream
-            ctx.refresh_batch()
-        outputs.append(registry.invoke(fn_name, [tweet], ctx))
-    return outputs, ctx
+from tests.properties.test_sqlpp_paths import (
+    PAPER_UDFS,
+    differential,
+    paper_generations,
+)
 
 
 @pytest.mark.parametrize("fn_name", PAPER_UDFS)
-def test_planned_matches_interpreted(
-    small_catalog, registry, sample_tweet, fn_name
-):
-    tweets = _tweet_sample(sample_tweet)
-    planned, planned_ctx = _run(small_catalog, registry, fn_name, tweets, True)
-    interpreted, interp_ctx = _run(small_catalog, registry, fn_name, tweets, False)
-
-    assert planned == interpreted
-
-    for planned_meter, interp_meter in (
-        (planned_ctx.meter, interp_ctx.meter),
-        (planned_ctx.shared_meter, interp_ctx.shared_meter),
-        (planned_ctx.replicated_meter, interp_ctx.replicated_meter),
-    ):
-        for counter in WorkMeter._COUNTERS:
-            assert getattr(planned_meter, counter) == getattr(
-                interp_meter, counter
-            ), f"{fn_name}: {counter} diverged"
+def test_planned_matches_interpreted(small_catalog, registry, sample_tweet, fn_name):
+    generations = paper_generations(sample_tweet)
+    differential(lambda: small_catalog, registry, fn_name, generations)

@@ -482,11 +482,17 @@ ENTRY_POINTS = [
     "sqlpp/test_plan_parity.py",
     "sqlpp/test_columnar_parity.py",
 ]
-#: unit tests that build the interpreter oracle themselves, beside the harness
+#: unit tests that build the interpreter oracle themselves, beside the
+#: harness: with ``use_plans=False`` or with a ``use_plans`` they vary
 ORACLE_BUILDERS = {
     "properties/test_sqlpp_paths.py",
+    "properties/test_sqlpp_props.py",
+    "sqlpp/test_access_paths.py",
     "sqlpp/test_columnar.py",
+    "sqlpp/test_evaluator_edge_cases.py",
     "sqlpp/test_facade_queries.py",
+    "sqlpp/test_hoisting.py",
+    "sqlpp/test_shaped_rows.py",
     "sqlpp/test_state_cache.py",
 }
 
@@ -494,8 +500,8 @@ ORACLE_BUILDERS = {
 def test_one_harness_checks_every_sqlpp_path():
     """Every SELECT path is checked against the interpreter in one place:
     the per-optimisation suites run the harness's differential, and a new
-    unit test that builds ``EvaluationContext(..., use_plans=False)`` joins
-    the allow-list."""
+    unit test that builds ``EvaluationContext(..., use_plans=...)`` with
+    anything but a literal True joins the allow-list."""
     harness = "from tests.properties.test_sqlpp_paths import"
     strays = [name for name in ENTRY_POINTS if harness not in (TESTS / name).read_text()]
     assert strays == []
@@ -507,9 +513,12 @@ def test_one_harness_checks_every_sqlpp_path():
                 and getattr(node.func, "id", getattr(node.func, "attr", None))
                 == "EvaluationContext"
                 and any(
+                    # a literal False, or a name or expression that may be
                     keyword.arg == "use_plans"
-                    and isinstance(keyword.value, ast.Constant)
-                    and keyword.value.value is False
+                    and not (
+                        isinstance(keyword.value, ast.Constant)
+                        and keyword.value.value is True
+                    )
                     for keyword in node.keywords
                 )
             ):
