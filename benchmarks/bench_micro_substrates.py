@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.adm import Circle, DateTime, Point, open_type, parse_json
+from repro.adm import Circle, DateTime, Point, Rectangle, open_type, parse_json
 from repro.cluster import Cluster
 from repro.ingestion.pipelines import _StorageLayer
 from repro.sqlpp import (
@@ -148,6 +148,52 @@ def test_micro_rtree_build(benchmark):
         return tree
 
     benchmark(insert_5000)
+
+
+def test_micro_rtree_build_rectangles(benchmark):
+    """5,000 DistrictAreas-shaped cells: a grid of rectangles that share
+    their edges, in row-major order, so enlargements tie and the split
+    hands entries out by area."""
+    columns, rows = 70, 72
+    width, height = 100.0 / columns, 100.0 / rows
+    cells = [
+        Rectangle(c * width, r * height, (c + 1) * width, (r + 1) * height)
+        for r in range(rows)
+        for c in range(columns)
+    ][:5000]
+
+    def insert_5000():
+        tree = RTree(max_entries=16)
+        for pk, cell in enumerate(cells):
+            tree.insert(cell, pk)
+        return tree
+
+    benchmark(insert_5000)
+
+
+def test_micro_rtree_upsert_churn(benchmark):
+    """1,000 upserts into a 5,000-point tree, each a delete and then an
+    insert of the moved point (``SecondaryIndex.on_upsert``): underfull
+    leaves are condensed and their entries reinserted."""
+    rnd = random.Random(0)
+    points = [Point(rnd.uniform(0, 100), rnd.uniform(0, 100)) for _ in range(5000)]
+    moves = [
+        (pk, Point(rnd.uniform(0, 100), rnd.uniform(0, 100)))
+        for pk in rnd.sample(range(5000), 1000)
+    ]
+
+    def build():
+        tree = RTree(max_entries=16)
+        for pk, point in enumerate(points):
+            tree.insert(point, pk)
+        return (tree,), {}
+
+    def churn(tree):
+        for pk, moved in moves:
+            tree.delete(points[pk], pk)
+            tree.insert(moved, pk)
+
+    benchmark.pedantic(churn, setup=build, rounds=5)
 
 
 def test_micro_rtree_probe(benchmark):

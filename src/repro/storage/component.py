@@ -8,6 +8,8 @@ key array; range scans slice it.
 from __future__ import annotations
 
 import bisect
+import operator
+from itertools import islice
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .memtable import TOMBSTONE, entry_key
@@ -19,14 +21,18 @@ class SortedRunComponent:
     _next_component_id = 0
 
     def __init__(self, entries: Sequence[Tuple[object, object]], level: int = 0):
-        self._keys: List[object] = [k for k, _ in entries]
+        keys = [k for k, _ in entries]
+        self._keys: List[object] = keys
         self._values: List[object] = [v for _, v in entries]
-        for i in range(1, len(self._keys)):
-            if not self._keys[i - 1] < self._keys[i]:
-                raise ValueError(
-                    f"component entries must be strictly sorted by key; "
-                    f"saw {self._keys[i - 1]!r} before {self._keys[i]!r}"
-                )
+        # pairwise in order, so mixed key types raise at the first such pair
+        if not all(map(operator.lt, keys, islice(keys, 1, None))):
+            before, after = next(
+                (a, b) for a, b in zip(keys, islice(keys, 1, None)) if not a < b
+            )
+            raise ValueError(
+                f"component entries must be strictly sorted by key; "
+                f"saw {before!r} before {after!r}"
+            )
         self.level = level
         self.component_id = SortedRunComponent._next_component_id
         SortedRunComponent._next_component_id += 1

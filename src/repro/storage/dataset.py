@@ -17,13 +17,14 @@ from bisect import bisect_left
 from itertools import chain
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..adm.schema import primary_key_of, split_path
+from ..adm.schema import field_path, primary_key_of, split_path
 from ..adm.types import Datatype
-from ..errors import IndexError_, KeyNotFoundError
+from ..adm.values import MISSING
+from ..errors import AdmTypeError, IndexError_, KeyNotFoundError
 from .index import IndexKind, SecondaryIndex
 from .lsm import LSMTree
 from .memtable import TOMBSTONE
-from .rtree import corners
+from .rtree import BOUNDABLE, corners
 
 
 def key_hash(key) -> int:
@@ -161,6 +162,9 @@ class Dataset:
         # index name -> per-partition SecondaryIndex list
         self.indexes: Dict[str, List[SecondaryIndex]] = {}
         self._index_fields: Dict[str, Tuple[str, IndexKind]] = {}
+        # the fields an R-tree index bounds, which every write is checked
+        # against before any of it lands
+        self._spatial_fields: Tuple[str, ...] = ()
         self._update_listeners: List[Callable[[str, object], None]] = []
         # the latest snapshot() call's result
         self._snapshot: Optional[ReferenceSnapshot] = None
@@ -172,11 +176,14 @@ class Dataset:
         if name in self.indexes:
             raise IndexError_(f"index {name!r} already exists on {self.name}")
         per_partition = [SecondaryIndex(name, field, kind) for _ in self.partitions]
+        spatial = (field,) if kind is IndexKind.RTREE else ()
         for pid, tree in enumerate(self.partitions):
             for key, record in tree.scan():
+                self._check_bounds(record, spatial)
                 per_partition[pid].on_insert(record, key)
         self.indexes[name] = per_partition
         self._index_fields[name] = (field, kind)
+        self._spatial_fields += spatial
 
     def drop_index(self, name: str) -> None:
         """Drop a secondary index; scans over its field fall back to hash."""
@@ -184,6 +191,11 @@ class Dataset:
             raise IndexError_(f"no index {name!r} on {self.name}")
         del self.indexes[name]
         del self._index_fields[name]
+        self._spatial_fields = tuple(
+            field
+            for field, kind in self._index_fields.values()
+            if kind is IndexKind.RTREE
+        )
 
     def index_on(self, field: str, kind: Optional[IndexKind] = None):
         """Find an index over ``field`` (optionally of a specific kind)."""
@@ -215,9 +227,25 @@ class Dataset:
             key = primary_key_of(record, self._key_path)
         return key, key_hash(key)
 
+    def _check_bounds(self, record, fields: Tuple[str, ...]) -> None:
+        """Refuse a record whose R-tree-indexed ``fields`` hold a value no
+        rectangle bounds (MISSING and NULL are simply not indexed), so a
+        write raises before any of it lands."""
+        for field in fields:
+            value = field_path(record, field)
+            if not (
+                value is MISSING or value is None or isinstance(value, BOUNDABLE)
+            ):
+                raise AdmTypeError(
+                    f"{self.name}.{field} has an R-tree index, which cannot "
+                    f"bound {value!r}"
+                )
+
     def _prepare(self, record: dict, located=None):
         if self.validate:
             self.datatype.validate(record)
+        if self._spatial_fields:
+            self._check_bounds(record, self._spatial_fields)
         key, hashed = located or self.locate(record)
         return key, hashed % self.num_partitions
 
@@ -238,6 +266,8 @@ class Dataset:
         # are written out here
         if self.validate:
             self.datatype.validate(record)
+        if self._spatial_fields:
+            self._check_bounds(record, self._spatial_fields)
         key, hashed = located or self.locate(record)
         pid = hashed % self.num_partitions
         tree = self.partitions[pid]

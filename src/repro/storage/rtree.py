@@ -53,18 +53,6 @@ def corners(value) -> Tuple[float, float, float, float]:
     return m.x1, m.y1, m.x2, m.y2
 
 
-def _union(a, b) -> Tuple[float, float, float, float]:
-    return min(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), max(a[3], b[3])
-
-
-def _area(r) -> float:
-    return (r[2] - r[0]) * (r[3] - r[1])
-
-
-def _enlargement(r, added) -> float:
-    return _area(_union(r, added)) - _area(r)
-
-
 #: one entry: ``(x1, y1, x2, y2, ref)``, its MBR's corners and then the
 #: child :class:`_RNode` (interior) or the ``(spatial value, primary key)``
 #: payload (leaf).  A plain tuple, which a search unpacks in one step.
@@ -104,31 +92,72 @@ class RTree:
         return self._size
 
     # ----------------------------------------------------------------- insert
+    #
+    # The write path works on the entries' corners in place.  Each step is
+    # the textbook one written out (the reference tree in the property
+    # tests keeps that form): a union's corner is ``min(a, b)`` / ``max(a,
+    # b)``, which keeps ``a`` unless ``b`` is strictly past it, an area is
+    # ``(x2 - x1) * (y2 - y1)`` and an enlargement ``area(union) -
+    # area(entry)``.  Same operations in the same order give the same
+    # numbers, NaN and ints included, so the tree comes out the same.
 
     def insert(self, spatial_value, primary_key) -> None:
         mbr = corners(spatial_value)
-        leaf = self._choose_leaf(self._root, mbr)
+        leaf = self._choose_leaf(mbr)
         leaf.entries.append((*mbr, (spatial_value, primary_key)))
         self._size += 1
-        self._handle_overflow(leaf)
-        self._adjust_upward(leaf)
+        self._adjust_upward(self._handle_overflow(leaf))
 
-    def _adjust_upward(self, node: _RNode) -> None:
-        """Re-tighten the entry of every node on the path up from ``node``."""
-        while node.parent is not None:
-            self._tighten(node)
-            node = node.parent
-
-    def _choose_leaf(self, node: _RNode, mbr) -> _RNode:
+    def _choose_leaf(self, mbr) -> _RNode:
+        """Descend by the entry that grows least to take ``mbr``, then the
+        smaller, then the earlier: ``min`` over ``(enlargement, area)``."""
+        mx1, my1, mx2, my2 = mbr
+        node = self._root
         while not node.is_leaf:
-            best = min(
-                node.entries,
-                key=lambda e: (_enlargement(e, mbr), _area(e)),
-            )
-            node = best[4]
+            best = None
+            for x1, y1, x2, y2, child in node.entries:
+                area = (x2 - x1) * (y2 - y1)
+                grown = (
+                    ((mx2 if mx2 > x2 else x2) - (mx1 if mx1 < x1 else x1))
+                    * ((my2 if my2 > y2 else y2) - (my1 if my1 < y1 else y1))
+                    - area
+                )
+                # the tuple order of ``(grown, area) < (best_grown, best_area)``
+                if (
+                    best is None
+                    or grown < best_grown
+                    or (grown == best_grown and area < best_area)
+                ):
+                    best, best_grown, best_area = child, grown, area
+            node = best
         return node
 
-    def _handle_overflow(self, node: _RNode) -> None:
+    @staticmethod
+    def _adjust_upward(node: _RNode) -> None:
+        """Re-tighten the entry of every node on the path up from ``node``.
+
+        ``node``'s subtree is exact and so is every entry off the path.
+        A cover is ``min`` / ``max`` over the entries in order, which keeps
+        its earlier pick on a tie, so when a node's corners come out as
+        the very objects its entry holds, nothing above it changes either.
+        """
+        parent = node.parent
+        while parent is not None:
+            x1s, y1s, x2s, y2s, _refs = zip(*node.entries)
+            x1, y1, x2, y2 = min(x1s), min(y1s), max(x2s), max(y2s)
+            entries = parent.entries
+            for at, entry in enumerate(entries):
+                if entry[4] is node:
+                    break
+            if x1 is entry[0] and y1 is entry[1] and x2 is entry[2] and y2 is entry[3]:
+                return
+            entries[at] = (x1, y1, x2, y2, node)
+            node, parent = parent, parent.parent
+
+    def _handle_overflow(self, node: _RNode) -> _RNode:
+        """Split ``node`` and every ancestor it overfills.  Returns the
+        highest node written to (``node`` itself if it did not overflow),
+        whose own entry is left to tighten."""
         while len(node.entries) > self.max_entries:
             sibling = self._split(node)
             parent = node.parent
@@ -138,22 +167,32 @@ class RTree:
                     new_root.entries.append(child.entry())
                     child.parent = new_root
                 self._root = new_root
-                return
+                return new_root
             parent.entries.append(sibling.entry())
             sibling.parent = parent
             self._tighten(node)
             node = parent
+        return node
 
     def _split(self, node: _RNode) -> _RNode:
-        """Quadratic split: pick the two seeds wasting the most area."""
+        """Quadratic split: seed the two groups with the pair wasting the
+        most area (the first such pair), then hand each other entry to the
+        group it enlarges less (``<=``: group A on a tie), unless the other
+        group needs every entry left to reach ``min_entries``."""
         entries = node.entries
+        count = len(entries)
+        areas = [(x2 - x1) * (y2 - y1) for x1, y1, x2, y2, _ref in entries]
         worst_pair, worst_waste = (0, 1), -1.0
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
+        for i in range(count):
+            ix1, iy1, ix2, iy2, _ref = entries[i]
+            area_i = areas[i]
+            for j in range(i + 1, count):
+                jx1, jy1, jx2, jy2, _ref = entries[j]
                 waste = (
-                    _area(_union(entries[i], entries[j]))
-                    - _area(entries[i])
-                    - _area(entries[j])
+                    ((jx2 if jx2 > ix2 else ix2) - (jx1 if jx1 < ix1 else ix1))
+                    * ((jy2 if jy2 > iy2 else iy2) - (jy1 if jy1 < iy1 else iy1))
+                    - area_i
+                    - areas[j]
                 )
                 if waste > worst_waste:
                     worst_waste = waste
@@ -161,24 +200,37 @@ class RTree:
         i, j = worst_pair
         group_a = [entries[i]]
         group_b = [entries[j]]
-        rest = [e for k, e in enumerate(entries) if k not in (i, j)]
-        mbr_a, mbr_b = group_a[0], group_b[0]
-        for entry in rest:
-            remaining = len(rest) - (len(group_a) + len(group_b) - 2)
-            if len(group_a) + remaining <= self.min_entries:
-                group_a.append(entry)
-                mbr_a = _union(mbr_a, entry)
+        ax1, ay1, ax2, ay2, _ref = entries[i]
+        bx1, by1, bx2, by2, _ref = entries[j]
+        min_entries = self.min_entries
+        remaining = count - 2  # entries not yet handed to a group
+        for k, entry in enumerate(entries):
+            if k == i or k == j:
                 continue
-            if len(group_b) + remaining <= self.min_entries:
-                group_b.append(entry)
-                mbr_b = _union(mbr_b, entry)
-                continue
-            if _enlargement(mbr_a, entry) <= _enlargement(mbr_b, entry):
+            x1, y1, x2, y2, _ref = entry
+            ux1 = x1 if x1 < ax1 else ax1
+            uy1 = y1 if y1 < ay1 else ay1
+            ux2 = x2 if x2 > ax2 else ax2
+            uy2 = y2 if y2 > ay2 else ay2
+            vx1 = x1 if x1 < bx1 else bx1
+            vy1 = y1 if y1 < by1 else by1
+            vx2 = x2 if x2 > bx2 else bx2
+            vy2 = y2 if y2 > by2 else by2
+            if len(group_a) + remaining <= min_entries:
+                to_a = True
+            elif len(group_b) + remaining <= min_entries:
+                to_a = False
+            else:
+                grows_a = (ux2 - ux1) * (uy2 - uy1) - (ax2 - ax1) * (ay2 - ay1)
+                grows_b = (vx2 - vx1) * (vy2 - vy1) - (bx2 - bx1) * (by2 - by1)
+                to_a = grows_a <= grows_b
+            if to_a:
                 group_a.append(entry)
-                mbr_a = _union(mbr_a, entry)
+                ax1, ay1, ax2, ay2 = ux1, uy1, ux2, uy2
             else:
                 group_b.append(entry)
-                mbr_b = _union(mbr_b, entry)
+                bx1, by1, bx2, by2 = vx1, vy1, vx2, vy2
+            remaining -= 1
         node.entries = group_a
         sibling = _RNode(is_leaf=node.is_leaf)
         sibling.entries = group_b

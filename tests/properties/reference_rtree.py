@@ -1,10 +1,13 @@
-"""A reference R-tree for the flat-entry R-tree's property test.
+"""A reference R-tree for the flat-entry R-tree's property tests.
 
 The same Guttman R-tree with quadratic split as ``repro.storage.rtree``,
-written with one object per entry and a ``Rectangle`` per MBR: the plain
-form of the algorithm.  ``tests/properties/test_index_props.py`` replays
-random write sequences into both and asserts that every search returns the
-same payloads in the same order after reading the same number of nodes.
+written with one object per entry, a ``Rectangle`` per MBR and the
+textbook helpers ``_union`` / ``_area`` / ``_enlargement``: the plain form
+of the algorithm, which the flat tree's write path writes out inline.
+``tests/properties/test_index_props.py`` replays random write sequences
+into both and asserts that they hold the same tree, node by node, and that
+every search returns the same payloads in the same order after reading the
+same number of nodes.
 """
 
 from __future__ import annotations

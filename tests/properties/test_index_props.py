@@ -4,11 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.adm import Circle, Point, Rectangle
+from repro.adm import MISSING, Circle, Point, Rectangle
+from repro.adm.schema import field_path
 from repro.storage import BPlusTree, RTree
 from repro.storage.rtree import corners, mbr_of
+from repro.workloads import PaperWorkload, WorkloadScale
 
 from .reference_rtree import ReferenceRTree
+from .sqlpp_blocks import Picks
 
 postings = st.lists(
     st.tuples(st.integers(min_value=0, max_value=200), st.integers(0, 20)),
@@ -85,6 +88,63 @@ def assert_entries_are_tight(node):
             max(m[3] for m in mbrs),
         )
         assert_entries_are_tight(child)
+
+
+def assert_same_tree(tree, reference):
+    """The flat R-tree and the reference hold the same tree: node by node,
+    the same entries in the same order, with corners equal by ``repr`` (so
+    NaN, -0.0 and 1 against 1.0 show), the same payloads, parent pointers
+    that lead back up, and the same size."""
+    assert len(tree) == len(reference)
+    assert tree._root.parent is None and reference._root.parent is None
+    pending = [(tree._root, reference._root)]
+    while pending:
+        node, ref_node = pending.pop()
+        assert node.is_leaf == ref_node.is_leaf
+        assert len(node.entries) == len(ref_node.entries)
+        for (x1, y1, x2, y2, ref), entry in zip(node.entries, ref_node.entries):
+            m = entry.mbr
+            assert [repr(c) for c in (x1, y1, x2, y2)] == [
+                repr(c) for c in (m.x1, m.y1, m.x2, m.y2)
+            ]
+            if node.is_leaf:
+                (value, pk), (ref_value, ref_pk) = ref, entry.payload
+                assert value is ref_value and pk == ref_pk
+            else:
+                assert ref.parent is node and entry.child.parent is ref_node
+                pending.append((ref, entry.child))
+
+
+#: coordinates for the write-path differential: ints, floats, NaN, +-inf
+#: and -0.0 from a small pool, so that values repeat and ties come between
+#: equal values that differ in type or sign; past 2**53 an int and the
+#: float equal to it subtract to different results
+WRITE_COORDINATES = (
+    [0, 0.0, -0.0, 1, 1.0, 3, 3.0, 2.5, float("nan"), float("inf"), float("-inf")]
+    + [2**53, 2.0**53, 2**53 + 1, 2**53 + 2]
+    + list(range(-8, 9))
+    + [k / 4 for k in range(-160, 161, 9)]
+    + [k / 3 for k in range(-20, 21, 3)]
+)
+
+
+def written_ops(data: bytes):
+    """``(op, value)`` writes read off ``data``, six bytes each, so a whole
+    sequence is one Hypothesis draw: an insert, upsert or delete of a
+    point, rectangle or circle."""
+    pick = Picks(data)
+    ops = []
+    for _ in range(len(data) // 6):
+        op, kind = pick("i", "i", "u", "d"), pick("p", "r", "c")
+        x, y, a, b = (pick(*WRITE_COORDINATES) for _ in range(4))
+        if kind == "p":
+            value = Point(x, y)
+        elif kind == "r":
+            value = Rectangle(x, y, a, b)
+        else:
+            value = Circle(Point(x, y), a)
+        ops.append((op, value))
+    return ops
 
 
 class TestRTreeProperties:
@@ -205,6 +265,52 @@ class TestRTreeProperties:
                 assert (got, visits[0]) == reference.search(query)
         tree.check_invariants()
         assert len(tree) == len(reference) == len(live)
+
+    @given(st.binary(min_size=6 * 30, max_size=6 * 150), st.sampled_from([4, 8, 16]))
+    @settings(max_examples=50)
+    def test_writes_build_the_reference_tree(self, data, max_entries):
+        """Random inserts, upserts (delete, then insert) and deletes build
+        the reference's tree in the flat R-tree, node by node, after every
+        write.  A delete that cannot reach its entry (a NaN corner can
+        keep it outside an ancestor's cover) fails in both alike."""
+        tree = RTree(max_entries=max_entries)
+        reference = ReferenceRTree(max_entries=max_entries)
+        live = {}
+        for step, (op, value) in enumerate(written_ops(data)):
+            if op == "i" or not live:
+                for index in (tree, reference):
+                    index.insert(value, step)
+                live[step] = value
+            else:
+                pk = sorted(live)[step % len(live)]
+                assert tree.delete(live[pk], pk) == reference.delete(live[pk], pk)
+                del live[pk]
+                if op == "u":
+                    for index in (tree, reference):
+                        index.insert(value, pk)
+                    live[pk] = value
+            assert_same_tree(tree, reference)
+
+    def test_enrich_complex_trees_are_the_reference_trees(self):
+        """The five R-trees of the e2e benchmark's ``enrich_complex`` set-up
+        (reference scale 0.01, two partitions, seed 7), as ``CREATE INDEX``
+        builds them, are the reference's trees over the same scans."""
+        workload = PaperWorkload(
+            scale=WorkloadScale(reference_scale=0.01, seed=7), num_partitions=2
+        )
+        spatial = PaperWorkload._SPATIAL_INDEXES
+        catalog = workload.build_catalog(list(spatial))
+        for name, field in spatial.items():
+            dataset = catalog[name]
+            indexes = dataset.indexes[f"{name}_spatial"]
+            for tree, index in zip(dataset.partitions, indexes):
+                reference = ReferenceRTree()
+                for key, record in tree.scan():
+                    value = field_path(record, field)
+                    if value is not MISSING and value is not None:
+                        reference.insert(value, key)
+                assert not reference._root.is_leaf  # it has split
+                assert_same_tree(index._rtree, reference)
 
     @pytest.mark.parametrize(
         "query",

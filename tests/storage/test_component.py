@@ -20,6 +20,19 @@ class TestSortedRun:
         with pytest.raises(ValueError):
             SortedRunComponent([(1, "a"), (1, "b")])
 
+    def test_order_error_names_the_first_pair_out_of_order(self):
+        with pytest.raises(ValueError, match=r"saw 5 before 4$"):
+            SortedRunComponent([(1, "a"), (5, "b"), (4, "c"), (3, "d")])
+
+    def test_mixed_key_types_raise_at_their_first_pair(self):
+        """Pairs are compared in order: a pair out of order before the
+        first incomparable one is the ValueError, else the TypeError is
+        that pair's own."""
+        with pytest.raises(ValueError, match="saw 2 before 1"):
+            SortedRunComponent([(2, "a"), (1, "b"), ("x", "c")])
+        with pytest.raises(TypeError, match="'int' and 'str'"):
+            SortedRunComponent([(1, "a"), (2, "b"), ("x", "c"), (0, "d")])
+
     def test_range_scan(self):
         comp = SortedRunComponent([(i, i) for i in range(10)])
         assert [k for k, _ in comp.range_scan(3, 6)] == [3, 4, 5, 6]

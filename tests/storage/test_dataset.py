@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.adm import Circle, Point, open_type
-from repro.errors import DuplicateKeyError, IndexError_, KeyNotFoundError
+from repro.adm import Circle, Point, Rectangle, open_type
+from repro.errors import AdmTypeError, DuplicateKeyError, IndexError_, KeyNotFoundError
 from repro.storage import Dataset, IndexKind
 from repro.storage.dataset import hash_partition
 
@@ -58,8 +58,6 @@ class TestWrites:
     def test_validation_enforced(self):
         t = open_type("T", id="int64")
         ds = Dataset("V", t, "id", validate=True)
-        from repro.errors import AdmTypeError
-
         with pytest.raises(AdmTypeError):
             ds.insert({"id": "nope"})
 
@@ -75,6 +73,71 @@ class TestWrites:
         dataset.upsert({"id": 1})
         dataset.delete(3)
         assert events == [("upsert", 1), ("delete", 3)]
+
+
+def everything(dataset):
+    """What a write can touch: every partition's counters (its WAL
+    included) and records, and every index's postings."""
+    world = Rectangle(float("-inf"), float("-inf"), float("inf"), float("inf"))
+    return (
+        [tree.stats.snapshot() for tree in dataset.partitions],
+        [tree.lsn for tree in dataset.partitions],
+        [list(tree.scan()) for tree in dataset.partitions],
+        {
+            name: [
+                index.probe_spatial(world, [])
+                if index.kind is IndexKind.RTREE
+                else [(v, index.probe_equal(v)) for v in range(0, 200, 2)]
+                for index in per_partition
+            ]
+            for name, per_partition in dataset.indexes.items()
+        },
+    )
+
+
+class TestUnboundableSpatialWrites:
+    """A value an R-tree index cannot bound is refused before any of the
+    write lands: the LSM, its WAL and every index stay as they were."""
+
+    @pytest.fixture
+    def indexed(self, dataset):
+        dataset.create_index("by_loc", "loc", IndexKind.RTREE)
+        dataset.create_index("by_value", "value", IndexKind.BTREE)
+        return dataset
+
+    def test_insert_is_refused_whole(self, indexed):
+        before = everything(indexed)
+        with pytest.raises(AdmTypeError, match=r"D\.loc .*'oops'"):
+            indexed.insert({"id": 200, "value": 4, "loc": "oops"})
+        assert everything(indexed) == before
+        assert indexed.get(200) is None
+
+    def test_upsert_is_refused_whole(self, indexed):
+        before = everything(indexed)
+        with pytest.raises(AdmTypeError, match=r"D\.loc .*12"):
+            indexed.upsert({"id": 5, "value": 4, "loc": 12})
+        assert everything(indexed) == before
+        assert indexed.get(5)["loc"] == Point(5.0, 0.0)
+
+    def test_create_index_is_refused_and_creates_none(self):
+        ds = Dataset("S", open_type("T", id="int64"), "id", num_partitions=2)
+        ds.insert({"id": 1, "loc": Point(1.0, 2.0)})
+        ds.insert({"id": 2, "loc": "oops"})
+        with pytest.raises(AdmTypeError, match=r"S\.loc .*'oops'"):
+            ds.create_index("by_loc", "loc", IndexKind.RTREE)
+        assert ds.indexes == {} and ds.index_on("loc") is None
+        ds.upsert({"id": 3, "loc": "still fine without the index"})
+
+    def test_missing_and_null_stay_unindexed(self, indexed):
+        indexed.insert({"id": 200})
+        indexed.upsert({"id": 201, "loc": None})
+        assert indexed.get(200) == {"id": 200}
+        assert sum(len(index) for index in indexed.indexes["by_loc"]) == 100
+
+    def test_dropping_the_index_lifts_the_check(self, indexed):
+        indexed.drop_index("by_loc")
+        indexed.upsert({"id": 5, "loc": "oops"})
+        assert indexed.get(5)["loc"] == "oops"
 
 
 class TestSecondaryIndexes:
