@@ -18,23 +18,31 @@ from .ast import (
     Exists,
     Expr,
     FieldAccess,
+    FromTerm,
     FunctionDefinition,
+    GroupKey,
     IndexAccess,
+    LetClause,
     Literal,
     MissingLiteral,
     ObjectConstructor,
+    OrderItem,
+    Projection,
     SelectBlock,
     Star,
     Subquery,
     UnaryOp,
     VarRef,
     walk,
+    with_children,
 )
 from .functions import AGGREGATE_NAMES, BUILTINS
 
 
 def free_vars(expr: Optional[Expr], bound: Optional[Set[str]] = None) -> Set[str]:
-    """Variables referenced by ``expr`` that are not bound inside it."""
+    """Variables referenced by ``expr`` that are not bound inside it, and
+    ``*`` when it has an aggregate that folds the members of a group
+    formed outside it."""
     if expr is None:
         return set()
     bound = bound or set()
@@ -55,6 +63,8 @@ def _free_vars(expr, bound: frozenset, out: Set[str]) -> None:
         _free_vars(expr.base, bound, out)
         _free_vars(expr.index, bound, out)
     elif isinstance(expr, Call):
+        if "*" not in bound and _is_aggregate(expr):
+            out.add("*")
         for arg in expr.args:
             _free_vars(arg, bound, out)
     elif isinstance(expr, Star):
@@ -93,17 +103,18 @@ def _free_vars(expr, bound: frozenset, out: Set[str]) -> None:
             inner.add(let.var)
         frozen = frozenset(inner)
         _free_vars(expr.where, frozen, out)
+        _free_vars(expr.limit, frozen, out)  # evaluated once, outside any group
         for key in expr.group_keys:
             _free_vars(key.expr, frozen, out)
-            if key.alias:
-                inner.add(key.alias)
+            inner.add(key.var)
+        if expr.group_keys or (expr.from_terms and has_top_level_aggregate(expr)):
+            inner.add("*")  # past the grouping, an aggregate folds its members
         frozen = frozenset(inner)
         for item in expr.order_items:
             _free_vars(item.expr, frozen, out)
         for proj in expr.projections:
             _free_vars(proj.expr, frozen, out)
         _free_vars(expr.select_value, frozen, out)
-        _free_vars(expr.limit, frozen, out)
     elif isinstance(expr, (Literal, MissingLiteral)):
         pass
 
@@ -217,6 +228,97 @@ def contains_aggregate(expr: Optional[Expr]) -> bool:
     # Subquery / SelectBlock / Exists: aggregates inside belong to the
     # nested scope, not this one.
     return False
+
+
+def default_alias(expr: Expr, fallback: Optional[str]) -> Optional[str]:
+    if isinstance(expr, FieldAccess):
+        return expr.field
+    if isinstance(expr, VarRef):
+        return expr.name
+    if isinstance(expr, Call):
+        return expr.name
+    return fallback
+
+
+def has_top_level_aggregate(block: SelectBlock) -> bool:
+    if block.select_value is not None and contains_aggregate(block.select_value):
+        return True
+    return any(contains_aggregate(p.expr) for p in block.projections)
+
+
+def bind_group_keys(block: SelectBlock) -> None:
+    """Make ``block``'s GROUP BY keys variables, in place.  Every
+    subexpression of the clauses evaluated per group (SELECT and ORDER BY)
+    equal to a key that reads a variable becomes a reference to the key's
+    variable, in nested blocks too, but not in a block that re-binds a
+    variable the key reads, nor in the arguments of the aggregates that
+    fold this block's members.  A projection keeps its output name.  Both
+    SQL++ engines read the bound tree: neither looks a key up at run time."""
+    keys = [(k.expr, VarRef(k.var), free_vars(k.expr)) for k in block.group_keys]
+    keys = [key for key in keys if key[2]]  # a key that reads none is a constant
+    if keys:
+        _bind_block(block, keys, own=True, nested=False)
+
+
+def _bind_block(block: SelectBlock, keys, own: bool, nested: bool = True) -> None:
+    """Bind ``keys`` in ``block``, in place: in every clause of a nested
+    block, in the per-group ones of the block they group.  ``own``: an
+    aggregate folds the members of the block whose keys they are."""
+    if nested:
+        block.from_terms = [
+            FromTerm(_bind(term.source, keys, own), term.var, term.hints)
+            for term in block.from_terms
+        ]
+        for lets in (block.lets, block.post_lets):
+            lets[:] = [LetClause(let.var, _bind(let.expr, keys, own)) for let in lets]
+        block.where = _bind(block.where, keys, own)
+        block.limit = _bind(block.limit, keys, own)
+        block.group_keys = [
+            GroupKey(_bind(key.expr, keys, own), key.var, key.default)
+            for key in block.group_keys
+        ]
+        # past its grouping, a grouping block's aggregates fold its members
+        grouping = block.group_keys or (
+            block.from_terms and has_top_level_aggregate(block)
+        )
+        own = own and not grouping
+    projections = []
+    for position, proj in enumerate(block.projections, start=1):
+        expr, alias = _bind(proj.expr, keys, own), proj.alias
+        if alias is None and expr is not proj.expr and not isinstance(expr, Star):
+            alias = default_alias(proj.expr, fallback=f"${position}")
+        projections.append(Projection(expr, alias))
+    block.projections = projections
+    block.select_value = _bind(block.select_value, keys, own)
+    block.order_items = [
+        OrderItem(_bind(item.expr, keys, own), item.descending)
+        for item in block.order_items
+    ]
+
+
+def _bind(expr: Optional[Expr], keys, own: bool) -> Optional[Expr]:
+    if expr is None or own and _is_aggregate(expr):
+        return expr
+    for key, ref, _reads in keys:
+        if expr == key:
+            return ref
+    if not isinstance(expr, SelectBlock):
+        return with_children(expr, lambda child: _bind(child, keys, own))
+    rebound = {term.var for term in expr.from_terms} | {
+        let.var for let in expr.all_lets
+    }
+    keys = [key for key in keys if not key[2] & rebound]
+    if keys:
+        _bind_block(expr, keys, own)
+    return expr
+
+
+def _is_aggregate(expr: Expr) -> bool:
+    return (
+        isinstance(expr, Call)
+        and expr.library is None
+        and expr.name.lower() in AGGREGATE_NAMES
+    )
 
 
 def uses_unsupported_builtin(definition: FunctionDefinition) -> List[str]:

@@ -10,7 +10,7 @@ indexing, arithmetic/comparison/boolean operators, function calls
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import List, Optional, Tuple
 
 
@@ -147,8 +147,13 @@ class Projection:
 
 @dataclass(frozen=True, slots=True)
 class GroupKey:
+    """One GROUP BY key: its expression, the variable the clauses after the
+    grouping read its value through (its alias, when it has one) and, with
+    no alias, the default name it may be read by too (``r.k``: ``k``)."""
+
     expr: Expr
-    alias: Optional[str] = None
+    var: str
+    default: Optional[str] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,6 +193,24 @@ class FunctionDefinition:
     name: str
     params: List[str]
     body: Expr  # usually a SelectBlock, possibly with leading LETs folded in
+
+
+def with_children(expr: Expr, sub) -> Expr:
+    """``expr`` with ``sub`` applied to each child expression, or ``expr``
+    itself when none changed; a select block is a leaf."""
+    if isinstance(expr, SelectBlock):
+        return expr
+
+    def rebuilt(value):
+        if isinstance(value, Expr):
+            return sub(value)
+        if isinstance(value, tuple):  # call arguments, CASE arms, object fields
+            return tuple(map(rebuilt, value))
+        return value
+
+    old = [getattr(expr, field.name) for field in fields(expr)]
+    new = list(map(rebuilt, old))
+    return expr if new == old else type(expr)(*new)
 
 
 def walk(expr) -> "list":

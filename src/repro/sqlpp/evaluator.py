@@ -192,18 +192,6 @@ class EvaluationContext:
         return self.catalog.get(name)
 
 
-class Group:
-    """One GROUP BY group as the scopes inside it see it: the member tuple
-    envs (what an aggregate folds over) and the key values that shadow a
-    re-evaluation of the key expressions."""
-
-    __slots__ = ("members", "key_values")
-
-    def __init__(self, members: List["Env"], key_values: Dict[Expr, object]):
-        self.members = members
-        self.key_values = key_values
-
-
 class Env:
     """A lexical scope chain of variable bindings."""
 
@@ -212,14 +200,11 @@ class Env:
     def __init__(self, vars=None, parent: Optional["Env"] = None):
         self.vars: Dict[str, object] = vars or {}
         self.parent = parent
-        # Nearest enclosing group, maintained eagerly so the per-record hot
-        # path (every VarRef/FieldAccess checks for group-key shadowing) is
-        # an attribute read instead of a chain walk.  A group env assigns
-        # ``.group`` before any child scopes are made, so inheriting the
-        # parent's pointer at construction is exact.  The pointer is to the
-        # :class:`Group`, not to the group env: an env that pointed at
-        # itself would be a reference cycle only the collector frees.
-        self.group: Optional[Group] = parent.group if parent is not None else None
+        # The member tuple envs of the nearest enclosing GROUP BY group,
+        # what an aggregate folds.  A group env assigns ``.group`` before
+        # any child scopes are made, so inheriting the parent's at
+        # construction is exact.
+        self.group: Optional[List[Env]] = parent.group if parent is not None else None
 
     _SENTINEL = SENTINEL  # shared with compiled closures (plans.SENTINEL)
 
@@ -404,11 +389,6 @@ class Evaluator:
         return MISSING
 
     def _eval_varref(self, expr: VarRef, env: Env):
-        # group-key expression lookup first (GROUP BY aliases shadow)
-        group = env.group
-        if group is not None and group.key_values:
-            if expr in group.key_values:
-                return group.key_values[expr]
         value = env.lookup(expr.name)
         if value is not Env._SENTINEL:
             return value
@@ -418,10 +398,6 @@ class Evaluator:
         raise SqlppAnalysisError(f"unresolved variable: {expr.name}")
 
     def _eval_field(self, expr: FieldAccess, env: Env):
-        group = env.group
-        if group is not None and group.key_values:
-            if expr in group.key_values:
-                return group.key_values[expr]
         base = self.evaluate(expr.base, env)
         if base is MISSING or base is None:
             return MISSING
@@ -499,14 +475,14 @@ class Evaluator:
 
     def _eval_aggregate(self, expr: Call, env: Env):
         name = expr.name.lower()
-        group = env.group
-        if group is not None:
+        members = env.group
+        if members is not None:
             values = []
             if expr.args and isinstance(expr.args[0], Star):
-                values = [1] * len(group.members)
+                values = [1] * len(members)
             else:
                 arg = expr.args[0] if expr.args else Star(VarRef("*"))
-                for tuple_env in group.members:
+                for tuple_env in members:
                     value = self.evaluate(arg, tuple_env)
                     if value is not MISSING and value is not None:
                         values.append(value)
@@ -693,9 +669,16 @@ class Evaluator:
             and has_top_level_aggregate(block)
         )
         if block.group_keys or implicit_group:
-            rows = self._grouped_output(block, scope, tuple_envs, implicit_group)
-        else:
-            rows = self._ordered_projected(block, tuple_envs)
+            keys = block.group_keys
+            tuple_envs = self._grouped(
+                scope,
+                tuple_envs,
+                keys,
+                None
+                if implicit_group
+                else lambda env: tuple(self.evaluate(k.expr, env) for k in keys),
+            )
+        rows = self._ordered_projected(block, tuple_envs)
 
         if block.distinct:
             rows = distinct_values(rows)
@@ -839,17 +822,17 @@ class Evaluator:
         recomputation would be identical — the datasets the functions it
         calls read among them (:meth:`_guard`).  Bypasses (returns
         :data:`_MEMO_BYPASS`) whenever the proof does not hold: the block
-        calls an impure Java UDF, an outer GROUP BY key may shadow one of
-        its expressions (the key is no binding the entry is filed under),
-        an outer variable is unbound here, a dep dataset is missing from
-        the catalog, or a dep dataset carries a secondary index the
+        calls an impure Java UDF, an outer variable is unbound here (as
+        ``*`` always is: an aggregate folding an enclosing group's members,
+        :func:`~repro.sqlpp.analysis.free_vars`), a dep dataset is missing
+        from the catalog, or a dep dataset carries a secondary index the
         planner may probe *live* (live index probes see mid-batch updates,
         which a cross-batch memo must never mask).
         """
         ctx = self.ctx
         catalog = ctx.catalog
         deps = self._guard(plan, plan.correlated_deps)
-        if deps is None or env.group is not None:
+        if deps is None:
             return _MEMO_BYPASS
         for name in deps:
             dataset = catalog.get(name)
@@ -1046,51 +1029,6 @@ class Evaluator:
             rows = [row for _key, _index, row in decorated]
         return rows
 
-    def _grouped_output(
-        self,
-        block: SelectBlock,
-        scope: Env,
-        tuple_envs: List[Env],
-        implicit: bool,
-    ) -> List:
-        self.ctx.meter.group_items += len(tuple_envs)
-        if implicit:
-            # one group of every tuple: one row even over an empty input
-            grouped = [((), tuple_envs)]
-        else:
-            grouped = _hash_groups(
-                tuple_envs,
-                [
-                    tuple(self.evaluate(k.expr, env) for k in block.group_keys)
-                    for env in tuple_envs
-                ],
-            )
-        group_envs: List[Env] = []
-        for key, members in grouped:
-            genv = scope.child()
-            genv.group = group = Group(members, {})
-            for key_spec, value in zip(block.group_keys, key):
-                group.key_values[key_spec.expr] = value
-                if key_spec.alias:
-                    genv.vars[key_spec.alias] = value
-                else:
-                    # allow referring to the key by its last path component
-                    name = default_alias(key_spec.expr, fallback=None)
-                    if name:
-                        genv.vars.setdefault(name, value)
-            group_envs.append(genv)
-
-        rows = [self._project(block, genv) for genv in group_envs]
-        if block.order_items:
-            self.ctx.meter.sort_items += len(group_envs)
-            decorated = [
-                (self._order_key_for(block, genv, row), index, row)
-                for index, (genv, row) in enumerate(zip(group_envs, rows))
-            ]
-            decorated.sort(key=lambda item: (item[0], item[1]))
-            rows = [row for _key, _index, row in decorated]
-        return rows
-
     def _project(self, block: SelectBlock, env: Env):
         if block.select_value is not None:
             return self.evaluate(block.select_value, env)
@@ -1155,9 +1093,16 @@ class Evaluator:
         DISTINCT, LIMIT.  The columnar probe kernel runs it once per build
         key over that key's match list."""
         if plan.has_group:
-            rows = self._planned_grouped(plan, scope, tuple_envs)
-        else:
-            rows = self._planned_ordered_projected(plan, tuple_envs)
+            fns = plan.group_key_fns
+            tuple_envs = self._grouped(
+                scope,
+                tuple_envs,
+                plan.block.group_keys,
+                None
+                if plan.implicit_group
+                else lambda env: tuple(fn(self, env) for fn in fns),
+            )
+        rows = self._planned_ordered_projected(plan, tuple_envs)
         if plan.distinct:
             rows = distinct_values(rows)
         if plan.limit_fn is not None:
@@ -1171,10 +1116,7 @@ class Evaluator:
         terms = plan.terms
         tuples: List[Env] = []
         hoisting = plan.hoisting
-        if hoisting is not None and (
-            # an outer GROUP BY key may shadow a hoisted expression
-            scope.group is not None or not hoisting.applies(self.ctx.functions)
-        ):
+        if hoisting is not None and not hoisting.applies(self.ctx.functions):
             hoisting = None
         if hoisting is None:
             probe_fns = [tp.probe_fn for tp in terms]
@@ -1418,39 +1360,35 @@ class Evaluator:
             rows = self._planned_sorted_rows(plan, tuple_envs, rows)
         return rows
 
-    def _planned_grouped(
-        self, plan: SelectPlan, scope: Env, tuple_envs: List[Env]
-    ) -> List:
+    def _grouped(self, scope: Env, tuple_envs: List[Env], keys, key_of) -> List[Env]:
+        """One env per GROUP BY group of ``tuple_envs``, in the order their
+        ``key_of(env)`` is first seen (equal when the values are, under
+        :func:`value_key`; ``key_of`` None: one group of every tuple, one
+        row even over an empty input).  It holds the group's members, what
+        an aggregate folds, and binds each of ``keys``' values to the key's
+        variable and default name."""
         self.ctx.meter.group_items += len(tuple_envs)
-        keys = plan.group_keys
-        if plan.implicit_group:
-            # one group of every tuple: one row even over an empty input
-            grouped = [((), tuple_envs)]
+        groups: Dict[Tuple, Tuple] = {}
+        if key_of is None:
+            groups[()] = ((), tuple_envs)
         else:
-            grouped = _hash_groups(
-                tuple_envs,
-                [
-                    tuple(fn(self, env) for _expr, _alias, _default, fn in keys)
-                    for env in tuple_envs
-                ],
-            )
-        group_envs: List[Env] = []
-        for key, members in grouped:
+            for env in tuple_envs:
+                key = key_of(env)
+                identity = tuple(map(value_key, key))
+                group = groups.get(identity)
+                if group is None:
+                    group = groups[identity] = (key, [])
+                group[1].append(env)
+        group_envs = []
+        for key, members in groups.values():
             genv = scope.child()
-            genv.group = group = Group(members, {})
-            for (expr, alias, default_name, _fn), value in zip(keys, key):
-                group.key_values[expr] = value
-                if alias:
-                    genv.vars[alias] = value
-                elif default_name:
-                    # allow referring to the key by its last path component
-                    genv.vars.setdefault(default_name, value)
+            genv.group = members
+            for spec, value in zip(keys, key):
+                genv.vars[spec.var] = value
+                if spec.default:
+                    genv.vars.setdefault(spec.default, value)
             group_envs.append(genv)
-
-        rows = [self._planned_project(plan, genv) for genv in group_envs]
-        if plan.order_items:
-            rows = self._planned_sorted_rows(plan, group_envs, rows)
-        return rows
+        return group_envs
 
     def _planned_project(self, plan: SelectPlan, env: Env):
         if plan.select_value_fn is not None:
@@ -1500,19 +1438,6 @@ def _points_by_x(values) -> Optional[Tuple[List, List[int]]]:
         return None
     order = sorted(range(len(values)), key=lambda at: values[at].x)
     return [values[at].x for at in order], order
-
-
-def _hash_groups(envs: List[Env], keys: List[Tuple]) -> List[Tuple]:
-    """``(key, member envs)`` per GROUP BY key, in first-seen order; keys
-    are equal when their values are, under :func:`value_key`."""
-    groups: Dict[Tuple, Tuple] = {}
-    for env, key in zip(envs, keys):
-        identity = tuple(map(value_key, key))
-        group = groups.get(identity)
-        if group is None:
-            group = groups[identity] = (key, [])
-        group[1].append(env)
-    return list(groups.values())
 
 
 class _OrderKey:

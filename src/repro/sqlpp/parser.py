@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import count
 from typing import List, Optional, Tuple
 
 from ..errors import SqlppSyntaxError
+from .analysis import bind_group_keys, default_alias
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -54,6 +56,8 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        # the variables of unaliased GROUP BY keys: no identifier spells one
+        self.key_vars = (f"#key{n}" for n in count())
 
     # ------------------------------------------------------------- utilities
 
@@ -396,6 +400,7 @@ class Parser:
                 block.order_items.append(self.parse_order_item())
         if self.accept_keyword("limit"):
             block.limit = self.parse_expression()
+        bind_group_keys(block)
         return block
 
     def parse_projection(self) -> Projection:
@@ -443,10 +448,9 @@ class Parser:
 
     def parse_group_key(self) -> GroupKey:
         expr = self.parse_expression()
-        alias: Optional[str] = None
         if self.accept_keyword("as"):
-            alias = self.expect_ident()
-        return GroupKey(expr, alias)
+            return GroupKey(expr, self.expect_ident())
+        return GroupKey(expr, next(self.key_vars), default_alias(expr, fallback=None))
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expression()

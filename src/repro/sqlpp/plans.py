@@ -28,7 +28,7 @@ acyclic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -37,9 +37,10 @@ from ..adm.values import MISSING, DateTime, Duration
 from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
 from .analysis import (
-    contains_aggregate,
+    default_alias,
     field_path_of,
     free_vars,
+    has_top_level_aggregate,
     references_only,
     split_conjuncts,
 )
@@ -62,6 +63,7 @@ from .ast import (
     UnaryOp,
     VarRef,
     walk,
+    with_children,
 )
 from .functions import AGGREGATE_NAMES, BUILTINS, VECTORIZABLE_BUILTINS
 
@@ -173,22 +175,6 @@ def apply_binary(op: str, left, right):
             f"{type(left).__name__} and {type(right).__name__}"
         ) from exc
     raise SqlppEvaluationError(f"unknown operator {op!r}")
-
-
-def default_alias(expr: Expr, fallback: Optional[str]) -> Optional[str]:
-    if isinstance(expr, FieldAccess):
-        return expr.field
-    if isinstance(expr, VarRef):
-        return expr.name
-    if isinstance(expr, Call):
-        return expr.name
-    return fallback
-
-
-def has_top_level_aggregate(block: SelectBlock) -> bool:
-    if block.select_value is not None and contains_aggregate(block.select_value):
-        return True
-    return any(contains_aggregate(p.expr) for p in block.projections)
 
 
 # ------------------------------------- access-path pattern matchers (§4.3.4)
@@ -308,11 +294,11 @@ def compile_expr(expr: Expr) -> Callable:
     """Compile ``expr`` to a closure ``fn(evaluator, env) -> value``.
 
     Each closure mirrors the corresponding ``Evaluator._eval_*`` method
-    exactly (including error messages and GROUP BY key shadowing); the
-    structural decisions — which node kind, which operator, which argument
-    sub-closures — are made here, once, instead of per record.  It is the
-    one expression compiler: the columnar kernels map these closures over
-    a batch and shape probe matches with the plan's own output stage.
+    exactly (including error messages); the structural decisions — which
+    node kind, which operator, which argument sub-closures — are made
+    here, once, instead of per record.  It is the one expression
+    compiler: the columnar kernels map these closures over a batch and
+    shape probe matches with the plan's own output stage.
     """
     builder = _COMPILERS.get(type(expr))
     if builder is None:
@@ -333,12 +319,6 @@ def _compile_varref(expr: VarRef) -> Callable:
     name = expr.name
 
     def run(ev, env):
-        # group-key expression lookup first (GROUP BY aliases shadow);
-        # ``env.group`` is the O(1) nearest-enclosing-group pointer
-        group = env.group
-        if group is not None and group.key_values:
-            if expr in group.key_values:
-                return group.key_values[expr]
         value = env.lookup(name)
         if value is not SENTINEL:
             return value
@@ -357,10 +337,6 @@ def _compile_field(expr: FieldAccess) -> Callable:
     field = expr.field
 
     def run(ev, env):
-        group = env.group
-        if group is not None and group.key_values:
-            if expr in group.key_values:
-                return group.key_values[expr]
         base = base_fn(ev, env)
         if isinstance(base, dict):
             return base.get(field, MISSING)
@@ -371,21 +347,11 @@ def _compile_field(expr: FieldAccess) -> Callable:
 
 def _compile_var_field(expr: FieldAccess) -> Callable:
     """``var.field`` as one closure: :func:`_compile_field` over
-    :func:`_compile_varref`, with the same group-key shadowing order (the
-    field expression, then the variable) and the same results."""
-    var = expr.base
-    name = var.name
+    :func:`_compile_varref`, with the same results."""
+    name = expr.base.name
     field = expr.field
 
     def run(ev, env):
-        group = env.group
-        if group is not None and group.key_values:
-            key_values = group.key_values
-            if expr in key_values:
-                return key_values[expr]
-            if var in key_values:
-                base = key_values[var]
-                return base.get(field, MISSING) if isinstance(base, dict) else MISSING
         base = env.lookup(name)
         if base is SENTINEL:
             if ev.ctx.dataset(name) is not None:
@@ -488,31 +454,27 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
     """Aggregate call: iterate the group with a *compiled* argument closure.
 
     Mirrors ``Evaluator._eval_aggregate`` exactly — grouped form folds the
-    argument over the member envs, ungrouped form is the SQL++ array form.
-    Malformed corner cases (no argument, ``*`` outside a group) delegate to
-    the interpreted method so error messages stay identical.
+    argument over the member envs, ungrouped form is the SQL++ array form,
+    and the malformed corners raise its errors: with no argument a group
+    folds ``*``, which raises like any ``.*`` outside a SELECT clause.
     """
     count_star = bool(expr.args) and isinstance(expr.args[0], Star)
-    arg_fn = None
-    if expr.args and not count_star:
-        arg_fn = compile_expr(expr.args[0])
+    arg_fn = compile_expr(expr.args[0] if expr.args else Star(VarRef("*")))
 
     def run(ev, env):
-        group = env.group
-        if group is not None:
+        members = env.group
+        if members is not None:
             if count_star:
-                return aggregate_values(lowered, [1] * len(group.members))
-            if arg_fn is None:
-                return ev._eval_aggregate(expr, env)
+                return aggregate_values(lowered, [1] * len(members))
             values = []
-            for tuple_env in group.members:
+            for tuple_env in members:
                 value = arg_fn(ev, tuple_env)
                 if value is not MISSING and value is not None:
                     values.append(value)
             return aggregate_values(lowered, values)
         # No group: SQL++ array form — the argument must be a collection.
-        if not expr.args or count_star:
-            return ev._eval_aggregate(expr, env)
+        if not expr.args:
+            raise SqlppEvaluationError(f"{lowered}() requires an argument")
         value = arg_fn(ev, env)
         if value is MISSING:
             return MISSING
@@ -811,25 +773,6 @@ def _charge_safe(*exprs: Expr) -> Optional[Tuple[FrozenSet[str], FrozenSet]]:
     return frozenset(calls), frozenset(java)
 
 
-def _with_children(expr: Expr, sub: Callable[[Expr], Expr]) -> Expr:
-    """``expr`` with ``sub`` applied to each child expression, or ``expr``
-    itself when none changed; a select block, and what holds one, is a
-    leaf."""
-    if isinstance(expr, (SelectBlock, Subquery, Exists)):
-        return expr
-
-    def rebuilt(value):
-        if isinstance(value, Expr):
-            return sub(value)
-        if isinstance(value, tuple):  # call arguments, CASE arms, object fields
-            return tuple(map(rebuilt, value))
-        return value
-
-    old = [getattr(expr, field.name) for field in fields(expr)]
-    new = list(map(rebuilt, old))
-    return expr if new == old else type(expr)(*new)
-
-
 class Hoisting:
     """A FROM block's WHERE and probe closures with each maximal
     charge-safe subexpression evaluated at most once per binding of the
@@ -892,7 +835,7 @@ class Hoisting:
                     return Hoisted(expr, None)
                 self.slots.append(level)
                 return Hoisted(expr, len(self.slots) - 1)
-        return _with_children(expr, lambda child: self.hoist(child, depth, context))
+        return with_children(expr, lambda child: self.hoist(child, depth, context))
 
     def applies(self, functions) -> bool:
         """Whether the hoisted closures mean what the plan's own do, for
@@ -1005,7 +948,7 @@ class SelectPlan:
         "hoisting",  # Hoisting of the WHERE and probes, or None
         "has_group",
         "implicit_group",
-        "group_keys",  # tuple of (expr, alias, default_name, fn)
+        "group_key_fns",
         "select_value_fn",
         "projections",  # tuple of (name, fn); name None = ``v.*`` expansion
         "order_items",  # tuple of (fn, descending)
@@ -1057,15 +1000,7 @@ def build_select_plan(
     )
     plan.implicit_group = implicit
     plan.has_group = bool(block.group_keys) or implicit
-    plan.group_keys = tuple(
-        (
-            key.expr,
-            key.alias,
-            default_alias(key.expr, fallback=None),
-            compile_expr(key.expr),
-        )
-        for key in block.group_keys
-    )
+    plan.group_key_fns = tuple(compile_expr(key.expr) for key in block.group_keys)
     plan.select_value_fn = (
         compile_expr(block.select_value) if block.select_value is not None else None
     )

@@ -22,7 +22,9 @@ reach one optimisation; each has an entry point of the harness.
 
 from typing import List, NamedTuple, Optional, Tuple
 
+from hypothesis import event as _event
 from hypothesis import strategies as st
+from hypothesis.control import currently_in_test_context
 
 from repro.adm import Circle, Point, Rectangle, open_type
 from repro.sqlpp import parse_function
@@ -30,6 +32,12 @@ from repro.storage import Dataset, IndexKind
 from repro.udf import FunctionRegistry
 from repro.udf.java import JavaUdfDescriptor
 from repro.udf.library import RemoveSpecialUdf
+
+
+def event(text):
+    """Count ``text`` in ``--hypothesis-show-statistics``: which paths ran."""
+    if currently_in_test_context():
+        _event(text)
 
 
 class Picks:
@@ -228,17 +236,22 @@ def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
     if not leading and pick(False, False, True):  # charged per candidate
         let = f' LET d = edit_distance({names[-1]}.name, "abd")'
         conjuncts.append("d < 3")
+    # an outer GROUP BY around the block: a key is a variable, which a FROM
+    # term re-binding what it reads shadows, and which the block may read
+    outer = pick(*[None] * 6, "re-binds what the key reads", "reads the key")
+    key = pick("n", "loc", "k")
+    if outer == "reads the key":
+        conjuncts.append(f"{pick(*names)}.{key} = o.{key}")
     hint = pick("", "/*+ no-index */ ")
     sources = ", ".join(f"{name} {hint}{var}" for name, var in terms)
     where = f" WHERE {' AND '.join(conjuncts)}" if conjuncts else ""
     ids = ", ".join(f"{var}.id" for var in names)
     block = fill(f"{head} FROM {sources}{let}{where}{tail}", pick(*names), ids=ids)
-    if pick(*range(8)):
+    if outer is None:
         return block
-    # group keys shadow by expression: inside, every ``var.field`` spelled
-    # like the key reads the outer group's key
-    name, var = terms[0]
-    return f"SELECT VALUE ({block}) FROM {name} {var} GROUP BY {var}.{pick('n', 'loc')}"
+    event(f"outer GROUP BY: the block {outer}")
+    name, var = ("Ref", "o") if outer == "reads the key" else terms[0]
+    return f"SELECT VALUE ({block}) FROM {name} {var} GROUP BY {var}.{key}"
 
 
 #: leaves of a body's other expressions: subqueries the kernel probes,

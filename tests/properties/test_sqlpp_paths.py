@@ -35,8 +35,7 @@ from typing import NamedTuple
 from unittest import mock
 
 import pytest
-from hypothesis import event, settings
-from hypothesis.control import currently_in_test_context
+from hypothesis import settings
 
 from repro import AsterixLite
 from repro.adm import Circle, Point, Rectangle
@@ -48,7 +47,7 @@ from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import StateCache
 from repro.udf import FunctionRegistry
-from tests.properties.sqlpp_blocks import World
+from tests.properties.sqlpp_blocks import World, event
 
 
 class Raised(NamedTuple):
@@ -68,12 +67,6 @@ def _meters(ctx):
         {name: getattr(meter, name) for name in WorkMeter._COUNTERS}
         for meter in (ctx.meter, ctx.shared_meter, ctx.replicated_meter)
     ]
-
-
-def _event(text):
-    """Count ``text`` in ``--hypothesis-show-statistics``: which paths ran."""
-    if currently_in_test_context():
-        event(text)
 
 
 def _split(records, write):
@@ -116,7 +109,7 @@ def differential(catalog, registry, fn, generations, caches=(None, None), betwee
                 ctx.refresh_batch()
         before, after = _split(records, write)
         if before and after:
-            _event("write: inside a generation")
+            event("write: inside a generation")
 
         def per_record(ctx):
             def outcomes(part):
@@ -150,15 +143,15 @@ def differential(catalog, registry, fn, generations, caches=(None, None), betwee
     elif memo_bytes and not kernel_raised and not counters.scalar_fallbacks:
         meter = batched.meter
         assert meter.hash_probes + meter.memo_hits == oracle.meter.hash_probes
-    _event(f"kernel: {'vectorized' if counters.vectorized_batches else 'declined'}")
+    event(f"kernel: {'vectorized' if counters.vectorized_batches else 'declined'}")
     if counters.scalar_fallbacks:
-        _event("kernel: a per-record fallback")
+        event("kernel: a per-record fallback")
     if planned.meter.memo_hits or batched.meter.memo_hits:
-        _event("memo: hit")
+        event("memo: hit")
     for plan in registry.plan_cache._plans.values():
         if plan.hoisting is not None:
             applies = plan.hoisting.applies(registry)
-            _event(f"hoisting: {'applied' if applies else 'bailed'}")
+            event(f"hoisting: {'applied' if applies else 'bailed'}")
     return counters
 
 
@@ -167,7 +160,7 @@ _filtered_access = Evaluator._filtered_access
 
 def _spied_filter(self, *args):
     survivors = _filtered_access(self, *args)
-    _event(f"filter step: {'declined' if survivors is None else 'ran'}")
+    event(f"filter step: {'declined' if survivors is None else 'ran'}")
     return survivors
 
 
@@ -197,7 +190,7 @@ def check(world: World) -> None:
     world.register(registry, *([system.registry] if system else []))
 
     def facade(write):
-        _event("facade")
+        event("facade")
         query, ordered = parse_expression(world.block), "ORDER BY" in world.block
         oracle = EvaluationContext(
             system.catalog, functions=system.registry, use_plans=False

@@ -212,11 +212,12 @@ class TestScalarEvaluatorMemo:
             assert registry.invoke("rated", [sample_tweet], ctx) == [[["1"], [["1"]]]]
             ratings.upsert({"country_code": "US", "safety_rating": "3"})
 
-    def test_an_outer_group_key_bypasses_the_memo(
+    def test_an_inner_binding_shadows_an_outer_group_key(
         self, memo_ctx, registry, sample_tweet
     ):
-        """Inside a GROUP BY group, the key shadows ``r.religion_name`` in
-        the inner block, so its rows differ per group for one binding."""
+        """The inner ``FROM ... r`` re-binds ``r``: its ``r.religion_name``
+        is the inner record's, not the outer ``GROUP BY`` key, so every
+        group gets the same rows and the memo serves all but the first."""
         registry.register_sqlpp(
             """CREATE FUNCTION perReligion(t) {
                 SELECT VALUE (SELECT VALUE r.population
@@ -226,5 +227,45 @@ class TestScalarEvaluatorMemo:
             }"""
         )
         rows = registry.invoke("perReligion", [sample_tweet], memo_ctx)
-        assert rows == [[10, 20, 30, 5], [], [], []]
+        assert rows == [[10], [10], [10], [10]]
+        assert memo_ctx.meter.memo_hits == 3
+        assert memo_ctx.memo.stats()["entries"] == 2
+
+    def test_an_outer_group_key_read_inside_is_a_memo_binding(
+        self, memo_ctx, registry, sample_tweet
+    ):
+        """Read through the outer ``r``, the key is a variable the inner
+        block's memo entries are filed under: one entry per key."""
+        registry.register_sqlpp(
+            """CREATE FUNCTION perReligion(t) {
+                SELECT VALUE (SELECT VALUE p.population
+                              FROM ReligiousPopulations p WHERE p.country_name
+                              = t.country AND p.religion_name = r.religion_name)
+                FROM ReligiousPopulations r GROUP BY r.religion_name
+                ORDER BY r.religion_name
+            }"""
+        )
+        rows = registry.invoke("perReligion", [sample_tweet], memo_ctx)
+        assert rows == [[10], [30], [20], [5]]
+        assert memo_ctx.meter.memo_hits == 0
+        # the body's own entry, and the inner block's, one per key
+        assert memo_ctx.memo.stats()["entries"] == 5
+
+    def test_an_aggregate_over_the_enclosing_group_bypasses_the_memo(
+        self, memo_ctx, registry, sample_tweet
+    ):
+        """``count(*)`` in the inner WHERE folds the outer group's members,
+        which are no binding an entry could be filed under."""
+        registry.register_sqlpp(
+            """CREATE FUNCTION perCountry(t) {
+                SELECT VALUE (SELECT VALUE p.population
+                              FROM ReligiousPopulations p WHERE p.country_name
+                              = t.country AND p.population <= 10 * count(*)
+                              ORDER BY p.population)
+                FROM ReligiousPopulations r GROUP BY r.country_name
+                ORDER BY r.country_name
+            }"""
+        )
+        rows = registry.invoke("perCountry", [sample_tweet], memo_ctx)
+        assert rows == [[5, 10], [5, 10, 20, 30]]
         assert memo_ctx.meter.memo_hits == 0

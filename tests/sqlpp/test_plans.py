@@ -22,7 +22,7 @@ from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression, parse_function
 from repro.sqlpp.ast import FieldAccess, VarRef
-from repro.sqlpp.evaluator import Env, Group
+from repro.sqlpp.evaluator import Env
 from repro.sqlpp.plans import PlanCache
 from repro.storage import Dataset, IndexKind
 from repro.udf import FunctionRegistry
@@ -245,28 +245,16 @@ def test_system_ddl_invalidates_and_exposes_stats(sample_tweet):
 T_F = FieldAccess(VarRef("t"), "f")
 
 
-def _grouped(key_values):
-    """A scope inside one group whose keys are ``key_values``, over a
-    tuple that binds ``t`` to ``{"f": "row"}``."""
-    env = Env({"t": {"f": "row"}})
-    env.group = Group([], key_values)
-    return env.child({})
-
-
 @pytest.mark.parametrize(
     "env, catalog, expected",
-    [
-        (_grouped({T_F: "key"}), {}, "key"),  # GROUP BY t.f
-        (_grouped({VarRef("t"): {"f": "group"}}), {}, "group"),  # GROUP BY t AS t
-        (_grouped({VarRef("t"): 7}), {}, MISSING),  # a group key that is no record
-        (Env({}), {"t": Dataset("t", None, "id")}, MISSING),  # a dataset's name
-    ],
-    ids=["group-by-field", "group-by-var", "group-by-var-scalar", "dataset-name"],
+    [(Env({}), {"t": Dataset("t", None, "id")}, MISSING)],  # a dataset's name
+    ids=["dataset-name"],
 )
 def test_fused_var_field_equals_field_over_varref(env, catalog, expected):
     """``var.field`` compiles to one closure; it returns what the field
-    over the variable returns (the tree-walking evaluation), with the
-    field expression's group key checked before the variable's."""
+    over the variable returns (the tree-walking evaluation).  A GROUP BY
+    key read after the grouping is a variable like any other
+    (``test_group_keys``)."""
     evaluator = Evaluator(EvaluationContext(catalog))
     assert evaluator.evaluate(T_F, env) == expected
     assert plans_module.compile_expr(T_F)(evaluator, env) == expected

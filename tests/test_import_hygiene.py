@@ -491,6 +491,7 @@ ORACLE_BUILDERS = {
     "sqlpp/test_columnar.py",
     "sqlpp/test_evaluator_edge_cases.py",
     "sqlpp/test_facade_queries.py",
+    "sqlpp/test_group_keys.py",
     "sqlpp/test_hoisting.py",
     "sqlpp/test_shaped_rows.py",
     "sqlpp/test_state_cache.py",
