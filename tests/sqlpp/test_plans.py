@@ -21,7 +21,7 @@ from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
 from repro.sqlpp import EvaluationContext, Evaluator, parse_expression, parse_function
-from repro.sqlpp.ast import FieldAccess, VarRef
+from repro.sqlpp.ast import FieldAccess, GroupKey, VarRef
 from repro.sqlpp.evaluator import Env
 from repro.sqlpp.plans import PlanCache
 from repro.storage import Dataset, IndexKind
@@ -245,16 +245,31 @@ def test_system_ddl_invalidates_and_exposes_stats(sample_tweet):
 T_F = FieldAccess(VarRef("t"), "f")
 
 
+def _grouped(key):
+    """A scope inside the one group of ``GROUP BY t AS t`` whose key is
+    ``key``, over a tuple that binds ``t`` to ``{"f": "row"}``."""
+    evaluator = Evaluator(EvaluationContext({}))
+    members = [Env({"t": {"f": "row"}})]
+    (genv,) = evaluator._grouped(
+        Env({}), members, [GroupKey(VarRef("t"), "t")], lambda env: (key,)
+    )
+    return genv.child({})
+
+
 @pytest.mark.parametrize(
     "env, catalog, expected",
-    [(Env({}), {"t": Dataset("t", None, "id")}, MISSING)],  # a dataset's name
-    ids=["dataset-name"],
+    [
+        (_grouped({"f": "group"}), {}, "group"),  # GROUP BY t AS t
+        (_grouped(7), {}, MISSING),  # a group key that is no record
+        (Env({}), {"t": Dataset("t", None, "id")}, MISSING),  # a dataset's name
+    ],
+    ids=["group-by-var", "group-by-var-scalar", "dataset-name"],
 )
 def test_fused_var_field_equals_field_over_varref(env, catalog, expected):
     """``var.field`` compiles to one closure; it returns what the field
-    over the variable returns (the tree-walking evaluation).  A GROUP BY
-    key read after the grouping is a variable like any other
-    (``test_group_keys``)."""
+    over the variable returns (the tree-walking evaluation).  After a
+    grouping the key's variable, not the member tuple's, is the one read
+    (more in ``test_group_keys``)."""
     evaluator = Evaluator(EvaluationContext(catalog))
     assert evaluator.evaluate(T_F, env) == expected
     assert plans_module.compile_expr(T_F)(evaluator, env) == expected
