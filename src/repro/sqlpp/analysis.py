@@ -41,8 +41,8 @@ from .functions import AGGREGATE_NAMES, BUILTINS
 
 def free_vars(expr: Optional[Expr], bound: Optional[Set[str]] = None) -> Set[str]:
     """Variables referenced by ``expr`` that are not bound inside it, and
-    ``*`` when it has an aggregate that folds the members of a group
-    formed outside it."""
+    ``*`` for an aggregate outside any grouping of its own: it folds the
+    members of the group enclosing ``expr`` or, with none, reads an array."""
     if expr is None:
         return set()
     bound = bound or set()
@@ -107,6 +107,8 @@ def _free_vars(expr, bound: frozenset, out: Set[str]) -> None:
         for key in expr.group_keys:
             _free_vars(key.expr, frozen, out)
             inner.add(key.var)
+            if key.alias:
+                inner.add(key.alias)
         if expr.group_keys or (expr.from_terms and has_top_level_aggregate(expr)):
             inner.add("*")  # past the grouping, an aggregate folds its members
         frozen = frozenset(inner)
@@ -179,8 +181,10 @@ def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
 
 
 def references_only(expr: Expr, allowed: Set[str]) -> bool:
-    """True if every free variable of ``expr`` is in ``allowed``."""
-    return free_vars(expr) <= allowed
+    """True if every free variable of ``expr`` is in ``allowed``.  ``*``
+    always is: an aggregate folds an enclosing group's members, bound
+    outside, or, with no group, reads an array."""
+    return free_vars(expr) - {"*"} <= allowed
 
 
 def field_path_of(expr: Expr, var: str) -> Optional[str]:
@@ -250,10 +254,11 @@ def bind_group_keys(block: SelectBlock) -> None:
     """Make ``block``'s GROUP BY keys variables, in place.  Every
     subexpression of the clauses evaluated per group (SELECT and ORDER BY)
     equal to a key that reads a variable becomes a reference to the key's
-    variable, in nested blocks too, but not in a block that re-binds a
-    variable the key reads, nor in the arguments of the aggregates that
-    fold this block's members.  A projection keeps its output name.  Both
-    SQL++ engines read the bound tree: neither looks a key up at run time."""
+    variable, in nested blocks too, but not where a nested block's FROM,
+    LET or GROUP BY name in scope re-binds a variable the key reads, nor
+    in the arguments of the aggregates that fold this block's members.  A
+    projection keeps its output name.  Both SQL++ engines read the bound
+    tree: neither looks a key up at run time."""
     keys = [(k.expr, VarRef(k.var), free_vars(k.expr)) for k in block.group_keys]
     keys = [key for key in keys if key[2]]  # a key that reads none is a constant
     if keys:
@@ -261,27 +266,34 @@ def bind_group_keys(block: SelectBlock) -> None:
 
 
 def _bind_block(block: SelectBlock, keys, own: bool, nested: bool = True) -> None:
-    """Bind ``keys`` in ``block``, in place: in every clause of a nested
-    block, in the per-group ones of the block they group.  ``own``: an
+    """Bind ``keys`` in ``block``, in place: in the per-group clauses of
+    the block they group; in a nested block, in each clause until a name
+    bound before it, in the order the block's scopes nest (a FROM term
+    sees the terms left of it), re-binds what a key reads.  ``own``: an
     aggregate folds the members of the block whose keys they are."""
     if nested:
-        block.from_terms = [
-            FromTerm(_bind(term.source, keys, own), term.var, term.hints)
-            for term in block.from_terms
-        ]
-        for lets in (block.lets, block.post_lets):
-            lets[:] = [LetClause(let.var, _bind(let.expr, keys, own)) for let in lets]
+        for i, let in enumerate(block.lets):
+            block.lets[i] = LetClause(let.var, _bind(let.expr, keys, own))
+            keys = [key for key in keys if let.var not in key[2]]
+        block.limit = _bind(block.limit, keys, own)  # evaluated in this scope
+        for i, term in enumerate(block.from_terms):
+            source = _bind(term.source, keys, own)
+            block.from_terms[i] = FromTerm(source, term.var, term.hints)
+            keys = [key for key in keys if term.var not in key[2]]
+        for i, let in enumerate(block.post_lets):
+            block.post_lets[i] = LetClause(let.var, _bind(let.expr, keys, own))
+            keys = [key for key in keys if let.var not in key[2]]
         block.where = _bind(block.where, keys, own)
-        block.limit = _bind(block.limit, keys, own)
         block.group_keys = [
-            GroupKey(_bind(key.expr, keys, own), key.var, key.default)
+            GroupKey(_bind(key.expr, keys, own), key.var, key.alias, key.default)
             for key in block.group_keys
         ]
-        # past its grouping, a grouping block's aggregates fold its members
-        grouping = block.group_keys or (
-            block.from_terms and has_top_level_aggregate(block)
-        )
-        own = own and not grouping
+        # past its grouping, a block's aggregates fold its members and its
+        # keys' names shadow too
+        if block.group_keys or (block.from_terms and has_top_level_aggregate(block)):
+            own = False
+            names = {spec.alias or spec.default for spec in block.group_keys}
+            keys = [key for key in keys if not key[2] & names]
     projections = []
     for position, proj in enumerate(block.projections, start=1):
         expr, alias = _bind(proj.expr, keys, own), proj.alias
@@ -297,19 +309,14 @@ def _bind_block(block: SelectBlock, keys, own: bool, nested: bool = True) -> Non
 
 
 def _bind(expr: Optional[Expr], keys, own: bool) -> Optional[Expr]:
-    if expr is None or own and _is_aggregate(expr):
+    if expr is None or not keys or own and _is_aggregate(expr):
         return expr
     for key, ref, _reads in keys:
         if expr == key:
             return ref
     if not isinstance(expr, SelectBlock):
         return with_children(expr, lambda child: _bind(child, keys, own))
-    rebound = {term.var for term in expr.from_terms} | {
-        let.var for let in expr.all_lets
-    }
-    keys = [key for key in keys if not key[2] & rebound]
-    if keys:
-        _bind_block(expr, keys, own)
+    _bind_block(expr, keys, own)
     return expr
 
 

@@ -148,11 +148,13 @@ class Projection:
 @dataclass(frozen=True, slots=True)
 class GroupKey:
     """One GROUP BY key: its expression, the variable the clauses after the
-    grouping read its value through (its alias, when it has one) and, with
-    no alias, the default name it may be read by too (``r.k``: ``k``)."""
+    grouping read its value through (a name no identifier spells, so no
+    inner binding captures it) and the name they may also read it by: its
+    alias or, with none, its default name (``r.k``: ``k``)."""
 
     expr: Expr
     var: str
+    alias: Optional[str] = None
     default: Optional[str] = None
 
 

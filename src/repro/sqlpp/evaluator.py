@@ -195,16 +195,11 @@ class EvaluationContext:
 class Env:
     """A lexical scope chain of variable bindings."""
 
-    __slots__ = ("vars", "parent", "group")
+    __slots__ = ("vars", "parent")
 
     def __init__(self, vars=None, parent: Optional["Env"] = None):
         self.vars: Dict[str, object] = vars or {}
         self.parent = parent
-        # The member tuple envs of the nearest enclosing GROUP BY group,
-        # what an aggregate folds.  A group env assigns ``.group`` before
-        # any child scopes are made, so inheriting the parent's at
-        # construction is exact.
-        self.group: Optional[List[Env]] = parent.group if parent is not None else None
 
     _SENTINEL = SENTINEL  # shared with compiled closures (plans.SENTINEL)
 
@@ -475,8 +470,8 @@ class Evaluator:
 
     def _eval_aggregate(self, expr: Call, env: Env):
         name = expr.name.lower()
-        members = env.group
-        if members is not None:
+        members = env.lookup("*")  # the nearest enclosing group's members
+        if members is not Env._SENTINEL:
             values = []
             if expr.args and isinstance(expr.args[0], Star):
                 values = [1] * len(members)
@@ -568,6 +563,8 @@ class Evaluator:
                     return result
             return self._planned_select(plan, env)
         fv = free_vars(block)
+        if "*" in fv and not env.is_bound("*"):
+            fv.discard("*")  # no group encloses it: its aggregates read arrays
         if fv and all(name in ctx.catalog for name in fv):
             return self._uncorrelated(
                 ctx.plan_cache.token_for(block), fv, self.evaluate_select, block, env
@@ -822,17 +819,17 @@ class Evaluator:
         recomputation would be identical — the datasets the functions it
         calls read among them (:meth:`_guard`).  Bypasses (returns
         :data:`_MEMO_BYPASS`) whenever the proof does not hold: the block
-        calls an impure Java UDF, an outer variable is unbound here (as
-        ``*`` always is: an aggregate folding an enclosing group's members,
-        :func:`~repro.sqlpp.analysis.free_vars`), a dep dataset is missing
-        from the catalog, or a dep dataset carries a secondary index the
+        calls an impure Java UDF, it reads ``*`` (an aggregate folding an
+        enclosing group's members, which no entry is filed under), an
+        outer variable is unbound here, a dep dataset is missing from the
+        catalog, or a dep dataset carries a secondary index the
         planner may probe *live* (live index probes see mid-batch updates,
         which a cross-batch memo must never mask).
         """
         ctx = self.ctx
         catalog = ctx.catalog
         deps = self._guard(plan, plan.correlated_deps)
-        if deps is None:
+        if deps is None or "*" in plan.correlated_vars:
             return _MEMO_BYPASS
         for name in deps:
             dataset = catalog.get(name)
@@ -1364,9 +1361,9 @@ class Evaluator:
         """One env per GROUP BY group of ``tuple_envs``, in the order their
         ``key_of(env)`` is first seen (equal when the values are, under
         :func:`value_key`; ``key_of`` None: one group of every tuple, one
-        row even over an empty input).  It holds the group's members, what
-        an aggregate folds, and binds each of ``keys``' values to the key's
-        variable and default name."""
+        row even over an empty input).  It binds ``*`` to the group's
+        members, what an aggregate folds, and each of ``keys``' values to
+        the key's variable and its alias or default name."""
         self.ctx.meter.group_items += len(tuple_envs)
         groups: Dict[Tuple, Tuple] = {}
         if key_of is None:
@@ -1381,11 +1378,12 @@ class Evaluator:
                 group[1].append(env)
         group_envs = []
         for key, members in groups.values():
-            genv = scope.child()
-            genv.group = members
+            genv = scope.child({"*": members})
             for spec, value in zip(keys, key):
                 genv.vars[spec.var] = value
-                if spec.default:
+                if spec.alias:
+                    genv.vars[spec.alias] = value
+                elif spec.default:
                     genv.vars.setdefault(spec.default, value)
             group_envs.append(genv)
         return group_envs

@@ -56,7 +56,7 @@ class Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
-        # the variables of unaliased GROUP BY keys: no identifier spells one
+        # the variables of GROUP BY keys: no identifier spells one
         self.key_vars = (f"#key{n}" for n in count())
 
     # ------------------------------------------------------------- utilities
@@ -447,10 +447,10 @@ class Parser:
         return FromTerm(source, var, hints)
 
     def parse_group_key(self) -> GroupKey:
-        expr = self.parse_expression()
+        expr, var = self.parse_expression(), next(self.key_vars)
         if self.accept_keyword("as"):
-            return GroupKey(expr, self.expect_ident())
-        return GroupKey(expr, next(self.key_vars), default_alias(expr, fallback=None))
+            return GroupKey(expr, var, alias=self.expect_ident())
+        return GroupKey(expr, var, default=default_alias(expr, fallback=None))
 
     def parse_order_item(self) -> OrderItem:
         expr = self.parse_expression()

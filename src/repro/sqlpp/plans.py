@@ -462,8 +462,8 @@ def _compile_aggregate(expr: Call, lowered: str) -> Callable:
     arg_fn = compile_expr(expr.args[0] if expr.args else Star(VarRef("*")))
 
     def run(ev, env):
-        members = env.group
-        if members is not None:
+        members = env.lookup("*")  # the nearest enclosing group's members
+        if members is not SENTINEL:
             if count_star:
                 return aggregate_values(lowered, [1] * len(members))
             values = []
@@ -861,7 +861,8 @@ def _plan_hoisting(
     """``plan``'s :class:`Hoisting`, or None when it hoists nothing and
     tests no filter."""
     hoisting = Hoisting()
-    depth: Dict[str, int] = {}
+    # with no group enclosing the block an aggregate reads no ``*``
+    depth: Dict[str, int] = {} if "*" in bound_names else {"*": 0}
     probe_fns = []
     for k, tp in enumerate(plan.terms):
         fn = tp.probe_fn
@@ -971,6 +972,8 @@ def build_select_plan(
     plan.token = token
     plan.catalog_names = catalog_names
     fv = free_vars(block)
+    if "*" not in bound_names:
+        fv.discard("*")  # no group encloses it: its aggregates read arrays
     # Cacheable = uncorrelated: every free variable is a catalog dataset
     # (the stale-until-next-batch top-10 list of Figure 18).
     plan.cacheable = bool(fv) and fv <= catalog_names

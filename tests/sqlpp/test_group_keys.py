@@ -1,7 +1,7 @@
 """A GROUP BY key is a variable, bound when the block parses.
 
-The clauses evaluated per group read a key through its alias or a name no
-identifier spells, so an inner FROM or LET that re-binds what the key
+The clauses evaluated per group read a key through a name no identifier
+spells, so an inner FROM, LET or GROUP BY name that re-binds what the key
 reads shadows it (the SQL++ rule), while an inner block that re-binds
 nothing reads the key.  Literal rows, on the interpreter, the planned
 path and ``AsterixLite.query``.
@@ -17,7 +17,7 @@ from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
 from repro.sqlpp.analysis import free_vars
 from repro.sqlpp.ast import VarRef
 from repro.sqlpp.evaluator import Env
-from repro.sqlpp.plans import compile_expr
+from repro.sqlpp.plans import build_select_plan, compile_expr
 
 DATA = {
     "R": [{"id": 1, "k": "US", "v": "a"}, {"id": 2, "k": "FR", "v": "b"}],
@@ -45,6 +45,31 @@ CASES = {
         "SELECT VALUE (LET g = {\"k\": 0} SELECT VALUE g.k)"
         " FROM G g GROUP BY g.k ORDER BY g.k",
         [[0], [0], [0]],
+    ),
+    # the key's variable is no alias an inner FROM can capture: the inner
+    # ``k`` is the inner record, ``r.k`` still the outer key
+    "inner-from-binds-the-alias": (
+        "SELECT VALUE (SELECT VALUE r.k FROM R k ORDER BY k.id)"
+        " FROM R r GROUP BY r.k AS k ORDER BY k",
+        [["FR", "FR"], ["US", "US"]],
+    ),
+    # past its own grouping, an inner key's alias or default name re-binds
+    # ``r``: the inner ``r.k`` is the inner key's field
+    "inner-group-alias-shadows": (
+        'SELECT VALUE (SELECT VALUE r.k FROM G s GROUP BY {"k": s.v} AS r'
+        " ORDER BY r.k) FROM R r GROUP BY r.k ORDER BY r.k",
+        [["a", "b", "c", "d"]] * 2,
+    ),
+    "inner-group-default-name-shadows": (
+        'SELECT VALUE (SELECT VALUE r.k FROM G s LET w = {"r": {"k": s.v}}'
+        " GROUP BY w.r ORDER BY r.k) FROM R r GROUP BY r.k ORDER BY r.k",
+        [["a", "b", "c", "d"]] * 2,
+    ),
+    # a FROM term sees the terms left of it: the first reads the outer key
+    "inner-from-source-left-of-a-rebinding": (
+        "SELECT VALUE (SELECT VALUE [x, r.id] FROM [r.k] x, R r ORDER BY r.id)"
+        " FROM R r GROUP BY r.k ORDER BY r.k",
+        [[["FR", 1], ["FR", 2]], [["US", 1], ["US", 2]]],
     ),
     # ... and an inner block that re-binds nothing reads the key
     "inner-block-reads-the-key": (
@@ -131,12 +156,33 @@ def test_facade_binds_group_keys(system, case):
         assert _canonical(rows, query) == _canonical(expected, query)
 
 
-def test_an_unaliased_key_is_a_variable_no_identifier_spells():
-    block = parse_expression("SELECT VALUE r.k FROM R r GROUP BY r.k")
+@pytest.mark.parametrize("group_by", ["r.k", "r.k AS k"])
+def test_a_key_is_a_variable_no_identifier_spells(group_by):
+    block = parse_expression(f"SELECT VALUE r.k FROM R r GROUP BY {group_by}")
     (key,) = block.group_keys
-    assert key.default == "k" and not key.var.isidentifier()
+    assert (key.alias or key.default) == "k" and not key.var.isidentifier()
     assert block.select_value == VarRef(key.var)
     assert free_vars(block) == {"R"}  # the top-10 block of Figure 18 stays uncorrelated
+
+
+@pytest.mark.parametrize(
+    "where, bound, correlated",
+    [
+        ("r.k = max(t.ks)", {"t"}, ("t",)),  # an array form over a parameter
+        ('r.k = max(["US"])', set(), ()),  # ... and over a constant
+        ("r.id <= count(*)", {"*"}, ("*",)),  # an enclosing group's members
+    ],
+)
+def test_an_aggregate_outside_a_group_reads_an_array(where, bound, correlated):
+    """Only where a group encloses the block does an aggregate read ``*``:
+    elsewhere it is the array form, and the block keeps its index probe
+    and its correlation verdict, the once-per-generation cache included."""
+    block = parse_expression(f"SELECT VALUE r.v FROM R r WHERE {where}")
+    plan = build_select_plan(block, frozenset(bound), frozenset({"R"}), token=0)
+    assert plan.correlated_vars == correlated
+    assert plan.cacheable == (not correlated)
+    if where.startswith("r.k ="):
+        assert plan.terms[0].access_kind == "equality"
 
 
 @pytest.mark.parametrize(

@@ -269,3 +269,4 @@ class TestScalarEvaluatorMemo:
         rows = registry.invoke("perCountry", [sample_tweet], memo_ctx)
         assert rows == [[5, 10], [5, 10, 20, 30]]
         assert memo_ctx.meter.memo_hits == 0
+        assert memo_ctx.memo.stats()["entries"] == 1  # the outer block's, for t

@@ -164,9 +164,7 @@ class TestSelectBlocks:
         block = parse_expression(
             "SELECT ethnicity, count(*) AS n FROM P p GROUP BY p.ethnicity AS ethnicity"
         )
-        # the alias is the key's variable, and no default name is bound
-        assert block.group_keys[0].var == "ethnicity"
-        assert block.group_keys[0].default is None
+        assert block.group_keys[0].alias == "ethnicity"
 
     def test_order_by_desc_and_limit(self):
         block = parse_expression(

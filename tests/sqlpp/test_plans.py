@@ -251,7 +251,7 @@ def _grouped(key):
     evaluator = Evaluator(EvaluationContext({}))
     members = [Env({"t": {"f": "row"}})]
     (genv,) = evaluator._grouped(
-        Env({}), members, [GroupKey(VarRef("t"), "t")], lambda env: (key,)
+        Env({}), members, [GroupKey(VarRef("t"), "#key0", alias="t")], lambda env: (key,)
     )
     return genv.child({})
 
