@@ -12,7 +12,7 @@ import pytest
 
 from repro.adm import Circle, DateTime, Point, Rectangle, open_type, parse_json
 from repro.cluster import Cluster
-from repro.ingestion.pipelines import _StorageLayer
+from repro.ingestion.storage_job import StorageJob
 from repro.sqlpp import (
     EvaluationContext,
     Evaluator,
@@ -68,7 +68,7 @@ def test_micro_store_batch(benchmark):
 
     def store_all():
         target = Dataset("Tweets", TWEET_TYPE_FULL, "id", num_partitions=2)
-        storage = _StorageLayer(Cluster(2), target)
+        storage = StorageJob(Cluster(2), target)
         for outputs in batches:
             storage.store_batch(outputs)
         return storage.records_stored

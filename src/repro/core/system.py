@@ -28,7 +28,7 @@ from ..errors import FeedStateError, SqlppAnalysisError
 from ..hyracks.connectors import HashPartition
 from ..hyracks.cost import CostModel
 from ..hyracks.executor import JobResult
-from ..hyracks.job import JobSpecification, OperatorDescriptor
+from ..hyracks.job import OperatorDescriptor, linear_job
 from ..hyracks.operators import DatasetWriteSink, ListSource
 from ..ingestion.adapter import FeedAdapter
 from ..ingestion.feed import (
@@ -81,19 +81,17 @@ def run_insert(
         raise SqlppAnalysisError(f"unknown dataset: {dataset_name}")
     dataset = catalog[dataset_name]
     n = cluster.num_nodes
-    spec = JobSpecification(f"insert-{dataset_name}")
-    src = spec.add_operator(
-        OperatorDescriptor("rows", lambda c: ListSource(c, rows), partitions=n)
-    )
-    sink = spec.add_operator(
-        OperatorDescriptor(
-            "store",
-            lambda c: DatasetWriteSink(c, dataset, "upsert" if upsert else "insert"),
-            partitions=n,
-        )
-    )
-    spec.connect(
-        src, sink, HashPartition(lambda r: primary_key_of(r, dataset.primary_key))
+    spec = linear_job(
+        f"insert-{dataset_name}",
+        OperatorDescriptor("rows", lambda c: ListSource(c, rows), partitions=n),
+        (
+            HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
+            OperatorDescriptor(
+                "store",
+                lambda c: DatasetWriteSink(c, dataset, "upsert" if upsert else "insert"),
+                partitions=n,
+            ),
+        ),
     )
     return cluster.controller.run_job(spec)
 

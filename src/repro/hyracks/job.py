@@ -107,6 +107,17 @@ class ConnectorDescriptor:
         self.strategy = strategy  # a connectors.RoutingStrategy
 
 
+def linear_job(name: str, source: OperatorDescriptor, *stages) -> "JobSpecification":
+    """A linear job: ``source``, then each ``(connector, descriptor)`` stage
+    routed from the stage before it."""
+    spec = JobSpecification(name)
+    upstream = spec.add_operator(source)
+    for strategy, op in stages:
+        spec.connect(upstream, spec.add_operator(op), strategy)
+        upstream = op
+    return spec
+
+
 class JobSpecification:
     """Pipelines of operator descriptors wired by connector descriptors."""
 

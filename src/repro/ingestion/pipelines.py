@@ -7,64 +7,63 @@ refreshed), records hash-partitioned into storage.  Stateful SQL++ UDFs
 are rejected, matching current AsterixDB (§4.3.4), unless the caller
 explicitly opts into the Model-3 ablation.
 
-**Dynamic** (§5/§6, the contribution): three layers —
+**Dynamic** (§5/§6, the contribution): a :class:`FeedRun` is three jobs,
+each in its own module and each the one owner of its state and its events —
 
-* an *intake job* running for the feed's lifetime: adapter + round-robin
-  partitioner + passive intake partition holders;
-* a *computing job*, predeployed and invoked once per batch by the run's
-  computing workers (the paper's Active Feed Manager loop,
-  :meth:`FeedRun._worker_loop`): collector + parser + UDF evaluator, with
-  intermediate state refreshed every invocation;
-* a *storage job* running for the feed's lifetime: the batch-ordered push
+* the *intake job* (:class:`~repro.ingestion.intake_job.IntakeJob`),
+  running for the feed's lifetime: adapters + round-robin partitioner +
+  passive intake partition holders, one supervised lane per partition;
+* the *computing job* (:class:`~repro.ingestion.computing_job.ComputingJob`),
+  predeployed and invoked once per batch by each pool worker's Active
+  Feed Manager loop: collector + parser + UDF evaluator, with intermediate
+  state refreshed every invocation;
+* the *storage job* (:class:`~repro.ingestion.storage_job.StorageJob`),
+  running for the feed's lifetime: the sequencer's batch-ordered release
   of each job's output (the active side of the partition holders) +
   primary-key hash partitioner + LSM writers.
 
-Execution model: each layer is a :class:`~repro.runtime.Process` on the
-cluster's discrete-event runtime.  The intake process blocks (with real
-backpressure accounting) when a bounded partition holder fills; the
-computing process starves (idle) when the holders are empty; storage
+They meet only at the :class:`~repro.runtime.IntakeBuffer` over the intake
+holders and at the storage job's :class:`~repro.runtime.Sequencer`; the
+run keeps the feed's setup, the wiring and the report.
+
+Execution model: each job's actors are :class:`~repro.runtime.Process`\\ es
+on the cluster's discrete-event runtime.  An intake lane blocks (with real
+backpressure accounting) when a bounded partition holder fills; a
+computing worker starves (idle) when the holders are empty; storage
 overlaps the next computing job through a bounded work channel.  Layer
 overlap, stalls, and the feed's makespan all *emerge from the schedule* —
 the report's steady-state throughput still equals records divided by the
 bottleneck layer's busy time, with pipeline fill/drain amortized into the
 one-time start cost.  The coupled "insert job" of §5.1 (no decoupling) and
 the no-predeploy ablation run on the same runtime, differing only in what
-the computing process charges per batch.
+the computing workers charge per batch.
 """
 
 from __future__ import annotations
 
-import gc
-from collections import deque
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..adm.schema import primary_key_of
 from ..cluster.controller import Cluster
-from ..errors import FeedStateError, IngestionError, InjectedCrash, StreamingJoinError
+from ..errors import FeedStateError, IngestionError, StreamingJoinError
 from ..hyracks.connectors import HashPartition, OneToOne, RoundRobin
-from ..hyracks.frame import DEFAULT_FRAME_CAPACITY, Frame
-from ..hyracks.job import JobSpecification, OperatorDescriptor
+from ..hyracks.job import OperatorDescriptor, linear_job
 from ..hyracks.operators import DatasetWriteSink, ListSource, ParseOperator
-from ..hyracks.operators.sinks import CallbackSink
-from ..hyracks.partition_holder import PassivePartitionHolder
 from ..runtime import (
     Advance,
-    CANCELLED,
-    Channel,
     Event,
     FaultMetrics,
-    IDLE,
     IntakeBuffer,
     RunCounters,
     RuntimeMetrics,
-    Sequencer,
     Supervisor,
 )
 from ..sqlpp.analysis import dataset_references
 from ..sqlpp.evaluator import EvaluationContext, Evaluator
-from ..storage.checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
-from .adapter import ADAPTER_IDLE, FeedAdapter, drain_available
+from ..storage.checkpoint import CheckpointStore
+from .adapter import FeedAdapter, drain_available
+from .computing_job import ComputingJob, charge
 from .feed import (
     BatchStats,
     ComputingModel,
@@ -72,8 +71,7 @@ from .feed import (
     FeedRunReport,
     Framework,
 )
-from .external import EnrichmentCoordinator
-from .fabric import FeedSignals
+from .intake_job import IntakeJob
 from .policy import (
     DEFAULT_POLICY,
     ExternalFailureAction,
@@ -82,441 +80,8 @@ from .policy import (
     SoftErrorHandler,
     ensure_dead_letter_dataset,
 )
+from .storage_job import FeedCheckpoint, StorageJob, thaw_releases
 from .udf_operator import UdfEvaluatorOperator, make_invoker
-
-#: elastic-controller constants.  Every ``ELASTIC_SAMPLE_SECONDS`` of
-#: simulated time the controller samples the intake buffer.  A sample is
-#: *congested* when holder occupancy reaches the scale-up threshold, the
-#: producer is blocked (or stalled since the last sample), or at least
-#: ``ELASTIC_BACKLOG_BATCHES`` full batches sit ready in the buffer; it
-#: is *starved* when occupancy is at or below the scale-down threshold,
-#: the producer is unblocked, and less than one full batch is queued.
-#: ``ELASTIC_SUSTAINED_SAMPLES`` consecutive congested (starved) samples
-#: grow (retire) one worker.
-ELASTIC_SAMPLE_SECONDS = 0.02
-ELASTIC_SCALE_UP_OCCUPANCY = 0.5
-ELASTIC_SCALE_DOWN_OCCUPANCY = 0.05
-ELASTIC_BACKLOG_BATCHES = 2.0
-ELASTIC_SUSTAINED_SAMPLES = 2
-#: computing → storage work items in flight on the decoupled storage channel
-STORAGE_QUEUE_CAPACITY = 8
-
-
-class _SubBatch:
-    """One slice of an oversized batch, dispatched to a pool worker.
-
-    Slices share the parent batch's sequencer ``index``; the sequencer
-    reassembles the ``of`` sub-results in ``sub`` order before the in-order
-    release, so storage sees exactly the unsplit batch's output.
-    """
-
-    __slots__ = ("index", "sub", "of", "lists", "records")
-
-    def __init__(self, index: int, sub: int, of: int, lists: List[List[dict]]):
-        self.index = index
-        self.sub = sub
-        self.of = of
-        self.lists = lists
-        self.records = sum(len(p) for p in lists)
-
-    def __repr__(self):
-        return f"<SubBatch {self.index}.{self.sub}/{self.of} ({self.records}r)>"
-
-
-def _split_batch(
-    batch: List[List[dict]], max_records: int
-) -> Optional[List[List[List[dict]]]]:
-    """Slice an oversized batch into sub-batches of ≤ ``max_records``.
-
-    Each per-node list is sliced proportionally, so concatenating the
-    sub-batches in sub order recovers the original per-node lists exactly
-    (record order preserved node-by-node).  Returns ``None`` when no split
-    is warranted (disabled, small batch, or everything lands in one slice).
-    """
-    total = sum(len(p) for p in batch)
-    if max_records <= 0 or total <= max_records:
-        return None
-    k = -(-total // max_records)  # ceil division
-    subs: List[List[List[dict]]] = []
-    for s in range(k):
-        lists = [
-            p[(len(p) * s) // k : (len(p) * (s + 1)) // k] for p in batch
-        ]
-        if any(lists):
-            subs.append(lists)
-    return subs if len(subs) > 1 else None
-
-
-class _StorageLayer:
-    """The storage job: per-node LSM writers behind the sequencer.
-
-    Performs the real dataset writes and accounts per-node storage busy
-    time (store cost, log forces, cross-node transfer for records whose
-    primary-key hash lands elsewhere).  In decoupled mode it also runs as
-    a runtime process consuming per-batch work items from a channel, so
-    its busy time overlaps the next computing job.
-    """
-
-    def __init__(self, cluster: Cluster, dataset):
-        self.cluster = cluster
-        self.dataset = dataset
-        # a feed always upserts: an at-least-once replay dedupes on the key
-        self.write = dataset.upsert
-        self.node_busy: Dict[int, float] = {n: 0.0 for n in range(cluster.num_nodes)}
-        self.records_stored = 0
-
-    def store_batch(self, outputs: List[List[dict]]) -> float:
-        """Write one computing job's output; returns this batch's max busy.
-
-        ``outputs[p]`` is the enriched record list produced on node ``p``.
-        This is §5.3's push side — the active partition holder at the head
-        of the storage job — called by the run's sequencer in batch order.
-        """
-        cost = self.cluster.cost_model
-        n = self.cluster.num_nodes
-        transfer, store = cost.transfer_per_record, cost.store_per_record
-        locate, write = self.dataset.locate, self.write
-        # per node: seconds this batch charged it (a node nothing charged
-        # stays at 0.0, which adds nothing below) and whether it stored
-        batch_busy = [0.0] * n
-        touched = [False] * n
-        stored = 0
-        try:
-            for producer_node, records in enumerate(outputs):
-                if not records:
-                    continue
-                home = producer_node % n
-                for record in records:
-                    # key and hash once per record: the node here, the
-                    # dataset partition inside the write
-                    located = locate(record)
-                    target = located[1] % n
-                    if target != home:
-                        batch_busy[home] += transfer
-                    write(record, located)
-                    stored += 1
-                    batch_busy[target] += store
-                    touched[target] = True
-        finally:
-            self.records_stored += stored
-        node_busy = self.node_busy
-        for node in range(n):
-            if touched[node]:
-                batch_busy[node] += cost.log_flush_per_batch
-            node_busy[node] += batch_busy[node]
-        return max(batch_busy)
-
-    def process(self, channel: Channel):
-        """Runtime process: advance through queued per-batch write work."""
-        while True:
-            seconds = yield from channel.get()
-            if seconds is None:
-                break
-            if seconds > 0:
-                yield Advance(seconds)
-
-    @property
-    def max_busy(self) -> float:
-        return max(self.node_busy.values())
-
-
-class _IntakeLayer:
-    """The intake job: adapter(s) + round-robin partitioner + holders.
-
-    With ``num_partitions > 1`` the feed runs partitioned intake: each
-    partition is its own intake actor driving its own adapter, pinned
-    round-robin to an intake node, all merging into the shared holder set
-    under one logical cursor (per-partition ``(partition, seq)``
-    watermarks).  The single-partition feed keeps the historical
-    round-robin-per-record node accounting bit-for-bit.
-    """
-
-    def __init__(
-        self,
-        cluster: Cluster,
-        feed: FeedDefinition,
-        num_partitions: int = 1,
-        track_cursors: bool = False,
-    ):
-        self.cluster = cluster
-        self.feed = feed
-        self.num_partitions = num_partitions
-        #: coordination between the partition actors: the last one to
-        #: finish ends the shared buffer; adapter faults are consumed
-        #: run-wide; with ``track_cursors`` each partition logs
-        #: ``(max seq, resume cursor)`` hints the checkpoint commits consume
-        self.open_actors = num_partitions
-        self.faults_consumed: set = set()
-        self.cursor_log: Optional[Dict[int, list]] = (
-            {p: [] for p in range(num_partitions)} if track_cursors else None
-        )
-        n = cluster.num_nodes
-        self.intake_nodes = list(range(n)) if feed.balanced_intake else [0]
-        self.node_busy: Dict[int, float] = {node: 0.0 for node in self.intake_nodes}
-        #: per intake partition: its actor's accumulated busy seconds
-        self.partition_busy: Dict[int, float] = {
-            p: 0.0 for p in range(num_partitions)
-        }
-        self.holders = [
-            PassivePartitionHolder(
-                f"intake-{feed.name}", p, feed.intake_holder_capacity
-            )
-            for p in range(n)
-        ]
-        self._rr = 0
-        self._intake_rr = 0
-        self.records_received = 0
-
-    def _receive(self, chunk: List[dict], partition: int = 0):
-        """Account one chunk's receive/fan-out work; returns framed output.
-
-        Returns ``(target, frame)`` pairs in deposit order: holder ``p``
-        lives on node ``p``, so records landing elsewhere charge a
-        transfer to the receiving intake node.
-
-        Partitioned intake pins each partition's work to one intake node
-        (partitions map round-robin onto the feed's intake nodes) and
-        stamps each envelope with its partition for cursor tracking; the
-        single-partition path is unchanged.
-        """
-        cost = self.cluster.cost_model
-        n = self.cluster.num_nodes
-        buffers: List[List[dict]] = [[] for _ in range(n)]
-        per = cost.receive_per_record + cost.intake_fanout_per_record
-        transfer = cost.transfer_per_record
-        node_busy = self.node_busy
-        # the round-robin cursors advance once per envelope; they are
-        # walked in locals and written back after the chunk
-        target = self._rr % n
-        # Two branches, not one: a remote record's charge is ``per`` then
-        # ``transfer`` on a single lane but ``per + transfer`` on a
-        # partitioned one, and BENCH_scaleout.json pins both float sums
-        # to the last bit.
-        if self.num_partitions > 1:
-            pinned = self.intake_nodes[partition % len(self.intake_nodes)]
-            remote = per + transfer
-            busy, mine = node_busy[pinned], self.partition_busy[partition]
-            for envelope in chunk:
-                envelope["partition"] = partition
-                # holder p lives on node p
-                charged = remote if target != pinned else per
-                busy += charged
-                mine += charged
-                buffers[target].append(envelope)
-                target += 1
-                if target == n:
-                    target = 0
-            node_busy[pinned], self.partition_busy[partition] = busy, mine
-        else:
-            intake_nodes = self.intake_nodes
-            width = len(intake_nodes)
-            at = self._intake_rr % width
-            for envelope in chunk:
-                intake_node = intake_nodes[at]
-                at += 1
-                if at == width:
-                    at = 0
-                node_busy[intake_node] += per
-                if target != intake_node:  # holder p lives on node p
-                    node_busy[intake_node] += transfer
-                buffers[target].append(envelope)
-                target += 1
-                if target == n:
-                    target = 0
-            self._intake_rr += len(chunk)
-        self._rr += len(chunk)
-        self.records_received += len(chunk)
-        frames = []
-        for target, buffered in enumerate(buffers):
-            for start in range(0, len(buffered), DEFAULT_FRAME_CAPACITY):
-                frames.append(
-                    (target, Frame(buffered[start : start + DEFAULT_FRAME_CAPACITY]))
-                )
-        return frames
-
-    @property
-    def max_busy(self) -> float:
-        return max(self.node_busy.values())
-
-
-#: sim seconds an idle-but-open adapter (an un-ended QueueAdapter) may
-#: starve its intake lane before the feed treats the stream as complete,
-#: and the lane's poll period while it waits
-ADAPTER_IDLE_TIMEOUT_SECONDS = 10.0
-ADAPTER_IDLE_POLL_SECONDS = 0.5
-
-
-class _IntakeLane:
-    """One intake partition's actor: its adapter drawing into the buffer.
-
-    The lane's bound :meth:`run` is the supervisor's body factory, called
-    once for the first run and once per restart.  What a restart must not
-    lose lives on the lane — envelopes drawn but not yet framed
-    (:attr:`chunk`) and frames not yet deposited (:attr:`pending`) — so a
-    crash mid-deposit replays them instead of losing them (at-least-once;
-    duplicates resolve downstream via primary-key upsert).
-
-    ``buffer.put`` suspends this process (accounted as *blocked*) while
-    the target holder is full — backpressure propagates to the adapter
-    instead of force-appending past the holder's bound.  An idle-but-open
-    adapter (a :class:`QueueAdapter` drained before ``end()``) surfaces as
-    accounted idle time, bounded by ``ADAPTER_IDLE_TIMEOUT_SECONDS``.
-
-    An :class:`~repro.runtime.faults.AdapterFailAt` in the fault plan
-    kills the adapter after it has drawn that many envelopes: the source
-    is closed and the lane crashes; on the supervisor's restart the
-    adapter is re-opened from its resume cursor
-    (:meth:`~repro.ingestion.adapter.FeedAdapter.resume_position`), so
-    envelopes already drawn (held on the lane) are never drawn twice and
-    nothing after the cursor is skipped.
-
-    The lanes of one feed coordinate through their :class:`_IntakeLayer`
-    (open-lane count so the *last* finisher ends the buffer, the run-wide
-    set of consumed adapter faults, and the per-partition durable cursor
-    log the checkpoint commits consume).  ``resume_from`` re-opens a fresh
-    adapter at a durable cursor (``resume_run``) — distinct from the
-    in-process re-open after an adapter death, which resumes from the live
-    ``resume_position()``.  Adapter deaths, re-opens and idle timeouts
-    go to the run's stream through ``note`` (:meth:`FeedRun._note`).
-    """
-
-    def __init__(
-        self,
-        layer: _IntakeLayer,
-        adapter: FeedAdapter,
-        buffer: IntakeBuffer,
-        chunk_size: int,
-        note,
-        partition: int = 0,
-        resume_from=None,
-    ):
-        self.layer = layer
-        self.adapter = adapter
-        self.buffer = buffer
-        self.chunk_size = chunk_size
-        self.note = note
-        self.partition = partition
-        self.plan = buffer.runtime.fault_plan
-        # only pass resume_from when actually resuming: adapter
-        # subclasses predating durable restart may not accept it
-        self.source = (
-            adapter.envelopes(resume_from=resume_from)
-            if resume_from is not None
-            else adapter.envelopes()
-        )
-        self.drawn = 0  # envelopes drawn over the adapter's lifetime
-        self.exhausted = False
-        self.advanced = 0.0
-        self.chunk: Optional[List[dict]] = None
-        self.pending: Optional[list] = None
-        self.idle = 0.0
-        self.ended = False
-
-    def due_adapter_fault(self):
-        """The fault plan's next unconsumed adapter death due on this lane."""
-        consumed = self.layer.faults_consumed
-        for index, fault in self.plan.adapter_failures_indexed():
-            if index in consumed:
-                continue
-            if fault.partition is not None and fault.partition != self.partition:
-                continue
-            if fault.feed not in (None, self.layer.feed.name):
-                continue
-            if self.drawn >= fault.after_records:
-                consumed.add(index)
-                return fault
-        return None
-
-    def run(self):
-        layer, adapter, buffer = self.layer, self.adapter, self.buffer
-        note, partition, plan = self.note, self.partition, self.plan
-        chunk_size = self.chunk_size
-        cursor_log = layer.cursor_log
-        if self.source is None:
-            # restarted after an adapter death: re-open from the cursor
-            self.source = adapter.envelopes(resume_from=adapter.resume_position())
-            note("adapter_reopen", drawn=self.drawn)
-        source = self.source
-        while True:
-            if self.pending is None:
-                if self.exhausted:
-                    break
-                if self.chunk is None:
-                    self.chunk = []
-                chunk = self.chunk
-                while len(chunk) < chunk_size:
-                    fault = self.due_adapter_fault() if plan is not None else None
-                    if fault is not None:
-                        # the source died mid-fetch: drop the iterator,
-                        # release its resources, and crash this actor —
-                        # the supervisor restarts it and the re-opened
-                        # source resumes from the cursor
-                        self.source = None
-                        note("adapter_death", drawn=self.drawn)
-                        adapter.close()
-                        raise InjectedCrash(fault)
-                    try:
-                        item = next(source)
-                    except StopIteration:
-                        self.exhausted = True
-                        break
-                    if item is ADAPTER_IDLE:
-                        if chunk:
-                            break  # deliver what we have before idling
-                        if self.idle >= ADAPTER_IDLE_TIMEOUT_SECONDS:
-                            note("idle_timeout", idle=self.idle)
-                            self.exhausted = True
-                            break
-                        self.idle += ADAPTER_IDLE_POLL_SECONDS
-                        yield Advance(ADAPTER_IDLE_POLL_SECONDS, state=IDLE)
-                        continue
-                    self.idle = 0.0
-                    self.drawn += 1
-                    chunk.append(item)
-                if not chunk:
-                    if self.exhausted:
-                        break
-                    continue
-                frames = layer._receive(chunk, partition)
-                if cursor_log is not None:
-                    # durable-resume hint: after this chunk is fully
-                    # deposited, a restart may re-open the adapter here
-                    cursor_log[partition].append(
-                        (max(e["seq"] for e in chunk), adapter.resume_position())
-                    )
-                self.chunk = None
-                # Stash undelivered frames *before* consuming sim time:
-                # a crash from here on replays them.
-                self.pending = list(frames)
-                # A partitioned actor advances by its own partition's
-                # busy time (actors overlap); the single actor keeps
-                # the historical max-over-intake-nodes accounting.
-                busy_now = (
-                    layer.partition_busy[partition]
-                    if layer.num_partitions > 1
-                    else layer.max_busy
-                )
-                delta = busy_now - self.advanced
-                self.advanced = busy_now
-                if delta > 0:
-                    yield Advance(delta)
-            pending = self.pending
-            while pending:
-                target, frame = pending[0]
-                yield from buffer.put(target, frame)
-                pending.pop(0)
-            self.pending = None
-            # Batch boundary: yield the slice so a waiting computing
-            # process evaluates this chunk's batch before the adapter
-            # draws (and side-effects) the next chunk.
-            yield Advance(0.0)
-        if not self.ended:
-            self.ended = True
-            layer.open_actors -= 1
-            if layer.open_actors == 0:
-                # last partition standing ends the shared buffer
-                buffer.end()
-
 
 def _check_stateful_support(feed: FeedDefinition, registry, catalog) -> None:
     """Static framework: reject stateful SQL++ UDFs unless Model-3 opt-in."""
@@ -638,69 +203,40 @@ class StaticIngestionPipeline:
         for i, envelope in enumerate(envelopes):
             slices[i % len(intake_nodes)].append(envelope)
 
-        spec = JobSpecification(f"feed-{feed.name}-static")
-        src = spec.add_operator(
-            OperatorDescriptor(
-                "adapter",
-                lambda ctx: ListSource(
-                    ctx,
-                    partition_lists=slices,
-                    per_record_cost=cost.receive_per_record,
-                ),
-                partitions=len(intake_nodes),
-                nodes=intake_nodes,
-            )
-        )
-        parse = spec.add_operator(
-            OperatorDescriptor(
-                "parser",
-                lambda ctx: ParseOperator(
-                    ctx, feed.datatype, soft_errors=soft_errors
-                ),
-                partitions=len(intake_nodes),
-                nodes=intake_nodes,
-            )
-        )
-        spec.connect(src, parse, OneToOne())
-        upstream = parse
+        width = len(intake_nodes)
+        stages = [(OneToOne(), OperatorDescriptor(
+            "parser",
+            lambda ctx: ParseOperator(ctx, feed.datatype, soft_errors=soft_errors),
+            partitions=width,
+            nodes=intake_nodes,
+        ))]
         if feed.functions:
             invoker = make_invoker(feed.functions, self.registry, counters)
-            udf = spec.add_operator(
-                OperatorDescriptor(
-                    "udf-evaluator",
-                    lambda ctx: UdfEvaluatorOperator(
-                        ctx, eval_ctx, invoker, counters, soft_errors
-                    ),
-                    partitions=n,
-                )
-            )
-            spec.connect(upstream, udf, RoundRobin())
-            upstream = udf
-        sink = spec.add_operator(
-            OperatorDescriptor(
-                "storage",
-                lambda ctx: DatasetWriteSink(ctx, dataset),
+            stages.append((RoundRobin(), OperatorDescriptor(
+                "udf-evaluator",
+                lambda ctx: UdfEvaluatorOperator(
+                    ctx, eval_ctx, invoker, counters, soft_errors
+                ),
                 partitions=n,
-            )
-        )
-        spec.connect(
-            upstream,
-            sink,
+            )))
+        stages.append((
             HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
+            OperatorDescriptor(
+                "storage", lambda ctx: DatasetWriteSink(ctx, dataset), partitions=n
+            ),
+        ))
+        source = OperatorDescriptor(
+            "adapter",
+            lambda ctx: ListSource(
+                ctx, partition_lists=slices, per_record_cost=cost.receive_per_record
+            ),
+            partitions=width,
+            nodes=intake_nodes,
         )
-
-        result = cluster.controller.run_job(spec)
-        shared_seconds = eval_ctx.shared_meter.charge(cost)
-        replicated_seconds = eval_ctx.replicated_meter.charge(cost)
-        busy = dict(result.node_busy_seconds)
-        for node in busy:
-            busy[node] += shared_seconds / n + replicated_seconds
-        teardown = (
-            result.makespan_seconds
-            - result.startup_seconds
-            - result.critical_node_seconds
+        result = cluster.controller.run_job(
+            linear_job(f"feed-{feed.name}-static", source, *stages)
         )
-        makespan = result.startup_seconds + max(busy.values()) + teardown
+        charged = charge(result, eval_ctx, cost, n)
         intake_busy = max(
             result.per_operator_busy.get("adapter", 0.0)
             + result.per_operator_busy.get("parser", 0.0),
@@ -716,9 +252,9 @@ class StaticIngestionPipeline:
 
         def feed_process():
             yield Advance(result.startup_seconds)
-            yield Advance(max(busy.values()))
-            if teardown > 0:
-                yield Advance(teardown)
+            yield Advance(charged.critical)
+            if charged.teardown > 0:
+                yield Advance(charged.teardown)
 
         runtime.spawn(run_name, feed_process(), layer="feed")
         runtime.run()
@@ -728,7 +264,7 @@ class StaticIngestionPipeline:
             framework=Framework.STATIC.value,
             records_ingested=len(envelopes),
             records_stored=result.records_out,
-            simulated_seconds=makespan,
+            simulated_seconds=charged.makespan,
             intake_seconds=intake_busy,
             computing_seconds=result.per_operator_busy.get("udf-evaluator", 0.0) / n,
             storage_seconds=result.per_operator_busy.get("storage", 0.0) / n,
@@ -737,9 +273,9 @@ class StaticIngestionPipeline:
             # millions of records that cost amortizes to nothing, so it is
             # excluded from steady-state throughput along with job startup.
             fixed_start_seconds=result.startup_seconds
-            + teardown
-            + shared_seconds / n
-            + replicated_seconds,
+            + charged.teardown
+            + charged.shared / n
+            + charged.replicated,
             counters=counters,
         )
         report.runtime = RuntimeMetrics.from_runtime(
@@ -784,41 +320,22 @@ def _normalize_adapters(
     return adapters
 
 
-
-
-class _Inflight:
-    """One pool worker's un-acked ``(index, batch, sub, of)`` claim.
-
-    Set when the worker pulls from the intake buffer, cleared only after
-    the sequenced storage hand-off; it outlives the worker's generator so
-    a supervised restart replays it under the *same* batch index.
-    """
-
-    __slots__ = ("claim",)
-
-    def __init__(self):
-        self.claim: Optional[tuple] = None
-
-
 class FeedRun:
-    """One dynamic feed run: its state, its actors, and its report.
+    """One dynamic feed run: the paper's three jobs, wired, and its report.
 
     :meth:`DynamicIngestionPipeline.launch` builds the run completely —
-    layers built, computing job predeployed, actors spawned on the
+    jobs built, computing job predeployed, actors spawned on the
     runtime — and returns it instead of driving the clock, so a caller
     can launch *several* feeds onto one shared runtime and run them as a
     fleet (:meth:`AsterixLite.start_feeds`).  :func:`drive_runs` is the
     driving protocol for both.
 
-    The actors are this object's generator methods, each a
-    :class:`~repro.runtime.Process` on the run's runtime: one intake lane
-    per partition (:meth:`_IntakeLane.run`), a pool of computing
-    workers (:meth:`_worker_loop`), the storage writer
-    (:meth:`_StorageLayer.process`) and — for an elastic policy — the
-    controller that resizes the pool (:meth:`_elastic_controller`).  They
-    share the run's state as plain attributes; everything a report
-    carries under a :class:`~repro.runtime.RunCounters` name is filled
-    into :attr:`counters`, once.
+    The jobs (§5) are :attr:`intake`, :attr:`computing` and
+    :attr:`storage`; each appends its own events to the run's one stream,
+    :attr:`events`.  The run keeps the feed's setup — policy, adapters,
+    caches, dead letters and the checkpoint, if any — the wiring
+    (:meth:`start`) and the report (:meth:`finalize`), which fills every
+    :class:`~repro.runtime.RunCounters` name into :attr:`counters`, once.
     """
 
     def __init__(
@@ -840,50 +357,30 @@ class FeedRun:
                 "it would run Model 2 and see reference updates"
             )
         self.feed = feed
-        self.feed_name = feed.name
         self.run_name = run_name = f"feed-{feed.name}"
         self.cluster = cluster = pipeline.cluster
         registry = pipeline.registry
-        self.update_client = update_client
-        self.predeploy = predeploy
         self.decoupled = decoupled
-        self.checkpoint = checkpoint
         self.fabric = fabric
         dataset = pipeline.catalog[feed.target_dataset]
         n = cluster.num_nodes
-
-        self.batch_size = feed.batch_size
+        batch_size = feed.batch_size
         if feed.computing_model is ComputingModel.PER_RECORD:
-            self.batch_size = 1
-
+            batch_size = 1
         self.policy = policy = feed.policy or DEFAULT_POLICY
         self.adapters = _normalize_adapters(adapter, policy)
-        self.num_partitions = num_partitions = len(self.adapters)
-        #: checkpointing: per-partition max claimed seq, batch index ->
-        #: cursor snapshot at claim time, per-partition durable re-open hint
-        self.cursor: Dict[int, int] = {}
-        self.marks: Dict[int, Dict[int, int]] = {}
-        self.resume_cursors: Dict[int, object] = {}
-        self.base_checkpoint: Optional[RunCheckpoint] = None
-        if checkpoint is not None and resume:
-            base = self.base_checkpoint = checkpoint.load(feed.name)
-            if base is not None:
-                if base.intake_partitions != num_partitions:
-                    raise IngestionError(
-                        f"checkpoint for feed {feed.name!r} was written "
-                        f"with {base.intake_partitions} intake "
-                        f"partition(s); this run attached {num_partitions}"
-                    )
-                # partitions that receive no new records keep their durable
-                # position instead of regressing to "nothing acked"
-                for p, cursor in base.cursors.items():
-                    self.cursor[p] = cursor.acked_seq
-                    self.resume_cursors[p] = cursor.resume
-        self.faults = FaultMetrics()
-        self.counters = RunCounters(intake_partitions=num_partitions)
+        num_partitions = len(self.adapters)
         #: the run's control facts, one event each (DESIGN.md §6): the
         #: report's pool, batch, recovery and external figures are views
         self.events: List[Event] = []
+        self.checkpoint = None
+        if checkpoint is not None:
+            self.checkpoint = FeedCheckpoint(
+                checkpoint, feed.name, run_name, num_partitions, resume,
+                self.events, cluster.clock,
+            )
+        self.faults = FaultMetrics()
+        self.counters = RunCounters(intake_partitions=num_partitions)
         self.dead_letters = dead_letters = None
         if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
             feed.external_enrichers
@@ -901,54 +398,36 @@ class FeedRun:
         # paths via eval_ctx and to the external coordinator), kept across
         # the feed's runs.  A run uses the ones its policy grants bytes
         # for; the memo is enrolled first (the governor's grant order).
-        state_cache = self.memo = None
+        self.state_cache = self.memo = None
         if registry is not None:
             own_state_cache, own_memo = registry.caches_for(feed.name)
             if policy.enrichment_memo_bytes > 0:
                 self.memo = own_memo
                 self._set_budget(own_memo, policy.enrichment_memo_bytes)
             if policy.state_cache_bytes > 0:
-                state_cache = own_state_cache
-                self._set_budget(state_cache, policy.state_cache_bytes)
-        self.intake = _IntakeLayer(
-            cluster, feed, num_partitions, track_cursors=checkpoint is not None
+                self.state_cache = own_state_cache
+                self._set_budget(own_state_cache, policy.state_cache_bytes)
+        self.intake = IntakeJob(
+            cluster, feed, self.adapters, batch_size, self.events, self.checkpoint
         )
-        self.storage = _StorageLayer(cluster, dataset)
-        self.eval_ctx = eval_ctx = EvaluationContext(
-            pipeline.catalog,
-            functions=registry,
-            reference_work_scale=feed.reference_work_scale,
+        self.storage = StorageJob(cluster, dataset, self.checkpoint)
+        self.computing = ComputingJob(
+            run_name=run_name, feed=feed, policy=policy, cluster=cluster,
+            catalog=pipeline.catalog, registry=registry, counters=self.counters,
+            events=self.events, soft_errors=self.soft_errors, memo=self.memo,
+            state_cache=self.state_cache, batch_size=batch_size,
+            predeploy=predeploy, decoupled=decoupled,
+            update_client=update_client, fabric=fabric,
+            checkpoint=self.checkpoint,
         )
-        eval_ctx.cluster_nodes = n
-        eval_ctx.memo = self.memo
-        eval_ctx.state_cache = state_cache
-        self.invoker = (
-            make_invoker(feed.functions, registry, self.counters)
-            if feed.functions
-            else None
-        )
-        #: the CallbackSink's output slot, swapped per invocation:
-        #: concurrent workers each install their own buffer right before
-        #: invoking (an invocation is synchronous within one worker resume,
-        #: so the slot is never shared across two in-flight invokes)
-        self.outputs: List[List[dict]] = [[] for _ in range(n)]
-
-        self.job_id = cluster.controller.deploy(run_name, self._computing_spec)
-
         # The feed's caches outlive a run, so a run reports the deltas of
         # their cumulative counters since launch (the memo covers all
         # three probe paths — scalar, columnar, external — in one instance).
-        self.state_cache_before = (
-            state_cache.stats() if state_cache is not None else None
-        )
-        self.memo_before = self.memo.stats() if self.memo is not None else None
-
-        # ------------------------------------------------ computing worker pool
-        self.next_batch_index = 0  # next batch index to hand to a worker
-        self.workers_running = 0
-        self.shrink_tokens = 0  # outstanding scale-down tokens
-        self.pool_ended = False
-        self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
+        self.caches_before = {
+            prefix: cache.stats()
+            for prefix, cache in (("state_cache", self.state_cache), ("memo", self.memo))
+            if cache is not None
+        }
 
     def _set_budget(self, cache, policy_bytes: int) -> None:
         """Who sets the budget of one of the feed's caches: the fabric's
@@ -967,561 +446,71 @@ class FeedRun:
         ``None`` creates the feed's private runtime and installs the
         feed's own fault plan; a shared multi-feed runtime arrives with
         the fleet's merged fault plan already installed by the
-        orchestrator.
+        orchestrator.  Actors spawn intake lanes first, then the floor
+        workers, the storage writer and the elastic controller.
         """
         feed, policy, fabric = self.feed, self.policy, self.fabric
+        intake, computing, storage = self.intake, self.computing, self.storage
         run_name = self.run_name
         if runtime is None:
             runtime = self.cluster.new_runtime(run_name)
             runtime.install_fault_plan(feed.fault_plan)
         self.runtime = runtime
-        # One coordinator per run, on its epoch: breakers carry state
-        # across batches (and across worker-crash replays).
-        self.coordinator = EnrichmentCoordinator(
-            feed.external_enrichers,
-            policy,
-            fault_plan=feed.fault_plan,
-            dead_letters=self.dead_letters,
-            feed_name=feed.name,
-            primary_key=self.storage.dataset.primary_key,
-            memo=self.memo,
-            events=self.events,
-            epoch=runtime.epoch,
-        ) if feed.external_enrichers else None
         self.buffer = buffer = IntakeBuffer(
             runtime,
-            self.intake.holders,
+            intake.holders,
             congestion=policy.on_congestion.value,
             faults=self.faults,
         )
-        self.storage_channel = (
-            Channel(runtime, STORAGE_QUEUE_CAPACITY, name=f"{run_name}.storage")
-            if self.decoupled
-            else None
-        )
-        #: the order-preserving hand-off in front of storage: workers
-        #: complete batches out of index order, the sequencer releases the
-        #: real writes (and the storage channel items) in index order, so
-        #: pk-upsert order / acked guarantees / dead-letter provenance are
-        #: byte-identical to the single-actor pipeline
-        self.sequencer = Sequencer(
-            self._commit_batch,
-            self.storage_channel,
-            merge=self._merge_subbatch,
-        )
-        self.supervisor = supervisor = Supervisor(
-            runtime, policy.restart_policy(), self.events
-        )
+        storage.open(runtime, run_name, self.decoupled)
+        supervisor = Supervisor(runtime, policy.restart_policy(), self.events)
+        computing.open(runtime, buffer, supervisor, storage, self.dead_letters)
         elastic = policy.elastic_enabled
         if fabric is not None:
             fabric.register_feed(
                 run_name,
                 policy,
-                grow=(lambda: self._spawn_worker("grant")) if elastic else None,
-                recall=self._fabric_recall if elastic else None,
+                grow=partial(computing.spawn_worker, "grant") if elastic else None,
+                recall=computing.fabric_recall if elastic else None,
             )
-        # one intake actor per partition, individually supervised: fault
-        # targets can name one ('intake.p1') or the whole layer; the
-        # single actor keeps the historical unsuffixed name
-        partitioned = self.num_partitions > 1
-        for p, part_adapter in enumerate(self.adapters):
-            name = f"{run_name}.intake" + (f".p{p}" if partitioned else "")
-            supervisor.spawn(
-                name,
-                _IntakeLane(
-                    self.intake, part_adapter, buffer, self.batch_size,
-                    partial(self._note, subject=name),
-                    partition=p,
-                    resume_from=self.resume_cursors.get(p),
-                ).run,
-                layer="intake",
-            )
+        intake.start(run_name, buffer, supervisor)
         for _ in range(policy.min_computing_workers):
-            self._spawn_worker("floor")
+            computing.spawn_worker("floor")
         if fabric is not None:
             fabric.note_initial(run_name, policy.min_computing_workers)
-        if self.decoupled:
-            supervisor.spawn(
-                f"{run_name}.storage",
-                lambda: self.storage.process(self.storage_channel),
-                layer="storage",
-            )
+        storage.start(run_name, supervisor)
         if elastic:
             runtime.spawn(
-                f"{run_name}.elastic", self._elastic_controller(), layer="elastic"
+                f"{run_name}.elastic", computing.elastic_controller(), layer="elastic"
             )
-
-    def _computing_spec(self, partition_lists: List[List[dict]]) -> JobSpecification:
-        """The per-batch computing job: collector → parser → UDF → sink."""
-        feed = self.feed
-        n = self.cluster.num_nodes
-        spec = JobSpecification(f"feed-{feed.name}-computing")
-        src = spec.add_operator(
-            OperatorDescriptor(
-                "collector",
-                lambda ctx: ListSource(ctx, partition_lists=partition_lists),
-                partitions=n,
-            )
-        )
-        parse = spec.add_operator(
-            OperatorDescriptor(
-                "parser",
-                lambda ctx: ParseOperator(
-                    ctx, feed.datatype, soft_errors=self.soft_errors
-                ),
-                partitions=n,
-            )
-        )
-        spec.connect(src, parse, OneToOne())
-        upstream = parse
-        if self.invoker is not None:
-            udf = spec.add_operator(
-                OperatorDescriptor(
-                    "udf-evaluator",
-                    lambda ctx: UdfEvaluatorOperator(
-                        ctx, self.eval_ctx, self.invoker, self.counters,
-                        self.soft_errors,
-                    ),
-                    partitions=n,
-                )
-            )
-            spec.connect(upstream, udf, OneToOne())
-            upstream = udf
-        sink = spec.add_operator(
-            OperatorDescriptor(
-                "feed-pipeline-sink",
-                lambda ctx: CallbackSink(ctx, self._collect),
-                partitions=n,
-            )
-        )
-        spec.connect(upstream, sink, OneToOne())
-        return spec
-
-    def _collect(self, partition: int, frame: Frame) -> None:
-        self.outputs[partition].extend(frame.records)
-
-    def _commit_batch(self, outputs: List[List[dict]]) -> float:
-        """The sequencer's release: store one batch, then move everything
-        the collector tracks into the permanent generation.
-
-        A stored record lives as long as its dataset, so a collection that
-        walks it again finds nothing to free; after the freeze every
-        generation holds only what was allocated since this commit.
-        :func:`drive_runs` unfreezes on the way out.
-        """
-        busy = self.storage.store_batch(outputs)
-        gc.freeze()
-        return busy
-
-    def _merge_subbatch(self, parts: List[List[List[dict]]]) -> List[List[dict]]:
-        # Per-node concatenation in sub order recovers exactly the
-        # unsplit batch's per-node outputs (see _split_batch).
-        return [
-            [record for part in parts for record in part[node]]
-            for node in range(self.cluster.num_nodes)
-        ]
-
-    # ------------------------------------------------------ checkpointing
-
-    def _note_claimed(self, index: int, batch: List[List[dict]]) -> None:
-        """Advance the logical cursor; snapshot it for ``index``.
-
-        Batch indices are claimed in order under the deterministic
-        scheduler, so the snapshot taken when ``index`` is claimed
-        covers exactly batches ``0..index`` — releasing ``index``
-        makes that snapshot the durable acked watermark.
-        """
-        cursor = self.cursor
-        for records in batch:
-            for envelope in records:
-                p = envelope.get("partition", 0)
-                seq = envelope.get("seq", -1)
-                if seq > cursor.get(p, -1):
-                    cursor[p] = seq
-        self.marks[index] = dict(cursor)
-
-    def _commit_checkpoint(self, complete: bool = False) -> None:
-        """Persist cursors covering everything released so far."""
-        watermark = self.sequencer.next_index - 1
-        mark = self.marks.get(watermark)
-        if mark is None:
-            if not complete:
-                return
-            mark = self.cursor
-        base = self.base_checkpoint
-        cursors = {}
-        for p in range(self.num_partitions):
-            acked = mark.get(p, -1)
-            log = self.intake.cursor_log[p]
-            # the newest fully-deposited chunk at/below the watermark
-            # becomes the partition's durable re-open point; the gap up
-            # to the watermark replays and dedupes via pk-upsert
-            while log and log[0][0] <= acked:
-                self.resume_cursors[p] = log.pop(0)[1]
-            cursors[p] = PartitionCursor(
-                acked_seq=acked, resume=self.resume_cursors.get(p)
-            )
-        self.checkpoint.commit(
-            RunCheckpoint(
-                feed=self.feed.name,
-                intake_partitions=self.num_partitions,
-                cursors=cursors,
-                acked_batches=(base.acked_batches if base is not None else 0)
-                + self.sequencer.next_index,
-                records_stored=self.storage.records_stored,
-                complete=complete,
-            )
-        )
-        self._note("checkpoint", self.run_name, watermark=watermark)
-
-    # ------------------------------------------------------- worker pool
-
-    def _note(self, kind: str, subject: str, **detail) -> None:
-        self.events.append(Event(self.runtime.clock.now, kind, subject, detail))
-
-    def _claim_subbatch(self):
-        if self.subqueue:
-            return self.subqueue.popleft()
-        return None
-
-    def _claim_shrink(self) -> bool:
-        if self.shrink_tokens > 0:
-            self.shrink_tokens -= 1
-            return True
-        return False
-
-    def _worker_loop(self, worker_name: str, inflight: _Inflight):
-        """One pool worker's AFM loop: collect, invoke, sequence.
-
-        The paper's Active Feed Manager (§6.1) is this loop: it invokes
-        the run's predeployed computing job (:attr:`job_id`) on the
-        cluster controller once per collected batch.
-
-        ``inflight`` is the worker's un-acked (index, batch) pair: set
-        when pulled from the intake buffer, cleared only after the
-        sequenced storage hand-off — a crash in between replays it
-        under the *same* batch index (at-least-once; the sequencer
-        re-releases already-released indices and upsert dedupes).
-        """
-        feed, fabric, run_name = self.feed, self.fabric, self.run_name
-        cluster, runtime, buffer = self.cluster, self.runtime, self.buffer
-        eval_ctx, coordinator = self.eval_ctx, self.coordinator
-        n = cluster.num_nodes
-        cost = cluster.cost_model
-        track = self.checkpoint is not None
-        max_sub = self.policy.max_subbatch_records
-        split_enabled = max_sub > 0
-        claim_shrink = self._claim_shrink if self.policy.elastic_enabled else None
-        steal = self._claim_subbatch if split_enabled else None
-        cause = "eof"
-
-        while True:
-            if inflight.claim is not None:
-                index, batch, sub, of = inflight.claim
-                records = sum(len(p) for p in batch)
-                self._note("replay", worker_name, index=index, records=records)
-            else:
-                got = yield from buffer.collect(
-                    self.batch_size, cancel=claim_shrink, steal=steal
-                )
-                if got is CANCELLED:
-                    cause = "shrink"
-                    break  # retired by the elastic controller
-                if got is None:
-                    break  # EOF and drained
-                if isinstance(got, _SubBatch):
-                    # a peer's oversized batch: work one slice of it
-                    index, sub, of = got.index, got.sub, got.of
-                    batch = got.lists
-                else:
-                    index = self.next_batch_index
-                    self.next_batch_index += 1
-                    if track:
-                        self._note_claimed(index, got)
-                    subs = _split_batch(got, max_sub) if split_enabled else None
-                    if subs is None:
-                        batch, sub, of = got, 0, 1
-                    else:
-                        # keep the first slice; queue the rest and wake
-                        # idle peers to steal them
-                        of = len(subs)
-                        self._note("split", worker_name, index=index, of=of)
-                        for s in range(1, of):
-                            self.subqueue.append(_SubBatch(index, s, of, subs[s]))
-                        buffer.kick()
-                        batch, sub = subs[0], 0
-                inflight.claim = (index, batch, sub, of)
-            total = sum(len(p) for p in batch)
-            outputs: List[List[dict]] = [[] for _ in range(n)]
-            self.outputs = outputs
-            eval_ctx.refresh_batch()
-            eval_ctx.shared_meter.reset()
-            eval_ctx.replicated_meter.reset()
-            if self.predeploy:
-                result = cluster.controller.invoke(self.job_id, batch)
-            else:
-                result = cluster.controller.run_job(self._computing_spec(batch))
-            shared_seconds = eval_ctx.shared_meter.charge(cost)
-            replicated_seconds = eval_ctx.replicated_meter.charge(cost)
-            busy = dict(result.node_busy_seconds)
-            for node in busy:
-                busy[node] += shared_seconds / n + replicated_seconds
-            teardown = (
-                result.makespan_seconds
-                - result.startup_seconds
-                - result.critical_node_seconds
-            )
-            makespan = result.startup_seconds + max(busy.values()) + teardown
-            if feed.functions:
-                makespan += cost.udf_job_overhead(n)
-            if coordinator is not None:
-                # External fan-out happens after the local computing
-                # job finishes, so its fault windows are evaluated at
-                # the batch's completion time, run-relative like a
-                # ``CrashAt``, and its elapsed time lands on the batch
-                # makespan (mutates ``outputs``: enrichments stored,
-                # pending markers added, dead-lettered records removed
-                # before storage).
-                makespan += coordinator.enrich_batch(
-                    outputs, runtime.clock.now - runtime.epoch + makespan
-                )
-            batch_started = runtime.clock.now
-            yield Advance(makespan)
-            # Sequenced hand-off: the real writes (and storage-channel
-            # items) for this index — plus any later indices it
-            # unblocks — are released in batch order.
-            released = yield from self.sequencer.put(
-                index, outputs, sub_index=sub, num_subs=of
-            )
-            if track and released:
-                # the released batches' writes are on disk: persist
-                # the cursors that make them durable across a restart
-                self._commit_checkpoint()
-            if fabric is not None and released:
-                # a batch boundary: the memory governor's rebalance
-                # point (a no-op for fabrics without a governor)
-                fabric.note_batch_released(run_name)
-            if not self.decoupled:
-                # §5.2 ablation: the coupled insert job waits for the
-                # log force and storage writes before finishing (a
-                # worker also absorbs the wait for any peer batches
-                # its release unblocked).
-                for rel_index, rel_seconds in released:
-                    if rel_seconds > 0:
-                        yield Advance(rel_seconds)
-                    if rel_index == index:
-                        makespan += rel_seconds
-            self._note(
-                "batch", worker_name, index=index, sub=sub, records=total,
-                makespan=makespan, startup=result.startup_seconds,
-                shared=shared_seconds, started=batch_started,
-                latency=runtime.clock.now - batch_started,
-            )
-            if self.update_client is not None:
-                self.update_client.advance(makespan)
-            inflight.claim = None  # acked: the sequencer released it
-        self.workers_running -= 1
-        self._note("retire", worker_name, cause=cause)
-        if fabric is not None:
-            # EOF drain or a recalled retire: either way this worker's
-            # lease returns to the fabric, which may immediately fund
-            # a queued borrower's grow
-            fabric.release_worker(run_name)
-        if self.workers_running == 0 and not self.pool_ended:
-            self.pool_ended = True
-            if self.storage_channel is not None:
-                self.storage_channel.end()
-
-    def _spawn_worker(self, cause: str) -> None:
-        wid = sum(event.kind == "spawn" for event in self.events)
-        # worker 0 keeps the historical single-actor name; extra
-        # workers get a .wN suffix (fault targets matching the
-        # 'computing' layer hit them all)
-        name = f"{self.run_name}.computing" + (f".w{wid}" if wid else "")
-        self.workers_running += 1
-        self._note("spawn", name, cause=cause)
-        inflight = _Inflight()
-        self.supervisor.spawn(
-            name, lambda: self._worker_loop(name, inflight), layer="computing"
-        )
-
-    def _elastic_controller(self):
-        """Sample intake congestion on the clock; resize the pool.
-
-        Grover & Carey's congestion reaction, made real: sustained
-        high occupancy (or a blocked producer / fresh backpressure
-        stall) grows the pool toward ``max_computing_workers``;
-        sustained starvation retires workers back toward
-        ``min_computing_workers`` via cancel tokens claimed at the
-        next batch boundary.  The controller exits once the buffer is
-        drained after EOF, so it never outlives the feed.
-        """
-        buffer, fabric, run_name = self.buffer, self.fabric, self.run_name
-        workers_min = self.policy.min_computing_workers
-        workers_max = self.policy.max_computing_workers
-        up_streak = 0
-        down_streak = 0
-        last_stalls = buffer.stalls
-        while not (buffer.all_eof and buffer.drained):
-            yield Advance(ELASTIC_SAMPLE_SECONDS, state=IDLE)
-            if buffer.all_eof and buffer.drained:
-                break
-            occupancy = buffer.occupancy
-            backlog = buffer.queued_records / self.batch_size
-            new_stalls, last_stalls = buffer.stalls - last_stalls, buffer.stalls
-            congested = (
-                occupancy >= ELASTIC_SCALE_UP_OCCUPANCY
-                or buffer.producer_blocked
-                or new_stalls > 0
-                or backlog >= ELASTIC_BACKLOG_BATCHES
-            )
-            starved = (
-                occupancy <= ELASTIC_SCALE_DOWN_OCCUPANCY
-                and backlog < 1.0
-                and not buffer.producer_blocked
-            )
-            if fabric is not None:
-                # the feed's standing bid: every sample tick's
-                # congestion signals, whether or not a grow follows
-                fabric.tick(
-                    run_name,
-                    FeedSignals(congested=congested, starved=starved),
-                )
-            if congested:
-                up_streak += 1
-                down_streak = 0
-            elif starved:
-                down_streak += 1
-                up_streak = 0
-            else:
-                up_streak = 0
-                down_streak = 0
-            effective = self.workers_running - self.shrink_tokens
-            if (
-                congested
-                and up_streak >= ELASTIC_SUSTAINED_SAMPLES
-                and effective < workers_max
-            ):
-                if self.shrink_tokens > 0:
-                    self.shrink_tokens -= 1  # cancel a pending retire instead
-                    decision = "cancel_retire"
-                    if fabric is not None:
-                        # a fabric recall may have been riding that token
-                        fabric.note_shrink_cancelled(run_name)
-                elif fabric is None or fabric.acquire(run_name):
-                    # under a fabric, a grow must be funded from the
-                    # global budget; an unfunded bid queues inside the
-                    # fabric, which grows this pool itself (via the
-                    # registered grow hook) once a worker frees up
-                    decision = "grow"
-                    self._spawn_worker("grow")
-                else:
-                    decision = "bid"
-                up_streak = 0
-            elif (
-                down_streak >= ELASTIC_SUSTAINED_SAMPLES
-                and effective > workers_min
-            ):
-                decision = "shrink"
-                self.shrink_tokens += 1
-                buffer.kick()  # wake an idle worker to claim the token
-                down_streak = 0
-            else:
-                continue
-            self._note(  # the decision and the signals it was taken on
-                "scale", f"{run_name}.elastic", decision=decision,
-                occupancy=occupancy, backlog=backlog, new_stalls=new_stalls,
-                producer_blocked=buffer.producer_blocked,
-            )
-
-    def _fabric_recall(self) -> bool:
-        # Recall safety: re-check the live pool so a fabric recall
-        # can never stack with the feed's own pending retires to
-        # drop the pool below its floor.
-        if self.workers_running - self.shrink_tokens > self.policy.min_computing_workers:
-            self.shrink_tokens += 1
-            self.buffer.kick()  # wake an idle worker to claim the token
-            return True
-        return False
 
     # --------------------------------------------------------- reporting
 
-    def _fold_faults(self, processes) -> None:
-        """Fold the views of the run's stream into :attr:`faults` (the
-        metrics snapshot folds the kernel's crashes and stalls); backoff
-        seconds are summed per actor in ``processes`` (spawn) order, then
-        across actors."""
-        faults, events = self.faults, self.events
-        backoff = dict.fromkeys(processes, 0.0)
-        for event in events:
-            if event.kind == "restart":
-                backoff[event.subject] += event.detail["backoff"]
-        faults.backoff_seconds = sum(backoff.values(), 0.0)
-        kinds = [event.kind for event in events]
-        faults.restarts = kinds.count("restart")
-        faults.adapter_crashes = kinds.count("adapter_death")
-        faults.adapter_reopens = kinds.count("adapter_reopen")
-        faults.idle_timeouts = kinds.count("idle_timeout")
-        faults.records_replayed = sum(
-            e.detail["records"] for e in events if e.kind == "replay"
-        )
-        # the soft-error breaker's one transition is its trip to open
-        tripped = self.soft_errors.breaker.name
-        faults.circuit_breaker_trips = sum(e.subject == tripped for e in events)
-        if self.storage_channel is not None:
-            faults.channel_send_failures = self.storage_channel.send_failures
-
-    def _fill_cache_counters(self, prefix: str, cache, before) -> None:
-        """This run's share of the feed's cache's cumulative counters:
-        hit/miss/eviction deltas since launch, resident bytes as a gauge."""
-        if cache is None:
-            return
-        after = cache.stats()
-        for key in ("hits", "misses", "evictions"):
-            setattr(self.counters, f"{prefix}_{key}", after[key] - before[key])
-        setattr(self.counters, f"{prefix}_bytes", after["bytes"])
-
     def finalize(self, elapsed: float) -> FeedRunReport:
         """Assemble the run report; ``elapsed`` is the runtime's makespan."""
+        counters, events = self.counters, self.events
+        intake, storage = self.intake, self.storage
+        sequencer, channel = storage.sequencer, storage.channel
+        coordinator = self.computing.coordinator
         if self.checkpoint is not None:
             # the run drained cleanly: seal the checkpoint so a later
             # resume knows there is nothing left to replay
-            self._commit_checkpoint(complete=True)
-        counters, events = self.counters, self.events
-        intake, storage, cluster = self.intake, self.storage, self.cluster
-        n = cluster.num_nodes
-        batches = [event for event in events if event.kind == "batch"]
-        running, pool = 0, []  # the pool's size after each spawn and retire
-        for event in events:
-            if event.kind in ("spawn", "retire"):
-                running += 1 if event.kind == "spawn" else -1
-                pool.append((event.at - self.runtime.epoch, running))
+            self.checkpoint.commit(
+                sequencer.next_index, storage.records_stored, complete=True
+            )
+        n = self.cluster.num_nodes
+        batches, pool, busy, computing_seconds = _pool_views(events, self.runtime.epoch)
         counters.peak_computing_workers = max(size for _at, size in pool)
-        # Busy seconds are summed in completion order, per worker and
-        # over the pool; every worker ever spawned has an entry.
-        busy = {e.subject: 0.0 for e in events if e.kind == "spawn"}
-        computing = 0.0
-        for event in batches:
-            computing += event.detail["makespan"]
-            busy[event.subject] += event.detail["makespan"]
         # With overlapping workers the layer's aggregate busy exceeds
         # any wall-clock interval; the *bottleneck* contribution is the
         # slowest single worker (identical to the aggregate when the
-        # pool size is 1).
+        # pool size is 1), as the intake's is its slowest lane.
         computing_bottleneck = max(busy.values(), default=0.0)
-        # With one intake actor the layer's bottleneck is the busiest
-        # intake node; partitioned actors overlap, so it is the slowest
-        # single partition (analogous to the worker pool above).
-        intake_bottleneck = (
-            intake.max_busy
-            if self.num_partitions == 1
-            else max(intake.partition_busy.values())
-        )
         if self.decoupled:
-            steady = max(intake_bottleneck, computing_bottleneck, storage.max_busy)
+            steady = max(intake.bottleneck, computing_bottleneck, storage.max_busy)
         else:
-            steady = max(intake_bottleneck, computing_bottleneck)
-        start_overhead = cluster.cost_model.job_startup(n, predeployed=False) * 2
+            steady = max(intake.bottleneck, computing_bottleneck)
+        start_overhead = self.cluster.cost_model.job_startup(n, predeployed=False) * 2
         # The emergent makespan exceeds the bottleneck layer's busy time
         # by the pipeline's fill/drain ramp; like job startup, that ramp
         # is a one-time cost that amortizes to nothing on a long-running
@@ -1534,13 +523,13 @@ class FeedRun:
         # benchmarks compare.
         simulated = start_overhead + elapsed
         report = FeedRunReport(
-            feed_name=self.feed_name,
+            feed_name=self.feed.name,
             framework=Framework.DYNAMIC.value,
             records_ingested=intake.records_received,
             records_stored=storage.records_stored,
             simulated_seconds=simulated,
-            intake_seconds=intake_bottleneck,
-            computing_seconds=computing,
+            intake_seconds=intake.bottleneck,
+            computing_seconds=computing_seconds,
             storage_seconds=storage.max_busy,
             num_computing_jobs=len(batches),
             batch_stats=sorted(
@@ -1562,32 +551,38 @@ class FeedRun:
             ),
             computing_worker_busy=busy,
             intake_partition_busy=(
-                dict(intake.partition_busy) if self.num_partitions > 1 else {}
+                dict(intake.partition_busy) if intake.num_partitions > 1 else {}
             ),
-            acked_batches=self.sequencer.next_index,
-            resumed_from_checkpoint=self.base_checkpoint is not None,
+            acked_batches=sequencer.next_index,
+            resumed_from_checkpoint=(
+                self.checkpoint is not None and self.checkpoint.base is not None
+            ),
             counters=counters,
         )
-        counters.reordered_batches = self.sequencer.reordered
-        counters.subbatch_merges = self.sequencer.subbatch_merges
+        counters.reordered_batches = sequencer.reordered
+        counters.subbatch_merges = sequencer.subbatch_merges
         causes = [event.detail.get("cause") for event in events]
         counters.scale_ups = causes.count("grow") + causes.count("grant")
         counters.scale_downs = causes.count("shrink")
         counters.checkpoint_commits = sum(e.kind == "checkpoint" for e in events)
         counters.subbatches = sum(e.detail["of"] for e in events if e.kind == "split")
-        self._fill_cache_counters(
-            "state_cache", self.eval_ctx.state_cache, self.state_cache_before
-        )
-        self._fill_cache_counters("memo", self.memo, self.memo_before)
-        if self.coordinator is not None:
-            counters.external = self.coordinator.finalize()
-            counters.enrichment_completeness = self.coordinator.completeness
-        storage_channel = self.storage_channel
+        # this run's share of each of the feed's caches' cumulative
+        # counters: hit/miss/eviction deltas since launch, bytes as a gauge
+        for prefix, cache in (("state_cache", self.state_cache), ("memo", self.memo)):
+            if cache is None:
+                continue
+            before, after = self.caches_before[prefix], cache.stats()
+            for key in ("hits", "misses", "evictions"):
+                setattr(counters, f"{prefix}_{key}", after[key] - before[key])
+            setattr(counters, f"{prefix}_bytes", after["bytes"])
+        if coordinator is not None:
+            counters.external = coordinator.finalize()
+            counters.enrichment_completeness = coordinator.completeness
         report.runtime = metrics = RuntimeMetrics.from_runtime(
             self.runtime,
             holders=intake.holders,
             stall_count=self.buffer.stalls
-            + (storage_channel.stalls if storage_channel is not None else 0),
+            + (channel.stalls if channel is not None else 0),
             batch_latencies=[event.detail["latency"] for event in batches],
             steady_state_seconds=steady,
             faults=self.faults,
@@ -1596,7 +591,10 @@ class FeedRun:
             counters=counters,
         )
         metrics.events = events
-        self._fold_faults(metrics.processes)
+        _fold_faults(
+            self.faults, events, metrics.processes,
+            self.soft_errors.breaker.name, channel,
+        )
         if self.fabric is not None:
             tenant = self.fabric.tenant_report(self.run_name)
             counters.borrowed_workers = tenant["borrowed_workers"]
@@ -1615,9 +613,53 @@ class FeedRun:
         """
         if self.fabric is not None:
             self.fabric.deregister_feed(self.run_name)
-        self.cluster.controller.undeploy(self.job_id)
+        self.cluster.controller.undeploy(self.computing.job_id)
         for part_adapter in self.adapters:
             part_adapter.close()
+
+
+def _pool_views(events: List[Event], epoch: float):
+    """The worker pool's figures, recounted from the run's stream: the
+    batch events, the pool's size after each spawn and retire, each
+    worker's busy seconds and their sum.  Busy seconds are summed in
+    completion order, per worker and over the pool; every worker ever
+    spawned has an entry."""
+    batches = [event for event in events if event.kind == "batch"]
+    running, pool = 0, []
+    for event in events:
+        if event.kind in ("spawn", "retire"):
+            running += 1 if event.kind == "spawn" else -1
+            pool.append((event.at - epoch, running))
+    busy = {e.subject: 0.0 for e in events if e.kind == "spawn"}
+    total = 0.0
+    for event in batches:
+        total += event.detail["makespan"]
+        busy[event.subject] += event.detail["makespan"]
+    return batches, pool, busy, total
+
+
+def _fold_faults(faults, events, processes, breaker: str, channel) -> None:
+    """Fold the views of a run's stream into ``faults`` (the metrics
+    snapshot folds the kernel's crashes and stalls); backoff seconds are
+    summed per actor in ``processes`` (spawn) order, then across actors.
+    ``breaker`` names the soft-error breaker, whose one transition is its
+    trip to open."""
+    backoff = dict.fromkeys(processes, 0.0)
+    for event in events:
+        if event.kind == "restart":
+            backoff[event.subject] += event.detail["backoff"]
+    faults.backoff_seconds = sum(backoff.values(), 0.0)
+    kinds = [event.kind for event in events]
+    faults.restarts = kinds.count("restart")
+    faults.adapter_crashes = kinds.count("adapter_death")
+    faults.adapter_reopens = kinds.count("adapter_reopen")
+    faults.idle_timeouts = kinds.count("idle_timeout")
+    faults.records_replayed = sum(
+        e.detail["records"] for e in events if e.kind == "replay"
+    )
+    faults.circuit_breaker_trips = sum(e.subject == breaker for e in events)
+    if channel is not None:
+        faults.channel_send_failures = channel.send_failures
 
 
 def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
@@ -1627,16 +669,17 @@ def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
     carrying the runtime's makespan, and every run cleaned up on every way
     out.
 
-    It also owns the cyclic collector for the drive: each batch commit
-    freezes (:meth:`FeedRun._commit_batch`) and every way out unfreezes,
-    so the permanent generation is empty again when this returns or
-    raises — including anything a caller had frozen before the drive.
+    Each storage release freezes what the collector tracks
+    (:meth:`~repro.ingestion.storage_job.StorageJob.release`) and every
+    way out thaws it, so the permanent generation is empty again when this
+    returns or raises — including anything a caller had frozen before the
+    drive.
     """
     try:
         elapsed = runtime.run()
         return [run.finalize(elapsed) for run in runs]
     finally:
-        gc.unfreeze()
+        thaw_releases()
         for run in runs:
             run.cleanup()
 
@@ -1658,79 +701,53 @@ class DynamicIngestionPipeline:
         self,
         feed: FeedDefinition,
         adapter: Union[FeedAdapter, Sequence[FeedAdapter]],
-        update_client=None,
-        predeploy: bool = True,
-        decoupled: bool = True,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume: bool = False,
+        **options,
     ) -> FeedRunReport:
         """Drive the feed to completion; returns the run report.
 
-        ``adapter`` is one adapter (range-split into
-        ``policy.intake_partitions`` partitions when > 1) or a sequence of
-        adapters, one per intake partition.
-
-        ``update_client`` (a :class:`ReferenceUpdateClient`) is advanced by
-        each batch's simulated duration — the §7.3 experiment.
-        ``predeploy=False`` and ``decoupled=False`` are the §5.1/§5.2
-        ablations; both run on the same discrete-event runtime.
-
-        ``checkpoint`` (a :class:`~repro.storage.CheckpointStore`) makes
-        the run durably restartable: each storage commit persists the
-        per-partition intake cursors and acked-batch high-water.  With
-        ``resume=True`` an existing checkpoint re-opens each partition's
-        adapter at its durable cursor — zero acked loss, the un-acked tail
-        replayed and deduped by pk-upsert.
+        ``options`` are :meth:`launch`'s.
         """
-        feed_run = self.launch(
-            feed,
-            adapter,
-            update_client=update_client,
-            predeploy=predeploy,
-            decoupled=decoupled,
-            checkpoint=checkpoint,
-            resume=resume,
-        )
+        feed_run = self.launch(feed, adapter, **options)
         return drive_runs(feed_run.runtime, [feed_run])[0]
 
     def launch(
         self,
         feed: FeedDefinition,
         adapter: Union[FeedAdapter, Sequence[FeedAdapter]],
-        update_client=None,
-        predeploy: bool = True,
-        decoupled: bool = True,
-        checkpoint: Optional[CheckpointStore] = None,
-        resume: bool = False,
         runtime=None,
-        fabric=None,
+        **options,
     ) -> FeedRun:
         """Set the run up without driving the clock; returns the run.
+
+        ``adapter`` is one adapter (range-split into
+        ``policy.intake_partitions`` partitions when > 1) or a sequence of
+        adapters, one per intake partition.  The ``options`` are
+        :class:`FeedRun`'s:
+
+        * ``update_client`` (a :class:`ReferenceUpdateClient`) is advanced
+          by each batch's simulated duration — the §7.3 experiment.
+        * ``predeploy=False`` and ``decoupled=False`` are the §5.1/§5.2
+          ablations; both run on the same discrete-event runtime.
+        * ``checkpoint`` (a :class:`~repro.storage.CheckpointStore`) makes
+          the run durably restartable: each storage commit persists the
+          per-partition intake cursors and acked-batch high-water.  With
+          ``resume=True`` an existing checkpoint re-opens each partition's
+          adapter at its durable cursor — zero acked loss, the un-acked
+          tail replayed and deduped by pk-upsert.
+        * ``fabric`` enrolls the feed's elastic worker pool — and, when the
+          fabric carries a memory governor, the feed's state cache and
+          memo — with a :class:`~repro.ingestion.fabric.FeedFabric`.
 
         ``runtime`` attaches the feed's processes to a caller-owned
         (shared, multi-feed) runtime instead of a fresh private one; the
         caller is then responsible for installing the fleet's (merged)
         fault plan before launching and for driving ``runtime.run()``
-        itself.  ``fabric`` enrolls the feed's elastic worker pool — and,
-        when the fabric carries a memory governor, the feed's
-        state cache and memo — with a
-        :class:`~repro.ingestion.fabric.FeedFabric`.  Both default to
-        ``None``: the solo path (:meth:`run`) is bit-for-bit the
-        historical single-feed pipeline.
+        itself.  Without a runtime or a fabric, the solo path (:meth:`run`)
+        is bit-for-bit the historical single-feed pipeline.
         """
         if feed.functions and self.registry is None:
             raise IngestionError("a function registry is required for UDF feeds")
-        feed_run = FeedRun(
-            self,
-            feed,
-            adapter,
-            update_client=update_client,
-            predeploy=predeploy,
-            decoupled=decoupled,
-            checkpoint=checkpoint,
-            resume=resume,
-            fabric=fabric,
-        )
+        feed_run = FeedRun(self, feed, adapter, **options)
         try:
             feed_run.start(runtime)
         except BaseException:

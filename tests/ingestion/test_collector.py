@@ -1,7 +1,7 @@
 """A feed run owns the cyclic collector, and its garbage is per run.
 
-Every batch a run commits is frozen into the permanent generation
-(``FeedRun._commit_batch``) and ``drive_runs`` unfreezes on every way out,
+Every batch a run's storage job releases is frozen into the permanent
+generation (``StorageJob.release``) and ``drive_runs`` thaws on every way out,
 so a run leaves the permanent generation empty.  Cyclic garbage a run
 makes is held until it ends, which is why the SQL++ path must not make
 any per record: the run's own actors and closures are a constant.
@@ -23,7 +23,7 @@ from repro.ingestion import (
     GeneratorAdapter,
     ReferenceUpdateClient,
 )
-from repro.ingestion.pipelines import _StorageLayer
+from repro.ingestion.storage_job import StorageJob
 from repro.storage import CheckpointStore, Dataset
 from repro.udf.library import register_paper_udfs
 from repro.workloads import TWEET_TYPE_FULL, PaperWorkload, WorkloadScale
@@ -160,7 +160,7 @@ class TestTheRunOwnsTheCollector:
         dataset = Dataset(
             "T", open_type("TT", id="int64"), "id", num_partitions=2, validate=False
         )
-        storage = _StorageLayer(Cluster(2), dataset)
+        storage = StorageJob(Cluster(2), dataset)
         assert gc.get_freeze_count() == 0
         storage.store_batch([[{"id": 1}], [{"id": 2}, {"id": 3}]])
         assert storage.records_stored == 3

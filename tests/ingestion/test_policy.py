@@ -22,7 +22,7 @@ from repro.ingestion import (
     StaticIngestionPipeline,
     CongestionAction,
 )
-from repro.ingestion.pipelines import (
+from repro.ingestion.intake_job import (
     ADAPTER_IDLE_POLL_SECONDS,
     ADAPTER_IDLE_TIMEOUT_SECONDS,
 )

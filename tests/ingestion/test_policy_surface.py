@@ -7,7 +7,8 @@ one), with a value other than its default, somewhere under
 ``src/repro/core/`` too, where the facade builds one from ``start_feed``'s
 arguments.  Tests and examples are not callers: a setting only a test
 varies is a module constant beside its reader (see ``ELASTIC_*`` and
-``ADAPTER_IDLE_*`` in ``ingestion/pipelines.py``, ``CHUNK_SIZE`` and the
+``ADAPTER_IDLE_*`` in ``ingestion/computing_job.py`` and
+``ingestion/intake_job.py``, ``CHUNK_SIZE`` and the
 call/backoff constants in ``ingestion/external.py``, ``FAIR_SHARE`` in
 ``ingestion/fabric.py``), not a field.  A deliberate exception goes in
 ``ALLOWED`` with its reason.

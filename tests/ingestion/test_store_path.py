@@ -8,7 +8,7 @@ from repro.adm import parse_json
 from repro.cluster import Cluster
 from repro.errors import AdmTypeError
 from repro.ingestion import GeneratorAdapter
-from repro.ingestion.pipelines import _StorageLayer
+from repro.ingestion.storage_job import StorageJob
 from repro.storage import Dataset
 from repro.storage import dataset as dataset_module
 from repro.workloads import TWEET_TYPE_FULL, TweetGenerator
@@ -60,7 +60,7 @@ class TestStoreBatchOncePerRecord:
         target.add_update_listener(lambda op, key: events.append((op, key)))
         records = typed_tweets(240)
         outputs = [records[0::2], records[1::2]]  # as produced on two nodes
-        storage = _StorageLayer(Cluster(NODES), target)
+        storage = StorageJob(Cluster(NODES), target)
         storage.store_batch(outputs)
 
         n = len(records)
@@ -79,7 +79,7 @@ class TestStoreBatchOncePerRecord:
         outputs = [records[:100], records[100:]]
         cluster = Cluster(NODES)
         cost = cluster.cost_model
-        storage = _StorageLayer(cluster, make_target())
+        storage = StorageJob(cluster, make_target())
         busiest = storage.store_batch(outputs)
 
         expected = {}
@@ -101,7 +101,7 @@ class TestStoreBatchOncePerRecord:
         assert wal_appends(target) == 50
 
     def test_target_type_is_still_enforced_at_store(self):
-        storage = _StorageLayer(Cluster(NODES), make_target())
+        storage = StorageJob(Cluster(NODES), make_target())
         bad = dict(typed_tweets(1)[0], latitude="north")
         with pytest.raises(AdmTypeError, match="TweetTypeFull.latitude"):
             storage.store_batch([[bad], []])

@@ -65,7 +65,8 @@ def test_allow_list_has_no_stale_entries():
 
 
 #: what moves objects between the collector's generations or changes when
-#: it runs; a feed run owns that state (``drive_runs``), nothing else does
+#: it runs; a feed's storage job owns that state (it freezes each release,
+#: ``drive_runs`` thaws through it), nothing else does
 COLLECTOR_STATE = {"freeze", "unfreeze", "disable", "enable", "set_threshold"}
 
 
@@ -86,7 +87,7 @@ def test_one_owner_for_the_collectors_state():
                 continue
             if names & COLLECTOR_STATE or "*" in names:
                 users.append(where)
-    assert set(users) == {"ingestion/pipelines.py"}, users
+    assert set(users) == {"ingestion/storage_job.py"}, users
 
 
 def test_src_never_imports_from_benchmarks():
@@ -400,7 +401,10 @@ def test_a_run_records_its_facts_once():
     from repro.ingestion.fabric import _WorkerTenant
     from repro.runtime import ExternalMetrics, RunCounters, Runtime, Supervisor
 
-    pipelines = (SRC / "ingestion" / "pipelines.py").read_text()
+    pipelines = "".join(
+        (SRC / "ingestion" / f"{name}.py").read_text()
+        for name in ("pipelines", "intake_job", "computing_job", "storage_job")
+    )
     kept = re.compile(
         r"self\.(batch_latencies|pool_timeline|computing_total|worker_busy"
         r"|first_busy|last_busy)\b|num_computing_jobs \+=|batch_stats\.append"
