@@ -8,29 +8,18 @@ are rejected, matching current AsterixDB (§4.3.4), unless the caller
 explicitly opts into the Model-3 ablation.
 
 **Dynamic** (§5/§6, the contribution): a :class:`FeedRun` is three jobs,
-each in its own module and each the one owner of its state and its events —
+each in its own module and the one owner of its state and its events —
+the intake job (:mod:`~repro.ingestion.intake_job`), the computing job
+(:mod:`~repro.ingestion.computing_job`) and the storage job
+(:mod:`~repro.ingestion.storage_job`).  They meet only at the
+:class:`~repro.runtime.IntakeBuffer` over the intake holders and at the
+storage job's :class:`~repro.runtime.Sequencer`.
 
-* the *intake job* (:class:`~repro.ingestion.intake_job.IntakeJob`),
-  running for the feed's lifetime: adapters + round-robin partitioner +
-  passive intake partition holders, one supervised lane per partition;
-* the *computing job* (:class:`~repro.ingestion.computing_job.ComputingJob`),
-  predeployed and invoked once per batch by each pool worker's Active
-  Feed Manager loop: collector + parser + UDF evaluator, with intermediate
-  state refreshed every invocation;
-* the *storage job* (:class:`~repro.ingestion.storage_job.StorageJob`),
-  running for the feed's lifetime: the sequencer's batch-ordered release
-  of each job's output (the active side of the partition holders) +
-  primary-key hash partitioner + LSM writers.
-
-They meet only at the :class:`~repro.runtime.IntakeBuffer` over the intake
-holders and at the storage job's :class:`~repro.runtime.Sequencer`; the
-run keeps the feed's setup, the wiring and the report.
-
-Execution model: each job's actors are :class:`~repro.runtime.Process`\\ es
-on the cluster's discrete-event runtime.  An intake lane blocks (with real
-backpressure accounting) when a bounded partition holder fills; a
-computing worker starves (idle) when the holders are empty; storage
-overlaps the next computing job through a bounded work channel.  Layer
+Execution model: each job's actors are processes on the cluster's
+discrete-event runtime.  An intake lane blocks (with real backpressure
+accounting) when a bounded partition holder fills; a computing worker
+starves (idle) when the holders are empty; storage overlaps the next
+computing job through a bounded work channel.  Layer
 overlap, stalls, and the feed's makespan all *emerge from the schedule* —
 the report's steady-state throughput still equals records divided by the
 bottleneck layer's busy time, with pipeline fill/drain amortized into the

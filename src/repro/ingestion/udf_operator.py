@@ -66,6 +66,7 @@ def make_invoker(functions, registry, counters) -> Callable:
             )
 
         def step(records, eval_ctx):
+            eval_ctx.snapshots.pin_all(registry.reads(name))
             definition = registry.get(name).definition
             params = tuple(definition.params)
             if (

@@ -8,7 +8,7 @@ state whose freshness the ingestion framework must manage.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Set
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from .ast import (
     ArrayConstructor,
@@ -138,16 +138,13 @@ def is_stateful(
     return bool(outside & catalog_names)
 
 
-def call_dependencies(
-    expr: Optional[Expr], functions, catalog_names
-) -> Optional[FrozenSet[str]]:
-    """The catalog datasets the registered SQL++ functions ``expr`` calls
-    read, directly or through each other; None when it calls a Java UDF
-    that ``functions`` does not register as pure, directly or through such
-    a function.  What ``expr`` returns depends on those datasets too, and
-    on an impure UDF's earlier calls."""
-    deps: Set[str] = set()
+def called_reads(expr: Optional[Expr], functions) -> Tuple[Set[str], bool]:
+    """The free names of the registered SQL++ functions ``expr`` calls,
+    directly or through each other, and whether every Java UDF among those
+    calls is one ``functions`` registers as pure."""
+    names: Set[str] = set()
     seen: Set[str] = set()
+    pure = True
     pending = [expr]
     while pending:
         for node in walk(pending.pop()):
@@ -157,7 +154,7 @@ def call_dependencies(
                 if functions is None or not functions.is_pure_java(
                     node.library, node.name
                 ):
-                    return None
+                    pure = False
             elif (
                 functions is not None
                 and functions.has(node.name)
@@ -166,9 +163,21 @@ def call_dependencies(
                 seen.add(node.name)
                 definition = functions.get(node.name).definition
                 body = definition.body
-                deps |= free_vars(body, set(definition.params)) & catalog_names
+                names |= free_vars(body, set(definition.params))
                 pending.append(body)
-    return frozenset(deps)
+    return names, pure
+
+
+def call_dependencies(
+    expr: Optional[Expr], functions, catalog_names
+) -> Optional[FrozenSet[str]]:
+    """The catalog datasets the registered SQL++ functions ``expr`` calls
+    read, directly or through each other; None when it calls a Java UDF
+    that ``functions`` does not register as pure, directly or through such
+    a function.  What ``expr`` returns depends on those datasets too, and
+    on an impure UDF's earlier calls."""
+    names, pure = called_reads(expr, functions)
+    return frozenset(names & catalog_names) if pure else None
 
 
 def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:

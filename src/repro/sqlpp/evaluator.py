@@ -113,6 +113,15 @@ class SnapshotSet:
             snapshot = self.pinned[dataset.name] = dataset.snapshot()
         return snapshot
 
+    def pin_all(self, names) -> None:
+        """Pin each catalog dataset in ``names``: a function invocation
+        pins everything it may read before it reads any of it, so every
+        path — interpreted, planned, memoized, batched — sees one set."""
+        pinned, catalog = self.pinned, self.catalog
+        for name in names:
+            if name not in pinned and name in catalog:
+                self.pin(catalog[name])
+
     def version(self, names) -> Tuple:
         """Sorted ``(name, lsns)`` pairs for the catalog datasets in
         ``names``, at the LSNs this generation pinned — never live ones, so

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from ..errors import UdfError, UdfRegistrationError
-from ..sqlpp.analysis import is_stateful, uses_unsupported_builtin
+from ..sqlpp.analysis import (
+    called_reads,
+    free_vars,
+    is_stateful,
+    uses_unsupported_builtin,
+)
 from ..sqlpp.ast import FunctionDefinition
 from ..sqlpp.parser import parse_function
 from ..sqlpp.memo import EnrichmentMemo
@@ -52,6 +57,8 @@ class FunctionRegistry:
         # Bumped on every registration change and DDL; batch kernels cached
         # on a plan recompile when it moves (§3.2 instant updates).
         self.version = 0
+        #: function name -> (version, what an invocation of it may read)
+        self._reads: Dict[str, Tuple[int, FrozenSet[str]]] = {}
 
     # ---------------------------------------------------------------- sql++
 
@@ -165,8 +172,20 @@ class FunctionRegistry:
 
     # ------------------------------------------------------------ invocation
 
+    def reads(self, name: str) -> FrozenSet[str]:
+        """The names an invocation of SQL++ function ``name`` may read: its
+        body's free names and those of every SQL++ function it calls."""
+        cached = self._reads.get(name)
+        if cached is None or cached[0] != self.version:
+            definition = self.get(name).definition
+            called, _pure = called_reads(definition.body, self)
+            names = free_vars(definition.body, set(definition.params)) | called
+            cached = self._reads[name] = (self.version, frozenset(names))
+        return cached[1]
+
     def invoke(self, name: str, args: List, ctx):
-        """Invoke a SQL++ UDF: bind parameters and evaluate the body."""
+        """Invoke a SQL++ UDF: bind parameters and evaluate the body, over
+        snapshots of everything it may read (:meth:`reads`)."""
         from ..sqlpp.evaluator import Env, Evaluator
 
         udf = self.get(name)
@@ -174,6 +193,7 @@ class FunctionRegistry:
             raise UdfError(
                 f"{name} expects {udf.arity} argument(s), got {len(args)}"
             )
+        ctx.snapshots.pin_all(self.reads(name))
         env = Env(dict(zip(udf.definition.params, args)))
         return Evaluator(ctx).evaluate(udf.definition.body, env)
 
