@@ -88,7 +88,9 @@ def run_insert(
             HashPartition(lambda r: primary_key_of(r, dataset.primary_key)),
             OperatorDescriptor(
                 "store",
-                lambda c: DatasetWriteSink(c, dataset, "upsert" if upsert else "insert"),
+                lambda c: DatasetWriteSink(
+                    c, dataset, "upsert" if upsert else "insert"
+                ),
                 partitions=n,
             ),
         ),

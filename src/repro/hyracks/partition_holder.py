@@ -12,7 +12,7 @@ hand frames to each other through memory.
   (:class:`~repro.runtime.IntakeBuffer` blocks a producer on a full one).
 * An **active** holder receives frames from other jobs and *pushes* them
   to its downstream operators: the head of the storage job.  That push is
-  ``_StorageLayer.store_batch`` (:mod:`repro.ingestion.pipelines`), which
+  ``StorageJob.store_batch`` (:mod:`repro.ingestion.storage_job`), which
   the run's sequencer calls in batch order; no queue stands in front of it.
 
 A holder belongs to the feed run that built it; nothing looks one up by

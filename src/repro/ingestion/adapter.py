@@ -36,7 +36,7 @@ A :class:`QueueAdapter` drained before ``end()`` yields the
 :data:`ADAPTER_IDLE` sentinel instead of raising: under the discrete-event
 runtime an empty-but-open queue is a *starved intake*, surfaced as idle
 time (bounded by ``ADAPTER_IDLE_TIMEOUT_SECONDS`` in
-ingestion/pipelines.py), not a crash.
+ingestion/intake_job.py), not a crash.
 """
 
 from __future__ import annotations

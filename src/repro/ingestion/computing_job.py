@@ -2,14 +2,11 @@
 batch by the Active Feed Manager loop of each worker in the run's pool.
 
 :class:`ComputingJob` owns the predeployed spec and its output slot, the
-evaluation context whose intermediate state is refreshed every invocation,
-the UDF invoker, the external enrichment coordinator, and the worker pool:
-the un-acked claim of each worker, the sub-batch queue, the shrink tokens,
-spawn and retire, the elastic controller and the fabric's recall.  It
-appends the ``spawn``, ``retire``, ``split``, ``replay``, ``batch`` and
-``scale`` events.  It takes batches from the intake job's
-:class:`~repro.runtime.IntakeBuffer` and hands each output to the storage
-job's sequencer.
+evaluation context refreshed every invocation, the UDF invoker, the
+external coordinator, and the worker pool — claims, sub-batch queue,
+shrink tokens, spawn and retire, the elastic controller — with their
+``spawn``, ``retire``, ``split``, ``replay``, ``batch`` and ``scale``
+events.
 """
 
 from __future__ import annotations
@@ -47,19 +44,11 @@ ELASTIC_BACKLOG_BATCHES = 2.0
 ELASTIC_SUSTAINED_SAMPLES = 2
 
 
-class Charge(NamedTuple):
-    """What one job invocation costs on the simulated clock."""
-
-    makespan: float  # startup + busiest node + teardown
-    critical: float  # the busiest node, with the state work added
-    teardown: float
-    shared: float  # state built once and partitioned over the nodes
-    replicated: float  # state every node builds for itself
-
-
-def charge(result, eval_ctx: EvaluationContext, cost, n: int) -> Charge:
-    """Charge one invocation: the executor's per-node busy seconds plus the
-    state work the UDFs metered into ``eval_ctx`` during it."""
+def charge(result, eval_ctx: EvaluationContext, cost, n: int):
+    """What one job invocation costs: ``(makespan, critical, teardown,
+    shared, replicated)``, the busiest node's seconds (``critical``) with
+    the state work the UDFs metered into ``eval_ctx`` during it added —
+    ``shared`` split over the nodes, ``replicated`` on each."""
     shared = eval_ctx.shared_meter.charge(cost)
     replicated = eval_ctx.replicated_meter.charge(cost)
     busy = dict(result.node_busy_seconds)
@@ -71,10 +60,8 @@ def charge(result, eval_ctx: EvaluationContext, cost, n: int) -> Charge:
         - result.startup_seconds
         - result.critical_node_seconds
     )
-    return Charge(
-        result.startup_seconds + critical + teardown,
-        critical, teardown, shared, replicated,
-    )
+    makespan = result.startup_seconds + critical + teardown
+    return makespan, critical, teardown, shared, replicated
 
 
 class _SubBatch(NamedTuple):
@@ -206,7 +193,6 @@ class ComputingJob:
         self.spawned = 0  # workers ever spawned: the next worker's id
         self.workers_running = 0
         self.shrink_tokens = 0  # outstanding scale-down tokens
-        self.pool_ended = False
         self.subqueue: deque = deque()  # pending _SubBatch slices for idle peers
         #: worker name -> its un-acked claim: set when pulled from the
         #: intake buffer, dropped only after the sequenced storage hand-off,
@@ -315,8 +301,9 @@ class ComputingJob:
                 result = cluster.controller.invoke(self.job_id, batch)
             else:
                 result = cluster.controller.run_job(self.spec(batch))
-            charged = charge(result, eval_ctx, cost, n)
-            makespan = charged.makespan
+            makespan, _critical, _teardown, shared, _replicated = charge(
+                result, eval_ctx, cost, n
+            )
             if feed.functions:
                 makespan += cost.udf_job_overhead(n)
             if coordinator is not None:
@@ -353,7 +340,7 @@ class ComputingJob:
             self._note(
                 "batch", worker, index=index, sub=sub, records=total,
                 makespan=makespan, startup=result.startup_seconds,
-                shared=charged.shared, started=batch_started,
+                shared=shared, started=batch_started,
                 latency=runtime.clock.now - batch_started,
             )
             if self.update_client is not None:
@@ -366,8 +353,7 @@ class ComputingJob:
             # lease returns to the fabric, which may immediately fund
             # a queued borrower's grow
             fabric.release_worker(run_name)
-        if self.workers_running == 0 and not self.pool_ended:
-            self.pool_ended = True
+        if self.workers_running == 0:
             storage.end()
 
     def spawn_worker(self, cause: str) -> None:

@@ -49,7 +49,7 @@ class FeedDefinition:
 
     What no caller varies is not a field: a feed always upserts, and its
     storage-channel depth is ``STORAGE_QUEUE_CAPACITY`` in
-    ingestion/pipelines.py.
+    ingestion/storage_job.py.
     """
 
     name: str

@@ -1,18 +1,11 @@
 """The intake job (paper §5): the feed's adapters drawing into its passive
-partition holders, for the feed's lifetime.
-
-:class:`IntakeJob` owns everything intake: the holders, the per-node and
-per-partition busy time, one supervised lane per intake partition and what
-each lane keeps across a restart, the open-lane count, the run-wide set of
-consumed adapter faults, and the ``adapter_death`` / ``adapter_reopen`` /
-``idle_timeout`` events.  It meets the computing job only at the
-:class:`~repro.runtime.IntakeBuffer` over its holders.
-"""
+partition holders, for the feed's lifetime."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from ..cluster.controller import Cluster
 from ..errors import InjectedCrash
@@ -29,50 +22,39 @@ ADAPTER_IDLE_TIMEOUT_SECONDS = 10.0
 ADAPTER_IDLE_POLL_SECONDS = 0.5
 
 
+@dataclass(slots=True)
 class _Lane:
-    """What one intake partition's actor keeps across a restart.
+    """What one intake lane keeps across a restart: envelopes drawn but not
+    yet framed (:attr:`chunk`) and frames not yet deposited
+    (:attr:`pending`), so a crash mid-deposit replays them instead of
+    losing them (at-least-once; upsert dedupes), and ``source``, ``None``
+    after an adapter death until the restarted lane re-opens it."""
 
-    Envelopes drawn but not yet framed (:attr:`chunk`) and frames not yet
-    deposited (:attr:`pending`) live here, not in the actor's generator,
-    so a crash mid-deposit replays them instead of losing them
-    (at-least-once; duplicates resolve downstream via primary-key upsert).
-    ``source`` is ``None`` after an adapter death until the restarted
-    actor re-opens it.
-    """
-
-    __slots__ = (
-        "name", "partition", "adapter", "source", "drawn", "exhausted",
-        "advanced", "chunk", "pending", "idle",
-    )
-
-    def __init__(self, name: str, partition: int, adapter: FeedAdapter, resume_from):
-        self.name = name
-        self.partition = partition
-        self.adapter = adapter
-        # only pass resume_from when actually resuming: adapter
-        # subclasses predating durable restart may not accept it
-        self.source = (
-            adapter.envelopes(resume_from=resume_from)
-            if resume_from is not None
-            else adapter.envelopes()
-        )
-        self.drawn = 0  # envelopes drawn over the adapter's lifetime
-        self.exhausted = False
-        self.advanced = 0.0
-        self.chunk: Optional[List[dict]] = None
-        self.pending: Optional[list] = None
-        self.idle = 0.0
+    name: str
+    partition: int
+    adapter: FeedAdapter
+    source: Optional[Iterator[dict]]
+    drawn: int = 0  # envelopes drawn over the adapter's lifetime
+    exhausted: bool = False
+    advanced: float = 0.0
+    chunk: Optional[List[dict]] = None
+    pending: Optional[list] = None
+    idle: float = 0.0
 
 
 class IntakeJob:
-    """The intake job: adapter(s) + round-robin partitioner + holders.
+    """Adapter(s) + round-robin partitioner + passive holders.
 
-    With more than one adapter the feed runs partitioned intake: each
-    partition is its own lane driving its own adapter, pinned round-robin
-    to an intake node, all merging into the shared holder set under one
-    logical cursor (per-partition ``(partition, seq)`` watermarks).  The
-    single-partition feed keeps the historical round-robin-per-record node
-    accounting bit-for-bit.
+    The job owns the holders, the per-node and per-partition busy time, one
+    supervised lane per intake partition (:class:`_Lane` holds what a lane
+    keeps across a restart), the open-lane count, the run-wide consumed
+    adapter faults, and the ``adapter_death``, ``adapter_reopen`` and
+    ``idle_timeout`` events.  With more than one adapter the feed runs
+    partitioned intake: each lane drives its own adapter, pinned
+    round-robin to an intake node, all merging into the shared holders
+    under one logical cursor (per-partition ``(partition, seq)``
+    watermarks).  A single lane keeps the historical
+    round-robin-per-record node accounting bit-for-bit.
 
     A lane's ``buffer.put`` suspends it (accounted as *blocked*) while the
     target holder is full — backpressure reaches the adapter instead of
@@ -139,7 +121,14 @@ class IntakeJob:
         for p, adapter in enumerate(self.adapters):
             name = f"{run_name}.intake" + (f".p{p}" if partitioned else "")
             resume_from = checkpoint.resume.get(p) if checkpoint is not None else None
-            lane = _Lane(name, p, adapter, resume_from)
+            # only pass resume_from when actually resuming: adapter
+            # subclasses predating durable restart may not accept it
+            source = (
+                adapter.envelopes(resume_from=resume_from)
+                if resume_from is not None
+                else adapter.envelopes()
+            )
+            lane = _Lane(name, p, adapter, source)
             supervisor.spawn(name, partial(self._run_lane, lane), layer="intake")
 
     def _note(self, kind: str, lane: _Lane, **detail) -> None:

@@ -100,6 +100,21 @@ def _check_stateful_support(feed: FeedDefinition, registry, catalog) -> None:
                 )
 
 
+def _soft_errors(catalog, feed, policy, faults, n: int, **stream) -> SoftErrorHandler:
+    """The feed's soft-error handler, over its dead-letter dataset when the
+    policy routes failed records aside (``stream``: the run's events and
+    clock)."""
+    dead_letters = None
+    if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
+        feed.external_enrichers
+        and policy.external_on_failure is ExternalFailureAction.DEAD_LETTER
+    ):
+        dead_letters = ensure_dead_letter_dataset(
+            catalog, feed.name, policy, num_partitions=n
+        )
+    return SoftErrorHandler(feed.name, policy, faults, dead_letters, **stream)
+
+
 class StaticIngestionPipeline:
     """The old AsterixDB feed: one continuous job, stream-model UDFs."""
 
@@ -165,12 +180,7 @@ class StaticIngestionPipeline:
         policy = feed.policy or DEFAULT_POLICY
         faults = FaultMetrics()
         counters = RunCounters()
-        dead_letters = None
-        if policy.on_soft_error is SoftErrorAction.DEAD_LETTER:
-            dead_letters = ensure_dead_letter_dataset(
-                self.catalog, feed.name, policy, num_partitions=n
-            )
-        soft_errors = SoftErrorHandler(feed.name, policy, faults, dead_letters)
+        soft_errors = _soft_errors(self.catalog, feed, policy, faults, n)
 
         # One evaluation context for the whole feed: the stream model.
         # Stateful state (reference-data snapshots, Java resource files) is
@@ -225,7 +235,9 @@ class StaticIngestionPipeline:
         result = cluster.controller.run_job(
             linear_job(f"feed-{feed.name}-static", source, *stages)
         )
-        charged = charge(result, eval_ctx, cost, n)
+        makespan, critical, teardown, shared, replicated = charge(
+            result, eval_ctx, cost, n
+        )
         intake_busy = max(
             result.per_operator_busy.get("adapter", 0.0)
             + result.per_operator_busy.get("parser", 0.0),
@@ -241,9 +253,9 @@ class StaticIngestionPipeline:
 
         def feed_process():
             yield Advance(result.startup_seconds)
-            yield Advance(charged.critical)
-            if charged.teardown > 0:
-                yield Advance(charged.teardown)
+            yield Advance(critical)
+            if teardown > 0:
+                yield Advance(teardown)
 
         runtime.spawn(run_name, feed_process(), layer="feed")
         runtime.run()
@@ -253,7 +265,7 @@ class StaticIngestionPipeline:
             framework=Framework.STATIC.value,
             records_ingested=len(envelopes),
             records_stored=result.records_out,
-            simulated_seconds=charged.makespan,
+            simulated_seconds=makespan,
             intake_seconds=intake_busy,
             computing_seconds=result.per_operator_busy.get("udf-evaluator", 0.0) / n,
             storage_seconds=result.per_operator_busy.get("storage", 0.0) / n,
@@ -262,9 +274,9 @@ class StaticIngestionPipeline:
             # millions of records that cost amortizes to nothing, so it is
             # excluded from steady-state throughput along with job startup.
             fixed_start_seconds=result.startup_seconds
-            + charged.teardown
-            + charged.shared / n
-            + charged.replicated,
+            + teardown
+            + shared / n
+            + replicated,
             counters=counters,
         )
         report.runtime = RuntimeMetrics.from_runtime(
@@ -370,16 +382,8 @@ class FeedRun:
             )
         self.faults = FaultMetrics()
         self.counters = RunCounters(intake_partitions=num_partitions)
-        self.dead_letters = dead_letters = None
-        if policy.on_soft_error is SoftErrorAction.DEAD_LETTER or (
-            feed.external_enrichers
-            and policy.external_on_failure is ExternalFailureAction.DEAD_LETTER
-        ):
-            self.dead_letters = dead_letters = ensure_dead_letter_dataset(
-                pipeline.catalog, feed.name, policy, num_partitions=n
-            )
-        self.soft_errors = SoftErrorHandler(
-            feed.name, policy, self.faults, dead_letters,
+        self.soft_errors = _soft_errors(
+            pipeline.catalog, feed, policy, self.faults, n,
             events=self.events, clock=cluster.clock,
         )
         # Opt-in cross-batch reuse: the feed's own state cache (build-side
@@ -412,9 +416,10 @@ class FeedRun:
         # The feed's caches outlive a run, so a run reports the deltas of
         # their cumulative counters since launch (the memo covers all
         # three probe paths — scalar, columnar, external — in one instance).
+        self.caches = {"state_cache": self.state_cache, "memo": self.memo}
         self.caches_before = {
             prefix: cache.stats()
-            for prefix, cache in (("state_cache", self.state_cache), ("memo", self.memo))
+            for prefix, cache in self.caches.items()
             if cache is not None
         }
 
@@ -453,7 +458,8 @@ class FeedRun:
         )
         storage.open(runtime, run_name, self.decoupled)
         supervisor = Supervisor(runtime, policy.restart_policy(), self.events)
-        computing.open(runtime, buffer, supervisor, storage, self.dead_letters)
+        dead_letters = self.soft_errors.dead_letters
+        computing.open(runtime, buffer, supervisor, storage, dead_letters)
         elastic = policy.elastic_enabled
         if fabric is not None:
             fabric.register_feed(
@@ -467,7 +473,8 @@ class FeedRun:
             computing.spawn_worker("floor")
         if fabric is not None:
             fabric.note_initial(run_name, policy.min_computing_workers)
-        storage.start(run_name, supervisor)
+        if storage.channel is not None:
+            supervisor.spawn(f"{run_name}.storage", storage.process, layer="storage")
         if elastic:
             runtime.spawn(
                 f"{run_name}.elastic", computing.elastic_controller(), layer="elastic"
@@ -557,7 +564,7 @@ class FeedRun:
         counters.subbatches = sum(e.detail["of"] for e in events if e.kind == "split")
         # this run's share of each of the feed's caches' cumulative
         # counters: hit/miss/eviction deltas since launch, bytes as a gauge
-        for prefix, cache in (("state_cache", self.state_cache), ("memo", self.memo)):
+        for prefix, cache in self.caches.items():
             if cache is None:
                 continue
             before, after = self.caches_before[prefix], cache.stats()

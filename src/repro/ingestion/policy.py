@@ -70,7 +70,7 @@ class FeedPolicy:
 
     A field is here because a workload sets it; a setting no workload
     varies is a module constant beside its reader (the adapter idle
-    timeout beside ``_IntakeLane`` in ingestion/pipelines.py, the
+    timeout beside ``IntakeJob`` in ingestion/intake_job.py, the
     external chunk size and lane count in ingestion/external.py, the
     restart backoff on :class:`~repro.runtime.supervisor.RestartPolicy`).
 
@@ -91,7 +91,7 @@ class FeedPolicy:
     # concurrent computing actors, and — when ``max_computing_workers`` is
     # larger — the elastic controller scales the pool between the bounds
     # from sampled intake-buffer congestion (its sampling period and
-    # thresholds are the ``ELASTIC_*`` constants in ingestion/pipelines.py).
+    # thresholds are the ``ELASTIC_*`` constants in ingestion/computing_job.py).
     # A single-worker pool is byte-identical to the pre-pool single
     # computing actor.
     min_computing_workers: int = 1

@@ -1,13 +1,9 @@
-"""The storage job (paper §5): each computing job's output, written in batch
-order, for the feed's lifetime.
+"""The storage job (paper §5) and the run's one checkpoint owner.
 
-:class:`StorageJob` owns the run's :class:`~repro.runtime.Sequencer` (the
-one hand-off from the computing job: workers finish batches out of order,
-the sequencer releases them in index order), the release itself (store,
-then freeze what the collector tracks), the sub-batch merge, and — when
-storage is decoupled — the bounded channel and the process that advances
-through its work.  :class:`FeedCheckpoint` is the run's one checkpoint
-owner, which the three jobs call when a checkpoint is attached.
+:class:`StorageJob` owns the run's :class:`~repro.runtime.Sequencer`, the
+one hand-off from the computing job, and the release it calls in batch
+order: store, then freeze what the collector tracks.  :class:`FeedCheckpoint`
+is what the three jobs call when a checkpoint is attached.
 """
 
 from __future__ import annotations
@@ -25,23 +21,18 @@ STORAGE_QUEUE_CAPACITY = 8
 
 
 def thaw_releases() -> None:
-    """Empty the permanent generation every release filled.
-
-    :func:`~repro.ingestion.pipelines.drive_runs` calls this on every way
-    out, so the collector's generations are whole again after a drive —
-    including anything a caller had frozen before it.
-    """
+    """Empty the permanent generation the releases filled."""
     gc.unfreeze()
 
 
 class StorageJob:
-    """The storage job: per-node LSM writers behind the sequencer.
+    """Per-node LSM writers behind the sequencer.
 
     Performs the real dataset writes and accounts per-node storage busy
     time (store cost, log forces, cross-node transfer for records whose
-    primary-key hash lands elsewhere).  In decoupled mode it also runs as
-    a runtime process consuming per-batch work items from a channel, so
-    its busy time overlaps the next computing job.
+    primary-key hash lands elsewhere).  Decoupled, it also runs as a
+    process working through a bounded channel of per-batch items, so its
+    busy time overlaps the next computing job.
     """
 
     def __init__(self, cluster: Cluster, dataset, checkpoint=None):
@@ -97,21 +88,15 @@ class StorageJob:
         return max(batch_busy)
 
     def open(self, runtime, run_name: str, decoupled: bool) -> None:
-        """Build the run's sequencer, and its storage channel when
-        decoupled.  Workers complete batches out of index order; the
-        sequencer releases the real writes (and the channel items) in
-        index order, so pk-upsert order, acked guarantees and dead-letter
-        provenance are those of a single worker."""
+        """Build the sequencer, and the channel when decoupled.  Workers
+        complete batches out of index order; the sequencer releases the
+        writes (and the channel items) in index order, so pk-upsert order,
+        acked guarantees and dead-letter provenance are a single worker's."""
         if decoupled:
             self.channel = Channel(
                 runtime, STORAGE_QUEUE_CAPACITY, name=f"{run_name}.storage"
             )
         self.sequencer = Sequencer(self.release, self.channel, merge=self.merge)
-
-    def start(self, run_name: str, supervisor) -> None:
-        """Spawn the storage writer, when storage is decoupled."""
-        if self.channel is not None:
-            supervisor.spawn(f"{run_name}.storage", self.process, layer="storage")
 
     def release(self, outputs: List[List[dict]]) -> float:
         """The sequencer's release: store one batch, then move everything
@@ -135,9 +120,8 @@ class StorageJob:
 
     def hand_off(self, index: int, outputs, sub: int, of: int):
         """Coroutine: sequence one batch's (or slice's) output; returns the
-        ``(index, seconds)`` pairs it released.  Released writes are on
-        disk, so the checkpoint then persists the cursors that make them
-        durable across a restart."""
+        ``(index, seconds)`` pairs released, whose writes the checkpoint
+        then makes durable."""
         released = yield from self.sequencer.put(
             index, outputs, sub_index=sub, num_subs=of
         )
@@ -146,7 +130,9 @@ class StorageJob:
         return released
 
     def end(self) -> None:
-        """The last worker retired: no more work comes down the channel."""
+        """The last worker retired: no more work comes down the channel (a
+        worker the fabric grants after that retires at once; ending again
+        wakes no one)."""
         if self.channel is not None:
             self.channel.end()
 
@@ -166,16 +152,15 @@ class StorageJob:
 
 
 class FeedCheckpoint:
-    """A run's durable restart state, kept in one place.
+    """A run's durable restart state.
 
-    The intake job reports each fully-deposited chunk (:meth:`deposited`),
-    the computing job each batch it claims (:meth:`claimed`) and the
-    storage job each release (:meth:`commit`).  Batch indices are claimed
-    in order, so the cursor snapshot taken when ``index`` is claimed covers
-    exactly batches ``0..index``; releasing ``index`` makes it the durable
-    acked watermark, and the newest deposited chunk at or below it becomes
-    each partition's re-open point.  The gap up to the watermark replays
-    and dedupes via pk-upsert.
+    The intake job reports each deposited chunk, the computing job each
+    batch it claims and the storage job each release.  Batches are claimed
+    in index order, so the claimed seqs snapshotted for ``index`` cover
+    exactly batches ``0..index``; releasing ``index`` makes them the acked
+    watermark, and the newest deposited chunk at or below it each
+    partition's re-open point.  The gap between replays and dedupes via
+    pk-upsert.
     """
 
     def __init__(
@@ -194,10 +179,8 @@ class FeedCheckpoint:
         self.num_partitions = num_partitions
         self.events = events
         self.clock = clock
-        #: per partition: the greatest claimed seq, the durable re-open
-        #: point, and the ``(max seq, resume cursor)`` of each deposited
-        #: chunk not yet covered by a commit; per batch index: the claimed
-        #: seqs when it was claimed
+        #: per partition: the greatest claimed seq, the re-open point, and
+        #: each ``(seq, resume)`` chunk deposited since the last commit
         self.claimed_seq: Dict[int, int] = {}
         self.resume: Dict[int, object] = {}
         self.deposits: Dict[int, list] = {p: [] for p in range(num_partitions)}
@@ -219,13 +202,11 @@ class FeedCheckpoint:
                     self.resume[p] = cursor.resume
 
     def deposited(self, partition: int, seq: int, resume) -> None:
-        """A chunk up to ``seq`` is framed: a restart may re-open the
-        adapter at ``resume`` once it is acked."""
+        """Once acked, a chunk up to ``seq`` may re-open at ``resume``."""
         self.deposits[partition].append((seq, resume))
 
     def claimed(self, index: int, batch: List[List[dict]]) -> None:
-        """Advance the claimed seqs over ``batch``; snapshot them for
-        ``index``."""
+        """Advance the claimed seqs over batch ``index``; snapshot them."""
         cursor = self.claimed_seq
         for records in batch:
             for envelope in records:
@@ -235,7 +216,7 @@ class FeedCheckpoint:
                     cursor[p] = seq
         self.marks[index] = dict(cursor)
 
-    def commit(self, released: int, records_stored: int, complete: bool = False) -> None:
+    def commit(self, released: int, records_stored: int, complete=False) -> None:
         """Persist cursors covering the ``released`` batches of this run
         (``complete``: the run drained cleanly, nothing is left to replay)."""
         watermark = released - 1

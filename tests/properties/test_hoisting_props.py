@@ -21,7 +21,7 @@ def _row(key, **fields):
 
 
 def _tweet(key, word):
-    return {"id": key, "k": "US", "lat": 1.0, "lon": 1.0, "r": 1.5, "word": word, "cut": 1}
+    return {"id": key, "k": "US", "lat": 1.0, "lon": 1.0, "r": 1.5, "word": word}
 
 
 #: A Places upsert lands inside the generation, between a binding whose
