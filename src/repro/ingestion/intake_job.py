@@ -79,7 +79,7 @@ class IntakeJob:
         adapters: List[FeedAdapter],
         chunk_size: int,
         events: List[Event],
-        checkpoint=None,
+        checkpoint,
     ):
         self.cluster = cluster
         self.feed = feed
