@@ -1,13 +1,5 @@
 """The computing job (paper §5/§6.1): predeployed once, then invoked once per
-batch by the Active Feed Manager loop of each worker in the run's pool.
-
-:class:`ComputingJob` owns the predeployed spec and its output slot, the
-evaluation context refreshed every invocation, the UDF invoker, the
-external coordinator, and the worker pool — claims, sub-batch queue,
-shrink tokens, spawn and retire, the elastic controller — with their
-``spawn``, ``retire``, ``split``, ``replay``, ``batch`` and ``scale``
-events.
-"""
+batch by the Active Feed Manager loop of each worker in the run's pool."""
 
 from __future__ import annotations
 
@@ -128,34 +120,14 @@ def _computing_spec(
     )
 
 
-def _sample(buffer, batch_size: int, last_stalls: int):
-    """One elastic sample of the intake buffer: ``(occupancy, backlog,
-    new_stalls, congested, starved)``, backlog in full batches."""
-    occupancy = buffer.occupancy
-    backlog = buffer.queued_records / batch_size
-    new_stalls = buffer.stalls - last_stalls
-    congested = (
-        occupancy >= ELASTIC_SCALE_UP_OCCUPANCY
-        or buffer.producer_blocked
-        or new_stalls > 0
-        or backlog >= ELASTIC_BACKLOG_BATCHES
-    )
-    starved = (
-        occupancy <= ELASTIC_SCALE_DOWN_OCCUPANCY
-        and backlog < 1.0
-        and not buffer.producer_blocked
-    )
-    return occupancy, backlog, new_stalls, congested, starved
-
-
 class ComputingJob:
     """The per-batch computing job and the worker pool that invokes it."""
 
     def __init__(
         self, *, run_name: str, feed: FeedDefinition, policy, cluster: Cluster,
         catalog, registry, counters, events: List[Event], soft_errors,
-        memo, state_cache, batch_size: int, predeploy: bool, decoupled: bool,
-        update_client, fabric, checkpoint,
+        memo, state_cache, batch_size: int, predeploy: bool, update_client,
+        fabric, checkpoint,
     ):
         self.run_name = run_name
         self.feed = feed
@@ -164,7 +136,6 @@ class ComputingJob:
         self.events = events
         self.batch_size = batch_size
         self.predeploy = predeploy
-        self.decoupled = decoupled
         self.update_client = update_client
         self.fabric = fabric
         self.checkpoint = checkpoint
@@ -327,7 +298,7 @@ class ComputingJob:
                 # a batch boundary: the memory governor's rebalance
                 # point (a no-op for fabrics without a governor)
                 fabric.note_batch_released(run_name)
-            if not self.decoupled:
+            if storage.channel is None:
                 # §5.2 ablation: the coupled insert job waits for the
                 # log force and storage writes before finishing (a
                 # worker also absorbs the wait for any peer batches
@@ -378,16 +349,10 @@ class ComputingJob:
         return False
 
     def elastic_controller(self):
-        """Sample intake congestion on the clock; resize the pool.
-
-        Grover & Carey's congestion reaction, made real: sustained
-        high occupancy (or a blocked producer / fresh backpressure
-        stall) grows the pool toward ``max_computing_workers``;
-        sustained starvation retires workers back toward
-        ``min_computing_workers`` via shrink tokens claimed at the
-        next batch boundary.  The controller exits once the buffer is
-        drained after EOF, so it never outlives the feed.
-        """
+        """Grover & Carey's congestion reaction: sample the intake buffer
+        on the clock and resize the pool within ``min/max_computing_workers``
+        by the ``ELASTIC_*`` rule (a retire is a shrink token claimed at a
+        batch boundary).  Exits once the buffer drains after EOF."""
         buffer, fabric, run_name = self.buffer, self.fabric, self.run_name
         workers_min = self.policy.min_computing_workers
         workers_max = self.policy.max_computing_workers
@@ -398,10 +363,20 @@ class ComputingJob:
             yield Advance(ELASTIC_SAMPLE_SECONDS, state=IDLE)
             if buffer.all_eof and buffer.drained:
                 break
-            occupancy, backlog, new_stalls, congested, starved = _sample(
-                buffer, self.batch_size, last_stalls
+            occupancy = buffer.occupancy
+            backlog = buffer.queued_records / self.batch_size
+            new_stalls, last_stalls = buffer.stalls - last_stalls, buffer.stalls
+            congested = (
+                occupancy >= ELASTIC_SCALE_UP_OCCUPANCY
+                or buffer.producer_blocked
+                or new_stalls > 0
+                or backlog >= ELASTIC_BACKLOG_BATCHES
             )
-            last_stalls = buffer.stalls
+            starved = (
+                occupancy <= ELASTIC_SCALE_DOWN_OCCUPANCY
+                and backlog < 1.0
+                and not buffer.producer_blocked
+            )
             if fabric is not None:
                 # the feed's standing bid: every sample tick's
                 # congestion signals, whether or not a grow follows

@@ -45,14 +45,10 @@ class _Lane:
 class IntakeJob:
     """Adapter(s) + round-robin partitioner + passive holders.
 
-    The job owns the holders, the per-node and per-partition busy time, one
-    supervised lane per intake partition (:class:`_Lane` holds what a lane
-    keeps across a restart), the open-lane count, the run-wide consumed
-    adapter faults, and the ``adapter_death``, ``adapter_reopen`` and
-    ``idle_timeout`` events.  With more than one adapter the feed runs
-    partitioned intake: each lane drives its own adapter, pinned
-    round-robin to an intake node, all merging into the shared holders
-    under one logical cursor (per-partition ``(partition, seq)``
+    One supervised lane per intake partition.  With more than one adapter
+    the feed runs partitioned intake: each lane drives its own adapter,
+    pinned round-robin to an intake node, all merging into the shared
+    holders under one logical cursor (per-partition ``(partition, seq)``
     watermarks).  A single lane keeps the historical
     round-robin-per-record node accounting bit-for-bit.
 

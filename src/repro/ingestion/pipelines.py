@@ -30,6 +30,7 @@ the computing workers charge per batch.
 
 from __future__ import annotations
 
+import gc
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -69,7 +70,7 @@ from .policy import (
     SoftErrorHandler,
     ensure_dead_letter_dataset,
 )
-from .storage_job import FeedCheckpoint, StorageJob, thaw_releases
+from .storage_job import FeedCheckpoint, StorageJob
 from .udf_operator import UdfEvaluatorOperator, make_invoker
 
 def _check_stateful_support(feed: FeedDefinition, registry, catalog) -> None:
@@ -329,14 +330,9 @@ class FeedRun:
     runtime — and returns it instead of driving the clock, so a caller
     can launch *several* feeds onto one shared runtime and run them as a
     fleet (:meth:`AsterixLite.start_feeds`).  :func:`drive_runs` is the
-    driving protocol for both.
-
-    The jobs (§5) are :attr:`intake`, :attr:`computing` and
-    :attr:`storage`; each appends its own events to the run's one stream,
-    :attr:`events`.  The run keeps the feed's setup — policy, adapters,
-    caches, dead letters and the checkpoint, if any — the wiring
-    (:meth:`start`) and the report (:meth:`finalize`), which fills every
-    :class:`~repro.runtime.RunCounters` name into :attr:`counters`, once.
+    driving protocol for both.  The jobs are :attr:`intake`,
+    :attr:`computing` and :attr:`storage` (DESIGN.md §6); :meth:`finalize`
+    fills every :class:`~repro.runtime.RunCounters` name, once.
     """
 
     def __init__(
@@ -351,17 +347,10 @@ class FeedRun:
         resume: bool = False,
         fabric=None,
     ):
-        if feed.computing_model is ComputingModel.STREAM:
-            raise IngestionError(
-                "computing model 'stream' (Model 3) needs the static "
-                "framework: a dynamic run rebuilds state every batch, so "
-                "it would run Model 2 and see reference updates"
-            )
         self.feed = feed
         self.run_name = run_name = f"feed-{feed.name}"
         self.cluster = cluster = pipeline.cluster
         registry = pipeline.registry
-        self.decoupled = decoupled
         self.fabric = fabric
         dataset = pipeline.catalog[feed.target_dataset]
         n = cluster.num_nodes
@@ -387,50 +376,42 @@ class FeedRun:
             events=self.events, clock=cluster.clock,
         )
         # Opt-in cross-batch reuse: the feed's own state cache (build-side
-        # state) and memo (key-level results; handed to the local probe
-        # paths via eval_ctx and to the external coordinator), kept across
-        # the feed's runs.  A run uses the ones its policy grants bytes
-        # for; the memo is enrolled first (the governor's grant order).
-        self.state_cache = self.memo = None
+        # state) and memo (key-level results, for the local probe paths and
+        # the external coordinator) outlive its runs.  A run uses those its
+        # policy grants bytes, memo first (the governor's grant order); the
+        # fabric's governor, if any, sets their budgets, else the policy.
+        self.caches: Dict[str, object] = {}
         if registry is not None:
             own_state_cache, own_memo = registry.caches_for(feed.name)
-            if policy.enrichment_memo_bytes > 0:
-                self.memo = own_memo
-                self._set_budget(own_memo, policy.enrichment_memo_bytes)
-            if policy.state_cache_bytes > 0:
-                self.state_cache = own_state_cache
-                self._set_budget(own_state_cache, policy.state_cache_bytes)
+            for prefix, cache, budget in (
+                ("memo", own_memo, policy.enrichment_memo_bytes),
+                ("state_cache", own_state_cache, policy.state_cache_bytes),
+            ):
+                if budget <= 0:
+                    continue
+                self.caches[prefix] = cache
+                if fabric is not None and fabric.governor is not None:
+                    fabric.register_cache(run_name, cache, policy)
+                else:
+                    cache.configure(budget)
         self.intake = IntakeJob(
             cluster, feed, self.adapters, batch_size, self.events, self.checkpoint
         )
-        self.storage = StorageJob(cluster, dataset, self.checkpoint)
+        self.storage = StorageJob(cluster, dataset, self.checkpoint, decoupled)
         self.computing = ComputingJob(
             run_name=run_name, feed=feed, policy=policy, cluster=cluster,
             catalog=pipeline.catalog, registry=registry, counters=self.counters,
-            events=self.events, soft_errors=self.soft_errors, memo=self.memo,
-            state_cache=self.state_cache, batch_size=batch_size,
-            predeploy=predeploy, decoupled=decoupled,
-            update_client=update_client, fabric=fabric,
-            checkpoint=self.checkpoint,
+            events=self.events, soft_errors=self.soft_errors,
+            memo=self.caches.get("memo"), state_cache=self.caches.get("state_cache"),
+            batch_size=batch_size, predeploy=predeploy, update_client=update_client,
+            fabric=fabric, checkpoint=self.checkpoint,
         )
         # The feed's caches outlive a run, so a run reports the deltas of
         # their cumulative counters since launch (the memo covers all
         # three probe paths — scalar, columnar, external — in one instance).
-        self.caches = {"state_cache": self.state_cache, "memo": self.memo}
         self.caches_before = {
-            prefix: cache.stats()
-            for prefix, cache in self.caches.items()
-            if cache is not None
+            prefix: cache.stats() for prefix, cache in self.caches.items()
         }
-
-    def _set_budget(self, cache, policy_bytes: int) -> None:
-        """Who sets the budget of one of the feed's caches: the fabric's
-        memory governor (which re-assigns it at batch boundaries) when
-        there is one, else the policy's fixed byte count."""
-        if self.fabric is not None and self.fabric.governor is not None:
-            self.fabric.register_cache(self.run_name, cache, self.policy)
-        else:
-            cache.configure(policy_bytes)
 
     # ------------------------------------------------------------ wiring
 
@@ -456,7 +437,7 @@ class FeedRun:
             congestion=policy.on_congestion.value,
             faults=self.faults,
         )
-        storage.open(runtime, run_name, self.decoupled)
+        storage.open(runtime, run_name)
         supervisor = Supervisor(runtime, policy.restart_policy(), self.events)
         dead_letters = self.soft_errors.dead_letters
         computing.open(runtime, buffer, supervisor, storage, dead_letters)
@@ -495,14 +476,26 @@ class FeedRun:
                 sequencer.next_index, storage.records_stored, complete=True
             )
         n = self.cluster.num_nodes
-        batches, pool, busy, computing_seconds = _pool_views(events, self.runtime.epoch)
+        batches = [event for event in events if event.kind == "batch"]
+        running, pool = 0, []  # the pool's size after each spawn and retire
+        for event in events:
+            if event.kind in ("spawn", "retire"):
+                running += 1 if event.kind == "spawn" else -1
+                pool.append((event.at - self.runtime.epoch, running))
         counters.peak_computing_workers = max(size for _at, size in pool)
+        # Busy seconds are summed in completion order, per worker and
+        # over the pool; every worker ever spawned has an entry.
+        busy = {e.subject: 0.0 for e in events if e.kind == "spawn"}
+        computing_seconds = 0.0
+        for event in batches:
+            computing_seconds += event.detail["makespan"]
+            busy[event.subject] += event.detail["makespan"]
         # With overlapping workers the layer's aggregate busy exceeds
         # any wall-clock interval; the *bottleneck* contribution is the
         # slowest single worker (identical to the aggregate when the
         # pool size is 1), as the intake's is its slowest lane.
         computing_bottleneck = max(busy.values(), default=0.0)
-        if self.decoupled:
+        if channel is not None:
             steady = max(intake.bottleneck, computing_bottleneck, storage.max_busy)
         else:
             steady = max(intake.bottleneck, computing_bottleneck)
@@ -565,8 +558,6 @@ class FeedRun:
         # this run's share of each of the feed's caches' cumulative
         # counters: hit/miss/eviction deltas since launch, bytes as a gauge
         for prefix, cache in self.caches.items():
-            if cache is None:
-                continue
             before, after = self.caches_before[prefix], cache.stats()
             for key in ("hits", "misses", "evictions"):
                 setattr(counters, f"{prefix}_{key}", after[key] - before[key])
@@ -587,10 +578,7 @@ class FeedRun:
             counters=counters,
         )
         metrics.events = events
-        _fold_faults(
-            self.faults, events, metrics.processes,
-            self.soft_errors.breaker.name, channel,
-        )
+        self._fold_faults(metrics.processes)
         if self.fabric is not None:
             tenant = self.fabric.tenant_report(self.run_name)
             counters.borrowed_workers = tenant["borrowed_workers"]
@@ -599,63 +587,41 @@ class FeedRun:
             ]
         return report
 
-    def cleanup(self) -> None:
-        """Release everything the run holds outside itself (also the path
-        taken when :meth:`start` fails half-way).
+    def _fold_faults(self, processes) -> None:
+        """Fold the views of the run's stream into :attr:`faults` (the
+        metrics snapshot folds the kernel's crashes and stalls); backoff
+        seconds are summed per actor in ``processes`` (spawn) order, then
+        across actors."""
+        faults, events = self.faults, self.events
+        backoff = dict.fromkeys(processes, 0.0)
+        for event in events:
+            if event.kind == "restart":
+                backoff[event.subject] += event.detail["backoff"]
+        faults.backoff_seconds = sum(backoff.values(), 0.0)
+        kinds = [event.kind for event in events]
+        faults.restarts = kinds.count("restart")
+        faults.adapter_crashes = kinds.count("adapter_death")
+        faults.adapter_reopens = kinds.count("adapter_reopen")
+        faults.idle_timeouts = kinds.count("idle_timeout")
+        faults.records_replayed = sum(
+            e.detail["records"] for e in events if e.kind == "replay"
+        )
+        # the soft-error breaker's one transition is its trip to open
+        tripped = self.soft_errors.breaker.name
+        faults.circuit_breaker_trips = sum(e.subject == tripped for e in events)
+        if self.storage.channel is not None:
+            faults.channel_send_failures = self.storage.channel.send_failures
 
-        A failing UDF or adapter must not leak the feed's runtime state:
-        the fabric/governor tenancy, the predeployed job, or the
-        adapter's external resources (e.g. a FileAdapter's handle).
-        """
+    def cleanup(self) -> None:
+        """Release what the run holds outside itself on every way out, a
+        :meth:`start` failing half-way included: the fabric/governor
+        tenancy, the predeployed job, the adapters' external resources
+        (e.g. a FileAdapter's handle)."""
         if self.fabric is not None:
             self.fabric.deregister_feed(self.run_name)
         self.cluster.controller.undeploy(self.computing.job_id)
         for part_adapter in self.adapters:
             part_adapter.close()
-
-
-def _pool_views(events: List[Event], epoch: float):
-    """The worker pool's figures, recounted from the run's stream: the
-    batch events, the pool's size after each spawn and retire, each
-    worker's busy seconds and their sum.  Busy seconds are summed in
-    completion order, per worker and over the pool; every worker ever
-    spawned has an entry."""
-    batches = [event for event in events if event.kind == "batch"]
-    running, pool = 0, []
-    for event in events:
-        if event.kind in ("spawn", "retire"):
-            running += 1 if event.kind == "spawn" else -1
-            pool.append((event.at - epoch, running))
-    busy = {e.subject: 0.0 for e in events if e.kind == "spawn"}
-    total = 0.0
-    for event in batches:
-        total += event.detail["makespan"]
-        busy[event.subject] += event.detail["makespan"]
-    return batches, pool, busy, total
-
-
-def _fold_faults(faults, events, processes, breaker: str, channel) -> None:
-    """Fold the views of a run's stream into ``faults`` (the metrics
-    snapshot folds the kernel's crashes and stalls); backoff seconds are
-    summed per actor in ``processes`` (spawn) order, then across actors.
-    ``breaker`` names the soft-error breaker, whose one transition is its
-    trip to open."""
-    backoff = dict.fromkeys(processes, 0.0)
-    for event in events:
-        if event.kind == "restart":
-            backoff[event.subject] += event.detail["backoff"]
-    faults.backoff_seconds = sum(backoff.values(), 0.0)
-    kinds = [event.kind for event in events]
-    faults.restarts = kinds.count("restart")
-    faults.adapter_crashes = kinds.count("adapter_death")
-    faults.adapter_reopens = kinds.count("adapter_reopen")
-    faults.idle_timeouts = kinds.count("idle_timeout")
-    faults.records_replayed = sum(
-        e.detail["records"] for e in events if e.kind == "replay"
-    )
-    faults.circuit_breaker_trips = sum(e.subject == breaker for e in events)
-    if channel is not None:
-        faults.channel_send_failures = channel.send_failures
 
 
 def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
@@ -667,15 +633,15 @@ def drive_runs(runtime, runs: Sequence[FeedRun]) -> List[FeedRunReport]:
 
     Each storage release freezes what the collector tracks
     (:meth:`~repro.ingestion.storage_job.StorageJob.release`) and every
-    way out thaws it, so the permanent generation is empty again when this
-    returns or raises — including anything a caller had frozen before the
-    drive.
+    way out unfreezes it, so the permanent generation is empty again when
+    this returns or raises — including anything a caller had frozen before
+    the drive.
     """
     try:
         elapsed = runtime.run()
         return [run.finalize(elapsed) for run in runs]
     finally:
-        thaw_releases()
+        gc.unfreeze()
         for run in runs:
             run.cleanup()
 
@@ -699,17 +665,16 @@ class DynamicIngestionPipeline:
         adapter: Union[FeedAdapter, Sequence[FeedAdapter]],
         **options,
     ) -> FeedRunReport:
-        """Drive the feed to completion; returns the run report.
-
-        ``options`` are :meth:`launch`'s.
-        """
-        feed_run = self.launch(feed, adapter, **options)
+        """Drive the feed to completion on a private runtime; returns the
+        run report.  ``options`` are :meth:`launch`'s, less ``fabric``."""
+        feed_run = self.launch(feed, adapter, runtime=None, fabric=None, **options)
         return drive_runs(feed_run.runtime, [feed_run])[0]
 
     def launch(
         self,
         feed: FeedDefinition,
         adapter: Union[FeedAdapter, Sequence[FeedAdapter]],
+        *,
         runtime=None,
         **options,
     ) -> FeedRun:
@@ -741,6 +706,12 @@ class DynamicIngestionPipeline:
         itself.  Without a runtime or a fabric, the solo path (:meth:`run`)
         is bit-for-bit the historical single-feed pipeline.
         """
+        if feed.computing_model is ComputingModel.STREAM:
+            raise IngestionError(
+                "computing model 'stream' (Model 3) needs the static "
+                "framework: a dynamic run rebuilds state every batch, so "
+                "it would run Model 2 and see reference updates"
+            )
         if feed.functions and self.registry is None:
             raise IngestionError("a function registry is required for UDF feeds")
         feed_run = FeedRun(self, feed, adapter, **options)

@@ -1,10 +1,5 @@
-"""The storage job (paper §5) and the run's one checkpoint owner.
-
-:class:`StorageJob` owns the run's :class:`~repro.runtime.Sequencer`, the
-one hand-off from the computing job, and the release it calls in batch
-order: store, then freeze what the collector tracks.  :class:`FeedCheckpoint`
-is what the three jobs call when a checkpoint is attached.
-"""
+"""The storage job (paper §5), which writes each computing job's output in
+batch order, and the run's one checkpoint owner."""
 
 from __future__ import annotations
 
@@ -20,11 +15,6 @@ from ..storage.checkpoint import CheckpointStore, PartitionCursor, RunCheckpoint
 STORAGE_QUEUE_CAPACITY = 8
 
 
-def thaw_releases() -> None:
-    """Empty the permanent generation the releases filled."""
-    gc.unfreeze()
-
-
 class StorageJob:
     """Per-node LSM writers behind the sequencer.
 
@@ -35,10 +25,11 @@ class StorageJob:
     busy time overlaps the next computing job.
     """
 
-    def __init__(self, cluster: Cluster, dataset, checkpoint=None):
+    def __init__(self, cluster: Cluster, dataset, checkpoint=None, decoupled=True):
         self.cluster = cluster
         self.dataset = dataset
         self.checkpoint: Optional[FeedCheckpoint] = checkpoint
+        self.decoupled = decoupled
         # a feed always upserts: an at-least-once replay dedupes on the key
         self.write = dataset.upsert
         self.node_busy: Dict[int, float] = {n: 0.0 for n in range(cluster.num_nodes)}
@@ -87,12 +78,12 @@ class StorageJob:
             node_busy[node] += batch_busy[node]
         return max(batch_busy)
 
-    def open(self, runtime, run_name: str, decoupled: bool) -> None:
+    def open(self, runtime, run_name: str) -> None:
         """Build the sequencer, and the channel when decoupled.  Workers
         complete batches out of index order; the sequencer releases the
         writes (and the channel items) in index order, so pk-upsert order,
         acked guarantees and dead-letter provenance are a single worker's."""
-        if decoupled:
+        if self.decoupled:
             self.channel = Channel(
                 runtime, STORAGE_QUEUE_CAPACITY, name=f"{run_name}.storage"
             )
@@ -220,11 +211,16 @@ class FeedCheckpoint:
         """Persist cursors covering the ``released`` batches of this run
         (``complete``: the run drained cleanly, nothing is left to replay)."""
         watermark = released - 1
-        mark = self.marks.get(watermark)
+        marks = self.marks
+        mark = marks.get(watermark)
         if mark is None:
             if not complete:
                 return
             mark = self.claimed_seq
+        # no later commit reads below the watermark; a replayed batch can
+        # re-release the watermark's own
+        for index in [index for index in marks if index < watermark]:
+            del marks[index]
         cursors = {}
         for p in range(self.num_partitions):
             acked = mark.get(p, -1)

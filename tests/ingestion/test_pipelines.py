@@ -77,6 +77,22 @@ class TestDynamicPipeline:
             range(101)
         )
 
+    @pytest.mark.parametrize("option", ["runtime", "fabric"])
+    def test_run_takes_no_shared_runtime_or_fabric(self, env, option):
+        # run() drives and cleans up one feed on its own runtime; a shared
+        # runtime or a fabric belongs to launch() and the fleet's driver
+        catalog, registry = env
+        pipeline = DynamicIngestionPipeline(Cluster(3), catalog, registry)
+        with pytest.raises(TypeError, match=option):
+            pipeline.run(dynamic_feed(), GeneratorAdapter(raw_tweets(5)),
+                         **{option: None})
+
+    def test_launch_takes_runtime_by_keyword_only(self, env):
+        catalog, registry = env
+        pipeline = DynamicIngestionPipeline(Cluster(3), catalog, registry)
+        with pytest.raises(TypeError, match="positional"):
+            pipeline.launch(dynamic_feed(), GeneratorAdapter(raw_tweets(5)), None)
+
     def test_partial_final_batch_drained(self, env):
         catalog, registry = env
         pipeline = DynamicIngestionPipeline(Cluster(3), catalog, registry)

@@ -21,6 +21,7 @@ from repro.ingestion import (
     ReferenceUpdateClient,
     StaticIngestionPipeline,
 )
+from repro.ingestion.storage_job import FeedCheckpoint
 from repro.runtime import CrashAt, FaultPlan, StallAt
 from repro.storage import CheckpointStore
 
@@ -314,6 +315,31 @@ class TestDurableRestart:
         assert saved.acked_batches == RECORDS // BATCH
         assert saved.records_stored == RECORDS
         assert saved.cursors[0].acked_seq == RECORDS - 1
+
+    def test_a_commit_drops_the_marks_below_its_watermark(
+        self, tmp_path, monkeypatch
+    ):
+        # 2,000 records in batches of 20: 100 batches claimed, and a
+        # run holds only the marks of batches not yet acked
+        held = []
+        commit = FeedCheckpoint.commit
+
+        def spy(checkpoint, *args, **kwargs):
+            commit(checkpoint, *args, **kwargs)
+            held.append(len(checkpoint.marks))
+
+        monkeypatch.setattr(FeedCheckpoint, "commit", spy)
+        system = build_system()
+        report = system.start_feed(
+            "TweetFeed",
+            adapter=GeneratorAdapter(raws(2000)),
+            batch_size=20,
+            checkpoint=CheckpointStore(str(tmp_path / "ckpt")),
+        )
+        assert report.acked_batches == 100
+        assert len(held) == report.checkpoint_commits > 1
+        assert max(held) <= 2, held
+        assert held[-1] == 1
 
     def test_kill_and_resume_is_byte_identical(self, tmp_path):
         # reference: one uninterrupted partitioned run

@@ -65,8 +65,8 @@ def test_allow_list_has_no_stale_entries():
 
 
 #: what moves objects between the collector's generations or changes when
-#: it runs; a feed's storage job owns that state (it freezes each release,
-#: ``drive_runs`` thaws through it), nothing else does
+#: it runs; a feed run owns that state (its storage job freezes each
+#: release, ``drive_runs`` unfreezes), nothing else does
 COLLECTOR_STATE = {"freeze", "unfreeze", "disable", "enable", "set_threshold"}
 
 
@@ -87,7 +87,7 @@ def test_one_owner_for_the_collectors_state():
                 continue
             if names & COLLECTOR_STATE or "*" in names:
                 users.append(where)
-    assert set(users) == {"ingestion/storage_job.py"}, users
+    assert set(users) == {"ingestion/pipelines.py", "ingestion/storage_job.py"}, users
 
 
 def test_src_never_imports_from_benchmarks():
