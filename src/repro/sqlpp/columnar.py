@@ -17,7 +17,12 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   LIMIT) over a key's match list, run once per build key and match
   list, not once per record: the kernel keeps a key's shaped rows until
   a write changes that key's matches (:func:`_shaped_rows`, the one probe
-  pass; a memo only books those rows);
+  pass; a memo only books those rows); or a single-term block whose
+  WHERE is exactly its R-tree-served spatial filter run as **one spatial
+  access step per record** (:func:`_compile_spatial_step`), dispatched
+  once per batch: the per-record path's own ``Evaluator._rtree_survivors``
+  step, its survivors shaped by ``Evaluator._planned_output`` (not at
+  all when there are none and that provably returns ``[]``);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -28,30 +33,31 @@ record (``(SELECT sum(...) ...)[0]``, ``EXISTS(...)``) is lifted out of
 its expression into a batched column and bound as a placeholder variable
 of the mapped closure.  A subquery in a conditionally-evaluated position
 (right side of AND/OR, CASE arms past the first condition), or one whose
-shape the probe kernel declines, stays inside the closure and runs per
+shape the kernels decline, stays inside the closure and runs per
 record — the one thing ``fallback_lets`` counts.
 
 Byte-identity contract: stored output and every ``WorkMeter`` counter
 total must equal the scalar planned path for the same frame.  Mapped
 closures charge exactly what they charge record-at-a-time; batched
 subqueries go through the shared evaluator primitives (``_hash_table`` /
-``_cached_select`` — builds are idempotent within a generation) or
-charge one aggregated per-batch increment equal to the sum of the scalar
-per-record increments, which is why they are only hoisted from
-always-evaluated positions and why per-key shaping is restricted to
-charge-free expressions.  A record served rows an earlier batch shaped
-is charged its probe and the sort / group items shaping them charged,
-exactly as if it had shaped them itself.
+``_cached_select`` — builds are idempotent within a generation — and
+``_rtree_survivors``) or charge one aggregated per-batch increment equal
+to the sum of the scalar per-record increments, which is why they are
+only hoisted from always-evaluated positions and why per-key shaping is
+restricted to charge-free expressions.  A record served rows an earlier
+batch shaped is charged its probe and the sort / group items shaping
+them charged, exactly as if it had shaped them itself.
 
 Failure protocol: kernels never handle errors themselves.  A
 :class:`KernelFallback` runtime guard — a live B-tree on the probed
-field, the one shape only known at run time — aborts one function's
-kernel: the feed's invoker discards what that kernel charged and runs
-the function once per record instead.  Any other exception propagates to the UDF
-operator, which discards the frame's charges and re-runs each record
-alone, as a batch of one, so the soft-error policy sees the record that
-failed.  A build an aborted attempt charged is kept in the generation's
-``SnapshotSet``, so neither re-run re-charges it — totals stay identical.
+field, or no R-tree left on the spatial one, the shapes only known at
+run time — aborts one function's kernel: the feed's invoker discards
+what that kernel charged and runs the function once per record instead.
+Any other exception propagates to the UDF operator, which discards the
+frame's charges and re-runs each record alone, as a batch of one, so the
+soft-error policy sees the record that failed.  A build an aborted
+attempt charged is kept in the generation's ``SnapshotSet``, so neither
+re-run re-charges it — totals stay identical.
 """
 
 from __future__ import annotations
@@ -62,7 +68,7 @@ from typing import Callable, Dict, List, Tuple
 from ..adm.values import MISSING
 from ..hyracks.cost import WorkMeter
 from ..storage.index import IndexKind
-from .analysis import call_dependencies, split_conjuncts
+from .analysis import call_dependencies, free_vars, split_conjuncts
 from .ast import (
     ArrayConstructor,
     BinaryOp,
@@ -72,6 +78,7 @@ from .ast import (
     Expr,
     FieldAccess,
     IndexAccess,
+    Literal,
     ObjectConstructor,
     SelectBlock,
     Star,
@@ -252,7 +259,95 @@ def _vec_subquery(inner: SelectBlock, known: Tuple[str, ...], ctx) -> Callable:
             return [result] * cb.n
 
         return run
+    hoisting = inner_plan.hoisting
+    if hoisting is not None and hoisting.filter is not None:
+        return _compile_spatial_step(inner_plan, known, ctx)
     return _compile_probe_kernel(inner_plan, known, ctx)
+
+
+# --------------------------------------------------------- spatial access step
+
+
+def _compile_spatial_step(
+    inner_plan: SelectPlan, known: Tuple[str, ...], ctx
+) -> Callable:
+    """A correlated single-term block whose WHERE is exactly its R-tree
+    served spatial filter (``Hoisting.filter``), run as one access step
+    per record with the dispatch hoisted to once per batch.
+
+    The per-record path evaluates such a block through ``_cached_select``
+    (the memo never serves it: its dataset carries an index), a scope
+    ``Env``, ``_planned_tuples`` and ``_filtered_access``.  This column
+    resolves the dataset and its R-tree probe state
+    (``Evaluator._rtree_access``) once per batch, evaluates the region
+    column, and per record runs the same
+    :meth:`Evaluator._rtree_survivors` step and shapes its survivors with
+    ``Evaluator._planned_output`` over one ``Env`` per survivor — skipped
+    for no survivors when that provably returns ``[]`` and charges
+    nothing (:func:`_empty_rows_are_free`).  Shaping runs per record, so
+    it may read outer names.
+
+    Admitted (anything else raises :class:`Unsupported`): no LETs, no
+    residual WHERE, no ``no-index`` hint, an R-tree on the field and a
+    hoisting that applies under the registry (a registration recompiles
+    the kernel, :func:`kernel_for`).  An R-tree dropped since raises
+    :class:`KernelFallback` at run time.
+    """
+    hoisting = inner_plan.hoisting
+    tp = inner_plan.terms[0]
+    if inner_plan.let_fns:
+        raise Unsupported("inner LETs")
+    if hoisting.residual_fn is not None:
+        raise Unsupported("WHERE is more than the spatial filter")
+    dataset_name, field = tp.dataset_name, tp.access_field
+    served = ctx.catalog[dataset_name].index_on(field, IndexKind.RTREE)
+    if tp.no_index or served is None:
+        raise Unsupported("no R-tree serves the spatial filter")
+    if not hoisting.applies(ctx.functions):
+        raise Unsupported("a registered function shadows the spatial filter")
+    # charge-free and select-free (plans._filter_calls), so it is mapped
+    # over only the names it reads (at least one: a column's length)
+    read = free_vars(tp.probe_expr)
+    regions = _mapped(tp.probe_fn, tuple(n for n in known if n in read) or known)
+    spatial, var = hoisting.filter, tp.var
+    skip_empty = _empty_rows_are_free(inner_plan)
+    scope = Env({})  # the block's scope: rebound per shaped record
+    scope_vars = scope.vars
+
+    def run(ev, cb):
+        dataset = ev.ctx.catalog[dataset_name]
+        index_name = dataset.index_on(field, IndexKind.RTREE)
+        if index_name is None:
+            raise KernelFallback(f"no R-tree on {dataset_name}.{field}")
+        access = ev._rtree_access(dataset, index_name)
+        step, output = ev._rtree_survivors, ev._planned_output
+        out = []
+        append = out.append
+        outer = zip(*[cb.columns[name] for name in known])
+        for region, values in zip(regions(ev, cb), outer):
+            survivors = [*step(access, region, spatial)]
+            if not survivors and skip_empty:
+                append([])
+                continue
+            scope_vars.update(zip(known, values))
+            envs = [Env({var: record}, scope) for record in survivors]
+            append(output(inner_plan, scope, envs))
+        return out
+
+    return run
+
+
+def _empty_rows_are_free(plan: SelectPlan) -> bool:
+    """Whether ``Evaluator._planned_output`` over no tuples returns ``[]``
+    and charges nothing: no implicit group (one row over an empty input)
+    and no LIMIT but a literal non-negative integer (any other is
+    evaluated, and may raise, whatever the input)."""
+    limit = plan.block.limit
+    if limit is not None:
+        value = limit.value if isinstance(limit, Literal) else None
+        if not (isinstance(value, int) and value >= 0):
+            return False
+    return not plan.implicit_group
 
 
 # ------------------------------------------------------- probe subquery kernel

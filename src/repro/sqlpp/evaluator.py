@@ -40,7 +40,7 @@ from ..errors import SqlppAnalysisError, SqlppEvaluationError
 from ..hyracks.cost import WorkMeter
 from ..storage.dataset import ReferenceSnapshot
 from ..storage.index import IndexKind
-from ..storage.rtree import BOUNDABLE
+from ..storage.rtree import BOUNDABLE, corners
 from .analysis import call_dependencies, free_vars, split_conjuncts
 from .ast import (
     ArrayConstructor,
@@ -983,25 +983,53 @@ class Evaluator:
         return matches
 
     def _rtree_probe(self, dataset, index_name: str, query) -> Sequence[dict]:
-        """Live R-tree index probe — sees mid-batch updates.
+        """Live R-tree index probe — sees mid-batch updates."""
+        return self._rtree_matches(self._rtree_access(dataset, index_name), query)
+
+    def _rtree_access(self, dataset, index_name: str) -> Tuple:
+        """``(dataset, partitions, broadcast, active)``: what every probe of
+        ``dataset``'s R-tree ``index_name`` searches with and is charged
+        alike while nothing writes to the dataset — each partition's search
+        and primary lookup (``Dataset.rtree_partitions``), the nodes a probe
+        record is broadcast to, and whether a memtable is active.  A caller
+        probing once per record resolves it once per batch."""
+        return (
+            dataset,
+            dataset.rtree_partitions(index_name),
+            # The probe record is broadcast to every index partition
+            # (§7.4.2); this work is per record x per node, so it does not
+            # shrink as the cluster grows — the reason Nearby Monuments
+            # speeds up poorly.
+            max(dataset.num_partitions, self.ctx.cluster_nodes),
+            dataset.update_activity,
+        )
+
+    def _rtree_matches(self, access: Tuple, query) -> Sequence[dict]:
+        """The records whose indexed MBR meets ``query``'s, searched and
+        fetched over ``access`` (:meth:`_rtree_access`), and the probe's
+        charges.
 
         A region the R-tree cannot bound (a string, a number) reads the
         charged scan instead, so the exact test raises its error, or a scan
         of nothing returns nothing, exactly as without the index.
         """
+        dataset, partitions, broadcast, active = access
         if not isinstance(query, BOUNDABLE):
             return self._scan_dataset(dataset)
+        query_corners = corners(query)
         visits: List[int] = []
-        matches = list(dataset.index_probe_spatial(index_name, query, visits))
-        ctx = self.ctx
-        meter = ctx.meter
+        matches = []
+        append = matches.append
+        for search, get in partitions:
+            for _value, pk in search(query_corners, visits):
+                record = get(pk)
+                if record is not None:
+                    append(record)
+        meter = self.ctx.meter
         meter.rtree_nodes_visited += max(sum(visits), 1)
-        # The probe record is broadcast to every index partition (§7.4.2);
-        # this work is per record x per node, so it does not shrink as the
-        # cluster grows — the reason Nearby Monuments speeds up poorly.
-        meter.broadcast_records += max(dataset.num_partitions, ctx.cluster_nodes)
+        meter.broadcast_records += broadcast
         meter.index_fetches += len(matches)  # random record fetches
-        if dataset.update_activity:
+        if active:
             meter.penalized_reads += self._penalty_units(
                 dataset, 1 + len(matches), index_probe=True
             )
@@ -1228,41 +1256,32 @@ class Evaluator:
     def _filtered_access(
         self, tp: TermPlan, scope: Env, spatial: SpatialFilter
     ) -> Optional[Iterable]:
-        """Term ``tp``'s candidates from :meth:`_planned_access`'s R-tree
-        probe or charged scan that pass ``Hoisting.filter``, tested against
-        the region evaluated once; or None when this binding must test it
-        in the WHERE.  ``spatial_tests`` counts what the builtin would:
-        the candidates whose field is neither MISSING nor NULL, charged up
-        to each survivor before it is yielded and before an error is
-        raised, so a residual that raises leaves the scalar loop's count.
+        """Term ``tp``'s candidates from its R-tree step
+        (:meth:`_rtree_survivors`) or charged scan that pass
+        ``Hoisting.filter``, tested against the region evaluated once; or
+        None when this binding must test it in the WHERE.  ``spatial_tests``
+        counts what the builtin would: the candidates whose field is
+        neither MISSING nor NULL, charged up to each survivor before it is
+        yielded and before an error is raised, so a residual that raises
+        leaves the scalar loop's count.
         """
         dataset = self.ctx.catalog[tp.dataset_name]
         index_name = self._spatial_index(tp, dataset)
         if index_name is not None:
+            access = self._rtree_access(dataset, index_name)
+            return self._rtree_survivors(access, tp.probe_fn(self, scope), spatial)
+        snapshot = self._charged_scan(dataset)
+        records = snapshot.records
+        try:
             region = tp.probe_fn(self, scope)
-            if region is MISSING or region is None:
-                return ()
-            records = self._rtree_probe(dataset, index_name, region)
-            values = spatial.column_of(records)
-        else:
-            snapshot = self._charged_scan(dataset)
-            records = snapshot.records
-            try:
-                region = tp.probe_fn(self, scope)
-            except Exception:
-                return None  # the scalar loop raises it where, and if, it would
-            if region is MISSING or region is None:
-                # flipped, create_circle still type-checks every center
-                return None if spatial.flipped else ()
-            values = snapshot.derived(("column", tp.access_field), spatial.column_of)
-        if spatial.flipped:  # as written: the circle is around the candidate
-            center, radius = region.center, region.radius
-            contains = lambda point: point.distance_to(center) <= radius
-        else:
-            contains = getattr(region, "contains_point", None)  # circle, rectangle
-        window = None
-        if index_name is None and contains is not None:
-            window = _x_window(region)
+        except Exception:
+            return None  # the scalar loop raises it where, and if, it would
+        if region is MISSING or region is None:
+            # flipped, create_circle still type-checks every center
+            return None if spatial.flipped else ()
+        values = snapshot.derived(("column", tp.access_field), spatial.column_of)
+        contains = spatial.test_of(region)
+        window = None if contains is None else _x_window(region)
         if window is not None:
             by_x = snapshot.derived(
                 ("points by x", tp.access_field), lambda _records: _points_by_x(values)
@@ -1273,8 +1292,22 @@ class Evaluator:
                 )
         return self._survivors(spatial, records, values, contains, region)
 
+    def _rtree_survivors(self, access: Tuple, region, spatial: SpatialFilter):
+        """One R-tree access step: the records ``region`` meets, searched
+        and fetched over ``access`` (:meth:`_rtree_matches`, charged at
+        once), lazily tested as ``spatial`` is written (:meth:`_survivors`).
+        The per-record path's filter step and the columnar spatial column
+        both run it."""
+        if region is MISSING or region is None:
+            return ()
+        records = self._rtree_matches(access, region)
+        values = spatial.column_of(records)
+        return self._survivors(
+            spatial, records, values, spatial.test_of(region), region
+        )
+
     def _survivors(self, spatial: SpatialFilter, records, values, contains, region):
-        """:meth:`_filtered_access`'s survivors, tested as the builtin does:
+        """A filter step's survivors, tested as the builtin does:
         ``contains`` a point, the flip's create_circle check, or the
         geometry in written order."""
         meter = self.ctx.meter

@@ -746,6 +746,16 @@ class SpatialFilter:
         get = field_getter(tp.access_field)
         self.column_of = lambda records: tuple(map(get, records))
 
+    def test_of(self, region) -> Optional[Callable]:
+        """What a point candidate is tested with against ``region``: the
+        flip's distance to its center, as written (the circle is around the
+        candidate), or the region's ``contains_point`` (a circle's, a
+        rectangle's); None when the geometry decides (a point region)."""
+        if self.flipped:
+            center, radius = region.center, region.radius
+            return lambda point: point.distance_to(center) <= radius
+        return getattr(region, "contains_point", None)
+
 
 #: builtins that charge a WorkMeter and do nothing else a hoisted
 #: evaluation could observe: the charge is recorded once and replayed

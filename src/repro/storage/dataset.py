@@ -412,12 +412,20 @@ class Dataset:
         search, which appends the nodes it read to ``visits``.
         """
         query_corners = corners(query)
-        for index, tree in zip(self.indexes[index_name], self.partitions):
-            get = tree.get
-            for _value, pk in index.probe_spatial(query_corners, visits):
+        for search, get in self.rtree_partitions(index_name):
+            for _value, pk in search(query_corners, visits):
                 record = get(pk)
                 if record is not None:
                     yield record
+
+    def rtree_partitions(self, index_name: str) -> List[Tuple[Callable, Callable]]:
+        """Per partition, its R-tree's ``probe_spatial(query, visits)`` and
+        its primary ``get(pk)``: what a spatial probe searches and fetches
+        with, resolved once by a caller that probes many times."""
+        return [
+            (index.probe_spatial, tree.get)
+            for index, tree in zip(self.indexes[index_name], self.partitions)
+        ]
 
     # ------------------------------------------------------------ observables
 

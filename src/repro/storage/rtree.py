@@ -269,8 +269,13 @@ class RTree:
 
     def _find_leaf_entry(self, node: _RNode, mbr, payload):
         if node.is_leaf:
+            pk = payload[1]
             for at, entry in enumerate(node.entries):
-                if entry[4] == payload:
+                ref = entry[4]
+                # the key first, as the tuple's own == compares it (identity,
+                # then ==): it rules out nearly every other entry without
+                # the spatial value's dataclass __eq__
+                if (ref[1] is pk or ref[1] == pk) and ref == payload:
                     return node, at
             return None
         qx1, qy1, qx2, qy2 = mbr

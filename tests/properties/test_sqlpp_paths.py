@@ -43,9 +43,10 @@ from repro.hyracks.cost import WorkMeter
 from repro.ingestion.feed import AttachedFunction
 from repro.ingestion.udf_operator import make_invoker
 from repro.runtime.metrics import RunCounters
-from repro.sqlpp import EvaluationContext, Evaluator, parse_expression
+from repro.sqlpp import EvaluationContext, Evaluator, columnar, parse_expression
 from repro.sqlpp.memo import EnrichmentMemo
 from repro.sqlpp.state_cache import StateCache
+from repro.storage import IndexKind
 from repro.udf import FunctionRegistry
 from tests.properties.sqlpp_blocks import World, event
 
@@ -156,12 +157,24 @@ def differential(catalog, registry, fn, generations, caches=(None, None), betwee
 
 
 _filtered_access = Evaluator._filtered_access
+_compile_spatial_step = columnar._compile_spatial_step
 
 
 def _spied_filter(self, *args):
     survivors = _filtered_access(self, *args)
     event(f"filter step: {'declined' if survivors is None else 'ran'}")
     return survivors
+
+
+def _spied_step(*args):
+    column = _compile_spatial_step(*args)
+
+    def run(ev, cb):
+        rows = column(ev, cb)
+        event("kernel: spatial access step")
+        return rows
+
+    return run
 
 
 def _facade(world):
@@ -205,7 +218,9 @@ def check(world: World) -> None:
 
     caches = (world.memo_bytes, world.state_bytes)
     between = facade if system is not None else None
-    with mock.patch.object(Evaluator, "_filtered_access", _spied_filter):
+    with mock.patch.object(
+        Evaluator, "_filtered_access", _spied_filter
+    ), mock.patch.object(columnar, "_compile_spatial_step", _spied_step):
         differential(world.catalog, registry, "f", world.generations, caches, between)
 
 
@@ -269,6 +284,96 @@ FLIPPED = (
 def test_corners_generation_rarely_reaches(locs, tweet):
     places = [{"id": i, "name": "abc", "loc": loc} for i, loc in enumerate(locs)]
     check(World(refs=[], places=places, block=FLIPPED, generations=[([tweet], None)]))
+
+
+NEAR = "create_circle(create_point(t.lat, t.lon), 1.5)"
+NEARBY = f"SELECT VALUE p.id FROM Places p WHERE spatial_intersect(p.loc, {NEAR})"
+#: points, rectangles, circles and an absent field around (1.0, 1.0)
+MIXED = [
+    Point(1.0, 1.0), Rectangle(0.0, 0.0, 2.0, 2.0), Circle(Point(1.5, 1.5), 0.5),
+    Point(2.0, 1.5), Rectangle(1.5, 0.5, 3.0, 1.0), None, Point(9.0, 9.0),
+]
+POINTS = [loc for loc in MIXED if loc is None or isinstance(loc, Point)]
+
+
+def _places(locs):
+    return [{"id": i, "name": "abc", "loc": loc} for i, loc in enumerate(locs)]
+
+
+@pytest.mark.parametrize(
+    "block, locs, tweets",
+    [
+        # a point region has no contains_point: the geometry decides
+        (
+            "SELECT VALUE p.id FROM Places p"
+            " WHERE spatial_intersect(p.loc, create_point(t.lat, t.lon))",
+            MIXED,
+            [{"id": 0, "lat": 1.0, "lon": 1.0}, {"id": 1, "lat": 2.0, "lon": 1.5}],
+        ),
+        # a NULL or MISSING coordinate makes no region: nothing is probed
+        (NEARBY, MIXED, [{"id": 0, "lat": None, "lon": 1.0}, {"id": 1, "lat": 1.0}]),
+        # rectangles in the indexed field, tested against a circle
+        (
+            NEARBY,
+            [Rectangle(0.0, 0.0, 0.5, 0.5), Rectangle(1.0, 2.0, 4.0, 3.0),
+             Rectangle(5.0, 5.0, 6.0, 6.0)],
+            [{"id": 0, "lat": 1.0, "lon": 1.0}, {"id": 1, "lat": 2.0, "lon": 3.5}],
+        ),
+        # flipped over a non-point: create_circle refuses the rectangle
+        (FLIPPED, MIXED, [{"id": 0, "lat": 1.0, "lon": 1.0, "r": 1.5}]),
+        # ... and over points only the circle is around each candidate
+        (FLIPPED, POINTS, [{"id": 0, "lat": 1.0, "lon": 1.0, "r": 1.5}]),
+    ],
+    ids=["point-region", "null-or-missing-coordinate", "rectangle-field",
+         "flipped-non-point", "flipped-points"],
+)
+def test_rtree_access_step_corners(block, locs, tweets):
+    check(World([], _places(locs), block, [(tweets, None)], indexed=True))
+
+
+def test_an_active_memtable_charges_the_access_step_penalty():
+    """A write to Places lands inside the generation: the probes after it
+    see an active memtable and pay ``penalized_reads`` on every path."""
+    locs = [Point(1.0 + i / 10, 1.0) for i in range(8)]
+    tweet = {"id": 0, "lat": 1.0, "lon": 1.0}
+    write = {"id": 8, "name": "abc", "loc": Point(1.2, 1.2)}
+    world = World(
+        [], _places(locs), NEARBY, [([tweet, dict(tweet, id=1)], (1, "Places", write))],
+        indexed=True,
+    )
+    check(world)
+    catalog = world.catalog()
+    catalog["Places"].upsert(write)
+    ctx = EvaluationContext(catalog)
+    Evaluator(ctx).evaluate_query(parse_expression(NEARBY), {"t": tweet})
+    assert ctx.meter.penalized_reads > 0  # the example reaches the penalty
+
+
+def test_an_rtree_dropped_after_the_kernel_compiled_falls_back():
+    """The kernel compiled its spatial column against the R-tree; once it
+    is dropped the column raises ``KernelFallback`` and the batch runs
+    record by record over the scan, as the other paths do."""
+    world = World(
+        [], _places(MIXED), NEARBY,
+        [([{"id": 0, "lat": 1.0, "lon": 1.0}], None)] * 2, indexed=True,
+    )
+    catalogs = []
+
+    def catalog():
+        catalogs.append(world.catalog())
+        return catalogs[-1]
+
+    def drop(_write):
+        for each in catalogs:
+            if each["Places"].index_on("loc", IndexKind.RTREE) is not None:
+                each["Places"].drop_index("places_loc")
+
+    registry = FunctionRegistry(lambda: {"Ref", "Places"})
+    world.register(registry)
+    counters = differential(catalog, registry, "f", world.generations, between=drop)
+    # the first generation is one kernel batch with no per-record column,
+    # the second a KernelFallback (test_columnar pins the raise itself)
+    assert (counters.vectorized_batches, counters.scalar_fallbacks) == (1, 1)
 
 
 def test_the_memo_never_serves_a_block_that_calls_an_impure_udf():

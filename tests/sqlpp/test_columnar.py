@@ -4,8 +4,8 @@ A shape with no batched form must either fail kernel compilation for the
 whole block (:class:`Unsupported`, surfaced as the ``UNSUPPORTED``
 sentinel through :func:`kernel_for`), run its subquery per record inside
 that one column (``fallback_lets``), or abort at run time
-(:class:`KernelFallback`, only for a live B-tree) — never silently
-produce different results.
+(:class:`KernelFallback`, for a live B-tree or a dropped R-tree) — never
+silently produce different results.
 """
 
 from __future__ import annotations
@@ -121,6 +121,8 @@ def test_registry_version_bump_recompiles_kernel(small_catalog, registry):
 # over the batch: nothing to count, only parity to hold.
 
 
+NEAR = "create_circle(create_point(t.latitude, t.longitude + t.id * 4), 1.5)"
+
 COLUMN_CASES = [
     ("java_library_call", "LET x = testlib#removeSpecial(t.text)", 0),
     ("metered_builtin", 'LET x = edit_distance(t.text, "abc")', 0),
@@ -190,6 +192,42 @@ COLUMN_CASES = [
         "star_projection_over_match",
         """LET x = (SELECT s.* FROM SafetyRatings s
             WHERE s.country_code = t.country)""",
+        0,
+    ),
+    # spatial blocks: the tweets' regions (NEAR) meet monuments for id 0
+    # only, so the access step's empty survivor lists are exercised too
+    (
+        "rtree_served_spatial_block",
+        f"""LET x = (SELECT VALUE m.monument_id FROM monumentList m
+            WHERE spatial_intersect(m.monument_location, {NEAR}))""",
+        0,
+    ),
+    (
+        "no_index_hint_scans",
+        f"""LET x = (SELECT VALUE m.monument_id FROM monumentList /*+ no-index */ m
+            WHERE spatial_intersect(m.monument_location, {NEAR}))""",
+        1,
+    ),
+    (
+        "two_term_spatial_join",
+        """LET x = (SELECT VALUE a.average_income
+            FROM AverageIncomes a, DistrictAreas d
+            WHERE a.district_area_id = d.district_area_id
+              AND spatial_intersect(create_point(t.latitude, t.longitude),
+                                    d.district_area))""",
+        1,
+    ),
+    (
+        "post_from_let_over_spatial_term",
+        f"""LET x = (SELECT VALUE id FROM monumentList m LET id = m.monument_id
+            WHERE spatial_intersect(m.monument_location, {NEAR}))""",
+        1,
+    ),
+    (
+        # one row over no survivors, so the empty-list shortcut is refused
+        "implicit_aggregate_over_spatial_term",
+        f"""LET x = (SELECT VALUE count(*) FROM monumentList m
+            WHERE spatial_intersect(m.monument_location, {NEAR}))""",
         0,
     ),
 ]
@@ -322,6 +360,29 @@ def test_btree_index_created_after_compile_aborts_at_runtime(
     )
     with pytest.raises(KernelFallback, match="B-tree"):
         kernel.run(Evaluator(ctx), [dict(sample_tweet)])
+
+
+def test_rtree_dropped_after_compile_aborts_at_runtime(
+    small_catalog, registry, sample_tweet
+):
+    ctx = _ctx(small_catalog, registry)
+    kernel, _plan = _compile(
+        ctx,
+        f"""CREATE FUNCTION f(t) {{
+            LET x = (SELECT VALUE m.monument_id FROM monumentList m
+                     WHERE spatial_intersect(m.monument_location, {NEAR}))
+            SELECT t.*, x
+        }}""",
+    )
+    assert kernel.fallback_lets == 0
+    rows = kernel.run(Evaluator(ctx), [dict(sample_tweet, id=0)])
+    assert sorted(rows[0]["x"]) == ["m3", "m4"]
+
+    # The scalar path would now scan the dataset, with other charges, so
+    # the compiled access step must refuse the batch.
+    small_catalog["monumentList"].drop_index("mon_loc")
+    with pytest.raises(KernelFallback, match="R-tree"):
+        kernel.run(Evaluator(ctx), [dict(sample_tweet, id=0)])
 
 
 # --------------------------------------------------------- batch invoker
