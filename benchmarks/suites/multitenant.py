@@ -9,9 +9,10 @@ the same cluster budget:
   ``total_workers / num_feeds`` pool (``min == max``), the allocation a
   cluster without a fabric would pin per tenant;
 * **fabric** — a :class:`~repro.ingestion.fabric.FeedFabric` with the
-  same total budget: per-feed elastic controllers bid congestion signals
-  into the global arbiter, so congested feeds borrow the workers idle
-  tenants are not using (never below any feed's floor).
+  same total budget over the feeds' own pools: each elastic controller's
+  grow is funded from the global budget or waits for it, so congested
+  feeds borrow the workers idle tenants are not using (never below any
+  feed's floor).
 
 The harness verifies the fabric is a pure scheduler win:
 
@@ -55,10 +56,10 @@ UNIFORM_PARITY_FLOOR = 0.80  # fabric must not tank a fleet with no skew
 # batch size reads as backlog < 1, and ``IntakeBuffer.collect`` honours a
 # retire token before it hands out a batch — so all eight finish at
 # 0.8231 where equal split finishes at 0.6898.  No recall fires: a tick
-# that drops a bid does not recall for the bids still queued.  Checking
-# for a batch first reaches 0.9505x uniform but drops skewed from 2.812x
-# to 2.666x, a model change of its own, so parity here still means
-# "close", not "equal".
+# that drops a feed's waiting grow does not recall for the grows still
+# waiting.  Checking for a batch first reaches 0.9505x uniform but drops
+# skewed from 2.812x to 2.666x, a model change of its own, so parity here
+# still means "close", not "equal".
 NUM_FEEDS = 8
 NUM_HEAVY = 2
 TOTAL_WORKERS = 16

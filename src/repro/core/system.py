@@ -393,9 +393,12 @@ class AsterixLite:
         ``simulated_seconds``.
 
         ``fabric`` (a :class:`~repro.ingestion.fabric.FeedFabric`) makes
-        the fleet multi-tenant: per-feed elastic controllers bid into one
-        global worker budget, and — when the fabric carries a memory
-        governor — it sets the budget of each feed's own cache/memo.
+        the fleet multi-tenant: its floors are validated against one
+        global worker budget before any feed launches, each feed's pool
+        registers with it, and every elastic controller's grow is funded
+        from that budget or waits for it; when the fabric carries a
+        memory governor, it sets the budget of each feed's own
+        cache/memo.
         Without one there is no arbitration (feeds still share the clock
         but size their pools independently).  Per-feed stored
         outputs are byte-identical with and without a fabric — the fabric

@@ -320,9 +320,8 @@ class ComputingJob:
         self.workers_running -= 1
         self._note("retire", worker, cause=cause)
         if fabric is not None:
-            # EOF drain or a recalled retire: either way this worker's
-            # lease returns to the fabric, which may immediately fund
-            # a queued borrower's grow
+            # EOF drain or a recalled retire: either way the fabric
+            # may fund another pool's waiting grow with the freed slot
             fabric.release_worker(run_name)
         if self.workers_running == 0:
             storage.end()
@@ -338,15 +337,11 @@ class ComputingJob:
         self._note("spawn", name, cause=cause)
         self.supervisor.spawn(name, partial(self._afm_loop, name), layer="computing")
 
-    def fabric_recall(self) -> bool:
-        # Recall safety: re-check the live pool so a fabric recall
-        # can never stack with the feed's own pending retires to
-        # drop the pool below its floor.
-        if self.workers_running - self.shrink_tokens > self.policy.min_computing_workers:
-            self.shrink_tokens += 1
-            self.buffer.kick()  # wake an idle worker to claim the token
-            return True
-        return False
+    def retire(self) -> None:
+        """Retire one worker at its next batch boundary: a shrink token,
+        and a kick to wake an idle worker to claim it."""
+        self.shrink_tokens += 1
+        self.buffer.kick()
 
     def elastic_controller(self):
         """Grover & Carey's congestion reaction: sample the intake buffer
@@ -392,26 +387,21 @@ class ComputingJob:
                 if self.shrink_tokens > 0:
                     self.shrink_tokens -= 1  # cancel a pending retire instead
                     decision = "cancel_retire"
-                    if fabric is not None:
-                        # a fabric recall may have been riding that token
-                        fabric.note_shrink_cancelled(run_name)
-                elif fabric is None or fabric.acquire(run_name):
-                    # under a fabric, a grow must be funded from the
-                    # global budget; an unfunded bid queues inside the
-                    # fabric, which grows this pool itself (via the
-                    # registered grow hook) once a worker frees up
+                elif fabric is not None:
+                    # under a fabric, a grow is funded from the global
+                    # budget: the fabric spawns the worker now, or once a
+                    # worker frees up while this grow still waits
+                    decision = "grow" if fabric.acquire(run_name) else "bid"
+                else:
                     decision = "grow"
                     self.spawn_worker("grow")
-                else:
-                    decision = "bid"
                 up_streak = 0
             elif (
                 down_streak >= ELASTIC_SUSTAINED_SAMPLES
                 and effective > workers_min
             ):
                 decision = "shrink"
-                self.shrink_tokens += 1
-                buffer.kick()  # wake an idle worker to claim the token
+                self.retire()
                 down_streak = 0
             else:
                 continue

@@ -6,20 +6,20 @@ Grover & Carey's data-feeds paper frames ingestion policy as a resource
 -arbitration problem; this module builds that arbiter for the repo's
 layered feeds.  Two coupled schedulers:
 
-* :class:`FeedFabric` — a **global worker budget** the per-feed elastic
-  controllers bid into.  Each feed keeps its own controller and its own
-  pool mechanics (cancel tokens, ``buffer.kick()``, the order-preserving
-  sequencer); the fabric only decides *whether a grow is funded*.  Every
-  sample tick the controller submits a :class:`FeedSignals` bid; a grow
-  request either takes a spare worker immediately or queues (priority
-  first, then arrival order) while the fabric recalls a worker from an
-  uncongested tenant holding more than its ``min_computing_workers``
-  floor.  Recalls reuse the existing retire machinery — a shrink token
-  plus a ``kick`` — so a recalled worker exits at a batch boundary and
-  the released slot funds the queued request.  Floors are inviolable:
-  the recall hook re-checks the live pool before accepting a token, so
-  a fabric recall can never race the feed's own controller below the
-  floor.
+* :class:`FeedFabric` — a **global worker budget** over the feeds' own
+  pools.  Each feed keeps its controller and its
+  :class:`~repro.ingestion.computing_job.ComputingJob`, which owns every
+  worker count; the fabric reads them and decides only *whether a grow
+  is funded*.  Every sample tick the controller forwards its
+  :class:`FeedSignals`; a grow either takes a spare worker at once or
+  waits (priority first, then waiting longest) while the fabric recalls
+  a worker from an uncongested tenant above its
+  ``min_computing_workers`` floor.  The fabric moves a pool only by the
+  controller's own verbs, ``spawn_worker`` and ``retire`` (a shrink
+  token plus a ``kick``), so a recalled worker exits at a batch boundary
+  and its slot funds the waiting grow.  Floors are inviolable: a
+  victim's slack is its running workers less every pending retire, its
+  own controller's included.
 
 * :class:`MemoryGovernor` — one cluster-wide cache budget arbitrated
   across every tenant's :class:`~repro.sqlpp.state_cache.StateCache` and
@@ -32,18 +32,18 @@ layered feeds.  Two coupled schedulers:
 
 Determinism: the fabric is driven *only* from inside runtime processes
 (controller ticks, worker exits) on the shared discrete-event clock, its
-tie-breaks are total orders (priority, arrival sequence, tenant name),
-and it allocates no randomness — so two runs of the same fleet produce
-equal event streams and byte-identical stored outputs.  Per-feed stored
-output is byte-identical fabric-on vs fabric-off because the fabric
-changes only *pool size over time*, and the sequencer already
+tie-breaks are total orders (priority, waiting time, registration order,
+tenant name), and it allocates no randomness — so two runs of the same
+fleet produce equal event streams and byte-identical stored outputs.
+Per-feed stored output is byte-identical fabric-on vs fabric-off because
+the fabric changes only *pool size over time*, and the sequencer already
 guarantees order-preserving release at any pool size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import IngestionError
 from ..runtime.faults import FaultPlan
@@ -117,34 +117,33 @@ def merge_fault_plans(
 
 
 class _WorkerTenant:
-    """One feed's lease account inside the fabric."""
+    """One feed's seat in the fabric: its bounds and its pool.
 
-    __slots__ = (
-        "name",
-        "floor",
-        "cap",
-        "priority",
-        "grow",
-        "recall",
-        "held",
-        "recalls_outstanding",
-        "pending_seq",
-        "signals",
-        "active",
-    )
+    The pool (the feed's :class:`~repro.ingestion.computing_job.ComputingJob`)
+    owns every worker count; :attr:`held` and :attr:`retiring` read it, and
+    read 0 once the feed deregisters."""
 
-    def __init__(self, name, policy, grow, recall):
+    __slots__ = ("name", "floor", "cap", "priority", "pool", "signals",
+                 "wants_since", "active")
+
+    def __init__(self, name, policy, pool):
         self.name = name
         self.floor = policy.min_computing_workers
         self.cap = policy.max_computing_workers
         self.priority = policy.priority
-        self.grow = grow  # () -> None: spawn one worker now (a grant)
-        self.recall = recall  # () -> bool: issue a retire token if safe
-        self.held = 0
-        self.recalls_outstanding = 0
-        self.pending_seq: Optional[int] = None  # arrival seq of queued bid
+        self.pool = pool
         self.signals: Optional[FeedSignals] = None
+        #: when the feed's unfunded grow began waiting (None: none waits)
+        self.wants_since: Optional[float] = None
         self.active = True
+
+    @property
+    def held(self) -> int:
+        return self.pool.workers_running if self.active else 0
+
+    @property
+    def retiring(self) -> int:
+        return self.pool.shrink_tokens if self.active else 0
 
 
 class _CacheTenant:
@@ -270,14 +269,17 @@ class MemoryGovernor:
 
 
 class FeedFabric:
-    """The cluster-level worker-lease arbiter (plus optional governor).
+    """The cluster-level worker arbiter over the feeds' pools (plus an
+    optional governor).
 
     ``total_workers`` is the cluster's computing-worker budget; the sum
-    of registered feeds' ``min_computing_workers`` floors must fit in
-    it.  ``memory_bytes > 0`` additionally attaches a
-    :class:`MemoryGovernor` arbitrating one cache budget across every
-    governed feed (the governor, not the policy's byte count, sets the
-    budget of each cache the feed's policy enables).
+    of the fleet's ``min_computing_workers`` floors must fit in it
+    (:meth:`validate`, before any feed launches).  The fabric stores no
+    worker count: a tenant's are views of its registered pool.
+    ``memory_bytes > 0`` additionally attaches a :class:`MemoryGovernor`
+    arbitrating one cache budget across every governed feed (the
+    governor, not the policy's byte count, sets the budget of each cache
+    the feed's policy enables).
 
     A fabric arbitrates exactly one ``start_feeds`` run: its event
     stream is the run's artifact, read after the run through its views
@@ -290,15 +292,12 @@ class FeedFabric:
             raise ValueError("total_workers must be >= 1")
         self.total_workers = int(total_workers)
         #: lease events (subject the feed; its ``held`` and the fleet's
-        #: ``total`` after; a recall names the ``bids`` it serves), grants
+        #: ``total`` after; a recall names the waiting ``bids``), grants
         self.events: List[Event] = []
         self.governor = (
             MemoryGovernor(memory_bytes, self.events) if memory_bytes > 0 else None
         )
         self._tenants: Dict[str, _WorkerTenant] = {}
-        #: queued borrow requests as (-priority, arrival_seq, tenant name)
-        self._queue: List[Tuple[int, int, str]] = []
-        self._seq = 0
         self._runtime = None
         self.used = False
 
@@ -323,17 +322,12 @@ class FeedFabric:
                 f"fabric's total_workers budget of {self.total_workers}"
             )
 
-    def register_feed(
-        self,
-        name: str,
-        policy,
-        grow: Optional[Callable[[], None]] = None,
-        recall: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        """Enroll one feed's pool: its bounds, knobs, and pool hooks."""
+    def register_feed(self, name: str, policy, pool) -> None:
+        """Enroll one feed's pool, its floor workers already running."""
         if name in self._tenants:
             raise IngestionError(f"feed {name!r} already registered")
-        self._tenants[name] = _WorkerTenant(name, policy, grow, recall)
+        self._tenants[name] = tenant = _WorkerTenant(name, policy, pool)
+        self._record(tenant, "floor")
 
     def register_cache(self, name: str, cache, policy) -> None:
         """Enroll one of a feed's own caches with the governor."""
@@ -343,88 +337,61 @@ class FeedFabric:
             name, cache.kind, cache, policy.priority, now=self._now(),
         )
 
-    def note_initial(self, name: str, count: int) -> None:
-        """Account a feed's floor workers spawned at launch."""
-        tenant = self._tenants[name]
-        tenant.held += count
-        self._record(tenant, "floor")
-        if self.total_held > self.total_workers:
-            raise IngestionError(
-                f"feed floors exceed the fabric worker budget "
-                f"({self.total_held} > {self.total_workers})"
-            )
-
     def deregister_feed(self, name: str) -> None:
-        """The feed's run is over: drop its bid, free any held leases."""
+        """The feed's run is over: drop its waiting grow, free its leases."""
         tenant = self._tenants.get(name)
         if tenant is None:
             return
-        tenant.active = False
-        tenant.pending_seq = None
-        tenant.recalls_outstanding = 0
         # an aborted feed may exit with workers never individually
-        # released; return them to the pool wholesale
-        tenant.held = 0
+        # released; inactive, its pool counts for nothing
+        tenant.active = False
+        tenant.wants_since = None
         self._record(tenant, "deregister")
         if self.governor is not None:
             self.governor.deregister(name, now=self._now())
-        self._grant_pending()
+        self._fund_waiting()
 
-    # ------------------------------------------------------------- bidding
+    # ------------------------------------------------------------- arbitration
 
     def tick(self, name: str, signals: FeedSignals) -> None:
-        """One controller sample tick: refresh this feed's standing bid."""
+        """One controller sample tick: refresh this feed's signals."""
         tenant = self._tenants[name]
         tenant.signals = signals
-        if tenant.pending_seq is not None and (
-            not signals.congested or tenant.held >= tenant.cap
-        ):
-            # congestion cleared (or the cap closed) while queued
-            tenant.pending_seq = None
-            self._queue = [q for q in self._queue if q[2] != name]
+        if not signals.congested or tenant.held >= tenant.cap:
+            tenant.wants_since = None  # congestion cleared or the cap closed
 
     def acquire(self, name: str) -> bool:
-        """A congested feed's grow request: fund it now or queue the bid.
+        """A congested feed's grow request: spawn the worker now, or wait.
 
-        Returns True when the grow is funded immediately (the caller
-        spawns the worker); False when the bid is queued — the fabric
-        calls the feed's ``grow`` hook itself once a worker frees up.
-        A queued bid that stays congested comes back here every
-        ``ELASTIC_SUSTAINED_SAMPLES`` ticks, so a recall that went
-        missing (its victim cancelled the retire) is re-issued then.
+        Returns True when spare budget funds the grow (the fabric spawns
+        the worker); False when the grow waits — the fabric spawns it
+        once a worker frees up, and recalls one while waiting grows
+        outnumber the retires pending in the other pools.  A waiting grow
+        that stays congested comes back here every
+        ``ELASTIC_SUSTAINED_SAMPLES`` ticks, so a recall its victim
+        cancelled goes out again then.
         """
         tenant = self._tenants[name]
         if tenant.held >= tenant.cap:
             return False
         if self.spare > 0:
-            tenant.held += 1
+            tenant.pool.spawn_worker("grow")
             self._record(tenant, "acquire")
             return True
-        if tenant.pending_seq is None:
-            tenant.pending_seq = self._seq
-            self._queue.append((-tenant.priority, self._seq, name))
-            self._seq += 1
-        if self._outstanding_recalls() < len(self._queue):
-            self._issue_recall(exclude=name)
+        if tenant.wants_since is None:
+            tenant.wants_since = self._now()
+        retiring = sum(t.retiring for t in self._tenants.values() if t is not tenant)
+        if retiring < len(self._waiting()):
+            self._issue_recall()
         return False
 
     def release_worker(self, name: str) -> None:
         """A worker exited (EOF drain or recalled retire): free its slot."""
         tenant = self._tenants[name]
-        if tenant.held <= 0:
+        if not tenant.active:
             return
-        tenant.held -= 1
-        if tenant.recalls_outstanding > 0:
-            tenant.recalls_outstanding -= 1
         self._record(tenant, "release")
-        self._grant_pending()
-
-    def note_shrink_cancelled(self, name: str) -> None:
-        """The feed's controller cancelled a pending retire; if a fabric
-        recall was riding that token, it is no longer in flight."""
-        tenant = self._tenants.get(name)
-        if tenant is not None and tenant.recalls_outstanding > 0:
-            tenant.recalls_outstanding -= 1
+        self._fund_waiting()
 
     def note_batch_released(self, name: str) -> None:
         """A batch boundary: the governor's rebalance point."""
@@ -452,72 +419,58 @@ class FeedFabric:
         detail = {"held": tenant.held, "total": self.total_held, **extra}
         self.events.append(Event(self._now(), kind, tenant.name, detail))
 
-    def _outstanding_recalls(self) -> int:
-        return sum(t.recalls_outstanding for t in self._tenants.values())
+    def _waiting(self) -> List[_WorkerTenant]:
+        """Waiting grows, best first: priority, then waiting longest, then
+        registration order."""
+        return sorted(
+            (t for t in self._tenants.values() if t.wants_since is not None),
+            key=lambda t: (-t.priority, t.wants_since),
+        )
 
-    def _issue_recall(self, exclude: str) -> None:
+    def _issue_recall(self) -> None:
         """Ask the best victim to retire one worker at its next batch
-        boundary.  The victim's ``recall`` hook re-checks its live pool
-        (running minus already-pending retires vs its floor) and refuses
-        unsafe recalls, so floors hold even against concurrent shrink
-        tokens from the victim's own controller.
+        boundary: an uncongested pool with no grow waiting whose running
+        workers less its pending retires (its own controller's included)
+        stay above its floor, so floors always hold.
         """
         candidates = [
             t
             for t in self._tenants.values()
-            if t.active
-            and t.name != exclude
-            and t.recall is not None
-            and t.pending_seq is None
-            and t.held - t.recalls_outstanding > t.floor
+            if t.wants_since is None
+            and t.held - t.retiring > t.floor
             and (t.signals is None or not t.signals.congested)
         ]
+        if not candidates:
+            return
         # prefer explicitly starved tenants, then lowest priority, then
         # most slack above floor; tenant name as the total-order tiebreak
-        candidates.sort(
+        victim = min(
+            candidates,
             key=lambda t: (
                 0 if (t.signals is not None and t.signals.starved) else 1,
                 t.priority,
-                -(t.held - t.recalls_outstanding - t.floor),
+                -(t.held - t.retiring - t.floor),
                 t.name,
-            )
+            ),
         )
-        for tenant in candidates:
-            if tenant.recall():
-                tenant.recalls_outstanding += 1
-                bids = [b for _p, seq, b in sorted(self._queue)
-                        if self._tenants[b].pending_seq == seq]
-                self._record(tenant, "recall", bids=tuple(bids))
-                return
+        victim.pool.retire()
+        self._record(victim, "recall", bids=tuple(t.name for t in self._waiting()))
 
-    def _grant_pending(self) -> None:
-        """Fund queued bids from spare capacity, best bid first."""
-        while self.spare > 0 and self._queue:
-            self._queue.sort()  # (-priority, arrival seq, name)
-            _neg_priority, seq, name = self._queue.pop(0)
-            tenant = self._tenants.get(name)
-            if (
-                tenant is None
-                or not tenant.active
-                or tenant.pending_seq != seq
-            ):
-                continue  # stale bid (cancelled or re-queued)
-            tenant.pending_seq = None
-            if tenant.held >= tenant.cap:
-                continue
-            if tenant.signals is not None and not tenant.signals.congested:
-                continue  # congestion cleared while queued
-            tenant.held += 1
+    def _fund_waiting(self) -> None:
+        """Fund waiting grows from spare capacity, best first."""
+        for tenant in self._waiting():
+            if self.spare <= 0:
+                return
+            tenant.wants_since = None
+            tenant.pool.spawn_worker("grant")
             self._record(tenant, "grant")
-            if tenant.grow is not None:
-                tenant.grow()
 
     # ------------------------------------------------- reporting (views)
 
     @property
     def lease_events(self) -> List[Tuple[float, str, str, int, int]]:
-        """The lease ledger: ``(sim_s, feed, kind, feed_held, total_held)``
-        per lease event, at run-relative seconds."""
+        """The lease events as ``(sim_s, feed, kind, feed_held,
+        total_held)`` tuples, at run-relative seconds."""
         epoch = self._epoch()
         return [
             (e.at - epoch, e.subject, e.kind, e.detail["held"], e.detail["total"])

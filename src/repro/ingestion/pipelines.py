@@ -31,7 +31,6 @@ the computing workers charge per batch.
 from __future__ import annotations
 
 import gc
-from functools import partial
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..adm.schema import primary_key_of
@@ -441,22 +440,14 @@ class FeedRun:
         supervisor = Supervisor(runtime, policy.restart_policy(), self.events)
         dead_letters = self.soft_errors.dead_letters
         computing.open(runtime, buffer, supervisor, storage, dead_letters)
-        elastic = policy.elastic_enabled
-        if fabric is not None:
-            fabric.register_feed(
-                run_name,
-                policy,
-                grow=partial(computing.spawn_worker, "grant") if elastic else None,
-                recall=computing.fabric_recall if elastic else None,
-            )
         intake.start(run_name, buffer, supervisor)
         for _ in range(policy.min_computing_workers):
             computing.spawn_worker("floor")
         if fabric is not None:
-            fabric.note_initial(run_name, policy.min_computing_workers)
+            fabric.register_feed(run_name, policy, computing)
         if storage.channel is not None:
             supervisor.spawn(f"{run_name}.storage", storage.process, layer="storage")
-        if elastic:
+        if policy.elastic_enabled:
             runtime.spawn(
                 f"{run_name}.elastic", computing.elastic_controller(), layer="elastic"
             )
@@ -695,9 +686,12 @@ class DynamicIngestionPipeline:
           ``resume=True`` an existing checkpoint re-opens each partition's
           adapter at its durable cursor — zero acked loss, the un-acked
           tail replayed and deduped by pk-upsert.
-        * ``fabric`` enrolls the feed's elastic worker pool — and, when the
-          fabric carries a memory governor, the feed's state cache and
-          memo — with a :class:`~repro.ingestion.fabric.FeedFabric`.
+        * ``fabric`` enrolls the feed's worker pool once its floor workers
+          run — and, when the fabric carries a memory governor, the
+          feed's state cache and memo — with a
+          :class:`~repro.ingestion.fabric.FeedFabric`, whose ``validate``
+          the caller runs over the fleet's floors first (as
+          ``start_feeds`` does).
 
         ``runtime`` attaches the feed's processes to a caller-owned
         (shared, multi-feed) runtime instead of a fresh private one; the

@@ -27,7 +27,7 @@ that concept for the reproduction:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
 from ..adm.parser import serialize

@@ -27,7 +27,7 @@ the same deterministic event heap, a faulty run replays identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Generator, List, Optional, Tuple
 
 from ..errors import DeadlockError, InjectedCrash, SchedulingError

@@ -34,24 +34,33 @@ def elastic(floor=1, cap=4, priority=1, **overrides):
 
 
 class _Pool:
-    """Stub feed pool: counts grants, always accepts recalls."""
+    """Stub computing job: the live surface the fabric reads and drives."""
 
-    def __init__(self):
-        self.grown = 0
+    def __init__(self, fabric, name, floor):
+        self.fabric, self.name = fabric, name
+        self.workers_running = floor
+        self.shrink_tokens = 0
+        self.grown = 0  # workers the fabric spawned for a waiting grow
         self.recalled = 0
 
-    def grow(self):
-        self.grown += 1
+    def spawn_worker(self, cause):
+        self.workers_running += 1
+        self.grown += cause == "grant"
 
-    def recall(self):
+    def retire(self):
+        self.shrink_tokens += 1
         self.recalled += 1
-        return True
+
+    def exit_worker(self):
+        """A worker leaves its loop: on a pending retire, or drained at EOF."""
+        self.shrink_tokens = max(0, self.shrink_tokens - 1)
+        self.workers_running -= 1
+        self.fabric.release_worker(self.name)
 
 
-def enroll(fabric, name, policy, pool=None):
-    pool = pool or _Pool()
-    fabric.register_feed(name, policy, grow=pool.grow, recall=pool.recall)
-    fabric.note_initial(name, policy.min_computing_workers)
+def enroll(fabric, name, policy):
+    pool = _Pool(fabric, name, policy.min_computing_workers)
+    fabric.register_feed(name, policy, pool)
     return pool
 
 
@@ -62,14 +71,6 @@ class TestFabricArbiter:
         with pytest.raises(IngestionError):
             fabric.validate(policies)
 
-    def test_note_initial_over_budget_raises(self):
-        fabric = FeedFabric(total_workers=2)
-        fabric.register_feed("A", elastic(floor=2))
-        fabric.register_feed("B", elastic(floor=2))
-        fabric.note_initial("A", 2)
-        with pytest.raises(IngestionError):
-            fabric.note_initial("B", 2)
-
     def test_single_use_per_run(self):
         fabric = FeedFabric(total_workers=2)
         fabric.bind(runtime=None)
@@ -78,12 +79,13 @@ class TestFabricArbiter:
 
     def test_acquire_funds_from_spare_then_queues(self):
         fabric = FeedFabric(total_workers=3)
-        enroll(fabric, "A", elastic(cap=3))
+        pool_a = enroll(fabric, "A", elastic(cap=3))
         enroll(fabric, "B", elastic(cap=3))
         fabric.tick("A", CONGESTED)
         assert fabric.acquire("A") is True  # spare worker funded directly
+        assert pool_a.workers_running == 2  # ...and spawned by the fabric
         assert fabric.spare == 0
-        assert fabric.acquire("A") is False  # bid queued, nothing spare
+        assert fabric.acquire("A") is False  # grow waits, nothing spare
         assert fabric.summary()["leases_granted"] == 1
 
     def test_acquire_refuses_beyond_cap(self):
@@ -100,22 +102,22 @@ class TestFabricArbiter:
         pool_b = enroll(fabric, "B", elastic(priority=2))
         fabric.tick("A", CONGESTED)
         fabric.tick("B", CONGESTED)
-        assert fabric.acquire("A") is False  # queued first
-        assert fabric.acquire("B") is False  # queued second, higher priority
-        fabric.release_worker("A")  # A's worker drains at EOF
-        assert pool_b.grown == 1  # priority outranks arrival order
+        assert fabric.acquire("A") is False  # waits first
+        assert fabric.acquire("B") is False  # waits second, higher priority
+        pool_a.exit_worker()  # A's worker drains at EOF
+        assert pool_b.grown == 1  # priority outranks waiting time
         assert pool_a.grown == 0
         assert fabric.total_held == 2
 
     def test_congestion_cleared_bid_is_dropped(self):
         fabric = FeedFabric(total_workers=2)
         pool_a = enroll(fabric, "A", elastic())
-        enroll(fabric, "B", elastic())
+        pool_b = enroll(fabric, "B", elastic())
         fabric.tick("A", CONGESTED)
         assert fabric.acquire("A") is False
-        fabric.tick("A", QUIET)  # backlog drained while queued
-        fabric.release_worker("B")
-        assert pool_a.grown == 0  # stale bid was not funded
+        fabric.tick("A", QUIET)  # backlog drained while waiting
+        pool_b.exit_worker()
+        assert pool_a.grown == 0  # the dropped grow was not funded
         assert fabric.spare == 1
 
     def test_recall_targets_lowest_priority_uncongested_tenant(self):
@@ -126,11 +128,11 @@ class TestFabricArbiter:
         assert fabric.acquire("A") is True  # A borrows the spare worker
         fabric.tick("A", QUIET)  # ...then goes idle still holding it
         fabric.tick("B", CONGESTED)
-        assert fabric.acquire("B") is False  # queued; recall goes out to A
+        assert fabric.acquire("B") is False  # waits; recall goes out to A
         assert pool_a.recalled == 1
         assert fabric.summary()["recalls_issued"] == 1
-        fabric.release_worker("A")  # A retires the recalled worker
-        assert pool_b.grown == 1  # freed slot funds B's standing bid
+        pool_a.exit_worker()  # A retires the recalled worker
+        assert pool_b.grown == 1  # freed slot funds B's waiting grow
         assert fabric.total_held == 3
 
     def test_recall_never_victimizes_a_floor_tenant(self):
@@ -144,10 +146,10 @@ class TestFabricArbiter:
         assert fabric.summary()["recalls_issued"] == 0
 
     def test_bids_dropped_tick_by_tick_recall_nobody(self):
-        # C borrows the spare worker while A and B queue behind it; then
+        # C borrows the spare worker while A and B wait behind it; then
         # congestion clears everywhere and each tenant's tick drops its
-        # own bid.  C goes quiet first, while A's and B's bids still
-        # stand: a tick is not a grow request, so it recalls nothing.
+        # own grow.  C goes quiet first, while A's and B's grows still
+        # wait: a tick is not a grow request, so it recalls nothing.
         fabric = FeedFabric(total_workers=4)
         pools = {name: enroll(fabric, name, elastic(cap=4)) for name in "ABC"}
         fabric.tick("C", CONGESTED)
@@ -171,14 +173,35 @@ class TestFabricArbiter:
         assert fabric.acquire("B") is False
         assert pool_a.recalled == 1
         # A's own controller eats the recall's shrink token...
-        fabric.note_shrink_cancelled("A")
-        # ...and B's bid, still congested, re-issues the recall
+        pool_a.shrink_tokens -= 1
+        # ...and B's grow, still congested, re-issues the recall
         assert fabric.acquire("B") is False
         assert pool_a.recalled == 2
         recalls = [e for e in fabric.events if e.kind == "recall"]
         assert [(e.subject, e.detail["bids"]) for e in recalls] == [
             ("A", ("B",)), ("A", ("B",)),
         ]
+
+    def test_a_pending_retire_serves_a_waiting_grow(self):
+        # A's own controller has a retire pending when B's grow starts
+        # waiting: that retire already frees the slot B waits for, so A
+        # is not recalled again, and its release funds B.
+        fabric = FeedFabric(total_workers=4)
+        pool_a = enroll(fabric, "A", elastic(cap=4))
+        pool_b = enroll(fabric, "B", elastic(cap=4))
+        fabric.tick("A", CONGESTED)
+        assert fabric.acquire("A") is True
+        assert fabric.acquire("A") is True  # A holds 3 of 4
+        fabric.tick("A", QUIET)
+        pool_a.shrink_tokens += 1  # A's controller retires one on its own
+        fabric.tick("B", CONGESTED)
+        assert fabric.acquire("B") is False
+        assert fabric.acquire("B") is False  # still waiting: no recall
+        assert pool_a.recalled == 0
+        assert not [e for e in fabric.events if e.kind == "recall"]
+        pool_a.exit_worker()  # the pending retire lands
+        assert pool_b.grown == 1
+        assert (pool_a.workers_running, pool_b.workers_running) == (2, 2)
 
     def test_deregister_returns_all_held_leases(self):
         fabric = FeedFabric(total_workers=3)
@@ -187,19 +210,19 @@ class TestFabricArbiter:
         fabric.tick("A", CONGESTED)
         assert fabric.acquire("A") is True
         fabric.tick("B", CONGESTED)
-        assert fabric.acquire("B") is False  # queued behind A's borrow
+        assert fabric.acquire("B") is False  # waits behind A's borrow
         fabric.deregister_feed("A")  # A's run ends wholesale
         assert pool_b.grown == 1  # freed capacity funds B immediately
         assert fabric.total_held == 2
 
     def test_ledger_never_exceeds_budget(self):
         fabric = FeedFabric(total_workers=3)
-        enroll(fabric, "A", elastic(cap=3))
+        pool_a = enroll(fabric, "A", elastic(cap=3))
         enroll(fabric, "B", elastic(cap=3))
         fabric.tick("A", CONGESTED)
         fabric.acquire("A")
         fabric.acquire("A")
-        fabric.release_worker("A")
+        pool_a.exit_worker()
         fabric.deregister_feed("A")
         fabric.deregister_feed("B")
         assert fabric.lease_events

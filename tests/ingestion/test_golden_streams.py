@@ -1,4 +1,4 @@
-"""Golden runs: six feed scenarios whose event streams, report counters
+"""Golden runs: seven feed scenarios whose event streams, report counters
 and stored output hash to fixed digests.
 
 ``test_event_stream`` checks that two runs of the same code agree; these
@@ -177,6 +177,31 @@ def governed_fleet(tmp_path):
     return digest(system, [reports[name] for name in counts], fabric.events)
 
 
+def recall_fleet(tmp_path):
+    """Three tenants over four workers: Alpha borrows the spare worker,
+    goes quiet and is recalled for Beta's and Gamma's waiting grows, and
+    Beta (priority 2) is funded first, then recalled for Gamma."""
+    names = ["Alpha", "Beta", "Gamma"]
+    system = build_system(feeds=names)
+    fabric = FeedFabric(total_workers=4)
+    launches = [
+        FeedLaunch(
+            feed=name,
+            adapter=GeneratorAdapter(raws(160)),
+            batch_size=batch_size,
+            policy=FeedPolicy.elastic(
+                min_computing_workers=1, max_computing_workers=3,
+                priority=priority,
+            ),
+        )
+        for name, batch_size, priority in zip(names, (40, 20, 20), (1, 2, 1))
+    ]
+    reports = system.start_feeds(launches, fabric=fabric)
+    kinds = [event.kind for event in fabric.events]
+    assert (kinds.count("recall"), kinds.count("grant")) == (3, 4)
+    return digest(system, [reports[name] for name in names], fabric.events)
+
+
 SCENARIOS = {
     "solo": solo,
     "no-predeploy": ablation(predeploy=False),
@@ -184,6 +209,7 @@ SCENARIOS = {
     "elastic-crash-split": elastic_crash_split,
     "checkpoint-resume": checkpoint_resume,
     "governed-fleet": governed_fleet,
+    "recall-fleet": recall_fleet,
 }
 
 GOLDEN = {
@@ -192,6 +218,7 @@ GOLDEN = {
     "elastic-crash-split": "af5c68b6ac46e4055ecd3b9ab65ac5e00b0e492534d23ab7b53c613e375afd67",
     "governed-fleet": "c632c0f81c68ff43d59209cf84c65aa51943c2810795d85a3fe019f5f2e7f589",
     "no-predeploy": "8f763f92c07f56eb48a0f47a6d56466890a394c2d7bbbc8244df1407cfd1afa9",
+    "recall-fleet": "9f81110a56006e65a05046e291f4a0dcf99ad83b74498767b491124594814815",
     "solo": "06a4aef0daa1c80d9e3764ce190079ece6d402856f1c81d67c698e0fc3072100",
 }
 

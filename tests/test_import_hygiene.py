@@ -8,8 +8,8 @@ level; a deliberate exception goes in ``ALLOWED`` with its reason.
 
 Also the package boundary: ``benchmarks/`` imports ``repro``, never the
 reverse, ``repro/bench`` holds only what ``src/`` callers import, and every
-name a package exports exists; and the cyclic collector's state has one
-owner, the feed run.
+name a package exports exists; no module imports a name it never uses; and
+the cyclic collector's state has one owner, the feed run.
 """
 
 import ast
@@ -62,6 +62,66 @@ def test_no_function_level_imports_on_hot_paths():
 def test_allow_list_has_no_stale_entries():
     found = {where for path in CHECKED for where, _ in function_level_imports(path)}
     assert set(ALLOWED) <= found
+
+
+def unused_imports(path: Path):
+    """``(line, name)`` per name ``path`` imports and never reads.  A read
+    is a bare name anywhere, or one inside a string annotation; an import
+    on a line marked ``# noqa: F401`` is a deliberate re-export."""
+    source = path.read_text()
+    lines = source.splitlines()
+    imported, used = {}, set()
+    for node in ast.walk(ast.parse(source, filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            span = lines[node.lineno - 1 : node.end_lineno]
+            if getattr(node, "module", None) == "__future__" or any(
+                "# noqa: F401" in line for line in span
+            ):
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotation = node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotation = node.annotation
+        else:
+            continue
+        for part in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                used |= {
+                    name.id
+                    for name in ast.walk(ast.parse(part.value, mode="eval"))
+                    if isinstance(name, ast.Name)
+                }
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A package ``__init__`` re-exports by importing; any other module's
+    import is read somewhere in it, or marked ``# noqa: F401``."""
+    offenders = [
+        f"{path.relative_to(SRC).as_posix()}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "__init__.py"
+        for line, name in unused_imports(path)
+    ]
+    assert not offenders, offenders
+
+
+def test_unused_import_check_sees_what_it_should(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from typing import List, Optional\n"
+        "from json import dumps  # noqa: F401\n"
+        "from dataclasses import dataclass, field\n"
+        "def f(x: 'Optional[int]') -> List[int]:\n"
+        "    return [os.sep]\n"
+    )
+    assert unused_imports(module) == [(5, "dataclass"), (5, "field")]
 
 
 #: what moves objects between the collector's generations or changes when
@@ -472,6 +532,52 @@ def test_a_run_records_its_facts_once():
         )
     ]
     assert not added, added
+
+
+def test_a_fleets_worker_counts_live_in_its_pools():
+    """A tenant's held workers and pending retires are its pool's own
+    counts (``ComputingJob.workers_running`` and ``shrink_tokens``): the
+    fabric's copy of them, its bid queue and its recall ledger, and the
+    hooks and notes that kept them in step, do not come back."""
+    import inspect
+
+    from repro.ingestion import FeedFabric
+    from repro.ingestion.computing_job import ComputingJob
+    from repro.ingestion.fabric import _WorkerTenant
+
+    copies = {"held", "recalls_outstanding", "pending_seq", "grow", "recall",
+              "_queue", "_seq"}
+    assert not set(_WorkerTenant.__slots__) & copies
+    tree = ast.parse((SRC / "ingestion" / "fabric.py").read_text())
+    assigned = []
+    for owner in tree.body:
+        if isinstance(owner, ast.ClassDef) and owner.name in (
+            "_WorkerTenant", "FeedFabric",
+        ):
+            for node in ast.walk(owner):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
+                    continue
+                assigned += [
+                    f"{owner.name}.{target.attr}"
+                    for target in targets
+                    if isinstance(target, ast.Attribute)
+                    # any count kept by ``+=`` / ``-=``, or a known copy
+                    and (isinstance(node, ast.AugAssign) or target.attr in copies)
+                ]
+    assert not assigned, assigned
+    for name in ("note_shrink_cancelled", "note_initial", "_outstanding_recalls",
+                 "_grant_pending"):
+        assert not hasattr(FeedFabric, name), name
+    fabric = FeedFabric(total_workers=1)
+    assert not hasattr(fabric, "_queue") and not hasattr(fabric, "_seq")
+    assert not hasattr(ComputingJob, "fabric_recall")
+    assert list(inspect.signature(FeedFabric.register_feed).parameters) == [
+        "self", "name", "policy", "pool",
+    ]
 
 
 TESTS = SRC.parents[1] / "tests"
