@@ -28,7 +28,7 @@ from ..errors import FeedStateError, SqlppAnalysisError
 from ..hyracks.connectors import HashPartition
 from ..hyracks.cost import CostModel
 from ..hyracks.executor import JobResult
-from ..hyracks.job import OperatorDescriptor, linear_job
+from ..hyracks.job import JobSpecification, OperatorDescriptor
 from ..hyracks.operators import DatasetWriteSink, ListSource
 from ..ingestion.adapter import FeedAdapter
 from ..ingestion.feed import (
@@ -81,7 +81,7 @@ def run_insert(
         raise SqlppAnalysisError(f"unknown dataset: {dataset_name}")
     dataset = catalog[dataset_name]
     n = cluster.num_nodes
-    spec = linear_job(
+    spec = JobSpecification(
         f"insert-{dataset_name}",
         OperatorDescriptor("rows", lambda c: ListSource(c, rows), partitions=n),
         (

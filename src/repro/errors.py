@@ -64,7 +64,8 @@ class HyracksError(ReproError):
 
 
 class JobSpecificationError(HyracksError):
-    """A job DAG is malformed (dangling connector, cycle, arity mismatch)."""
+    """A job specification is malformed (bad partition count or placement,
+    or a first operator that is not a source)."""
 
 
 class PartitionHolderError(HyracksError):

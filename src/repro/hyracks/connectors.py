@@ -21,20 +21,17 @@ from .frame import DEFAULT_FRAME_CAPACITY, Frame
 
 
 class RoutingStrategy:
-    """Decides, per record, which consumer partition(s) receive it."""
+    """Decides, per record, which consumer partition receives it."""
 
-    def route(self, record: dict, producer_partition: int, fanout: int) -> List[int]:
+    def route(self, record: dict, producer_partition: int, fanout: int) -> int:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return type(self).__name__
 
 
 class OneToOne(RoutingStrategy):
     """Partition i feeds consumer partition i (pipelining, no shuffle)."""
 
     def route(self, record, producer_partition, fanout):
-        return [producer_partition % fanout]
+        return producer_partition % fanout
 
 
 class RoundRobin(RoutingStrategy):
@@ -50,7 +47,7 @@ class RoundRobin(RoutingStrategy):
     def route(self, record, producer_partition, fanout):
         cursor = self._cursors.get(producer_partition, producer_partition)
         self._cursors[producer_partition] = (cursor + 1) % fanout
-        return [cursor % fanout]
+        return cursor % fanout
 
 
 class HashPartition(RoutingStrategy):
@@ -60,7 +57,7 @@ class HashPartition(RoutingStrategy):
         self.key_fn = key_fn
 
     def route(self, record, producer_partition, fanout):
-        return [hash_partition(self.key_fn(record), fanout)]
+        return hash_partition(self.key_fn(record), fanout)
 
 
 class ConnectorRuntime:
@@ -110,7 +107,7 @@ class ConnectorRuntime:
     def _push_frame(self, frame: Frame, producer_partition: int) -> None:
         """A :class:`OneToOne` edge: every record goes to the one target."""
         # OneToOne routes on the partition alone, so no record is needed
-        (target,) = self.strategy.route(None, producer_partition, len(self.consumers))
+        target = self.strategy.route(None, producer_partition, len(self.consumers))
         producer_node = self.producer_nodes[producer_partition]
         remote = self.consumer_nodes[target] != producer_node
         capacity = self.frame_capacity
@@ -132,14 +129,14 @@ class ConnectorRuntime:
                 self._flush(target)
 
     def _push(self, record: dict, producer_partition: int) -> None:
-        targets = self.strategy.route(record, producer_partition, len(self.consumers))
+        target = self.strategy.route(record, producer_partition, len(self.consumers))
         producer_node = self.producer_nodes[producer_partition]
-        for target in targets:
-            if self.consumer_nodes[target] != producer_node:
-                self.charge(producer_node, self.transfer_cost)
-            self._buffers[target].append(record)
-            if len(self._buffers[target]) >= self.frame_capacity:
-                self._flush(target)
+        if self.consumer_nodes[target] != producer_node:
+            self.charge(producer_node, self.transfer_cost)
+        buffered = self._buffers[target]
+        buffered.append(record)
+        if len(buffered) >= self.frame_capacity:
+            self._flush(target)
 
     def _flush(self, target: int) -> None:
         if self._buffers[target]:
@@ -168,6 +165,3 @@ class _ConnectorWriter:
 
     def close(self) -> None:
         self.runtime._producer_closed()
-
-    def fail(self) -> None:
-        self.close()

@@ -1,5 +1,8 @@
-"""The job executor: runs a job specification on a simulated cluster.
+"""The job executor: runs a chain of operators on a simulated cluster.
 
+Each operator's partitions are instantiated, each connector is wired from
+one operator's partitions to the next's, and the source's partitions are
+opened, run and closed; frames flow down the chain synchronously.
 Operator logic executes for real, in-process; simulated time is charged to
 the node each partition is placed on.  A job's makespan is::
 
@@ -13,7 +16,7 @@ parallelism.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import JobSpecificationError
 from .connectors import ConnectorRuntime
@@ -57,78 +60,66 @@ class LocalJobRunner:
 
     def execute(self, spec: JobSpecification, predeployed: bool = False) -> JobResult:
         """Run a job to completion and return its result."""
-        spec.validate()
-
         # Instantiate every operator partition with its context.
-        instances: Dict[int, List] = {}
-        contexts: Dict[int, List[OperatorContext]] = {}
-        for op in spec.operators:
-            instances[op.op_id] = []
-            contexts[op.op_id] = []
-            for p in range(op.partitions):
-                ctx = OperatorContext(p, op.partitions, self.node_of(op, p), self)
-                contexts[op.op_id].append(ctx)
-                instances[op.op_id].append(op.factory(ctx))
+        instances = [
+            [
+                op.factory(OperatorContext(p, op.partitions, self.node_of(op, p), self))
+                for p in range(op.partitions)
+            ]
+            for op in spec.operators
+        ]
+
+        sources = instances[0]
+        if not all(isinstance(instance, SourceOperator) for instance in sources):
+            raise JobSpecificationError(
+                f"operator {spec.operators[0].name} heads the job but is not a source"
+            )
 
         node_busy: Dict[int, float] = {n: 0.0 for n in range(self.num_nodes)}
 
         def charge_node(node: int, seconds: float) -> None:
             node_busy[node] += seconds
 
-        # Wire each connector between its producer's and consumer's
-        # partitions (validate() guarantees one edge per side).
-        for conn in spec.connectors:
+        # Wire stage i's connector from operator i's partitions to i + 1's.
+        for i, strategy in enumerate(spec.connectors):
+            producer, consumer = spec.operators[i], spec.operators[i + 1]
             runtime = ConnectorRuntime(
-                strategy=conn.strategy,
-                consumers=instances[conn.consumer.op_id],
+                strategy=strategy,
+                consumers=instances[i + 1],
                 producer_nodes=[
-                    self.node_of(conn.producer, p)
-                    for p in range(conn.producer.partitions)
+                    self.node_of(producer, p) for p in range(producer.partitions)
                 ],
                 consumer_nodes=[
-                    self.node_of(conn.consumer, p)
-                    for p in range(conn.consumer.partitions)
+                    self.node_of(consumer, p) for p in range(consumer.partitions)
                 ],
                 charge=charge_node,
                 transfer_cost=self.cost_model.transfer_per_record,
             )
-            for p, instance in enumerate(instances[conn.producer.op_id]):
+            for p, instance in enumerate(instances[i]):
                 instance.set_output(runtime.writer_for_producer(p))
 
-        # Drive the sources; frames propagate synchronously through the
-        # wired writers.
-        sources = spec.sources()
-        for op in sources:
-            for instance in instances[op.op_id]:
-                if not isinstance(instance, SourceOperator):
-                    raise JobSpecificationError(
-                        f"operator {op.name} has no inputs but is not a source"
-                    )
-        # Open every source before running any, and close every source only
-        # after all have run: a connector opens its consumers at the first
-        # producer open and closes them at the last close, so each consumer
-        # sees one open/close pair.
-        for op in sources:
-            for instance in instances[op.op_id]:
-                instance.open()
-        for op in sources:
-            for instance in instances[op.op_id]:
-                instance.run()
-        for op in sources:
-            for instance in instances[op.op_id]:
-                instance.close()
+        # Drive the source; frames propagate synchronously through the
+        # wired writers.  Open every source partition before running any,
+        # and close every one only after all have run: a connector opens
+        # its consumers at the first producer open and closes them at the
+        # last close, so each consumer sees one open/close pair.
+        for instance in sources:
+            instance.open()
+        for instance in sources:
+            instance.run()
+        for instance in sources:
+            instance.close()
 
         # Aggregate busy time per node and per operator.
         per_operator_busy: Dict[str, float] = {}
         records_out = 0
-        for op in spec.operators:
+        for op, op_instances in zip(spec.operators, instances):
             op_busy = 0.0
-            for ctx in contexts[op.op_id]:
-                node_busy[ctx.node] += ctx.busy_seconds
-                op_busy += ctx.busy_seconds
-            per_operator_busy[op.name] = op_busy
-            for instance in instances[op.op_id]:
+            for instance in op_instances:
+                node_busy[instance.ctx.node] += instance.ctx.busy_seconds
+                op_busy += instance.ctx.busy_seconds
                 records_out += getattr(instance, "written", 0)
+            per_operator_busy[op.name] = op_busy
 
         startup = self.cost_model.job_startup(self.num_nodes, predeployed)
         makespan = (

@@ -70,7 +70,3 @@ class FrameWriter:
 
     def close(self) -> None:
         """No more frames will arrive."""
-
-    def fail(self) -> None:
-        """The producer failed; release resources."""
-        self.close()

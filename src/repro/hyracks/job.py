@@ -1,17 +1,17 @@
-"""Job specifications: pipelines of operator and connector descriptors.
+"""Job specifications: a chain of operator descriptors joined by connectors.
 
 A *job* is the unit of work executed on the Hyracks platform; its *job
 specification* describes data flow as operators (computation) joined by
 connectors (routing) — Section 2.2 of the paper.  Hyracks allows any DAG;
 the jobs this system runs (the static feed, the per-batch computing job,
-the insert job — Fig. 23, §5.1) are linear, so a specification here is a
-set of pipelines: an operator has at most one inbound and one outbound
-connector.
+the insert job — Fig. 23, §5.1) are linear, so a specification here is
+the chain itself: one source operator, then each stage's connector and
+operator, every operator feeding the next.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from ..errors import JobSpecificationError
 from .frame import Frame, FrameWriter
@@ -95,89 +95,14 @@ class OperatorDescriptor:
         self.factory = factory
         self.partitions = partitions
         self.nodes = nodes  # explicit node placement per partition, or None
-        self.op_id: Optional[int] = None  # assigned by JobSpecification
-
-
-class ConnectorDescriptor:
-    """Describes routing between a producer and a consumer operator."""
-
-    def __init__(self, producer: OperatorDescriptor, consumer: OperatorDescriptor, strategy):
-        self.producer = producer
-        self.consumer = consumer
-        self.strategy = strategy  # a connectors.RoutingStrategy
-
-
-def linear_job(name: str, source: OperatorDescriptor, *stages) -> "JobSpecification":
-    """A linear job: ``source``, then each ``(connector, descriptor)`` stage
-    routed from the stage before it."""
-    spec = JobSpecification(name)
-    upstream = spec.add_operator(source)
-    for strategy, op in stages:
-        spec.connect(upstream, spec.add_operator(op), strategy)
-        upstream = op
-    return spec
 
 
 class JobSpecification:
-    """Pipelines of operator descriptors wired by connector descriptors."""
+    """A chain: a source descriptor, then ``(connector, descriptor)``
+    stages, each routed from the operator before it."""
 
-    def __init__(self, name: str = "job"):
+    def __init__(self, name: str, source: OperatorDescriptor, *stages):
         self.name = name
-        self.operators: List[OperatorDescriptor] = []
-        self.connectors: List[ConnectorDescriptor] = []
-
-    def add_operator(self, op: OperatorDescriptor) -> OperatorDescriptor:
-        op.op_id = len(self.operators)
-        self.operators.append(op)
-        return op
-
-    def connect(self, producer: OperatorDescriptor, consumer: OperatorDescriptor, strategy) -> None:
-        if producer not in self.operators or consumer not in self.operators:
-            raise JobSpecificationError(
-                "connect() called with an operator not added to this job"
-            )
-        self.connectors.append(ConnectorDescriptor(producer, consumer, strategy))
-
-    # ------------------------------------------------------------- validation
-
-    def inbound(self, op: OperatorDescriptor) -> List[ConnectorDescriptor]:
-        return [c for c in self.connectors if c.consumer is op]
-
-    def outbound(self, op: OperatorDescriptor) -> List[ConnectorDescriptor]:
-        return [c for c in self.connectors if c.producer is op]
-
-    def sources(self) -> List[OperatorDescriptor]:
-        return [op for op in self.operators if not self.inbound(op)]
-
-    def validate(self) -> None:
-        """Check the shape: linear (one edge in, one edge out), no cycles."""
-        if not self.operators:
-            raise JobSpecificationError("job has no operators")
-        for op in self.operators:
-            if len(self.inbound(op)) > 1 or len(self.outbound(op)) > 1:
-                raise JobSpecificationError(
-                    f"operator {op.name} has more than one inbound or "
-                    "outbound connector: jobs are linear pipelines"
-                )
-        if not self.sources():
-            raise JobSpecificationError("job has no source operators (cycle?)")
-        # Kahn's algorithm: a ring beside a well-formed pipeline has
-        # sources elsewhere and one edge per side, and is caught here.
-        self.topological_order()
-
-    def topological_order(self) -> List[OperatorDescriptor]:
-        indegree: Dict[int, int] = {op.op_id: 0 for op in self.operators}
-        for conn in self.connectors:
-            indegree[conn.consumer.op_id] += 1
-        ready = [op for op in self.operators if indegree[op.op_id] == 0]
-        order: List[OperatorDescriptor] = []
-        while ready:
-            op = ready.pop(0)
-            order.append(op)
-            for conn in self.outbound(op):
-                indegree[conn.consumer.op_id] -= 1
-                if indegree[conn.consumer.op_id] == 0:
-                    ready.append(conn.consumer)
-        if len(order) != len(self.operators):
-            raise JobSpecificationError(f"job {self.name!r} contains a cycle")
-        return order
+        self.operators: List[OperatorDescriptor] = [source, *(op for _, op in stages)]
+        #: ``connectors[i]`` (a RoutingStrategy) routes operator i into i + 1
+        self.connectors = [strategy for strategy, _ in stages]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
 from ..frame import Frame
 from ..job import Operator, OperatorContext
@@ -17,19 +17,12 @@ class DatasetWriteSink(Operator):
     group-commit the paper says insert jobs must wait for).
     """
 
-    def __init__(
-        self,
-        ctx: OperatorContext,
-        dataset,
-        mode: str = "upsert",
-        on_record: Optional[Callable[[dict], None]] = None,
-    ):
+    def __init__(self, ctx: OperatorContext, dataset, mode: str = "upsert"):
         super().__init__(ctx)
         if mode not in ("insert", "upsert"):
             raise ValueError(f"unknown write mode: {mode!r}")
         self.dataset = dataset
         self.mode = mode
-        self.on_record = on_record
         self.written = 0
 
     def next_frame(self, frame: Frame) -> None:
@@ -39,8 +32,6 @@ class DatasetWriteSink(Operator):
         for record in frame:
             write(record)
             self.written += 1
-            if self.on_record is not None:
-                self.on_record(record)
 
 
 class CallbackSink(Operator):

@@ -10,7 +10,7 @@ from typing import Dict, List, NamedTuple, Optional
 from ..cluster.controller import Cluster
 from ..hyracks.connectors import OneToOne
 from ..hyracks.frame import Frame
-from ..hyracks.job import JobSpecification, OperatorDescriptor, linear_job
+from ..hyracks.job import JobSpecification, OperatorDescriptor
 from ..hyracks.operators import ListSource, ParseOperator
 from ..hyracks.operators.sinks import CallbackSink
 from ..runtime import Advance, CANCELLED, Event, IDLE
@@ -115,7 +115,7 @@ def _computing_spec(
         for name, factory in stages
         if factory is not None
     ]
-    return linear_job(
+    return JobSpecification(
         f"feed-{feed.name}-computing", source, *((OneToOne(), op) for op in rest)
     )
 

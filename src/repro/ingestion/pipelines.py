@@ -37,7 +37,7 @@ from ..adm.schema import primary_key_of
 from ..cluster.controller import Cluster
 from ..errors import FeedStateError, IngestionError, StreamingJoinError
 from ..hyracks.connectors import HashPartition, OneToOne, RoundRobin
-from ..hyracks.job import OperatorDescriptor, linear_job
+from ..hyracks.job import JobSpecification, OperatorDescriptor
 from ..hyracks.operators import DatasetWriteSink, ListSource, ParseOperator
 from ..runtime import (
     Advance,
@@ -233,7 +233,7 @@ class StaticIngestionPipeline:
             nodes=intake_nodes,
         )
         result = cluster.controller.run_job(
-            linear_job(f"feed-{feed.name}-static", source, *stages)
+            JobSpecification(f"feed-{feed.name}-static", source, *stages)
         )
         makespan, critical, teardown, shared, replicated = charge(
             result, eval_ctx, cost, n

@@ -34,6 +34,10 @@ from .metrics import FaultMetrics
 CONGESTION_BLOCK = "block"
 CONGESTION_DISCARD = "discard"
 CONGESTION_THROTTLE = "throttle"
+#: a throttled producer's first admission delay, doubled on each failed
+#: offer up to the cap (simulated seconds)
+THROTTLE_SECONDS = 0.01
+THROTTLE_MAX_SECONDS = 0.64
 
 
 class _Cancelled:
@@ -125,8 +129,6 @@ class IntakeBuffer:
         runtime: Runtime,
         holders: Sequence[PassivePartitionHolder],
         congestion: str = CONGESTION_BLOCK,
-        throttle_seconds: float = 0.01,
-        throttle_max_seconds: float = 0.64,
         faults: Optional[FaultMetrics] = None,
     ):
         if congestion not in (
@@ -136,8 +138,6 @@ class IntakeBuffer:
         self.runtime = runtime
         self.holders = list(holders)
         self.congestion = congestion
-        self.throttle_seconds = throttle_seconds
-        self.throttle_max_seconds = throttle_max_seconds
         self.faults = faults
         self._data_ready = runtime.signal("intake.data_ready")
         self._space_freed = runtime.signal("intake.space_freed")
@@ -179,7 +179,7 @@ class IntakeBuffer:
         holder = self.holders[target]
         yield from self._wait_out_disconnect(holder)
         stalled_at: Optional[float] = None
-        delay = self.throttle_seconds
+        delay = THROTTLE_SECONDS
         while not holder.offer(frame):
             if stalled_at is None:
                 self.stalls += 1
@@ -195,7 +195,7 @@ class IntakeBuffer:
                 if self.faults is not None:
                     self.faults.throttle_seconds += delay
                 yield Advance(delay, state=BLOCKED)
-                delay = min(delay * 2, self.throttle_max_seconds)
+                delay = min(delay * 2, THROTTLE_MAX_SECONDS)
             else:
                 yield Wait(self._space_freed, state=BLOCKED)
         if stalled_at is not None:

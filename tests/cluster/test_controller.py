@@ -11,15 +11,11 @@ from tests.hyracks import collect_into
 
 def make_builder(out):
     def builder(params):
-        spec = JobSpecification("param-job")
-        src = spec.add_operator(
-            OperatorDescriptor("src", lambda ctx: ListSource(ctx, params), 2)
+        return JobSpecification(
+            "param-job",
+            OperatorDescriptor("src", lambda ctx: ListSource(ctx, params), 2),
+            (OneToOne(), OperatorDescriptor("sink", collect_into(out), 1)),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", collect_into(out), 1)
-        )
-        spec.connect(src, sink, OneToOne())
-        return spec
 
     return builder
 

@@ -14,18 +14,18 @@ from repro.hyracks.connectors import (
 class TestStrategies:
     def test_one_to_one_maps_partition(self):
         strategy = OneToOne()
-        assert strategy.route({}, 2, 4) == [2]
-        assert strategy.route({}, 5, 4) == [1]  # wraps
+        assert strategy.route({}, 2, 4) == 2
+        assert strategy.route({}, 5, 4) == 1  # wraps
 
     def test_round_robin_rotates_per_producer(self):
         strategy = RoundRobin()
-        targets = [strategy.route({}, 0, 3)[0] for _ in range(6)]
+        targets = [strategy.route({}, 0, 3) for _ in range(6)]
         assert targets == [0, 1, 2, 0, 1, 2]
 
     def test_round_robin_producers_independent(self):
         strategy = RoundRobin()
-        a = [strategy.route({}, 0, 2)[0] for _ in range(3)]
-        b = [strategy.route({}, 1, 2)[0] for _ in range(3)]
+        a = [strategy.route({}, 0, 2) for _ in range(3)]
+        b = [strategy.route({}, 1, 2) for _ in range(3)]
         assert a == [0, 1, 0]
         assert b == [1, 0, 1]
 

@@ -21,17 +21,14 @@ RECORDS = [{"id": i, "country": "US" if i % 3 else "CA"} for i in range(120)]
 
 
 def build_simple(runner_nodes=3, source_partitions=3):
-    spec = JobSpecification("t")
     out = []
-    src = spec.add_operator(
+    spec = JobSpecification(
+        "t",
         OperatorDescriptor(
             "src", lambda ctx: ListSource(ctx, RECORDS), source_partitions
-        )
+        ),
+        (OneToOne(), OperatorDescriptor("sink", collect_into(out), 1)),
     )
-    sink = spec.add_operator(
-        OperatorDescriptor("sink", collect_into(out), 1)
-    )
-    spec.connect(src, sink, OneToOne())
     return spec, out
 
 
@@ -47,25 +44,24 @@ class TestExecution:
         assert sorted(r["id"] for r in out) == list(range(120))
 
     def test_non_source_root_rejected(self):
-        spec = JobSpecification("bad")
-        spec.add_operator(OperatorDescriptor("x", discard, 1))
+        spec = JobSpecification("bad", OperatorDescriptor("x", discard, 1))
         with pytest.raises(JobSpecificationError, match="not a source"):
             LocalJobRunner(1).execute(spec)
 
     def test_round_robin_balances(self):
-        spec = JobSpecification("rr")
         seen = [0, 0, 0, 0]
 
         def count(partition, frame):
             seen[partition] += len(frame)
 
-        src = spec.add_operator(
-            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 1)
+        spec = JobSpecification(
+            "rr",
+            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 1),
+            (
+                RoundRobin(),
+                OperatorDescriptor("sink", lambda ctx: CallbackSink(ctx, count), 4),
+            ),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda ctx: CallbackSink(ctx, count), 4)
-        )
-        spec.connect(src, sink, RoundRobin())
         LocalJobRunner(4).execute(spec)
         assert seen == [30, 30, 30, 30]
 
@@ -90,14 +86,11 @@ class TestCostAccounting:
         # single-partition source on node 0 feeding 3 nodes round-robin:
         # node 0 pays transfer for 2/3 of records, and the hand-off of the
         # third its own sink partition receives
-        spec = JobSpecification("x")
-        src = spec.add_operator(
-            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 1)
+        spec = JobSpecification(
+            "x",
+            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 1),
+            (RoundRobin(), OperatorDescriptor("sink", discard, 3)),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", discard, 3)
-        )
-        spec.connect(src, sink, RoundRobin())
         runner = LocalJobRunner(3)
         result = runner.execute(spec)
         cost = runner.cost_model
@@ -111,19 +104,16 @@ class TestCostAccounting:
         assert "sink" in result.per_operator_busy
 
     def test_explicit_placement_respected(self):
-        spec = JobSpecification("p")
-        src = spec.add_operator(
+        spec = JobSpecification(
+            "p",
             OperatorDescriptor(
                 "src",
                 lambda ctx: ListSource(ctx, RECORDS, per_record_cost=1e-3),
                 partitions=1,
                 nodes=[2],
-            )
+            ),
+            (OneToOne(), OperatorDescriptor("sink", discard, 1, nodes=[2])),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", discard, 1, nodes=[2])
-        )
-        spec.connect(src, sink, OneToOne())
         result = LocalJobRunner(3).execute(spec)
         assert result.node_busy_seconds[2] > 0
         assert result.node_busy_seconds[0] == 0
@@ -136,16 +126,16 @@ class TestCostAccounting:
 class TestDatasetWrite:
     def test_write_sink_routes_by_primary_key(self):
         ds = Dataset("D", open_type("T", id="int64"), "id", num_partitions=3)
-        spec = JobSpecification("w")
-        src = spec.add_operator(
-            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 3)
+        spec = JobSpecification(
+            "w",
+            OperatorDescriptor("src", lambda ctx: ListSource(ctx, RECORDS), 3),
+            (
+                HashPartition(lambda r: r["id"]),
+                OperatorDescriptor(
+                    "store", lambda ctx: DatasetWriteSink(ctx, ds, "insert"), 3
+                ),
+            ),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor(
-                "store", lambda ctx: DatasetWriteSink(ctx, ds, "insert"), 3
-            )
-        )
-        spec.connect(src, sink, HashPartition(lambda r: r["id"]))
         result = LocalJobRunner(3).execute(spec)
         assert result.records_out == 120
         assert len(ds) == 120

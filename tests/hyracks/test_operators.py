@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.hyracks import Frame, JobSpecification, LocalJobRunner, OneToOne, OperatorDescriptor
+from repro.hyracks import (
+    Frame,
+    JobSpecification,
+    LocalJobRunner,
+    OneToOne,
+    OperatorDescriptor,
+)
 from repro.hyracks.frame import frames_of
 from repro.hyracks.job import OperatorContext
 from repro.hyracks.operators import CallbackSink, ListSource, ParseOperator
@@ -10,17 +16,15 @@ from tests.hyracks import collect_into
 
 
 def run_pipeline(records, middle_factory, nodes=2, source_partitions=2):
-    spec = JobSpecification("p")
     out = []
-    src = spec.add_operator(
-        OperatorDescriptor("src", lambda ctx: ListSource(ctx, records), source_partitions)
+    spec = JobSpecification(
+        "p",
+        OperatorDescriptor(
+            "src", lambda ctx: ListSource(ctx, records), source_partitions
+        ),
+        (OneToOne(), OperatorDescriptor("mid", middle_factory, source_partitions)),
+        (OneToOne(), OperatorDescriptor("sink", collect_into(out), 1)),
     )
-    mid = spec.add_operator(OperatorDescriptor("mid", middle_factory, source_partitions))
-    sink = spec.add_operator(
-        OperatorDescriptor("sink", collect_into(out), 1)
-    )
-    spec.connect(src, mid, OneToOne())
-    spec.connect(mid, sink, OneToOne())
     LocalJobRunner(nodes).execute(spec)
     return out
 
@@ -76,18 +80,15 @@ class TestSources:
         assert sorted(r["i"] for r in out) == list(range(10))
 
     def test_list_source_explicit_partition_lists(self):
-        spec = JobSpecification("x")
         out = []
         lists = [[{"p": 0}], [{"p": 1}, {"p": 11}]]
-        src = spec.add_operator(
+        spec = JobSpecification(
+            "x",
             OperatorDescriptor(
                 "src", lambda ctx: ListSource(ctx, partition_lists=lists), 2
-            )
+            ),
+            (OneToOne(), OperatorDescriptor("sink", collect_into(out), 1)),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", collect_into(out), 1)
-        )
-        spec.connect(src, sink, OneToOne())
         LocalJobRunner(2).execute(spec)
         assert sorted(r["p"] for r in out) == [0, 1, 11]
 
@@ -99,16 +100,16 @@ class TestSinks:
         def callback(partition, frame):
             received.append((partition, len(frame)))
 
-        spec = JobSpecification("cb")
-        src = spec.add_operator(
+        spec = JobSpecification(
+            "cb",
             OperatorDescriptor(
                 "src", lambda c: ListSource(c, [{"i": i} for i in range(10)]), 2
-            )
+            ),
+            (
+                OneToOne(),
+                OperatorDescriptor("sink", lambda c: CallbackSink(c, callback), 2),
+            ),
         )
-        sink = spec.add_operator(
-            OperatorDescriptor("sink", lambda c: CallbackSink(c, callback), 2)
-        )
-        spec.connect(src, sink, OneToOne())
         LocalJobRunner(2).execute(spec)
         assert sum(count for _p, count in received) == 10
         assert {p for p, _c in received} == {0, 1}
