@@ -385,3 +385,49 @@ def test_micro_sqlpp_no_index_spatial_filter(benchmark):
             evaluator.evaluate_query(expr, {"t": tweet})
 
     benchmark(enrich_all)
+
+
+def _complex_block_kernel(udf, datasets):
+    """``(ctx, kernel, tweets)``: the paper UDF ``udf``'s BlockKernel over
+    ``_complex_world(datasets)`` and one 420-tweet batch parsed against
+    the full tweet type."""
+    workload, catalog, registry = _complex_world(datasets)
+    ctx = EvaluationContext(catalog, functions=registry)
+    definition = parse_function(SQLPP_UDFS[udf])
+    params = tuple(definition.params)
+    plan = ctx.plan_cache.plan_for(definition.body, frozenset(params), catalog)
+    kernel = compile_block_kernel(plan, params, ctx)
+    tweets = [
+        parse_json(raw, TWEET_TYPE_FULL)
+        for raw in workload.tweet_generator.raw_json(420)
+    ]
+    return ctx, kernel, tweets
+
+
+def test_micro_sqlpp_q7_block(benchmark):
+    """Q7 (Tweet Context) over one 420-tweet batch: three two-term spatial
+    join steps, each driven by a DistrictAreas R-tree search per tweet."""
+    ctx, kernel, tweets = _complex_block_kernel(
+        "tweet_context", ["AverageIncomes", "DistrictAreas", "Facilities", "Persons"]
+    )
+
+    def enrich_batch():
+        ctx.refresh_batch()
+        kernel.run(Evaluator(ctx), tweets)
+
+    benchmark(enrich_batch)
+
+
+def test_micro_sqlpp_q8_block(benchmark):
+    """Q8 (Worrisome Tweets) over one 420-tweet batch: one two-term join
+    step, a ReligiousBuildings R-tree search per tweet and a hash probe of
+    AttackEvents per building found."""
+    ctx, kernel, tweets = _complex_block_kernel(
+        "worrisome_tweets", ["ReligiousBuildings", "AttackEvents"]
+    )
+
+    def enrich_batch():
+        ctx.refresh_batch()
+        kernel.run(Evaluator(ctx), tweets)
+
+    benchmark(enrich_batch)

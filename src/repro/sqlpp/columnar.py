@@ -17,12 +17,15 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   LIMIT) over a key's match list, run once per build key and match
   list, not once per record: the kernel keeps a key's shaped rows until
   a write changes that key's matches (:func:`_shaped_rows`, the one probe
-  pass; a memo only books those rows); or a single-term block whose
-  WHERE is exactly its R-tree-served spatial filter run as **one spatial
-  access step per record** (:func:`_compile_spatial_step`), dispatched
-  once per batch: the per-record path's own ``Evaluator._rtree_survivors``
-  step, its survivors shaped by ``Evaluator._planned_output`` (not at
-  all when there are none and that provably returns ``[]``);
+  pass; a memo only books those rows); or a block whose first term is
+  R-tree served by a region of the record run as **one spatial step per
+  record** (:func:`_compile_spatial_step`), dispatched once per batch: a
+  single term whose WHERE is exactly that filter runs the per-record
+  path's own ``Evaluator._rtree_survivors`` step, and a two-term block
+  whose second term is probed by the first runs ``_bind_term``'s join
+  over the R-tree matches (:func:`_join_step`); either's tuples are
+  shaped by ``Evaluator._planned_output`` (not at all when there are none
+  and that provably returns ``[]``);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -40,8 +43,9 @@ Byte-identity contract: stored output and every ``WorkMeter`` counter
 total must equal the scalar planned path for the same frame.  Mapped
 closures charge exactly what they charge record-at-a-time; batched
 subqueries go through the shared evaluator primitives (``_hash_table`` /
-``_cached_select`` — builds are idempotent within a generation — and
-``_rtree_survivors``) or charge one aggregated per-batch increment equal
+``_cached_select`` — builds are idempotent within a generation —
+``_rtree_survivors``, ``_rtree_matches`` and the probes ``_bind_term``
+takes) or charge one aggregated per-batch increment equal
 to the sum of the scalar per-record increments, which is why they are
 only hoisted from always-evaluated positions and why per-key shaping is
 restricted to charge-free expressions.  A record served rows an earlier
@@ -90,7 +94,7 @@ from .ast import (
 from .evaluator import Env, _BuildSide
 from .functions import AGGREGATE_NAMES, VECTORIZABLE_BUILTINS
 from .memo import canonical_probe_key
-from .plans import SelectPlan, compile_expr, truthy
+from .plans import SelectPlan, charge_free_calls, compile_expr, truthy
 from .state_cache import estimate_entry_bytes
 
 
@@ -259,8 +263,8 @@ def _vec_subquery(inner: SelectBlock, known: Tuple[str, ...], ctx) -> Callable:
             return [result] * cb.n
 
         return run
-    hoisting = inner_plan.hoisting
-    if hoisting is not None and hoisting.filter is not None:
+    terms = inner_plan.terms
+    if terms and terms[0].access_kind == "spatial":
         return _compile_spatial_step(inner_plan, known, ctx)
     return _compile_probe_kernel(inner_plan, known, ctx)
 
@@ -271,47 +275,61 @@ def _vec_subquery(inner: SelectBlock, known: Tuple[str, ...], ctx) -> Callable:
 def _compile_spatial_step(
     inner_plan: SelectPlan, known: Tuple[str, ...], ctx
 ) -> Callable:
-    """A correlated single-term block whose WHERE is exactly its R-tree
-    served spatial filter (``Hoisting.filter``), run as one access step
-    per record with the dispatch hoisted to once per batch.
+    """A correlated block whose first FROM term is R-tree served by a
+    region of the record, run as one access step per record with the
+    dispatch hoisted to once per batch.
 
     The per-record path evaluates such a block through ``_cached_select``
     (the memo never serves it: its dataset carries an index), a scope
-    ``Env``, ``_planned_tuples`` and ``_filtered_access``.  This column
-    resolves the dataset and its R-tree probe state
-    (``Evaluator._rtree_access``) once per batch, evaluates the region
-    column, and per record runs the same
-    :meth:`Evaluator._rtree_survivors` step and shapes its survivors with
-    ``Evaluator._planned_output`` over one ``Env`` per survivor — skipped
-    for no survivors when that provably returns ``[]`` and charges
-    nothing (:func:`_empty_rows_are_free`).  Shaping runs per record, so
-    it may read outer names.
+    ``Env``, ``_planned_tuples`` and ``_bind_term``.  This column resolves
+    the dataset and its R-tree probe state (``Evaluator._rtree_access``)
+    once per batch, evaluates the region column, and per record binds the
+    block's tuple envs in one of two forms:
 
-    Admitted (anything else raises :class:`Unsupported`): no LETs, no
-    residual WHERE, no ``no-index`` hint, an R-tree on the field and a
-    hoisting that applies under the registry (a registration recompiles
-    the kernel, :func:`kernel_for`).  An R-tree dropped since raises
-    :class:`KernelFallback` at run time.
+    * **filter**: a single term whose WHERE is exactly its spatial filter
+      (``Hoisting.filter``, no residual) runs the per-record path's own
+      :meth:`Evaluator._rtree_survivors` step, one ``Env`` per survivor;
+    * **join**: two terms, the second probed by the first's variable
+      (:func:`_join_step`), run ``_bind_term``'s two loops over the R-tree
+      matches and the second term's access, resolved once per batch.
+
+    The tuple envs are shaped with ``Evaluator._planned_output`` — skipped
+    for none when that provably returns ``[]`` and charges nothing
+    (:func:`_empty_rows_are_free`).  Shaping runs per record, so it may
+    read outer names.
+
+    Admitted (anything else raises :class:`Unsupported`): one of the two
+    forms, no LETs, no ``no-index`` hint, an R-tree on the first term's
+    field and a hoisting that applies under the registry (a registration
+    recompiles the kernel, :func:`kernel_for`).  An R-tree dropped since
+    raises :class:`KernelFallback` at run time.
     """
-    hoisting = inner_plan.hoisting
-    tp = inner_plan.terms[0]
-    if inner_plan.let_fns:
+    hoisting, terms = inner_plan.hoisting, inner_plan.terms
+    tp = terms[0]
+    if inner_plan.let_fns or inner_plan.post_let_fns:
         raise Unsupported("inner LETs")
-    if hoisting.residual_fn is not None:
-        raise Unsupported("WHERE is more than the spatial filter")
+    if len(terms) == 1:
+        if hoisting is None or hoisting.filter is None:
+            raise Unsupported("WHERE does not lead with the spatial filter")
+        if hoisting.residual_fn is not None:
+            raise Unsupported("WHERE is more than the spatial filter")
+        bind = _filter_step(hoisting.filter, tp.var)
+    elif len(terms) == 2:
+        bind = _join_step(inner_plan, known, ctx)
+    else:
+        raise Unsupported("more than two FROM terms")
     dataset_name, field = tp.dataset_name, tp.access_field
     served = ctx.catalog[dataset_name].index_on(field, IndexKind.RTREE)
     if tp.no_index or served is None:
         raise Unsupported("no R-tree serves the spatial filter")
     if not hoisting.applies(ctx.functions):
         raise Unsupported("a registered function shadows the spatial filter")
-    # charge-free and select-free (plans._filter_calls), so it is mapped
-    # over only the names it reads (at least one: a column's length)
+    # charge-free and select-free (plans.charge_free_calls), so it is
+    # mapped over only the names it reads (at least one: a column's length)
     read = free_vars(tp.probe_expr)
     regions = _mapped(tp.probe_fn, tuple(n for n in known if n in read) or known)
-    spatial, var = hoisting.filter, tp.var
     skip_empty = _empty_rows_are_free(inner_plan)
-    scope = Env({})  # the block's scope: rebound per shaped record
+    scope = Env({})  # the block's scope: rebound per record
     scope_vars = scope.vars
 
     def run(ev, cb):
@@ -319,22 +337,102 @@ def _compile_spatial_step(
         index_name = dataset.index_on(field, IndexKind.RTREE)
         if index_name is None:
             raise KernelFallback(f"no R-tree on {dataset_name}.{field}")
-        access = ev._rtree_access(dataset, index_name)
-        step, output = ev._rtree_survivors, ev._planned_output
+        tuples_of = bind(ev, ev._rtree_access(dataset, index_name), scope)
+        output = ev._planned_output
         out = []
         append = out.append
         outer = zip(*[cb.columns[name] for name in known])
-        for region, values in zip(regions(ev, cb), outer):
-            survivors = [*step(access, region, spatial)]
-            if not survivors and skip_empty:
-                append([])
-                continue
-            scope_vars.update(zip(known, values))
-            envs = [Env({var: record}, scope) for record in survivors]
-            append(output(inner_plan, scope, envs))
+        saved = ev.hoisted
+        try:
+            for region, values in zip(regions(ev, cb), outer):
+                scope_vars.update(zip(known, values))
+                tuples = tuples_of(region)
+                if not tuples and skip_empty:
+                    append([])
+                    continue
+                append(output(inner_plan, scope, tuples))
+        finally:
+            ev.hoisted = saved
         return out
 
     return run
+
+
+def _filter_step(spatial, var: str) -> Callable:
+    """The filter form's ``bind(ev, access, scope)``: per batch, the
+    per-record ``tuples_of(region)``, one ``Env`` per survivor."""
+
+    def bind(ev, access, scope):
+        step = ev._rtree_survivors
+        return lambda region: [
+            Env({var: record}, scope) for record in step(access, region, spatial)
+        ]
+
+    return bind
+
+
+def _join_step(plan: SelectPlan, known: Tuple[str, ...], ctx) -> Callable:
+    """The join form's ``bind(ev, access, scope)``: per batch, the
+    per-record ``tuples_of(region)`` of a two-term block whose first term
+    is R-tree served by ``region`` and whose second is probed by the
+    first's variable.
+
+    Per record it runs ``_planned_tuples`` and ``_bind_term`` as they run
+    this block, in their charge order: fresh ``Evaluator.hoisted`` slots,
+    the first term's R-tree matches (:meth:`Evaluator._rtree_matches`, or
+    none for a MISSING or NULL region), and per match the first term's
+    slots reset (``Hoisting.resets[0]``), the second term's candidates
+    (:meth:`Evaluator._term_access`, resolved once per batch), its
+    ``nlj_pairs`` and the hoisted WHERE per pair.  A hoisted subexpression
+    over the first term alone is evaluated once per match and its charge
+    replayed per pair, as on the per-record path.  The first term's region
+    must read only record-level names and charge nothing, since it is
+    mapped over the batch beforehand.
+    """
+    hoisting = plan.hoisting
+    first, second = plan.terms
+    if hoisting is None:
+        raise Unsupported("the join hoists nothing")
+    if second.access_kind is None or first.var not in free_vars(second.probe_expr):
+        raise Unsupported("the second term is not probed by the first")
+    calls = charge_free_calls(first.probe_expr)
+    functions = ctx.functions
+    if (
+        calls is None
+        or not free_vars(first.probe_expr) <= set(known)
+        or (functions is not None and any(map(functions.has, calls)))
+    ):
+        raise Unsupported("the region is not a charge-free record-level value")
+    var, other = first.var, second.var
+    where_fn, probe_fn = hoisting.where_fn, hoisting.probe_fns[1]
+    reset, slots = hoisting.resets[0], len(hoisting.slots)
+
+    def bind(ev, access, scope):
+        fetch = ev._term_access(second, probe_fn)
+        matches, ctx = ev._rtree_matches, ev.ctx
+        scale = ctx.reference_work_scale
+
+        def tuples_of(region):
+            if region is MISSING or region is None:
+                return []
+            ev.hoisted = cache = [None] * slots
+            tuples = []
+            append = tuples.append
+            for record in matches(access, region):
+                for slot in reset:  # what read the previous match
+                    cache[slot] = None
+                env = Env({var: record}, scope)
+                candidates = fetch(env)  # a list or a scan's tuple
+                ctx.meter.nlj_pairs += int(len(candidates) * scale)
+                for candidate in candidates:
+                    final = Env({other: candidate}, env)
+                    if truthy(where_fn(ev, final)):
+                        append(final)
+            return tuples
+
+        return tuples_of
+
+    return bind
 
 
 def _empty_rows_are_free(plan: SelectPlan) -> bool:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from math import isfinite
 from operator import itemgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..adm.schema import field_getter
 from ..adm.values import MISSING, Circle, Point, Rectangle
@@ -1225,26 +1225,37 @@ class Evaluator:
             raise SqlppEvaluationError(
                 f"FROM source for {tp.var!r} is not iterable"
             )
+        return self._term_access(tp, probe_fn)(env)
+
+    def _term_access(self, tp: TermPlan, probe_fn) -> Callable:
+        """``fetch(env)``: dataset term ``tp``'s candidates under ``env``,
+        through the access path that serves it now — a live B-tree or the
+        generation's hash table for an equality, the R-tree or the charged
+        scan for a spatial test, the charged scan for none.  The planned
+        path resolves it per access, so an index created or dropped mid-run
+        flips the path without a re-plan; the columnar join step resolves
+        it once per batch, while nothing creates or drops an index."""
         dataset = self.ctx.catalog[tp.dataset_name]
+        field = tp.access_field
         if tp.access_kind == "equality":
-            probe_value = probe_fn(self, env)
-            index_name = (
-                dataset.index_on(tp.access_field, IndexKind.BTREE)
-                if not tp.no_index
-                else None
-            )
-            if index_name is not None:
-                return self._btree_probe(dataset, index_name, probe_value)
-            return self._hash_probe(dataset, tp.access_field, probe_value)
-        if tp.access_kind == "spatial":
-            index_name = self._spatial_index(tp, dataset)
-            if index_name is not None:
-                query = probe_fn(self, env)
-                if query is MISSING or query is None:
-                    return []
-                return self._rtree_probe(dataset, index_name, query)
-            # no index: fall through to a batch-cached scan (naive NLJ)
-        return self._scan_dataset(dataset)
+            btree = None if tp.no_index else dataset.index_on(field, IndexKind.BTREE)
+            if btree is not None:
+                probe = self._btree_probe
+                return lambda env: probe(dataset, btree, probe_fn(self, env))
+            probe = self._hash_probe
+            return lambda env: probe(dataset, field, probe_fn(self, env))
+        rtree = None if tp.access_kind is None else self._spatial_index(tp, dataset)
+        if rtree is None:  # a batch-cached scan (naive NLJ)
+            return lambda env: self._scan_dataset(dataset)
+        access = self._rtree_access(dataset, rtree)
+
+        def fetch(env):
+            query = probe_fn(self, env)
+            if query is MISSING or query is None:
+                return []
+            return self._rtree_matches(access, query)
+
+        return fetch
 
     def _spatial_index(self, tp: TermPlan, dataset) -> Optional[str]:
         """The R-tree serving ``tp`` right now — asked per access, so an

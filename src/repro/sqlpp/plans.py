@@ -932,13 +932,22 @@ def _filter_calls(
     # leading one does it is the term's access conjunct
     if not match_spatial(lead, tp.var, allowed):
         return None
-    safe = _charge_safe(*lead.args, tp.probe_expr)
+    calls = charge_free_calls(*lead.args, tp.probe_expr)
+    return None if calls is None else calls | {lead.name}
+
+
+def charge_free_calls(*exprs: Expr) -> Optional[FrozenSet[str]]:
+    """The builtins ``exprs`` call, as written, when none of their calls
+    charges a meter (no metered builtin, no Java UDF) and they hold no
+    subquery, aggregate or ``.*``; None otherwise.  The caller still
+    checks that no registered function shadows one of them."""
+    safe = _charge_safe(*exprs)
     if safe is None or safe[1]:
         return None
     calls, _java = safe
     if any(name.lower() in METERED_BUILTINS for name in calls):
         return None
-    return calls | {lead.name}
+    return calls
 
 
 class SelectPlan:

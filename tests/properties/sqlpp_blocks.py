@@ -9,8 +9,9 @@ generations of bindings with an optional reference write in each (before
 one of its bindings, or after the last), the cross-batch caches the fast
 paths attach and the facade's node count.  What the block draws decides
 the physical choices: a hash probe or the probe kernel, an R-tree probe
-or a scan, the filter access step or the WHERE, hoisting or its
-bail-out, a batched column or a per-record fallback.  Field values mix
+or a scan, the filter access step or the WHERE, the kernel's spatial
+access or join step, hoisting or its bail-out, a batched column or a
+per-record fallback.  Field values mix
 points, rectangles, circles, NULL, MISSING, NaN, arrays and objects.
 
 A world is one draw: :class:`Picks` reads every choice from one byte
@@ -192,6 +193,15 @@ SHAPINGS = [
     ('SELECT VALUE edit_distance({x}.name, "abd")', ""),
 ]
 CHARGE_FREE = 13
+#: what joins a second term ``{y}`` to the spatially filtered ``{x}``: an
+#: equality, or a spatial test probed by ``{x}``'s field (which
+#: ``create_circle`` refuses unless it is a point)
+JOINS = [
+    "{y}.k = {x}.k",
+    "{x}.k = {y}.k",
+    "spatial_intersect({y}.loc, {x}.loc)",
+    "spatial_intersect({y}.loc, create_circle({x}.loc, 1.0))",
+]
 #: shapings only a block inside the body may draw: they read its ``c``
 OUTER_SHAPINGS = [("SELECT VALUE [{x}.name, c]", ""), ("SELECT {x}.n AS n, c AS c", "")]
 TERMS = [("Ref", "r"), ("Places", "p"), ("Ref", "s")]
@@ -203,14 +213,18 @@ def fill(template: str, x: str, y: str = "", ids: str = "") -> str:
 
 def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
     head, tail = pick(*SHAPINGS, *(() if closed else OUTER_SHAPINGS))
-    mode = pick("filter", "any", "any", *(() if closed else ("probe",)))
-    mode = {"hoisting": "any", "filter": "filter", "generations": "probe"}.get(
-        focus, mode
-    )
+    mode = pick("filter", "any", "any", *(() if closed else ("probe", "join")))
+    if focus == "filter":
+        mode = pick("filter", "join")
+    else:
+        mode = {"hoisting": "any", "generations": "probe"}.get(focus, mode)
     if mode == "probe":  # the probe kernel's: one term, WHERE exactly its probe
         return fill(f"{head} FROM Ref r WHERE {pick(*EQUALITY)}{tail}", "r", ids="r.id")
     if mode == "filter":  # the filter step's: one spatial term, its access leads
         terms, lead = [("Places", "p")], "spatial"
+    elif mode == "join":  # the join step's: Places filtered, written either side
+        other = pick(("Ref", "r"), ("Places", "q"))
+        terms, lead = pick([("Places", "p"), other], [other, ("Places", "p")]), "join"
     else:
         first = pick(0, 1, 2)
         terms = (TERMS[first:] + TERMS[:first])[: pick(1, 1, 2, 3)]
@@ -221,19 +235,24 @@ def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
         template = pick(*closed_templates, *(() if closed else outer_templates))
         return fill(template, pick(*names), pick(*names))
 
-    conjuncts = {
-        "none": [],
-        "equality": [conjunct(CLOSED_EQUALITY, EQUALITY)],
-        "spatial": [conjunct(CLOSED_SPATIAL, SPATIAL)],
-    }[lead]
+    if lead == "join":  # the filter and the join, in either order
+        conjuncts = [fill(pick(*SPATIAL), "p"), fill(pick(*JOINS), "p", other[1])]
+        conjuncts = pick(conjuncts, conjuncts[::-1])
+    else:
+        conjuncts = {
+            "none": [],
+            "equality": [conjunct(CLOSED_EQUALITY, EQUALITY)],
+            "spatial": [conjunct(CLOSED_SPATIAL, SPATIAL)],
+        }[lead]
     extras = pick(1, 2) if focus == "hoisting" else pick(0, 0, 1, 2)
-    # the filter focus keeps its access conjunct leading and draws no LET
-    leading = focus == "filter"
+    # the filter focus keeps a filter step's access conjunct leading, and
+    # draws no LET
+    leading = focus == "filter" and mode == "filter"
     for _ in range(extras):  # on either side of the access conjunct
         at = len(conjuncts) if leading else pick(0, len(conjuncts))
         conjuncts.insert(at, conjunct(CLOSED_EXTRAS, EXTRAS))
     let = ""
-    if not leading and pick(False, False, True):  # charged per candidate
+    if focus != "filter" and pick(False, False, True):  # charged per candidate
         let = f' LET d = edit_distance({names[-1]}.name, "abd")'
         conjuncts.append("d < 3")
     # an outer GROUP BY around the block: a key is a variable, which a FROM
@@ -377,8 +396,9 @@ class World(NamedTuple):
 
 SIZES = (0, 1, 3, 6)  # reference rows
 #: what a focused draw keeps: residual conjuncts beside the access one
-#: (hoisting), a leading spatial access over one term and a write to
-#: Places in every generation (the filter step, where the live R-tree and
+#: (hoisting), a leading spatial access over one term, or a Places term
+#: filtered spatially and joined to a second, and a write to Places in
+#: every generation (the filter and join steps, where the live R-tree and
 #: the pinned scan part), the probe kernel over two or three generations,
 #: a closed block (the facade); ``None`` draws every world
 FOCUSES = (None, "hoisting", "filter", "generations", "facade")

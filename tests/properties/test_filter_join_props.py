@@ -3,8 +3,12 @@ interpreter.
 
 For a single-term block whose WHERE leads with the term's spatial access
 conjunct, ``Evaluator._filtered_access`` tests the candidates against the
-probe region itself.  It has to be invisible: over such blocks
-(``sqlpp_blocks``' ``filter`` focus), with and without the R-tree and the
+probe region itself; for a block that joins a second term to a Places
+term filtered by the record's region, the kernel's join step drives the
+join from the R-tree's matches.  They have to be invisible: over such
+blocks (``sqlpp_blocks``' ``filter`` focus: the filtered term written
+first or second, the join an equality or a spatial test on its field,
+the conjuncts in either order), with and without the R-tree and the
 ``no-index`` hint, plain and flipped argument order, whether the step ran
 or declined, and with a write to Places landing before one of each
 generation's bindings (the live R-tree sees it at once, the pinned scan

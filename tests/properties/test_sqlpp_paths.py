@@ -166,12 +166,13 @@ def _spied_filter(self, *args):
     return survivors
 
 
-def _spied_step(*args):
-    column = _compile_spatial_step(*args)
+def _spied_step(inner_plan, *args):
+    column = _compile_spatial_step(inner_plan, *args)
+    form = "join" if len(inner_plan.terms) == 2 else "access"
 
     def run(ev, cb):
         rows = column(ev, cb)
-        event("kernel: spatial access step")
+        event(f"kernel: spatial {form} step")
         return rows
 
     return run

@@ -122,6 +122,7 @@ def test_registry_version_bump_recompiles_kernel(small_catalog, registry):
 
 
 NEAR = "create_circle(create_point(t.latitude, t.longitude + t.id * 4), 1.5)"
+HERE = "create_point(t.latitude, t.longitude + t.id * 2)"
 
 COLUMN_CASES = [
     ("java_library_call", "LET x = testlib#removeSpecial(t.text)", 0),
@@ -208,6 +209,8 @@ COLUMN_CASES = [
             WHERE spatial_intersect(m.monument_location, {NEAR}))""",
         1,
     ),
+    # two-term blocks: the tweets' points (HERE) fall in four districts;
+    # the join step drives from the R-tree-served district term
     (
         "two_term_spatial_join",
         """LET x = (SELECT VALUE a.average_income
@@ -215,6 +218,71 @@ COLUMN_CASES = [
             WHERE a.district_area_id = d.district_area_id
               AND spatial_intersect(create_point(t.latitude, t.longitude),
                                     d.district_area))""",
+        0,
+    ),
+    (
+        "two_term_join_rtree_second_term",
+        f"""LET x = (SELECT f.facility_type AS ft, count(*) AS n
+            FROM Facilities f, DistrictAreas d
+            WHERE spatial_intersect(f.facility_location, d.district_area)
+              AND spatial_intersect({HERE}, d.district_area)
+            GROUP BY f.facility_type ORDER BY ft)""",
+        0,
+    ),
+    (
+        # tweet 2's pairs compare a string with a number
+        "two_term_join_residual_raises_on_some_pairs",
+        f"""LET x = (SELECT VALUE a.average_income
+            FROM DistrictAreas d, AverageIncomes a
+            WHERE spatial_intersect({HERE}, d.district_area)
+              AND (CASE WHEN t.id = 2 THEN "x" ELSE 0 END) < a.average_income
+              AND a.district_area_id = d.district_area_id)""",
+        0,
+    ),
+    (
+        # the record-level conjunct is hoisted into a slot of each record's
+        # own evaluation: the FR and Atlantis tweets get no rows
+        "two_term_join_residual_over_the_record",
+        f"""LET x = (SELECT VALUE a.average_income
+            FROM AverageIncomes a, DistrictAreas d
+            WHERE a.district_area_id = d.district_area_id
+              AND spatial_intersect({HERE}, d.district_area)
+              AND upper(t.country) = "US")""",
+        0,
+    ),
+    (
+        "two_term_join_null_and_missing_region",
+        f"""LET x = (SELECT VALUE a.average_income
+            FROM AverageIncomes a, DistrictAreas d
+            WHERE a.district_area_id = d.district_area_id
+              AND spatial_intersect(CASE WHEN t.id = 1 THEN null
+                                         WHEN t.id = 2 THEN missing
+                                         ELSE {HERE} END, d.district_area))""",
+        0,
+    ),
+    (
+        # one row over no pairs, so the empty-list shortcut is refused
+        "two_term_join_implicit_aggregate",
+        f"""LET x = (SELECT VALUE count(*) FROM AverageIncomes a, DistrictAreas d
+            WHERE a.district_area_id = d.district_area_id
+              AND spatial_intersect({NEAR}, d.district_area))""",
+        0,
+    ),
+    (
+        "two_term_join_second_term_not_probed_by_the_first",
+        f"""LET x = (SELECT VALUE s.safety_rating
+            FROM DistrictAreas d, SafetyRatings s
+            WHERE s.country_code = t.country
+              AND spatial_intersect({HERE}, d.district_area))""",
+        1,
+    ),
+    (
+        "three_term_spatial_join",
+        f"""LET x = (SELECT VALUE a.average_income
+            FROM AverageIncomes a, DistrictAreas d, SafetyRatings s
+            WHERE a.district_area_id = d.district_area_id
+              AND s.country_code = t.country
+              AND spatial_intersect({HERE}, d.district_area))""",
         1,
     ),
     (
@@ -383,6 +451,63 @@ def test_rtree_dropped_after_compile_aborts_at_runtime(
     small_catalog["monumentList"].drop_index("mon_loc")
     with pytest.raises(KernelFallback, match="R-tree"):
         kernel.run(Evaluator(ctx), [dict(sample_tweet, id=0)])
+
+
+JOIN = f"""CREATE FUNCTION f(t) {{
+    LET x = (SELECT VALUE a.average_income
+             FROM AverageIncomes a, DistrictAreas d
+             WHERE a.district_area_id = d.district_area_id
+               AND spatial_intersect({HERE}, d.district_area))
+    SELECT t.*, x
+}}"""
+
+
+def _join_tweets(sample_tweet):
+    return [dict(sample_tweet, id=index) for index in range(4)]
+
+
+def test_rtree_dropped_under_a_join_aborts_at_runtime(
+    small_catalog, registry, sample_tweet
+):
+    ctx = _ctx(small_catalog, registry)
+    kernel, _plan = _compile(ctx, JOIN)
+    assert kernel.fallback_lets == 0
+    rows = kernel.run(Evaluator(ctx), _join_tweets(sample_tweet))
+    assert [row["x"] for row in rows] == [[1006.0], [1007.0], [1008.0], [1009.0]]
+
+    # the district term would now be scanned, with other charges
+    small_catalog["DistrictAreas"].drop_index("da_area")
+    with pytest.raises(KernelFallback, match="R-tree on DistrictAreas"):
+        kernel.run(Evaluator(ctx), _join_tweets(sample_tweet))
+
+
+def test_btree_on_the_joined_field_after_compile_is_probed_live(
+    small_catalog, registry, sample_tweet
+):
+    """The join step resolves the second term's access per batch, as the
+    per-record path chooses it per access: a B-tree created after the
+    kernel compiled is probed, with the same rows and charges."""
+    definition = parse_function(JOIN)
+    params = tuple(definition.params)
+    tweets = _join_tweets(sample_tweet)
+    batched_ctx = _ctx(small_catalog, registry)
+    kernel, _plan = _compile(batched_ctx, JOIN)
+    small_catalog["AverageIncomes"].create_index(
+        "by_district", "district_area_id", IndexKind.BTREE
+    )
+    rows = kernel.run(Evaluator(batched_ctx), tweets)
+
+    scalar_ctx = _ctx(small_catalog, registry)
+    plan = scalar_ctx.plan_cache.plan_for(
+        definition.body, frozenset(params), scalar_ctx.catalog
+    )
+    ev = Evaluator(scalar_ctx)
+    expected = [
+        row for tweet in tweets for row in ev._planned_select(plan, Env({"t": tweet}))
+    ]
+    assert rows == expected
+    assert _counter_totals(batched_ctx) == _counter_totals(scalar_ctx)
+    assert batched_ctx.meter.btree_probes == 4 and batched_ctx.meter.hash_probes == 0
 
 
 # --------------------------------------------------------- batch invoker

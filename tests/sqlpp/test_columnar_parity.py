@@ -24,9 +24,9 @@ from tests.properties.test_sqlpp_paths import (
 )
 
 #: fn -> LET columns expected to fall back per batch (everything else
-#: vectorizes).  Q4: edit_distance; Q5Naive: the ``no-index`` scan; Q7:
-#: two-term spatial joins; Q8: a spatial probe beside a residual.  Q5's and
-#: Q6's R-tree-served spatial LETs are batched access-step columns.
+#: vectorizes).  Q4: edit_distance; Q5Naive: the ``no-index`` scan; both
+#: by design.  Q5's and Q6's R-tree-served spatial LETs are batched access
+#: steps, and Q7's and Q8's two-term spatial joins batched join steps.
 EXPECTED_FALLBACK_LETS = {
     "enrichTweetQ1": 0,
     "enrichTweetQ2": 0,
@@ -35,8 +35,8 @@ EXPECTED_FALLBACK_LETS = {
     "enrichTweetQ5": 0,
     "enrichTweetQ5Naive": 1,
     "enrichTweetQ6": 0,
-    "enrichTweetQ7": 3,
-    "enrichTweetQ8": 1,
+    "enrichTweetQ7": 0,
+    "enrichTweetQ8": 0,
 }
 
 
