@@ -23,9 +23,9 @@ projection — is one callable ``fn(ev, cb) -> list`` of three kinds:
   single term whose WHERE is exactly that filter runs the per-record
   path's own ``Evaluator._rtree_survivors`` step, and a two-term block
   whose second term is probed by the first runs ``_bind_term``'s join
-  over the R-tree matches (:func:`_join_step`); either's tuples are
-  shaped by ``Evaluator._planned_output`` (not at all when there are none
-  and that provably returns ``[]``);
+  over the R-tree matches; either's tuples are shaped by
+  ``Evaluator._planned_output`` (not at all when there are none and that
+  provably returns ``[]``);
 * the plan's own **scalar closure mapped over the batch** with a pooled
   flat ``Env`` whose bound-name set is the scalar chain's, so nested
   plan-cache keys (and therefore uncorrelated-result tokens) match the
@@ -281,17 +281,24 @@ def _compile_spatial_step(
 
     The per-record path evaluates such a block through ``_cached_select``
     (the memo never serves it: its dataset carries an index), a scope
-    ``Env``, ``_planned_tuples`` and ``_bind_term``.  This column resolves
-    the dataset and its R-tree probe state (``Evaluator._rtree_access``)
-    once per batch, evaluates the region column, and per record binds the
-    block's tuple envs in one of two forms:
+    ``Env`` and ``_planned_tuples``.  This column resolves the dataset and
+    its R-tree probe state (``Evaluator._rtree_access``) once per batch,
+    evaluates the region column, and per record binds the block's tuple
+    envs in one of two forms:
 
     * **filter**: a single term whose WHERE is exactly its spatial filter
       (``Hoisting.filter``, no residual) runs the per-record path's own
       :meth:`Evaluator._rtree_survivors` step, one ``Env`` per survivor;
-    * **join**: two terms, the second probed by the first's variable
-      (:func:`_join_step`), run ``_bind_term``'s two loops over the R-tree
-      matches and the second term's access, resolved once per batch.
+    * **join**: two terms, the second probed by the first's variable, run
+      ``_planned_tuples``' hoisted loop over the R-tree's matches
+      (:meth:`Evaluator._rtree_matches`, none for a MISSING or NULL
+      region): per match the first term's slots reset
+      (``Hoisting.resets[0]``), and the second term's candidates, through
+      the access :meth:`Evaluator._term_access` resolves once per batch,
+      go to ``_bind_term``, which charges their ``nlj_pairs`` and runs
+      the hoisted WHERE per pair.  The region must read only record-level
+      names and charge nothing, since it is mapped over the batch
+      beforehand.
 
     The tuple envs are shaped with ``Evaluator._planned_output`` — skipped
     for none when that provably returns ``[]`` and charges nothing
@@ -308,14 +315,25 @@ def _compile_spatial_step(
     tp = terms[0]
     if inner_plan.let_fns or inner_plan.post_let_fns:
         raise Unsupported("inner LETs")
+    if hoisting is None:
+        raise Unsupported("the block hoists nothing")
+    spatial = hoisting.filter  # the filter form's test; None for a join
     if len(terms) == 1:
-        if hoisting is None or hoisting.filter is None:
+        if spatial is None:
             raise Unsupported("WHERE does not lead with the spatial filter")
         if hoisting.residual_fn is not None:
             raise Unsupported("WHERE is more than the spatial filter")
-        bind = _filter_step(hoisting.filter, tp.var)
     elif len(terms) == 2:
-        bind = _join_step(inner_plan, known, ctx)
+        second = terms[1]
+        if second.access_kind is None or tp.var not in free_vars(second.probe_expr):
+            raise Unsupported("the second term is not probed by the first")
+        calls = charge_free_calls(tp.probe_expr)
+        if (
+            calls is None
+            or not free_vars(tp.probe_expr) <= set(known)
+            or (ctx.functions is not None and any(map(ctx.functions.has, calls)))
+        ):
+            raise Unsupported("the region is not a charge-free record-level value")
     else:
         raise Unsupported("more than two FROM terms")
     dataset_name, field = tp.dataset_name, tp.access_field
@@ -328,6 +346,8 @@ def _compile_spatial_step(
     # mapped over only the names it reads (at least one: a column's length)
     read = free_vars(tp.probe_expr)
     regions = _mapped(tp.probe_fn, tuple(n for n in known if n in read) or known)
+    var, slots, probe_fns = tp.var, len(hoisting.slots), hoisting.probe_fns
+    where_fn, resets = hoisting.where_fn, hoisting.resets
     skip_empty = _empty_rows_are_free(inner_plan)
     scope = Env({})  # the block's scope: rebound per record
     scope_vars = scope.vars
@@ -337,7 +357,10 @@ def _compile_spatial_step(
         index_name = dataset.index_on(field, IndexKind.RTREE)
         if index_name is None:
             raise KernelFallback(f"no R-tree on {dataset_name}.{field}")
-        tuples_of = bind(ev, ev._rtree_access(dataset, index_name), scope)
+        access = ev._rtree_access(dataset, index_name)
+        step, matches, bind = ev._rtree_survivors, ev._rtree_matches, ev._bind_term
+        if spatial is None:
+            fetch = ev._term_access(terms[1], probe_fns[1])
         output = ev._planned_output
         out = []
         append = out.append
@@ -346,7 +369,22 @@ def _compile_spatial_step(
         try:
             for region, values in zip(regions(ev, cb), outer):
                 scope_vars.update(zip(known, values))
-                tuples = tuples_of(region)
+                if spatial is not None:
+                    tuples = [
+                        Env({var: record}, scope)
+                        for record in step(access, region, spatial)
+                    ]
+                else:
+                    tuples = []
+                    if region is not MISSING and region is not None:
+                        ev.hoisted = cache = [None] * slots
+                        loop = (inner_plan, where_fn, probe_fns, resets, tuples)
+                        for record in matches(access, region):
+                            for slot in resets[0]:  # what read the last match
+                                cache[slot] = None
+                            env = Env({var: record}, scope)
+                            # term 1 under one bound dataset term: its pairs
+                            bind(loop, 1, env, 1, fetch(env))
                 if not tuples and skip_empty:
                     append([])
                     continue
@@ -356,83 +394,6 @@ def _compile_spatial_step(
         return out
 
     return run
-
-
-def _filter_step(spatial, var: str) -> Callable:
-    """The filter form's ``bind(ev, access, scope)``: per batch, the
-    per-record ``tuples_of(region)``, one ``Env`` per survivor."""
-
-    def bind(ev, access, scope):
-        step = ev._rtree_survivors
-        return lambda region: [
-            Env({var: record}, scope) for record in step(access, region, spatial)
-        ]
-
-    return bind
-
-
-def _join_step(plan: SelectPlan, known: Tuple[str, ...], ctx) -> Callable:
-    """The join form's ``bind(ev, access, scope)``: per batch, the
-    per-record ``tuples_of(region)`` of a two-term block whose first term
-    is R-tree served by ``region`` and whose second is probed by the
-    first's variable.
-
-    Per record it runs ``_planned_tuples`` and ``_bind_term`` as they run
-    this block, in their charge order: fresh ``Evaluator.hoisted`` slots,
-    the first term's R-tree matches (:meth:`Evaluator._rtree_matches`, or
-    none for a MISSING or NULL region), and per match the first term's
-    slots reset (``Hoisting.resets[0]``), the second term's candidates
-    (:meth:`Evaluator._term_access`, resolved once per batch), its
-    ``nlj_pairs`` and the hoisted WHERE per pair.  A hoisted subexpression
-    over the first term alone is evaluated once per match and its charge
-    replayed per pair, as on the per-record path.  The first term's region
-    must read only record-level names and charge nothing, since it is
-    mapped over the batch beforehand.
-    """
-    hoisting = plan.hoisting
-    first, second = plan.terms
-    if hoisting is None:
-        raise Unsupported("the join hoists nothing")
-    if second.access_kind is None or first.var not in free_vars(second.probe_expr):
-        raise Unsupported("the second term is not probed by the first")
-    calls = charge_free_calls(first.probe_expr)
-    functions = ctx.functions
-    if (
-        calls is None
-        or not free_vars(first.probe_expr) <= set(known)
-        or (functions is not None and any(map(functions.has, calls)))
-    ):
-        raise Unsupported("the region is not a charge-free record-level value")
-    var, other = first.var, second.var
-    where_fn, probe_fn = hoisting.where_fn, hoisting.probe_fns[1]
-    reset, slots = hoisting.resets[0], len(hoisting.slots)
-
-    def bind(ev, access, scope):
-        fetch = ev._term_access(second, probe_fn)
-        matches, ctx = ev._rtree_matches, ev.ctx
-        scale = ctx.reference_work_scale
-
-        def tuples_of(region):
-            if region is MISSING or region is None:
-                return []
-            ev.hoisted = cache = [None] * slots
-            tuples = []
-            append = tuples.append
-            for record in matches(access, region):
-                for slot in reset:  # what read the previous match
-                    cache[slot] = None
-                env = Env({var: record}, scope)
-                candidates = fetch(env)  # a list or a scan's tuple
-                ctx.meter.nlj_pairs += int(len(candidates) * scale)
-                for candidate in candidates:
-                    final = Env({other: candidate}, env)
-                    if truthy(where_fn(ev, final)):
-                        append(final)
-            return tuples
-
-        return tuples_of
-
-    return bind
 
 
 def _empty_rows_are_free(plan: SelectPlan) -> bool:

@@ -18,10 +18,11 @@ from repro.udf import FunctionRegistry, register_paper_udfs
 # ``json.loads`` on arbitrary text), the UDF operator's frame path vs
 # per-record calls, and the memo's bookings over the probe kernel's store
 # (``tests/sqlpp/test_shaped_rows.py``).  The SQL++ path harness
-# (``tests/properties/test_sqlpp_paths.py``) has five generated entry
+# (``tests/properties/test_sqlpp_paths.py``) has six generated entry
 # points, ``tests/properties/test_*_props.py`` for hoisting, the filter
-# step, the batch kernel, shaped rows and the facade, that draw 110
-# examples each under ``tier1`` and the profile's count under ``deep``.
+# step, the join step, the batch kernel, shaped rows and the facade, that
+# draw 110 examples each under ``tier1`` and the profile's count under
+# ``deep``.
 # ``tier1`` is what ``pytest -x -q`` runs; CI's ``properties-deep`` job
 # runs ``tests/properties`` and the memo bookings with
 # ``--hypothesis-profile=deep``.

@@ -213,11 +213,10 @@ def fill(template: str, x: str, y: str = "", ids: str = "") -> str:
 
 def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
     head, tail = pick(*SHAPINGS, *(() if closed else OUTER_SHAPINGS))
-    mode = pick("filter", "any", "any", *(() if closed else ("probe", "join")))
-    if focus == "filter":
-        mode = pick("filter", "join")
-    else:
-        mode = {"hoisting": "any", "generations": "probe"}.get(focus, mode)
+    mode = pick("filter", "any", "any", *(() if closed else ("probe",)))
+    mode = {
+        "hoisting": "any", "filter": "filter", "join": "join", "generations": "probe"
+    }.get(focus, mode)
     if mode == "probe":  # the probe kernel's: one term, WHERE exactly its probe
         return fill(f"{head} FROM Ref r WHERE {pick(*EQUALITY)}{tail}", "r", ids="r.id")
     if mode == "filter":  # the filter step's: one spatial term, its access leads
@@ -245,14 +244,15 @@ def select_block(pick, closed: bool, focus: Optional[str] = None) -> str:
             "spatial": [conjunct(CLOSED_SPATIAL, SPATIAL)],
         }[lead]
     extras = pick(1, 2) if focus == "hoisting" else pick(0, 0, 1, 2)
-    # the filter focus keeps a filter step's access conjunct leading, and
-    # draws no LET
-    leading = focus == "filter" and mode == "filter"
+    # the filter focus keeps its access conjunct leading; neither it nor
+    # the join focus draws a LET
+    leading = focus == "filter"
     for _ in range(extras):  # on either side of the access conjunct
         at = len(conjuncts) if leading else pick(0, len(conjuncts))
         conjuncts.insert(at, conjunct(CLOSED_EXTRAS, EXTRAS))
     let = ""
-    if focus != "filter" and pick(False, False, True):  # charged per candidate
+    if focus not in ("filter", "join") and pick(False, False, True):
+        # charged per candidate
         let = f' LET d = edit_distance({names[-1]}.name, "abd")'
         conjuncts.append("d < 3")
     # an outer GROUP BY around the block: a key is a variable, which a FROM
@@ -395,18 +395,20 @@ class World(NamedTuple):
 
 
 SIZES = (0, 1, 3, 6)  # reference rows
+WRITTEN = (None, None, "Ref", "Places")  # what a generation writes to
 #: what a focused draw keeps: residual conjuncts beside the access one
-#: (hoisting), a leading spatial access over one term, or a Places term
-#: filtered spatially and joined to a second, and a write to Places in
-#: every generation (the filter and join steps, where the live R-tree and
-#: the pinned scan part), the probe kernel over two or three generations,
-#: a closed block (the facade); ``None`` draws every world
-FOCUSES = (None, "hoisting", "filter", "generations", "facade")
+#: (hoisting), a leading spatial access over one term and a write to
+#: Places in every generation (the filter step, where the live R-tree and
+#: the pinned scan part), a Places term filtered by the binding's region
+#: and joined to a second term, with a write in every generation (the
+#: join step), the probe kernel over two or three generations, a closed
+#: block (the facade); ``None`` draws every world
+FOCUSES = (None, "hoisting", "filter", "join", "generations", "facade")
 
 
 def world(pick, focus: Optional[str] = None) -> World:
     indexed, closed = pick(False, True), pick(True, False, False, False)
-    closed = {"facade": True, "generations": False}.get(focus, closed)
+    closed = {"facade": True, "generations": False, "join": False}.get(focus, closed)
     block = select_block(pick, closed, focus)
     generations = []
     count = pick(2, 3) if focus == "generations" else pick(1, 2, 3)
@@ -418,7 +420,8 @@ def world(pick, focus: Optional[str] = None) -> World:
         # the pinned snapshots do not; after the last generation, nothing
         last = len(tweets) - (generation == count - 1)
         at = pick(*range(last + 1))
-        dataset = "Places" if focus == "filter" else pick(None, None, "Ref", "Places")
+        written = ("Ref", "Places", "Places") if focus == "join" else WRITTEN
+        dataset = "Places" if focus == "filter" else pick(*written)
         row = dataset and record(pick, pick(*range(8)), dataset, indexed)
         generations.append((tweets, dataset and (at, dataset, row)))
     return World(

@@ -23,9 +23,9 @@ oracle is charged a probe.
 
 The generated entry points each draw the worlds of one focus of
 ``sqlpp_blocks`` and run them through every path:
-``test_hoisting_props``, ``test_filter_join_props``,
-``test_columnar_props`` (every world), ``test_shaped_rows_props`` and
-``test_facade_query_props``.  ``tests/sqlpp/test_plan_parity`` and
+``test_hoisting_props``, ``test_filter_join_props`` (two: the filter
+step's and the join step's), ``test_columnar_props`` (every world),
+``test_shaped_rows_props`` and ``test_facade_query_props``.  ``tests/sqlpp/test_plan_parity`` and
 ``test_columnar_parity`` run the nine paper UDFs over
 :func:`paper_generations`; the filter-step corners that generation
 rarely reaches are fixed examples here.
@@ -225,8 +225,8 @@ def check(world: World) -> None:
         differential(world.catalog, registry, "f", world.generations, caches, between)
 
 
-#: examples per generated entry point: 550 over the five under ``tier1``,
-#: the profile's count each (2,000 over the five) under ``deep``
+#: examples per generated entry point: 660 over the six under ``tier1``,
+#: the profile's count each (2,400 over the six) under ``deep``
 EXAMPLES = max(110, settings.default.max_examples)
 
 
